@@ -75,6 +75,17 @@ pub trait StateMachine {
     /// Serializes the full application state for a checkpoint.
     fn snapshot(&self) -> Vec<u8>;
 
+    /// Appends exactly the bytes [`snapshot`](Self::snapshot) would
+    /// return to `out`.
+    ///
+    /// The write-ahead log serializes periodic checkpoints through this
+    /// entry point straight into the disk record, so a state machine that
+    /// overrides it is never copied through an intermediate `Vec`. The
+    /// default delegates to [`snapshot`](Self::snapshot).
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.snapshot());
+    }
+
     /// The exact byte length [`snapshot`](Self::snapshot) would return,
     /// without materializing it.
     ///

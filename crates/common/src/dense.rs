@@ -420,10 +420,24 @@ impl SessionTable {
         });
     }
 
+    /// Replaces every execution record with a checkpoint's
+    /// `(client, last_op, reply)` rows — checkpoint install and WAL
+    /// replay both restore the table this way.
+    pub fn restore_executed<'r>(&mut self, rows: impl Iterator<Item = (u32, u64, &'r [u8])>) {
+        self.clear_executed();
+        for (client, op, reply) in rows {
+            self.record(
+                ClientId(client),
+                OpNumber(op),
+                ResultBytes::from_slice(reply),
+            );
+        }
+    }
+
     /// Iterates executed clients in ascending id order (dense ids first,
     /// then the reserved high ids — numerically ascending overall, which
     /// matches the `BTreeMap` order checkpoints were built with).
-    pub fn iter(&self) -> impl Iterator<Item = (u32, OpNumber, &ResultBytes)> {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, OpNumber, &ResultBytes)> + Clone {
         self.dense
             .iter()
             .enumerate()

@@ -51,5 +51,5 @@ pub use load::{ArrivalProcess, ArrivalSampler, BackoffWheel, LoadCounters, LoadP
 pub use membership::{Epoch, Membership, ReconfigCommand, RECONFIG_CLIENT};
 pub use quorum::{QuorumSet, QuorumTracker};
 pub use request::{Reply, Request, ResultBytes, INLINE_RESULT_CAP};
-pub use wal::{PersistMode, Wal, WalRecord};
+pub use wal::{CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord, WalRecordRef};
 pub use window::SeqWindow;

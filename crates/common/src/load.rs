@@ -131,6 +131,11 @@ impl ArrivalSampler {
                 Duration::from_nanos(exp_gap_ns(rate_per_s, rng).min(u64::MAX as f64) as u64)
             }
             ArrivalProcess::Mmpp(states) => {
+                if rate_per_s <= 0.0 {
+                    // No state can produce an arrival, so the loop below
+                    // would cycle through dwells forever.
+                    return Duration::from_nanos(u64::MAX);
+                }
                 if self.dwell_left_ns < 0.0 {
                     self.dwell_left_ns = exp_gap_ns(
                         1e9 / states[self.state].mean_dwell.as_nanos().max(1) as f64,
@@ -368,6 +373,33 @@ mod tests {
             gap > Duration::from_secs(3600),
             "gap {gap:?} should be ~forever"
         );
+    }
+
+    #[test]
+    fn zero_rate_mmpp_never_arrives_and_draws_nothing() {
+        let states = vec![
+            MmppState {
+                rate_mult: 0.5,
+                mean_dwell: Duration::from_millis(1),
+            },
+            MmppState {
+                rate_mult: 2.0,
+                mean_dwell: Duration::from_millis(1),
+            },
+        ];
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut s = ArrivalSampler::new(ArrivalProcess::Mmpp(states.clone()));
+        // Used to spin through state dwells without ever returning.
+        assert_eq!(s.next_gap(0.0, &mut rng), Duration::from_nanos(u64::MAX));
+        // The stream continues exactly as if the idle call never happened.
+        let mut fresh_rng = SmallRng::seed_from_u64(1);
+        let mut fresh = ArrivalSampler::new(ArrivalProcess::Mmpp(states));
+        for _ in 0..100 {
+            assert_eq!(
+                s.next_gap(1_000.0, &mut rng),
+                fresh.next_gap(1_000.0, &mut fresh_rng)
+            );
+        }
     }
 
     #[test]

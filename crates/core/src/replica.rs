@@ -6,9 +6,9 @@ use std::time::Duration;
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, ClientId, Directory, ExecRecord, Membership, OpNumber, PersistMode, QuorumTracker,
-    ReconfigCommand, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber,
-    SeqWindow, SessionTable, StateMachine, View, Wal, WalRecord, RECONFIG_CLIENT,
+    Chained, ClientId, Directory, ExecRecord, Membership, PersistMode, QuorumTracker,
+    ReconfigCommand, ReplayLog, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes,
+    SeqNumber, SeqWindow, SessionTable, StateMachine, View, Wal, WalRecordRef, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, SimTime, TimerId, Wire};
 
@@ -269,7 +269,6 @@ pub struct IdemReplica {
 
     /// Reused buffer for state-machine execution results.
     exec_scratch: Vec<u8>,
-    checkpoint: Option<CheckpointData>,
 
     progress_timer: Option<TimerId>,
     /// Reused window-sized merge scratch for view changes, so
@@ -344,7 +343,6 @@ impl IdemReplica {
             cold_store: BTreeMap::new(),
             pending_proposals: VecDeque::new(),
             exec_scratch: Vec::new(),
-            checkpoint: None,
             progress_timer: None,
             vc_merge: Vec::new(),
             wal: Wal::default(),
@@ -409,19 +407,24 @@ impl IdemReplica {
         fresh: bool,
         command: &[u8],
     ) {
-        if self.wal.enabled() {
-            self.wal.log(
-                ctx,
-                &WalRecord::Exec {
-                    slot: slot.0,
-                    id,
-                    fresh,
-                    command: command.to_vec(),
-                    epoch: self.membership.epoch().0,
-                },
-            );
-        }
+        let epoch = self.membership.epoch().0;
+        self.wal.log_exec(ctx, slot.0, id, fresh, command, epoch);
         self.record_exec(slot, id, fresh);
+    }
+
+    /// Durably logs the binding of `id` to `sqn` in `view`, body included
+    /// when this replica holds it.
+    fn log_binding(
+        &self,
+        ctx: &mut Context<'_, IdemMessage>,
+        sqn: SeqNumber,
+        view: View,
+        id: RequestId,
+    ) {
+        if self.wal.enabled() {
+            let command = self.store_get(id).map_or(&[][..], |r| &r.command);
+            self.wal.log_accept(ctx, sqn.0, view.0, id, command);
+        }
     }
 
     /// Protocol counters.
@@ -659,19 +662,10 @@ impl IdemReplica {
     /// `h` is the request's already-resolved record (null if untracked).
     fn accept(&mut self, ctx: &mut Context<'_, IdemMessage>, req: Request, h: ReqHandle) {
         let id = req.id;
-        if self.wal.enabled() {
-            // Durable before the REQUIRE leaves: an accepted body must
-            // survive amnesia, because peers may commit it on our vouching.
-            self.wal.log(
-                ctx,
-                &WalRecord::Accept {
-                    slot: u64::MAX,
-                    view: self.view.0,
-                    id,
-                    command: req.command.to_vec(),
-                },
-            );
-        }
+        // Durable before the REQUIRE leaves: an accepted body must
+        // survive amnesia, because peers may commit it on our vouching.
+        self.wal
+            .log_accept(ctx, u64::MAX, self.view.0, id, &req.command);
         let h = if self.reqs.contains(h) {
             h
         } else {
@@ -859,24 +853,10 @@ impl IdemReplica {
         id: RequestId,
         sqn: SeqNumber,
     ) {
-        if self.wal.enabled() {
-            // The slot binding must be durable before the proposal leaves:
-            // after amnesia we must never bind a different request to a
-            // slot we already proposed (equivocation).
-            let command = self
-                .store_get(id)
-                .map(|r| r.command.to_vec())
-                .unwrap_or_default();
-            self.wal.log(
-                ctx,
-                &WalRecord::Accept {
-                    slot: sqn.0,
-                    view: self.view.0,
-                    id,
-                    command,
-                },
-            );
-        }
+        // The slot binding must be durable before the proposal leaves:
+        // after amnesia we must never bind a different request to a slot
+        // we already proposed (equivocation).
+        self.log_binding(ctx, sqn, self.view, id);
         let mut votes = QuorumTracker::new(self.majority());
         let committed = votes.record(self.me) || votes.reached();
         let executed = self.executed_already(id);
@@ -950,9 +930,7 @@ impl IdemReplica {
     /// operational, and re-endorses live requests with its leader.
     fn enter_view_as_follower(&mut self, ctx: &mut Context<'_, IdemMessage>, v: View) {
         if v > self.view || self.vc_target == Some(v) {
-            if self.wal.enabled() {
-                self.wal.log(ctx, &WalRecord::View(v.0));
-            }
+            self.wal.log_view(ctx, v.0);
             self.view = v;
             self.vc_target = None;
             self.vc_store.retain(|&t, _| t > v.0);
@@ -1022,23 +1000,9 @@ impl IdemReplica {
             None => true,
         };
         if replace {
-            if self.wal.enabled() {
-                // Our endorsement of this binding may complete its quorum;
-                // it must survive amnesia.
-                let command = self
-                    .store_get(id)
-                    .map(|r| r.command.to_vec())
-                    .unwrap_or_default();
-                self.wal.log(
-                    ctx,
-                    &WalRecord::Accept {
-                        slot: sqn.0,
-                        view: view.0,
-                        id,
-                        command,
-                    },
-                );
-            }
+            // Our endorsement of this binding may complete its quorum; it
+            // must survive amnesia.
+            self.log_binding(ctx, sqn, view, id);
             let mut votes = QuorumTracker::new(self.majority());
             votes.record(sender); // the leader's proposal counts as a commit
             votes.record(self.me);
@@ -1328,15 +1292,14 @@ impl IdemReplica {
         // Epoch boundary = checkpoint boundary: the state-transfer path
         // hands a joiner a checkpoint whose membership already includes it,
         // which is what bounds joiner convergence.
-        self.take_checkpoint(ctx, true);
+        self.take_checkpoint(ctx);
         // Push the boundary checkpoint straight at a joiner. It is not yet
         // participating, so waiting for its own CheckpointRequest would put
         // a retry interval on the convergence path; one unsolicited
         // transfer makes it transfer-latency instead.
         if let Some(joiner) = cmd.added().filter(|&r| r != self.me) {
-            if let Some(cp) = self.checkpoint.clone() {
-                ctx.send(self.dir.replica(joiner), IdemMessage::Checkpoint(cp));
-            }
+            let cp = self.checkpoint_data();
+            ctx.send(self.dir.replica(joiner), IdemMessage::Checkpoint(cp));
         }
         // Tell the clients where the group now lives; a stale client would
         // otherwise keep talking to the old epoch's replica set.
@@ -1404,44 +1367,27 @@ impl IdemReplica {
             .0
             .is_multiple_of(self.cfg.checkpoint_interval)
         {
-            self.take_checkpoint(ctx, false);
+            self.take_checkpoint(ctx);
         }
     }
 
-    /// Takes a checkpoint. With `materialize` false (the periodic path)
-    /// and no WAL, the snapshot bytes are never read by anyone — the only
-    /// consumers are the WAL and [`handle_checkpoint_request`]
-    /// (Self::handle_checkpoint_request), which re-takes a materialized
-    /// checkpoint first — so the replica charges the exact serialization
-    /// cost without serializing, leaving `self.checkpoint` untouched.
-    fn take_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>, materialize: bool) {
+    /// Takes a checkpoint: charges the serialization, streams the state
+    /// into the WAL, and prunes what the checkpoint covers. Nothing is
+    /// materialized — the only reader of a checkpoint's bytes besides the
+    /// WAL is state transfer, which builds its own
+    /// [`checkpoint_data`](Self::checkpoint_data) at the current frontier.
+    fn take_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>) {
         // Snapshot serialization costs CPU like handling a message of the
-        // same size, whether or not the bytes are materialized.
-        if materialize || self.wal.enabled() {
-            let snapshot = self.app.snapshot();
-            ctx.charge(self.cfg.message_cost.message_cost(snapshot.len()));
-            let clients = self
-                .sessions
-                .iter()
-                .map(|(cid, op, reply)| ClientRecord {
-                    client: ClientId(cid),
-                    last_op: op,
-                    reply: reply.to_vec(),
-                })
-                .collect();
-            self.checkpoint = Some(CheckpointData {
-                next_exec: self.next_exec,
-                snapshot,
-                clients,
-                membership: self.membership.clone(),
-            });
-            if self.wal.enabled() {
-                let cp = self.checkpoint.clone().expect("just taken");
-                self.persist_checkpoint(ctx, &cp);
-            }
-        } else {
-            ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
-        }
+        // same size.
+        ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
+        // Durable, it bounds WAL replay length after a wipe.
+        self.wal.log_checkpoint(
+            ctx,
+            self.next_exec.0,
+            &*self.app,
+            &self.sessions,
+            &self.membership,
+        );
         self.stats.checkpoints_taken += 1;
         // Bodies of requests covered by a stable checkpoint can be pruned
         // (the proof of Theorem 6.2 relies on exactly this rule). Executed
@@ -1452,21 +1398,22 @@ impl IdemReplica {
             .retain(|id, _| last.last_op(id.client).is_none_or(|op| op < id.op));
     }
 
-    /// Logs a checkpoint durably; bounds WAL replay length after a wipe.
-    fn persist_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>, cp: &CheckpointData) {
-        self.wal.log(
-            ctx,
-            &WalRecord::Checkpoint {
-                next_exec: cp.next_exec.0,
-                snapshot: cp.snapshot.clone(),
-                clients: cp
-                    .clients
-                    .iter()
-                    .map(|c| (c.client.0, c.last_op.0, c.reply.clone()))
-                    .collect(),
-                membership: (cp.membership.epoch().0 > 0).then(|| cp.membership.clone()),
-            },
-        );
+    /// The current state as a transferable checkpoint.
+    fn checkpoint_data(&self) -> CheckpointData {
+        CheckpointData {
+            next_exec: self.next_exec,
+            snapshot: self.app.snapshot(),
+            clients: self
+                .sessions
+                .iter()
+                .map(|(cid, op, reply)| ClientRecord {
+                    client: ClientId(cid),
+                    last_op: op,
+                    reply: reply.to_vec(),
+                })
+                .collect(),
+            membership: self.membership.clone(),
+        }
     }
 
     fn handle_checkpoint_request(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId) {
@@ -1474,10 +1421,9 @@ impl IdemReplica {
         // requester's own state, which would leave a lagging replica
         // permanently unable to catch up (its gap is only repairable by a
         // checkpoint taken at or after its missing slot).
-        self.take_checkpoint(ctx, true);
-        if let Some(cp) = self.checkpoint.clone() {
-            ctx.send(from, IdemMessage::Checkpoint(cp));
-        }
+        self.take_checkpoint(ctx);
+        let cp = self.checkpoint_data();
+        ctx.send(from, IdemMessage::Checkpoint(cp));
     }
 
     fn handle_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>, data: CheckpointData) {
@@ -1502,11 +1448,11 @@ impl IdemReplica {
             }
         }
         self.app.restore(&data.snapshot);
-        self.sessions.clear_executed();
-        for c in &data.clients {
-            self.sessions
-                .record(c.client, c.last_op, ResultBytes::from_slice(&c.reply));
-        }
+        let rows = data
+            .clients
+            .iter()
+            .map(|c| (c.client.0, c.last_op.0, &c.reply[..]));
+        self.sessions.restore_executed(rows.clone());
         self.next_exec = data.next_exec;
         let dropped = self.window.advance_to(data.next_exec);
         for (_, inst) in dropped {
@@ -1526,14 +1472,16 @@ impl IdemReplica {
         }
         self.stalled = false;
         self.stats.checkpoints_installed += 1;
-        self.checkpoint = Some(data);
-        if self.wal.enabled() {
-            // An installed checkpoint moved the app past slots this replica
-            // never logged itself; persist it so WAL replay after a wipe
-            // starts from a state that actually covers them.
-            let cp = self.checkpoint.clone().expect("just installed");
-            self.persist_checkpoint(ctx, &cp);
-        }
+        // An installed checkpoint moved the app past slots this replica
+        // never logged itself; persist it so WAL replay after a wipe starts
+        // from a state that actually covers them.
+        self.wal.log_checkpoint_data(
+            ctx,
+            data.next_exec.0,
+            &data.snapshot,
+            rows,
+            &data.membership,
+        );
         self.next_propose = self.next_propose.max(self.next_exec);
         self.try_execute(ctx);
     }
@@ -1666,54 +1614,31 @@ impl IdemReplica {
     /// Rebuilds volatile state from the disk after an amnesia wipe: install
     /// the newest durable checkpoint, replay executions past it, restore
     /// accepted-but-unexecuted request bodies, and resume the highest view.
-    fn replay_wal(&mut self, ctx: &mut Context<'_, IdemMessage>) {
+    fn replay_wal(&mut self, ctx: &mut Context<'_, IdemMessage>, disk: &[Vec<u8>]) {
         if !self.wal.enabled() {
             return;
         }
-        let records = Wal::replay(ctx);
+        let ReplayLog {
+            checkpoint,
+            records,
+        } = Wal::replay(disk);
         let mut max_view = 0u64;
-        let mut newest_cp = None;
         for rec in &records {
-            match rec {
-                WalRecord::View(v) => max_view = max_view.max(*v),
-                WalRecord::Checkpoint { .. } => newest_cp = Some(rec),
-                _ => {}
+            if let WalRecordRef::View(v) = rec {
+                max_view = max_view.max(*v);
             }
         }
-        if let Some(WalRecord::Checkpoint {
-            next_exec,
-            snapshot,
-            clients,
-            membership,
-        }) = newest_cp
-        {
-            self.app.restore(snapshot);
-            self.sessions.clear_executed();
-            for (c, op, reply) in clients {
-                self.sessions
-                    .record(ClientId(*c), OpNumber(*op), ResultBytes::from_slice(reply));
-            }
-            self.next_exec = SeqNumber(*next_exec);
-            if let Some(m) = membership {
+        if let Some(cp) = checkpoint {
+            self.app.restore(cp.snapshot);
+            self.sessions.restore_executed(cp.clients.iter());
+            self.next_exec = SeqNumber(cp.next_exec);
+            if let Some(m) = cp.membership {
                 // The membership in force at the checkpoint's frontier.
-                self.membership = m.clone();
+                self.membership = m;
             }
-            self.checkpoint = Some(CheckpointData {
-                next_exec: SeqNumber(*next_exec),
-                snapshot: snapshot.clone(),
-                clients: clients
-                    .iter()
-                    .map(|(c, op, reply)| ClientRecord {
-                        client: ClientId(*c),
-                        last_op: OpNumber(*op),
-                        reply: reply.clone(),
-                    })
-                    .collect(),
-                membership: self.membership.clone(),
-            });
         }
         for rec in &records {
-            let WalRecord::Exec {
+            let WalRecordRef::Exec {
                 slot,
                 id,
                 fresh,
@@ -1761,7 +1686,7 @@ impl IdemReplica {
         // Accepted-but-unexecuted requests come back as active, so their
         // bodies survive (peers may commit them on our pre-wipe vouching).
         for rec in &records {
-            let WalRecord::Accept { id, command, .. } = rec else {
+            let WalRecordRef::Accept { id, command, .. } = rec else {
                 continue;
             };
             if command.is_empty() || id.client == NOOP_CLIENT || self.executed_already(*id) {
@@ -1776,7 +1701,7 @@ impl IdemReplica {
             e.active = true;
             self.active_count += 1;
             e.stored = true;
-            e.body = Some(Request::new(*id, command.clone()));
+            e.body = Some(Request::new(*id, *command));
             if let Some(old) = e.forward_timer.replace(timer) {
                 ctx.cancel_timer(old);
             }
@@ -1790,7 +1715,7 @@ impl IdemReplica {
         // different request (equivocation).
         let mut propose_past = self.next_exec;
         for rec in &records {
-            let WalRecord::Accept { slot, view, id, .. } = rec else {
+            let WalRecordRef::Accept { slot, view, id, .. } = rec else {
                 continue;
             };
             if *slot == u64::MAX {
@@ -1944,9 +1869,7 @@ impl IdemReplica {
     }
 
     fn enter_new_view(&mut self, ctx: &mut Context<'_, IdemMessage>, target: View) {
-        if self.wal.enabled() {
-            self.wal.log(ctx, &WalRecord::View(target.0));
-        }
+        self.wal.log_view(ctx, target.0);
         self.view = target;
         self.vc_target = None;
         self.stats.view_changes_completed += 1;
@@ -2004,23 +1927,9 @@ impl IdemReplica {
                     .window
                     .get(sqn)
                     .is_some_and(|i| i.executed && i.id == id);
-                if self.wal.enabled() {
-                    // New-view bindings are proposals too: they must survive
-                    // amnesia or a rebooted leader could re-bind the slot.
-                    let command = self
-                        .store_get(id)
-                        .map(|r| r.command.to_vec())
-                        .unwrap_or_default();
-                    self.wal.log(
-                        ctx,
-                        &WalRecord::Accept {
-                            slot: sqn.0,
-                            view: target.0,
-                            id,
-                            command,
-                        },
-                    );
-                }
+                // New-view bindings are proposals too: they must survive
+                // amnesia or a rebooted leader could re-bind the slot.
+                self.log_binding(ctx, sqn, target, id);
                 let mut votes = QuorumTracker::new(self.majority());
                 votes.record(self.me);
                 self.window.insert(
@@ -2139,7 +2048,7 @@ impl Node<IdemMessage> for IdemReplica {
         // After an amnesia wipe this object is freshly built; rebuild what
         // correctness requires from the disk before rejoining.
         if std::mem::take(&mut self.wipe_recovering) {
-            self.replay_wal(ctx);
+            ctx.with_disk_records(|ctx, disk| self.replay_wal(ctx, disk));
         }
         // Timer events that fired while we were down are lost, so every held
         // handle may be stale: cancel and re-arm. (Cancelling a timer that

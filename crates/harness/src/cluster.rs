@@ -520,6 +520,26 @@ impl ClusterHandles {
         }
     }
 
+    /// The stable-storage device of the replica at `index`.
+    pub fn disk(&self, index: usize) -> &idem_simnet::Disk {
+        let node = self.replicas[index];
+        match &self.sim {
+            ClusterSim::Idem(sim) => sim.disk(node),
+            ClusterSim::Paxos(sim) => sim.disk(node),
+            ClusterSim::Smart(sim) => sim.disk(node),
+        }
+    }
+
+    /// Write access to the same device, for fault injection.
+    pub fn disk_mut(&mut self, index: usize) -> &mut idem_simnet::Disk {
+        let node = self.replicas[index];
+        match &mut self.sim {
+            ClusterSim::Idem(sim) => sim.disk_mut(node),
+            ClusterSim::Paxos(sim) => sim.disk_mut(node),
+            ClusterSim::Smart(sim) => sim.disk_mut(node),
+        }
+    }
+
     /// The decision frontier of the replica at `index`, in the protocol's
     /// native slot numbering (next sequence number to execute for IDEM and
     /// Paxos, next batch instance for SMaRt). Comparable across replicas of

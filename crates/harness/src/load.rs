@@ -100,6 +100,17 @@ pub struct IdemLoadPort {
     ambivalence: u32,
 }
 
+impl IdemLoadPort {
+    /// A port multicasting to `replicas`, giving an operation up after
+    /// `ambivalence` rejects.
+    pub fn new(replicas: Vec<NodeId>, ambivalence: u32) -> IdemLoadPort {
+        IdemLoadPort {
+            replicas,
+            ambivalence,
+        }
+    }
+}
+
 impl LoadPort for IdemLoadPort {
     type Msg = IdemMessage;
 
@@ -933,6 +944,11 @@ impl<P: LoadPort> Node<P::Msg> for LoadSource<P> {
 /// returning the per-phase measurements.
 pub fn run_load_scenario(protocol: &Protocol, sc: &LoadScenario) -> LoadRunResult {
     let total: Duration = sc.warmup + sc.phases.iter().map(|p| p.duration).sum::<Duration>();
+    run_load_scenario_for(protocol, sc, total)
+}
+
+/// Same, for `total` of virtual time whatever the schedule's length.
+fn run_load_scenario_for(protocol: &Protocol, sc: &LoadScenario, total: Duration) -> LoadRunResult {
     let name = protocol.name();
     match protocol {
         Protocol::Idem { config, .. } => {
@@ -952,10 +968,7 @@ pub fn run_load_scenario(protocol: &Protocol, sc: &LoadScenario) -> LoadRunResul
                 replica.set_persistence(PersistMode::Disabled);
                 sim.install_node(node, Box::new(replica));
             }
-            let port = IdemLoadPort {
-                replicas,
-                ambivalence: config.quorum.ambivalence(),
-            };
+            let port = IdemLoadPort::new(replicas, config.quorum.ambivalence());
             drive::<IdemLoadPort>(sim, source, dir, port, sc, name, total)
         }
         Protocol::Paxos { config, .. } => {
@@ -1064,6 +1077,27 @@ mod tests {
             assert!(result.totals.offered > result.totals.completed / 2);
             assert!(result.events_processed > 0);
         }
+    }
+
+    #[test]
+    fn mmpp_source_goes_quiet_past_its_last_phase() {
+        use idem_common::{ArrivalProcess, MmppState};
+        let state = |rate_mult| MmppState {
+            rate_mult,
+            mean_dwell: Duration::from_millis(20),
+        };
+        let sc = tiny("mmpp-tail", 2_000.0)
+            .with_process(ArrivalProcess::Mmpp(vec![state(0.4), state(1.6)]));
+        let scheduled = run_load_scenario(&Protocol::idem(), &sc);
+        // Past the schedule the source asks its sampler for a gap at rate
+        // zero; an MMPP sampler used to never answer.
+        let total = sc.warmup + sc.phases.iter().map(|p| p.duration).sum::<Duration>();
+        let drained =
+            run_load_scenario_for(&Protocol::idem(), &sc, total + Duration::from_millis(500));
+        assert_eq!(drained.conservation, None);
+        // At most the one arrival already armed when the schedule ended.
+        assert!(drained.totals.offered <= scheduled.totals.offered + 1);
+        assert!(drained.totals.completed >= scheduled.totals.completed);
     }
 
     #[test]

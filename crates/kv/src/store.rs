@@ -213,16 +213,21 @@ impl StateMachine for KvStore {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        // [n: u64][key: u64, len: u32, bytes]* — deterministic by BTreeMap order.
         let mut out = Vec::with_capacity(self.snapshot_len());
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    fn snapshot_into(&self, out: &mut Vec<u8>) {
+        // [n: u64][key: u64, len: u32, bytes]* — deterministic by BTreeMap order.
+        let start = out.len();
         out.extend_from_slice(&(self.map.len() as u64).to_le_bytes());
         for (k, v) in &self.map {
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
             out.extend_from_slice(v);
         }
-        debug_assert_eq!(out.len(), self.snapshot_len());
-        out
+        debug_assert_eq!(out.len() - start, self.snapshot_len());
     }
 
     fn snapshot_len(&self) -> usize {
@@ -333,6 +338,19 @@ mod tests {
         assert_eq!(b.len(), 99);
         assert_eq!(b.get(51), Some("value-51".to_string().as_bytes()));
         assert_eq!(b.get(50), None);
+    }
+
+    #[test]
+    fn snapshot_into_appends_exactly_the_snapshot() {
+        let mut s = KvStore::new();
+        for k in 0..20u64 {
+            s.execute(&update(k, &vec![k as u8; k as usize]));
+        }
+        let mut out = vec![0xEE, 0xFF];
+        s.snapshot_into(&mut out);
+        assert_eq!(&out[..2], [0xEE, 0xFF]);
+        assert_eq!(&out[2..], s.snapshot());
+        assert_eq!(out.len() - 2, s.snapshot_len());
     }
 
     #[test]

@@ -5,9 +5,9 @@ use std::time::Duration;
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, ClientId, Directory, ExecRecord, Membership, OpNumber, PersistMode, QuorumTracker,
-    ReconfigCommand, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber,
-    SeqWindow, SessionTable, StateMachine, View, Wal, WalRecord, RECONFIG_CLIENT,
+    Chained, ClientId, Directory, ExecRecord, Membership, PersistMode, QuorumTracker,
+    ReconfigCommand, ReplayLog, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes,
+    SeqNumber, SeqWindow, SessionTable, StateMachine, View, Wal, WalRecordRef, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, SimTime, TimerId, Wire};
 
@@ -77,18 +77,6 @@ impl Chained for InflightEntry {
     }
 }
 
-/// A stable checkpoint: sequence number, serialized application state,
-/// and the per-client reply cache `(client, op, reply bytes)`.
-type Checkpoint = (
-    SeqNumber,
-    Vec<u8>,
-    Vec<(u32, idem_common::OpNumber, Vec<u8>)>,
-);
-
-/// A checkpoint as it appears on the wire/WAL: raw sequence number,
-/// snapshot bytes, and `(client, op, reply bytes)` rows.
-type RawCheckpoint = (u64, Vec<u8>, Vec<(u32, u64, Vec<u8>)>);
-
 /// A Paxos replica implementing [`Node`] over [`PaxosMessage`].
 pub struct PaxosReplica {
     cfg: PaxosConfig,
@@ -124,7 +112,6 @@ pub struct PaxosReplica {
     sessions: SessionTable,
     /// Reused buffer for state-machine execution results.
     exec_scratch: Vec<u8>,
-    checkpoint: Option<Checkpoint>,
 
     progress_timer: Option<TimerId>,
     /// Durable logging layer (disabled unless the harness opts in).
@@ -181,7 +168,6 @@ impl PaxosReplica {
             inflight: ReqSlab::new(),
             sessions: SessionTable::new(),
             exec_scratch: Vec::new(),
-            checkpoint: None,
             progress_timer: None,
             wal: Wal::default(),
             wipe_recovering: false,
@@ -395,19 +381,10 @@ impl PaxosReplica {
     }
 
     fn propose_at(&mut self, ctx: &mut Context<'_, PaxosMessage>, sqn: SeqNumber, req: Request) {
-        if self.wal.enabled() {
-            // The leader's own vote must be durable before peers can count
-            // it: log the binding ahead of the proposal multicast.
-            self.wal.log(
-                ctx,
-                &WalRecord::Accept {
-                    slot: sqn.0,
-                    view: self.view.0,
-                    id: req.id,
-                    command: req.command.to_vec(),
-                },
-            );
-        }
+        // The leader's own vote must be durable before peers can count it:
+        // log the binding ahead of the proposal multicast.
+        self.wal
+            .log_accept(ctx, sqn.0, self.view.0, req.id, &req.command);
         let mut votes = QuorumTracker::new(self.majority());
         votes.record(self.me);
         let committed = votes.reached();
@@ -482,9 +459,7 @@ impl PaxosReplica {
 
     fn enter_view_as_follower(&mut self, ctx: &mut Context<'_, PaxosMessage>, v: View) {
         if v > self.view || self.vc_target == Some(v) {
-            if self.wal.enabled() {
-                self.wal.log(ctx, &WalRecord::View(v.0));
-            }
+            self.wal.log_view(ctx, v.0);
             self.view = v;
             self.vc_target = None;
             self.vc_store.retain(|&t, _| t > v.0);
@@ -547,19 +522,10 @@ impl PaxosReplica {
             None => true,
         };
         if replace {
-            if self.wal.enabled() {
-                // Durable before the Accept leaves: our vote may complete
-                // the quorum, so it must survive amnesia.
-                self.wal.log(
-                    ctx,
-                    &WalRecord::Accept {
-                        slot: sqn.0,
-                        view: view.0,
-                        id,
-                        command: request.command.to_vec(),
-                    },
-                );
-            }
+            // Durable before the Accept leaves: our vote may complete the
+            // quorum, so it must survive amnesia.
+            self.wal
+                .log_accept(ctx, sqn.0, view.0, id, &request.command);
             let mut votes = QuorumTracker::new(self.majority());
             votes.record(sender);
             votes.record(self.me);
@@ -707,7 +673,7 @@ impl PaxosReplica {
                 .0
                 .is_multiple_of(self.cfg.checkpoint_interval)
             {
-                self.take_checkpoint(ctx, false);
+                self.take_checkpoint(ctx);
             }
             progressed = true;
         }
@@ -728,25 +694,11 @@ impl PaxosReplica {
         fresh: bool,
         command: &[u8],
     ) {
-        if self.wal.enabled() {
-            self.wal.log(
-                ctx,
-                &WalRecord::Exec {
-                    slot: slot.0,
-                    id,
-                    fresh,
-                    command: command.to_vec(),
-                    epoch: self.membership.epoch().0,
-                },
-            );
-        }
+        let epoch = self.membership.epoch().0;
+        self.wal.log_exec(ctx, slot.0, id, fresh, command, epoch);
         if self.exec_log_enabled {
-            self.exec_log.push(ExecRecord::at_epoch(
-                slot.0,
-                id,
-                fresh,
-                self.membership.epoch().0,
-            ));
+            self.exec_log
+                .push(ExecRecord::at_epoch(slot.0, id, fresh, epoch));
         }
     }
 
@@ -783,23 +735,13 @@ impl PaxosReplica {
         }
         // Epoch boundary = checkpoint boundary: the state-transfer path
         // hands a joiner a checkpoint whose membership already includes it.
-        self.take_checkpoint(ctx, true);
+        self.take_checkpoint(ctx);
         // Push the boundary checkpoint straight at a joiner. It is not yet
         // participating, so waiting for its own CheckpointRequest would put
         // a retry interval on the convergence path; one unsolicited
         // transfer makes it transfer-latency instead.
         if let Some(joiner) = cmd.added().filter(|&r| r != self.me) {
-            if let Some((next_exec, snapshot, clients)) = self.checkpoint.clone() {
-                ctx.send(
-                    self.dir.replica(joiner),
-                    PaxosMessage::Checkpoint {
-                        next_exec,
-                        snapshot,
-                        clients,
-                        membership: self.membership.clone(),
-                    },
-                );
-            }
+            ctx.send(self.dir.replica(joiner), self.checkpoint_message());
         }
         // Tell the clients where the group now lives; a stale client would
         // otherwise keep talking to the old epoch's replica set.
@@ -828,72 +770,49 @@ impl PaxosReplica {
         }
     }
 
-    fn persist_checkpoint(&mut self, ctx: &mut Context<'_, PaxosMessage>, cp: &Checkpoint) {
-        if !self.wal.enabled() {
-            return;
-        }
-        let (next_exec, snapshot, clients) = cp;
-        self.wal.log(
+    /// Takes a checkpoint: charges the serialization, streams the state
+    /// into the WAL, and garbage-collects what the checkpoint covers.
+    /// Nothing is materialized — the only reader of a checkpoint's bytes
+    /// besides the WAL is state transfer, which builds its own
+    /// [`checkpoint_message`](Self::checkpoint_message) at the current
+    /// frontier.
+    fn take_checkpoint(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
+        ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
+        self.wal.log_checkpoint(
             ctx,
-            &WalRecord::Checkpoint {
-                next_exec: next_exec.0,
-                snapshot: snapshot.clone(),
-                clients: clients
-                    .iter()
-                    .map(|(c, op, r)| (*c, op.0, r.clone()))
-                    .collect(),
-                membership: (self.membership.epoch().0 > 0).then(|| self.membership.clone()),
-            },
+            self.next_exec.0,
+            &*self.app,
+            &self.sessions,
+            &self.membership,
         );
-    }
-
-    /// Takes a checkpoint. With `materialize` false (the periodic path)
-    /// and no WAL, the snapshot bytes are never read by anyone — the only
-    /// consumers are the WAL and [`handle_checkpoint_request`]
-    /// (Self::handle_checkpoint_request), which re-takes a materialized
-    /// checkpoint first — so the replica charges the exact serialization
-    /// cost without serializing, leaving `self.checkpoint` untouched.
-    fn take_checkpoint(&mut self, ctx: &mut Context<'_, PaxosMessage>, materialize: bool) {
-        if materialize || self.wal.enabled() {
-            let snapshot = self.app.snapshot();
-            ctx.charge(self.cfg.message_cost.message_cost(snapshot.len()));
-            let clients: Vec<(u32, idem_common::OpNumber, Vec<u8>)> = self
-                .sessions
-                .iter()
-                .map(|(cid, op, reply)| (cid, op, reply.to_vec()))
-                .collect();
-            self.checkpoint = Some((self.next_exec, snapshot, clients));
-            if self.wal.enabled() {
-                let cp = self.checkpoint.clone().expect("just taken");
-                self.persist_checkpoint(ctx, &cp);
-            }
-        } else {
-            ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
-        }
         self.stats.checkpoints_taken += 1;
         // GC: drop executed instances covered by the checkpoint.
         self.window.advance_to(self.next_exec);
         self.next_propose = self.next_propose.max(self.window.low());
     }
 
+    /// The current state as a checkpoint transfer. Taken at the current
+    /// frontier, so the current membership is exactly the one in force
+    /// there.
+    fn checkpoint_message(&self) -> PaxosMessage {
+        PaxosMessage::Checkpoint {
+            next_exec: self.next_exec,
+            snapshot: self.app.snapshot(),
+            clients: self
+                .sessions
+                .iter()
+                .map(|(cid, op, reply)| (cid, op, reply.to_vec()))
+                .collect(),
+            membership: self.membership.clone(),
+        }
+    }
+
     fn handle_checkpoint_request(&mut self, ctx: &mut Context<'_, PaxosMessage>, from: NodeId) {
         // Answer with a fresh checkpoint: the periodic one can predate the
         // requester's own state, which would leave a lagging replica
         // permanently unable to catch up.
-        self.take_checkpoint(ctx, true);
-        if let Some((next_exec, snapshot, clients)) = self.checkpoint.clone() {
-            // The checkpoint was just re-taken at the current frontier, so
-            // the current membership is exactly the one in force there.
-            ctx.send(
-                from,
-                PaxosMessage::Checkpoint {
-                    next_exec,
-                    snapshot,
-                    clients,
-                    membership: self.membership.clone(),
-                },
-            );
-        }
+        self.take_checkpoint(ctx);
+        ctx.send(from, self.checkpoint_message());
     }
 
     fn handle_checkpoint(
@@ -925,21 +844,15 @@ impl PaxosReplica {
             }
         }
         self.app.restore(&snapshot);
-        self.sessions.clear_executed();
-        for (cid, op, reply) in &clients {
-            self.sessions
-                .record(ClientId(*cid), *op, ResultBytes::from_slice(reply));
-        }
+        let rows = clients.iter().map(|(c, op, r)| (*c, op.0, &r[..]));
+        self.sessions.restore_executed(rows.clone());
         self.next_exec = next_exec;
         self.window.advance_to(next_exec);
         self.next_propose = self.next_propose.max(self.window.low());
         self.stalled = false;
         self.stats.checkpoints_installed += 1;
-        self.checkpoint = Some((next_exec, snapshot, clients));
-        if self.wal.enabled() {
-            let cp = self.checkpoint.clone().expect("just installed");
-            self.persist_checkpoint(ctx, &cp);
-        }
+        self.wal
+            .log_checkpoint_data(ctx, next_exec.0, &snapshot, rows, &self.membership);
         self.try_execute(ctx);
     }
 
@@ -1062,9 +975,7 @@ impl PaxosReplica {
     }
 
     fn enter_new_view(&mut self, ctx: &mut Context<'_, PaxosMessage>, target: View) {
-        if self.wal.enabled() {
-            self.wal.log(ctx, &WalRecord::View(target.0));
-        }
+        self.wal.log_view(ctx, target.0);
         self.view = target;
         self.vc_target = None;
         self.stats.view_changes_completed += 1;
@@ -1164,61 +1075,33 @@ impl PaxosReplica {
     /// newest checkpoint first, then the execution suffix, then our
     /// surviving accept votes (they constrain what the cluster may commit
     /// in those slots), then the highest view we ever acted in.
-    fn replay_wal(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
-        let records = Wal::replay(ctx);
+    fn replay_wal(&mut self, ctx: &mut Context<'_, PaxosMessage>, disk: &[Vec<u8>]) {
+        let ReplayLog {
+            checkpoint,
+            records,
+        } = Wal::replay(disk);
         let mut max_view = 0u64;
-        let mut newest_cp: Option<RawCheckpoint> = None;
-        let mut newest_cp_membership: Option<Membership> = None;
         for rec in &records {
             match rec {
-                WalRecord::View(v) => max_view = max_view.max(*v),
-                WalRecord::Accept { view, .. } => max_view = max_view.max(*view),
-                WalRecord::Checkpoint {
-                    next_exec,
-                    snapshot,
-                    clients,
-                    membership,
-                } => {
-                    if newest_cp
-                        .as_ref()
-                        .is_none_or(|(ne, _, _)| *next_exec >= *ne)
-                    {
-                        newest_cp = Some((*next_exec, snapshot.clone(), clients.clone()));
-                        newest_cp_membership = membership.clone();
-                    }
-                }
-                WalRecord::Exec { .. } => {}
+                WalRecordRef::View(v) => max_view = max_view.max(*v),
+                WalRecordRef::Accept { view, .. } => max_view = max_view.max(*view),
+                _ => {}
             }
         }
-        if let Some(m) = newest_cp_membership {
-            self.membership = m;
-        }
-        if let Some((next_exec, snapshot, clients)) = newest_cp {
-            self.app.restore(&snapshot);
-            self.sessions.clear_executed();
-            for (cid, op, reply) in &clients {
-                self.sessions.record(
-                    ClientId(*cid),
-                    OpNumber(*op),
-                    ResultBytes::from_slice(reply),
-                );
+        if let Some(cp) = checkpoint {
+            if let Some(m) = cp.membership {
+                self.membership = m;
             }
-            self.next_exec = SeqNumber(next_exec);
+            self.app.restore(cp.snapshot);
+            self.sessions.restore_executed(cp.clients.iter());
+            self.next_exec = SeqNumber(cp.next_exec);
             self.window.advance_to(self.next_exec);
-            self.checkpoint = Some((
-                self.next_exec,
-                snapshot,
-                clients
-                    .into_iter()
-                    .map(|(c, op, r)| (c, OpNumber(op), r))
-                    .collect(),
-            ));
         }
         // Every durable execution re-enters the exec log (that is what the
         // durability invariant audits); state application resumes only past
         // the restored checkpoint.
         for rec in &records {
-            let WalRecord::Exec {
+            let WalRecordRef::Exec {
                 slot,
                 id,
                 fresh,
@@ -1259,7 +1142,7 @@ impl PaxosReplica {
         self.window.advance_to(self.next_exec);
         let mut propose_past = self.next_exec;
         for rec in records {
-            let WalRecord::Accept {
+            let WalRecordRef::Accept {
                 slot,
                 view,
                 id,
@@ -1375,7 +1258,7 @@ impl Node<PaxosMessage> for PaxosReplica {
     fn on_recover(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
         // A wiped replica first rebuilds whatever its disk can prove.
         if std::mem::take(&mut self.wipe_recovering) {
-            self.replay_wal(ctx);
+            ctx.with_disk_records(|ctx, disk| self.replay_wal(ctx, disk));
         }
         // The held progress-timer handle may refer to a timer lost during
         // the crash window: cancel it (a no-op if already fired) and arm a

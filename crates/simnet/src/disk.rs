@@ -85,6 +85,15 @@ impl Disk {
     pub fn truncate_to_synced(&mut self) {
         self.records.truncate(self.synced);
     }
+
+    /// Fault injection: cuts record `index` down to its first `keep`
+    /// bytes, as a write torn by power loss mid-record would leave it.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    pub fn tear(&mut self, index: usize, keep: usize) {
+        self.records[index].truncate(keep);
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +115,15 @@ mod tests {
         disk.truncate_to_synced();
         assert_eq!(disk.records(), &[vec![1], vec![2]]);
         assert_eq!(disk.len(), 2);
+    }
+
+    #[test]
+    fn tear_keeps_a_record_prefix() {
+        let mut disk = Disk::new();
+        disk.append(vec![1, 2, 3, 4]);
+        disk.append(vec![5, 6]);
+        disk.tear(0, 3);
+        assert_eq!(disk.records(), &[vec![1, 2, 3], vec![5, 6]]);
     }
 
     #[test]

@@ -338,6 +338,10 @@ impl<M> Core<M> {
     pub(crate) fn disk(&self, node: NodeId) -> &Disk {
         &self.disks[node.index()]
     }
+
+    pub(crate) fn disk_mut(&mut self, node: NodeId) -> &mut Disk {
+        &mut self.disks[node.index()]
+    }
 }
 
 impl<M: Wire> Core<M> {
@@ -1309,6 +1313,12 @@ impl<M: Wire + 'static> Simulation<M> {
     /// Read access to `node`'s stable-storage device.
     pub fn disk(&self, node: NodeId) -> &Disk {
         self.core.disk(node)
+    }
+
+    /// Write access to `node`'s stable-storage device, for fault
+    /// injection (see [`Disk::tear`]).
+    pub fn disk_mut(&mut self, node: NodeId) -> &mut Disk {
+        self.core.disk_mut(node)
     }
 
     /// Sets the CPU speed degradation factor of `node`: every subsequent
@@ -2513,6 +2523,32 @@ mod tests {
         // these are purely the first incarnation's records.)
         assert_eq!(observe(false), vec![vec![1], vec![2]]);
         assert_eq!(observe(true), vec![vec![1]]);
+    }
+
+    #[test]
+    fn lent_disk_records_come_back_intact() {
+        struct Replayer {
+            seen: usize,
+        }
+        impl Node<Msg> for Replayer {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.disk_append(vec![1, 2]);
+                ctx.disk_append(vec![3]);
+                ctx.disk_fsync();
+                self.seen = ctx.with_disk_records(|ctx, records| {
+                    // The context stays usable while the records are out.
+                    ctx.charge(Duration::from_micros(1));
+                    records.iter().map(Vec::len).sum()
+                });
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+        }
+        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let id = sim.add_node(Box::new(Replayer { seen: 0 }));
+        sim.run_for(Duration::from_millis(1));
+        assert_eq!(sim.node_as::<Replayer>(id).expect("node type").seen, 3);
+        assert_eq!(sim.disk(id).records(), &[vec![1, 2], vec![3]]);
+        assert_eq!(sim.disk(id).synced_len(), 2);
     }
 
     #[test]

@@ -5,9 +5,9 @@ use std::time::Duration;
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, ClientId, Directory, ExecRecord, Membership, OpNumber, PersistMode, QuorumTracker,
-    ReconfigCommand, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber,
-    SessionTable, StateMachine, View, Wal, WalRecord, RECONFIG_CLIENT,
+    Chained, Directory, ExecRecord, Membership, PersistMode, QuorumTracker, ReconfigCommand,
+    ReplayLog, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber, SessionTable,
+    StateMachine, View, Wal, WalRecordRef, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, SimTime, TimerId, Wire};
 
@@ -69,21 +69,9 @@ impl Chained for PendingEntry {
     }
 }
 
-/// A stable checkpoint: sequence number, serialized application state,
-/// and the per-client reply cache `(client, op, reply bytes)`.
-type Checkpoint = (
-    SeqNumber,
-    Vec<u8>,
-    Vec<(u32, idem_common::OpNumber, Vec<u8>)>,
-);
-
 /// One replica's VC_STATE vote: its open (un-decided) instance, if any,
 /// plus the sequence number of its last stable checkpoint.
 type VcVote = (Option<(SeqNumber, View, Vec<Request>)>, SeqNumber);
-
-/// A checkpoint as it appears on the wire/WAL: raw sequence number,
-/// snapshot bytes, and `(client, op, reply bytes)` rows.
-type RawCheckpoint = (u64, Vec<u8>, Vec<(u32, u64, Vec<u8>)>);
 
 /// A SMaRt replica implementing [`Node`] over [`SmartMessage`].
 pub struct SmartReplica {
@@ -133,7 +121,6 @@ pub struct SmartReplica {
     sessions: SessionTable,
     /// Reused buffer for state-machine execution results.
     exec_scratch: Vec<u8>,
-    checkpoint: Option<Checkpoint>,
 
     progress_timer: Option<TimerId>,
     /// Durable logging layer (disabled unless the harness opts in).
@@ -187,7 +174,6 @@ impl SmartReplica {
             vc_resume: None,
             sessions: SessionTable::new(),
             exec_scratch: Vec::new(),
-            checkpoint: None,
             progress_timer: None,
             wal: Wal::default(),
             wipe_recovering: false,
@@ -472,9 +458,7 @@ impl SmartReplica {
 
     fn enter_view_as_follower(&mut self, ctx: &mut Context<'_, SmartMessage>, v: View) {
         if v > self.view || self.vc_target == Some(v) {
-            if self.wal.enabled() {
-                self.wal.log(ctx, &WalRecord::View(v.0));
-            }
+            self.wal.log_view(ctx, v.0);
             self.view = v;
             self.vc_target = None;
             self.vc_store.retain(|&t, _| t > v.0);
@@ -636,7 +620,7 @@ impl SmartReplica {
                 return;
             }
         } else if self.next_sqn.0.is_multiple_of(self.cfg.checkpoint_interval) {
-            self.take_checkpoint(ctx, false);
+            self.take_checkpoint(ctx);
         }
         self.reset_progress_timer(ctx);
         self.maybe_propose(ctx);
@@ -665,23 +649,13 @@ impl SmartReplica {
         }
         // Epoch boundary = checkpoint boundary: the state-transfer path
         // hands a joiner a checkpoint whose membership already includes it.
-        self.take_checkpoint(ctx, true);
+        self.take_checkpoint(ctx);
         // Push the boundary checkpoint straight at a joiner. It is not yet
         // participating, so waiting for its own CheckpointRequest would put
         // a retry interval on the convergence path; one unsolicited
         // transfer makes it transfer-latency instead.
         if let Some(joiner) = cmd.added().filter(|&r| r != self.me) {
-            if let Some((next_sqn, snapshot, clients)) = self.checkpoint.clone() {
-                ctx.send(
-                    self.dir.replica(joiner),
-                    SmartMessage::Checkpoint {
-                        next_sqn,
-                        snapshot,
-                        clients,
-                        membership: self.membership.clone(),
-                    },
-                );
-            }
+            ctx.send(self.dir.replica(joiner), self.checkpoint_message());
         }
         // Tell the clients where the group now lives; a stale client would
         // otherwise keep multicasting to the old epoch's replica set.
@@ -696,50 +670,45 @@ impl SmartReplica {
         self.maybe_propose(ctx);
     }
 
-    /// Takes a checkpoint. With `materialize` false (the periodic path)
-    /// and no WAL, the snapshot bytes are never read by anyone — the only
-    /// consumers are the WAL and [`handle_checkpoint_request`]
-    /// (Self::handle_checkpoint_request), which re-takes a materialized
-    /// checkpoint first — so the replica charges the exact serialization
-    /// cost without serializing, leaving `self.checkpoint` untouched.
-    fn take_checkpoint(&mut self, ctx: &mut Context<'_, SmartMessage>, materialize: bool) {
-        if materialize || self.wal.enabled() {
-            let snapshot = self.app.snapshot();
-            ctx.charge(self.cfg.message_cost.message_cost(snapshot.len()));
-            let clients: Vec<(u32, idem_common::OpNumber, Vec<u8>)> = self
+    /// Takes a checkpoint: charges the serialization and streams the state
+    /// into the WAL. Nothing is materialized — the only reader of a
+    /// checkpoint's bytes besides the WAL is state transfer, which builds
+    /// its own [`checkpoint_message`](Self::checkpoint_message) at the
+    /// current frontier.
+    fn take_checkpoint(&mut self, ctx: &mut Context<'_, SmartMessage>) {
+        ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
+        self.wal.log_checkpoint(
+            ctx,
+            self.next_sqn.0,
+            &*self.app,
+            &self.sessions,
+            &self.membership,
+        );
+        self.stats.checkpoints_taken += 1;
+    }
+
+    /// The current state as a checkpoint transfer. Taken at the current
+    /// frontier, so the current membership is exactly the one in force
+    /// there.
+    fn checkpoint_message(&self) -> SmartMessage {
+        SmartMessage::Checkpoint {
+            next_sqn: self.next_sqn,
+            snapshot: self.app.snapshot(),
+            clients: self
                 .sessions
                 .iter()
                 .map(|(cid, op, reply)| (cid, op, reply.to_vec()))
-                .collect();
-            self.checkpoint = Some((self.next_sqn, snapshot, clients));
-            if self.wal.enabled() {
-                let cp = self.checkpoint.clone().expect("just taken");
-                self.persist_checkpoint(ctx, &cp);
-            }
-        } else {
-            ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
+                .collect(),
+            membership: self.membership.clone(),
         }
-        self.stats.checkpoints_taken += 1;
     }
 
     fn handle_checkpoint_request(&mut self, ctx: &mut Context<'_, SmartMessage>, from: NodeId) {
         // Answer with a fresh checkpoint: the periodic one can predate the
         // requester's own state, which would leave a lagging replica
         // permanently unable to catch up.
-        self.take_checkpoint(ctx, true);
-        if let Some((next_sqn, snapshot, clients)) = self.checkpoint.clone() {
-            // The checkpoint was just re-taken at the current frontier, so
-            // the current membership is exactly the one in force there.
-            ctx.send(
-                from,
-                SmartMessage::Checkpoint {
-                    next_sqn,
-                    snapshot,
-                    clients,
-                    membership: self.membership.clone(),
-                },
-            );
-        }
+        self.take_checkpoint(ctx);
+        ctx.send(from, self.checkpoint_message());
     }
 
     fn handle_checkpoint(
@@ -771,22 +740,16 @@ impl SmartReplica {
             }
         }
         self.app.restore(&snapshot);
-        self.sessions.clear_executed();
-        for (cid, op, reply) in &clients {
-            self.sessions
-                .record(ClientId(*cid), *op, ResultBytes::from_slice(reply));
-        }
+        let rows = clients.iter().map(|(c, op, r)| (*c, op.0, &r[..]));
+        self.sessions.restore_executed(rows.clone());
         self.next_sqn = next_sqn;
         self.open = None;
         if self.sync_target.is_some_and(|t| self.next_sqn >= t) {
             self.sync_target = None;
         }
         self.stats.checkpoints_installed += 1;
-        self.checkpoint = Some((next_sqn, snapshot, clients));
-        if self.wal.enabled() {
-            let cp = self.checkpoint.clone().expect("just installed");
-            self.persist_checkpoint(ctx, &cp);
-        }
+        self.wal
+            .log_checkpoint_data(ctx, next_sqn.0, &snapshot, rows, &self.membership);
         // Drop pending requests the checkpoint proves executed, and
         // rebuild the tracking slab from what survives. Carved-but-
         // undecided records are dropped with it — exactly the old
@@ -919,9 +882,7 @@ impl SmartReplica {
     }
 
     fn enter_new_view(&mut self, ctx: &mut Context<'_, SmartMessage>, target: View) {
-        if self.wal.enabled() {
-            self.wal.log(ctx, &WalRecord::View(target.0));
-        }
+        self.wal.log_view(ctx, target.0);
         self.view = target;
         self.vc_target = None;
         self.stats.view_changes_completed += 1;
@@ -978,15 +939,8 @@ impl SmartReplica {
             return;
         }
         for (offset, req) in batch.iter().enumerate() {
-            self.wal.log(
-                ctx,
-                &WalRecord::Accept {
-                    slot: (sqn.0 << SLOT_BATCH_SHIFT) | offset as u64,
-                    view: view.0,
-                    id: req.id,
-                    command: req.command.to_vec(),
-                },
-            );
+            let slot = (sqn.0 << SLOT_BATCH_SHIFT) | offset as u64;
+            self.wal.log_accept(ctx, slot, view.0, req.id, &req.command);
         }
     }
 
@@ -1001,45 +955,12 @@ impl SmartReplica {
         fresh: bool,
         command: &[u8],
     ) {
-        if self.wal.enabled() {
-            self.wal.log(
-                ctx,
-                &WalRecord::Exec {
-                    slot,
-                    id,
-                    fresh,
-                    command: command.to_vec(),
-                    epoch: self.membership.epoch().0,
-                },
-            );
-        }
+        let epoch = self.membership.epoch().0;
+        self.wal.log_exec(ctx, slot, id, fresh, command, epoch);
         if self.exec_log_enabled {
-            self.exec_log.push(ExecRecord::at_epoch(
-                slot,
-                id,
-                fresh,
-                self.membership.epoch().0,
-            ));
+            self.exec_log
+                .push(ExecRecord::at_epoch(slot, id, fresh, epoch));
         }
-    }
-
-    fn persist_checkpoint(&mut self, ctx: &mut Context<'_, SmartMessage>, cp: &Checkpoint) {
-        if !self.wal.enabled() {
-            return;
-        }
-        let (next_sqn, snapshot, clients) = cp;
-        self.wal.log(
-            ctx,
-            &WalRecord::Checkpoint {
-                next_exec: next_sqn.0,
-                snapshot: snapshot.clone(),
-                clients: clients
-                    .iter()
-                    .map(|(c, op, r)| (*c, op.0, r.clone()))
-                    .collect(),
-                membership: (self.membership.epoch().0 > 0).then(|| self.membership.clone()),
-            },
-        );
     }
 
     /// Asks the cluster for a checkpoint and arms a retry with exponential
@@ -1063,54 +984,26 @@ impl SmartReplica {
     /// Rebuilds volatile state from the node's disk after an amnesia wipe:
     /// newest checkpoint first, then the execution suffix, then our open
     /// (voted-for but undecided) batch, then the highest view we acted in.
-    fn replay_wal(&mut self, ctx: &mut Context<'_, SmartMessage>) {
-        let records = Wal::replay(ctx);
+    fn replay_wal(&mut self, ctx: &mut Context<'_, SmartMessage>, disk: &[Vec<u8>]) {
+        let ReplayLog {
+            checkpoint,
+            records,
+        } = Wal::replay(disk);
         let mut max_view = 0u64;
-        let mut newest_cp: Option<RawCheckpoint> = None;
-        let mut newest_cp_membership: Option<Membership> = None;
         for rec in &records {
             match rec {
-                WalRecord::View(v) => max_view = max_view.max(*v),
-                WalRecord::Accept { view, .. } => max_view = max_view.max(*view),
-                WalRecord::Checkpoint {
-                    next_exec,
-                    snapshot,
-                    clients,
-                    membership,
-                } => {
-                    if newest_cp
-                        .as_ref()
-                        .is_none_or(|(ne, _, _)| *next_exec >= *ne)
-                    {
-                        newest_cp = Some((*next_exec, snapshot.clone(), clients.clone()));
-                        newest_cp_membership = membership.clone();
-                    }
-                }
-                WalRecord::Exec { .. } => {}
+                WalRecordRef::View(v) => max_view = max_view.max(*v),
+                WalRecordRef::Accept { view, .. } => max_view = max_view.max(*view),
+                _ => {}
             }
         }
-        if let Some(m) = newest_cp_membership {
-            self.membership = m;
-        }
-        if let Some((next_sqn, snapshot, clients)) = newest_cp {
-            self.app.restore(&snapshot);
-            self.sessions.clear_executed();
-            for (cid, op, reply) in &clients {
-                self.sessions.record(
-                    ClientId(*cid),
-                    OpNumber(*op),
-                    ResultBytes::from_slice(reply),
-                );
+        if let Some(cp) = checkpoint {
+            if let Some(m) = cp.membership {
+                self.membership = m;
             }
-            self.next_sqn = SeqNumber(next_sqn);
-            self.checkpoint = Some((
-                self.next_sqn,
-                snapshot,
-                clients
-                    .into_iter()
-                    .map(|(c, op, r)| (c, OpNumber(op), r))
-                    .collect(),
-            ));
+            self.app.restore(cp.snapshot);
+            self.sessions.restore_executed(cp.clients.iter());
+            self.next_sqn = SeqNumber(cp.next_exec);
         }
         // Every durable execution re-enters the exec log (that is what the
         // durability invariant audits); state application resumes only past
@@ -1122,7 +1015,7 @@ impl SmartReplica {
         // to healthy peers as a client-progress rewind.
         let covered = self.next_sqn.0;
         for rec in &records {
-            let WalRecord::Exec {
+            let WalRecordRef::Exec {
                 slot,
                 id,
                 fresh,
@@ -1162,43 +1055,38 @@ impl SmartReplica {
             self.next_sqn = SeqNumber(batch_sqn + 1);
         }
         // Re-open the newest undecided batch we voted for (own vote only):
-        // that vote may be part of a quorum the cluster counted.
-        let mut voted: BTreeMap<u64, (View, Vec<(u64, Request)>)> = BTreeMap::new();
-        for rec in records {
-            let WalRecord::Accept {
+        // that vote may be part of a quorum the cluster counted. Only its
+        // bodies, under its highest view, are copied off the disk.
+        let accepts = records.iter().filter_map(|rec| match *rec {
+            WalRecordRef::Accept {
                 slot,
                 view,
                 id,
                 command,
-            } = rec
-            else {
-                continue;
-            };
-            let (sqn, offset) = (
+            } => Some((
                 slot >> SLOT_BATCH_SHIFT,
+                View(view),
                 slot & ((1 << SLOT_BATCH_SHIFT) - 1),
-            );
-            let entry = voted.entry(sqn).or_insert_with(|| (View(view), Vec::new()));
-            if View(view) > entry.0 {
-                *entry = (View(view), Vec::new());
-            }
-            if View(view) == entry.0 {
-                entry.1.push((offset, Request::new(id, command)));
-            }
-        }
-        if let Some((&sqn, _)) = voted.iter().next_back() {
-            if sqn >= self.next_sqn.0 {
-                let (view, mut entries) = voted.remove(&sqn).expect("present");
-                entries.sort_by_key(|(offset, _)| *offset);
-                let mut votes = QuorumTracker::new(self.majority());
-                votes.record(self.me);
-                self.open = Some(OpenInstance {
-                    sqn: SeqNumber(sqn),
-                    view,
-                    batch: entries.into_iter().map(|(_, r)| r).collect(),
-                    votes,
-                });
-            }
+                id,
+                command,
+            )),
+            _ => None,
+        });
+        let newest = accepts.clone().map(|(sqn, view, ..)| (sqn, view)).max();
+        if let Some((sqn, view)) = newest.filter(|&(sqn, _)| sqn >= self.next_sqn.0) {
+            let mut entries: Vec<(u64, Request)> = accepts
+                .filter(|&(s, v, ..)| (s, v) == (sqn, view))
+                .map(|(_, _, offset, id, command)| (offset, Request::new(id, command)))
+                .collect();
+            entries.sort_by_key(|(offset, _)| *offset);
+            let mut votes = QuorumTracker::new(self.majority());
+            votes.record(self.me);
+            self.open = Some(OpenInstance {
+                sqn: SeqNumber(sqn),
+                view,
+                batch: entries.into_iter().map(|(_, r)| r).collect(),
+                votes,
+            });
         }
         if max_view > self.view.0 {
             self.view = View(max_view);
@@ -1275,7 +1163,7 @@ impl Node<SmartMessage> for SmartReplica {
     fn on_recover(&mut self, ctx: &mut Context<'_, SmartMessage>) {
         // A wiped replica first rebuilds whatever its disk can prove.
         if std::mem::take(&mut self.wipe_recovering) {
-            self.replay_wal(ctx);
+            ctx.with_disk_records(|ctx, disk| self.replay_wal(ctx, disk));
         }
         // The held progress-timer handle may refer to a timer lost during
         // the crash window: cancel it (a no-op if already fired) and arm a
