@@ -1057,7 +1057,7 @@ fn run_chaos_impl(
     cluster.set_global_loss(0.0);
 
     let successes_at_heal = cluster.recorder.with(Recorder::successes);
-    let last_ops_at_heal = cluster.recorder.with(|r| r.last_ops().clone());
+    let last_ops_at_heal = cluster.recorder.with(Recorder::last_ops);
 
     let heal_ms = effective.heal_at_ms();
     let deadline_ms = heal_ms + COOLDOWN_MS;
@@ -1115,7 +1115,7 @@ fn run_chaos_impl(
 
     let successes = cluster.recorder.with(Recorder::successes);
     let rejections = cluster.recorder.with(Recorder::rejections);
-    let last_ops = cluster.recorder.with(|r| r.last_ops().clone());
+    let last_ops = cluster.recorder.with(Recorder::last_ops);
     let order_violations = cluster.recorder.with(Recorder::order_violations);
     let logs: Vec<Vec<idem_common::ExecRecord>> = (0..total).map(|i| cluster.exec_log(i)).collect();
 

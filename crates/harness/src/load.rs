@@ -4,12 +4,14 @@
 //! The closed-loop harness simulates every client as its own actor, which
 //! caps realistic populations at a few hundred. This engine inverts the
 //! representation: arrival is a *rate process* sampled against the timing
-//! wheel ([`ArrivalSampler`]), the logical population is dense arrays (one
-//! byte of state and one op counter per client), reject-backoff is a
-//! count-bucketed [`BackoffWheel`] with one timer per release *bucket*,
-//! and retransmission is a deadline-ordered queue scanned by a periodic
-//! housekeeping tick. Cost per logical client is ~5 bytes of memory and
-//! zero standing simulator state, so 10⁶ clients are as cheap as 10².
+//! wheel ([`ArrivalSampler`]), the logical population is one dense array
+//! (a state byte, an op counter and a flight-slot index per client),
+//! operations on the wire live in a recycled slab addressed through that
+//! array, reject-backoff is a count-bucketed [`BackoffWheel`] with one
+//! timer per release *bucket*, and retransmission is a deadline-ordered
+//! queue scanned by a periodic housekeeping tick. Cost per logical client
+//! is 12 bytes of memory and zero standing simulator state, so 10⁶
+//! clients are as cheap as 10².
 //!
 //! Every completed operation still flows through the shared
 //! [`Recorder`], so the session-order/exactly-once oracle and the
@@ -20,7 +22,7 @@
 //! Protocol specifics (how to submit, what counts as a reject) are behind
 //! the small [`LoadPort`] trait with one implementation per protocol.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -287,6 +289,142 @@ struct Flight {
     rejects: QuorumTracker,
 }
 
+/// One logical client: its state, the number of its latest operation
+/// and, while that operation is on the wire, its slot in the flight
+/// slab. Everything a reply, reject or retransmit deadline needs to know
+/// about its client shares a cache line.
+#[derive(Clone, Copy)]
+struct ClientSlot {
+    next_op: u32,
+    flight: u32,
+    state: u8,
+}
+
+/// The population and its operations on the wire.
+///
+/// A logical client has at most one operation in flight — its latest —
+/// so a [`RequestId`] names a live flight exactly when its client is
+/// `IN_FLIGHT` and its op number is the client's current one. That test
+/// is two loads from one [`ClientSlot`]; duplicate replies, rejects of
+/// abandoned operations, expired retransmit deadlines and ids outside
+/// the population all fail it without touching the slab.
+struct ClientTable {
+    clients: Vec<ClientSlot>,
+    flights: Vec<Option<Flight>>,
+    free: Vec<u32>,
+}
+
+impl ClientTable {
+    fn new(population: u32) -> ClientTable {
+        let idle = ClientSlot {
+            next_op: 0,
+            flight: 0,
+            state: IDLE,
+        };
+        ClientTable {
+            clients: vec![idle; population as usize],
+            flights: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn state(&self, client: u32) -> u8 {
+        self.clients[client as usize].state
+    }
+
+    /// Moves a client between the states that hold no flight.
+    fn set_state(&mut self, client: u32, state: u8) {
+        debug_assert_ne!(state, IN_FLIGHT);
+        debug_assert_ne!(self.clients[client as usize].state, IN_FLIGHT);
+        self.clients[client as usize].state = state;
+    }
+
+    /// Puts the client's next operation on the wire and names it.
+    fn issue(&mut self, client: u32, flight: Flight) -> RequestId {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.flights[slot as usize] = Some(flight);
+                slot
+            }
+            None => {
+                self.flights.push(Some(flight));
+                (self.flights.len() - 1) as u32
+            }
+        };
+        let c = &mut self.clients[client as usize];
+        debug_assert_ne!(c.state, IN_FLIGHT);
+        c.next_op += 1;
+        c.flight = slot;
+        c.state = IN_FLIGHT;
+        RequestId::new(ClientId(client), OpNumber(u64::from(c.next_op)))
+    }
+
+    /// Slab slot of the live flight `id` names, if it names one.
+    fn live_slot(&self, id: RequestId) -> Option<usize> {
+        let c = self.clients.get(id.client.0 as usize)?;
+        (c.state == IN_FLIGHT && u64::from(c.next_op) == id.op.0).then_some(c.flight as usize)
+    }
+
+    fn get_mut(&mut self, id: RequestId) -> Option<&mut Flight> {
+        let slot = self.live_slot(id)?;
+        self.flights[slot].as_mut()
+    }
+
+    /// Takes the flight off the wire, leaving its client `IDLE`.
+    fn take(&mut self, id: RequestId) -> Option<Flight> {
+        let slot = self.live_slot(id)?;
+        self.clients[id.client.0 as usize].state = IDLE;
+        self.free.push(slot as u32);
+        self.flights[slot].take()
+    }
+
+    fn live(&self) -> u64 {
+        self.flights.iter().filter(|f| f.is_some()).count() as u64
+    }
+
+    /// Checks the slab against the client array: every `IN_FLIGHT`
+    /// client owns the flight in its slot, and the free list is exactly
+    /// the empty slots, each once.
+    fn slab_error(&self) -> Option<String> {
+        for (client, c) in self.clients.iter().enumerate() {
+            if c.state != IN_FLIGHT {
+                continue;
+            }
+            match self.flights.get(c.flight as usize) {
+                Some(Some(f)) if f.client as usize == client => {}
+                Some(Some(f)) => {
+                    return Some(format!(
+                        "client {client} in flight, but slot {} holds client {}'s flight",
+                        c.flight, f.client
+                    ))
+                }
+                _ => {
+                    return Some(format!(
+                        "client {client} in flight, but slot {} holds no flight",
+                        c.flight
+                    ))
+                }
+            }
+        }
+        let mut listed = vec![false; self.flights.len()];
+        for &slot in &self.free {
+            match self.flights.get(slot as usize) {
+                Some(None) if !listed[slot as usize] => listed[slot as usize] = true,
+                Some(None) => return Some(format!("slot {slot} is on the free list twice")),
+                _ => return Some(format!("free list names slot {slot}, which is not empty")),
+            }
+        }
+        let accounted = self.free.len() as u64 + self.live();
+        if accounted != self.flights.len() as u64 {
+            return Some(format!(
+                "free list + live flights cover {accounted} slots, slab has {}",
+                self.flights.len()
+            ));
+        }
+        None
+    }
+}
+
 /// Per-phase measurement accumulator.
 #[derive(Debug)]
 struct PhaseAccum {
@@ -487,14 +625,13 @@ pub struct LoadSource<P: LoadPort> {
     rate_mult: f64,
     next_phase: usize,
 
-    /// Per-client state byte (IDLE/IN_FLIGHT/BACKOFF/PENDING).
-    state: Vec<u8>,
-    /// Per-client last issued op number.
-    next_op: Vec<u32>,
+    table: ClientTable,
+    /// Reused encode buffer: the command is built here, then copied into
+    /// the one `Arc<[u8]>` the request and its flight share.
+    command_buf: Vec<u8>,
     straggler_cut: u32,
     sample_stride: u32,
 
-    flights: BTreeMap<RequestId, Flight>,
     retx: VecDeque<(u64, RequestId)>,
     backoff: BackoffWheel,
     pending: Vec<Option<(u32, u64)>>,
@@ -506,7 +643,9 @@ pub struct LoadSource<P: LoadPort> {
     boundaries: Vec<u64>,
     accum_cursor: usize,
 
-    sampled: BTreeMap<u32, (u64, u64, u64)>,
+    /// `(count, latency sum, latency max)` of every `sample_stride`-th
+    /// client, indexed by `client / sample_stride`.
+    sampled: Vec<(u64, u64, u64)>,
     release_buf: Vec<u32>,
 }
 
@@ -521,6 +660,21 @@ impl<P: LoadPort> LoadSource<P> {
     ) -> Self {
         assert!(sc.population > 0, "population must be nonzero");
         assert!(!sc.phases.is_empty(), "schedule needs at least one phase");
+        assert!(
+            sc.backoff.0 <= sc.backoff.1,
+            "backoff range is (min, max), got {:?}",
+            sc.backoff
+        );
+        assert!(
+            sc.straggler_delay.0 <= sc.straggler_delay.1,
+            "straggler delay range is (min, max), got {:?}",
+            sc.straggler_delay
+        );
+        assert!(
+            (0.0..=1.0).contains(&sc.straggler_fraction),
+            "straggler fraction must lie in [0, 1], got {}",
+            sc.straggler_fraction
+        );
         let mut boundaries = Vec::with_capacity(sc.phases.len() + 1);
         let mut end = sc.warmup.as_nanos() as u64;
         boundaries.push(end);
@@ -530,17 +684,17 @@ impl<P: LoadPort> LoadSource<P> {
         }
         let accums = (0..=sc.phases.len()).map(|_| PhaseAccum::new()).collect();
         let straggler_cut = (sc.straggler_fraction * f64::from(sc.population)) as u32;
+        let sample_stride = (sc.population / 1024).max(1);
         LoadSource {
             sampler: ArrivalSampler::new(sc.process.clone()),
             workload: Workload::new(sc.workload, sc.seed),
             rotations: 0,
             rate_mult: sc.phases[0].rate_mult,
             next_phase: 0,
-            state: vec![IDLE; sc.population as usize],
-            next_op: vec![0; sc.population as usize],
+            table: ClientTable::new(sc.population),
+            command_buf: Vec::new(),
             straggler_cut,
-            sample_stride: (sc.population / 1024).max(1),
-            flights: BTreeMap::new(),
+            sample_stride,
             retx: VecDeque::new(),
             backoff: BackoffWheel::new(HOUSEKEEP_EVERY),
             pending: Vec::new(),
@@ -549,7 +703,7 @@ impl<P: LoadPort> LoadSource<P> {
             accums,
             boundaries,
             accum_cursor: 0,
-            sampled: BTreeMap::new(),
+            sampled: vec![(0, 0, 0); sc.population.div_ceil(sample_stride) as usize],
             release_buf: Vec::new(),
             port,
             dir,
@@ -571,19 +725,15 @@ impl<P: LoadPort> LoadSource<P> {
 
     fn issue(&mut self, ctx: &mut Context<'_, P::Msg>, client: u32, arrived_ns: u64) {
         let now = ctx.now();
-        self.next_op[client as usize] += 1;
-        let id = RequestId::new(
-            ClientId(client),
-            OpNumber(u64::from(self.next_op[client as usize])),
-        );
-        let command: Arc<[u8]> = self.workload.next_command(ctx.rng()).into();
-        self.state[client as usize] = IN_FLIGHT;
+        self.workload
+            .next_command_into(ctx.rng(), &mut self.command_buf);
+        let command: Arc<[u8]> = Arc::from(&self.command_buf[..]);
         self.counters.in_flight += 1;
         let idx = self.accum_index(now.as_nanos());
         self.accums[idx].issued += 1;
         let threshold = self.port.reject_threshold().unwrap_or(1);
-        self.flights.insert(
-            id,
+        let id = self.table.issue(
+            client,
             Flight {
                 client,
                 arrived_ns,
@@ -614,7 +764,7 @@ impl<P: LoadPort> LoadSource<P> {
                 self.accums[idx].latency.record(latency_ns);
                 self.counters.completed += 1;
                 if flight.client.is_multiple_of(self.sample_stride) {
-                    let entry = self.sampled.entry(flight.client).or_insert((0, 0, 0));
+                    let entry = &mut self.sampled[(flight.client / self.sample_stride) as usize];
                     entry.0 += 1;
                     entry.1 += latency_ns;
                     entry.2 = entry.2.max(latency_ns);
@@ -635,21 +785,18 @@ impl<P: LoadPort> LoadSource<P> {
             completed_at: now,
             result: None,
         });
-        match kind {
-            OutcomeKind::Success => self.state[flight.client as usize] = IDLE,
-            _ => {
-                // Back off before this client's next arrival is accepted,
-                // mirroring the closed-loop clients' post-reject pause.
-                self.state[flight.client as usize] = BACKOFF;
-                let (min, max) = self.sc.backoff;
-                let pause = Duration::from_nanos(
-                    // rng is unavailable here (no ctx); derive the jitter
-                    // deterministically from the request id instead.
-                    min.as_nanos() as u64
-                        + id.stable_hash() % (max.as_nanos() as u64 - min.as_nanos() as u64).max(1),
-                );
-                self.backoff.insert((now + pause).as_nanos(), flight.client);
-            }
+        if kind != OutcomeKind::Success {
+            // Back off before this client's next arrival is accepted,
+            // mirroring the closed-loop clients' post-reject pause.
+            self.table.set_state(flight.client, BACKOFF);
+            let (min, max) = self.sc.backoff;
+            let pause = Duration::from_nanos(
+                // rng is unavailable here (no ctx); derive the jitter
+                // deterministically from the request id instead.
+                min.as_nanos() as u64
+                    + id.stable_hash() % (max.as_nanos() as u64 - min.as_nanos() as u64).max(1),
+            );
+            self.backoff.insert((now + pause).as_nanos(), flight.client);
         }
     }
 
@@ -660,7 +807,7 @@ impl<P: LoadPort> LoadSource<P> {
         let idx = self.accum_index(now_ns);
         self.accums[idx].offered += 1;
         let client = ctx.rng().gen_range(0u32..self.sc.population);
-        if self.state[client as usize] != IDLE {
+        if self.table.state(client) != IDLE {
             self.counters.shed += 1;
             self.accums[idx].shed += 1;
         } else if client < self.straggler_cut {
@@ -670,7 +817,7 @@ impl<P: LoadPort> LoadSource<P> {
             let delay_ns = ctx
                 .rng()
                 .gen_range(min.as_nanos() as u64..=max.as_nanos() as u64);
-            self.state[client as usize] = PENDING;
+            self.table.set_state(client, PENDING);
             self.counters.pending_issue += 1;
             let slot = match self.pending_free.pop() {
                 Some(slot) => {
@@ -702,8 +849,8 @@ impl<P: LoadPort> LoadSource<P> {
         self.backoff.pop_due(now_ns, &mut self.release_buf);
         for i in 0..self.release_buf.len() {
             let client = self.release_buf[i];
-            debug_assert_eq!(self.state[client as usize], BACKOFF);
-            self.state[client as usize] = IDLE;
+            debug_assert_eq!(self.table.state(client), BACKOFF);
+            self.table.set_state(client, IDLE);
         }
         // Retransmit overdue flights.
         while let Some(&(due, id)) = self.retx.front() {
@@ -711,7 +858,7 @@ impl<P: LoadPort> LoadSource<P> {
                 break;
             }
             self.retx.pop_front();
-            let Some(flight) = self.flights.get_mut(&id) else {
+            let Some(flight) = self.table.get_mut(id) else {
                 continue; // already completed or abandoned
             };
             if flight.retx_left == 0 {
@@ -749,7 +896,7 @@ impl<P: LoadPort> LoadSource<P> {
         let (client, arrived_ns) = self.pending[slot].take().expect("pending slot occupied");
         self.pending_free.push(slot);
         self.counters.pending_issue -= 1;
-        debug_assert_eq!(self.state[client as usize], PENDING);
+        debug_assert_eq!(self.table.state(client), PENDING);
         self.issue(ctx, client, arrived_ns);
     }
 
@@ -760,21 +907,25 @@ impl<P: LoadPort> LoadSource<P> {
 
     /// Checks counter conservation *and* the client-state books: every
     /// logical client must be exactly where one structure says it is
-    /// (idle, on the wire, in a backoff bucket, or in the pending slab).
+    /// (idle, on the wire, in a backoff bucket, or in the pending slab),
+    /// and the flight slab must agree with the client array slot by slot.
+    /// (Live flights equal the in-flight counter by the first two census
+    /// rows: both equal the number of `IN_FLIGHT` clients.)
     pub fn conservation_error(&self) -> Option<String> {
         if let Some(err) = self.counters.conservation_error() {
             return Some(err);
         }
         let mut by_state = [0u64; 4];
-        for &s in &self.state {
-            by_state[s as usize] += 1;
+        for c in &self.table.clients {
+            by_state[c.state as usize] += 1;
         }
+        let live_flights = self.table.live();
         let pending_live = self.pending.iter().filter(|p| p.is_some()).count() as u64;
         let checks = [
             (
                 "in-flight clients vs flights",
                 by_state[IN_FLIGHT as usize],
-                self.flights.len() as u64,
+                live_flights,
             ),
             (
                 "in-flight clients vs counter",
@@ -809,14 +960,20 @@ impl<P: LoadPort> LoadSource<P> {
                 self.sc.population
             ));
         }
-        None
+        self.table.slab_error()
     }
 
     fn sampled_summary(&self) -> SampledSummary {
         let mut worst_mean = 0.0f64;
         let mut worst_max = 0.0f64;
         let (mut s_sum, mut s_n, mut n_sum, mut n_n) = (0u64, 0u64, 0u64, 0u64);
-        for (&client, &(count, sum, max)) in &self.sampled {
+        let mut sampled_clients = 0u32;
+        for (i, &(count, sum, max)) in self.sampled.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            sampled_clients += 1;
+            let client = i as u32 * self.sample_stride;
             let mean = sum as f64 / count as f64;
             worst_mean = worst_mean.max(mean);
             worst_max = worst_max.max(max as f64);
@@ -836,7 +993,7 @@ impl<P: LoadPort> LoadSource<P> {
             }
         };
         SampledSummary {
-            sampled_clients: self.sampled.len() as u32,
+            sampled_clients,
             worst_mean_ms: worst_mean / 1e6,
             worst_max_ms: worst_max / 1e6,
             straggler_mean_ms: mean_ms(s_sum, s_n),
@@ -897,15 +1054,16 @@ impl<P: LoadPort> Node<P::Msg> for LoadSource<P> {
         match self.port.classify(msg) {
             LoadEvent::Reply(reply) => {
                 self.port.note_reply_from(&self.dir, from);
-                if let Some(flight) = self.flights.remove(&reply.id) {
+                if let Some(flight) = self.table.take(reply.id) {
                     self.finish(now, reply.id, flight, OutcomeKind::Success);
                 }
-                // else: duplicate reply (retransmission) or a reply for an
-                // operation already abandoned after rejection — dropped,
-                // exactly like a closed-loop client ignoring stale replies.
+                // else: duplicate reply (every replica answers, and again
+                // per retransmission) or a reply for an operation already
+                // abandoned after rejection — dropped, exactly like a
+                // closed-loop client ignoring stale replies.
             }
             LoadEvent::Reject(id) => {
-                let Some(flight) = self.flights.get_mut(&id) else {
+                let Some(flight) = self.table.get_mut(id) else {
                     return;
                 };
                 let decisive = match self.dir.replica_of(from) {
@@ -913,7 +1071,7 @@ impl<P: LoadPort> Node<P::Msg> for LoadSource<P> {
                     None => false,
                 };
                 if decisive {
-                    let flight = self.flights.remove(&id).expect("flight present");
+                    let flight = self.table.take(id).expect("flight present");
                     let kind = if self.port.reject_is_final() {
                         OutcomeKind::RejectedFinal
                     } else {
@@ -1045,9 +1203,12 @@ fn drive<P: LoadPort>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::scenario::LoadScenario;
     use idem_common::load::LoadPhase;
+    use proptest::prelude::*;
 
     fn tiny(name: &'static str, rate: f64) -> LoadScenario {
         LoadScenario::new(
@@ -1157,5 +1318,199 @@ mod tests {
         let smart = run_load_scenario(&Protocol::smart(), &sc);
         assert_eq!(smart.totals.rejected, 0, "SMaRt has no reject path");
         assert_eq!(smart.conservation, None);
+    }
+
+    /// An unwired IDEM source for `sc` (never started).
+    fn source(sc: LoadScenario) -> LoadSource<IdemLoadPort> {
+        let mut sim: Simulation<IdemMessage> = Simulation::new(1);
+        let replicas: Vec<NodeId> = (0..3).map(|_| sim.reserve_node()).collect();
+        let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), sim.reserve_node());
+        let recorder =
+            RecorderHandle::new(Recorder::new(Duration::ZERO, Duration::from_millis(250)));
+        LoadSource::new(IdemLoadPort::new(replicas, 2), dir, sc, recorder)
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff range is (min, max)")]
+    fn inverted_backoff_range_is_rejected() {
+        let _ = source(LoadScenario {
+            backoff: (Duration::from_millis(100), Duration::from_millis(50)),
+            ..tiny("bad-backoff", 1_000.0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler delay range is (min, max)")]
+    fn inverted_straggler_delay_is_rejected() {
+        let delay = (Duration::from_millis(40), Duration::from_millis(20));
+        let _ = source(tiny("bad-delay", 1_000.0).with_stragglers(0.2, delay));
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler fraction must lie in [0, 1], got 1.5")]
+    fn straggler_fraction_above_one_is_rejected() {
+        let delay = (Duration::from_millis(20), Duration::from_millis(40));
+        let _ = source(tiny("bad-fraction", 1_000.0).with_stragglers(1.5, delay));
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler fraction must lie in [0, 1], got -0.1")]
+    fn negative_straggler_fraction_is_rejected() {
+        let delay = (Duration::from_millis(20), Duration::from_millis(40));
+        let _ = source(tiny("bad-fraction", 1_000.0).with_stragglers(-0.1, delay));
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler fraction must lie in [0, 1], got NaN")]
+    fn nan_straggler_fraction_is_rejected() {
+        let delay = (Duration::from_millis(20), Duration::from_millis(40));
+        let _ = source(tiny("bad-fraction", 1_000.0).with_stragglers(f64::NAN, delay));
+    }
+
+    #[test]
+    fn degenerate_but_ordered_ranges_are_accepted() {
+        let at = Duration::from_millis(30);
+        let src = source(LoadScenario {
+            backoff: (at, at),
+            ..tiny("point-ranges", 1_000.0).with_stragglers(1.0, (at, at))
+        });
+        assert_eq!(src.conservation_error(), None);
+    }
+
+    fn flight(client: u32, arrived_ns: u64) -> Flight {
+        Flight {
+            client,
+            arrived_ns,
+            command: Arc::from(&[][..]),
+            retx_left: 3,
+            rejects: QuorumTracker::new(2),
+        }
+    }
+
+    fn rid(client: u32, op: u64) -> RequestId {
+        RequestId::new(ClientId(client), OpNumber(op))
+    }
+
+    #[test]
+    fn slab_books_catch_each_kind_of_corruption() {
+        let table = || {
+            let mut t = ClientTable::new(4);
+            for client in 0..3 {
+                t.issue(client, flight(client, 0));
+            }
+            assert!(t.take(rid(1, 1)).is_some());
+            assert_eq!(t.slab_error(), None);
+            t // clients 0 and 2 live in slots 0 and 2; slot 1 free
+        };
+        let err = |t: ClientTable| t.slab_error().expect("corruption goes unnoticed");
+
+        let mut t = table();
+        t.clients[0].flight = 2;
+        assert_eq!(
+            err(t),
+            "client 0 in flight, but slot 2 holds client 2's flight"
+        );
+
+        let mut t = table();
+        t.clients[2].flight = 1;
+        assert_eq!(err(t), "client 2 in flight, but slot 1 holds no flight");
+
+        let mut t = table();
+        t.clients[2].flight = 9;
+        assert_eq!(err(t), "client 2 in flight, but slot 9 holds no flight");
+
+        let mut t = table();
+        t.free.push(1);
+        assert_eq!(err(t), "slot 1 is on the free list twice");
+
+        let mut t = table();
+        t.free.push(0);
+        assert_eq!(err(t), "free list names slot 0, which is not empty");
+
+        let mut t = table();
+        t.free.clear();
+        assert_eq!(err(t), "free list + live flights cover 2 slots, slab has 3");
+    }
+
+    #[test]
+    fn conservation_error_reports_the_slab_books() {
+        let mut src = source(tiny("books", 1_000.0));
+        assert_eq!(src.conservation_error(), None);
+        src.table.flights.push(None);
+        assert_eq!(
+            src.conservation_error().as_deref(),
+            Some("free list + live flights cover 0 slots, slab has 1")
+        );
+        // The census still runs first, with its messages unchanged.
+        src.table.clients[7].state = IN_FLIGHT;
+        assert_eq!(
+            src.conservation_error().as_deref(),
+            Some("in-flight clients vs flights: 1 != 0")
+        );
+    }
+
+    const MODEL_POPULATION: u32 = 6;
+
+    proptest! {
+        /// The client-indexed flight table against the map it replaced,
+        /// keyed by request id. Ids are probed the way the wire does it:
+        /// the live operation, the one before it (duplicate reply, reject
+        /// of an abandoned operation, expired retransmit deadline), ones
+        /// never issued, and clients outside the population.
+        #[test]
+        fn client_table_matches_request_id_map(
+            steps in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u64>()), 1..600)
+        ) {
+            let mut table = ClientTable::new(MODEL_POPULATION);
+            let mut model: BTreeMap<RequestId, (u64, u8)> = BTreeMap::new();
+            let mut issued = [0u64; MODEL_POPULATION as usize];
+
+            for (sel, raw, val) in steps {
+                let client = raw % (MODEL_POPULATION + 2);
+                let known = client < MODEL_POPULATION;
+                let current = if known { issued[client as usize] } else { 1 };
+                let op = match (raw >> 8) % 6 {
+                    0..=2 => current,
+                    3 => current.saturating_sub(1),
+                    4 => current + 1,
+                    _ => val,
+                };
+                let id = rid(client, op);
+                match sel % 4 {
+                    0 if known && !model.contains_key(&rid(client, current)) => {
+                        let id = table.issue(client, flight(client, val));
+                        issued[client as usize] += 1;
+                        prop_assert_eq!(id, rid(client, issued[client as usize]));
+                        prop_assert!(model.insert(id, (val, 3)).is_none());
+                    }
+                    // Reply: the first takes the flight, every other misses.
+                    0 | 1 => {
+                        let got = table.take(id).map(|f| (f.client, f.arrived_ns, f.retx_left));
+                        let want = model.remove(&id).map(|(at, left)| (client, at, left));
+                        prop_assert_eq!(got, want);
+                    }
+                    // Reject vote or retransmit deadline: mutate in place.
+                    _ => {
+                        let got = table.get_mut(id).map(|f| {
+                            f.retx_left = f.retx_left.wrapping_sub(1);
+                            (f.client, f.arrived_ns, f.retx_left)
+                        });
+                        let want = model.get_mut(&id).map(|(at, left)| {
+                            *left = left.wrapping_sub(1);
+                            (client, *at, *left)
+                        });
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(table.slab_error(), None);
+                prop_assert_eq!(table.live(), model.len() as u64);
+                for c in 0..MODEL_POPULATION {
+                    let live = model.contains_key(&rid(c, issued[c as usize]));
+                    prop_assert_eq!(table.state(c) == IN_FLIGHT, live);
+                }
+            }
+            // Recycling: the slab never outgrows the population.
+            prop_assert!(table.flights.len() <= MODEL_POPULATION as usize);
+        }
     }
 }

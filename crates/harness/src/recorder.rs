@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use std::collections::BTreeMap;
 
+use idem_common::dense::DENSE_CLIENT_LIMIT;
 use idem_common::driver::{ClientApp, OperationOutcome, OutcomeKind};
 use idem_kv::Workload;
 use idem_metrics::{Histogram, TimeSeries};
@@ -27,8 +28,13 @@ pub struct Recorder {
     successes: u64,
     rejections_ambivalent: u64,
     rejections_final: u64,
-    /// Highest op number seen per client — the session-order oracle.
-    last_op: BTreeMap<u32, u64>,
+    /// The session-order oracle: per client, the lowest op number still
+    /// acceptable — one past the highest recorded, zero before the first.
+    /// Ids below [`DENSE_CLIENT_LIMIT`] index `next_ok`, which grows on
+    /// first touch; anything above lives in the tree, so a wild id never
+    /// sizes the vector.
+    next_ok: Vec<u64>,
+    next_ok_sparse: BTreeMap<u32, u64>,
     order_violations: u64,
 }
 
@@ -46,7 +52,8 @@ impl Recorder {
             successes: 0,
             rejections_ambivalent: 0,
             rejections_final: 0,
-            last_op: BTreeMap::new(),
+            next_ok: Vec::new(),
+            next_ok_sparse: BTreeMap::new(),
             order_violations: 0,
         }
     }
@@ -73,11 +80,21 @@ impl Recorder {
     pub fn record(&mut self, outcome: &OperationOutcome) {
         let client = outcome.id.client.0;
         let op = outcome.id.op.0;
-        match self.last_op.get(&client) {
-            Some(&prev) if prev >= op => self.order_violations += 1,
-            _ => {
-                self.last_op.insert(client, op);
+        let next_ok = if client < DENSE_CLIENT_LIMIT {
+            let idx = client as usize;
+            if idx >= self.next_ok.len() {
+                self.next_ok.resize(idx + 1, 0);
             }
+            &mut self.next_ok[idx]
+        } else {
+            self.next_ok_sparse.entry(client).or_insert(0)
+        };
+        if op < *next_ok {
+            self.order_violations += 1;
+        } else {
+            // Saturating: a second `u64::MAX` is the one duplicate this
+            // encoding cannot flag, and no client counts that far.
+            *next_ok = op.saturating_add(1);
         }
         if outcome.completed_at < self.warmup {
             self.warmup_outcomes += 1;
@@ -125,10 +142,16 @@ impl Recorder {
         self.order_violations
     }
 
-    /// Highest completed op number per client id — the basis of per-client
-    /// liveness checks (did every client make progress after a heal?).
-    pub fn last_ops(&self) -> &BTreeMap<u32, u64> {
-        &self.last_op
+    /// Highest completed op number per client id, in ascending client
+    /// order — the basis of per-client liveness checks (did every client
+    /// make progress after a heal?). Built on demand; not for hot paths.
+    pub fn last_ops(&self) -> BTreeMap<u32, u64> {
+        (0u32..)
+            .zip(&self.next_ok)
+            .chain(self.next_ok_sparse.iter().map(|(&c, n)| (c, n)))
+            .filter(|(_, &n)| n > 0)
+            .map(|(c, &n)| (c, n - 1))
+            .collect()
     }
 
     /// Reply-latency histogram (nanoseconds).
@@ -323,6 +346,46 @@ mod tests {
         assert_eq!(r.order_violations(), 2);
         r.record(&mk(3)); // back on track
         assert_eq!(r.order_violations(), 2);
+    }
+
+    proptest::proptest! {
+        /// The dense oracle against the tree it replaced: same verdict on
+        /// every outcome, same `last_ops` view, for clients on both sides
+        /// of `DENSE_CLIENT_LIMIT` and outcomes in any order.
+        #[test]
+        fn session_order_oracle_matches_tree_model(
+            steps in proptest::collection::vec((0usize..9, 0u64..12), 1..400)
+        ) {
+            use idem_common::{ClientId, OpNumber, RequestId};
+            const DENSE_MAX: u32 = 5_000;
+            const CLIENTS: [u32; 9] = [
+                0, 1, 2, 777, DENSE_MAX,
+                DENSE_CLIENT_LIMIT, DENSE_CLIENT_LIMIT + 1, u32::MAX - 1, u32::MAX,
+            ];
+            let mut r = Recorder::new(Duration::ZERO, Duration::from_millis(10));
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut violations = 0u64;
+            for (who, op) in steps {
+                let client = CLIENTS[who];
+                match model.get(&client) {
+                    Some(&prev) if prev >= op => violations += 1,
+                    _ => {
+                        model.insert(client, op);
+                    }
+                }
+                r.record(&OperationOutcome {
+                    id: RequestId::new(ClientId(client), OpNumber(op)),
+                    kind: OutcomeKind::Success,
+                    latency: Duration::from_micros(1),
+                    completed_at: SimTime::ZERO,
+                    result: None,
+                });
+                proptest::prop_assert_eq!(r.order_violations(), violations);
+            }
+            proptest::prop_assert_eq!(r.last_ops(), model);
+            // Ids past the limit never size the dense vector.
+            proptest::prop_assert!(r.next_ok.len() <= DENSE_MAX as usize + 1);
+        }
     }
 
     #[test]

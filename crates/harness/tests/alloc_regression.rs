@@ -23,11 +23,11 @@ use std::time::Duration;
 use std::sync::{Mutex, MutexGuard};
 
 use idem_common::load::LoadPhase;
-use idem_common::{Directory, PersistMode, ReplicaId, Wal};
+use idem_common::{Directory, OpNumber, PersistMode, ReplicaId, Reply, Request, Wal};
 use idem_core::{IdemMessage, IdemReplica};
 use idem_harness::allocs;
 use idem_harness::cluster::{experiment_network, KV_EXEC_COST};
-use idem_harness::load::IdemLoadPort;
+use idem_harness::load::{IdemLoadPort, LoadEvent, LoadPort};
 use idem_harness::{LoadScenario, LoadSource, Protocol, Recorder, RecorderHandle, Scenario};
 use idem_kv::KvStore;
 use idem_simnet::{Context, Node, NodeId, Simulation, Wire};
@@ -262,5 +262,98 @@ fn wal_path_allocates_once_per_record_whatever_the_session_count() {
         on.records,
         on.checkpoints,
         on.sessions
+    );
+}
+
+/// IDEM's client messages with the cluster cut out: a submitted request
+/// is answered on the spot by a reply the source sends itself. Inline
+/// result bytes, so the port allocates nothing and what the window counts
+/// is the source's own.
+struct LoopbackPort;
+
+impl LoadPort for LoopbackPort {
+    type Msg = IdemMessage;
+
+    fn submit(&mut self, ctx: &mut Context<'_, IdemMessage>, _: &Directory<NodeId>, req: Request) {
+        let me = ctx.id();
+        ctx.send(me, IdemMessage::Reply(Reply::new(req.id, &b"ok"[..])));
+    }
+
+    fn classify(&self, msg: IdemMessage) -> LoadEvent {
+        match msg {
+            IdemMessage::Reply(reply) => LoadEvent::Reply(reply),
+            _ => LoadEvent::Other,
+        }
+    }
+
+    fn reject_threshold(&self) -> Option<u32> {
+        None
+    }
+
+    fn reject_is_final(&self) -> bool {
+        true
+    }
+
+    fn tick(arg: u64) -> IdemMessage {
+        IdemMessage::RetransmitTimer(OpNumber(arg))
+    }
+
+    fn tick_arg(msg: &IdemMessage) -> Option<u64> {
+        match msg {
+            IdemMessage::RetransmitTimer(op) => Some(op.0),
+            _ => None,
+        }
+    }
+}
+
+#[test]
+fn open_loop_source_allocates_once_per_issued_operation() {
+    let _serial = serial();
+    let measured = Duration::from_secs(3);
+    let scenario = LoadScenario::new(
+        "alloc-open-loop",
+        10_000,
+        20_000.0,
+        vec![LoadPhase::new("steady", measured * 2, 1.0)],
+    )
+    .with_workload(idem_kv::WorkloadSpec::write_only(100))
+    .with_warmup(Duration::ZERO);
+
+    let mut sim: Simulation<IdemMessage> = Simulation::with_network(5, experiment_network());
+    let source = sim.reserve_node();
+    let dir = Directory::with_client_fallback(Vec::new(), Vec::new(), source);
+    let recorder = RecorderHandle::new(
+        Recorder::new(Duration::ZERO, Duration::from_millis(250))
+            .with_expected_duration(scenario.total_duration()),
+    );
+    sim.install_node(
+        source,
+        Box::new(LoadSource::new(LoopbackPort, dir, scenario, recorder)),
+    );
+
+    // Let the flight slab, the deadline queue, the recorder's oracle and
+    // the simulator's own buffers reach their size.
+    sim.run_for(measured);
+    let issued = |sim: &Simulation<IdemMessage>| {
+        let c = sim
+            .node_as::<LoadSource<LoopbackPort>>(source)
+            .expect("load source type")
+            .counters();
+        c.offered - c.shed
+    };
+    let issued0 = issued(&sim);
+    let before = allocs::snapshot();
+    sim.run_for(measured);
+    let allocs = allocs::snapshot().since(before).allocs;
+    let issued = issued(&sim) - issued0;
+
+    eprintln!("open-loop source: {allocs} allocs over {issued} issued operations");
+    assert!(issued > 50_000, "window too quiet: {issued} issued");
+    // The command's `Arc<[u8]>`, shared by the request and its flight —
+    // the one allocation an operation needs. The `next_command` → `Vec` →
+    // `Arc` route paid three for every write.
+    assert!(
+        (issued..=issued + 64).contains(&allocs),
+        "{allocs} allocator calls for {issued} issued operations"
     );
 }

@@ -57,6 +57,26 @@ pub enum Command {
     },
 }
 
+/// Encodes `UPDATE key` into `out`, replacing its previous contents, with
+/// the `value_len` value bytes appended by `fill` — the bytes
+/// `Command::Update { key, value }.encode_into(out)` produces, for callers
+/// that generate the value and would otherwise build it only to copy it.
+pub(crate) fn encode_update_with(
+    key: u64,
+    value_len: usize,
+    out: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
+    let prof = idem_common::phaseprof::begin();
+    out.clear();
+    out.reserve(9 + value_len);
+    out.push(TAG_UPDATE);
+    out.extend_from_slice(&key.to_le_bytes());
+    fill(out);
+    debug_assert_eq!(out.len(), 9 + value_len);
+    idem_common::phaseprof::end_encode(prof);
+}
+
 impl Command {
     /// The exact byte length [`encode`](Self::encode) produces.
     pub fn encoded_len(&self) -> usize {

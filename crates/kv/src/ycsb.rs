@@ -9,7 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::command::Command;
+use crate::command::{encode_update_with, Command};
 
 /// Key-popularity distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,11 +210,17 @@ impl Workload {
         rank.wrapping_mul(self.scramble) % self.spec.keys
     }
 
-    /// Generates the next operation as a decoded [`Command`].
-    pub fn next_operation(&mut self, rng: &mut SmallRng) -> Command {
+    /// Draws the next operation: its key and whether it is a read.
+    fn next_draw(&mut self, rng: &mut SmallRng) -> (u64, bool) {
         self.issued += 1;
         let key = self.next_key(rng);
-        if rng.gen::<f64>() < self.spec.read_fraction {
+        (key, rng.gen::<f64>() < self.spec.read_fraction)
+    }
+
+    /// Generates the next operation as a decoded [`Command`].
+    pub fn next_operation(&mut self, rng: &mut SmallRng) -> Command {
+        let (key, read) = self.next_draw(rng);
+        if read {
             Command::Get { key }
         } else {
             Command::Update {
@@ -229,20 +235,40 @@ impl Workload {
         self.next_operation(rng).encode()
     }
 
+    /// Same operation stream and bytes as [`next_command`](Self::next_command),
+    /// written into `out` (previous contents replaced) without building
+    /// the [`Command`] or its value first: a caller that reuses `out`
+    /// pays no allocation per operation.
+    pub fn next_command_into(&mut self, rng: &mut SmallRng, out: &mut Vec<u8>) {
+        let (key, read) = self.next_draw(rng);
+        if read {
+            Command::Get { key }.encode_into(out);
+        } else {
+            encode_update_with(key, self.spec.value_size, out, |out| {
+                self.append_value(key, out)
+            });
+        }
+    }
+
     fn value(&self, key: u64) -> Vec<u8> {
-        // Deterministic value content derived from the key: replicas can be
-        // compared for state equality in tests.
         let mut v = Vec::with_capacity(self.spec.value_size);
+        self.append_value(key, &mut v);
+        v
+    }
+
+    /// Appends `value_size` bytes of deterministic content derived from
+    /// the key: replicas can be compared for state equality in tests.
+    fn append_value(&self, key: u64, out: &mut Vec<u8>) {
+        let end = out.len() + self.spec.value_size;
         let mut x = key.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
-        while v.len() < self.spec.value_size {
+        while out.len() < end {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let bytes = x.to_le_bytes();
-            let take = (self.spec.value_size - v.len()).min(8);
-            v.extend_from_slice(&bytes[..take]);
+            let take = (end - out.len()).min(8);
+            out.extend_from_slice(&bytes[..take]);
         }
-        v
     }
 }
 
@@ -368,6 +394,27 @@ mod tests {
             if let Command::Update { value, .. } = a {
                 assert_eq!(value.len(), 100);
             }
+        }
+    }
+
+    #[test]
+    fn next_command_into_matches_next_command_byte_for_byte() {
+        for value_size in [0, 5, 100, 1024] {
+            let spec = WorkloadSpec {
+                value_size,
+                ..WorkloadSpec::update_heavy()
+            };
+            let mut w1 = Workload::new(spec, 7);
+            let mut w2 = w1.clone();
+            let mut r1 = rng(19);
+            let mut r2 = rng(19);
+            // Stale contents must be replaced, not appended to.
+            let mut buf = vec![0xAA; 3];
+            for _ in 0..200 {
+                w2.next_command_into(&mut r2, &mut buf);
+                assert_eq!(buf, w1.next_command(&mut r1));
+            }
+            assert_eq!(w1.issued(), w2.issued());
         }
     }
 

@@ -58,15 +58,22 @@
 #     cargo test -p idem-harness --features alloc-count --test alloc_regression
 #
 # Baselines pinned there: a pure-simnet fan-out scenario performs zero
-# allocator calls over its measured window, and a saturated 3-replica
-# IDEM cell stays under one allocation per simulated event (0.80 when
-# the tests were written; the assert allows < 1.0). When the per-run
-# events/s totals here drift, check those tests first — an allocation
-# sneaking back into the deliver path is the usual cause.
+# allocator calls over its measured window; a saturated 3-replica IDEM
+# cell stays under one allocation per four simulated events (0.19
+# measured since the dense protocol state of DESIGN.md §6e, 0.80 before
+# it; the assert allows < 0.25); the WAL path allocates once per record
+# whatever the session count; and the open-loop `LoadSource` allocates
+# once per issued operation (the command's shared `Arc<[u8]>`). When the
+# per-run events/s totals here drift, check those tests first — an
+# allocation sneaking back into the deliver path is the usual cause.
 #
-# The committed BENCH_repro.json totals ~1.45M events/s (quick mode,
-# --jobs 2); the arena + batching + dense-state change took it there
-# from 928k, which itself came from 499k via wake elision.
+# The committed BENCH_repro.json totals 1.78M events/s (quick mode,
+# --jobs 2): 499k before wake elision, 928k after it, 1.45M with the
+# arena + batched multicast + dense network state, 1.78M with the dense
+# protocol state. The committed BENCH_load.json cells (smoke, --jobs 2)
+# run at 2.1-2.2M events/s, the two deep-backlog cells at 0.95M and
+# 1.48M; their wall_s / events_per_sec are informational only (see
+# "load" above).
 set -euo pipefail
 
 baseline="${1:?usage: $0 <baseline.json> <current.json> [threshold_pct]}"

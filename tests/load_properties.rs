@@ -204,7 +204,7 @@ proptest! {
 
     /// For arbitrary scenario parameters, the engine's books must balance:
     /// offered = shed + completed + rejected + in_flight + pending_issue,
-    /// and the state array, flight map, wheel, and pending slab must agree
+    /// and the client array, flight slab, wheel, and pending slab must agree
     /// client by client. Each case simulates a small cluster, so the
     /// parameter ranges are kept tight to bound suite runtime.
     #[test]
