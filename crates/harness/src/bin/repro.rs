@@ -2,10 +2,10 @@
 //!
 //! Usage:
 //! ```text
-//! repro [<experiment>...] [--full] [--out DIR] [--jobs N] [--threads N] [--bench-out FILE]
-//! repro chaos [--seeds N] [--seed X] [--schedule 'EPISODES'] [--wipes] [--jobs N] [--threads N]
-//! repro churn [--seeds N] [--seed X] [--schedule 'EPISODES'] [--jobs N] [--threads N]
-//! repro load [--smoke | --full] [--out DIR] [--jobs N] [--threads N]
+//! repro [<experiment>...] [--full] [--out DIR] [--jobs N] [--bench-out FILE]
+//! repro chaos [--seeds N] [--seed X] [--schedule 'EPISODES'] [--wipes] [--jobs N]
+//! repro churn [--seeds N] [--seed X] [--schedule 'EPISODES'] [--jobs N]
+//! repro load [--smoke | --full] [--out DIR] [--jobs N]
 //! repro --list
 //!
 //! experiments: fig2 fig3 fig6 fig7 table1 fig8 fig9a fig9b fig10 fig10d
@@ -16,9 +16,6 @@
 //! --jobs N          worker threads for the experiment sweep (default: the
 //!                   host's available parallelism); results are
 //!                   byte-identical for every N
-//! --threads N       worker threads *inside* each simulation cell
-//!                   (deterministic parallel stepping; default 1 = serial);
-//!                   results are byte-identical for every N
 //! --bench-out FILE  where to write the wall-time/events-per-second summary
 //!                   (default: BENCH_repro.json)
 //! --list            list every experiment and load scenario, one per line
@@ -84,7 +81,6 @@ struct Args {
     full: bool,
     out_dir: String,
     jobs: Option<usize>,
-    threads: usize,
     bench_out: String,
     wanted: Vec<String>,
     seeds: Option<u64>,
@@ -98,10 +94,10 @@ struct Args {
 
 fn usage() -> String {
     format!(
-        "usage: repro [<experiment>...] [--full] [--out DIR] [--jobs N] [--threads N] [--bench-out FILE]\n\
-         \x20      repro chaos [--seeds N] [--seed X] [--schedule 'EPISODES'] [--wipes] [--jobs N] [--threads N]\n\
-         \x20      repro churn [--seeds N] [--seed X] [--schedule 'EPISODES'] [--jobs N] [--threads N]\n\
-         \x20      repro load [--smoke | --full] [--out DIR] [--jobs N] [--threads N]\n\
+        "usage: repro [<experiment>...] [--full] [--out DIR] [--jobs N] [--bench-out FILE]\n\
+         \x20      repro chaos [--seeds N] [--seed X] [--schedule 'EPISODES'] [--wipes] [--jobs N]\n\
+         \x20      repro churn [--seeds N] [--seed X] [--schedule 'EPISODES'] [--jobs N]\n\
+         \x20      repro load [--smoke | --full] [--out DIR] [--jobs N]\n\
          \x20      repro --list\n\
          experiments: {} all calibrate chaos churn load\n\
          chaos/churn flags:\n\
@@ -127,7 +123,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         full: false,
         out_dir: "results".to_string(),
         jobs: None,
-        threads: 1,
         bench_out: "BENCH_repro.json".to_string(),
         wanted: Vec::new(),
         seeds: None,
@@ -171,16 +166,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     return Err("--jobs must be at least 1".to_string());
                 }
                 parsed.jobs = Some(jobs);
-            }
-            "--threads" => {
-                let value = take_value(&mut it)?;
-                let threads: usize = value.parse().map_err(|_| {
-                    format!("invalid --threads value '{value}' (expected a positive integer)")
-                })?;
-                if threads == 0 {
-                    return Err("--threads must be at least 1 (1 = serial stepping)".to_string());
-                }
-                parsed.threads = threads;
             }
             "--seeds" => {
                 let value = take_value(&mut it)?;
@@ -309,9 +294,6 @@ fn main() {
         }
         return;
     }
-    // Intra-cell deterministic parallel stepping: every cell built after
-    // this point picks the value up through `ClusterOptions::default()`.
-    idem_harness::set_default_threads(args.threads);
     // Sampled protocol-handler attribution: one in 2^6 handler calls is
     // timed and scaled back up, so the per-event cost stays a counter
     // increment while BENCH entries still split cell CPU into protocol
@@ -327,7 +309,7 @@ fn main() {
         Effort::quick()
     };
     eprintln!(
-        "running {} experiment(s), {} mode, {} worker(s), {} cell thread(s), CSVs under {}/",
+        "running {} experiment(s), {} mode, {} worker(s), CSVs under {}/",
         args.wanted.len(),
         if args.full {
             "full (paper-scale)"
@@ -335,7 +317,6 @@ fn main() {
             "quick"
         },
         runner.jobs(),
-        args.threads,
         args.out_dir
     );
     let mut bench_entries: Vec<BenchEntry> = Vec::new();
@@ -496,7 +477,6 @@ fn main() {
             &bench_entries,
             args.full,
             runner.jobs(),
-            args.threads,
             total_start.elapsed(),
         );
         match std::fs::write(&args.bench_out, &json) {
@@ -547,7 +527,6 @@ fn render_bench_json(
     entries: &[BenchEntry],
     full: bool,
     jobs: usize,
-    threads: usize,
     total_wall: Duration,
 ) -> String {
     let mut out = String::new();
@@ -557,7 +536,6 @@ fn render_bench_json(
         if full { "full" } else { "quick" }
     ));
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"experiments\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let events_per_sec = e.events as f64 / e.wall.as_secs_f64().max(1e-9);
@@ -584,8 +562,6 @@ fn render_bench_json(
              \"events_per_sec\": {:.0}, \"cell_cpu_s\": {:.3}, \
              \"delivers\": {}, \"timers\": {}, \"wakes\": {}, \"inline_wakes\": {}, \
              \"crashes\": {}, \"queue_high_water\": {}, \
-             \"parallel_windows\": {}, \"serial_windows\": {}, \
-             \"parallel_node_windows\": {}, \"parallel_events\": {}, \
              \"protocol_ns\": {}, \"dispatch_ns\": {}{rejoin}{reconfig}}}{}\n",
             e.name,
             e.wall.as_secs_f64(),
@@ -599,10 +575,6 @@ fn render_bench_json(
             e.kinds.inline_wakes,
             e.kinds.crashes,
             e.kinds.queue_high_water,
-            e.kinds.parallel_windows,
-            e.kinds.serial_windows,
-            e.kinds.parallel_node_windows,
-            e.kinds.parallel_events,
             e.protocol_ns,
             (e.cell_cpu.as_nanos() as u64).saturating_sub(e.protocol_ns),
             if i + 1 == entries.len() { "" } else { "," },
@@ -652,5 +624,49 @@ fn calibrate() {
                 r.metrics.reject_throughput,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_json_schema_has_no_thread_axis() {
+        let entry = BenchEntry {
+            name: "fig7".to_string(),
+            wall: Duration::from_secs(2),
+            cells: 3,
+            events: 4_000,
+            cell_cpu: Duration::from_secs(3),
+            kinds: EventStats {
+                delivers: 11,
+                timers: 12,
+                wakes: 13,
+                inline_wakes: 14,
+                crashes: 15,
+                queue_high_water: 16,
+                ..EventStats::default()
+            },
+            rejoin: None,
+            reconfig: None,
+            protocol_ns: 1_000,
+        };
+        let json = render_bench_json(&[entry], false, 2, Duration::from_secs(2));
+        assert!(!json.contains("\"threads\""), "no threads key: {json}");
+        assert!(!json.contains("\"parallel_"), "no parallel_* key: {json}");
+        for field in [
+            "\"wakes\": 13",
+            "\"inline_wakes\": 14",
+            "\"queue_high_water\": 16",
+        ] {
+            assert!(json.contains(field), "{field} missing: {json}");
+        }
+        // check_bench_regression.sh greps both keys off one line.
+        let line = json
+            .lines()
+            .find(|l| l.contains("\"name\": \"fig7\""))
+            .expect("experiment line");
+        assert!(line.contains("\"events_per_sec\": 2000"), "{line}");
     }
 }

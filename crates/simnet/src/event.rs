@@ -34,11 +34,6 @@ pub(crate) enum Payload<M> {
         /// Clones the body for all but the last delivery.
         clone: fn(&M) -> M,
     },
-    /// Body pre-materialized by a parallel-stepping plan phase and owned
-    /// elsewhere: by the worker executing it, or by the node's leftover
-    /// queue when the worker's window closed first. Never observed by the
-    /// serial scheduler.
-    Scripted,
 }
 
 impl<M> Payload<M> {
@@ -52,21 +47,14 @@ impl<M> Payload<M> {
             Payload::Shared { id, clone } => {
                 arena.materialize(id, clone).expect("live shared payload")
             }
-            Payload::Scripted => unreachable!("scripted payloads are materialized by the planner"),
         }
     }
 
     /// Drops this delivery without materializing it (crashed recipient,
     /// wiped backlog), releasing the arena reference so the slot recycles.
     pub fn release(self, arena: &mut MessageArena<M>) {
-        match self {
-            Payload::Unique(id) | Payload::Shared { id, .. } => {
-                arena.release(id);
-            }
-            // The body lives with a worker or in the leftover queue; the
-            // arena slot was already released at plan time.
-            Payload::Scripted => {}
-        }
+        let (Payload::Unique(id) | Payload::Shared { id, .. }) = self;
+        arena.release(id);
     }
 }
 

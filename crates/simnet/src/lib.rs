@@ -75,7 +75,6 @@ pub mod disk;
 pub mod event;
 pub mod net;
 pub mod node;
-pub(crate) mod parallel;
 pub mod prof;
 pub mod sim;
 pub mod time;
@@ -87,8 +86,8 @@ pub mod wire;
 pub use arena::{MessageArena, MsgId};
 pub use disk::{Disk, DiskLatency};
 pub use net::{LinkSpec, Network};
-pub use node::{AsAny, Context, DetNode, Node, NodeId, TimerId};
-pub use sim::{DetNodeFactory, DrainProfile, EventStats, Simulation, DRAIN_BUCKETS};
+pub use node::{AsAny, Context, Node, NodeId, TimerId};
+pub use sim::{DrainProfile, EventStats, Simulation, DRAIN_BUCKETS};
 pub use time::SimTime;
 pub use trace::{TraceBuffer, TraceEvent, TraceEventKind};
 pub use traffic::Traffic;

@@ -255,26 +255,6 @@ impl Network {
         self.loopback = d;
     }
 
-    /// A lower bound on the delivery delay of any *cross-node* message:
-    /// the minimum base latency over the default link and every installed
-    /// override. Jitter only adds delay, and drops/blocks only remove
-    /// deliveries, so no message between two distinct nodes can ever
-    /// arrive sooner than this after its departure. Parallel stepping uses
-    /// it as the safe-horizon lookahead; loopback (self-send) delay is
-    /// deliberately excluded — self-sends stay within one node's worker.
-    ///
-    /// Conservative by construction: the default's base participates even
-    /// when every pair is overridden.
-    pub fn min_cross_latency(&self) -> Duration {
-        let mut min = self.default.base();
-        if self.has_overrides {
-            for spec in self.overrides.iter().flatten() {
-                min = min.min(spec.base());
-            }
-        }
-        min
-    }
-
     /// Samples the delivery delay for a message `from → to`, or `None` if
     /// the message is lost or the link is blocked.
     pub fn sample(&self, rng: &mut SmallRng, from: NodeId, to: NodeId) -> Option<Duration> {

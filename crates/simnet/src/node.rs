@@ -6,8 +6,6 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 
-use crate::disk::Disk;
-use crate::parallel::WorkerCtx;
 use crate::sim::Core;
 use crate::time::SimTime;
 
@@ -98,57 +96,17 @@ pub trait Node<M>: AsAny {
     }
 }
 
-/// A [`Node`] that may be handed to a worker thread under deterministic
-/// parallel stepping (see
-/// [`Simulation::set_parallel_stepping`](crate::Simulation::set_parallel_stepping)).
-///
-/// Blanket-implemented for every `Send` node type; the explicit
-/// `as_node_mut` hop avoids relying on `dyn` trait upcasting. Nodes
-/// installed this way must be deterministic given their inputs and must not
-/// touch the shared simulation RNG ([`Context::rng`] panics for them).
-pub trait DetNode<M>: Node<M> + Send {
-    /// Borrows self as a plain [`Node`] trait object.
-    fn as_node(&self) -> &dyn Node<M>;
-    /// Mutably borrows self as a plain [`Node`] trait object.
-    fn as_node_mut(&mut self) -> &mut dyn Node<M>;
-}
-
-impl<M, T: Node<M> + Send> DetNode<M> for T {
-    fn as_node(&self) -> &dyn Node<M> {
-        self
-    }
-    fn as_node_mut(&mut self) -> &mut dyn Node<M> {
-        self
-    }
-}
-
 /// The interaction surface handed to [`Node`] callbacks.
 ///
 /// A `Context` is only valid for the duration of one callback.
-///
-/// It is backed either by the live simulator core (the only mode that
-/// existed before parallel stepping) or, under
-/// [`Simulation::set_parallel_stepping`](crate::Simulation::set_parallel_stepping),
-/// by a per-worker effect recorder that captures sends/timers/charges for
-/// later replay through the live core. Nodes cannot observe which backing
-/// they run on — except that the recording backing has no shared RNG and
-/// panics on [`Context::rng`].
 pub struct Context<'a, M> {
-    pub(crate) inner: CtxInner<'a, M>,
-    pub(crate) id: NodeId,
-}
-
-pub(crate) enum CtxInner<'a, M> {
-    Live(&'a mut Core<M>),
-    Record(&'a mut WorkerCtx<M>),
+    core: &'a mut Core<M>,
+    id: NodeId,
 }
 
 impl<'a, M> Context<'a, M> {
-    pub(crate) fn live(core: &'a mut Core<M>, id: NodeId) -> Context<'a, M> {
-        Context {
-            inner: CtxInner::Live(core),
-            id,
-        }
+    pub(crate) fn new(core: &'a mut Core<M>, id: NodeId) -> Context<'a, M> {
+        Context { core, id }
     }
 }
 
@@ -160,10 +118,7 @@ impl<M: crate::Wire> Context<'_, M> {
     /// to self bypasses the network (loopback) and is not counted as
     /// traffic.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.send(self.id, to, msg),
-            CtxInner::Record(w) => w.send(self.id, to, msg),
-        }
+        self.core.send(self.id, to, msg);
     }
 
     /// Sends `msg` to every node in `targets`.
@@ -177,10 +132,7 @@ impl<M: crate::Wire> Context<'_, M> {
     where
         M: Clone,
     {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.multicast(self.id, targets, msg),
-            CtxInner::Record(w) => w.multicast(self.id, targets, msg),
-        }
+        self.core.multicast(self.id, targets, msg);
     }
 }
 
@@ -192,28 +144,19 @@ impl<M> Context<'_, M> {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Live(core) => core.now,
-            CtxInner::Record(w) => w.now,
-        }
+        self.core.now
     }
 
     /// Arms a timer that fires after `delay`, delivering `msg` to
     /// [`Node::on_timer`]. Returns a handle for cancellation.
     pub fn set_timer(&mut self, delay: Duration, msg: M) -> TimerId {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.set_timer(self.id, delay, msg),
-            CtxInner::Record(w) => w.set_timer(delay, msg),
-        }
+        self.core.set_timer(self.id, delay, msg)
     }
 
     /// Cancels a pending timer. Cancelling an already-fired or unknown
     /// timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.cancel_timer(self.id, id),
-            CtxInner::Record(w) => w.cancel_timer(id),
-        }
+        self.core.cancel_timer(self.id, id);
     }
 
     /// Charges `cpu` time to this node's processor. Subsequent event
@@ -221,56 +164,32 @@ impl<M> Context<'_, M> {
     /// completes; messages sent later in this callback depart only after
     /// it.
     pub fn charge(&mut self, cpu: Duration) {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.charge(self.id, cpu),
-            CtxInner::Record(w) => w.charge(cpu),
-        }
+        self.core.charge(self.id, cpu);
     }
 
     /// The deterministic random-number generator of the simulation.
-    ///
-    /// # Panics
-    /// Panics when the node runs under deterministic parallel stepping
-    /// (installed via
-    /// [`add_det_node`](crate::Simulation::add_det_node)): the shared RNG
-    /// stream is owned by the serial playback phase and cannot be forked
-    /// into workers without changing the byte-exact draw order.
     pub fn rng(&mut self) -> &mut SmallRng {
-        match &mut self.inner {
-            CtxInner::Live(core) => &mut core.rng,
-            CtxInner::Record(_) => {
-                panic!("nodes installed for parallel stepping must not use the shared rng")
-            }
-        }
+        &mut self.core.rng
     }
 
     /// Appends a record to this node's stable-storage device cache. The
     /// record is not durable until [`disk_fsync`](Context::disk_fsync);
     /// the configured append latency is charged to this node's CPU.
     pub fn disk_append(&mut self, record: Vec<u8>) {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.disk_append(self.id, record),
-            CtxInner::Record(w) => w.disk_append(record),
-        }
+        self.core.disk_append(self.id, record);
     }
 
     /// Fsyncs this node's disk: everything appended so far becomes
     /// durable (survives wipe truncation). The configured fsync latency is
     /// charged to this node's CPU.
     pub fn disk_fsync(&mut self) {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.disk_fsync(self.id),
-            CtxInner::Record(w) => w.disk_fsync(),
-        }
+        self.core.disk_fsync(self.id);
     }
 
     /// All records on this node's disk, oldest first — the recovery
     /// replay surface after a wipe.
     pub fn disk_records(&self) -> &[Vec<u8>] {
-        match &self.inner {
-            CtxInner::Live(core) => core.disk(self.id).records(),
-            CtxInner::Record(w) => w.disk.records(),
-        }
+        self.core.disk(self.id).records()
     }
 
     /// Lends this node's disk records to `f` together with the context, so
@@ -281,21 +200,14 @@ impl<M> Context<'_, M> {
     /// Panics if `f` appends to the disk: the records are out on loan and
     /// the append would be lost.
     pub fn with_disk_records<R>(&mut self, f: impl FnOnce(&mut Self, &[Vec<u8>]) -> R) -> R {
-        let disk = std::mem::take(self.disk_mut());
+        let disk = std::mem::take(self.core.disk_mut(self.id));
         let out = f(self, disk.records());
-        let during = std::mem::replace(self.disk_mut(), disk);
+        let during = std::mem::replace(self.core.disk_mut(self.id), disk);
         assert!(
             during.is_empty(),
             "disk appended to while its records were lent out"
         );
         out
-    }
-
-    fn disk_mut(&mut self) -> &mut Disk {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.disk_mut(self.id),
-            CtxInner::Record(w) => &mut w.disk,
-        }
     }
 }
 

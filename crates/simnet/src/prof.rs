@@ -1,6 +1,6 @@
 //! Opt-in attribution of protocol-handler time on the dispatch path.
 //!
-//! The serial scheduler invokes node handlers (`on_message`/`on_timer`)
+//! The scheduler invokes node handlers (`on_message`/`on_timer`)
 //! from exactly one place; these probes time those invocations so the
 //! higher-level phase profiler can split "protocol handler logic" from
 //! "simulator dispatch" in a cell's CPU budget. Disabled, a probe is one
@@ -8,11 +8,6 @@
 //! only every `2^shift`-th invocation pays the two `Instant::now` calls
 //! and the accumulated time is scaled back up, so benchmark runs can
 //! keep the probe on without moving their own numbers.
-//!
-//! Replayed invocations under parallel stepping are *not* timed: their
-//! handlers already ran on worker threads, and the replay pass only
-//! re-applies effects. Handler attribution is therefore exact in serial
-//! mode and an undercount in threaded mode.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;

@@ -12,11 +12,7 @@ use crate::arena::{BatchMember, BatchTable, MessageArena};
 use crate::disk::{Disk, DiskLatency};
 use crate::event::{Event, EventKind, EventQueue, Payload};
 use crate::net::Network;
-use crate::node::{Context, DetNode, Node, NodeId, TimerId};
-use crate::parallel::{
-    run_workers, BacklogItem, Effect, Invoke, NodeScript, NodeWork, Planned, TimerDispatch,
-    MIN_PARALLEL_ITEMS, MIN_PARALLEL_NODES,
-};
+use crate::node::{Context, Node, NodeId, TimerId};
 use crate::time::SimTime;
 use crate::trace::{TraceBuffer, TraceEventKind};
 use crate::traffic::Traffic;
@@ -59,19 +55,6 @@ pub struct EventStats {
     pub multicast_batches: u64,
     /// Deliveries fanned out of batch entries (a subset of `delivers`).
     pub batched_deliveries: u64,
-    /// Safe-horizon windows executed with worker threads under parallel
-    /// stepping (zero when serial).
-    pub parallel_windows: u64,
-    /// Windows that fell back to serial execution despite parallel
-    /// stepping being on (control events pending, or too little
-    /// partitionable work to be worth forking).
-    pub serial_windows: u64,
-    /// Node-window work units handed to workers (one per det node with
-    /// work per parallel window).
-    pub parallel_node_windows: u64,
-    /// Handler invocations pre-executed on worker threads and replayed
-    /// during playback.
-    pub parallel_events: u64,
 }
 
 impl EventStats {
@@ -88,10 +71,6 @@ impl EventStats {
         self.arena_high_water = self.arena_high_water.max(other.arena_high_water);
         self.multicast_batches += other.multicast_batches;
         self.batched_deliveries += other.batched_deliveries;
-        self.parallel_windows += other.parallel_windows;
-        self.serial_windows += other.serial_windows;
-        self.parallel_node_windows += other.parallel_node_windows;
-        self.parallel_events += other.parallel_events;
     }
 }
 
@@ -251,8 +230,7 @@ pub struct Core<M> {
     states: Vec<NodeState<M>>,
     traffic: Traffic,
     /// Per-node timer tables. Timer ids are only meaningful together with
-    /// the node that armed them; keeping the tables per node lets parallel
-    /// stepping hand each worker exclusive ownership of its node's table.
+    /// the node that armed them.
     timers: Vec<TimerTable<M>>,
     arena: MessageArena<M>,
     batches: BatchTable<M>,
@@ -407,19 +385,7 @@ impl<M: Wire> Core<M> {
     ) where
         M: Clone,
     {
-        self.multicast_with(from, targets, msg, <M as Clone>::clone)
-    }
-
-    /// [`multicast`](Core::multicast) with the clone function passed
-    /// explicitly, so recorded multicast effects (parallel stepping) can be
-    /// replayed without a `M: Clone` bound on the replay path.
-    pub(crate) fn multicast_with(
-        &mut self,
-        from: NodeId,
-        targets: impl IntoIterator<Item = NodeId>,
-        msg: M,
-        clone: fn(&M) -> M,
-    ) {
+        let clone: fn(&M) -> M = <M as Clone>::clone;
         let departure = self.states[from.index()].busy_until.max(self.now);
         let bytes = msg.wire_size() + HEADER_BYTES;
         // The RNG draws (transmit) and seq reservations interleave per
@@ -490,76 +456,16 @@ impl<M: Wire> Core<M> {
 /// restarted after an amnesia wipe (see [`Simulation::set_node_factory`]).
 pub type NodeFactory<M> = Box<dyn FnMut() -> Box<dyn Node<M>>>;
 
-/// [`NodeFactory`] variant producing nodes eligible for deterministic
-/// parallel stepping (see [`Simulation::set_det_node_factory`]).
-pub type DetNodeFactory<M> = Box<dyn FnMut() -> Box<dyn DetNode<M>>>;
-
-/// A registered node: either a plain (local-only) node, or one installed
-/// for deterministic parallel stepping, whose object may be lent to a
-/// worker thread between safe horizons.
-pub(crate) enum NodeSlot<M> {
-    Local(Box<dyn Node<M>>),
-    Det(Box<dyn DetNode<M>>),
-}
-
-impl<M> NodeSlot<M> {
-    pub(crate) fn as_node(&self) -> &dyn Node<M> {
-        match self {
-            NodeSlot::Local(n) => &**n,
-            NodeSlot::Det(n) => n.as_node(),
-        }
-    }
-
-    pub(crate) fn as_node_mut(&mut self) -> &mut dyn Node<M> {
-        match self {
-            NodeSlot::Local(n) => &mut **n,
-            NodeSlot::Det(n) => n.as_node_mut(),
-        }
-    }
-}
-
-/// A per-node rebuild factory matching the slot flavour it rebuilds.
-enum FactorySlot<M> {
-    Local(NodeFactory<M>),
-    Det(DetNodeFactory<M>),
-}
-
-impl<M> FactorySlot<M> {
-    fn build(&mut self) -> NodeSlot<M> {
-        match self {
-            FactorySlot::Local(f) => NodeSlot::Local(f()),
-            FactorySlot::Det(f) => NodeSlot::Det(f()),
-        }
-    }
-}
-
 /// A deterministic discrete-event simulation over message type `M`.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct Simulation<M> {
     core: Core<M>,
-    nodes: Vec<Option<NodeSlot<M>>>,
+    nodes: Vec<Option<Box<dyn Node<M>>>>,
     /// Per-node rebuild factories for the wipe crash mode; `None` means
     /// the node cannot be wiped.
-    factories: Vec<Option<FactorySlot<M>>>,
+    factories: Vec<Option<NodeFactory<M>>>,
     started: bool,
-    /// Worker threads per cell for deterministic parallel stepping;
-    /// values ≤ 1 keep the serial scheduler. See
-    /// [`set_parallel_stepping`](Self::set_parallel_stepping).
-    parallel_threads: usize,
-    /// The parallel window driver, captured by
-    /// [`set_parallel_stepping`](Self::set_parallel_stepping) where the
-    /// `M: Clone + Send` bounds it needs are in scope — `run_until` itself
-    /// must compile for every `M`.
-    par_runner: Option<fn(&mut Simulation<M>, SimTime)>,
-    /// `M`'s clone fn, captured alongside `par_runner`; workers use it to
-    /// keep private copies of predicted self-send bodies.
-    clone_fn: Option<fn(&M) -> M>,
-    /// Per-node replay scripts produced by the most recent parallel
-    /// window's workers and consumed by its playback pass; plus leftover
-    /// pre-materialized message bodies carried between windows. Empty in
-    /// serial mode.
-    pub(crate) scripts: Vec<NodeScript<M>>,
     /// Materialized wake-ups, kept out of the timing wheel: a tiny
     /// min-heap over `(time, seq, node)`, merged with the global queue in
     /// `(time, seq)` order by the run loop. Its population is bounded by
@@ -614,10 +520,6 @@ impl<M: Wire + 'static> Simulation<M> {
             nodes: Vec::new(),
             factories: Vec::new(),
             started: false,
-            parallel_threads: 1,
-            par_runner: None,
-            clone_fn: None,
-            scripts: Vec::new(),
             wake_lane: BinaryHeap::new(),
             wake_high_water: 0,
             eager_wakes: false,
@@ -634,16 +536,6 @@ impl<M: Wire + 'static> Simulation<M> {
         id
     }
 
-    /// Registers a node eligible for deterministic parallel stepping (see
-    /// [`set_parallel_stepping`](Self::set_parallel_stepping)) and returns
-    /// its id. Behaves exactly like [`add_node`](Self::add_node) in serial
-    /// mode.
-    pub fn add_det_node(&mut self, node: Box<dyn DetNode<M>>) -> NodeId {
-        let id = self.reserve_node();
-        self.install_det_node(id, node);
-        id
-    }
-
     /// Reserves a node id without providing the node yet. This allows
     /// address books to be built before the nodes that need them are
     /// constructed. The node must be supplied via
@@ -652,7 +544,6 @@ impl<M: Wire + 'static> Simulation<M> {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(None);
         self.factories.push(None);
-        self.scripts.push(NodeScript::default());
         self.core.states.push(NodeState::default());
         self.core.drain_profiles.push(DrainProfile::default());
         self.core.disks.push(Disk::new());
@@ -667,16 +558,6 @@ impl<M: Wire + 'static> Simulation<M> {
     /// # Panics
     /// Panics if the slot is already occupied.
     pub fn install_node(&mut self, id: NodeId, node: Box<dyn Node<M>>) {
-        self.install_slot(id, NodeSlot::Local(node));
-    }
-
-    /// [`install_node`](Self::install_node) variant marking the node as
-    /// eligible for deterministic parallel stepping.
-    pub fn install_det_node(&mut self, id: NodeId, node: Box<dyn DetNode<M>>) {
-        self.install_slot(id, NodeSlot::Det(node));
-    }
-
-    fn install_slot(&mut self, id: NodeId, node: NodeSlot<M>) {
         let slot = &mut self.nodes[id.index()];
         assert!(slot.is_none(), "node {id} already installed");
         *slot = Some(node);
@@ -687,8 +568,8 @@ impl<M: Wire + 'static> Simulation<M> {
 
     fn start_node(&mut self, id: NodeId) {
         let mut node = self.nodes[id.index()].take().expect("node present");
-        let mut ctx = Context::live(&mut self.core, id);
-        node.as_node_mut().on_start(&mut ctx);
+        let mut ctx = Context::new(&mut self.core, id);
+        node.on_start(&mut ctx);
         self.nodes[id.index()] = Some(node);
     }
 
@@ -712,45 +593,41 @@ impl<M: Wire + 'static> Simulation<M> {
     /// equals `limit`.
     pub fn run_until(&mut self, limit: SimTime) {
         self.ensure_started();
-        match self.par_runner {
-            Some(run) if self.parallel_threads > 1 => run(self, limit),
-            _ => self.run_steps(limit),
-        }
+        while self.step_before(limit) {}
         self.core.now = self.core.now.max(limit);
     }
 
-    /// The serial event loop: processes every pending event (and wake)
-    /// scheduled at or before `limit`, leaving [`Core::now`] at the last
-    /// dispatched event. Shared verbatim between plain serial runs and the
-    /// playback pass of every parallel-stepping window, which is what
-    /// keeps the two modes' settle/offer/drain decisions — and hence seqs,
-    /// RNG draws, and stats — byte-identical.
-    pub(crate) fn run_steps(&mut self, limit: SimTime) {
-        loop {
-            // Merge the wake lane with the global queue in (time, seq)
-            // order. The common case — no materialized wake pending —
-            // falls straight through to a plain queue pop.
-            if let Some(&Reverse((wt, ws, nid))) = self.wake_lane.peek() {
-                // Peek no further than the wake: anything later loses the
-                // comparison anyway, and a bounded peek keeps the wheel's
-                // horizon from racing ahead of far-future timers.
-                let queue_first = match self.core.queue.next_event_before(wt) {
-                    Some((qt, qs)) => (qt, qs) < (wt, ws),
-                    None => false,
-                };
-                if !queue_first {
-                    if wt > limit {
-                        break;
-                    }
-                    self.wake_lane.pop();
-                    self.dispatch_lane_wake(NodeId(nid), wt, limit);
-                    continue;
+    /// Dispatches the earliest pending event or materialized wake-up
+    /// scheduled at or before `limit`, leaving [`Core::now`] at its time.
+    /// Returns `false` (and does nothing) once none is left.
+    #[inline]
+    fn step_before(&mut self, limit: SimTime) -> bool {
+        // Merge the wake lane with the global queue in (time, seq) order.
+        // The common case — no materialized wake pending — falls straight
+        // through to a plain queue pop.
+        if let Some(&Reverse((wt, ws, nid))) = self.wake_lane.peek() {
+            // Peek no further than the wake: anything later loses the
+            // comparison anyway, and a bounded peek keeps the wheel's
+            // horizon from racing ahead of far-future timers.
+            let queue_first = match self.core.queue.next_event_before(wt) {
+                Some((qt, qs)) => (qt, qs) < (wt, ws),
+                None => false,
+            };
+            if !queue_first {
+                if wt > limit {
+                    return false;
                 }
+                self.wake_lane.pop();
+                self.dispatch_lane_wake(NodeId(nid), wt, limit);
+                return true;
             }
-            match self.core.queue.pop_before(limit) {
-                Some(ev) => self.dispatch(ev, limit),
-                None => break,
+        }
+        match self.core.queue.pop_before(limit) {
+            Some(ev) => {
+                self.dispatch(ev, limit);
+                true
             }
+            None => false,
         }
     }
 
@@ -766,62 +643,25 @@ impl<M: Wire + 'static> Simulation<M> {
     /// items that would have run before the next queued event anyway.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let limit = SimTime::from_nanos(u64::MAX);
-        if let Some(&Reverse((wt, ws, nid))) = self.wake_lane.peek() {
-            let queue_first = match self.core.queue.next_event_before(wt) {
-                Some((qt, qs)) => (qt, qs) < (wt, ws),
-                None => false,
-            };
-            if !queue_first {
-                self.wake_lane.pop();
-                self.dispatch_lane_wake(NodeId(nid), wt, limit);
-                return true;
-            }
-        }
-        match self.core.queue.pop_before(limit) {
-            Some(ev) => {
-                self.dispatch(ev, limit);
-                true
-            }
-            None => false,
-        }
+        self.step_before(SimTime::from_nanos(u64::MAX))
     }
 
-    /// Runs one unit of deferred or fresh work on `nid` at time `ev_time`.
-    ///
-    /// Under parallel stepping, work a worker thread already pre-executed
-    /// is not re-run: the recorded invocation script replays its effects
-    /// (sends, timer arms, CPU charges) through the live core instead,
-    /// producing the identical seq/RNG/trace stream at a fraction of the
-    /// cost. Work the worker classified as past the window's horizon — or
-    /// any work in serial mode — takes the live handler path.
+    /// Runs one unit of deferred or fresh work on `nid` at the current
+    /// virtual time.
     fn process(&mut self, nid: NodeId, work: Deferred<M>) {
         self.core.events_processed += 1;
-        if !self.scripts[nid.index()].invoke.is_empty() {
-            self.process_scripted(nid, work);
-            return;
-        }
         match work {
             Deferred::Msg { from, msg } => {
                 // Materialize from the arena only now, at the handler
                 // boundary: while the delivery was queued it was a handle.
-                let msg = match msg {
-                    // A pre-materialized body carried over from an earlier
-                    // parallel window whose worker did not reach it; the
-                    // plan phase parked it in the leftover queue, FIFO.
-                    Payload::Scripted => self.scripts[nid.index()]
-                        .leftovers
-                        .pop_front()
-                        .expect("scripted payload has a leftover body"),
-                    msg => msg.into_message(&mut self.core.arena),
-                };
+                let msg = msg.into_message(&mut self.core.arena);
                 if let Some(trace) = &mut self.core.trace {
                     trace.push(self.core.now, TraceEventKind::Deliver { from, to: nid });
                 }
                 let mut node = self.nodes[nid.index()].take().expect("node present");
-                let mut ctx = Context::live(&mut self.core, nid);
+                let mut ctx = Context::new(&mut self.core, nid);
                 let prof = crate::prof::begin(&mut self.prof_ticks);
-                node.as_node_mut().on_message(&mut ctx, from, msg);
+                node.on_message(&mut ctx, from, msg);
                 crate::prof::end(prof);
                 self.nodes[nid.index()] = Some(node);
             }
@@ -836,90 +676,11 @@ impl<M: Wire + 'static> Simulation<M> {
                     trace.push(self.core.now, TraceEventKind::TimerFired { node: nid });
                 }
                 let mut node = self.nodes[nid.index()].take().expect("node present");
-                let mut ctx = Context::live(&mut self.core, nid);
+                let mut ctx = Context::new(&mut self.core, nid);
                 let prof = crate::prof::begin(&mut self.prof_ticks);
-                node.as_node_mut().on_timer(&mut ctx, id, msg);
+                node.on_timer(&mut ctx, id, msg);
                 crate::prof::end(prof);
                 self.nodes[nid.index()] = Some(node);
-            }
-        }
-    }
-
-    /// Replays one pre-executed work unit from `nid`'s invocation script:
-    /// the node object was already mutated on a worker thread, so only the
-    /// handler's *effects* — sends, multicasts, timer arms, CPU charges —
-    /// run here, through the live core, at exactly the virtual time the
-    /// serial scheduler would have run the handler. That reproduces the
-    /// identical seq allocations, RNG draws, trace entries, and busy-time
-    /// evolution.
-    fn process_scripted(&mut self, nid: NodeId, work: Deferred<M>) {
-        let script = self.scripts[nid.index()]
-            .invoke
-            .pop_front()
-            .expect("invoke script non-empty");
-        match (work, script) {
-            (Deferred::Msg { from, msg }, Invoke::MsgExec { at, effects }) => {
-                assert_eq!(at, self.core.now, "parallel replay out of sync (msg)");
-                match msg {
-                    // The worker consumed the pre-materialized body.
-                    Payload::Scripted => {}
-                    // A replayed self-send carries a real arena body the
-                    // worker never saw (it executed its own copy); release
-                    // the slot at the same point serial would move it out.
-                    msg => {
-                        let _ = msg.into_message(&mut self.core.arena);
-                    }
-                }
-                if let Some(trace) = &mut self.core.trace {
-                    trace.push(self.core.now, TraceEventKind::Deliver { from, to: nid });
-                }
-                self.replay_effects(nid, effects);
-            }
-            (Deferred::Timer { .. }, Invoke::TimerExec { at, effects }) => {
-                assert_eq!(at, self.core.now, "parallel replay out of sync (timer)");
-                // The worker already consumed the payload from this node's
-                // timer table.
-                if let Some(trace) = &mut self.core.trace {
-                    trace.push(self.core.now, TraceEventKind::TimerFired { node: nid });
-                }
-                self.replay_effects(nid, effects);
-            }
-            (Deferred::Timer { .. }, Invoke::TimerNoop { at }) => {
-                // Cancelled while backlogged: serial consume() would return
-                // None and skip the handler. The worker observed the same.
-                assert_eq!(at, self.core.now, "parallel replay out of sync (noop)");
-            }
-            _ => panic!("parallel replay script misaligned with backlog work"),
-        }
-    }
-
-    fn replay_effects(&mut self, nid: NodeId, effects: Vec<Effect<M>>) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => self.core.send(nid, to, msg),
-                Effect::Multicast {
-                    targets,
-                    msg,
-                    clone,
-                } => self.core.multicast_with(nid, targets, msg, clone),
-                Effect::Arm { fire_at, id } => {
-                    // Mirrors `Core::set_timer` minus the arm: the worker
-                    // already parked the payload in this node's table under
-                    // `id`; only the seq reservation and the queue event
-                    // happen live.
-                    let seq = self.core.next_seq();
-                    let epoch = self.core.states[nid.index()].epoch;
-                    self.core.queue.push(Event {
-                        time: fire_at,
-                        seq,
-                        kind: EventKind::Timer {
-                            node: nid,
-                            id,
-                            epoch,
-                        },
-                    });
-                }
-                Effect::Charge(cpu) => self.core.charge(nid, cpu),
             }
         }
     }
@@ -1092,27 +853,6 @@ impl<M: Wire + 'static> Simulation<M> {
                 id,
                 epoch,
             } => {
-                // Under parallel-stepping playback, the worker that owned
-                // this node's timer table already classified the firing at
-                // this exact position; consult its verdict instead of the
-                // table (whose slots it may since have recycled).
-                if let Some(outcome) = self.scripts[nid.index()].dispatch.pop_front() {
-                    match outcome {
-                        TimerDispatch::Offer { at } => {
-                            assert_eq!(at, ev.time, "parallel replay out of sync (dispatch)");
-                            self.core.stats.timers += 1;
-                            self.offer(nid, Deferred::Timer { id }, ev.time);
-                            self.settle_wake(nid, limit);
-                        }
-                        TimerDispatch::StaleSkip { at } | TimerDispatch::EpochStale { at } => {
-                            // Cancelled or wiped-incarnation timer: any
-                            // table bookkeeping already happened on the
-                            // worker.
-                            assert_eq!(at, ev.time, "parallel replay out of sync (dispatch)");
-                        }
-                    }
-                    return;
-                }
                 // The liveness probe doubles as the staleness check: a
                 // cancelled timer's slot was re-stamped, so this entry
                 // drops in O(1) — no tombstone set to consult. The payload
@@ -1139,9 +879,8 @@ impl<M: Wire + 'static> Simulation<M> {
                     if let Some(trace) = &mut self.core.trace {
                         trace.push(ev.time, TraceEventKind::Crash { node: nid });
                     }
-                    self.scripts[nid.index()].clear();
                     if let Some(node) = self.nodes[nid.index()].as_mut() {
-                        node.as_node_mut().on_crash(ev.time);
+                        node.on_crash(ev.time);
                     }
                 }
             }
@@ -1174,13 +913,12 @@ impl<M: Wire + 'static> Simulation<M> {
         // the eager scheduler.
         state.wake = WakeState::Idle;
         self.core.clear_backlog(nid);
-        self.scripts[nid.index()].clear();
         if let Some(trace) = &mut self.core.trace {
             trace.push(self.core.now, TraceEventKind::Recover { node: nid });
         }
         let mut node = self.nodes[nid.index()].take().expect("node present");
-        let mut ctx = Context::live(&mut self.core, nid);
-        node.as_node_mut().on_recover(&mut ctx);
+        let mut ctx = Context::new(&mut self.core, nid);
+        node.on_recover(&mut ctx);
         self.nodes[nid.index()] = Some(node);
     }
 
@@ -1225,9 +963,8 @@ impl<M: Wire + 'static> Simulation<M> {
         if !state.crashed {
             state.crashed = true;
             self.core.clear_backlog(node);
-            self.scripts[node.index()].clear();
             if let Some(n) = self.nodes[node.index()].as_mut() {
-                n.as_node_mut().on_crash(now);
+                n.on_crash(now);
             }
         }
     }
@@ -1254,14 +991,7 @@ impl<M: Wire + 'static> Simulation<M> {
     /// without a factory cannot be wiped (the amnesia crash mode needs a
     /// fresh object to reboot into).
     pub fn set_node_factory(&mut self, node: NodeId, factory: NodeFactory<M>) {
-        self.factories[node.index()] = Some(FactorySlot::Local(factory));
-    }
-
-    /// [`set_node_factory`](Self::set_node_factory) variant whose rebuilt
-    /// nodes are eligible for deterministic parallel stepping, matching an
-    /// install via [`install_det_node`](Self::install_det_node).
-    pub fn set_det_node_factory(&mut self, node: NodeId, factory: DetNodeFactory<M>) {
-        self.factories[node.index()] = Some(FactorySlot::Det(factory));
+        self.factories[node.index()] = Some(factory);
     }
 
     /// Wipe-crashes `node` immediately: the node loses *all* volatile
@@ -1280,10 +1010,9 @@ impl<M: Wire + 'static> Simulation<M> {
         let factory = self.factories[node.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("no node factory registered for {node}; cannot wipe"));
-        let fresh = factory.build();
+        let fresh = factory();
         self.core.stats.crashes += 1;
         self.core.clear_backlog(node);
-        self.scripts[node.index()].clear();
         let state = &mut self.core.states[node.index()];
         state.crashed = false;
         state.busy_until = self.core.now;
@@ -1298,8 +1027,8 @@ impl<M: Wire + 'static> Simulation<M> {
         self.nodes[node.index()] = Some(fresh);
         if self.started {
             let mut rebooted = self.nodes[node.index()].take().expect("node present");
-            let mut ctx = Context::live(&mut self.core, node);
-            rebooted.as_node_mut().on_recover(&mut ctx);
+            let mut ctx = Context::new(&mut self.core, node);
+            rebooted.on_recover(&mut ctx);
             self.nodes[node.index()] = Some(rebooted);
         }
     }
@@ -1410,41 +1139,6 @@ impl<M: Wire + 'static> Simulation<M> {
         self.eager_wakes = eager;
     }
 
-    /// Sets the number of worker threads used for deterministic parallel
-    /// stepping; `threads ≤ 1` (the default) keeps the pure serial
-    /// scheduler, which remains the differential oracle.
-    ///
-    /// With `threads ≥ 2`, [`run_until`](Self::run_until) advances in safe
-    /// windows bounded by the network's minimum cross-node latency: nodes
-    /// installed via [`add_det_node`](Self::add_det_node) /
-    /// [`install_det_node`](Self::install_det_node) have their in-window
-    /// work speculatively pre-executed on scoped worker threads, and the
-    /// unmodified serial loop then replays the recorded effects — so seq
-    /// allocation, RNG draws, traces, traffic, and node schedules stay
-    /// **byte-identical** to `threads = 1`. Only throughput-diagnostic
-    /// counters (`parallel_*`, `serial_windows`, and high-water marks when
-    /// multicast batching settings differ) may vary.
-    ///
-    /// Windows degrade to serial execution automatically whenever they
-    /// contain control events (crash/recover), eager wakes, batched
-    /// multicast deliveries, or too little det-node work to pay for the
-    /// hand-off; correctness never depends on a window going parallel.
-    ///
-    /// Det-installed nodes must not call [`Context::rng`] (it panics on a
-    /// worker) and must be deterministic given their inputs.
-    pub fn set_parallel_stepping(&mut self, threads: usize)
-    where
-        M: Clone + Send,
-    {
-        self.parallel_threads = threads.max(1);
-        if self.parallel_threads > 1 {
-            self.par_runner = Some(Self::run_until_parallel);
-            self.clone_fn = Some(<M as Clone>::clone);
-        } else {
-            self.par_runner = None;
-        }
-    }
-
     /// The backlog drain profile of `node` so far.
     pub fn drain_profile(&self, node: NodeId) -> &DrainProfile {
         &self.core.drain_profiles[node.index()]
@@ -1495,10 +1189,11 @@ impl<M: Wire + 'static> Simulation<M> {
     /// # Panics
     /// Panics if `id` is unknown.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
+        // `as_deref` reaches the `dyn Node` itself: `AsAny` is blanket-
+        // implemented for the `Box` too, which would downcast to the box.
         self.nodes[id.index()]
-            .as_ref()
+            .as_deref()
             .expect("node present")
-            .as_node()
             .as_any()
             .downcast_ref::<T>()
     }
@@ -1506,267 +1201,10 @@ impl<M: Wire + 'static> Simulation<M> {
     /// Mutable variant of [`node_as`](Self::node_as).
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
         self.nodes[id.index()]
-            .as_mut()
+            .as_deref_mut()
             .expect("node present")
-            .as_node_mut()
             .as_any_mut()
             .downcast_mut::<T>()
-    }
-}
-
-/// The deterministic parallel stepping driver. Lives in its own impl block
-/// because worker hand-off needs `M: Send`, a bound the rest of the
-/// simulator must not require; [`Simulation::set_parallel_stepping`]
-/// captures `run_until_parallel` as a fn pointer where the bound holds.
-impl<M: Wire + Send + 'static> Simulation<M> {
-    /// Whether `nid` may be handed to a worker: det-installed and up.
-    fn det_workable(&self, nid: NodeId) -> bool {
-        !self.core.states[nid.index()].crashed
-            && matches!(self.nodes[nid.index()], Some(NodeSlot::Det(_)))
-    }
-
-    /// Window-driving twin of [`run_steps`](Self::run_steps): advances in
-    /// safe windows `[T0, T0 + L - 1ns]` (`T0` = earliest pending event or
-    /// wake, `L` = minimum cross-node latency), speculatively pre-executing
-    /// det-node work on workers and then replaying it through the serial
-    /// loop. Messages generated inside a window cannot arrive before it
-    /// ends, which is what makes per-node work conflict-free.
-    fn run_until_parallel(&mut self, limit: SimTime) {
-        let lookahead = self.core.net.min_cross_latency();
-        if lookahead.is_zero() {
-            // A zero-latency link collapses every window to a point;
-            // nothing can be overlapped.
-            self.core.stats.serial_windows += 1;
-            self.run_steps(limit);
-            return;
-        }
-        loop {
-            let queue_t = self.core.queue.next_event_before(limit).map(|(t, _)| t);
-            let lane_t = match self.wake_lane.peek() {
-                Some(&Reverse((wt, _, _))) if wt <= limit => Some(wt),
-                _ => None,
-            };
-            let t0 = match (queue_t, lane_t) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return,
-            };
-            let horizon = (t0 + lookahead).as_nanos() - 1;
-            let wl = SimTime::from_nanos(horizon.min(limit.as_nanos()));
-            if self.plan_window(wl) {
-                self.core.stats.parallel_windows += 1;
-            } else {
-                self.core.stats.serial_windows += 1;
-            }
-            self.run_steps(wl);
-            #[cfg(debug_assertions)]
-            for s in &self.scripts {
-                debug_assert!(
-                    s.dispatch.is_empty() && s.invoke.is_empty(),
-                    "playback must consume the window's scripts exactly"
-                );
-            }
-        }
-    }
-
-    /// Plans one window ending at `wl` (inclusive). Returns `true` when
-    /// the window's det-node work was pre-executed on workers (scripts are
-    /// armed for the playback pass); `false` when the window was left
-    /// untouched for plain serial execution — because it contains control
-    /// events (crash/recover/wake/batched deliveries) or too little
-    /// det-node work to pay for the thread hand-off.
-    fn plan_window(&mut self, wl: SimTime) -> bool {
-        // Pop every event inside the window; any unsafe kind anywhere in
-        // it forces the whole window serial (conservative, and the only
-        // sound option: a mid-window crash changes every later decision).
-        let mut scratch: Vec<Event<M>> = Vec::new();
-        let mut safe = true;
-        while let Some(ev) = self.core.queue.pop_before(wl) {
-            safe &= !matches!(
-                ev.kind,
-                EventKind::Crash { .. }
-                    | EventKind::Recover { .. }
-                    | EventKind::Wake { .. }
-                    | EventKind::DeliverBatch { .. }
-            );
-            scratch.push(ev);
-        }
-
-        // Census: which det nodes have in-window work (planned arrivals,
-        // or a pending wake whose drain runs inside the window)?
-        let mut cands: Vec<u32> = Vec::new();
-        let mut planned_events = 0usize;
-        let mut go = safe;
-        if safe {
-            for ev in &scratch {
-                let nid = match ev.kind {
-                    EventKind::Deliver { to, .. } => to,
-                    EventKind::Timer { node, .. } => node,
-                    _ => continue,
-                };
-                if self.det_workable(nid) {
-                    cands.push(nid.0);
-                    planned_events += 1;
-                }
-            }
-            for &Reverse((wt, _, nid)) in self.wake_lane.iter() {
-                if wt <= wl && self.det_workable(NodeId(nid)) {
-                    cands.push(nid);
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            let items: usize = planned_events
-                + cands
-                    .iter()
-                    .map(|&i| self.core.states[i as usize].backlog.len())
-                    .sum::<usize>();
-            go = cands.len() >= MIN_PARALLEL_NODES && items >= MIN_PARALLEL_ITEMS;
-        }
-        if !go {
-            for ev in scratch {
-                // Re-filing at the original `(time, seq)` restores the
-                // exact order; the wheel accepts pushes at or before its
-                // horizon into its ready heap.
-                self.core.queue.push(ev);
-            }
-            return false;
-        }
-
-        // Convert: pre-materialize det-bound deliveries (their queue
-        // entries become `Payload::Scripted` markers at the same
-        // `(time, seq)`), collect det timer events, re-file everything.
-        let mut pairs: Vec<(u32, Planned<M>)> = Vec::with_capacity(planned_events);
-        for ev in scratch {
-            let (time, seq) = (ev.time, ev.seq);
-            match ev.kind {
-                EventKind::Deliver { to, from, msg } if self.det_workable(to) => {
-                    let body = msg.into_message(&mut self.core.arena);
-                    pairs.push((
-                        to.0,
-                        Planned::Msg {
-                            seq,
-                            at: time,
-                            from,
-                            body,
-                        },
-                    ));
-                    self.core.queue.push(Event {
-                        time,
-                        seq,
-                        kind: EventKind::Deliver {
-                            to,
-                            from,
-                            msg: Payload::Scripted,
-                        },
-                    });
-                }
-                EventKind::Timer { node, id, epoch } if self.det_workable(node) => {
-                    pairs.push((
-                        node.0,
-                        Planned::Timer {
-                            seq,
-                            at: time,
-                            id,
-                            epoch,
-                        },
-                    ));
-                    self.core.queue.push(Event {
-                        time,
-                        seq,
-                        kind: EventKind::Timer { node, id, epoch },
-                    });
-                }
-                kind => self.core.queue.push(Event { time, seq, kind }),
-            }
-        }
-        // Stable by node: preserves the global `(time, seq)` pop order
-        // within each node's planned list.
-        pairs.sort_by_key(|p| p.0);
-        let mut pairs = pairs.into_iter().peekable();
-
-        let clone_fn = self
-            .clone_fn
-            .expect("set_parallel_stepping captures the clone fn");
-        let mut units: Vec<NodeWork<M>> = Vec::with_capacity(cands.len());
-        for &nid_raw in &cands {
-            let idx = nid_raw as usize;
-            let nid = NodeId(nid_raw);
-            let mut planned: Vec<Planned<M>> = Vec::new();
-            while pairs.peek().is_some_and(|p| p.0 == nid_raw) {
-                planned.push(pairs.next().expect("peeked").1);
-            }
-            let node = match self.nodes[idx].take() {
-                Some(NodeSlot::Det(b)) => b,
-                _ => unreachable!("candidate slots are det-installed"),
-            };
-            let table = mem::take(&mut self.core.timers[idx]);
-            let disk = mem::take(&mut self.core.disks[idx]);
-            let mut lane: Vec<(SimTime, u64)> = self
-                .wake_lane
-                .iter()
-                .filter_map(|&Reverse((wt, ws, n))| (n == nid_raw && wt <= wl).then_some((wt, ws)))
-                .collect();
-            lane.sort_unstable();
-            // Lift the backlog: bodies move to the worker, the live
-            // entries keep `Payload::Scripted` markers in their place so
-            // the playback backlog stays aligned with the worker's FIFO.
-            let scripts = &mut self.scripts[idx];
-            let Core { states, arena, .. } = &mut self.core;
-            let state = &mut states[idx];
-            let mut backlog = Vec::with_capacity(state.backlog.len());
-            for d in state.backlog.iter_mut() {
-                match d {
-                    Deferred::Timer { id } => backlog.push(BacklogItem::Timer { id: *id }),
-                    Deferred::Msg { from, msg } => {
-                        let payload = mem::replace(msg, Payload::Scripted);
-                        let body = match payload {
-                            Payload::Scripted => scripts
-                                .leftovers
-                                .pop_front()
-                                .expect("scripted marker pairs with a leftover body"),
-                            p => p.into_message(arena),
-                        };
-                        backlog.push(BacklogItem::Msg { from: *from, body });
-                    }
-                }
-            }
-            units.push(NodeWork {
-                nid,
-                node,
-                table,
-                disk,
-                disk_latency: self.core.disk_latency,
-                loopback: self.core.net.loopback(),
-                now: self.core.now,
-                busy_until: self.core.states[idx].busy_until,
-                cpu_factor: self.core.states[idx].cpu_factor,
-                epoch: self.core.states[idx].epoch,
-                limit: wl,
-                backlog,
-                wake_idle: self.core.states[idx].wake == WakeState::Idle,
-                lane,
-                planned,
-                clone_fn,
-            });
-        }
-        debug_assert!(pairs.next().is_none(), "every planned event has a unit");
-
-        self.core.stats.parallel_node_windows += units.len() as u64;
-        for o in run_workers(units, self.parallel_threads) {
-            let idx = o.nid.index();
-            self.core.stats.parallel_events += o.executed;
-            debug_assert!(
-                self.scripts[idx].is_fully_drained(),
-                "plan consumed the previous window's leftovers"
-            );
-            self.scripts[idx] = o.script;
-            self.nodes[idx] = Some(NodeSlot::Det(o.node));
-            self.core.timers[idx] = o.table;
-            self.core.disks[idx] = o.disk;
-        }
-        true
     }
 }
 
@@ -2620,6 +2058,51 @@ mod tests {
         merged.merge(&stats);
         assert_eq!(merged.delivers, 22);
         assert_eq!(merged.queue_high_water, stats.queue_high_water);
+
+        // Every field, spelled out so a new one cannot be left out of
+        // `merge`: the eight counters add, the two high-water marks take
+        // the max (from either side).
+        let a = EventStats {
+            delivers: 1,
+            timers: 2,
+            wakes: 3,
+            inline_wakes: 4,
+            crashes: 5,
+            queue_high_water: 60,
+            arena_messages: 7,
+            arena_high_water: 8,
+            multicast_batches: 9,
+            batched_deliveries: 10,
+        };
+        let b = EventStats {
+            delivers: 100,
+            timers: 200,
+            wakes: 300,
+            inline_wakes: 400,
+            crashes: 500,
+            queue_high_water: 6,
+            arena_messages: 700,
+            arena_high_water: 800,
+            multicast_batches: 900,
+            batched_deliveries: 1000,
+        };
+        let mut merged = a;
+        merged.merge(&b);
+        assert_eq!(
+            merged,
+            EventStats {
+                delivers: 101,
+                timers: 202,
+                wakes: 303,
+                inline_wakes: 404,
+                crashes: 505,
+                queue_high_water: 60,
+                arena_messages: 707,
+                arena_high_water: 800,
+                multicast_batches: 909,
+                batched_deliveries: 1010,
+            }
+        );
     }
 
     /// Floods `n` messages at a 1 ms/message sink and returns the run's

@@ -67,13 +67,14 @@
 # per-run events/s totals here drift, check those tests first — an
 # allocation sneaking back into the deliver path is the usual cause.
 #
-# The committed BENCH_repro.json totals 1.78M events/s (quick mode,
-# --jobs 2): 499k before wake elision, 928k after it, 1.45M with the
-# arena + batched multicast + dense network state, 1.78M with the dense
-# protocol state. The committed BENCH_load.json cells (smoke, --jobs 2)
-# run at 2.1-2.2M events/s, the two deep-backlog cells at 0.95M and
-# 1.48M; their wall_s / events_per_sec are informational only (see
-# "load" above).
+# The committed BENCH_repro.json totals 3.3M events/s (quick mode,
+# --jobs 2, two cores; the build before it measured 3.26M on the same
+# box). On the earlier, slower runs the history was 499k before wake
+# elision, 928k after it, 1.45M with the arena + batched multicast +
+# dense network state, 1.78M with the dense protocol state. The
+# committed BENCH_load.json cells (smoke, --jobs 2) run at 1.7-2.2M
+# events/s, the two deep-backlog cells at 0.76M and 1.37M; their
+# wall_s / events_per_sec are informational only (see "load" above).
 set -euo pipefail
 
 baseline="${1:?usage: $0 <baseline.json> <current.json> [threshold_pct]}"
@@ -97,24 +98,6 @@ if [[ "$base_mode" != "$cur_mode" ]]; then
     exit 2
 fi
 mode=$cur_mode
-
-# Intra-cell worker threads (`repro --threads N`). Summaries written
-# before the field existed mean threads=1 (there was only the serial
-# stepper), so a missing header defaults to 1 and old baselines keep
-# working. Differing counts are legal — results are byte-identical by
-# construction — but wall-clock throughput is not like-for-like, so say
-# so rather than silently gating across the difference.
-threads_of() {
-    local t
-    t=$(sed -n 's|.*"threads": \([0-9]*\).*|\1|p' "$1" | head -n1)
-    echo "${t:-1}"
-}
-base_threads=$(threads_of "$baseline")
-cur_threads=$(threads_of "$current")
-if [[ "$base_threads" != "$cur_threads" ]]; then
-    echo "note: intra-cell threads differ (baseline $base_threads, current $cur_threads);" \
-         "throughput gates compare across different parallelism"
-fi
 
 # Prints one "name field..." line per entry. Names may contain "/" and
 # "-" (load cells are "scenario/System", e.g. "bursty/BFT-SMaRt"), so
