@@ -12,9 +12,12 @@
 //!   rejection),
 //! * `idem-smart` — the BFT-SMaRt-inspired batching baseline.
 //!
-//! Everything here is either plain data or a small protocol-agnostic
-//! interface (the [`driver`] module), so the protocol crates stay testable
-//! in isolation.
+//! Most of it is plain data or a small protocol-agnostic interface (the
+//! [`driver`] module), so the protocol crates stay testable in isolation.
+//! The [`replica`] module is the exception: it is the chassis the three
+//! replicas are built on — roles, sessions, recovery, state transfer,
+//! view-change voting and the epoch switch, written once — over the
+//! durable log of [`wal`] and the epochs of [`membership`].
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@ pub mod load;
 pub mod membership;
 pub mod phaseprof;
 pub mod quorum;
+pub mod replica;
 pub mod request;
 pub mod wal;
 pub mod window;
@@ -50,6 +54,9 @@ pub use ids::{ClientId, OpNumber, ReplicaId, RequestId, SeqNumber, View};
 pub use load::{ArrivalProcess, ArrivalSampler, BackoffWheel, LoadCounters, LoadPhase, MmppState};
 pub use membership::{Epoch, Membership, ReconfigCommand, RECONFIG_CLIENT};
 pub use quorum::{QuorumSet, QuorumTracker};
+pub use replica::{
+    CheckpointData, ClientRecord, Replayed, ReplicaBase, ReplicaWire, ViewChangeStep, VoteStore,
+};
 pub use request::{Reply, Request, ResultBytes, INLINE_RESULT_CAP};
 pub use wal::{CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord, WalRecordRef};
 pub use window::SeqWindow;

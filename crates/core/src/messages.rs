@@ -1,6 +1,7 @@
 //! IDEM wire messages and internal timer payloads.
 
-use idem_common::{ClientId, Membership, OpNumber, Reply, Request, RequestId, SeqNumber, View};
+pub use idem_common::{CheckpointData, ClientRecord};
+use idem_common::{Membership, OpNumber, ReplicaWire, Reply, Request, RequestId, SeqNumber, View};
 use idem_simnet::Wire;
 
 /// One entry of a view-change window summary: the binding of a sequence
@@ -18,47 +19,6 @@ pub struct WindowEntry {
 impl WindowEntry {
     /// Wire size of one entry: sqn (8) + id (12) + view (8).
     pub const WIRE_SIZE: usize = 28;
-}
-
-/// Per-client execution record carried in checkpoints: highest executed
-/// operation plus the cached reply (for retransmission answers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientRecord {
-    /// The client.
-    pub client: ClientId,
-    /// Highest executed operation number of this client.
-    pub last_op: OpNumber,
-    /// Reply of that operation (resent on duplicates).
-    pub reply: Vec<u8>,
-}
-
-/// A full checkpoint: application snapshot plus client table, valid as the
-/// state *before* executing `next_exec`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointData {
-    /// First sequence number not covered by this checkpoint.
-    pub next_exec: SeqNumber,
-    /// Serialized application state.
-    pub snapshot: Vec<u8>,
-    /// Per-client duplicate-suppression / reply-cache table.
-    pub clients: Vec<ClientRecord>,
-    /// The membership in force at `next_exec`. State transfer is
-    /// epoch-aware: a joiner installs this before serving. Costs zero
-    /// wire bytes while the group is still in its bootstrap epoch.
-    pub membership: Membership,
-}
-
-impl CheckpointData {
-    /// Estimated wire size.
-    pub fn wire_size(&self) -> usize {
-        8 + self.snapshot.len()
-            + self
-                .clients
-                .iter()
-                .map(|c| 12 + c.reply.len())
-                .sum::<usize>()
-            + self.membership.wire_size()
-    }
 }
 
 /// All messages of the IDEM protocol.
@@ -159,6 +119,21 @@ impl Wire for IdemMessage {
             | IdemMessage::RetransmitTimer(_)
             | IdemMessage::RecoveryTimer => 0,
         }
+    }
+}
+
+impl ReplicaWire for IdemMessage {
+    const CHECKPOINT_REQUEST: IdemMessage = IdemMessage::CheckpointRequest;
+    const PROGRESS_TIMER: IdemMessage = IdemMessage::ProgressTimer;
+    const RECOVERY_TIMER: IdemMessage = IdemMessage::RecoveryTimer;
+    fn checkpoint(data: CheckpointData) -> IdemMessage {
+        IdemMessage::Checkpoint(data)
+    }
+    fn membership_update(membership: Membership) -> IdemMessage {
+        IdemMessage::MembershipUpdate(membership)
+    }
+    fn reply(reply: Reply) -> IdemMessage {
+        IdemMessage::Reply(reply)
     }
 }
 

@@ -2,19 +2,18 @@
 //! garbage collection, checkpointing, and view changes (paper Sections 4–5).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, ClientId, Directory, ExecRecord, Membership, PersistMode, QuorumTracker,
-    ReconfigCommand, ReplayLog, Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes,
-    SeqNumber, SeqWindow, SessionTable, StateMachine, View, Wal, WalRecordRef, RECONFIG_CLIENT,
+    Chained, CheckpointData, ClientId, Directory, QuorumTracker, ReconfigCommand, ReplicaBase,
+    Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber, SeqWindow, SessionTable,
+    StateMachine, View, VoteStore, WalRecordRef, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, SimTime, TimerId, Wire};
 
 use crate::acceptance::AcceptanceTest;
 use crate::config::IdemConfig;
-use crate::messages::{CheckpointData, ClientRecord, IdemMessage, WindowEntry};
+use crate::messages::{IdemMessage, WindowEntry};
 
 /// Reserved client id for no-op requests proposed to fill sequence gaps
 /// after a view change.
@@ -216,27 +215,21 @@ struct Instance {
 ///
 /// Construct with [`IdemReplica::new`] and install into a
 /// [`Simulation`](idem_simnet::Simulation); see the crate-level example.
+/// Everything that is not ordering — roles, sessions, timers, recovery,
+/// checkpoints, the epoch switch — lives in the embedded [`ReplicaBase`],
+/// which the replica dereferences to.
 pub struct IdemReplica {
     cfg: IdemConfig,
-    me: idem_common::ReplicaId,
-    dir: Directory<NodeId>,
-    app: Box<dyn StateMachine + Send>,
+    base: ReplicaBase,
     test: AcceptanceTest,
 
-    /// The epoch-numbered replica set. All quorum arithmetic, the peer
-    /// list, and leader derivation come from here; reconfiguration
-    /// commands ordered through the protocol advance it at execution time.
-    membership: Membership,
     /// Leader only: slot of an in-flight reconfiguration command. No new
     /// slots are bound past it until it executes, so the epoch switch
     /// point is the last slot of the old epoch.
     reconfig_barrier: Option<SeqNumber>,
 
-    view: View,
-    /// Pending view-change target (`Some` while between views).
-    vc_target: Option<View>,
     /// Latest `ViewChange` window summary per (target view, sender).
-    vc_store: BTreeMap<u64, BTreeMap<u32, Vec<WindowEntry>>>,
+    vc_store: VoteStore<Vec<WindowEntry>>,
 
     window: SeqWindow<Instance>,
     /// Reused buffer for per-operation window GC, so steady-state
@@ -249,13 +242,9 @@ pub struct IdemReplica {
 
     /// Per-request protocol state (body, acceptance, endorsements,
     /// binding, forward timer, rejection), one record per tracked id,
-    /// chained per client. Replaces the former per-concern trees; a
-    /// message resolves its whole request context with one chain probe.
+    /// chained per client off the base's session table. A message resolves
+    /// its whole request context with one chain probe.
     reqs: ReqSlab<ReqEntry>,
-    /// Per-client sessions: duplicate suppression, the reply cache
-    /// (small replies inline, so caching and resending never
-    /// allocates), and the chain heads into [`Self::reqs`].
-    sessions: SessionTable,
     /// Count of accepted-not-executed requests — the `r_now` of the
     /// acceptance test, maintained incrementally.
     active_count: usize,
@@ -267,26 +256,9 @@ pub struct IdemReplica {
     /// Require-quorum reached while the window was full.
     pending_proposals: VecDeque<RequestId>,
 
-    /// Reused buffer for state-machine execution results.
-    exec_scratch: Vec<u8>,
-
-    progress_timer: Option<TimerId>,
     /// Reused window-sized merge scratch for view changes, so
     /// [`Self::enter_new_view`] never rebuilds a per-call tree.
     vc_merge: Vec<Option<WindowEntry>>,
-    /// Durable logging layer (disabled unless the harness opts in).
-    wal: Wal,
-    /// Set by the rebuild factory after an amnesia wipe: the next
-    /// `on_recover` replays the disk before rejoining.
-    wipe_recovering: bool,
-    /// Armed while catching up after a reboot; each firing rotates the
-    /// checkpoint-request target to another replica.
-    recovery_timer: Option<TimerId>,
-    recovery_attempts: u32,
-    /// Evidence that a view below our pending view-change target is still
-    /// live (f+1 distinct senders): a rejoining partitioned replica must
-    /// abandon its solo view change and fall back in.
-    rejoin_votes: Option<(View, QuorumTracker)>,
 
     max_client_seen: u32,
     /// Exponentially smoothed `r_now` (time constant ≈20 ms) feeding the
@@ -294,11 +266,19 @@ pub struct IdemReplica {
     load_estimate: f64,
     load_estimate_at: SimTime,
     stats: ReplicaStats,
+}
 
-    /// When enabled, every slot this replica consumes is appended here for
-    /// post-run safety checking (see `idem_common::exec`).
-    exec_log: Vec<ExecRecord>,
-    exec_log_enabled: bool,
+impl std::ops::Deref for IdemReplica {
+    type Target = ReplicaBase;
+    fn deref(&self) -> &ReplicaBase {
+        &self.base
+    }
+}
+
+impl std::ops::DerefMut for IdemReplica {
+    fn deref_mut(&mut self) -> &mut ReplicaBase {
+        &mut self.base
+    }
 }
 
 impl IdemReplica {
@@ -321,95 +301,34 @@ impl IdemReplica {
             crate::acceptance::AqmConfig::default(),
         );
         IdemReplica {
+            base: ReplicaBase::new(
+                me,
+                dir,
+                app,
+                cfg.quorum.n(),
+                cfg.message_cost,
+                cfg.progress_timeout,
+            ),
             window: SeqWindow::new(cfg.window_size),
             gc_scratch: Vec::new(),
             rejected_cache: RejectedCache::new(cfg.rejected_cache_capacity),
-            membership: Membership::bootstrap(cfg.quorum.n()),
             reconfig_barrier: None,
             cfg,
-            me,
-            dir,
-            app,
             test,
-            view: View(0),
-            vc_target: None,
-            vc_store: BTreeMap::new(),
+            vc_store: VoteStore::default(),
             next_propose: SeqNumber(0),
             next_exec: SeqNumber(0),
             stalled: false,
             reqs: ReqSlab::new(),
-            sessions: SessionTable::new(),
             active_count: 0,
             cold_store: BTreeMap::new(),
             pending_proposals: VecDeque::new(),
-            exec_scratch: Vec::new(),
-            progress_timer: None,
             vc_merge: Vec::new(),
-            wal: Wal::default(),
-            wipe_recovering: false,
-            recovery_timer: None,
-            recovery_attempts: 0,
-            rejoin_votes: None,
             max_client_seen: 0,
             load_estimate: 0.0,
             load_estimate_at: SimTime::ZERO,
             stats: ReplicaStats::default(),
-            exec_log: Vec::new(),
-            exec_log_enabled: false,
         }
-    }
-
-    /// Turns on execution-order recording (off by default; recording every
-    /// slot costs memory proportional to the run length).
-    pub fn enable_exec_log(&mut self) {
-        self.exec_log_enabled = true;
-    }
-
-    /// Configures durable logging to the node's simulated disk. Call before
-    /// the simulation starts (and again on the object a rebuild factory
-    /// produces after a wipe).
-    pub fn set_persistence(&mut self, mode: PersistMode) {
-        self.wal = Wal::new(mode);
-    }
-
-    /// Marks this freshly rebuilt replica as recovering from an amnesia
-    /// wipe: its next `on_recover` replays the disk before rejoining.
-    pub fn mark_wipe_recovery(&mut self) {
-        self.wipe_recovering = true;
-    }
-
-    /// The recorded execution order (empty unless
-    /// [`enable_exec_log`](Self::enable_exec_log) was called).
-    pub fn exec_log(&self) -> &[ExecRecord] {
-        &self.exec_log
-    }
-
-    fn record_exec(&mut self, slot: SeqNumber, id: RequestId, fresh: bool) {
-        if self.exec_log_enabled {
-            self.exec_log.push(ExecRecord::at_epoch(
-                slot.0,
-                id,
-                fresh,
-                self.membership.epoch().0,
-            ));
-        }
-    }
-
-    /// Write-ahead variant of [`record_exec`](Self::record_exec): the slot
-    /// consumption hits the disk (and the fsync barrier) before the caller
-    /// applies the command, so every externalized execution is replayable
-    /// after a wipe.
-    fn persist_exec(
-        &mut self,
-        ctx: &mut Context<'_, IdemMessage>,
-        slot: SeqNumber,
-        id: RequestId,
-        fresh: bool,
-        command: &[u8],
-    ) {
-        let epoch = self.membership.epoch().0;
-        self.wal.log_exec(ctx, slot.0, id, fresh, command, epoch);
-        self.record_exec(slot, id, fresh);
     }
 
     /// Durably logs the binding of `id` to `sqn` in `view`, body included
@@ -421,25 +340,15 @@ impl IdemReplica {
         view: View,
         id: RequestId,
     ) {
-        if self.wal.enabled() {
+        if self.base.wal.enabled() {
             let command = self.store_get(id).map_or(&[][..], |r| &r.command);
-            self.wal.log_accept(ctx, sqn.0, view.0, id, command);
+            self.base.wal.log_accept(ctx, sqn.0, view.0, id, command);
         }
     }
 
     /// Protocol counters.
     pub fn stats(&self) -> &ReplicaStats {
         &self.stats
-    }
-
-    /// The view this replica currently operates in.
-    pub fn view(&self) -> View {
-        self.view
-    }
-
-    /// Whether this replica is between views (view change in progress).
-    pub fn in_view_change(&self) -> bool {
-        self.vc_target.is_some()
     }
 
     /// Number of currently active (accepted, unexecuted) requests: the
@@ -453,71 +362,13 @@ impl IdemReplica {
         self.next_exec
     }
 
-    /// Read access to the replicated application (for state comparison in
-    /// tests).
-    pub fn app(&self) -> &dyn StateMachine {
-        &*self.app
-    }
-
     /// Number of entries currently held in the rejected-request cache.
     pub fn rejected_cache_len(&self) -> usize {
         self.rejected_cache.len()
     }
 
-    /// Highest executed operation number for `client`, if any.
-    pub fn last_executed_op(&self, client: ClientId) -> Option<idem_common::OpNumber> {
-        self.sessions.last_op(client)
-    }
-
-    /// The replica set this replica currently operates under.
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// Whether this replica belongs to its own current membership. False
-    /// for a spare that has not joined yet and for a departed member.
-    pub fn is_member(&self) -> bool {
-        self.membership.contains(self.me)
-    }
-
-    // ---------------------------------------------------------------- roles
-
-    fn majority(&self) -> u32 {
-        self.membership.majority()
-    }
-
-    /// The view whose leader currently receives REQUIREs: the pending
-    /// view-change target if any, the entered view otherwise.
-    fn effective_view(&self) -> View {
-        self.vc_target.unwrap_or(self.view)
-    }
-
-    fn leader_of(&self, v: View) -> idem_common::ReplicaId {
-        self.membership.leader_of(v)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.vc_target.is_none() && self.leader_of(self.view) == self.me
-    }
-
     fn leader_node(&self) -> NodeId {
-        self.dir.replica(self.leader_of(self.effective_view()))
-    }
-
-    /// Every *member* but this one, in sorted member order — identical to
-    /// the directory slice at epoch 0, and no per-multicast allocation.
-    fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let me = self.me;
-        self.membership
-            .members()
-            .iter()
-            .copied()
-            .filter(move |&r| r != me)
-            .map(|r| self.dir.replica(r))
-    }
-
-    fn executed_already(&self, id: RequestId) -> bool {
-        self.sessions.executed_already(id)
+        self.base.dir.replica(self.base.leader_guess())
     }
 
     // ----------------------------------------------- dense request records
@@ -526,19 +377,19 @@ impl IdemReplica {
     /// This single probe replaces the per-concern tree descents of the
     /// former representation.
     fn find(&self, id: RequestId) -> ReqHandle {
-        self.reqs.chain_find(self.sessions.head(id.client), id)
+        self.reqs.chain_find(self.base.sessions.head(id.client), id)
     }
 
     /// Resolves or creates the record tracking `id`.
     fn find_or_create(&mut self, id: RequestId) -> ReqHandle {
-        let mut head = self.sessions.head(id.client);
+        let mut head = self.base.sessions.head(id.client);
         let h = self.reqs.chain_find(head, id);
         if !h.is_null() {
             return h;
         }
         let h = self.reqs.insert(ReqEntry::new(id));
         self.reqs.chain_push(&mut head, h);
-        self.sessions.set_head(id.client, head);
+        self.base.sessions.set_head(id.client, head);
         h
     }
 
@@ -552,9 +403,9 @@ impl IdemReplica {
             return;
         }
         let client = e.id.client;
-        let mut head = self.sessions.head(client);
+        let mut head = self.base.sessions.head(client);
         self.reqs.chain_unlink(&mut head, h);
-        self.sessions.set_head(client, head);
+        self.base.sessions.set_head(client, head);
         self.reqs.remove(h);
     }
 
@@ -584,24 +435,10 @@ impl IdemReplica {
         self.max_client_seen = self.max_client_seen.max(req.id.client.0);
         let id = req.id;
 
-        if self.executed_already(id) {
+        if self.base.executed_already(id) {
+            // Retransmission of a completed operation.
             self.stats.duplicates += 1;
-            if id.client == RECONFIG_CLIENT {
-                // Reconfig commands have no client node to answer.
-                return;
-            }
-            // Retransmission of a completed operation. In the normal case
-            // only the leader replies, but a retransmission means the
-            // client never saw that reply (lost message or crashed leader),
-            // so *any* replica may answer from its reply cache — execution
-            // is deterministic, all caches agree.
-            if let Some((op, reply)) = self.sessions.get(id.client) {
-                if op == id.op {
-                    let msg = IdemMessage::Reply(Reply::new(id, reply.clone()));
-                    self.stats.replies_sent += 1;
-                    ctx.send(self.dir.client(id.client), msg);
-                }
-            }
+            self.stats.replies_sent += u64::from(self.base.resend_cached_reply(ctx, id));
             return;
         }
 
@@ -647,9 +484,9 @@ impl IdemReplica {
             self.max_client_seen,
         ) {
             self.stats.rejected += 1;
-            let client = self.dir.client(id.client);
+            let client = self.base.dir.client(id.client);
             self.rejected_cache
-                .insert(&mut self.reqs, &mut self.sessions, req, h);
+                .insert(&mut self.reqs, &mut self.base.sessions, req, h);
             ctx.send(client, IdemMessage::Reject(id));
             return;
         }
@@ -665,7 +502,7 @@ impl IdemReplica {
         // Durable before the REQUIRE leaves: an accepted body must
         // survive amnesia, because peers may commit it on our vouching.
         self.wal
-            .log_accept(ctx, u64::MAX, self.view.0, id, &req.command);
+            .log_accept(ctx, u64::MAX, self.base.view().0, id, &req.command);
         let h = if self.reqs.contains(h) {
             h
         } else {
@@ -690,7 +527,7 @@ impl IdemReplica {
         {
             ctx.cancel_timer(old);
         }
-        self.ensure_progress_timer(ctx);
+        self.base.ensure_progress_timer(ctx);
     }
 
     /// Advances the exponentially smoothed load estimate to `now`.
@@ -706,7 +543,7 @@ impl IdemReplica {
     fn handle_forward(&mut self, ctx: &mut Context<'_, IdemMessage>, req: Request) {
         let id = req.id;
         self.max_client_seen = self.max_client_seen.max(id.client.0);
-        if self.executed_already(id) {
+        if self.base.executed_already(id) {
             return;
         }
         let h = self.find(id);
@@ -743,7 +580,7 @@ impl IdemReplica {
         };
         e.forward_timer = None;
         let active = e.active;
-        if !self.is_member() || !active || self.executed_already(id) {
+        if !self.base.is_member() || !active || self.base.executed_already(id) {
             self.release_if_unused(h);
             return;
         }
@@ -756,7 +593,7 @@ impl IdemReplica {
         };
         if let Some(req) = body {
             self.stats.forwards_sent += 1;
-            ctx.multicast(self.peers(), IdemMessage::Forward(req));
+            ctx.multicast(self.base.peers(), IdemMessage::Forward(req));
             let leader = self.leader_node();
             ctx.send(leader, IdemMessage::Require(id));
             let timer = ctx.set_timer(self.cfg.forward_timeout, IdemMessage::ForwardTimer(id));
@@ -769,16 +606,12 @@ impl IdemReplica {
     // ---------------------------------------------------------- agreement
 
     fn handle_require(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId, id: RequestId) {
-        let Some(from_replica) = self.dir.replica_of(from) else {
+        // Endorsements from outside the membership must not count toward
+        // quorums.
+        let Some(from_replica) = self.base.member_sender(from) else {
             return;
         };
-        if !self.membership.contains(from_replica) {
-            // Endorsements from outside the membership (a departed node,
-            // or a joiner we have not switched to yet) must not count
-            // toward quorums.
-            return;
-        }
-        if self.executed_already(id) {
+        if self.base.executed_already(id) {
             return;
         }
         let h = self.find(id);
@@ -793,7 +626,7 @@ impl IdemReplica {
             }
             return;
         }
-        let majority = self.majority();
+        let majority = self.base.majority();
         let h = if self.reqs.contains(h) {
             h
         } else {
@@ -807,13 +640,13 @@ impl IdemReplica {
     }
 
     fn try_propose(&mut self, ctx: &mut Context<'_, IdemMessage>, id: RequestId) {
-        if !self.is_leader() {
+        if !self.base.is_leader() {
             // Keep the endorsements; they are drained if we become leader.
             return;
         }
         let h = self.find(id);
         let bound = self.reqs.get(h).is_some_and(|e| e.proposed.is_some());
-        if bound || self.executed_already(id) {
+        if bound || self.base.executed_already(id) {
             if let Some(e) = self.reqs.get_mut(h) {
                 e.votes = None;
             }
@@ -829,6 +662,21 @@ impl IdemReplica {
         self.bind_and_propose(ctx, id, sqn);
         self.maybe_advance_window(ctx, sqn);
         self.try_execute(ctx);
+    }
+
+    /// Proposes, in id order, every request whose REQUIRE quorum formed
+    /// while this replica could not propose it.
+    fn propose_ready(&mut self, ctx: &mut Context<'_, IdemMessage>) {
+        let mut ready: Vec<RequestId> = self
+            .reqs
+            .iter()
+            .filter(|(_, e)| e.votes.as_ref().is_some_and(|v| v.reached()))
+            .map(|(_, e)| e.id)
+            .collect();
+        ready.sort_unstable();
+        for id in ready {
+            self.try_propose(ctx, id);
+        }
     }
 
     /// Whether an in-flight reconfiguration blocks new slot bindings.
@@ -856,18 +704,18 @@ impl IdemReplica {
         // The slot binding must be durable before the proposal leaves:
         // after amnesia we must never bind a different request to a slot
         // we already proposed (equivocation).
-        self.log_binding(ctx, sqn, self.view, id);
-        let mut votes = QuorumTracker::new(self.majority());
-        let committed = votes.record(self.me) || votes.reached();
-        let executed = self.executed_already(id);
+        self.log_binding(ctx, sqn, self.base.view(), id);
+        let mut votes = QuorumTracker::new(self.base.majority());
+        let committed = votes.record(self.base.me) || votes.reached();
+        let executed = self.base.executed_already(id);
         let inst = Instance {
             id,
-            view: self.view,
+            view: self.base.view(),
             votes,
             committed,
             executed,
             fetch_sent: false,
-            source: self.me,
+            source: self.base.me,
         };
         self.window.insert(sqn, inst);
         if id.client == RECONFIG_CLIENT {
@@ -878,77 +726,47 @@ impl IdemReplica {
         e.proposed = Some(sqn);
         e.votes = None;
         self.stats.proposals_sent += 1;
-        let view = self.view;
-        ctx.multicast(self.peers(), IdemMessage::Propose { id, sqn, view });
+        let view = self.base.view();
+        ctx.multicast(self.base.peers(), IdemMessage::Propose { id, sqn, view });
     }
 
-    fn view_acceptable(&self, v: View) -> bool {
-        match self.vc_target {
-            Some(t) => v >= t,
-            None => v >= self.view,
-        }
-    }
-
-    /// A partitioned replica that unilaterally demanded a view change must
-    /// rejoin the old view when it reconnects and observes that view still
-    /// making progress at `f + 1` distinct replicas (nobody else will help
-    /// complete its solo view change).
-    fn observe_live_view(
+    /// Counts `sender` as a witness that view `v` is still live (see
+    /// [`ReplicaBase::observe_live_view`]).
+    fn witness_live_view(
         &mut self,
         ctx: &mut Context<'_, IdemMessage>,
         v: View,
         sender: idem_common::ReplicaId,
-    ) -> bool {
-        let Some(target) = self.vc_target else {
-            return false;
-        };
-        if v < self.view || v >= target {
-            return false;
-        }
-        match &mut self.rejoin_votes {
-            Some((lv, votes)) if *lv == v => {
-                votes.record(sender);
-                if votes.reached() {
-                    self.rejoin_votes = None;
-                    self.vc_target = None;
-                    self.view = v;
-                    self.vc_store.retain(|&t, _| t > v.0);
-                    self.reset_progress_timer(ctx);
-                    return true;
-                }
-            }
-            _ => {
-                let mut votes = QuorumTracker::new(self.majority());
-                votes.record(sender);
-                self.rejoin_votes = Some((v, votes));
-            }
-        }
-        false
+    ) {
+        let pending = self.has_pending_work();
+        self.base
+            .observe_live_view(ctx, &mut self.vc_store, v, sender, pending);
     }
 
     /// Adopts a higher (or pending-target) view upon evidence that it is
     /// operational, and re-endorses live requests with its leader.
     fn enter_view_as_follower(&mut self, ctx: &mut Context<'_, IdemMessage>, v: View) {
-        if v > self.view || self.vc_target == Some(v) {
-            self.wal.log_view(ctx, v.0);
-            self.view = v;
-            self.vc_target = None;
-            self.vc_store.retain(|&t, _| t > v.0);
+        if self.base.follow_view(ctx, v) {
+            self.vc_store.prune(v);
             // Re-endorse everything still live so the new leader can
             // propose requests whose REQUIREs died with the old leader.
-            // Sorted by id to reproduce the former tree-iteration order.
-            let leader = self.dir.replica(self.leader_of(v));
-            let mut live: Vec<RequestId> = self
-                .reqs
-                .iter()
-                .filter(|(_, e)| e.active)
-                .map(|(_, e)| e.id)
-                .filter(|&id| !self.executed_already(id))
-                .collect();
-            live.sort_unstable();
-            for id in live {
-                ctx.send(leader, IdemMessage::Require(id));
-            }
+            self.re_endorse_live(ctx, self.base.dir.replica(self.base.leader_of(v)));
+        }
+    }
+
+    /// Sends a REQUIRE for every accepted, unexecuted request to `leader`,
+    /// in id order.
+    fn re_endorse_live(&self, ctx: &mut Context<'_, IdemMessage>, leader: NodeId) {
+        let mut live: Vec<RequestId> = self
+            .reqs
+            .iter()
+            .filter(|(_, e)| e.active)
+            .map(|(_, e)| e.id)
+            .filter(|&id| !self.base.executed_already(id))
+            .collect();
+        live.sort_unstable();
+        for id in live {
+            ctx.send(leader, IdemMessage::Require(id));
         }
     }
 
@@ -960,24 +778,19 @@ impl IdemReplica {
         sqn: SeqNumber,
         view: View,
     ) {
-        let Some(sender) = self.dir.replica_of(from) else {
+        let Some(sender) = self.base.member_sender(from) else {
             return;
         };
-        if !self.membership.contains(sender) {
-            return;
-        }
-        if !self.view_acceptable(view) {
-            if self.leader_of(view) == sender {
-                self.observe_live_view(ctx, view, sender);
+        if !self.base.view_acceptable(view) {
+            if self.base.leader_of(view) == sender {
+                self.witness_live_view(ctx, view, sender);
             }
             return;
         }
-        if self.leader_of(view) != sender {
+        if self.base.leader_of(view) != sender {
             return;
         }
-        if view > self.view || self.vc_target == Some(view) {
-            self.enter_view_as_follower(ctx, view);
-        }
+        self.enter_view_as_follower(ctx, view);
         if self.window.is_stale(sqn) {
             return;
         }
@@ -1003,15 +816,15 @@ impl IdemReplica {
             // Our endorsement of this binding may complete its quorum; it
             // must survive amnesia.
             self.log_binding(ctx, sqn, view, id);
-            let mut votes = QuorumTracker::new(self.majority());
+            let mut votes = QuorumTracker::new(self.base.majority());
             votes.record(sender); // the leader's proposal counts as a commit
-            votes.record(self.me);
+            votes.record(self.base.me);
             let committed = votes.reached();
             let executed = self
                 .window
                 .get(sqn)
                 .is_some_and(|i| i.executed && i.id == id)
-                || self.executed_already(id);
+                || self.base.executed_already(id);
             self.window.insert(
                 sqn,
                 Instance {
@@ -1034,14 +847,14 @@ impl IdemReplica {
                     return;
                 }
                 inst.votes.record(sender);
-                inst.votes.record(self.me);
+                inst.votes.record(self.base.me);
                 if inst.votes.reached() {
                     inst.committed = true;
                 }
             }
         }
         self.stats.commits_sent += 1;
-        ctx.multicast(self.peers(), IdemMessage::Commit { id, sqn, view });
+        ctx.multicast(self.base.peers(), IdemMessage::Commit { id, sqn, view });
         self.maybe_advance_window(ctx, sqn);
         self.try_execute(ctx);
     }
@@ -1054,20 +867,15 @@ impl IdemReplica {
         sqn: SeqNumber,
         view: View,
     ) {
-        let Some(sender) = self.dir.replica_of(from) else {
+        let Some(sender) = self.base.member_sender(from) else {
             return;
         };
-        if !self.membership.contains(sender) {
+        if !self.base.view_acceptable(view) {
+            self.witness_live_view(ctx, view, sender);
             return;
         }
-        if !self.view_acceptable(view) {
-            self.observe_live_view(ctx, view, sender);
-            return;
-        }
-        if view > self.view || self.vc_target == Some(view) {
-            // f+1 replicas saw the new leader's proposal; safe to follow.
-            self.enter_view_as_follower(ctx, view);
-        }
+        // f+1 replicas saw the new leader's proposal; safe to follow.
+        self.enter_view_as_follower(ctx, view);
         if self.window.is_stale(sqn) {
             return;
         }
@@ -1075,7 +883,7 @@ impl IdemReplica {
             ctx.send(from, IdemMessage::CheckpointRequest);
             return;
         }
-        let leader = self.leader_of(view);
+        let leader = self.base.leader_of(view);
         match self.window.get_mut(sqn) {
             Some(inst) if inst.view == view && inst.id == id => {
                 inst.votes.record(sender);
@@ -1089,11 +897,11 @@ impl IdemReplica {
             None => {
                 // Commit arrived before the proposal: create the instance
                 // from the commit's information.
-                let mut votes = QuorumTracker::new(self.majority());
+                let mut votes = QuorumTracker::new(self.base.majority());
                 votes.record(sender);
-                votes.record(self.leader_of(view));
+                votes.record(self.base.leader_of(view));
                 let committed = votes.reached();
-                let executed = self.executed_already(id);
+                let executed = self.base.executed_already(id);
                 self.window.insert(
                     sqn,
                     Instance {
@@ -1139,7 +947,8 @@ impl IdemReplica {
                 continue;
             }
             if id.client == NOOP_CLIENT {
-                self.persist_exec(ctx, self.next_exec, id, false, &[]);
+                self.base
+                    .persist_exec(ctx, self.next_exec.0, id, false, &[]);
                 self.window
                     .get_mut(self.next_exec)
                     .expect("present")
@@ -1149,10 +958,11 @@ impl IdemReplica {
                 progressed = true;
                 continue;
             }
-            if self.executed_already(id) {
+            if self.base.executed_already(id) {
                 // Duplicate binding across views: consume without re-running
                 // the application.
-                self.persist_exec(ctx, self.next_exec, id, false, &[]);
+                self.base
+                    .persist_exec(ctx, self.next_exec.0, id, false, &[]);
                 self.window
                     .get_mut(self.next_exec)
                     .expect("present")
@@ -1175,7 +985,7 @@ impl IdemReplica {
                         .expect("present")
                         .fetch_sent = true;
                     self.stats.fetches_sent += 1;
-                    let target = self.dir.replica(source);
+                    let target = self.base.dir.replica(source);
                     ctx.send(target, IdemMessage::Fetch(id));
                 }
                 break;
@@ -1184,9 +994,11 @@ impl IdemReplica {
                 // Membership change: the epoch switches exactly here, at
                 // the agreed slot, on every replica. Applied to the
                 // membership instead of the app; no client reply.
-                self.persist_exec(ctx, self.next_exec, id, true, &req.command);
+                self.base
+                    .persist_exec(ctx, self.next_exec.0, id, true, &req.command);
                 self.stats.executed += 1;
-                self.sessions
+                self.base
+                    .sessions
                     .record(id.client, id.op, ResultBytes::from_slice(&[]));
                 self.window
                     .get_mut(self.next_exec)
@@ -1211,16 +1023,13 @@ impl IdemReplica {
             }
             // Execute (durably logged first, so the op survives a wipe
             // right after the client sees its reply).
-            self.persist_exec(ctx, self.next_exec, id, true, &req.command);
-            let cost = self.app.execution_cost(&req.command);
-            ctx.charge(cost);
-            self.app.execute_into(&req.command, &mut self.exec_scratch);
-            let result = ResultBytes::from_slice(&self.exec_scratch);
+            self.base
+                .persist_exec(ctx, self.next_exec.0, id, true, &req.command);
+            let result = self.base.execute(ctx, id, &req.command);
             self.stats.executed += 1;
-            self.sessions.record(id.client, id.op, result.clone());
-            if self.is_leader() {
+            if self.base.is_leader() {
                 self.stats.replies_sent += 1;
-                let client = self.dir.client(id.client);
+                let client = self.base.dir.client(id.client);
                 ctx.send(client, IdemMessage::Reply(Reply::new(id, result)));
             }
             self.window
@@ -1233,7 +1042,8 @@ impl IdemReplica {
             progressed = true;
         }
         if progressed {
-            self.reset_progress_timer(ctx);
+            let pending = self.has_pending_work();
+            self.base.reset_progress_timer(ctx, pending);
             self.drain_pending_proposals(ctx);
         }
     }
@@ -1271,46 +1081,20 @@ impl IdemReplica {
     }
 
     /// Switches to the next epoch after executing a reconfiguration
-    /// command: applies the change, re-anchors leadership under the new
-    /// member list, announces the membership to clients, and takes a
-    /// checkpoint at the epoch boundary so joiners bootstrap from state
-    /// that already carries the new member list.
+    /// command (see [`ReplicaBase::switch_epoch`]) and re-anchors
+    /// leadership under the new member list.
     fn apply_reconfig(&mut self, ctx: &mut Context<'_, IdemMessage>, cmd: &ReconfigCommand) {
-        self.membership.apply(cmd);
         self.reconfig_barrier = None;
-        if !self.membership.contains(self.me) {
-            // Voted out: stop participating. The on_message gate redirects
-            // clients and ignores protocol traffic from here on.
-            if let Some(t) = self.progress_timer.take() {
-                ctx.cancel_timer(t);
-            }
-            if let Some(t) = self.recovery_timer.take() {
-                ctx.cancel_timer(t);
-            }
+        if !self.base.switch_epoch(ctx, cmd, self.next_exec) {
+            // Voted out. The on_message gate redirects clients and ignores
+            // protocol traffic from here on.
             return;
         }
-        // Epoch boundary = checkpoint boundary: the state-transfer path
-        // hands a joiner a checkpoint whose membership already includes it,
-        // which is what bounds joiner convergence.
-        self.take_checkpoint(ctx);
-        // Push the boundary checkpoint straight at a joiner. It is not yet
-        // participating, so waiting for its own CheckpointRequest would put
-        // a retry interval on the convergence path; one unsolicited
-        // transfer makes it transfer-latency instead.
-        if let Some(joiner) = cmd.added().filter(|&r| r != self.me) {
-            let cp = self.checkpoint_data();
-            ctx.send(self.dir.replica(joiner), IdemMessage::Checkpoint(cp));
-        }
-        // Tell the clients where the group now lives; a stale client would
-        // otherwise keep talking to the old epoch's replica set.
-        ctx.multicast(
-            self.dir.client_addrs().iter().copied(),
-            IdemMessage::MembershipUpdate(self.membership.clone()),
-        );
+        self.checkpoint_taken();
         // Leadership derives from the member list, so it may have moved at
         // the switch. Converge like a view change: a leader drains formed
         // endorsement quorums, followers re-endorse live requests.
-        if self.is_leader() {
+        if self.base.is_leader() {
             // A follower promoted by the switch has a stale proposal
             // cursor; binding below the execution frontier would target
             // slots whose bindings are already decided and be refused.
@@ -1323,40 +1107,20 @@ impl IdemReplica {
                 .iter()
                 .filter(|(_, e)| e.active)
                 .map(|(h, e)| (e.id, h))
-                .filter(|&(id, _)| !self.executed_already(id))
+                .filter(|&(id, _)| !self.base.executed_already(id))
                 .collect();
             live.sort_unstable_by_key(|&(id, _)| id);
-            let majority = self.majority();
+            let majority = self.base.majority();
             for (_, h) in live {
                 if let Some(e) = self.reqs.get_mut(h) {
                     e.votes
                         .get_or_insert_with(|| QuorumTracker::new(majority))
-                        .record(self.me);
+                        .record(self.base.me);
                 }
             }
-            let mut ready: Vec<RequestId> = self
-                .reqs
-                .iter()
-                .filter(|(_, e)| e.votes.as_ref().is_some_and(|v| v.reached()))
-                .map(|(_, e)| e.id)
-                .collect();
-            ready.sort_unstable();
-            for id in ready {
-                self.try_propose(ctx, id);
-            }
+            self.propose_ready(ctx);
         } else {
-            let leader = self.dir.replica(self.leader_of(self.effective_view()));
-            let mut live: Vec<RequestId> = self
-                .reqs
-                .iter()
-                .filter(|(_, e)| e.active)
-                .map(|(_, e)| e.id)
-                .filter(|&id| !self.executed_already(id))
-                .collect();
-            live.sort_unstable();
-            for id in live {
-                ctx.send(leader, IdemMessage::Require(id));
-            }
+            self.re_endorse_live(ctx, self.leader_node());
         }
     }
 
@@ -1367,94 +1131,32 @@ impl IdemReplica {
             .0
             .is_multiple_of(self.cfg.checkpoint_interval)
         {
-            self.take_checkpoint(ctx);
+            self.base.take_checkpoint(ctx, self.next_exec);
+            self.checkpoint_taken();
         }
     }
 
-    /// Takes a checkpoint: charges the serialization, streams the state
-    /// into the WAL, and prunes what the checkpoint covers. Nothing is
-    /// materialized — the only reader of a checkpoint's bytes besides the
-    /// WAL is state transfer, which builds its own
-    /// [`checkpoint_data`](Self::checkpoint_data) at the current frontier.
-    fn take_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        // Snapshot serialization costs CPU like handling a message of the
-        // same size.
-        ctx.charge(self.cfg.message_cost.message_cost(self.app.snapshot_len()));
-        // Durable, it bounds WAL replay length after a wipe.
-        self.wal.log_checkpoint(
-            ctx,
-            self.next_exec.0,
-            &*self.app,
-            &self.sessions,
-            &self.membership,
-        );
+    /// Counts a taken checkpoint and prunes what it covers: bodies of
+    /// requests covered by a stable checkpoint (the proof of Theorem 6.2
+    /// relies on exactly this rule). Executed bodies all sit in the cold
+    /// store — live slab records only ever hold unexecuted ones.
+    fn checkpoint_taken(&mut self) {
         self.stats.checkpoints_taken += 1;
-        // Bodies of requests covered by a stable checkpoint can be pruned
-        // (the proof of Theorem 6.2 relies on exactly this rule). Executed
-        // bodies all sit in the cold store — live slab records only ever
-        // hold unexecuted ones.
-        let last = &self.sessions;
+        let last = &self.base.sessions;
         self.cold_store
             .retain(|id, _| last.last_op(id.client).is_none_or(|op| op < id.op));
     }
 
-    /// The current state as a transferable checkpoint.
-    fn checkpoint_data(&self) -> CheckpointData {
-        CheckpointData {
-            next_exec: self.next_exec,
-            snapshot: self.app.snapshot(),
-            clients: self
-                .sessions
-                .iter()
-                .map(|(cid, op, reply)| ClientRecord {
-                    client: ClientId(cid),
-                    last_op: op,
-                    reply: reply.to_vec(),
-                })
-                .collect(),
-            membership: self.membership.clone(),
-        }
-    }
-
-    fn handle_checkpoint_request(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId) {
-        // Answer with a fresh checkpoint: the periodic one can predate the
-        // requester's own state, which would leave a lagging replica
-        // permanently unable to catch up (its gap is only repairable by a
-        // checkpoint taken at or after its missing slot).
-        self.take_checkpoint(ctx);
-        let cp = self.checkpoint_data();
-        ctx.send(from, IdemMessage::Checkpoint(cp));
-    }
-
     fn handle_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>, data: CheckpointData) {
-        // Any checkpoint reply proves a peer is reachable: the post-reboot
-        // catch-up retry can stand down.
-        if let Some(timer) = self.recovery_timer.take() {
-            ctx.cancel_timer(timer);
-            self.recovery_attempts = 0;
-        }
-        if data.next_exec <= self.next_exec {
+        let next_exec = data.next_exec;
+        let Some(new_epoch) = self.base.install_checkpoint(ctx, self.next_exec, data) else {
             return;
-        }
-        ctx.charge(self.cfg.message_cost.message_cost(data.snapshot.len()));
-        if data.membership.epoch() > self.membership.epoch() {
-            // Epoch-aware state transfer: the checkpoint's membership is
-            // the one in force at its frontier. A joiner installs it here,
-            // before serving — this is the moment it becomes a member.
-            self.membership = data.membership.clone();
+        };
+        if new_epoch {
             self.reconfig_barrier = None;
-            if self.membership.contains(self.me) {
-                self.ensure_progress_timer(ctx);
-            }
         }
-        self.app.restore(&data.snapshot);
-        let rows = data
-            .clients
-            .iter()
-            .map(|c| (c.client.0, c.last_op.0, &c.reply[..]));
-        self.sessions.restore_executed(rows.clone());
-        self.next_exec = data.next_exec;
-        let dropped = self.window.advance_to(data.next_exec);
+        self.next_exec = next_exec;
+        let dropped = self.window.advance_to(next_exec);
         for (_, inst) in dropped {
             self.clear_proposed(inst.id);
         }
@@ -1464,7 +1166,7 @@ impl IdemReplica {
             .iter()
             .filter(|(_, e)| e.active)
             .map(|(_, e)| e.id)
-            .filter(|&id| self.executed_already(id))
+            .filter(|&id| self.base.executed_already(id))
             .collect();
         done.sort_unstable();
         for id in done {
@@ -1472,16 +1174,6 @@ impl IdemReplica {
         }
         self.stalled = false;
         self.stats.checkpoints_installed += 1;
-        // An installed checkpoint moved the app past slots this replica
-        // never logged itself; persist it so WAL replay after a wipe starts
-        // from a state that actually covers them.
-        self.wal.log_checkpoint_data(
-            ctx,
-            data.next_exec.0,
-            &data.snapshot,
-            rows,
-            &data.membership,
-        );
         self.next_propose = self.next_propose.max(self.next_exec);
         self.try_execute(ctx);
     }
@@ -1558,7 +1250,7 @@ impl IdemReplica {
     }
 
     fn drain_pending_proposals(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        while self.is_leader()
+        while self.base.is_leader()
             && !self.pending_proposals.is_empty()
             && self.next_propose < self.window.high()
             && !self.barrier_active()
@@ -1568,7 +1260,7 @@ impl IdemReplica {
                 .reqs
                 .get(self.find(id))
                 .is_some_and(|e| e.proposed.is_some());
-            if bound || self.executed_already(id) {
+            if bound || self.base.executed_already(id) {
                 continue;
             }
             let sqn = self.next_propose.max(self.window.low());
@@ -1579,101 +1271,17 @@ impl IdemReplica {
 
     // ----------------------------------------------------------- recovery
 
-    /// Base backoff before retrying checkpoint catch-up with another peer.
-    const RECOVERY_RETRY_BASE: Duration = Duration::from_millis(100);
-
-    /// Asks one replica for a checkpoint and arms the retry timer. The
-    /// target rotates with each attempt over the *current members* —
-    /// departed or never-joined nodes are skipped, so retries are never
-    /// burned on a node that cannot answer — starting at the current
-    /// leader guess, so catch-up succeeds even when that leader is down.
-    fn send_recovery_request(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        let members = self.membership.members();
-        let n = members.len() as u32;
-        let leader = self.leader_of(self.effective_view());
-        let lead_idx = members.iter().position(|&r| r == leader).unwrap_or(0) as u32;
-        let mut idx = (lead_idx + self.recovery_attempts) % n;
-        if members[idx as usize] == self.me {
-            idx = (idx + 1) % n;
-        }
-        let target = members[idx as usize];
-        ctx.send(self.dir.replica(target), IdemMessage::CheckpointRequest);
-        let delay = Self::RECOVERY_RETRY_BASE * (1 << self.recovery_attempts.min(3));
-        if let Some(old) = self.recovery_timer.take() {
-            ctx.cancel_timer(old);
-        }
-        self.recovery_timer = Some(ctx.set_timer(delay, IdemMessage::RecoveryTimer));
-    }
-
-    fn handle_recovery_timer(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        self.recovery_timer = None;
-        self.recovery_attempts += 1;
-        self.send_recovery_request(ctx);
-    }
-
     /// Rebuilds volatile state from the disk after an amnesia wipe: install
     /// the newest durable checkpoint, replay executions past it, restore
     /// accepted-but-unexecuted request bodies, and resume the highest view.
     fn replay_wal(&mut self, ctx: &mut Context<'_, IdemMessage>, disk: &[Vec<u8>]) {
-        if !self.wal.enabled() {
-            return;
-        }
-        let ReplayLog {
-            checkpoint,
-            records,
-        } = Wal::replay(disk);
-        let mut max_view = 0u64;
-        for rec in &records {
-            if let WalRecordRef::View(v) = rec {
-                max_view = max_view.max(*v);
-            }
-        }
-        if let Some(cp) = checkpoint {
-            self.app.restore(cp.snapshot);
-            self.sessions.restore_executed(cp.clients.iter());
-            self.next_exec = SeqNumber(cp.next_exec);
-            if let Some(m) = cp.membership {
-                // The membership in force at the checkpoint's frontier.
-                self.membership = m;
-            }
-        }
-        for rec in &records {
-            let WalRecordRef::Exec {
-                slot,
-                id,
-                fresh,
-                command,
-                epoch,
-            } = rec
-            else {
-                continue;
-            };
-            // The audit log keeps the whole history: the chaos campaign's
-            // durability invariant compares it against the pre-wipe log.
-            // Epochs come from the records, not the current membership —
-            // replayed entries must agree with what peers logged live.
-            if self.exec_log_enabled {
-                self.exec_log
-                    .push(ExecRecord::at_epoch(*slot, *id, *fresh, *epoch));
-            }
-            if SeqNumber(*slot) < self.next_exec {
-                continue; // covered by the restored checkpoint
-            }
-            if *fresh && id.client == RECONFIG_CLIENT && !self.executed_already(*id) {
-                // Re-apply the epoch switch at the same execution point.
-                if let Some(cmd) = ReconfigCommand::decode(command) {
-                    self.membership.apply(&cmd);
-                }
-                self.sessions
-                    .record(id.client, id.op, ResultBytes::from_slice(&[]));
-            } else if *fresh && id.client != NOOP_CLIENT && !self.executed_already(*id) {
-                ctx.charge(self.app.execution_cost(command));
-                self.app.execute_into(command, &mut self.exec_scratch);
-                let result = ResultBytes::from_slice(&self.exec_scratch);
-                self.sessions.record(id.client, id.op, result);
-            }
-            self.next_exec = SeqNumber(slot + 1);
-        }
+        let replayed = self
+            .base
+            .replay_wal(ctx, disk, self.next_exec.0, |slot, _, next| {
+                (slot >= next).then_some(slot + 1)
+            });
+        self.next_exec = SeqNumber(replayed.frontier);
+        let records = replayed.records;
         // Restore the GC window's lower bound: the pre-wipe replica had
         // executed up to next_exec, so its window provably covered it.
         // Without this the window stays at 0, every binding near the
@@ -1689,7 +1297,7 @@ impl IdemReplica {
             let WalRecordRef::Accept { id, command, .. } = rec else {
                 continue;
             };
-            if command.is_empty() || id.client == NOOP_CLIENT || self.executed_already(*id) {
+            if command.is_empty() || id.client == NOOP_CLIENT || self.base.executed_already(*id) {
                 continue;
             }
             let h = self.find_or_create(*id);
@@ -1705,9 +1313,6 @@ impl IdemReplica {
             if let Some(old) = e.forward_timer.replace(timer) {
                 ctx.cancel_timer(old);
             }
-        }
-        if max_view > self.view.0 {
-            self.view = View(max_view);
         }
         // Slot-bound Accept records restore the bindings we proposed or
         // endorsed, and push next_propose past every slot we ever touched:
@@ -1730,9 +1335,9 @@ impl IdemReplica {
                 continue;
             }
             let v = View(*view);
-            let mut votes = QuorumTracker::new(self.majority());
-            votes.record(self.me);
-            let executed = self.executed_already(*id);
+            let mut votes = QuorumTracker::new(self.base.majority());
+            votes.record(self.base.me);
+            let executed = self.base.executed_already(*id);
             self.window.insert(
                 sqn,
                 Instance {
@@ -1742,7 +1347,7 @@ impl IdemReplica {
                     committed: false,
                     executed,
                     fetch_sent: false,
-                    source: self.leader_of(v),
+                    source: self.base.leader_of(v),
                 },
             );
             let h = self.find_or_create(*id);
@@ -1753,13 +1358,6 @@ impl IdemReplica {
 
     // -------------------------------------------------------- view change
 
-    fn ensure_progress_timer(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        if self.progress_timer.is_none() {
-            self.progress_timer =
-                Some(ctx.set_timer(self.cfg.progress_timeout, IdemMessage::ProgressTimer));
-        }
-    }
-
     fn has_pending_work(&self) -> bool {
         self.active_count > 0
             || self
@@ -1768,110 +1366,49 @@ impl IdemReplica {
                 .is_some_and(|inst| inst.committed)
     }
 
-    fn reset_progress_timer(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        if let Some(timer) = self.progress_timer.take() {
-            ctx.cancel_timer(timer);
-        }
-        if self.has_pending_work() {
-            self.ensure_progress_timer(ctx);
-        }
-    }
-
     fn handle_progress_timer(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        self.progress_timer = None;
-        if !self.is_member() || !self.has_pending_work() {
+        if !self.base.progress_timer_fired() || !self.has_pending_work() {
             return;
         }
         // No execution progress while work is pending: assume the leader of
         // the effective view crashed (Section 4.5).
-        let target = self.effective_view().next();
-        self.start_view_change(ctx, target);
-        // start_view_change no-ops when a change to `target` is already in
-        // flight — keep the timer armed regardless, or a stalled view
-        // change would never be escalated past `target`.
-        self.ensure_progress_timer(ctx);
+        let target = self.base.effective_view().next();
+        self.view_change(ctx, target, None);
+        // Armed even if that was a no-op (`ReplicaBase::start_view_change`).
+        self.base.ensure_progress_timer(ctx);
     }
 
-    fn window_summary(&self) -> Vec<WindowEntry> {
-        self.window
-            .iter()
-            .map(|(sqn, inst)| WindowEntry {
+    /// One step of the change to view `target`: a peer's vote for it came
+    /// in (`theirs`), or — `None` — this replica's own progress timer
+    /// demands it. This replica's vote is its window summary.
+    fn view_change(
+        &mut self,
+        ctx: &mut Context<'_, IdemMessage>,
+        target: View,
+        theirs: Option<(NodeId, Vec<WindowEntry>)>,
+    ) {
+        let (base, votes, window) = (&mut self.base, &mut self.vc_store, &self.window);
+        let vote = || {
+            let entry = |(sqn, inst): (SeqNumber, &Instance)| WindowEntry {
                 sqn,
                 id: inst.id,
                 view: inst.view,
-            })
-            .collect()
-    }
-
-    fn start_view_change(&mut self, ctx: &mut Context<'_, IdemMessage>, target: View) {
-        if target <= self.view || self.vc_target.is_some_and(|t| t >= target) {
-            return;
-        }
-        self.vc_target = Some(target);
-        self.stats.view_changes_started += 1;
-        let summary = self.window_summary();
-        self.vc_store
-            .entry(target.0)
-            .or_default()
-            .insert(self.me.0, summary.clone());
-        ctx.multicast(
-            self.peers(),
-            IdemMessage::ViewChange {
-                target,
-                window: summary,
-            },
-        );
-        // Safeguard: if this view change does not complete, escalate.
-        self.ensure_progress_timer(ctx);
-        self.check_new_view(ctx, target);
-    }
-
-    fn handle_view_change(
-        &mut self,
-        ctx: &mut Context<'_, IdemMessage>,
-        from: NodeId,
-        target: View,
-        window: Vec<WindowEntry>,
-    ) {
-        let Some(sender) = self.dir.replica_of(from) else {
-            return;
+            };
+            window.iter().map(entry).collect()
         };
-        if !self.membership.contains(sender) {
-            return;
-        }
-        if target <= self.view {
-            return;
-        }
-        self.vc_store
-            .entry(target.0)
-            .or_default()
-            .insert(sender.0, window);
-        // Joining rule: f+1 replicas demanding the change is proof the view
-        // is dead even if our own timer has not fired yet.
-        let senders = self.vc_store[&target.0].len() as u32;
-        if senders >= self.majority() && self.vc_target.is_none_or(|t| t < target) {
-            self.start_view_change(ctx, target);
-        }
-        self.check_new_view(ctx, target);
-    }
-
-    fn check_new_view(&mut self, ctx: &mut Context<'_, IdemMessage>, target: View) {
-        if self.leader_of(target) != self.me || self.vc_target != Some(target) {
-            return;
-        }
-        let Some(msgs) = self.vc_store.get(&target.0) else {
-            return;
+        let wire = |window| IdemMessage::ViewChange { target, window };
+        let step = match theirs {
+            Some(theirs) => base.handle_view_change(ctx, votes, theirs, target, vote, wire),
+            None => base.start_view_change(ctx, votes, target, vote, wire),
         };
-        if (msgs.len() as u32) < self.majority() {
-            return;
+        self.stats.view_changes_started += u64::from(step.started);
+        if step.ready {
+            self.enter_new_view(ctx, target);
         }
-        self.enter_new_view(ctx, target);
     }
 
     fn enter_new_view(&mut self, ctx: &mut Context<'_, IdemMessage>, target: View) {
-        self.wal.log_view(ctx, target.0);
-        self.view = target;
-        self.vc_target = None;
+        self.base.enter_view(ctx, target);
         self.stats.view_changes_completed += 1;
 
         // Merge the f+1 window summaries: per sequence number, the binding
@@ -1880,8 +1417,7 @@ impl IdemReplica {
         // offset, so repeated view changes under churn never rebuild a
         // per-call tree (a view change used to cost one fresh `BTreeMap`
         // plus a node allocation per merged entry).
-        let msgs = self.vc_store.remove(&target.0).unwrap_or_default();
-        self.vc_store.retain(|&t, _| t > target.0);
+        let msgs = self.vc_store.take(target);
         let low = self.window.low();
         let size = self.window.size() as usize;
         self.vc_merge.clear();
@@ -1930,8 +1466,8 @@ impl IdemReplica {
                 // New-view bindings are proposals too: they must survive
                 // amnesia or a rebooted leader could re-bind the slot.
                 self.log_binding(ctx, sqn, target, id);
-                let mut votes = QuorumTracker::new(self.majority());
-                votes.record(self.me);
+                let mut votes = QuorumTracker::new(self.base.majority());
+                votes.record(self.base.me);
                 self.window.insert(
                     sqn,
                     Instance {
@@ -1941,7 +1477,7 @@ impl IdemReplica {
                         committed: executed,
                         executed,
                         fetch_sent: false,
-                        source: self.me,
+                        source: self.base.me,
                     },
                 );
                 if id.client == RECONFIG_CLIENT && !executed {
@@ -1953,7 +1489,7 @@ impl IdemReplica {
                 self.reqs.get_mut(h).expect("live").proposed = Some(sqn);
                 self.stats.proposals_sent += 1;
                 ctx.multicast(
-                    self.peers(),
+                    self.base.peers(),
                     IdemMessage::Propose {
                         id,
                         sqn,
@@ -1966,17 +1502,9 @@ impl IdemReplica {
         self.next_propose = self.next_propose.max(self.window.low()).max(self.next_exec);
 
         // Propose requests whose REQUIRE quorum formed during the change.
-        let mut ready: Vec<RequestId> = self
-            .reqs
-            .iter()
-            .filter(|(_, e)| e.votes.as_ref().is_some_and(|v| v.reached()))
-            .map(|(_, e)| e.id)
-            .collect();
-        ready.sort_unstable();
-        for id in ready {
-            self.try_propose(ctx, id);
-        }
-        self.reset_progress_timer(ctx);
+        self.propose_ready(ctx);
+        let pending = self.has_pending_work();
+        self.base.reset_progress_timer(ctx, pending);
         self.try_execute(ctx);
     }
 }
@@ -1984,41 +1512,29 @@ impl IdemReplica {
 impl Node<IdemMessage> for IdemReplica {
     fn on_message(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId, msg: IdemMessage) {
         ctx.charge(self.cfg.message_cost.message_cost(msg.wire_size()));
-        if !self.is_member() {
-            // A spare that has not joined yet, or a departed member: no
-            // protocol participation. Checkpoints are still installed
-            // (that is how a joiner becomes a member), bodies are still
-            // served (a member may need one this node sourced), and client
-            // requests are answered with a redirect once there is a newer
-            // membership to redirect to.
-            match msg {
-                IdemMessage::Checkpoint(data) => self.handle_checkpoint(ctx, data),
-                IdemMessage::Fetch(id) => self.handle_fetch(ctx, from, id),
-                IdemMessage::CheckpointRequest => self.handle_checkpoint_request(ctx, from),
-                IdemMessage::Request(req)
-                    if req.id.client != RECONFIG_CLIENT && self.membership.epoch().0 > 0 =>
-                {
-                    ctx.send(
-                        self.dir.client(req.id.client),
-                        IdemMessage::MembershipUpdate(self.membership.clone()),
-                    );
-                }
-                _ => {}
-            }
-            return;
-        }
+        // A non-member takes no part in the protocol: it handles the first
+        // arms — bodies are still served, a member may need one this node
+        // sourced — and drops the rest (see `ReplicaBase::redirect_client`).
+        let member = self.base.is_member();
         match msg {
+            IdemMessage::Checkpoint(data) => self.handle_checkpoint(ctx, data),
+            IdemMessage::CheckpointRequest => {
+                // Answered with a fresh checkpoint.
+                self.base
+                    .handle_checkpoint_request(ctx, from, self.next_exec);
+                self.checkpoint_taken();
+            }
+            IdemMessage::Fetch(id) => self.handle_fetch(ctx, from, id),
+            IdemMessage::Request(req) if !member => self.base.redirect_client(ctx, req.id.client),
+            _ if !member => {}
             IdemMessage::Request(req) => self.handle_request(ctx, req),
             IdemMessage::Require(id) => self.handle_require(ctx, from, id),
             IdemMessage::Propose { id, sqn, view } => self.handle_propose(ctx, from, id, sqn, view),
             IdemMessage::Commit { id, sqn, view } => self.handle_commit(ctx, from, id, sqn, view),
             IdemMessage::Forward(req) => self.handle_forward(ctx, req),
-            IdemMessage::Fetch(id) => self.handle_fetch(ctx, from, id),
             IdemMessage::ViewChange { target, window } => {
-                self.handle_view_change(ctx, from, target, window)
+                self.view_change(ctx, target, Some((from, window)))
             }
-            IdemMessage::CheckpointRequest => self.handle_checkpoint_request(ctx, from),
-            IdemMessage::Checkpoint(data) => self.handle_checkpoint(ctx, data),
             // Client-side messages and timer payloads are never addressed
             // to replicas.
             IdemMessage::MembershipUpdate(_)
@@ -2037,26 +1553,21 @@ impl Node<IdemMessage> for IdemReplica {
         match msg {
             IdemMessage::ForwardTimer(id) => self.handle_forward_timer(ctx, id),
             IdemMessage::ProgressTimer => self.handle_progress_timer(ctx),
-            IdemMessage::RecoveryTimer => self.handle_recovery_timer(ctx),
+            IdemMessage::RecoveryTimer => self.base.handle_recovery_timer(ctx),
             _ => {}
         }
     }
 
-    fn on_crash(&mut self, _now: SimTime) {}
-
     fn on_recover(&mut self, ctx: &mut Context<'_, IdemMessage>) {
         // After an amnesia wipe this object is freshly built; rebuild what
         // correctness requires from the disk before rejoining.
-        if std::mem::take(&mut self.wipe_recovering) {
+        if self.base.take_wipe_recovery() {
             ctx.with_disk_records(|ctx, disk| self.replay_wal(ctx, disk));
         }
-        // Timer events that fired while we were down are lost, so every held
-        // handle may be stale: cancel and re-arm. (Cancelling a timer that
-        // is still pending is also fine — we re-arm an equivalent one.)
-        if let Some(timer) = self.progress_timer.take() {
-            ctx.cancel_timer(timer);
-        }
-        self.ensure_progress_timer(ctx);
+        self.base.rearm_on_recover(ctx);
+        // The forward timers' handles may be as stale as the progress
+        // timer's: cancel and re-arm. (Cancelling a timer that is still
+        // pending is also fine — we re-arm an equivalent one.)
         let mut pending: Vec<(RequestId, ReqHandle)> = self
             .reqs
             .iter()
@@ -2076,8 +1587,7 @@ impl Node<IdemMessage> for IdemReplica {
         // The cluster may have moved on (GC, view changes) while we were
         // down; ask for a checkpoint to catch up quickly, rotating through
         // replicas with backoff — the leader we remember may itself be down.
-        self.recovery_attempts = 0;
-        self.send_recovery_request(ctx);
+        self.base.send_recovery_request(ctx);
     }
 }
 

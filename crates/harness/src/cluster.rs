@@ -1,15 +1,16 @@
 //! Protocol-generic cluster construction on top of the simulator.
 
+use std::ops::DerefMut;
 use std::time::Duration;
 
 use idem_common::{
-    ClientId, Directory, OpNumber, PersistMode, ReconfigCommand, ReplicaId, Request, RequestId,
-    RECONFIG_CLIENT,
+    ClientApp, ClientId, Directory, OpNumber, PersistMode, ReconfigCommand, ReplicaBase, ReplicaId,
+    ReplicaWire, Request, RequestId, StateMachine, RECONFIG_CLIENT,
 };
 use idem_core::{IdemClient, IdemMessage, IdemReplica};
 use idem_kv::{KvStore, Workload, WorkloadSpec};
 use idem_paxos::{PaxosClient, PaxosMessage, PaxosReplica};
-use idem_simnet::{DiskLatency, LinkSpec, Network, NodeId, SimTime, Simulation};
+use idem_simnet::{DiskLatency, LinkSpec, Network, Node, NodeId, SimTime, Simulation};
 use idem_smart::{SmartClient, SmartMessage, SmartReplica};
 
 use crate::recorder::{Recorder, RecorderHandle, RecordingApp};
@@ -161,10 +162,112 @@ impl Protocol {
     }
 }
 
+/// A replicated application, as the replica constructors take it.
+type App = Box<dyn StateMachine + Send>;
+
+/// One replication protocol as the harness wires it, keyed by its message
+/// type: the replica node and the few places it differs. Everything else
+/// about a replica is reached through its [`ReplicaBase`]; clients and
+/// load ports are built where the [`Protocol`] is matched.
+pub(crate) trait Wired: ReplicaWire + 'static {
+    /// Replica-side configuration.
+    type Config: Clone + 'static;
+    /// The replica node.
+    type Replica: Node<Self> + DerefMut<Target = ReplicaBase>;
+
+    /// Builds replica `me`.
+    fn replica(
+        cfg: &Self::Config,
+        me: ReplicaId,
+        dir: Directory<NodeId>,
+        app: App,
+    ) -> Self::Replica;
+    /// A client request on the wire.
+    fn request(req: Request) -> Self;
+    /// A replica's decision frontier, in the protocol's slot numbering.
+    fn frontier(replica: &Self::Replica) -> u64;
+}
+
+impl Wired for IdemMessage {
+    type Config = idem_core::IdemConfig;
+    type Replica = IdemReplica;
+
+    fn replica(cfg: &Self::Config, me: ReplicaId, dir: Directory<NodeId>, app: App) -> IdemReplica {
+        IdemReplica::new(cfg.clone(), me, dir, app)
+    }
+    fn request(req: Request) -> IdemMessage {
+        IdemMessage::Request(req)
+    }
+    fn frontier(replica: &IdemReplica) -> u64 {
+        replica.next_exec().0
+    }
+}
+
+impl Wired for PaxosMessage {
+    type Config = idem_paxos::PaxosConfig;
+    type Replica = PaxosReplica;
+
+    fn replica(
+        cfg: &Self::Config,
+        me: ReplicaId,
+        dir: Directory<NodeId>,
+        app: App,
+    ) -> PaxosReplica {
+        PaxosReplica::new(cfg.clone(), me, dir, app)
+    }
+    fn request(req: Request) -> PaxosMessage {
+        PaxosMessage::Request(req)
+    }
+    fn frontier(replica: &PaxosReplica) -> u64 {
+        replica.next_exec().0
+    }
+}
+
+impl Wired for SmartMessage {
+    type Config = idem_smart::SmartConfig;
+    type Replica = SmartReplica;
+
+    fn replica(
+        cfg: &Self::Config,
+        me: ReplicaId,
+        dir: Directory<NodeId>,
+        app: App,
+    ) -> SmartReplica {
+        SmartReplica::new(cfg.clone(), me, dir, app)
+    }
+    fn request(req: Request) -> SmartMessage {
+        SmartMessage::Request(req)
+    }
+    fn frontier(replica: &SmartReplica) -> u64 {
+        replica.next_sqn().0
+    }
+}
+
 enum ClusterSim {
     Idem(Simulation<IdemMessage>),
     Paxos(Simulation<PaxosMessage>),
     Smart(Simulation<SmartMessage>),
+}
+
+/// The one place [`ClusterHandles`] looks at which protocol it runs: binds
+/// the simulation, whatever its message type, to `$sim` and evaluates
+/// `$body` — a call that is generic over that type.
+macro_rules! on_sim {
+    ($cluster_sim:expr, |$sim:ident| $body:expr) => {
+        match $cluster_sim {
+            ClusterSim::Idem($sim) => $body,
+            ClusterSim::Paxos($sim) => $body,
+            ClusterSim::Smart($sim) => $body,
+        }
+    };
+}
+
+fn replica_at<M: Wired>(sim: &Simulation<M>, node: NodeId) -> &M::Replica {
+    sim.node_as::<M::Replica>(node).expect("replica type")
+}
+
+fn frontier_at<M: Wired>(sim: &Simulation<M>, node: NodeId) -> u64 {
+    M::frontier(replica_at(sim, node))
 }
 
 /// A running cluster: simulator, node ids, and the shared recorder.
@@ -238,217 +341,106 @@ impl Default for ClusterOptions {
 
 /// Builds a cluster of the given protocol with closed-loop YCSB clients.
 pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandles {
+    // Base members plus passive spares: all get directory slots so a later
+    // Join can address them, but only the first `n` start as members.
+    let n = protocol.replica_count() + opts.spares;
+    match protocol {
+        Protocol::Idem { config, client } => wire(config, n, opts, ClusterSim::Idem, {
+            |id, dir, app| IdemClient::new(*client, id, dir, app)
+        }),
+        Protocol::Paxos { config, client } => wire(config, n, opts, ClusterSim::Paxos, {
+            |id, dir, app| PaxosClient::new(*client, id, dir, app)
+        }),
+        Protocol::Smart { config, client } => wire(config, n, opts, ClusterSim::Smart, {
+            |id, dir, app| SmartClient::new(*client, id, dir, app)
+        }),
+    }
+}
+
+/// Wires `n` replicas and `opts.clients` closed-loop clients of one
+/// protocol, built by `client`, into a fresh simulation.
+fn wire<M: Wired, C: Node<M> + 'static>(
+    config: &M::Config,
+    n: u32,
+    opts: &ClusterOptions,
+    wrap: fn(Simulation<M>) -> ClusterSim,
+    client: impl Fn(ClientId, Directory<NodeId>, Box<dyn ClientApp>) -> C,
+) -> ClusterHandles {
     let mut recorder = Recorder::new(opts.warmup, opts.bin_width);
     if let Some(expected) = opts.expected_duration {
         recorder = recorder.with_expected_duration(expected);
     }
     let recorder = RecorderHandle::new(recorder);
-    // Base members plus passive spares: all get directory slots so a later
-    // Join can address them, but only the first `n` start as members.
-    let n = protocol.replica_count() + opts.spares;
-    let make_app = |i: u32, recorder: &RecorderHandle| {
+    let mut sim: Simulation<M> = Simulation::with_network(opts.seed, experiment_network());
+    sim.set_disk_latency(opts.disk_latency);
+    sim.set_eager_wakes(opts.eager_wakes);
+    let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
+    let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
+    let dir = Directory::new(replicas.clone(), clients.clone());
+    for (i, &node) in replicas.iter().enumerate() {
+        let make = {
+            let (config, dir) = (config.clone(), dir.clone());
+            let (record, persist) = (opts.record_exec_log, opts.persist);
+            move |wiped: bool| {
+                let store = KvStore::with_costs(KV_EXEC_COST, Duration::ZERO);
+                let me = ReplicaId(i as u32);
+                let mut replica = M::replica(&config, me, dir.clone(), Box::new(store));
+                if record {
+                    replica.enable_exec_log();
+                }
+                replica.set_persistence(persist);
+                if wiped {
+                    replica.mark_wipe_recovery();
+                }
+                replica
+            }
+        };
+        sim.install_node(node, Box::new(make(false)));
+        sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
+    }
+    for (i, &node) in clients.iter().enumerate() {
         let app = RecordingApp::new(
-            Workload::new(opts.workload, u64::from(i)),
+            Workload::new(opts.workload, i as u64),
             recorder.clone(),
-            opts.seed.wrapping_mul(1000).wrapping_add(u64::from(i)),
+            opts.seed.wrapping_mul(1000).wrapping_add(i as u64),
         );
-        match opts.ops_per_client {
+        let app = match opts.ops_per_client {
             Some(limit) => app.with_limit(limit),
             None => app,
-        }
-    };
-    match protocol {
-        Protocol::Idem { config, client } => {
-            let mut sim: Simulation<IdemMessage> =
-                Simulation::with_network(opts.seed, experiment_network());
-            sim.set_disk_latency(opts.disk_latency);
-            sim.set_eager_wakes(opts.eager_wakes);
-            let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
-            let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
-            let dir = Directory::new(replicas.clone(), clients.clone());
-            for (i, &node) in replicas.iter().enumerate() {
-                let make = {
-                    let (config, dir) = (config.clone(), dir.clone());
-                    let (record, persist) = (opts.record_exec_log, opts.persist);
-                    move |wiped: bool| {
-                        let mut replica = IdemReplica::new(
-                            config.clone(),
-                            ReplicaId(i as u32),
-                            dir.clone(),
-                            Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO)),
-                        );
-                        if record {
-                            replica.enable_exec_log();
-                        }
-                        replica.set_persistence(persist);
-                        if wiped {
-                            replica.mark_wipe_recovery();
-                        }
-                        replica
-                    }
-                };
-                sim.install_node(node, Box::new(make(false)));
-                sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-            }
-            for (i, &node) in clients.iter().enumerate() {
-                sim.install_node(
-                    node,
-                    Box::new(IdemClient::new(
-                        *client,
-                        ClientId(i as u32),
-                        dir.clone(),
-                        Box::new(make_app(i as u32, &recorder)),
-                    )),
-                );
-            }
-            ClusterHandles {
-                sim: ClusterSim::Idem(sim),
-                replicas,
-                clients,
-                recorder,
-            }
-        }
-        Protocol::Paxos { config, client } => {
-            let mut sim: Simulation<PaxosMessage> =
-                Simulation::with_network(opts.seed, experiment_network());
-            sim.set_disk_latency(opts.disk_latency);
-            sim.set_eager_wakes(opts.eager_wakes);
-            let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
-            let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
-            let dir = Directory::new(replicas.clone(), clients.clone());
-            for (i, &node) in replicas.iter().enumerate() {
-                let make = {
-                    let (config, dir) = (config.clone(), dir.clone());
-                    let (record, persist) = (opts.record_exec_log, opts.persist);
-                    move |wiped: bool| {
-                        let mut replica = PaxosReplica::new(
-                            config.clone(),
-                            ReplicaId(i as u32),
-                            dir.clone(),
-                            Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO)),
-                        );
-                        if record {
-                            replica.enable_exec_log();
-                        }
-                        replica.set_persistence(persist);
-                        if wiped {
-                            replica.mark_wipe_recovery();
-                        }
-                        replica
-                    }
-                };
-                sim.install_node(node, Box::new(make(false)));
-                sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-            }
-            for (i, &node) in clients.iter().enumerate() {
-                sim.install_node(
-                    node,
-                    Box::new(PaxosClient::new(
-                        *client,
-                        ClientId(i as u32),
-                        dir.clone(),
-                        Box::new(make_app(i as u32, &recorder)),
-                    )),
-                );
-            }
-            ClusterHandles {
-                sim: ClusterSim::Paxos(sim),
-                replicas,
-                clients,
-                recorder,
-            }
-        }
-        Protocol::Smart { config, client } => {
-            let mut sim: Simulation<SmartMessage> =
-                Simulation::with_network(opts.seed, experiment_network());
-            sim.set_disk_latency(opts.disk_latency);
-            sim.set_eager_wakes(opts.eager_wakes);
-            let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
-            let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
-            let dir = Directory::new(replicas.clone(), clients.clone());
-            for (i, &node) in replicas.iter().enumerate() {
-                let make = {
-                    let (config, dir) = (config.clone(), dir.clone());
-                    let (record, persist) = (opts.record_exec_log, opts.persist);
-                    move |wiped: bool| {
-                        let mut replica = SmartReplica::new(
-                            config.clone(),
-                            ReplicaId(i as u32),
-                            dir.clone(),
-                            Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO)),
-                        );
-                        if record {
-                            replica.enable_exec_log();
-                        }
-                        replica.set_persistence(persist);
-                        if wiped {
-                            replica.mark_wipe_recovery();
-                        }
-                        replica
-                    }
-                };
-                sim.install_node(node, Box::new(make(false)));
-                sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-            }
-            for (i, &node) in clients.iter().enumerate() {
-                sim.install_node(
-                    node,
-                    Box::new(SmartClient::new(
-                        *client,
-                        ClientId(i as u32),
-                        dir.clone(),
-                        Box::new(make_app(i as u32, &recorder)),
-                    )),
-                );
-            }
-            ClusterHandles {
-                sim: ClusterSim::Smart(sim),
-                replicas,
-                clients,
-                recorder,
-            }
-        }
+        };
+        let client = client(ClientId(i as u32), dir.clone(), Box::new(app));
+        sim.install_node(node, Box::new(client));
+    }
+    ClusterHandles {
+        sim: wrap(sim),
+        replicas,
+        clients,
+        recorder,
     }
 }
 
 impl ClusterHandles {
     /// Runs the simulation forward by `d` of virtual time.
     pub fn run_for(&mut self, d: Duration) {
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.run_for(d),
-            ClusterSim::Paxos(sim) => sim.run_for(d),
-            ClusterSim::Smart(sim) => sim.run_for(d),
-        }
+        on_sim!(&mut self.sim, |sim| sim.run_for(d))
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim.now(),
-            ClusterSim::Paxos(sim) => sim.now(),
-            ClusterSim::Smart(sim) => sim.now(),
-        }
+        on_sim!(&self.sim, |sim| sim.now())
     }
 
     /// Crashes the replica with the given index immediately.
     pub fn crash_replica(&mut self, index: usize) {
         let node = self.replicas[index];
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.crash_now(node),
-            ClusterSim::Paxos(sim) => sim.crash_now(node),
-            ClusterSim::Smart(sim) => sim.crash_now(node),
-        }
+        on_sim!(&mut self.sim, |sim| sim.crash_now(node))
     }
 
     /// Recovers the replica with the given index immediately (no-op if it
     /// is up).
     pub fn recover_replica(&mut self, index: usize) {
         let node = self.replicas[index];
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.recover_now(node),
-            ClusterSim::Paxos(sim) => sim.recover_now(node),
-            ClusterSim::Smart(sim) => sim.recover_now(node),
-        }
+        on_sim!(&mut self.sim, |sim| sim.recover_now(node))
     }
 
     /// Wipes the replica at `index`: a crash with total amnesia. The
@@ -458,31 +450,28 @@ impl ClusterHandles {
     /// (power-loss model). The rebuilt replica recovers immediately.
     pub fn wipe_replica(&mut self, index: usize, truncate_to_synced: bool) {
         let node = self.replicas[index];
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.wipe_now(node, truncate_to_synced),
-            ClusterSim::Paxos(sim) => sim.wipe_now(node, truncate_to_synced),
-            ClusterSim::Smart(sim) => sim.wipe_now(node, truncate_to_synced),
-        }
+        on_sim!(&mut self.sim, |sim| sim.wipe_now(node, truncate_to_synced))
     }
 
     /// The stable-storage device of the replica at `index`.
     pub fn disk(&self, index: usize) -> &idem_simnet::Disk {
         let node = self.replicas[index];
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim.disk(node),
-            ClusterSim::Paxos(sim) => sim.disk(node),
-            ClusterSim::Smart(sim) => sim.disk(node),
-        }
+        on_sim!(&self.sim, |sim| sim.disk(node))
     }
 
     /// Write access to the same device, for fault injection.
     pub fn disk_mut(&mut self, index: usize) -> &mut idem_simnet::Disk {
         let node = self.replicas[index];
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.disk_mut(node),
-            ClusterSim::Paxos(sim) => sim.disk_mut(node),
-            ClusterSim::Smart(sim) => sim.disk_mut(node),
-        }
+        on_sim!(&mut self.sim, |sim| sim.disk_mut(node))
+    }
+
+    /// The protocol-independent part of the replica at `index`.
+    ///
+    /// # Panics
+    /// Panics if the index is out of range.
+    fn base(&self, index: usize) -> &ReplicaBase {
+        let node = self.replicas[index];
+        on_sim!(&self.sim, |sim| replica_at(sim, node))
     }
 
     /// The decision frontier of the replica at `index`, in the protocol's
@@ -493,26 +482,8 @@ impl ClusterHandles {
     /// # Panics
     /// Panics if the index is out of range.
     pub fn exec_frontier(&self, index: usize) -> u64 {
-        match &self.sim {
-            ClusterSim::Idem(sim) => {
-                sim.node_as::<IdemReplica>(self.replicas[index])
-                    .expect("replica type")
-                    .next_exec()
-                    .0
-            }
-            ClusterSim::Paxos(sim) => {
-                sim.node_as::<PaxosReplica>(self.replicas[index])
-                    .expect("replica type")
-                    .next_exec()
-                    .0
-            }
-            ClusterSim::Smart(sim) => {
-                sim.node_as::<SmartReplica>(self.replicas[index])
-                    .expect("replica type")
-                    .next_sqn()
-                    .0
-            }
-        }
+        let node = self.replicas[index];
+        on_sim!(&self.sim, |sim| frontier_at(sim, node))
     }
 
     /// The membership epoch the replica at `index` currently operates in.
@@ -520,29 +491,7 @@ impl ClusterHandles {
     /// # Panics
     /// Panics if the index is out of range.
     pub fn epoch(&self, index: usize) -> u64 {
-        match &self.sim {
-            ClusterSim::Idem(sim) => {
-                sim.node_as::<IdemReplica>(self.replicas[index])
-                    .expect("replica type")
-                    .membership()
-                    .epoch()
-                    .0
-            }
-            ClusterSim::Paxos(sim) => {
-                sim.node_as::<PaxosReplica>(self.replicas[index])
-                    .expect("replica type")
-                    .membership()
-                    .epoch()
-                    .0
-            }
-            ClusterSim::Smart(sim) => {
-                sim.node_as::<SmartReplica>(self.replicas[index])
-                    .expect("replica type")
-                    .membership()
-                    .epoch()
-                    .0
-            }
-        }
+        self.base(index).membership().epoch().0
     }
 
     /// Whether the replica at `index` is a member of its own current
@@ -551,20 +500,7 @@ impl ClusterHandles {
     /// # Panics
     /// Panics if the index is out of range.
     pub fn is_member(&self, index: usize) -> bool {
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim
-                .node_as::<IdemReplica>(self.replicas[index])
-                .expect("replica type")
-                .is_member(),
-            ClusterSim::Paxos(sim) => sim
-                .node_as::<PaxosReplica>(self.replicas[index])
-                .expect("replica type")
-                .is_member(),
-            ClusterSim::Smart(sim) => sim
-                .node_as::<SmartReplica>(self.replicas[index])
-                .expect("replica type")
-                .is_member(),
-        }
+        self.base(index).is_member()
     }
 
     /// Injects a reconfiguration command into the cluster, exactly like a
@@ -573,49 +509,23 @@ impl ClusterHandles {
     /// time. Members order it through the protocol; non-members ignore it.
     /// `op` must be unique per command within a run — it is the dedup key.
     pub fn inject_reconfig(&mut self, op: u64, cmd: &ReconfigCommand) {
-        let id = RequestId::new(RECONFIG_CLIENT, OpNumber(op));
-        let command = cmd.encode();
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => {
-                for &node in &self.replicas {
-                    let req = Request::new(id, command.clone());
-                    sim.post(node, IdemMessage::Request(req));
-                }
-            }
-            ClusterSim::Paxos(sim) => {
-                for &node in &self.replicas {
-                    let req = Request::new(id, command.clone());
-                    sim.post(node, PaxosMessage::Request(req));
-                }
-            }
-            ClusterSim::Smart(sim) => {
-                for &node in &self.replicas {
-                    let req = Request::new(id, command.clone());
-                    sim.post(node, SmartMessage::Request(req));
-                }
-            }
-        }
+        let req = Request::new(RequestId::new(RECONFIG_CLIENT, OpNumber(op)), cmd.encode());
+        on_sim!(&mut self.sim, |sim| for &node in &self.replicas {
+            sim.post(node, Wired::request(req.clone()));
+        })
     }
 
     /// Sets the CPU degradation factor of the replica at `index` (1.0 =
     /// nominal speed).
     pub fn set_replica_cpu_factor(&mut self, index: usize, factor: f64) {
         let node = self.replicas[index];
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.set_cpu_factor(node, factor),
-            ClusterSim::Paxos(sim) => sim.set_cpu_factor(node, factor),
-            ClusterSim::Smart(sim) => sim.set_cpu_factor(node, factor),
-        }
+        on_sim!(&mut self.sim, |sim| sim.set_cpu_factor(node, factor))
     }
 
     /// Mutable access to the network model, for partitions, loss bursts,
     /// and link overrides between [`run_for`](Self::run_for) calls.
     pub fn network_mut(&mut self) -> &mut Network {
-        match &mut self.sim {
-            ClusterSim::Idem(sim) => sim.network_mut(),
-            ClusterSim::Paxos(sim) => sim.network_mut(),
-            ClusterSim::Smart(sim) => sim.network_mut(),
-        }
+        on_sim!(&mut self.sim, |sim| sim.network_mut())
     }
 
     /// Partitions the replicas with indexes in `a` from those in `b`
@@ -643,63 +553,43 @@ impl ClusterHandles {
     /// # Panics
     /// Panics if the index is out of range.
     pub fn exec_log(&self, index: usize) -> Vec<idem_common::ExecRecord> {
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim
-                .node_as::<IdemReplica>(self.replicas[index])
-                .expect("replica type")
-                .exec_log()
-                .to_vec(),
-            ClusterSim::Paxos(sim) => sim
-                .node_as::<PaxosReplica>(self.replicas[index])
-                .expect("replica type")
-                .exec_log()
-                .to_vec(),
-            ClusterSim::Smart(sim) => sim
-                .node_as::<SmartReplica>(self.replicas[index])
-                .expect("replica type")
-                .exec_log()
-                .to_vec(),
-        }
+        self.base(index).exec_log().to_vec()
     }
 
     /// Total bytes sent on links where at least one endpoint is a client.
     pub fn client_traffic_bytes(&self) -> u64 {
         let replica_max = self.replicas.len() as u32;
         let is_replica = move |n: NodeId| n.0 < replica_max;
-        self.with_traffic(|t| t.bytes_matching(|f, to| !is_replica(f) || !is_replica(to)))
+        self.traffic()
+            .bytes_matching(|f, to| !is_replica(f) || !is_replica(to))
     }
 
     /// Total bytes sent between replicas.
     pub fn replica_traffic_bytes(&self) -> u64 {
         let replica_max = self.replicas.len() as u32;
         let is_replica = move |n: NodeId| n.0 < replica_max;
-        self.with_traffic(|t| t.bytes_matching(|f, to| is_replica(f) && is_replica(to)))
+        self.traffic()
+            .bytes_matching(|f, to| is_replica(f) && is_replica(to))
     }
 
     /// Total bytes sent on all links.
     pub fn total_traffic_bytes(&self) -> u64 {
-        self.with_traffic(idem_simnet::Traffic::total_bytes)
+        self.traffic().total_bytes()
     }
 
     /// Total messages sent on all links.
     pub fn total_messages(&self) -> u64 {
-        self.with_traffic(idem_simnet::Traffic::total_messages)
+        self.traffic().total_messages()
     }
 
-    fn with_traffic<R>(&self, f: impl FnOnce(&idem_simnet::Traffic) -> R) -> R {
-        match &self.sim {
-            ClusterSim::Idem(sim) => f(sim.traffic()),
-            ClusterSim::Paxos(sim) => f(sim.traffic()),
-            ClusterSim::Smart(sim) => f(sim.traffic()),
-        }
+    fn traffic(&self) -> &idem_simnet::Traffic {
+        on_sim!(&self.sim, |sim| sim.traffic())
     }
 
     /// IDEM replica stats (None when running a baseline protocol).
     pub fn idem_stats(&self, index: usize) -> Option<idem_core::ReplicaStats> {
         match &self.sim {
-            ClusterSim::Idem(sim) => sim
-                .node_as::<IdemReplica>(self.replicas[index])
-                .map(|r| *r.stats()),
+            ClusterSim::Idem(sim) => Some(*replica_at(sim, self.replicas[index]).stats()),
             _ => None,
         }
     }
@@ -707,9 +597,7 @@ impl ClusterHandles {
     /// Paxos replica stats (None when running another protocol).
     pub fn paxos_stats(&self, index: usize) -> Option<idem_paxos::PaxosReplicaStats> {
         match &self.sim {
-            ClusterSim::Paxos(sim) => sim
-                .node_as::<PaxosReplica>(self.replicas[index])
-                .map(|r| *r.stats()),
+            ClusterSim::Paxos(sim) => Some(*replica_at(sim, self.replicas[index]).stats()),
             _ => None,
         }
     }
@@ -717,9 +605,7 @@ impl ClusterHandles {
     /// SMaRt replica stats (None when running another protocol).
     pub fn smart_stats(&self, index: usize) -> Option<idem_smart::SmartReplicaStats> {
         match &self.sim {
-            ClusterSim::Smart(sim) => sim
-                .node_as::<SmartReplica>(self.replicas[index])
-                .map(|r| *r.stats()),
+            ClusterSim::Smart(sim) => Some(*replica_at(sim, self.replicas[index]).stats()),
             _ => None,
         }
     }
@@ -730,56 +616,27 @@ impl ClusterHandles {
     /// # Panics
     /// Panics if the index is out of range.
     pub fn app_digest(&self, index: usize) -> u64 {
-        let snapshot = match &self.sim {
-            ClusterSim::Idem(sim) => sim
-                .node_as::<IdemReplica>(self.replicas[index])
-                .expect("replica type")
-                .app()
-                .snapshot(),
-            ClusterSim::Paxos(sim) => sim
-                .node_as::<PaxosReplica>(self.replicas[index])
-                .expect("replica type")
-                .app()
-                .snapshot(),
-            ClusterSim::Smart(sim) => sim
-                .node_as::<SmartReplica>(self.replicas[index])
-                .expect("replica type")
-                .app()
-                .snapshot(),
-        };
         let mut kv = KvStore::new();
-        idem_common::StateMachine::restore(&mut kv, &snapshot);
+        kv.restore(&self.base(index).app().snapshot());
         kv.digest()
     }
 
     /// Number of events processed so far (for performance reporting).
     pub fn events_processed(&self) -> u64 {
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim.events_processed(),
-            ClusterSim::Paxos(sim) => sim.events_processed(),
-            ClusterSim::Smart(sim) => sim.events_processed(),
-        }
+        on_sim!(&self.sim, |sim| sim.events_processed())
     }
 
     /// Per-kind dispatch breakdown and queue high-water mark of the
     /// underlying simulation (for performance reporting).
     pub fn event_stats(&self) -> idem_simnet::EventStats {
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim.event_stats(),
-            ClusterSim::Paxos(sim) => sim.event_stats(),
-            ClusterSim::Smart(sim) => sim.event_stats(),
-        }
+        on_sim!(&self.sim, |sim| sim.event_stats())
     }
 
     /// Per-node backlog-drain profiles, indexed like the simulator's nodes
     /// (replicas first, then clients). Shows how much work each drain pass
     /// batched — the run-to-completion scheduler's effectiveness measure.
     pub fn drain_profiles(&self) -> Vec<idem_simnet::DrainProfile> {
-        match &self.sim {
-            ClusterSim::Idem(sim) => sim.drain_profiles().to_vec(),
-            ClusterSim::Paxos(sim) => sim.drain_profiles().to_vec(),
-            ClusterSim::Smart(sim) => sim.drain_profiles().to_vec(),
-        }
+        on_sim!(&self.sim, |sim| sim.drain_profiles().to_vec())
     }
 }
 

@@ -29,17 +29,17 @@ use std::time::Duration;
 use idem_common::driver::{OperationOutcome, OutcomeKind};
 use idem_common::load::{ArrivalSampler, BackoffWheel, LoadCounters};
 use idem_common::{
-    ClientId, Directory, OpNumber, PersistMode, QuorumTracker, ReplicaId, Reply, Request, RequestId,
+    ClientId, Directory, OpNumber, QuorumTracker, ReplicaId, Reply, Request, RequestId,
 };
-use idem_core::{IdemMessage, IdemReplica};
+use idem_core::IdemMessage;
 use idem_kv::{KvStore, Workload};
 use idem_metrics::Histogram;
-use idem_paxos::{PaxosMessage, PaxosReplica};
+use idem_paxos::PaxosMessage;
 use idem_simnet::{Context, Node, NodeId, SimTime, Simulation, TimerId, Wire};
-use idem_smart::{SmartMessage, SmartReplica};
+use idem_smart::SmartMessage;
 use rand::Rng;
 
-use crate::cluster::{experiment_network, Protocol, KV_EXEC_COST};
+use crate::cluster::{experiment_network, Protocol, Wired, KV_EXEC_COST};
 use crate::recorder::{Recorder, RecorderHandle};
 use crate::scenario::LoadScenario;
 
@@ -1107,82 +1107,42 @@ pub fn run_load_scenario(protocol: &Protocol, sc: &LoadScenario) -> LoadRunResul
 
 /// Same, for `total` of virtual time whatever the schedule's length.
 fn run_load_scenario_for(protocol: &Protocol, sc: &LoadScenario, total: Duration) -> LoadRunResult {
-    let name = protocol.name();
+    let (name, n) = (protocol.name(), protocol.replica_count());
     match protocol {
-        Protocol::Idem { config, .. } => {
-            let mut sim: Simulation<IdemMessage> =
-                Simulation::with_network(sc.seed, experiment_network());
-            let replicas: Vec<NodeId> =
-                (0..config.quorum.n()).map(|_| sim.reserve_node()).collect();
-            let source = sim.reserve_node();
-            let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), source);
-            for (i, &node) in replicas.iter().enumerate() {
-                let mut replica = IdemReplica::new(
-                    config.clone(),
-                    ReplicaId(i as u32),
-                    dir.clone(),
-                    Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO)),
-                );
-                replica.set_persistence(PersistMode::Disabled);
-                sim.install_node(node, Box::new(replica));
-            }
-            let port = IdemLoadPort::new(replicas, config.quorum.ambivalence());
-            drive::<IdemLoadPort>(sim, source, dir, port, sc, name, total)
-        }
-        Protocol::Paxos { config, .. } => {
-            let mut sim: Simulation<PaxosMessage> =
-                Simulation::with_network(sc.seed, experiment_network());
-            let replicas: Vec<NodeId> =
-                (0..config.quorum.n()).map(|_| sim.reserve_node()).collect();
-            let source = sim.reserve_node();
-            let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), source);
-            for (i, &node) in replicas.iter().enumerate() {
-                let mut replica = PaxosReplica::new(
-                    config.clone(),
-                    ReplicaId(i as u32),
-                    dir.clone(),
-                    Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO)),
-                );
-                replica.set_persistence(PersistMode::Disabled);
-                sim.install_node(node, Box::new(replica));
-            }
-            let port = PaxosLoadPort {
+        Protocol::Idem { config, .. } => drive::<IdemMessage, _>(config, n, sc, name, total, {
+            |replicas| IdemLoadPort::new(replicas, config.quorum.ambivalence())
+        }),
+        Protocol::Paxos { config, .. } => drive::<PaxosMessage, _>(config, n, sc, name, total, {
+            |_| PaxosLoadPort {
                 leader: ReplicaId(0),
-            };
-            drive::<PaxosLoadPort>(sim, source, dir, port, sc, name, total)
-        }
-        Protocol::Smart { config, .. } => {
-            let mut sim: Simulation<SmartMessage> =
-                Simulation::with_network(sc.seed, experiment_network());
-            let replicas: Vec<NodeId> =
-                (0..config.quorum.n()).map(|_| sim.reserve_node()).collect();
-            let source = sim.reserve_node();
-            let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), source);
-            for (i, &node) in replicas.iter().enumerate() {
-                let mut replica = SmartReplica::new(
-                    config.clone(),
-                    ReplicaId(i as u32),
-                    dir.clone(),
-                    Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO)),
-                );
-                replica.set_persistence(PersistMode::Disabled);
-                sim.install_node(node, Box::new(replica));
             }
-            let port = SmartLoadPort { replicas };
-            drive::<SmartLoadPort>(sim, source, dir, port, sc, name, total)
-        }
+        }),
+        Protocol::Smart { config, .. } => drive::<SmartMessage, _>(config, n, sc, name, total, {
+            |replicas| SmartLoadPort { replicas }
+        }),
     }
 }
 
-fn drive<P: LoadPort>(
-    mut sim: Simulation<P::Msg>,
-    source: NodeId,
-    dir: Directory<NodeId>,
-    port: P,
+/// Wires `n` replicas of one protocol and the aggregate source, talking
+/// through the port `port` builds, and runs them for `total`.
+fn drive<M: Wired, P: LoadPort<Msg = M>>(
+    config: &M::Config,
+    n: u32,
     sc: &LoadScenario,
     protocol: &'static str,
     total: Duration,
+    port: impl FnOnce(Vec<NodeId>) -> P,
 ) -> LoadRunResult {
+    let mut sim: Simulation<M> = Simulation::with_network(sc.seed, experiment_network());
+    let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
+    let source = sim.reserve_node();
+    let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), source);
+    for (i, &node) in replicas.iter().enumerate() {
+        let store = KvStore::with_costs(KV_EXEC_COST, Duration::ZERO);
+        let replica = M::replica(config, ReplicaId(i as u32), dir.clone(), Box::new(store));
+        sim.install_node(node, Box::new(replica));
+    }
+    let port = port(replicas);
     let recorder = RecorderHandle::new(
         Recorder::new(sc.warmup, Duration::from_millis(250)).with_expected_duration(total),
     );

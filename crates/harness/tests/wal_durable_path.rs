@@ -9,6 +9,14 @@
 //! disk byte and every exec-log entry of a WAL-enabled cell with a leader
 //! crash, a reconfiguration and a truncating wipe. If one changes, the
 //! bytes on disk or the recovered state moved.
+//!
+//! A second cell feeds the same digest with what the first leaves out: the
+//! leader *leaving* under load (the epoch switch promotes a follower), the
+//! promoted leader replaced by the spare, and the then-leader wiped. Its
+//! goldens were captured from the last build in which each replica carried
+//! its own copy of recovery, state transfer and the epoch switch (commit
+//! c7cb087, by running this file against it) — before any of that moved
+//! into `idem_common::replica`.
 
 use std::time::Duration;
 
@@ -158,6 +166,130 @@ fn paxos_disks_and_exec_logs_match_owned_record_golden() {
 #[test]
 fn smart_disks_and_exec_logs_match_owned_record_golden() {
     assert_golden(Protocol::smart(), GOLDEN_SMART);
+}
+
+/// Proposals (IDEM, Paxos) or batches (SMaRt) the replica at `index` has
+/// led so far — only a leader's counter moves.
+fn led(cluster: &ClusterHandles, index: usize) -> u64 {
+    let idem = cluster.idem_stats(index).map(|s| s.proposals_sent);
+    let paxos = cluster.paxos_stats(index).map(|s| s.proposals_sent);
+    let smart = cluster.smart_stats(index).map(|s| s.batches_proposed);
+    idem.or(paxos).or(smart).expect("one protocol runs")
+}
+
+fn view_changes(cluster: &ClusterHandles, index: usize) -> u64 {
+    let idem = cluster.idem_stats(index).map(|s| s.view_changes_completed);
+    let paxos = cluster.paxos_stats(index).map(|s| s.view_changes_completed);
+    let smart = cluster.smart_stats(index).map(|s| s.view_changes_completed);
+    idem.or(paxos).or(smart).expect("one protocol runs")
+}
+
+/// The replica leading the cluster right now: the one whose proposal
+/// counter moves while the closed-loop clients keep the group busy.
+fn current_leader(cluster: &mut ClusterHandles) -> usize {
+    let before: Vec<u64> = (0..cluster.replicas.len())
+        .map(|i| led(cluster, i))
+        .collect();
+    cluster.run_for(Duration::from_millis(50));
+    let moved: Vec<usize> = (0..cluster.replicas.len())
+        .filter(|&i| led(cluster, i) > before[i])
+        .collect();
+    assert_eq!(moved.len(), 1, "exactly one replica leads: {moved:?}");
+    moved[0]
+}
+
+/// What the leader-churn cell did besides its disks and logs.
+struct Churned {
+    cluster: ClusterHandles,
+    /// Who led after the leader left.
+    promoted: usize,
+    /// The wiped leader and its frontier just before the wipe.
+    wiped: usize,
+    frontier_at_wipe: u64,
+}
+
+/// The leader leaves under load (the epoch switch promotes a follower —
+/// the site of the leader-departure stall), the promoted leader is
+/// replaced by the spare, and whichever replica leads by then is wiped
+/// (replay, rotating catch-up over a two-member group) and settles.
+fn leader_churn_cell(protocol: &Protocol) -> Churned {
+    let mut cluster = durable_cluster(protocol, 1);
+    cluster.run_for(Duration::from_millis(300));
+    cluster.inject_reconfig(1, &ReconfigCommand::Leave(ReplicaId(0)));
+    cluster.run_for(Duration::from_millis(350));
+    let promoted = current_leader(&mut cluster);
+    let replace = ReconfigCommand::Replace {
+        old: ReplicaId(1),
+        new: ReplicaId(3),
+    };
+    cluster.inject_reconfig(2, &replace);
+    cluster.run_for(Duration::from_millis(350));
+    let wiped = current_leader(&mut cluster);
+    let frontier_at_wipe = cluster.exec_frontier(wiped);
+    cluster.wipe_replica(wiped, false);
+    cluster.run_for(Duration::from_millis(600));
+    Churned {
+        cluster,
+        promoted,
+        wiped,
+        frontier_at_wipe,
+    }
+}
+
+const GOLDEN_CHURN_IDEM: u64 = 0xd17d3e494c8dd8ac;
+const GOLDEN_CHURN_PAXOS: u64 = 0x59bc8499586b28cd;
+const GOLDEN_CHURN_SMART: u64 = 0xe60ba03c5162c7af;
+
+fn assert_churn_golden(protocol: Protocol, golden: u64) {
+    let name = protocol.name();
+    let Churned {
+        cluster,
+        promoted,
+        wiped,
+        frontier_at_wipe,
+    } = leader_churn_cell(&protocol);
+    // The cell must actually exercise what it pins.
+    assert_ne!(promoted, 0, "{name}: the departed leader still leads");
+    let members: Vec<usize> = (0..4).filter(|&i| cluster.is_member(i)).collect();
+    assert_eq!(members, [2, 3], "{name}: membership after leave + replace");
+    assert!(members.contains(&wiped), "{name}: wiped a non-member");
+    for index in 1..4 {
+        let epoch = cluster.epoch(index);
+        assert!(epoch >= 2, "{name}: replica {index} stuck in epoch {epoch}");
+    }
+    let changes: u64 = (0..4).map(|i| view_changes(&cluster, i)).sum();
+    assert!(
+        changes >= 1 || promoted != wiped,
+        "{name}: leadership never moved past the promotion"
+    );
+    let peer = members[usize::from(members[0] == wiped)];
+    assert!(
+        cluster.exec_frontier(wiped) > frontier_at_wipe
+            && cluster.exec_frontier(wiped) + 64 > cluster.exec_frontier(peer),
+        "{name}: wiped leader at {} (was {frontier_at_wipe}), peer at {}",
+        cluster.exec_frontier(wiped),
+        cluster.exec_frontier(peer)
+    );
+    let got = digest(&cluster);
+    assert_eq!(
+        got, golden,
+        "{name}: disk bytes or exec logs diverged from the three-copy build (got {got:#018x})"
+    );
+}
+
+#[test]
+fn idem_leader_churn_matches_three_copy_golden() {
+    assert_churn_golden(Protocol::idem(), GOLDEN_CHURN_IDEM);
+}
+
+#[test]
+fn paxos_leader_churn_matches_three_copy_golden() {
+    assert_churn_golden(Protocol::paxos(), GOLDEN_CHURN_PAXOS);
+}
+
+#[test]
+fn smart_leader_churn_matches_three_copy_golden() {
+    assert_churn_golden(Protocol::smart(), GOLDEN_CHURN_SMART);
 }
 
 /// A write torn by power loss leaves the newest checkpoint record cut off

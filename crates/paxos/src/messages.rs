@@ -1,6 +1,8 @@
 //! Paxos baseline wire messages and timer payloads.
 
-use idem_common::{Membership, OpNumber, Reply, Request, RequestId, SeqNumber, View};
+use idem_common::{
+    CheckpointData, Membership, OpNumber, ReplicaWire, Reply, Request, RequestId, SeqNumber, View,
+};
 use idem_simnet::Wire;
 
 /// One entry of a view-change window summary. Unlike IDEM, the entry must
@@ -70,18 +72,7 @@ pub enum PaxosMessage {
     /// Ask a peer for its newest checkpoint.
     CheckpointRequest,
     /// Checkpoint transfer: application snapshot + client table.
-    Checkpoint {
-        /// First sequence number not covered.
-        next_exec: SeqNumber,
-        /// Serialized application state.
-        snapshot: Vec<u8>,
-        /// `(client id, last executed op, cached reply)` per client.
-        clients: Vec<(u32, OpNumber, Vec<u8>)>,
-        /// The membership in force at `next_exec`. State transfer is
-        /// epoch-aware: a joiner installs this before serving. Wire-free
-        /// while the group is still in its bootstrap epoch.
-        membership: Membership,
-    },
+    Checkpoint(CheckpointData),
     /// Replica → client: the group reconfigured; re-resolve the presumed
     /// leader against this membership instead of timing out against
     /// departed replicas.
@@ -114,16 +105,7 @@ impl Wire for PaxosMessage {
                     .sum::<usize>()
             }
             PaxosMessage::CheckpointRequest => 4,
-            PaxosMessage::Checkpoint {
-                snapshot,
-                clients,
-                membership,
-                ..
-            } => {
-                8 + snapshot.len()
-                    + clients.iter().map(|(_, _, r)| 12 + r.len()).sum::<usize>()
-                    + membership.wire_size()
-            }
+            PaxosMessage::Checkpoint(data) => data.wire_size(),
             PaxosMessage::MembershipUpdate(m) => m.wire_size(),
             PaxosMessage::ProgressTimer
             | PaxosMessage::ClientTimeout(_)
@@ -133,10 +115,25 @@ impl Wire for PaxosMessage {
     }
 }
 
+impl ReplicaWire for PaxosMessage {
+    const CHECKPOINT_REQUEST: PaxosMessage = PaxosMessage::CheckpointRequest;
+    const PROGRESS_TIMER: PaxosMessage = PaxosMessage::ProgressTimer;
+    const RECOVERY_TIMER: PaxosMessage = PaxosMessage::RecoveryTimer;
+    fn checkpoint(data: CheckpointData) -> PaxosMessage {
+        PaxosMessage::Checkpoint(data)
+    }
+    fn membership_update(membership: Membership) -> PaxosMessage {
+        PaxosMessage::MembershipUpdate(membership)
+    }
+    fn reply(reply: Reply) -> PaxosMessage {
+        PaxosMessage::Reply(reply)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idem_common::{ClientId, OpNumber};
+    use idem_common::{ClientId, ClientRecord, OpNumber};
 
     fn req(bytes: usize) -> Request {
         Request::new(RequestId::new(ClientId(1), OpNumber(1)), vec![0u8; bytes])
@@ -181,12 +178,16 @@ mod tests {
 
     #[test]
     fn checkpoint_membership_is_wire_free_at_bootstrap() {
-        let msg = PaxosMessage::Checkpoint {
+        let msg = PaxosMessage::Checkpoint(CheckpointData {
             next_exec: SeqNumber(4),
             snapshot: vec![0; 50],
-            clients: vec![(1, OpNumber(2), vec![0; 8])],
+            clients: vec![ClientRecord {
+                client: ClientId(1),
+                last_op: OpNumber(2),
+                reply: vec![0; 8],
+            }],
             membership: Membership::bootstrap(3),
-        };
+        });
         // Unchanged from the fixed-membership protocol.
         assert_eq!(msg.wire_size(), 8 + 50 + 12 + 8);
         assert_eq!(

@@ -4,6 +4,12 @@ use std::time::Duration;
 
 use idem_common::{FixedCost, QuorumSet};
 
+/// Bits reserved for the in-batch offset when a SMaRt execution slot is
+/// packed as `(batch_sqn << SLOT_BATCH_SHIFT) | offset`: the exec log, the
+/// WAL's accept and exec records and replay all rely on commands of one
+/// batch keeping distinct slots, which bounds `max_batch`.
+pub(crate) const SLOT_BATCH_SHIFT: u32 = 20;
+
 /// Configuration of a SMaRt replica group.
 ///
 /// # Example
@@ -50,6 +56,24 @@ impl SmartConfig {
         self
     }
 
+    /// Checks the configuration for consistency.
+    ///
+    /// # Panics
+    /// Panics if the batch size is zero (the leader would open empty
+    /// instances forever) or does not fit the in-batch offset of a packed
+    /// execution slot, or the checkpoint interval is zero.
+    pub fn validate(&self) {
+        assert!(self.max_batch > 0, "batch size must be positive");
+        assert!(
+            self.max_batch < 1 << SLOT_BATCH_SHIFT,
+            "batch size must stay below 2^{SLOT_BATCH_SHIFT}, the in-batch offset of a packed slot"
+        );
+        assert!(
+            self.checkpoint_interval > 0,
+            "checkpoint interval must be positive"
+        );
+    }
+
     /// Returns a copy with a different per-message CPU cost model.
     #[must_use]
     pub fn with_message_cost(mut self, cost: FixedCost) -> SmartConfig {
@@ -79,5 +103,44 @@ mod tests {
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_rejected() {
         let _ = SmartConfig::default().with_max_batch(0);
+    }
+
+    #[test]
+    fn defaults_are_valid() {
+        SmartConfig::default().validate();
+        SmartConfig::for_faults(2).with_max_batch(1).validate();
+    }
+
+    // Struct-update literals bypass `with_max_batch`; `validate` (which
+    // `SmartReplica::new` calls) is what stops them.
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn zero_batch_literal_is_invalid() {
+        let cfg = SmartConfig {
+            max_batch: 0,
+            ..SmartConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must stay below 2^20")]
+    fn batch_overflowing_the_slot_packing_is_invalid() {
+        let cfg = SmartConfig {
+            max_batch: 1 << SLOT_BATCH_SHIFT,
+            ..SmartConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint interval must be positive")]
+    fn zero_checkpoint_interval_is_invalid() {
+        let cfg = SmartConfig {
+            checkpoint_interval: 0,
+            ..SmartConfig::default()
+        };
+        cfg.validate();
     }
 }

@@ -1,6 +1,8 @@
 //! SMaRt baseline wire messages and timer payloads.
 
-use idem_common::{Membership, OpNumber, Reply, Request, RequestId, SeqNumber, View};
+use idem_common::{
+    CheckpointData, Membership, OpNumber, ReplicaWire, Reply, Request, RequestId, SeqNumber, View,
+};
 use idem_simnet::Wire;
 
 /// All messages of the SMaRt baseline.
@@ -42,19 +44,8 @@ pub enum SmartMessage {
     },
     /// Ask a peer for its newest checkpoint.
     CheckpointRequest,
-    /// Checkpoint transfer.
-    Checkpoint {
-        /// First instance not covered.
-        next_sqn: SeqNumber,
-        /// Serialized application state.
-        snapshot: Vec<u8>,
-        /// `(client id, last executed op, cached reply)` per client.
-        clients: Vec<(u32, OpNumber, Vec<u8>)>,
-        /// The membership in force at `next_sqn`. State transfer is
-        /// epoch-aware: a joiner installs this before serving. Wire-free
-        /// while the group is still in its bootstrap epoch.
-        membership: Membership,
-    },
+    /// Checkpoint transfer; `next_exec` is the first instance not covered.
+    Checkpoint(CheckpointData),
     /// Replica → client: the group reconfigured; re-resolve the multicast
     /// target set against this membership.
     MembershipUpdate(Membership),
@@ -88,22 +79,28 @@ impl Wire for SmartMessage {
                     .map_or(0, |(_, _, batch)| 16 + batch_size(batch))
             }
             SmartMessage::CheckpointRequest => 4,
-            SmartMessage::Checkpoint {
-                snapshot,
-                clients,
-                membership,
-                ..
-            } => {
-                8 + snapshot.len()
-                    + clients.iter().map(|(_, _, r)| 12 + r.len()).sum::<usize>()
-                    + membership.wire_size()
-            }
+            SmartMessage::Checkpoint(data) => data.wire_size(),
             SmartMessage::MembershipUpdate(m) => m.wire_size(),
             SmartMessage::ProgressTimer
             | SmartMessage::ClientTimeout(_)
             | SmartMessage::BackoffTimer
             | SmartMessage::RecoveryTimer => 0,
         }
+    }
+}
+
+impl ReplicaWire for SmartMessage {
+    const CHECKPOINT_REQUEST: SmartMessage = SmartMessage::CheckpointRequest;
+    const PROGRESS_TIMER: SmartMessage = SmartMessage::ProgressTimer;
+    const RECOVERY_TIMER: SmartMessage = SmartMessage::RecoveryTimer;
+    fn checkpoint(data: CheckpointData) -> SmartMessage {
+        SmartMessage::Checkpoint(data)
+    }
+    fn membership_update(membership: Membership) -> SmartMessage {
+        SmartMessage::MembershipUpdate(membership)
+    }
+    fn reply(reply: Reply) -> SmartMessage {
+        SmartMessage::Reply(reply)
     }
 }
 
@@ -115,7 +112,7 @@ pub fn batch_ids(batch: &[Request]) -> Vec<RequestId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idem_common::ClientId;
+    use idem_common::{ClientId, ClientRecord};
 
     fn req(bytes: usize, op: u64) -> Request {
         Request::new(RequestId::new(ClientId(1), OpNumber(op)), vec![0; bytes])
@@ -158,12 +155,16 @@ mod tests {
 
     #[test]
     fn checkpoint_membership_is_wire_free_at_bootstrap() {
-        let msg = SmartMessage::Checkpoint {
-            next_sqn: SeqNumber(4),
+        let msg = SmartMessage::Checkpoint(CheckpointData {
+            next_exec: SeqNumber(4),
             snapshot: vec![0; 50],
-            clients: vec![(1, OpNumber(2), vec![0; 8])],
+            clients: vec![ClientRecord {
+                client: ClientId(1),
+                last_op: OpNumber(2),
+                reply: vec![0; 8],
+            }],
             membership: Membership::bootstrap(3),
-        };
+        });
         // Unchanged from the fixed-membership protocol.
         assert_eq!(msg.wire_size(), 8 + 50 + 12 + 8);
         assert_eq!(
