@@ -7,6 +7,7 @@
 //! handle `N` so this crate stays independent of the transport.
 
 use crate::ids::{ClientId, ReplicaId};
+use crate::membership::Membership;
 
 /// Static address book of a replicated system deployment.
 ///
@@ -111,6 +112,12 @@ impl<N: Copy + PartialEq> Directory<N> {
     /// All replica addresses in id order.
     pub fn replica_addrs(&self) -> &[N] {
         &self.replicas
+    }
+
+    /// The addresses of `group`'s members, in member order — the replica
+    /// slice itself at epoch 0.
+    pub fn member_addrs(&self, group: &Membership) -> Vec<N> {
+        group.members().iter().map(|&r| self.replica(r)).collect()
     }
 
     /// All client addresses in id order.

@@ -14,10 +14,13 @@
 //!
 //! Most of it is plain data or a small protocol-agnostic interface (the
 //! [`driver`] module), so the protocol crates stay testable in isolation.
-//! The [`replica`] module is the exception: it is the chassis the three
+//! Two modules are the exception. [`replica`] is the chassis the three
 //! replicas are built on — roles, sessions, recovery, state transfer,
 //! view-change voting and the epoch switch, written once — over the
-//! durable log of [`wal`] and the epochs of [`membership`].
+//! durable log of [`wal`] and the epochs of [`membership`]. [`client`] is
+//! its counterpart on the other side of the wire: the one closed-loop
+//! client, and the per-protocol port it and the open-loop load source
+//! both talk through.
 //!
 //! # Example
 //!
@@ -31,6 +34,7 @@
 //! ```
 
 pub mod app;
+pub mod client;
 pub mod dense;
 pub mod directory;
 pub mod driver;
@@ -46,6 +50,7 @@ pub mod wal;
 pub mod window;
 
 pub use app::{CostModel, FixedCost, StateMachine};
+pub use client::{Client, ClientEvent, ClientPort, ClientSetup, ClientStats, ClientTiming};
 pub use dense::{Chained, ReqHandle, ReqSlab, SessionTable};
 pub use directory::Directory;
 pub use driver::{ClientApp, OperationOutcome, OutcomeKind};

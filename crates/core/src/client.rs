@@ -1,14 +1,15 @@
-//! The IDEM client: request submission, reject handling (pessimistic /
-//! optimistic), backoff, and retransmission (paper Sections 4.1 and 5.3).
+//! The IDEM client: its configuration and its port — where a request goes
+//! (every member) and what a reject means (pessimistic / optimistic
+//! handling of ambivalence, paper Sections 4.1 and 5.3). Issuing, backoff
+//! and retransmission are the shared [`Client`] chassis.
 
 use std::time::Duration;
 
-use idem_common::{
-    Directory, Membership, OpNumber, QuorumSet, QuorumTracker, Request, RequestId, ResultBytes,
-};
-use idem_simnet::{Context, Node, NodeId, SimTime, TimerId};
-use rand::Rng;
+use idem_common::client::{Client, ClientEvent, ClientPort, ClientSetup, ClientTiming};
+use idem_common::{Directory, Membership, OpNumber, QuorumSet, Request};
+use idem_simnet::{Context, NodeId};
 
+pub use idem_common::client::ClientStats;
 pub use idem_common::driver::{ClientApp, OperationOutcome, OutcomeKind};
 
 use crate::messages::IdemMessage;
@@ -112,298 +113,94 @@ impl ClientConfig {
     }
 }
 
-/// Counters of one client.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ClientStats {
-    pub issued: u64,
-    pub successes: u64,
-    pub rejected_ambivalent: u64,
-    pub rejected_final: u64,
-    pub retransmissions: u64,
-}
-
-#[derive(Debug)]
-struct InFlight {
-    id: RequestId,
-    command: std::sync::Arc<[u8]>,
-    issued_at: SimTime,
-    rejects: QuorumTracker,
-    optimistic_timer: Option<TimerId>,
-    retransmit_timer: TimerId,
-}
-
-/// An IDEM client node: closed-loop operation issuing with the reject
-/// semantics of Section 5.3.
-pub struct IdemClient {
-    cfg: ClientConfig,
-    id: idem_common::ClientId,
-    dir: Directory<NodeId>,
-    app: Box<dyn ClientApp>,
-    next_op: OpNumber,
-    current: Option<InFlight>,
-    stats: ClientStats,
-    stopped: bool,
-    /// The client's view of the replica group. Starts at the bootstrap
-    /// membership and advances on `MembershipUpdate` redirects; requests
-    /// go to (and reject thresholds count over) the current members.
-    membership: Membership,
-}
-
-impl IdemClient {
-    /// Creates a client with identity `id`, driven by `app`.
-    pub fn new(
-        cfg: ClientConfig,
-        id: idem_common::ClientId,
-        dir: Directory<NodeId>,
-        app: Box<dyn ClientApp>,
-    ) -> IdemClient {
-        IdemClient {
-            membership: Membership::bootstrap(cfg.quorum.n()),
-            cfg,
-            id,
-            dir,
-            app,
-            next_op: OpNumber(1),
-            current: None,
-            stats: ClientStats::default(),
-            stopped: false,
-        }
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &ClientStats {
-        &self.stats
-    }
-
-    /// This client's identity.
-    pub fn client_id(&self) -> idem_common::ClientId {
-        self.id
-    }
-
-    /// Whether the client has stopped issuing operations (its
-    /// [`ClientApp::next_command`] returned `None`).
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    /// Read access to the driving application.
-    pub fn app(&self) -> &dyn ClientApp {
-        &*self.app
-    }
-
+/// The IDEM port: requests are multicast to every member, and rejects are
+/// counted toward the ambivalence quorum `n − f`. Built by
+/// [`ClientConfig::port`](ClientSetup::port).
+pub struct IdemPort {
+    handling: RejectHandling,
     /// Addresses of the current members, in sorted member order —
     /// identical to the directory's replica slice at epoch 0.
-    fn member_addrs(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.membership
-            .members()
-            .iter()
-            .map(|&r| self.dir.replica(r))
+    targets: Vec<NodeId>,
+    ambivalence: u32,
+}
+
+impl ClientPort for IdemPort {
+    type Msg = IdemMessage;
+
+    fn submit(&mut self, ctx: &mut Context<'_, IdemMessage>, _: &Directory<NodeId>, req: Request) {
+        ctx.multicast(self.targets.iter().copied(), IdemMessage::Request(req));
     }
 
-    fn issue_next(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        debug_assert!(self.current.is_none(), "one pending request at a time");
-        let Some(command) = self.app.next_command(ctx.rng()) else {
-            self.stopped = true;
-            return;
-        };
-        let command: std::sync::Arc<[u8]> = command.into();
-        let id = RequestId::new(self.id, self.next_op);
-        self.next_op = self.next_op.next();
-        self.stats.issued += 1;
-        let req = Request::new(id, command.clone());
-        ctx.multicast(self.member_addrs(), IdemMessage::Request(req));
-        let retransmit_timer = ctx.set_timer(
-            self.cfg.retransmit_interval,
-            IdemMessage::RetransmitTimer(id.op),
-        );
-        self.current = Some(InFlight {
-            id,
-            command,
-            issued_at: ctx.now(),
-            rejects: QuorumTracker::new(self.membership.n()),
-            optimistic_timer: None,
-            retransmit_timer,
-        });
-    }
-
-    fn finish(
-        &mut self,
-        ctx: &mut Context<'_, IdemMessage>,
-        kind: OutcomeKind,
-        result: Option<ResultBytes>,
-    ) {
-        let flight = self.current.take().expect("operation in flight");
-        ctx.cancel_timer(flight.retransmit_timer);
-        if let Some(t) = flight.optimistic_timer {
-            ctx.cancel_timer(t);
-        }
-        let outcome = OperationOutcome {
-            id: flight.id,
-            kind,
-            latency: ctx.now().saturating_since(flight.issued_at),
-            completed_at: ctx.now(),
-            result,
-        };
-        match kind {
-            OutcomeKind::Success => self.stats.successes += 1,
-            OutcomeKind::RejectedAmbivalent => self.stats.rejected_ambivalent += 1,
-            OutcomeKind::RejectedFinal => self.stats.rejected_final += 1,
-        }
-        self.app.on_outcome(&outcome);
-        match kind {
-            OutcomeKind::Success => {
-                if self.cfg.think_time.is_zero() {
-                    self.issue_next(ctx);
-                } else {
-                    ctx.set_timer(self.cfg.think_time, IdemMessage::BackoffTimer);
-                }
-            }
-            OutcomeKind::RejectedAmbivalent | OutcomeKind::RejectedFinal => {
-                // The service is overloaded: regulate pressure by delaying
-                // the next operation (Section 7.1).
-                let (min, max) = self.cfg.backoff;
-                let delay = if max > min {
-                    let span = (max - min).as_nanos() as u64;
-                    min + Duration::from_nanos(ctx.rng().gen_range(0..=span))
-                } else {
-                    min
-                };
-                ctx.set_timer(delay, IdemMessage::BackoffTimer);
-            }
+    fn classify(&self, msg: IdemMessage) -> ClientEvent {
+        match msg {
+            IdemMessage::Reply(reply) => ClientEvent::Reply(reply),
+            IdemMessage::Reject(id) => ClientEvent::Reject(id),
+            IdemMessage::MembershipUpdate(m) => ClientEvent::Membership(m),
+            _ => ClientEvent::Other,
         }
     }
 
-    fn handle_reply(
-        &mut self,
-        ctx: &mut Context<'_, IdemMessage>,
-        id: RequestId,
-        result: ResultBytes,
-    ) {
-        let matches = self.current.as_ref().is_some_and(|f| f.id == id);
-        if matches {
-            self.finish(ctx, OutcomeKind::Success, Some(result));
+    fn reject_threshold(&self) -> Option<u32> {
+        Some(self.ambivalence)
+    }
+
+    fn reject_is_final(&self) -> bool {
+        false
+    }
+
+    fn tick(arg: u64) -> IdemMessage {
+        IdemMessage::RetransmitTimer(OpNumber(arg))
+    }
+
+    fn tick_arg(msg: &IdemMessage) -> Option<u64> {
+        match msg {
+            IdemMessage::RetransmitTimer(op) => Some(op.0),
+            _ => None,
         }
     }
 
-    fn handle_reject(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId, id: RequestId) {
-        let Some(replica) = self.dir.replica_of(from) else {
-            return;
-        };
-        if !self.membership.contains(replica) {
-            return;
-        }
-        let Some(flight) = self.current.as_mut() else {
-            return;
-        };
-        if flight.id != id {
-            return;
-        }
-        flight.rejects.record(replica);
-        let count = flight.rejects.count();
-        let n = self.membership.n();
-        let ambivalence = self.membership.ambivalence();
-        if count >= n {
-            // Failure state: conclusively rejected by every replica.
-            self.finish(ctx, OutcomeKind::RejectedFinal, None);
-        } else if count >= ambivalence {
-            match self.cfg.reject_handling {
-                RejectHandling::Pessimistic => {
-                    self.finish(ctx, OutcomeKind::RejectedAmbivalent, None);
-                }
-                RejectHandling::Optimistic(grace) => {
-                    if flight.optimistic_timer.is_none() {
-                        let timer = ctx.set_timer(grace, IdemMessage::OptimisticTimer(id.op));
-                        self.current.as_mut().expect("in flight").optimistic_timer = Some(timer);
-                    }
-                }
-            }
+    fn reject_grace(&self) -> Option<Duration> {
+        match self.handling {
+            RejectHandling::Pessimistic => None,
+            RejectHandling::Optimistic(grace) => Some(grace),
         }
     }
 
-    fn handle_optimistic_timer(&mut self, ctx: &mut Context<'_, IdemMessage>, op: OpNumber) {
-        let matches = self.current.as_ref().is_some_and(|f| f.id.op == op);
-        if matches {
-            self.finish(ctx, OutcomeKind::RejectedAmbivalent, None);
+    fn retarget(&mut self, dir: &Directory<NodeId>, group: &Membership) {
+        self.targets = dir.member_addrs(group);
+        self.ambivalence = group.ambivalence();
+    }
+}
+
+impl ClientSetup for ClientConfig {
+    type Port = IdemPort;
+
+    fn quorum(&self) -> QuorumSet {
+        self.quorum
+    }
+
+    fn timing(&self) -> ClientTiming {
+        ClientTiming {
+            retransmit_interval: self.retransmit_interval,
+            backoff: self.backoff,
+            start_delay: self.start_delay,
+            start_stagger: self.start_stagger,
+            think_time: self.think_time,
         }
     }
 
-    fn handle_retransmit_timer(&mut self, ctx: &mut Context<'_, IdemMessage>, op: OpNumber) {
-        let Some(flight) = self.current.as_mut() else {
-            return;
-        };
-        if flight.id.op != op {
-            return;
-        }
-        self.stats.retransmissions += 1;
-        let req = Request::new(flight.id, flight.command.clone());
-        let timer = ctx.set_timer(
-            self.cfg.retransmit_interval,
-            IdemMessage::RetransmitTimer(op),
-        );
-        self.current.as_mut().expect("in flight").retransmit_timer = timer;
-        ctx.multicast(self.member_addrs(), IdemMessage::Request(req));
-    }
-
-    /// A replica announced a newer membership: adopt it and re-target any
-    /// in-flight operation at the new group. Rejects collected under the
-    /// old epoch no longer count — the thresholds changed.
-    fn handle_membership_update(&mut self, ctx: &mut Context<'_, IdemMessage>, m: Membership) {
-        if m.epoch() <= self.membership.epoch() {
-            return;
-        }
-        self.membership = m;
-        let n = self.membership.n();
-        let mut resend = None;
-        if let Some(flight) = self.current.as_mut() {
-            flight.rejects = QuorumTracker::new(n);
-            if let Some(t) = flight.optimistic_timer.take() {
-                ctx.cancel_timer(t);
-            }
-            resend = Some(Request::new(flight.id, flight.command.clone()));
-        }
-        if let Some(req) = resend {
-            ctx.multicast(self.member_addrs(), IdemMessage::Request(req));
+    fn port(&self, dir: &Directory<NodeId>, group: &Membership) -> IdemPort {
+        IdemPort {
+            handling: self.reject_handling,
+            targets: dir.member_addrs(group),
+            ambivalence: group.ambivalence(),
         }
     }
 }
 
-impl Node<IdemMessage> for IdemClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        let stagger = self.cfg.start_stagger.as_nanos() as u64;
-        let jitter = if stagger == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos(ctx.rng().gen_range(0..=stagger))
-        };
-        let delay = self.cfg.start_delay + jitter;
-        if delay.is_zero() {
-            self.issue_next(ctx);
-        } else {
-            ctx.set_timer(delay, IdemMessage::BackoffTimer);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId, msg: IdemMessage) {
-        match msg {
-            IdemMessage::Reply(reply) => self.handle_reply(ctx, reply.id, reply.result),
-            IdemMessage::Reject(id) => self.handle_reject(ctx, from, id),
-            IdemMessage::MembershipUpdate(m) => self.handle_membership_update(ctx, m),
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, IdemMessage>, _id: TimerId, msg: IdemMessage) {
-        match msg {
-            IdemMessage::BackoffTimer if self.current.is_none() && !self.stopped => {
-                self.issue_next(ctx);
-            }
-            IdemMessage::OptimisticTimer(op) => self.handle_optimistic_timer(ctx, op),
-            IdemMessage::RetransmitTimer(op) => self.handle_retransmit_timer(ctx, op),
-            _ => {}
-        }
-    }
-}
+/// An IDEM client node: the closed-loop [`Client`] chassis with the
+/// reject semantics of Section 5.3.
+pub type IdemClient = Client<IdemPort>;
 
 #[cfg(test)]
 mod tests {
@@ -440,5 +237,20 @@ mod tests {
             cfg.backoff,
             (Duration::from_millis(50), Duration::from_millis(100))
         );
+    }
+
+    #[test]
+    fn port_takes_threshold_from_the_group_and_grace_from_the_handling() {
+        let dir = Directory::new((0..5).map(NodeId).collect(), vec![NodeId(5)]);
+        let cfg = ClientConfig::for_quorum(QuorumSet::for_faults(1));
+        let mut port = cfg.port(&dir, &Membership::bootstrap(3));
+        assert_eq!(port.reject_threshold(), Some(2));
+        assert_eq!(port.reject_grace(), Some(Duration::from_millis(5)));
+        assert!(!port.reject_is_final());
+        port.retarget(&dir, &Membership::bootstrap(5));
+        assert_eq!(port.reject_threshold(), Some(3));
+        let pessimistic = cfg.with_reject_handling(RejectHandling::Pessimistic);
+        let port = pessimistic.port(&dir, &Membership::bootstrap(3));
+        assert_eq!(port.reject_grace(), None);
     }
 }

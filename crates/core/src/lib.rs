@@ -88,7 +88,8 @@ pub mod replica;
 
 pub use acceptance::{AcceptancePolicy, AqmConfig};
 pub use client::{
-    ClientApp, ClientConfig, ClientStats, IdemClient, OperationOutcome, OutcomeKind, RejectHandling,
+    ClientApp, ClientConfig, ClientStats, IdemClient, IdemPort, OperationOutcome, OutcomeKind,
+    RejectHandling,
 };
 pub use config::IdemConfig;
 pub use messages::{CheckpointData, ClientRecord, IdemMessage, WindowEntry};

@@ -85,11 +85,10 @@ pub enum IdemMessage {
     ForwardTimer(RequestId),
     /// Progress (view-change) timer.
     ProgressTimer,
-    /// Client-side optimistic wait after `n − f` rejects.
-    OptimisticTimer(OpNumber),
-    /// Client-side post-rejection backoff before the next operation.
-    BackoffTimer,
-    /// Client-side retransmission timer.
+    /// The client's timer. A client is the only consumer of its own
+    /// timers, so it multiplexes them over this one variant: the payload
+    /// is the operation number for a retransmission, and carries a kind
+    /// tag in its top byte otherwise (`idem_common::client::encode_tick`).
     RetransmitTimer(OpNumber),
     /// Replica-side catch-up retry after a reboot: rotates the
     /// checkpoint-request target until some peer answers.
@@ -114,8 +113,6 @@ impl Wire for IdemMessage {
             IdemMessage::MembershipUpdate(m) => m.wire_size(),
             IdemMessage::ForwardTimer(_)
             | IdemMessage::ProgressTimer
-            | IdemMessage::OptimisticTimer(_)
-            | IdemMessage::BackoffTimer
             | IdemMessage::RetransmitTimer(_)
             | IdemMessage::RecoveryTimer => 0,
         }
@@ -166,8 +163,6 @@ mod tests {
     fn timer_payloads_cost_no_traffic() {
         assert_eq!(IdemMessage::ForwardTimer(rid()).wire_size(), 0);
         assert_eq!(IdemMessage::ProgressTimer.wire_size(), 0);
-        assert_eq!(IdemMessage::OptimisticTimer(OpNumber(1)).wire_size(), 0);
-        assert_eq!(IdemMessage::BackoffTimer.wire_size(), 0);
         assert_eq!(IdemMessage::RetransmitTimer(OpNumber(1)).wire_size(), 0);
         assert_eq!(IdemMessage::RecoveryTimer.wire_size(), 0);
     }

@@ -1542,8 +1542,6 @@ impl Node<IdemMessage> for IdemReplica {
             | IdemMessage::Reply(_)
             | IdemMessage::ForwardTimer(_)
             | IdemMessage::ProgressTimer
-            | IdemMessage::OptimisticTimer(_)
-            | IdemMessage::BackoffTimer
             | IdemMessage::RetransmitTimer(_)
             | IdemMessage::RecoveryTimer => {}
         }

@@ -4,14 +4,14 @@ use std::ops::DerefMut;
 use std::time::Duration;
 
 use idem_common::{
-    ClientApp, ClientId, Directory, OpNumber, PersistMode, ReconfigCommand, ReplicaBase, ReplicaId,
-    ReplicaWire, Request, RequestId, StateMachine, RECONFIG_CLIENT,
+    Client, ClientId, ClientPort, ClientSetup, Directory, OpNumber, PersistMode, ReconfigCommand,
+    ReplicaBase, ReplicaId, ReplicaWire, Request, RequestId, StateMachine, RECONFIG_CLIENT,
 };
-use idem_core::{IdemClient, IdemMessage, IdemReplica};
+use idem_core::{IdemMessage, IdemReplica};
 use idem_kv::{KvStore, Workload, WorkloadSpec};
-use idem_paxos::{PaxosClient, PaxosMessage, PaxosReplica};
+use idem_paxos::{PaxosMessage, PaxosReplica};
 use idem_simnet::{DiskLatency, LinkSpec, Network, Node, NodeId, SimTime, Simulation};
-use idem_smart::{SmartClient, SmartMessage, SmartReplica};
+use idem_smart::{SmartMessage, SmartReplica};
 
 use crate::recorder::{Recorder, RecorderHandle, RecordingApp};
 
@@ -168,7 +168,8 @@ type App = Box<dyn StateMachine + Send>;
 /// One replication protocol as the harness wires it, keyed by its message
 /// type: the replica node and the few places it differs. Everything else
 /// about a replica is reached through its [`ReplicaBase`]; clients and
-/// load ports are built where the [`Protocol`] is matched.
+/// load ports come from the protocol's client configuration
+/// ([`ClientSetup`]).
 pub(crate) trait Wired: ReplicaWire + 'static {
     /// Replica-side configuration.
     type Config: Clone + 'static;
@@ -182,8 +183,6 @@ pub(crate) trait Wired: ReplicaWire + 'static {
         dir: Directory<NodeId>,
         app: App,
     ) -> Self::Replica;
-    /// A client request on the wire.
-    fn request(req: Request) -> Self;
     /// A replica's decision frontier, in the protocol's slot numbering.
     fn frontier(replica: &Self::Replica) -> u64;
 }
@@ -194,9 +193,6 @@ impl Wired for IdemMessage {
 
     fn replica(cfg: &Self::Config, me: ReplicaId, dir: Directory<NodeId>, app: App) -> IdemReplica {
         IdemReplica::new(cfg.clone(), me, dir, app)
-    }
-    fn request(req: Request) -> IdemMessage {
-        IdemMessage::Request(req)
     }
     fn frontier(replica: &IdemReplica) -> u64 {
         replica.next_exec().0
@@ -215,9 +211,6 @@ impl Wired for PaxosMessage {
     ) -> PaxosReplica {
         PaxosReplica::new(cfg.clone(), me, dir, app)
     }
-    fn request(req: Request) -> PaxosMessage {
-        PaxosMessage::Request(req)
-    }
     fn frontier(replica: &PaxosReplica) -> u64 {
         replica.next_exec().0
     }
@@ -235,9 +228,6 @@ impl Wired for SmartMessage {
     ) -> SmartReplica {
         SmartReplica::new(cfg.clone(), me, dir, app)
     }
-    fn request(req: Request) -> SmartMessage {
-        SmartMessage::Request(req)
-    }
     fn frontier(replica: &SmartReplica) -> u64 {
         replica.next_sqn().0
     }
@@ -249,9 +239,10 @@ enum ClusterSim {
     Smart(Simulation<SmartMessage>),
 }
 
-/// The one place [`ClusterHandles`] looks at which protocol it runs: binds
-/// the simulation, whatever its message type, to `$sim` and evaluates
-/// `$body` — a call that is generic over that type.
+/// Where [`ClusterHandles`] need not know which protocol it runs (everywhere
+/// but the per-protocol stats and the request a reconfiguration travels
+/// in): binds the simulation, whatever its message type, to `$sim` and
+/// evaluates `$body` — a call that is generic over that type.
 macro_rules! on_sim {
     ($cluster_sim:expr, |$sim:ident| $body:expr) => {
         match $cluster_sim {
@@ -345,27 +336,24 @@ pub fn build_cluster(protocol: &Protocol, opts: &ClusterOptions) -> ClusterHandl
     // Join can address them, but only the first `n` start as members.
     let n = protocol.replica_count() + opts.spares;
     match protocol {
-        Protocol::Idem { config, client } => wire(config, n, opts, ClusterSim::Idem, {
-            |id, dir, app| IdemClient::new(*client, id, dir, app)
-        }),
-        Protocol::Paxos { config, client } => wire(config, n, opts, ClusterSim::Paxos, {
-            |id, dir, app| PaxosClient::new(*client, id, dir, app)
-        }),
-        Protocol::Smart { config, client } => wire(config, n, opts, ClusterSim::Smart, {
-            |id, dir, app| SmartClient::new(*client, id, dir, app)
-        }),
+        Protocol::Idem { config, client } => wire(config, *client, n, opts, ClusterSim::Idem),
+        Protocol::Paxos { config, client } => wire(config, *client, n, opts, ClusterSim::Paxos),
+        Protocol::Smart { config, client } => wire(config, *client, n, opts, ClusterSim::Smart),
     }
 }
 
 /// Wires `n` replicas and `opts.clients` closed-loop clients of one
-/// protocol, built by `client`, into a fresh simulation.
-fn wire<M: Wired, C: Node<M> + 'static>(
+/// protocol, configured by `client`, into a fresh simulation.
+fn wire<M: Wired, C: ClientSetup + Copy>(
     config: &M::Config,
+    client: C,
     n: u32,
     opts: &ClusterOptions,
     wrap: fn(Simulation<M>) -> ClusterSim,
-    client: impl Fn(ClientId, Directory<NodeId>, Box<dyn ClientApp>) -> C,
-) -> ClusterHandles {
+) -> ClusterHandles
+where
+    C::Port: ClientPort<Msg = M>,
+{
     let mut recorder = Recorder::new(opts.warmup, opts.bin_width);
     if let Some(expected) = opts.expected_duration {
         recorder = recorder.with_expected_duration(expected);
@@ -408,8 +396,8 @@ fn wire<M: Wired, C: Node<M> + 'static>(
             Some(limit) => app.with_limit(limit),
             None => app,
         };
-        let client = client(ClientId(i as u32), dir.clone(), Box::new(app));
-        sim.install_node(node, Box::new(client));
+        let chassis = Client::new(client, ClientId(i as u32), dir.clone(), Box::new(app));
+        sim.install_node(node, Box::new(chassis));
     }
     ClusterHandles {
         sim: wrap(sim),
@@ -510,9 +498,13 @@ impl ClusterHandles {
     /// `op` must be unique per command within a run — it is the dedup key.
     pub fn inject_reconfig(&mut self, op: u64, cmd: &ReconfigCommand) {
         let req = Request::new(RequestId::new(RECONFIG_CLIENT, OpNumber(op)), cmd.encode());
-        on_sim!(&mut self.sim, |sim| for &node in &self.replicas {
-            sim.post(node, Wired::request(req.clone()));
-        })
+        for &node in &self.replicas {
+            match &mut self.sim {
+                ClusterSim::Idem(sim) => sim.post(node, IdemMessage::Request(req.clone())),
+                ClusterSim::Paxos(sim) => sim.post(node, PaxosMessage::Request(req.clone())),
+                ClusterSim::Smart(sim) => sim.post(node, SmartMessage::Request(req.clone())),
+            }
+        }
     }
 
     /// Sets the CPU degradation factor of the replica at `index` (1.0 =

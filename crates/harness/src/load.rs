@@ -20,249 +20,40 @@
 //! ([`LoadCounters`]) proving no logical client is ever stranded.
 //!
 //! Protocol specifics (how to submit, what counts as a reject) are behind
-//! the small [`LoadPort`] trait with one implementation per protocol.
+//! the small [`LoadPort`] trait — each protocol crate's one client port,
+//! the same one its closed-loop client talks through. The source encodes
+//! its internal ticks (arrival, housekeeping, phase change, delayed issue)
+//! in the port's client-timer variant, which is sound because it is the
+//! only consumer of its own timers.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
+use idem_common::client::{decode_tick, encode_tick, ClientSetup};
 use idem_common::driver::{OperationOutcome, OutcomeKind};
 use idem_common::load::{ArrivalSampler, BackoffWheel, LoadCounters};
 use idem_common::{
-    ClientId, Directory, OpNumber, QuorumTracker, ReplicaId, Reply, Request, RequestId,
+    ClientId, Directory, Membership, OpNumber, QuorumTracker, ReplicaId, Request, RequestId,
 };
-use idem_core::IdemMessage;
 use idem_kv::{KvStore, Workload};
 use idem_metrics::Histogram;
-use idem_paxos::PaxosMessage;
-use idem_simnet::{Context, Node, NodeId, SimTime, Simulation, TimerId, Wire};
-use idem_smart::SmartMessage;
+use idem_simnet::{Context, Node, NodeId, SimTime, Simulation, TimerId};
 use rand::Rng;
 
 use crate::cluster::{experiment_network, Protocol, Wired, KV_EXEC_COST};
 use crate::recorder::{Recorder, RecorderHandle};
 use crate::scenario::LoadScenario;
 
-/// What an incoming message means to the load source.
-#[derive(Debug, Clone)]
-pub enum LoadEvent {
-    /// A successful execution result.
-    Reply(Reply),
-    /// A proactive rejection of the identified request.
-    Reject(RequestId),
-    /// Anything else (protocol chatter not addressed to clients).
-    Other,
-}
-
-/// Protocol adapter for the aggregate load source: how to put a request
-/// on the wire and how to read the responses.
-///
-/// The source encodes its internal ticks (arrival, housekeeping, phase
-/// change, delayed issue) in each protocol's client-timer message variant
-/// via [`tick`](LoadPort::tick)/[`tick_arg`](LoadPort::tick_arg); that is
-/// sound because the load source is the only consumer of its own timers.
-pub trait LoadPort: 'static {
-    /// The protocol's message type.
-    type Msg: Wire + Clone + 'static;
-
-    /// Submits (or retransmits) a request.
-    fn submit(&mut self, ctx: &mut Context<'_, Self::Msg>, dir: &Directory<NodeId>, req: Request);
-
-    /// Classifies an incoming message.
-    fn classify(&self, msg: Self::Msg) -> LoadEvent;
-
-    /// Observes which replica answered, for leader-affinity protocols.
-    fn note_reply_from(&mut self, dir: &Directory<NodeId>, from: NodeId) {
-        let _ = (dir, from);
-    }
-
-    /// Number of distinct rejecting replicas after which an operation is
-    /// abandoned, or `None` if a single reject is already conclusive.
-    /// IDEM returns its ambivalence threshold `n - f`; the open-loop
-    /// source always handles rejection pessimistically (no optimistic
-    /// grace timer) so aggregate state stays a single counter per
-    /// in-flight request.
-    fn reject_threshold(&self) -> Option<u32>;
-
-    /// Whether an abandoned-by-rejection operation is final (leader-based
-    /// rejection) or ambivalent (IDEM quorum rejection).
-    fn reject_is_final(&self) -> bool;
-
-    /// Encodes a load-source tick in a timer message.
-    fn tick(arg: u64) -> Self::Msg;
-
-    /// Decodes a timer message produced by [`tick`](LoadPort::tick).
-    fn tick_arg(msg: &Self::Msg) -> Option<u64>;
-}
-
-/// [`LoadPort`] for IDEM: requests are multicast to all replicas, rejects
-/// are counted toward the ambivalence quorum `n - f`.
-pub struct IdemLoadPort {
-    replicas: Vec<NodeId>,
-    ambivalence: u32,
-}
-
-impl IdemLoadPort {
-    /// A port multicasting to `replicas`, giving an operation up after
-    /// `ambivalence` rejects.
-    pub fn new(replicas: Vec<NodeId>, ambivalence: u32) -> IdemLoadPort {
-        IdemLoadPort {
-            replicas,
-            ambivalence,
-        }
-    }
-}
-
-impl LoadPort for IdemLoadPort {
-    type Msg = IdemMessage;
-
-    fn submit(
-        &mut self,
-        ctx: &mut Context<'_, IdemMessage>,
-        _dir: &Directory<NodeId>,
-        req: Request,
-    ) {
-        ctx.multicast(self.replicas.iter().copied(), IdemMessage::Request(req));
-    }
-
-    fn classify(&self, msg: IdemMessage) -> LoadEvent {
-        match msg {
-            IdemMessage::Reply(reply) => LoadEvent::Reply(reply),
-            IdemMessage::Reject(id) => LoadEvent::Reject(id),
-            _ => LoadEvent::Other,
-        }
-    }
-
-    fn reject_threshold(&self) -> Option<u32> {
-        Some(self.ambivalence)
-    }
-
-    fn reject_is_final(&self) -> bool {
-        false
-    }
-
-    fn tick(arg: u64) -> IdemMessage {
-        IdemMessage::RetransmitTimer(OpNumber(arg))
-    }
-
-    fn tick_arg(msg: &IdemMessage) -> Option<u64> {
-        match msg {
-            IdemMessage::RetransmitTimer(op) => Some(op.0),
-            _ => None,
-        }
-    }
-}
-
-/// [`LoadPort`] for Paxos (plain or LBR): requests go to the presumed
-/// leader, which is tracked from observed reply senders. Load scenarios
-/// are crash-free, so the round-robin failover probing of the closed-loop
-/// client is not modelled.
-pub struct PaxosLoadPort {
-    leader: ReplicaId,
-}
-
-impl LoadPort for PaxosLoadPort {
-    type Msg = PaxosMessage;
-
-    fn submit(
-        &mut self,
-        ctx: &mut Context<'_, PaxosMessage>,
-        dir: &Directory<NodeId>,
-        req: Request,
-    ) {
-        ctx.send(dir.replica(self.leader), PaxosMessage::Request(req));
-    }
-
-    fn classify(&self, msg: PaxosMessage) -> LoadEvent {
-        match msg {
-            PaxosMessage::Reply(reply) => LoadEvent::Reply(reply),
-            PaxosMessage::Reject(id) => LoadEvent::Reject(id),
-            _ => LoadEvent::Other,
-        }
-    }
-
-    fn note_reply_from(&mut self, dir: &Directory<NodeId>, from: NodeId) {
-        if let Some(r) = dir.replica_of(from) {
-            self.leader = r;
-        }
-    }
-
-    fn reject_threshold(&self) -> Option<u32> {
-        None
-    }
-
-    fn reject_is_final(&self) -> bool {
-        true
-    }
-
-    fn tick(arg: u64) -> PaxosMessage {
-        PaxosMessage::ClientTimeout(OpNumber(arg))
-    }
-
-    fn tick_arg(msg: &PaxosMessage) -> Option<u64> {
-        match msg {
-            PaxosMessage::ClientTimeout(op) => Some(op.0),
-            _ => None,
-        }
-    }
-}
-
-/// [`LoadPort`] for the BFT-SMaRt baseline: multicast requests, first
-/// reply wins, no rejection path.
-pub struct SmartLoadPort {
-    replicas: Vec<NodeId>,
-}
-
-impl LoadPort for SmartLoadPort {
-    type Msg = SmartMessage;
-
-    fn submit(
-        &mut self,
-        ctx: &mut Context<'_, SmartMessage>,
-        _dir: &Directory<NodeId>,
-        req: Request,
-    ) {
-        ctx.multicast(self.replicas.iter().copied(), SmartMessage::Request(req));
-    }
-
-    fn classify(&self, msg: SmartMessage) -> LoadEvent {
-        match msg {
-            SmartMessage::Reply(reply) => LoadEvent::Reply(reply),
-            _ => LoadEvent::Other,
-        }
-    }
-
-    fn reject_threshold(&self) -> Option<u32> {
-        None
-    }
-
-    fn reject_is_final(&self) -> bool {
-        true
-    }
-
-    fn tick(arg: u64) -> SmartMessage {
-        SmartMessage::ClientTimeout(OpNumber(arg))
-    }
-
-    fn tick_arg(msg: &SmartMessage) -> Option<u64> {
-        match msg {
-            SmartMessage::ClientTimeout(op) => Some(op.0),
-            _ => None,
-        }
-    }
-}
+/// The protocol adapter the source talks through, and what a message it
+/// classified means: the very port the closed-loop client uses.
+pub use idem_common::client::{ClientEvent as LoadEvent, ClientPort as LoadPort};
 
 // Tick kinds, encoded in the top byte of the timer payload.
 const TAG_ARRIVAL: u64 = 0;
 const TAG_HOUSEKEEP: u64 = 1;
 const TAG_PHASE: u64 = 2;
 const TAG_ISSUE: u64 = 3;
-const TAG_SHIFT: u32 = 56;
-
-fn encode_tick(tag: u64, arg: u64) -> u64 {
-    debug_assert!(arg < (1_u64 << TAG_SHIFT));
-    (tag << TAG_SHIFT) | arg
-}
 
 /// Housekeeping cadence: retransmit scan + backoff-bucket release. Also
 /// the backoff wheel granularity, so a due bucket is released by the next
@@ -1080,19 +871,20 @@ impl<P: LoadPort> Node<P::Msg> for LoadSource<P> {
                     self.finish(now, id, flight, kind);
                 }
             }
-            LoadEvent::Other => {}
+            // Load scenarios run a fixed group.
+            LoadEvent::Membership(_) | LoadEvent::Other => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, P::Msg>, _id: TimerId, msg: P::Msg) {
-        let Some(arg) = P::tick_arg(&msg) else {
+        let Some((tag, arg)) = P::tick_arg(&msg).map(decode_tick) else {
             return;
         };
-        match arg >> TAG_SHIFT {
+        match tag {
             TAG_ARRIVAL => self.on_arrival_tick(ctx),
             TAG_HOUSEKEEP => self.on_housekeep_tick(ctx),
             TAG_PHASE => self.on_phase_tick(ctx),
-            TAG_ISSUE => self.on_issue_tick(ctx, (arg & ((1_u64 << TAG_SHIFT) - 1)) as usize),
+            TAG_ISSUE => self.on_issue_tick(ctx, arg as usize),
             _ => unreachable!("unknown load tick tag"),
         }
     }
@@ -1109,30 +901,26 @@ pub fn run_load_scenario(protocol: &Protocol, sc: &LoadScenario) -> LoadRunResul
 fn run_load_scenario_for(protocol: &Protocol, sc: &LoadScenario, total: Duration) -> LoadRunResult {
     let (name, n) = (protocol.name(), protocol.replica_count());
     match protocol {
-        Protocol::Idem { config, .. } => drive::<IdemMessage, _>(config, n, sc, name, total, {
-            |replicas| IdemLoadPort::new(replicas, config.quorum.ambivalence())
-        }),
-        Protocol::Paxos { config, .. } => drive::<PaxosMessage, _>(config, n, sc, name, total, {
-            |_| PaxosLoadPort {
-                leader: ReplicaId(0),
-            }
-        }),
-        Protocol::Smart { config, .. } => drive::<SmartMessage, _>(config, n, sc, name, total, {
-            |replicas| SmartLoadPort { replicas }
-        }),
+        Protocol::Idem { config, client } => drive(config, client, n, sc, name, total),
+        Protocol::Paxos { config, client } => drive(config, client, n, sc, name, total),
+        Protocol::Smart { config, client } => drive(config, client, n, sc, name, total),
     }
 }
 
 /// Wires `n` replicas of one protocol and the aggregate source, talking
-/// through the port `port` builds, and runs them for `total`.
-fn drive<M: Wired, P: LoadPort<Msg = M>>(
+/// through the port of the protocol's closed-loop `client`, and runs them
+/// for `total`.
+fn drive<M: Wired, C: ClientSetup>(
     config: &M::Config,
+    client: &C,
     n: u32,
     sc: &LoadScenario,
     protocol: &'static str,
     total: Duration,
-    port: impl FnOnce(Vec<NodeId>) -> P,
-) -> LoadRunResult {
+) -> LoadRunResult
+where
+    C::Port: LoadPort<Msg = M>,
+{
     let mut sim: Simulation<M> = Simulation::with_network(sc.seed, experiment_network());
     let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
     let source = sim.reserve_node();
@@ -1142,7 +930,7 @@ fn drive<M: Wired, P: LoadPort<Msg = M>>(
         let replica = M::replica(config, ReplicaId(i as u32), dir.clone(), Box::new(store));
         sim.install_node(node, Box::new(replica));
     }
-    let port = port(replicas);
+    let port = client.port(&dir, &Membership::bootstrap(n));
     let recorder = RecorderHandle::new(
         Recorder::new(sc.warmup, Duration::from_millis(250)).with_expected_duration(total),
     );
@@ -1152,7 +940,7 @@ fn drive<M: Wired, P: LoadPort<Msg = M>>(
     );
     sim.run_for(total);
     let src = sim
-        .node_as::<LoadSource<P>>(source)
+        .node_as::<LoadSource<C::Port>>(source)
         .expect("load source type");
     let mut result = src.result(protocol);
     result.events_processed = sim.events_processed();
@@ -1168,6 +956,8 @@ mod tests {
     use super::*;
     use crate::scenario::LoadScenario;
     use idem_common::load::LoadPhase;
+    use idem_common::QuorumSet;
+    use idem_core::{ClientConfig, IdemMessage, IdemPort};
     use proptest::prelude::*;
 
     fn tiny(name: &'static str, rate: f64) -> LoadScenario {
@@ -1281,13 +1071,15 @@ mod tests {
     }
 
     /// An unwired IDEM source for `sc` (never started).
-    fn source(sc: LoadScenario) -> LoadSource<IdemLoadPort> {
+    fn source(sc: LoadScenario) -> LoadSource<IdemPort> {
         let mut sim: Simulation<IdemMessage> = Simulation::new(1);
         let replicas: Vec<NodeId> = (0..3).map(|_| sim.reserve_node()).collect();
-        let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), sim.reserve_node());
+        let dir = Directory::with_client_fallback(replicas, Vec::new(), sim.reserve_node());
         let recorder =
             RecorderHandle::new(Recorder::new(Duration::ZERO, Duration::from_millis(250)));
-        LoadSource::new(IdemLoadPort::new(replicas, 2), dir, sc, recorder)
+        let client = ClientConfig::for_quorum(QuorumSet::for_faults(1));
+        let port = client.port(&dir, &Membership::bootstrap(3));
+        LoadSource::new(port, dir, sc, recorder)
     }
 
     #[test]

@@ -23,11 +23,13 @@ use std::time::Duration;
 use std::sync::{Mutex, MutexGuard};
 
 use idem_common::load::LoadPhase;
-use idem_common::{Directory, OpNumber, PersistMode, ReplicaId, Reply, Request, Wal};
+use idem_common::{
+    ClientSetup, Directory, Membership, OpNumber, PersistMode, ReplicaId, Reply, Request, Wal,
+};
 use idem_core::{IdemMessage, IdemReplica};
 use idem_harness::allocs;
 use idem_harness::cluster::{experiment_network, KV_EXEC_COST};
-use idem_harness::load::{IdemLoadPort, LoadEvent, LoadPort};
+use idem_harness::load::{LoadEvent, LoadPort};
 use idem_harness::{LoadScenario, LoadSource, Protocol, Recorder, RecorderHandle, Scenario};
 use idem_kv::KvStore;
 use idem_simnet::{Context, Node, NodeId, Simulation, Wire};
@@ -174,7 +176,7 @@ struct DurableCell {
 /// them. Disk latency stays zero: the WAL then charges no virtual time,
 /// and the run is event-for-event the same with persistence on or off.
 fn durable_cell(persist: PersistMode) -> DurableCell {
-    let Protocol::Idem { config, .. } = Protocol::idem() else {
+    let Protocol::Idem { config, client } = Protocol::idem() else {
         unreachable!("idem() builds the Idem variant");
     };
     let scenario = LoadScenario::new(
@@ -200,7 +202,7 @@ fn durable_cell(persist: PersistMode) -> DurableCell {
         replica.set_persistence(persist);
         sim.install_node(node, Box::new(replica));
     }
-    let port = IdemLoadPort::new(replicas.clone(), config.quorum.ambivalence());
+    let port = client.port(&dir, &Membership::bootstrap(config.quorum.n()));
     let recorder = RecorderHandle::new(Recorder::new(Duration::ZERO, Duration::from_millis(250)));
     sim.install_node(
         source,

@@ -13,7 +13,19 @@
 use std::time::Duration;
 
 use idem_common::load::LoadPhase;
-use idem_harness::{run_load_scenario, LoadRunResult, LoadScenario, PhaseMetrics, Protocol};
+use idem_common::{Client, ClientId, ClientSetup, Directory, Membership, ReplicaId, StateMachine};
+use idem_core::IdemReplica;
+use idem_harness::cluster::{experiment_network, KV_EXEC_COST};
+use idem_harness::load::LoadPort;
+use idem_harness::recorder::RecordingApp;
+use idem_harness::{
+    run_load_scenario, LoadRunResult, LoadScenario, LoadSource, PhaseMetrics, Protocol, Recorder,
+    RecorderHandle,
+};
+use idem_kv::{KvStore, Workload, WorkloadSpec};
+use idem_paxos::PaxosReplica;
+use idem_simnet::{Node, NodeId, Simulation};
+use idem_smart::SmartReplica;
 
 /// SplitMix64 folding, as in `protocol_state_differential.rs`.
 fn mix(state: &mut u64, value: u64) {
@@ -169,4 +181,86 @@ fn smart_stale_retransmit_entries_match_golden() {
         "SMaRt load digest diverged from the tree-based baseline: {:#018x}",
         digest(&r)
     );
+}
+
+/// Runs three replicas built by `replica` twice for 400 ms — under eight
+/// closed-loop [`Client`]s, then under one [`LoadSource`] — both talking
+/// through the port `client` builds, and returns how many operations each
+/// driver completed. The two drivers share the type parameter, so a
+/// protocol that passes here has one port and both drivers use it.
+fn drive_both<C, R>(client: C, replica: impl Fn(ReplicaId, Directory<NodeId>) -> R) -> (u64, u64)
+where
+    C: ClientSetup + Copy,
+    R: Node<<C::Port as LoadPort>::Msg> + 'static,
+{
+    let run = |closed_loop: bool| {
+        let mut sim = Simulation::with_network(5, experiment_network());
+        let replicas: Vec<NodeId> = (0..3).map(|_| sim.reserve_node()).collect();
+        let drivers = if closed_loop { 8 } else { 1 };
+        let clients: Vec<NodeId> = (0..drivers).map(|_| sim.reserve_node()).collect();
+        let dir = if closed_loop {
+            Directory::new(replicas.clone(), clients.clone())
+        } else {
+            Directory::with_client_fallback(replicas.clone(), Vec::new(), clients[0])
+        };
+        for (i, &node) in replicas.iter().enumerate() {
+            sim.install_node(node, Box::new(replica(ReplicaId(i as u32), dir.clone())));
+        }
+        let recorder =
+            RecorderHandle::new(Recorder::new(Duration::ZERO, Duration::from_millis(250)));
+        if closed_loop {
+            for (i, &node) in clients.iter().enumerate() {
+                let workload = Workload::new(WorkloadSpec::update_heavy(), i as u64);
+                let app = RecordingApp::new(workload, recorder.clone(), i as u64);
+                let id = ClientId(i as u32);
+                sim.install_node(
+                    node,
+                    Box::new(Client::new(client, id, dir.clone(), Box::new(app))),
+                );
+            }
+        } else {
+            let phases = vec![LoadPhase::new("steady", Duration::from_millis(400), 1.0)];
+            let sc = LoadScenario::new("both", 500, 4_000.0, phases).with_warmup(Duration::ZERO);
+            let port = client.port(&dir, &Membership::bootstrap(3));
+            sim.install_node(
+                clients[0],
+                Box::new(LoadSource::new(port, dir, sc, recorder.clone())),
+            );
+        }
+        sim.run_for(Duration::from_millis(400));
+        assert_eq!(recorder.with(Recorder::order_violations), 0);
+        recorder.with(Recorder::successes)
+    };
+    (run(true), run(false))
+}
+
+fn store() -> Box<dyn StateMachine + Send> {
+    Box::new(KvStore::with_costs(KV_EXEC_COST, Duration::ZERO))
+}
+
+#[test]
+fn one_port_per_protocol_drives_both_the_closed_loop_client_and_the_load_source() {
+    let Protocol::Idem { config, client } = Protocol::idem() else {
+        unreachable!()
+    };
+    let idem = drive_both(client, |me, dir| {
+        IdemReplica::new(config.clone(), me, dir, store())
+    });
+    let Protocol::Paxos { config, client } = Protocol::paxos_lbr(50) else {
+        unreachable!()
+    };
+    let paxos = drive_both(client, |me, dir| {
+        PaxosReplica::new(config.clone(), me, dir, store())
+    });
+    let Protocol::Smart { config, client } = Protocol::smart() else {
+        unreachable!()
+    };
+    let smart = drive_both(client, |me, dir| {
+        SmartReplica::new(config.clone(), me, dir, store())
+    });
+    for (protocol, (closed, open)) in [("IDEM", idem), ("Paxos_LBR", paxos), ("SMaRt", smart)] {
+        // Eight clients at ~1.5–2.5 ms per operation; 4 000 arrivals/s.
+        assert!(closed > 1_000, "{protocol}: closed loop completed {closed}");
+        assert!(open > 1_000, "{protocol}: open loop completed {open}");
+    }
 }

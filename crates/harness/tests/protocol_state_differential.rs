@@ -14,7 +14,10 @@
 
 use std::time::Duration;
 
-use idem_harness::{CrashPlan, Protocol, RunResult, Scenario};
+use idem_common::{ReconfigCommand, ReplicaId};
+use idem_core::RejectHandling;
+use idem_harness::cluster::{build_cluster, ClusterOptions};
+use idem_harness::{ClusterHandles, CrashPlan, Protocol, Recorder, RunResult, Scenario};
 
 /// SplitMix64 folding — same mixer the request-id hash uses; good
 /// avalanche, no dependencies.
@@ -135,5 +138,197 @@ fn smart_saturated_cell_matches_map_based_golden() {
         run_digest(Protocol::smart(), 400, None),
         GOLDEN_SMART_SATURATED,
         "SMaRt saturated-cell digest diverged from the map-based baseline"
+    );
+}
+
+// ----- client paths -----
+//
+// The four cells above keep every client on its happy path: no client
+// timeout fires, IDEM's optimistic grace timer absorbs ambivalence, the
+// membership never changes. The cells below pin what they leave out, so a
+// change to the closed-loop client is held to every branch it has. Goldens
+// captured from commit 8a3bd03 — the last build in which each protocol
+// crate carried its own copy of the client — by running this file against
+// it.
+
+const WARMUP: Duration = Duration::from_secs(1);
+const BIN_WIDTH: Duration = Duration::from_millis(250);
+
+fn client_path_cluster(protocol: &Protocol, clients: u32, spares: u32) -> ClusterHandles {
+    let opts = ClusterOptions {
+        clients,
+        seed: 7,
+        warmup: WARMUP,
+        bin_width: BIN_WIDTH,
+        spares,
+        ..ClusterOptions::default()
+    };
+    build_cluster(protocol, &opts)
+}
+
+/// What `Scenario::run` collects, for a cluster the test drove itself.
+fn collect(cluster: &ClusterHandles, protocol: &Protocol, clients: u32) -> RunResult {
+    let measured = cluster
+        .now()
+        .saturating_since(idem_simnet::SimTime::ZERO + WARMUP);
+    RunResult {
+        name: protocol.name(),
+        clients,
+        metrics: cluster.recorder.with(|r| r.metrics(measured)),
+        measured,
+        bin_width: BIN_WIDTH,
+        reply_series: cluster.recorder.with(|r| r.reply_series().iter().collect()),
+        reject_series: cluster
+            .recorder
+            .with(|r| r.reject_series().iter().collect()),
+        client_traffic_bytes: cluster.client_traffic_bytes(),
+        replica_traffic_bytes: cluster.replica_traffic_bytes(),
+        total_messages: cluster.total_messages(),
+        events_processed: cluster.events_processed(),
+        event_stats: cluster.event_stats(),
+        idem_stats: (0..cluster.replicas.len())
+            .filter_map(|i| cluster.idem_stats(i))
+            .collect(),
+        order_violations: cluster.recorder.with(Recorder::order_violations),
+        drain_profiles: cluster.drain_profiles(),
+    }
+}
+
+const GOLDEN_PAXOS_FAILOVER_WALK: u64 = 0x771fe118f47b2bd6;
+const GOLDEN_IDEM_PESSIMISTIC: u64 = 0x0bf8d29af284226c;
+const GOLDEN_IDEM_REPLACE_LEADER: u64 = 0xd13cd4c04a84535d;
+const GOLDEN_PAXOS_REPLACE_LEADER: u64 = 0x1a89ec257ef35157;
+const GOLDEN_PAXOS_LBR_REPLACE_LEADER: u64 = 0x9769bb42c6016e94;
+const GOLDEN_SMART_REPLACE_LEADER: u64 = 0x1595e43d0da345af;
+
+#[test]
+fn paxos_failover_walk_matches_per_crate_client_golden() {
+    // The leader dies and the group needs its 1.5 s progress timeout to
+    // replace it; clients give a presumed leader 250 ms, so each walks the
+    // member list round-robin about twice, re-arming `ClientTimeout` at
+    // every step, before a replica answers again.
+    let protocol = match Protocol::paxos() {
+        Protocol::Paxos { config, client } => Protocol::Paxos {
+            config,
+            client: client.with_request_timeout(Duration::from_millis(250)),
+        },
+        _ => unreachable!(),
+    };
+    let mut cluster = client_path_cluster(&protocol, 100, 0);
+    cluster.run_for(Duration::from_millis(1200));
+    let before = cluster.recorder.with(Recorder::successes);
+    cluster.crash_replica(0);
+    cluster.run_for(Duration::from_millis(1400));
+    let stalled = cluster.recorder.with(Recorder::successes);
+    cluster.run_for(Duration::from_millis(1200));
+    let result = collect(&cluster, &protocol, 100);
+    assert!(
+        before > 0 && stalled <= before + 100,
+        "the crash must stall service"
+    );
+    assert!(
+        cluster
+            .paxos_stats(1)
+            .expect("paxos")
+            .view_changes_completed
+            >= 1
+            && result.metrics.successes > 0,
+        "service must resume under the next leader"
+    );
+    // 100 clients x >= 5 timeouts each, none of which is a delivery.
+    assert!(result.event_stats.timers > 500);
+    let got = digest(&result);
+    assert_eq!(
+        got, GOLDEN_PAXOS_FAILOVER_WALK,
+        "Paxos failover-walk digest diverged (got {got:#018x})"
+    );
+}
+
+#[test]
+fn idem_pessimistic_overload_matches_per_crate_client_golden() {
+    // 4x the saturating client count, and every client aborts on its
+    // `n - f`th reject: ambivalent outcomes and their backoff draws.
+    let protocol = match Protocol::idem() {
+        Protocol::Idem { config, client } => Protocol::Idem {
+            config,
+            client: client.with_reject_handling(RejectHandling::Pessimistic),
+        },
+        _ => unreachable!(),
+    };
+    let result = Scenario::new(protocol, 200, Duration::from_secs(2)).run();
+    assert!(
+        result.metrics.rejections > result.metrics.rejections_final
+            && result.metrics.rejections > 1_000,
+        "the cell must produce ambivalent aborts: {:?}",
+        result.metrics
+    );
+    let got = digest(&result);
+    assert_eq!(
+        got, GOLDEN_IDEM_PESSIMISTIC,
+        "IDEM pessimistic-overload digest diverged (got {got:#018x})"
+    );
+}
+
+/// The leader is swapped for the spare while every client has an
+/// operation in flight: each client adopts the `MembershipUpdate` and
+/// re-targets that operation at the new group.
+fn replace_leader_digest(protocol: Protocol, clients: u32) -> u64 {
+    let mut cluster = client_path_cluster(&protocol, clients, 1);
+    cluster.run_for(Duration::from_millis(1300));
+    cluster.inject_reconfig(
+        1,
+        &ReconfigCommand::Replace {
+            old: ReplicaId(0),
+            new: ReplicaId(3),
+        },
+    );
+    cluster.run_for(Duration::from_millis(200));
+    let at_switch = cluster.recorder.with(Recorder::successes);
+    cluster.run_for(Duration::from_millis(1500));
+    let result = collect(&cluster, &protocol, clients);
+    for index in 1..4 {
+        assert_eq!(cluster.epoch(index), 1, "{}: replica {index}", result.name);
+        assert!(cluster.is_member(index));
+    }
+    assert!(!cluster.is_member(0), "{}: leader never left", result.name);
+    assert!(
+        result.metrics.successes > at_switch + 1_000,
+        "{}: clients must follow the group to its new members",
+        result.name
+    );
+    assert_eq!(result.order_violations, 0);
+    digest(&result)
+}
+
+#[test]
+fn idem_replace_leader_matches_per_crate_client_golden() {
+    // 4x saturation: rejects are in flight when the epoch switches.
+    let got = replace_leader_digest(Protocol::idem(), 200);
+    assert_eq!(
+        got, GOLDEN_IDEM_REPLACE_LEADER,
+        "IDEM replace-leader digest diverged (got {got:#018x})"
+    );
+}
+
+#[test]
+fn paxos_replace_leader_matches_per_crate_client_golden() {
+    let got = replace_leader_digest(Protocol::paxos(), 100);
+    assert_eq!(
+        got, GOLDEN_PAXOS_REPLACE_LEADER,
+        "Paxos replace-leader digest diverged (got {got:#018x})"
+    );
+    let got = replace_leader_digest(Protocol::paxos_lbr(50), 200);
+    assert_eq!(
+        got, GOLDEN_PAXOS_LBR_REPLACE_LEADER,
+        "Paxos_LBR replace-leader digest diverged (got {got:#018x})"
+    );
+}
+
+#[test]
+fn smart_replace_leader_matches_per_crate_client_golden() {
+    let got = replace_leader_digest(Protocol::smart(), 100);
+    assert_eq!(
+        got, GOLDEN_SMART_REPLACE_LEADER,
+        "SMaRt replace-leader digest diverged (got {got:#018x})"
     );
 }

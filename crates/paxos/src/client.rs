@@ -1,5 +1,6 @@
-//! The Paxos client: leader-directed submission with timeout-based
-//! failover.
+//! The Paxos client: its configuration and its port — leader-directed
+//! submission with timeout-based failover — over the shared [`Client`]
+//! chassis.
 //!
 //! The structural difference to IDEM's client is what drives the Figure 3 /
 //! 10d contrast: a Paxos client only talks to its *presumed leader*, so
@@ -9,10 +10,9 @@
 
 use std::time::Duration;
 
-use idem_common::driver::{ClientApp, OperationOutcome, OutcomeKind};
-use idem_common::{Directory, Membership, OpNumber, QuorumSet, Request, RequestId, ResultBytes};
-use idem_simnet::{Context, Node, NodeId, SimTime, TimerId};
-use rand::Rng;
+use idem_common::client::{Client, ClientEvent, ClientPort, ClientSetup, ClientTiming};
+use idem_common::{Directory, Membership, OpNumber, QuorumSet, ReplicaId, Request};
+use idem_simnet::{Context, NodeId};
 
 use crate::messages::PaxosMessage;
 
@@ -77,247 +77,120 @@ impl PaxosClientConfig {
     }
 }
 
-/// Counters of one Paxos client.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct PaxosClientStats {
-    pub issued: u64,
-    pub successes: u64,
-    pub rejected: u64,
-    pub timeouts: u64,
-    pub failovers: u64,
+/// The Paxos port: requests go to the one replica presumed to lead —
+/// the group's first member to begin with, then whoever answered last; an
+/// unanswered request moves the presumption round-robin through the
+/// group. A reject is the leader's and final. Built by
+/// [`PaxosClientConfig::port`](ClientSetup::port).
+pub struct PaxosPort {
+    /// The current members, in the membership's order.
+    members: Vec<ReplicaId>,
+    /// Index into `members` of the presumed leader. An index (not a
+    /// replica id) so failover walks exactly the current members, never
+    /// departed ones.
+    leader: usize,
 }
 
-#[derive(Debug)]
-struct InFlight {
-    id: RequestId,
-    command: std::sync::Arc<[u8]>,
-    issued_at: SimTime,
-    timeout_timer: TimerId,
+impl PaxosPort {
+    /// Which replica this port currently believes to be the leader.
+    pub fn presumed_leader(&self) -> ReplicaId {
+        self.members[self.leader]
+    }
 }
 
-/// A Paxos client node.
-pub struct PaxosClient {
-    cfg: PaxosClientConfig,
-    id: idem_common::ClientId,
-    dir: Directory<NodeId>,
-    app: Box<dyn ClientApp>,
-    next_op: OpNumber,
-    current: Option<InFlight>,
-    /// Index into the *member list* of the replica currently presumed to
-    /// lead. An index (not a replica id) so round-robin failover walks
-    /// exactly the current members, never departed ones.
-    presumed_leader: u32,
-    /// The client's view of the replica group, advanced on
-    /// `MembershipUpdate` redirects.
-    membership: Membership,
-    stats: PaxosClientStats,
-    stopped: bool,
-}
+impl ClientPort for PaxosPort {
+    type Msg = PaxosMessage;
 
-impl PaxosClient {
-    /// Creates a client with identity `id`, driven by `app`.
-    pub fn new(
-        cfg: PaxosClientConfig,
-        id: idem_common::ClientId,
-        dir: Directory<NodeId>,
-        app: Box<dyn ClientApp>,
-    ) -> PaxosClient {
-        PaxosClient {
-            membership: Membership::bootstrap(cfg.quorum.n()),
-            cfg,
-            id,
-            dir,
-            app,
-            next_op: OpNumber(1),
-            current: None,
-            presumed_leader: 0,
-            stats: PaxosClientStats::default(),
-            stopped: false,
-        }
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &PaxosClientStats {
-        &self.stats
-    }
-
-    /// Which replica this client currently believes to be the leader.
-    pub fn presumed_leader(&self) -> idem_common::ReplicaId {
-        self.membership.members()[self.presumed_leader as usize]
-    }
-
-    /// Whether the client has stopped issuing operations.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    fn leader_node(&self) -> NodeId {
-        self.dir.replica(self.presumed_leader())
-    }
-
-    /// A replica announced a newer membership: adopt it, keep pointing at
-    /// the same presumed leader if it survived the change, and re-target
-    /// any in-flight operation so it is not stuck timing out against a
-    /// departed replica.
-    fn handle_membership_update(&mut self, ctx: &mut Context<'_, PaxosMessage>, m: Membership) {
-        if m.epoch() <= self.membership.epoch() {
-            return;
-        }
-        let presumed = self.presumed_leader();
-        self.membership = m;
-        self.presumed_leader = self
-            .membership
-            .members()
-            .iter()
-            .position(|&r| r == presumed)
-            .unwrap_or(0) as u32;
-        if let Some(flight) = self.current.as_ref() {
-            let req = Request::new(flight.id, flight.command.clone());
-            let leader = self.leader_node();
-            ctx.send(leader, PaxosMessage::Request(req));
-        }
-    }
-
-    /// Points `presumed_leader` at the member that just answered us (a
-    /// non-member answer is ignored — it is stale by definition).
-    fn note_leader(&mut self, from: NodeId) {
-        let Some(r) = self.dir.replica_of(from) else {
-            return;
-        };
-        if let Some(idx) = self.membership.members().iter().position(|&m| m == r) {
-            self.presumed_leader = idx as u32;
-        }
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
-        debug_assert!(self.current.is_none(), "one pending request at a time");
-        let Some(command) = self.app.next_command(ctx.rng()) else {
-            self.stopped = true;
-            return;
-        };
-        let command: std::sync::Arc<[u8]> = command.into();
-        let id = RequestId::new(self.id, self.next_op);
-        self.next_op = self.next_op.next();
-        self.stats.issued += 1;
-        let req = Request::new(id, command.clone());
-        let leader = self.leader_node();
-        ctx.send(leader, PaxosMessage::Request(req));
-        let timeout_timer =
-            ctx.set_timer(self.cfg.request_timeout, PaxosMessage::ClientTimeout(id.op));
-        self.current = Some(InFlight {
-            id,
-            command,
-            issued_at: ctx.now(),
-            timeout_timer,
-        });
-    }
-
-    fn finish(
+    fn submit(
         &mut self,
         ctx: &mut Context<'_, PaxosMessage>,
-        kind: OutcomeKind,
-        result: Option<ResultBytes>,
+        dir: &Directory<NodeId>,
+        req: Request,
     ) {
-        let flight = self.current.take().expect("operation in flight");
-        ctx.cancel_timer(flight.timeout_timer);
-        let outcome = OperationOutcome {
-            id: flight.id,
-            kind,
-            latency: ctx.now().saturating_since(flight.issued_at),
-            completed_at: ctx.now(),
-            result,
-        };
-        match kind {
-            OutcomeKind::Success => self.stats.successes += 1,
-            _ => self.stats.rejected += 1,
-        }
-        self.app.on_outcome(&outcome);
-        match kind {
-            OutcomeKind::Success => {
-                if self.cfg.think_time.is_zero() {
-                    self.issue_next(ctx);
-                } else {
-                    ctx.set_timer(self.cfg.think_time, PaxosMessage::BackoffTimer);
-                }
-            }
-            _ => {
-                let (min, max) = self.cfg.backoff;
-                let delay = if max > min {
-                    let span = (max - min).as_nanos() as u64;
-                    min + Duration::from_nanos(ctx.rng().gen_range(0..=span))
-                } else {
-                    min
-                };
-                ctx.set_timer(delay, PaxosMessage::BackoffTimer);
-            }
-        }
-    }
-
-    fn handle_timeout(&mut self, ctx: &mut Context<'_, PaxosMessage>, op: OpNumber) {
-        let Some(flight) = self.current.as_ref() else {
-            return;
-        };
-        if flight.id.op != op {
-            return;
-        }
-        // No answer from the presumed leader: probe the next replica
-        // (round-robin failover) and retransmit.
-        self.stats.timeouts += 1;
-        self.stats.failovers += 1;
-        self.presumed_leader = (self.presumed_leader + 1) % self.membership.n();
-        let flight = self.current.as_mut().expect("in flight");
-        let req = Request::new(flight.id, flight.command.clone());
-        let timer = ctx.set_timer(self.cfg.request_timeout, PaxosMessage::ClientTimeout(op));
-        flight.timeout_timer = timer;
-        let leader = self.leader_node();
+        let leader = dir.replica(self.presumed_leader());
         ctx.send(leader, PaxosMessage::Request(req));
     }
+
+    fn classify(&self, msg: PaxosMessage) -> ClientEvent {
+        match msg {
+            PaxosMessage::Reply(reply) => ClientEvent::Reply(reply),
+            PaxosMessage::Reject(id) => ClientEvent::Reject(id),
+            PaxosMessage::MembershipUpdate(m) => ClientEvent::Membership(m),
+            _ => ClientEvent::Other,
+        }
+    }
+
+    /// Whoever answered leads (an answer from a non-member is stale by
+    /// definition and changes nothing).
+    fn note_reply_from(&mut self, dir: &Directory<NodeId>, from: NodeId) {
+        let answered = dir.replica_of(from);
+        if let Some(idx) = self.members.iter().position(|&m| Some(m) == answered) {
+            self.leader = idx;
+        }
+    }
+
+    fn reject_threshold(&self) -> Option<u32> {
+        None
+    }
+
+    fn reject_is_final(&self) -> bool {
+        true
+    }
+
+    fn tick(arg: u64) -> PaxosMessage {
+        PaxosMessage::ClientTimeout(OpNumber(arg))
+    }
+
+    fn tick_arg(msg: &PaxosMessage) -> Option<u64> {
+        match msg {
+            PaxosMessage::ClientTimeout(op) => Some(op.0),
+            _ => None,
+        }
+    }
+
+    /// No answer from the presumed leader: probe the next member.
+    fn note_timeout(&mut self) {
+        self.leader = (self.leader + 1) % self.members.len();
+    }
+
+    /// Keeps pointing at the same presumed leader if it survived the
+    /// change, and falls back to the first member otherwise.
+    fn retarget(&mut self, _: &Directory<NodeId>, group: &Membership) {
+        let presumed = self.presumed_leader();
+        self.members = group.members().to_vec();
+        let survivor = self.members.iter().position(|&m| m == presumed);
+        self.leader = survivor.unwrap_or(0);
+    }
 }
 
-impl Node<PaxosMessage> for PaxosClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
-        let stagger = self.cfg.start_stagger.as_nanos() as u64;
-        if stagger == 0 {
-            self.issue_next(ctx);
-        } else {
-            let delay = Duration::from_nanos(ctx.rng().gen_range(0..=stagger));
-            ctx.set_timer(delay, PaxosMessage::BackoffTimer);
+impl ClientSetup for PaxosClientConfig {
+    type Port = PaxosPort;
+
+    fn quorum(&self) -> QuorumSet {
+        self.quorum
+    }
+
+    fn timing(&self) -> ClientTiming {
+        ClientTiming {
+            retransmit_interval: self.request_timeout,
+            backoff: self.backoff,
+            start_delay: Duration::ZERO,
+            start_stagger: self.start_stagger,
+            think_time: self.think_time,
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, PaxosMessage>, from: NodeId, msg: PaxosMessage) {
-        match msg {
-            PaxosMessage::Reply(reply) => {
-                let matches = self.current.as_ref().is_some_and(|f| f.id == reply.id);
-                if matches {
-                    // Remember who answered: that replica leads.
-                    self.note_leader(from);
-                    self.finish(ctx, OutcomeKind::Success, Some(reply.result));
-                }
-            }
-            PaxosMessage::Reject(id) => {
-                let matches = self.current.as_ref().is_some_and(|f| f.id == id);
-                if matches {
-                    self.note_leader(from);
-                    self.finish(ctx, OutcomeKind::RejectedFinal, None);
-                }
-            }
-            PaxosMessage::MembershipUpdate(m) => self.handle_membership_update(ctx, m),
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, PaxosMessage>, _id: TimerId, msg: PaxosMessage) {
-        match msg {
-            PaxosMessage::ClientTimeout(op) => self.handle_timeout(ctx, op),
-            PaxosMessage::BackoffTimer if self.current.is_none() && !self.stopped => {
-                self.issue_next(ctx);
-            }
-            _ => {}
+    fn port(&self, _: &Directory<NodeId>, group: &Membership) -> PaxosPort {
+        PaxosPort {
+            members: group.members().to_vec(),
+            leader: 0,
         }
     }
 }
+
+/// A Paxos client node: the closed-loop [`Client`] chassis behind a
+/// leader-directed port.
+pub type PaxosClient = Client<PaxosPort>;
 
 #[cfg(test)]
 mod tests {
@@ -332,5 +205,52 @@ mod tests {
         assert_eq!(cfg.request_timeout, Duration::from_millis(250));
         assert_eq!(cfg.quorum.n(), 5);
         assert_eq!(cfg.start_stagger, Duration::ZERO);
+    }
+
+    #[test]
+    fn port_follows_answers_walks_members_on_timeout_and_remaps_a_departed_leader() {
+        use idem_common::ReconfigCommand;
+        // Four replica slots, the last one a spare outside the group.
+        let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let dir = Directory::new(nodes.clone(), vec![NodeId(4)]);
+        let mut group = Membership::bootstrap(3);
+        let mut port = PaxosClientConfig::default().port(&dir, &group);
+        assert_eq!(port.presumed_leader(), ReplicaId(0));
+
+        // Whoever answers leads, unless it is not a member (or no replica).
+        port.note_reply_from(&dir, nodes[2]);
+        assert_eq!(port.presumed_leader(), ReplicaId(2));
+        port.note_reply_from(&dir, nodes[3]);
+        port.note_reply_from(&dir, NodeId(4));
+        assert_eq!(port.presumed_leader(), ReplicaId(2));
+
+        // Timeouts walk the member list round-robin.
+        let walk = |port: &mut PaxosPort| {
+            port.note_timeout();
+            port.presumed_leader().0
+        };
+        assert_eq!(
+            [walk(&mut port), walk(&mut port), walk(&mut port)],
+            [0, 1, 2]
+        );
+
+        // Replica 1 is replaced by the spare: a surviving presumed leader
+        // is kept though its index moved, and the walk covers exactly the
+        // new members.
+        group.apply(&ReconfigCommand::Replace {
+            old: ReplicaId(1),
+            new: ReplicaId(3),
+        });
+        port.retarget(&dir, &group);
+        assert_eq!(port.presumed_leader(), ReplicaId(2));
+        assert_eq!(
+            [walk(&mut port), walk(&mut port), walk(&mut port)],
+            [3, 0, 2]
+        );
+
+        // A departed presumed leader falls back to the first member.
+        group.apply(&ReconfigCommand::Leave(ReplicaId(2)));
+        port.retarget(&dir, &group);
+        assert_eq!(port.presumed_leader(), ReplicaId(0));
     }
 }

@@ -73,7 +73,7 @@ pub mod config;
 pub mod messages;
 pub mod replica;
 
-pub use client::{PaxosClient, PaxosClientConfig, PaxosClientStats};
+pub use client::{PaxosClient, PaxosClientConfig, PaxosPort};
 pub use config::{PaxosConfig, RejectPolicy};
 pub use messages::{PaxosMessage, PaxosWindowEntry};
 pub use replica::{PaxosReplica, PaxosReplicaStats};

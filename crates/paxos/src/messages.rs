@@ -81,10 +81,12 @@ pub enum PaxosMessage {
     // ----- timer payloads (never on the wire) -----
     /// Replica progress (view-change) timer.
     ProgressTimer,
-    /// Client request timeout (leader failover).
+    /// The client's timer. A client is the only consumer of its own
+    /// timers, so it multiplexes them over this one variant: the payload
+    /// is the operation number for a request timeout (leader failover),
+    /// and carries a kind tag in its top byte otherwise
+    /// (`idem_common::client::encode_tick`).
     ClientTimeout(OpNumber),
-    /// Client post-rejection backoff.
-    BackoffTimer,
     /// Replica catch-up retry after a reboot: rotates the
     /// checkpoint-request target until some peer answers.
     RecoveryTimer,
@@ -109,7 +111,6 @@ impl Wire for PaxosMessage {
             PaxosMessage::MembershipUpdate(m) => m.wire_size(),
             PaxosMessage::ProgressTimer
             | PaxosMessage::ClientTimeout(_)
-            | PaxosMessage::BackoffTimer
             | PaxosMessage::RecoveryTimer => 0,
         }
     }
@@ -200,7 +201,6 @@ mod tests {
     fn timers_are_free() {
         assert_eq!(PaxosMessage::ProgressTimer.wire_size(), 0);
         assert_eq!(PaxosMessage::ClientTimeout(OpNumber(1)).wire_size(), 0);
-        assert_eq!(PaxosMessage::BackoffTimer.wire_size(), 0);
         assert_eq!(PaxosMessage::RecoveryTimer.wire_size(), 0);
     }
 }

@@ -820,7 +820,6 @@ impl Node<PaxosMessage> for PaxosReplica {
             | PaxosMessage::MembershipUpdate(_)
             | PaxosMessage::ProgressTimer
             | PaxosMessage::ClientTimeout(_)
-            | PaxosMessage::BackoffTimer
             | PaxosMessage::RecoveryTimer => {}
         }
     }

@@ -1,11 +1,11 @@
-//! The SMaRt baseline client: multicast submission, first reply wins.
+//! The SMaRt baseline client: its configuration and its port — multicast
+//! submission, first reply wins — over the shared [`Client`] chassis.
 
 use std::time::Duration;
 
-use idem_common::driver::{ClientApp, OperationOutcome, OutcomeKind};
-use idem_common::{Directory, Membership, OpNumber, QuorumSet, Request, RequestId, ResultBytes};
-use idem_simnet::{Context, Node, NodeId, SimTime, TimerId};
-use rand::Rng;
+use idem_common::client::{Client, ClientEvent, ClientPort, ClientSetup, ClientTiming};
+use idem_common::{Directory, Membership, OpNumber, QuorumSet, Request};
+use idem_simnet::{Context, NodeId};
 
 use crate::messages::SmartMessage;
 
@@ -57,195 +57,81 @@ impl SmartClientConfig {
     }
 }
 
-/// Counters of one SMaRt client.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct SmartClientStats {
-    pub issued: u64,
-    pub successes: u64,
-    pub retransmissions: u64,
+/// The SMaRt port: requests are multicast to every member, the first
+/// reply wins, and there is no rejection path. Built by
+/// [`SmartClientConfig::port`](ClientSetup::port).
+pub struct SmartPort {
+    /// Addresses of the current members, in sorted member order.
+    targets: Vec<NodeId>,
 }
 
-#[derive(Debug)]
-struct InFlight {
-    id: RequestId,
-    command: std::sync::Arc<[u8]>,
-    issued_at: SimTime,
-    retransmit_timer: TimerId,
-}
+impl ClientPort for SmartPort {
+    type Msg = SmartMessage;
 
-/// A SMaRt client node.
-pub struct SmartClient {
-    cfg: SmartClientConfig,
-    id: idem_common::ClientId,
-    dir: Directory<NodeId>,
-    app: Box<dyn ClientApp>,
-    next_op: OpNumber,
-    current: Option<InFlight>,
-    /// The client's view of the replica group, advanced on
-    /// `MembershipUpdate` redirects. Requests are multicast to exactly its
-    /// members.
-    membership: Membership,
-    stats: SmartClientStats,
-    stopped: bool,
-}
-
-impl SmartClient {
-    /// Creates a client with identity `id`, driven by `app`.
-    pub fn new(
-        cfg: SmartClientConfig,
-        id: idem_common::ClientId,
-        dir: Directory<NodeId>,
-        app: Box<dyn ClientApp>,
-    ) -> SmartClient {
-        SmartClient {
-            membership: Membership::bootstrap(cfg.quorum.n()),
-            cfg,
-            id,
-            dir,
-            app,
-            next_op: OpNumber(1),
-            current: None,
-            stats: SmartClientStats::default(),
-            stopped: false,
-        }
+    fn submit(&mut self, ctx: &mut Context<'_, SmartMessage>, _: &Directory<NodeId>, req: Request) {
+        ctx.multicast(self.targets.iter().copied(), SmartMessage::Request(req));
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &SmartClientStats {
-        &self.stats
-    }
-
-    /// Whether the client has stopped issuing operations.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    fn member_addrs(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.membership
-            .members()
-            .iter()
-            .map(|&r| self.dir.replica(r))
-    }
-
-    /// A replica announced a newer membership: adopt it and re-multicast
-    /// any in-flight operation to the new member set — its original
-    /// multicast may have reached only departed replicas.
-    fn handle_membership_update(&mut self, ctx: &mut Context<'_, SmartMessage>, m: Membership) {
-        if m.epoch() <= self.membership.epoch() {
-            return;
-        }
-        self.membership = m;
-        if let Some(flight) = self.current.as_ref() {
-            let req = Request::new(flight.id, flight.command.clone());
-            ctx.multicast(self.member_addrs(), SmartMessage::Request(req));
-        }
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<'_, SmartMessage>) {
-        debug_assert!(self.current.is_none(), "one pending request at a time");
-        let Some(command) = self.app.next_command(ctx.rng()) else {
-            self.stopped = true;
-            return;
-        };
-        let command: std::sync::Arc<[u8]> = command.into();
-        let id = RequestId::new(self.id, self.next_op);
-        self.next_op = self.next_op.next();
-        self.stats.issued += 1;
-        let req = Request::new(id, command.clone());
-        ctx.multicast(self.member_addrs(), SmartMessage::Request(req));
-        let retransmit_timer = ctx.set_timer(
-            self.cfg.retransmit_interval,
-            SmartMessage::ClientTimeout(id.op),
-        );
-        self.current = Some(InFlight {
-            id,
-            command,
-            issued_at: ctx.now(),
-            retransmit_timer,
-        });
-    }
-
-    fn handle_reply(
-        &mut self,
-        ctx: &mut Context<'_, SmartMessage>,
-        id: RequestId,
-        result: ResultBytes,
-    ) {
-        let matches = self.current.as_ref().is_some_and(|f| f.id == id);
-        if !matches {
-            return; // late duplicate reply from another replica
-        }
-        let flight = self.current.take().expect("in flight");
-        ctx.cancel_timer(flight.retransmit_timer);
-        self.stats.successes += 1;
-        let outcome = OperationOutcome {
-            id,
-            kind: OutcomeKind::Success,
-            latency: ctx.now().saturating_since(flight.issued_at),
-            completed_at: ctx.now(),
-            result: Some(result),
-        };
-        self.app.on_outcome(&outcome);
-        if self.cfg.think_time.is_zero() {
-            self.issue_next(ctx);
-        } else {
-            ctx.set_timer(self.cfg.think_time, SmartMessage::BackoffTimer);
-        }
-    }
-
-    fn handle_timeout(&mut self, ctx: &mut Context<'_, SmartMessage>, op: OpNumber) {
-        let Some(flight) = self.current.as_mut() else {
-            return;
-        };
-        if flight.id.op != op {
-            return;
-        }
-        self.stats.retransmissions += 1;
-        let req = Request::new(flight.id, flight.command.clone());
-        let timer = ctx.set_timer(
-            self.cfg.retransmit_interval,
-            SmartMessage::ClientTimeout(op),
-        );
-        self.current.as_mut().expect("in flight").retransmit_timer = timer;
-        ctx.multicast(self.member_addrs(), SmartMessage::Request(req));
-    }
-}
-
-impl Node<SmartMessage> for SmartClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, SmartMessage>) {
-        let stagger = self.cfg.start_stagger.as_nanos() as u64;
-        if stagger == 0 {
-            self.issue_next(ctx);
-        } else {
-            let delay = Duration::from_nanos(ctx.rng().gen_range(0..=stagger));
-            ctx.set_timer(delay, SmartMessage::BackoffTimer);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, SmartMessage>,
-        _from: NodeId,
-        msg: SmartMessage,
-    ) {
+    fn classify(&self, msg: SmartMessage) -> ClientEvent {
         match msg {
-            SmartMessage::Reply(reply) => self.handle_reply(ctx, reply.id, reply.result),
-            SmartMessage::MembershipUpdate(m) => self.handle_membership_update(ctx, m),
-            _ => {}
+            SmartMessage::Reply(reply) => ClientEvent::Reply(reply),
+            SmartMessage::MembershipUpdate(m) => ClientEvent::Membership(m),
+            _ => ClientEvent::Other,
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, SmartMessage>, _id: TimerId, msg: SmartMessage) {
+    fn reject_threshold(&self) -> Option<u32> {
+        None
+    }
+
+    fn reject_is_final(&self) -> bool {
+        true
+    }
+
+    fn tick(arg: u64) -> SmartMessage {
+        SmartMessage::ClientTimeout(OpNumber(arg))
+    }
+
+    fn tick_arg(msg: &SmartMessage) -> Option<u64> {
         match msg {
-            SmartMessage::ClientTimeout(op) => self.handle_timeout(ctx, op),
-            SmartMessage::BackoffTimer if self.current.is_none() && !self.stopped => {
-                self.issue_next(ctx);
-            }
-            _ => {}
+            SmartMessage::ClientTimeout(op) => Some(op.0),
+            _ => None,
+        }
+    }
+
+    fn retarget(&mut self, dir: &Directory<NodeId>, group: &Membership) {
+        self.targets = dir.member_addrs(group);
+    }
+}
+
+impl ClientSetup for SmartClientConfig {
+    type Port = SmartPort;
+
+    fn quorum(&self) -> QuorumSet {
+        self.quorum
+    }
+
+    fn timing(&self) -> ClientTiming {
+        ClientTiming {
+            retransmit_interval: self.retransmit_interval,
+            // Never drawn from: nothing rejects a SMaRt client.
+            backoff: (Duration::ZERO, Duration::ZERO),
+            start_delay: Duration::ZERO,
+            start_stagger: self.start_stagger,
+            think_time: self.think_time,
+        }
+    }
+
+    fn port(&self, dir: &Directory<NodeId>, group: &Membership) -> SmartPort {
+        SmartPort {
+            targets: dir.member_addrs(group),
         }
     }
 }
+
+/// A SMaRt client node: the closed-loop [`Client`] chassis behind a
+/// multicast port.
+pub type SmartClient = Client<SmartPort>;
 
 #[cfg(test)]
 mod tests {

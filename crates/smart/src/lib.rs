@@ -62,7 +62,7 @@ pub mod config;
 pub mod messages;
 pub mod replica;
 
-pub use client::{SmartClient, SmartClientConfig, SmartClientStats};
+pub use client::{SmartClient, SmartClientConfig, SmartPort};
 pub use config::SmartConfig;
 pub use messages::SmartMessage;
 pub use replica::{SmartReplica, SmartReplicaStats};

@@ -53,10 +53,11 @@ pub enum SmartMessage {
     // ----- timer payloads (never on the wire) -----
     /// Replica progress (view-change) timer.
     ProgressTimer,
-    /// Client retransmission timeout.
+    /// The client's timer. A client is the only consumer of its own
+    /// timers, so it multiplexes them over this one variant: the payload
+    /// is the operation number for a retransmission, and carries a kind
+    /// tag in its top byte otherwise (`idem_common::client::encode_tick`).
     ClientTimeout(OpNumber),
-    /// Client think/backoff delay.
-    BackoffTimer,
     /// Replica catch-up retry after a reboot: re-asks the cluster for a
     /// checkpoint until some peer answers.
     RecoveryTimer,
@@ -83,7 +84,6 @@ impl Wire for SmartMessage {
             SmartMessage::MembershipUpdate(m) => m.wire_size(),
             SmartMessage::ProgressTimer
             | SmartMessage::ClientTimeout(_)
-            | SmartMessage::BackoffTimer
             | SmartMessage::RecoveryTimer => 0,
         }
     }
@@ -176,7 +176,6 @@ mod tests {
     #[test]
     fn timers_are_free() {
         assert_eq!(SmartMessage::ProgressTimer.wire_size(), 0);
-        assert_eq!(SmartMessage::BackoffTimer.wire_size(), 0);
         assert_eq!(SmartMessage::RecoveryTimer.wire_size(), 0);
     }
 }

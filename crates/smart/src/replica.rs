@@ -749,7 +749,6 @@ impl Node<SmartMessage> for SmartReplica {
             | SmartMessage::MembershipUpdate(_)
             | SmartMessage::ProgressTimer
             | SmartMessage::ClientTimeout(_)
-            | SmartMessage::BackoffTimer
             | SmartMessage::RecoveryTimer => {}
         }
     }
