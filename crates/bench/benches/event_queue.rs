@@ -246,34 +246,28 @@ impl Node<WorkUnit> for Broadcaster {
     }
 }
 
-/// Multicast fan-out (1 sender → 3/9/27 recipients) under the batched
-/// delivery path (one chain-refiled queue entry per multicast) and the
-/// per-recipient reference path (one pre-materialized entry per
-/// recipient). The replication protocols fan every request out to all
-/// replicas, so this ratio is the direct microbenchmark behind the
-/// simulator's multicast batching.
+/// Multicast fan-out (1 sender → 3/9/27 recipients): one shared arena body
+/// and one queue entry per recipient. The replication protocols fan every
+/// request out to all replicas, so this is the microbenchmark of that path.
 fn broadcast_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/fanout");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     for fanout in [3usize, 9, 27] {
-        for (batched, mode) in [(true, "batched"), (false, "per_recipient")] {
-            group.bench_function(format!("broadcast_{fanout}_{mode}"), |b| {
-                b.iter(|| {
-                    let link = LinkSpec::new(Duration::from_micros(100), Duration::ZERO);
-                    let mut sim: Simulation<WorkUnit> =
-                        Simulation::with_network(0xFA0 + fanout as u64, Network::new(link));
-                    sim.set_multicast_batching(batched);
-                    let sinks: Vec<NodeId> = (0..fanout)
-                        .map(|_| sim.add_node(Box::new(FanoutSink)))
-                        .collect();
-                    sim.add_node(Box::new(Broadcaster { sinks }));
-                    sim.run_until(SimTime::from_nanos(100_000_000));
-                    black_box(sim.events_processed())
-                });
+        group.bench_function(format!("broadcast_{fanout}"), |b| {
+            b.iter(|| {
+                let link = LinkSpec::new(Duration::from_micros(100), Duration::ZERO);
+                let mut sim: Simulation<WorkUnit> =
+                    Simulation::with_network(0xFA0 + fanout as u64, Network::new(link));
+                let sinks: Vec<NodeId> = (0..fanout)
+                    .map(|_| sim.add_node(Box::new(FanoutSink)))
+                    .collect();
+                sim.add_node(Box::new(Broadcaster { sinks }));
+                sim.run_until(SimTime::from_nanos(100_000_000));
+                black_box(sim.events_processed())
             });
-        }
+        });
     }
     group.finish();
 }

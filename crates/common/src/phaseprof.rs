@@ -9,8 +9,8 @@
 //! branch, so the instrumented hot paths stay allocation- and
 //! syscall-free in normal runs (the alloc-regression tests cover the
 //! disabled mode). Call [`enable`] before a run to start attributing;
-//! the counters are process-global atomics, so attribution spans every
-//! thread of a parallel-stepping cell too.
+//! the counters are process-global atomics, so they sum over every cell
+//! a `--jobs` sweep runs at once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;

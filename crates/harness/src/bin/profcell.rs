@@ -95,7 +95,7 @@ fn main() {
         st.delivers, st.timers, st.wakes, st.inline_wakes, st.crashes, st.queue_high_water,
     );
     println!(
-        "arena: messages={} high_water={} batches={} batched_delivers={}",
+        "arena: messages={} high_water={} shared_bodies={} shared_recipients={}",
         st.arena_messages, st.arena_high_water, st.multicast_batches, st.batched_deliveries,
     );
     // The protocol probe times whole handler invocations, which contain

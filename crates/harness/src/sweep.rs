@@ -21,7 +21,8 @@
 //! let results = runner.run_cells(cells); // results[i] belongs to cells[i]
 //! ```
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use idem_simnet::EventStats;
@@ -109,19 +110,8 @@ impl SweepStats {
 #[derive(Debug)]
 pub struct SweepRunner {
     jobs: usize,
-    cells: AtomicU64,
-    events: AtomicU64,
-    busy_ns: AtomicU64,
-    delivers: AtomicU64,
-    timers: AtomicU64,
-    wakes: AtomicU64,
-    inline_wakes: AtomicU64,
-    crashes: AtomicU64,
-    high_water: AtomicU64,
-    arena_messages: AtomicU64,
-    arena_high_water: AtomicU64,
-    multicast_batches: AtomicU64,
-    batched_deliveries: AtomicU64,
+    /// Locked once or twice per finished task, never while one runs.
+    stats: Mutex<SweepStats>,
 }
 
 impl Default for SweepRunner {
@@ -135,19 +125,7 @@ impl SweepRunner {
     pub fn new(jobs: usize) -> SweepRunner {
         SweepRunner {
             jobs: jobs.max(1),
-            cells: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-            delivers: AtomicU64::new(0),
-            timers: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-            inline_wakes: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-            arena_messages: AtomicU64::new(0),
-            arena_high_water: AtomicU64::new(0),
-            multicast_batches: AtomicU64::new(0),
-            batched_deliveries: AtomicU64::new(0),
+            stats: Mutex::default(),
         }
     }
 
@@ -169,51 +147,20 @@ impl SweepRunner {
         self.jobs
     }
 
+    fn stats(&self) -> MutexGuard<'_, SweepStats> {
+        self.stats.lock().expect("sweep stats lock poisoned")
+    }
+
     /// Runs all cells and returns their results in declaration order:
     /// `results[i]` corresponds to `cells[i]`, regardless of worker count
     /// or scheduling. Panics in a cell propagate to the caller.
     pub fn run_cells(&self, cells: Vec<Cell>) -> Vec<RunResult> {
-        let n = cells.len();
-        let workers = self.jobs.min(n);
-        if workers <= 1 {
-            return cells.iter().map(|c| self.run_one(c)).collect();
-        }
-        // Work-stealing over a shared index: each worker claims the next
-        // unclaimed cell, runs it, and keeps the (index, result) pair
-        // locally; the pairs are merged back into declaration order after
-        // the scope joins. Cells carry their own seed and virtual clock, so
-        // results are independent of which worker ran them.
-        let next = AtomicUsize::new(0);
-        let cells = &cells;
-        let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, RunResult)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, self.run_one(&cells[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("sweep worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell produced a result"))
-            .collect()
+        self.run_tasks(cells, |cell| {
+            let result = cell.run();
+            self.note_events(result.events_processed);
+            self.note_event_stats(&result.event_stats);
+            result
+        })
     }
 
     /// Runs arbitrary independent tasks on the worker pool, returning the
@@ -234,16 +181,20 @@ impl SweepRunner {
         let timed = |task: &T| {
             let start = Instant::now();
             let result = run(task);
-            self.cells.fetch_add(1, Ordering::Relaxed);
-            self.busy_ns.fetch_add(
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
+            let busy = start.elapsed();
+            let mut stats = self.stats();
+            stats.cells += 1;
+            stats.busy += busy;
             result
         };
         if workers <= 1 {
             return tasks.iter().map(timed).collect();
         }
+        // Work-stealing over a shared index: each worker claims the next
+        // unclaimed task, runs it, and keeps the (index, result) pair
+        // locally; the pairs are merged back into declaration order after
+        // the scope joins. Tasks carry their own seed and virtual clock, so
+        // results are independent of which worker ran them.
         let next = AtomicUsize::new(0);
         let tasks = &tasks;
         let timed = &timed;
@@ -281,68 +232,21 @@ impl SweepRunner {
     /// Adds simulator events to the accumulated statistics, for tasks run
     /// via [`run_tasks`](Self::run_tasks) (thread-safe).
     pub fn note_events(&self, events: u64) {
-        self.events.fetch_add(events, Ordering::Relaxed);
+        self.stats().events += events;
     }
 
     /// Adds one run's per-kind dispatch breakdown to the accumulated
     /// statistics, for tasks run via [`run_tasks`](Self::run_tasks)
     /// (thread-safe).
     pub fn note_event_stats(&self, stats: &EventStats) {
-        self.delivers.fetch_add(stats.delivers, Ordering::Relaxed);
-        self.timers.fetch_add(stats.timers, Ordering::Relaxed);
-        self.wakes.fetch_add(stats.wakes, Ordering::Relaxed);
-        self.inline_wakes
-            .fetch_add(stats.inline_wakes, Ordering::Relaxed);
-        self.crashes.fetch_add(stats.crashes, Ordering::Relaxed);
-        self.high_water
-            .fetch_max(stats.queue_high_water, Ordering::Relaxed);
-        self.arena_messages
-            .fetch_add(stats.arena_messages, Ordering::Relaxed);
-        self.arena_high_water
-            .fetch_max(stats.arena_high_water, Ordering::Relaxed);
-        self.multicast_batches
-            .fetch_add(stats.multicast_batches, Ordering::Relaxed);
-        self.batched_deliveries
-            .fetch_add(stats.batched_deliveries, Ordering::Relaxed);
-    }
-
-    /// Runs one cell, recording its statistics.
-    fn run_one(&self, cell: &Cell) -> RunResult {
-        let start = Instant::now();
-        let result = cell.run();
-        let busy = start.elapsed();
-        self.cells.fetch_add(1, Ordering::Relaxed);
-        self.events
-            .fetch_add(result.events_processed, Ordering::Relaxed);
-        self.busy_ns.fetch_add(
-            busy.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        self.note_event_stats(&result.event_stats);
-        result
+        self.stats().events_by_kind.merge(stats);
     }
 
     /// Returns the statistics accumulated since the previous call and
     /// resets them — call once per experiment to attribute events and
     /// wall time to it.
     pub fn take_stats(&self) -> SweepStats {
-        SweepStats {
-            cells: self.cells.swap(0, Ordering::Relaxed),
-            events: self.events.swap(0, Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_ns.swap(0, Ordering::Relaxed)),
-            events_by_kind: EventStats {
-                delivers: self.delivers.swap(0, Ordering::Relaxed),
-                timers: self.timers.swap(0, Ordering::Relaxed),
-                wakes: self.wakes.swap(0, Ordering::Relaxed),
-                inline_wakes: self.inline_wakes.swap(0, Ordering::Relaxed),
-                crashes: self.crashes.swap(0, Ordering::Relaxed),
-                queue_high_water: self.high_water.swap(0, Ordering::Relaxed),
-                arena_messages: self.arena_messages.swap(0, Ordering::Relaxed),
-                arena_high_water: self.arena_high_water.swap(0, Ordering::Relaxed),
-                multicast_batches: self.multicast_batches.swap(0, Ordering::Relaxed),
-                batched_deliveries: self.batched_deliveries.swap(0, Ordering::Relaxed),
-            },
-        }
+        std::mem::take(&mut *self.stats())
     }
 }
 

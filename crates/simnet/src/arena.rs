@@ -1,12 +1,12 @@
-//! Slab storage for in-flight message bodies and multicast batches.
+//! Slab storage for in-flight message bodies.
 //!
-//! Both structures follow the generation-stamped slab idiom of
+//! The arena follows the generation-stamped slab idiom of
 //! [`TimerTable`](crate::wheel::TimerTable): slots are recycled through a
 //! free list, handles pack `(generation, slot)`, and a stale handle (from a
 //! previous occupant of the slot) never matches the current generation, so
 //! it degrades into a no-op instead of corrupting a live entry. After a
 //! short warm-up the steady state allocates nothing: every insert reuses a
-//! slot, every batch reuses a member vector.
+//! slot.
 //!
 //! # Why bodies live out-of-line
 //!
@@ -20,8 +20,6 @@
 //! last moves the body out — the same copies (and non-copies) as the
 //! `Arc`-based scheme it replaces, minus the allocator round-trip per
 //! multicast.
-
-use crate::node::NodeId;
 
 /// Handle to a message body stored in a [`MessageArena`], packing
 /// `(generation << 32) | slot` like a
@@ -187,178 +185,6 @@ impl<M> MessageArena<M> {
     }
 }
 
-/// Handle to a pending multicast batch in a [`BatchTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BatchId(u64);
-
-impl BatchId {
-    fn parts(self) -> (usize, u32) {
-        ((self.0 & u32::MAX as u64) as usize, (self.0 >> 32) as u32)
-    }
-}
-
-/// One undelivered recipient of a multicast: its delivery `(time, seq)`
-/// slot in the global order plus the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BatchMember {
-    pub time_ns: u64,
-    pub seq: u64,
-    pub to: NodeId,
-}
-
-/// One in-flight multicast: the shared body handle, the clone fn captured
-/// where `M: Clone` was available, and the members still awaiting delivery
-/// (sorted by `(time, seq)`; `next` advances through them).
-#[derive(Debug)]
-struct BatchSlot<M> {
-    gen: u32,
-    from: NodeId,
-    msg: MsgId,
-    clone: fn(&M) -> M,
-    members: Vec<BatchMember>,
-    next: u32,
-}
-
-/// What [`BatchTable::advance`] hands back for one delivery step.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BatchStep {
-    /// The sender of the multicast.
-    pub from: NodeId,
-    /// The shared body handle (refcounted in the [`MessageArena`]).
-    pub msg: MsgId,
-    /// The member delivered by this step.
-    pub member: BatchMember,
-    /// The `(time, seq)` of the following member, if any — the key the
-    /// caller must re-file the batch's queue entry at *before* offering
-    /// this step's delivery, so bounded queue peeks keep seeing the
-    /// earliest undelivered member.
-    pub refile: Option<(u64, u64)>,
-}
-
-/// A recycling slab of in-flight multicasts. Member vectors are retained
-/// across slot reuse, so a warmed table creates batches without touching
-/// the allocator.
-#[derive(Debug)]
-pub(crate) struct BatchTable<M> {
-    slots: Vec<BatchSlot<M>>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl<M> Default for BatchTable<M> {
-    fn default() -> Self {
-        BatchTable::new()
-    }
-}
-
-impl<M> BatchTable<M> {
-    pub fn new() -> BatchTable<M> {
-        BatchTable {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Creates a batch over `members` (must be sorted by `(time, seq)` and
-    /// non-empty), copying them into a recycled vector.
-    pub fn create(
-        &mut self,
-        from: NodeId,
-        msg: MsgId,
-        clone: fn(&M) -> M,
-        members: &[BatchMember],
-    ) -> BatchId {
-        debug_assert!(!members.is_empty(), "a batch needs at least one member");
-        debug_assert!(
-            members
-                .windows(2)
-                .all(|w| (w[0].time_ns, w[0].seq) < (w[1].time_ns, w[1].seq)),
-            "batch members must be sorted by (time, seq)"
-        );
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(BatchSlot {
-                    gen: 0,
-                    from: NodeId(0),
-                    msg,
-                    clone,
-                    members: Vec::new(),
-                    next: 0,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let slot = &mut self.slots[idx as usize];
-        slot.gen = slot.gen.wrapping_add(1); // even → odd: live
-        slot.from = from;
-        slot.msg = msg;
-        slot.clone = clone;
-        slot.members.clear();
-        slot.members.extend_from_slice(members);
-        slot.next = 0;
-        self.live += 1;
-        BatchId(((slot.gen as u64) << 32) | idx as u64)
-    }
-
-    /// Steps `id` past its next member, retiring the batch (and recycling
-    /// the slot, member vector included) when that member was the last.
-    /// The caller learns the member to deliver, the shared body handle,
-    /// and — while members remain — the `(time, seq)` to re-file the
-    /// queue entry at.
-    ///
-    /// # Panics
-    /// Panics on a stale handle: unlike timers, batch entries are never
-    /// cancelled, so the queue entry and the slot generation march in
-    /// lockstep by construction.
-    pub fn advance(&mut self, id: BatchId) -> (BatchStep, fn(&M) -> M) {
-        let (idx, gen) = id.parts();
-        let slot = &mut self.slots[idx];
-        assert_eq!(slot.gen, gen, "batch handle out of sync with its slot");
-        let member = slot.members[slot.next as usize];
-        slot.next += 1;
-        let step = if (slot.next as usize) < slot.members.len() {
-            let next = slot.members[slot.next as usize];
-            BatchStep {
-                from: slot.from,
-                msg: slot.msg,
-                member,
-                refile: Some((next.time_ns, next.seq)),
-            }
-        } else {
-            let step = BatchStep {
-                from: slot.from,
-                msg: slot.msg,
-                member,
-                refile: None,
-            };
-            slot.gen = slot.gen.wrapping_add(1); // odd → even: free
-            slot.members.clear();
-            self.free.push(idx as u32);
-            self.live -= 1;
-            step
-        };
-        (step, slot.clone)
-    }
-
-    /// Number of batches currently in flight.
-    #[cfg(test)]
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Undelivered members of batch `id` (stale handles count zero).
-    #[cfg(test)]
-    pub fn remaining(&self, id: BatchId) -> usize {
-        let (idx, gen) = id.parts();
-        match self.slots.get(idx) {
-            Some(slot) if slot.gen == gen => slot.members.len() - slot.next as usize,
-            _ => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,57 +263,5 @@ mod tests {
     #[should_panic(expected = "at least one delivery")]
     fn zero_refs_rejected() {
         MessageArena::new().insert(1u8, 0);
-    }
-
-    fn member(time_ns: u64, seq: u64, to: u32) -> BatchMember {
-        BatchMember {
-            time_ns,
-            seq,
-            to: NodeId(to),
-        }
-    }
-
-    #[test]
-    fn batch_steps_through_members_then_retires() {
-        let mut t: BatchTable<u32> = BatchTable::new();
-        let mut arena: MessageArena<u32> = MessageArena::new();
-        let msg = arena.insert(42, 3);
-        let members = [member(10, 1, 0), member(10, 2, 1), member(30, 5, 2)];
-        let id = t.create(NodeId(9), msg, |&v| v, &members);
-        assert_eq!(t.live(), 1);
-        assert_eq!(t.remaining(id), 3);
-
-        let (s1, _) = t.advance(id);
-        assert_eq!(s1.member, members[0]);
-        assert_eq!(s1.from, NodeId(9));
-        assert_eq!(s1.refile, Some((10, 2)));
-
-        let (s2, _) = t.advance(id);
-        assert_eq!(s2.member, members[1]);
-        assert_eq!(s2.refile, Some((30, 5)));
-        assert_eq!(t.remaining(id), 1);
-
-        let (s3, clone) = t.advance(id);
-        assert_eq!(s3.member, members[2]);
-        assert_eq!(s3.refile, None);
-        assert_eq!(t.live(), 0);
-        assert_eq!(t.remaining(id), 0, "retired handle counts zero");
-        assert_eq!(clone(&7), 7);
-    }
-
-    #[test]
-    fn batch_slot_and_member_vec_are_recycled() {
-        let mut t: BatchTable<u32> = BatchTable::new();
-        let mut arena: MessageArena<u32> = MessageArena::new();
-        let m1 = arena.insert(1, 2);
-        let a = t.create(NodeId(0), m1, |&v| v, &[member(1, 1, 1), member(2, 2, 2)]);
-        t.advance(a);
-        t.advance(a);
-        let m2 = arena.insert(2, 1);
-        let b = t.create(NodeId(0), m2, |&v| v, &[member(3, 3, 1)]);
-        assert_eq!(a.parts().0, b.parts().0, "slot is recycled");
-        assert_ne!(a, b, "generation differs");
-        assert_eq!(t.remaining(a), 0, "stale handle sees nothing");
-        assert_eq!(t.remaining(b), 1);
     }
 }

@@ -9,7 +9,7 @@
 //! (see [`arena`](crate::arena)), keeping the wheel's memmove traffic —
 //! heap sifts, slot cascades — independent of the protocol's message size.
 
-use crate::arena::{BatchId, MessageArena, MsgId};
+use crate::arena::{MessageArena, MsgId};
 use crate::node::{NodeId, TimerId};
 use crate::time::SimTime;
 use crate::wheel::TimingWheel;
@@ -67,12 +67,6 @@ pub(crate) enum EventKind<M> {
         from: NodeId,
         msg: Payload<M>,
     },
-    /// Deliver the next member of a multicast batch. The entry is filed at
-    /// the member's exact `(time, seq)` and re-filed at the following
-    /// member's slot after each delivery, so the queue always shows the
-    /// earliest undelivered recipient; see
-    /// [`BatchTable`](crate::arena::BatchTable).
-    DeliverBatch { batch: BatchId },
     /// Fire timer `id` at `node`. The payload lives in the simulator's
     /// timer table until the timer is processed, so cancellation frees it
     /// immediately and this entry becomes a stale no-op. `epoch` is the
@@ -130,9 +124,7 @@ impl<M> EventQueue<M> {
 
     /// The `(time, seq)` of the earliest pending event if it fires at or
     /// before `limit`, without dequeuing it. `None` when the queue is
-    /// empty or its earliest event is past the limit. A batch entry's key
-    /// is its earliest undelivered member, so hidden members never change
-    /// what a peek reports.
+    /// empty or its earliest event is past the limit.
     pub fn next_event_before(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
         let (time, seq) = self.wheel.peek_before(limit.as_nanos())?;
         Some((SimTime::from_nanos(time), seq))
@@ -148,8 +140,7 @@ impl<M> EventQueue<M> {
         })
     }
 
-    /// Number of pending queue entries. A multicast batch counts once
-    /// regardless of how many deliveries it still covers.
+    /// Number of pending queue entries.
     pub fn len(&self) -> usize {
         self.wheel.len()
     }

@@ -8,7 +8,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::arena::{BatchMember, BatchTable, MessageArena};
+use crate::arena::MessageArena;
 use crate::disk::{Disk, DiskLatency};
 use crate::event::{Event, EventKind, EventQueue, Payload};
 use crate::net::Network;
@@ -51,9 +51,12 @@ pub struct EventStats {
     /// The most message bodies ever in flight at once — the arena's
     /// steady-state footprint in slots.
     pub arena_high_water: u64,
-    /// Multicasts coalesced into a single chain-refiled queue entry.
+    /// Multicasts that had two or more surviving recipients at send time:
+    /// the sends whose one arena body is shared by several queue entries.
+    /// (Named for the batched delivery path that was measured and removed;
+    /// the benchmark ledger still reads this field.)
     pub multicast_batches: u64,
-    /// Deliveries fanned out of batch entries (a subset of `delivers`).
+    /// Recipients of those multicasts, counted at send time.
     pub batched_deliveries: u64,
 }
 
@@ -233,11 +236,10 @@ pub struct Core<M> {
     /// the node that armed them.
     timers: Vec<TimerTable<M>>,
     arena: MessageArena<M>,
-    batches: BatchTable<M>,
-    /// Reusable per-multicast member buffer; taken and restored around the
-    /// target loop so the steady state never allocates one.
-    mcast_scratch: Vec<BatchMember>,
-    batch_multicast: bool,
+    /// Reusable buffer of one multicast's surviving `(time, seq, to)`
+    /// deliveries; taken and restored around the target loop so the steady
+    /// state never allocates one.
+    mcast_scratch: Vec<(SimTime, u64, NodeId)>,
     events_processed: u64,
     stats: EventStats,
     drain_profiles: Vec<DrainProfile>,
@@ -364,19 +366,10 @@ impl<M: Wire> Core<M> {
 
     /// Sends one message body to many recipients, storing it once in the
     /// arena instead of cloning it per recipient. Per-link traffic
-    /// accounting, loss sampling, and delivery order are identical to
-    /// calling [`send`](Core::send) once per target; only the payload
-    /// copies are elided (the last delivery moves the body out, and copies
-    /// to crashed or unreachable nodes are never cloned).
-    ///
-    /// With multicast batching on (the default), the surviving recipient
-    /// set becomes *one* queue entry filed at its earliest member's
-    /// `(time, seq)` and re-filed at the next member's slot after each
-    /// delivery. Because the survivors' seqs are reserved back-to-back, no
-    /// foreign event can order between two members that share a delivery
-    /// time, so chain-refiling dispatches members at exactly the positions
-    /// per-recipient entries would have occupied — the batched-vs-unbatched
-    /// differential test pins this down.
+    /// accounting, loss sampling, seq reservation and hence delivery order
+    /// are identical to calling [`send`](Core::send) once per target; only
+    /// the payload copies are elided (the last delivery moves the body out,
+    /// and copies to crashed or unreachable nodes are never cloned).
     pub(crate) fn multicast(
         &mut self,
         from: NodeId,
@@ -385,70 +378,40 @@ impl<M: Wire> Core<M> {
     ) where
         M: Clone,
     {
-        let clone: fn(&M) -> M = <M as Clone>::clone;
         let departure = self.states[from.index()].busy_until.max(self.now);
         let bytes = msg.wire_size() + HEADER_BYTES;
-        // The RNG draws (transmit) and seq reservations interleave per
-        // target in exactly the order of the per-recipient path, so both
-        // modes consume identical randomness.
-        let mut members = mem::take(&mut self.mcast_scratch);
-        members.clear();
+        // The arena wants the survivor count before the first entry is
+        // filed, so the survivors wait in the scratch buffer.
+        let mut survivors = mem::take(&mut self.mcast_scratch);
+        survivors.clear();
         for to in targets {
             let Some(delay) = self.transmit(from, to, bytes) else {
                 continue; // lost or blocked
             };
-            members.push(BatchMember {
-                time_ns: (departure + delay).as_nanos(),
-                seq: self.next_seq(),
-                to,
-            });
+            survivors.push((departure + delay, self.next_seq(), to));
         }
-        match members.len() {
-            0 => {} // every copy lost
-            1 => {
-                let m = members[0];
-                self.stats.arena_messages += 1;
-                let msg = Payload::Unique(self.arena.insert(msg, 1));
+        if !survivors.is_empty() {
+            let n = survivors.len();
+            if n > 1 {
+                self.stats.multicast_batches += 1;
+                self.stats.batched_deliveries += n as u64;
+            }
+            self.stats.arena_messages += 1;
+            let id = self.arena.insert(msg, n as u32);
+            let clone: fn(&M) -> M = <M as Clone>::clone;
+            for &(time, seq, to) in &survivors {
                 self.queue.push(Event {
-                    time: SimTime::from_nanos(m.time_ns),
-                    seq: m.seq,
+                    time,
+                    seq,
                     kind: EventKind::Deliver {
-                        to: m.to,
+                        to,
                         from,
-                        msg,
+                        msg: Payload::Shared { id, clone },
                     },
                 });
             }
-            _ if self.batch_multicast => {
-                members.sort_unstable_by_key(|m| (m.time_ns, m.seq));
-                self.stats.arena_messages += 1;
-                self.stats.multicast_batches += 1;
-                let id = self.arena.insert(msg, members.len() as u32);
-                let batch = self.batches.create(from, id, clone, &members);
-                let first = members[0];
-                self.queue.push(Event {
-                    time: SimTime::from_nanos(first.time_ns),
-                    seq: first.seq,
-                    kind: EventKind::DeliverBatch { batch },
-                });
-            }
-            _ => {
-                self.stats.arena_messages += 1;
-                let id = self.arena.insert(msg, members.len() as u32);
-                for m in &members {
-                    self.queue.push(Event {
-                        time: SimTime::from_nanos(m.time_ns),
-                        seq: m.seq,
-                        kind: EventKind::Deliver {
-                            to: m.to,
-                            from,
-                            msg: Payload::Shared { id, clone },
-                        },
-                    });
-                }
-            }
         }
-        self.mcast_scratch = members;
+        self.mcast_scratch = survivors;
     }
 }
 
@@ -507,9 +470,7 @@ impl<M: Wire + 'static> Simulation<M> {
                 traffic: Traffic::new(),
                 timers: Vec::new(),
                 arena: MessageArena::new(),
-                batches: BatchTable::new(),
                 mcast_scratch: Vec::new(),
-                batch_multicast: true,
                 events_processed: 0,
                 stats: EventStats::default(),
                 drain_profiles: Vec::new(),
@@ -813,41 +774,6 @@ impl<M: Wire + 'static> Simulation<M> {
                 self.offer(to, Deferred::Msg { from, msg }, ev.time);
                 self.settle_wake(to, limit);
             }
-            EventKind::DeliverBatch { batch } => {
-                // One member per dispatch: advance the batch, re-file the
-                // entry at the *next* member's exact `(time, seq)` — before
-                // offering, so the bounded peeks in `settle_wake` keep
-                // seeing the earliest undelivered member — then deliver.
-                let (step, clone) = self.core.batches.advance(batch);
-                debug_assert_eq!(
-                    (step.member.time_ns, step.member.seq),
-                    (ev.time.as_nanos(), ev.seq),
-                    "batch entry filed at its next member's slot"
-                );
-                if let Some((time_ns, seq)) = step.refile {
-                    self.core.queue.push(Event {
-                        time: SimTime::from_nanos(time_ns),
-                        seq,
-                        kind: EventKind::DeliverBatch { batch },
-                    });
-                }
-                self.core.stats.delivers += 1;
-                self.core.stats.batched_deliveries += 1;
-                let msg = Payload::Shared {
-                    id: step.msg,
-                    clone,
-                };
-                let to = step.member.to;
-                self.offer(
-                    to,
-                    Deferred::Msg {
-                        from: step.from,
-                        msg,
-                    },
-                    ev.time,
-                );
-                self.settle_wake(to, limit);
-            }
             EventKind::Timer {
                 node: nid,
                 id,
@@ -1082,9 +1008,7 @@ impl<M: Wire + 'static> Simulation<M> {
     }
 
     /// Number of queue entries still pending (global queue plus
-    /// materialized wake-ups in the wake lane). A batched multicast counts
-    /// as one entry however many recipients it still covers; zero still
-    /// means fully quiescent.
+    /// materialized wake-ups in the wake lane); zero means fully quiescent.
     pub fn pending_events(&self) -> usize {
         self.core.queue.len() + self.wake_lane.len()
     }
@@ -1112,18 +1036,6 @@ impl<M: Wire + 'static> Simulation<M> {
     /// reference.
     pub fn pending_messages(&self) -> usize {
         self.core.arena.live()
-    }
-
-    /// Switches multicast delivery between the batched path (default:
-    /// one chain-refiled queue entry per multicast) and the per-recipient
-    /// reference path (one queue entry per surviving recipient).
-    ///
-    /// Both paths reserve seqs and draw randomness at identical points and
-    /// dispatch deliveries in an identical global order, so runs are
-    /// byte-identical either way; only queue population and throughput
-    /// differ. Kept as the oracle for differential batching tests.
-    pub fn set_multicast_batching(&mut self, batch: bool) {
-        self.core.batch_multicast = batch;
     }
 
     /// Switches to the eager-wakes reference scheduler: every reserved
