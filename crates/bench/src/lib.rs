@@ -1,30 +1,11 @@
-//! Shared helpers for the benchmark suite.
+//! The benches live under `benches/`; each gates one data structure:
 //!
-//! The benches live under `benches/`:
+//! * `event_queue` — the timing wheel against a binary heap, plus
+//!   multicast fan-out through the simulator.
+//! * `message_arena` — slab insert/take against per-message boxing.
+//! * `protocol_state` — the dense per-client and per-slot tables of the
+//!   replicas against the maps they replaced.
 //!
-//! * `figures` — one benchmark per table/figure of the paper, running a
-//!   miniaturized version of the corresponding experiment (the full-scale
-//!   versions are regenerated by the `repro` binary of `idem-harness`).
-//! * `micro` — microbenchmarks of the hot data structures (histogram,
-//!   event queue, acceptance test, workload generator, KV store).
-//! * `ablations` — the design-choice ablations called out in DESIGN.md
-//!   (AQM vs tail drop, rejected-request cache, forward-timeout sweep).
-
-use std::time::Duration;
-
-use idem_harness::scenario::Scenario;
-use idem_harness::Protocol;
-
-/// A miniaturized scenario for benchmarking: short warmup and measurement
-/// so one Criterion iteration stays in the tens of milliseconds.
-pub fn mini_scenario(protocol: Protocol, clients: u32) -> Scenario {
-    let mut s = Scenario::new(protocol, clients, Duration::from_millis(300));
-    s.warmup = Duration::from_millis(100);
-    s
-}
-
-/// Runs a mini scenario and returns its success count (as a black-box
-/// anchor for the optimizer).
-pub fn run_mini(protocol: Protocol, clients: u32) -> u64 {
-    mini_scenario(protocol, clients).run().metrics.successes
-}
+//! Whole-program timing (per-figure wall time, events per second, the
+//! per-layer split) is measured from outside by the `benchmark/` crate
+//! and by `repro --bench-out`, not here.

@@ -42,7 +42,6 @@ pub mod exec;
 pub mod ids;
 pub mod load;
 pub mod membership;
-pub mod phaseprof;
 pub mod quorum;
 pub mod replica;
 pub mod request;

@@ -241,11 +241,9 @@ impl<'a> Cursor<'a> {
 /// the buffer (capacity included) for the rest of the run, so it is sized
 /// once and never over-reserved.
 fn build(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let prof = crate::phaseprof::begin();
     let mut out = Vec::with_capacity(len);
     write(&mut out);
     debug_assert_eq!(out.len(), len);
-    crate::phaseprof::end_encode(prof);
     out
 }
 

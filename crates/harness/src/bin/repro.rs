@@ -294,11 +294,6 @@ fn main() {
         }
         return;
     }
-    // Sampled protocol-handler attribution: one in 2^6 handler calls is
-    // timed and scaled back up, so the per-event cost stays a counter
-    // increment while BENCH entries still split cell CPU into protocol
-    // vs dispatch time.
-    idem_common::phaseprof::enable_protocol_sampled(6);
     let runner = match args.jobs {
         Some(jobs) => SweepRunner::new(jobs),
         None => SweepRunner::from_available_parallelism(),
@@ -321,7 +316,6 @@ fn main() {
     );
     let mut bench_entries: Vec<BenchEntry> = Vec::new();
     let mut chaos_violations = 0usize;
-    let mut prof_mark = 0u64;
     let total_start = Instant::now();
     for name in &args.wanted {
         let start = Instant::now();
@@ -339,7 +333,6 @@ fn main() {
             "strategies" => experiments::strategies::run(effort, &runner),
             "calibrate" => {
                 calibrate();
-                protocol_ns_since(&mut prof_mark);
                 continue;
             }
             "chaos" | "churn" => {
@@ -392,7 +385,6 @@ fn main() {
                             epochs.unwrap_or(0),
                         )
                     }),
-                    protocol_ns: protocol_ns_since(&mut prof_mark),
                 });
                 eprintln!(
                     "[{name} done in {:.1?}: {} run(s), {} sim events, {:.0} events/s, {} violation(s)]\n",
@@ -443,9 +435,6 @@ fn main() {
                     stats.events,
                     stats.events_per_sec(wall),
                 );
-                // Load reports into its own schema; still advance the
-                // protocol-time mark so the next entry's delta is clean.
-                protocol_ns_since(&mut prof_mark);
                 continue;
             }
             other => unreachable!("parser admitted unknown experiment '{other}'"),
@@ -462,7 +451,6 @@ fn main() {
             kinds: stats.events_by_kind,
             rejoin: None,
             reconfig: None,
-            protocol_ns: protocol_ns_since(&mut prof_mark),
         });
         eprintln!(
             "[{name} done in {:.1?}: {} cell(s), {} sim events, {:.0} events/s]\n",
@@ -507,18 +495,6 @@ struct BenchEntry {
     /// the epoch high-water so BENCH_chaos.json tracks reconfiguration
     /// latency across the campaign.
     reconfig: Option<(u64, u64, u64)>,
-    /// Sampled estimate of CPU time spent inside protocol handlers; the
-    /// rest of `cell_cpu` is simulator dispatch.
-    protocol_ns: u64,
-}
-
-/// Delta of the global protocol-handler time counter since `mark`,
-/// advancing the mark.
-fn protocol_ns_since(mark: &mut u64) -> u64 {
-    let now = idem_common::phaseprof::snapshot().protocol_ns;
-    let delta = now.saturating_sub(*mark);
-    *mark = now;
-    delta
 }
 
 /// Renders the bench summary as JSON (hand-rolled: the workspace has no
@@ -539,9 +515,10 @@ fn render_bench_json(
     out.push_str("  \"experiments\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let events_per_sec = e.events as f64 / e.wall.as_secs_f64().max(1e-9);
-        // One line per experiment: scripts/check_bench_regression.sh greps
-        // "name" and "events_per_sec" off the same line, so new fields are
-        // appended here rather than wrapped.
+        // One line per experiment: scripts/check_bench_regression.sh reads
+        // "name", "events_per_sec" and the counters it gates off the same
+        // line, in this order, so new fields are appended here rather than
+        // wrapped or inserted.
         let rejoin = match e.rejoin {
             Some((runs, total_ms)) => format!(
                 ", \"rejoin_runs\": {runs}, \"rejoin_ms_mean\": {:.0}",
@@ -561,8 +538,7 @@ fn render_bench_json(
             "    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"cells\": {}, \"sim_events\": {}, \
              \"events_per_sec\": {:.0}, \"cell_cpu_s\": {:.3}, \
              \"delivers\": {}, \"timers\": {}, \"wakes\": {}, \"inline_wakes\": {}, \
-             \"crashes\": {}, \"queue_high_water\": {}, \
-             \"protocol_ns\": {}, \"dispatch_ns\": {}{rejoin}{reconfig}}}{}\n",
+             \"crashes\": {}, \"queue_high_water\": {}{rejoin}{reconfig}}}{}\n",
             e.name,
             e.wall.as_secs_f64(),
             e.cells,
@@ -575,8 +551,6 @@ fn render_bench_json(
             e.kinds.inline_wakes,
             e.kinds.crashes,
             e.kinds.queue_high_water,
-            e.protocol_ns,
-            (e.cell_cpu.as_nanos() as u64).saturating_sub(e.protocol_ns),
             if i + 1 == entries.len() { "" } else { "," },
         ));
     }
@@ -650,7 +624,6 @@ mod tests {
             },
             rejoin: None,
             reconfig: None,
-            protocol_ns: 1_000,
         };
         let json = render_bench_json(&[entry], false, 2, Duration::from_secs(2));
         assert!(!json.contains("\"threads\""), "no threads key: {json}");

@@ -623,13 +623,6 @@ impl ClusterHandles {
     pub fn event_stats(&self) -> idem_simnet::EventStats {
         on_sim!(&self.sim, |sim| sim.event_stats())
     }
-
-    /// Per-node backlog-drain profiles, indexed like the simulator's nodes
-    /// (replicas first, then clients). Shows how much work each drain pass
-    /// batched — the run-to-completion scheduler's effectiveness measure.
-    pub fn drain_profiles(&self) -> Vec<idem_simnet::DrainProfile> {
-        on_sim!(&self.sim, |sim| sim.drain_profiles().to_vec())
-    }
 }
 
 #[cfg(test)]

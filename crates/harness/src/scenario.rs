@@ -152,7 +152,6 @@ impl Scenario {
         let order_violations = cluster
             .recorder
             .with(crate::recorder::Recorder::order_violations);
-        let drain_profiles = cluster.drain_profiles();
         RunResult {
             name: self.protocol.name(),
             clients: self.clients,
@@ -168,7 +167,6 @@ impl Scenario {
             event_stats: cluster.event_stats(),
             idem_stats,
             order_violations,
-            drain_profiles,
         }
     }
 }
@@ -207,9 +205,6 @@ pub struct RunResult {
     /// Per-client session-order violations (always 0 for a correct
     /// protocol; see [`Recorder::order_violations`](crate::recorder::Recorder::order_violations)).
     pub order_violations: u64,
-    /// Per-node backlog drain-length profiles, indexed by simnet node id
-    /// (replicas first, then clients). See [`idem_simnet::DrainProfile`].
-    pub drain_profiles: Vec<idem_simnet::DrainProfile>,
 }
 
 impl RunResult {

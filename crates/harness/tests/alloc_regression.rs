@@ -129,8 +129,8 @@ fn steady_state_simnet_hot_path_is_alloc_free() {
 #[test]
 fn saturated_idem_run_allocates_less_than_once_per_event() {
     let _serial = serial();
-    // 400 closed-loop clients against 3 replicas is deep into saturation
-    // (the profcell default); events dominate committed operations by a
+    // 400 closed-loop clients against 3 replicas is deep into saturation;
+    // events dominate committed operations by a
     // wide margin, so protocol-state churn must stay well under one
     // allocator call per event. Empty values keep the workload from
     // charging the simulator for payload bytes it has no say over —

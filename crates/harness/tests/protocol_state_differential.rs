@@ -190,7 +190,6 @@ fn collect(cluster: &ClusterHandles, protocol: &Protocol, clients: u32) -> RunRe
             .filter_map(|i| cluster.idem_stats(i))
             .collect(),
         order_violations: cluster.recorder.with(Recorder::order_violations),
-        drain_profiles: cluster.drain_profiles(),
     }
 }
 

@@ -20,11 +20,16 @@
 
 use std::time::Duration;
 
-use idem_common::{ExecRecord, PersistMode, ReconfigCommand, ReplicaId, Wal};
+use idem_common::{
+    ExecRecord, PersistMode, ReconfigCommand, ReplicaId, StateMachine, Wal, WalRecordRef,
+};
 use idem_harness::cluster::{build_cluster, ClusterOptions};
+use idem_harness::invariants::{check_agreement, check_exactly_once};
 use idem_harness::{ClusterHandles, Protocol};
+use idem_kv::KvStore;
 use idem_simnet::DiskLatency;
 
+const TAG_EXEC: u8 = 3;
 const TAG_CHECKPOINT: u8 = 4;
 
 fn protocols() -> Vec<Protocol> {
@@ -345,5 +350,114 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_one() {
         // And the replica is live again afterwards.
         cluster.run_for(Duration::from_millis(300));
         assert!(cluster.exec_frontier(2) > frontier, "{name}: no progress");
+    }
+}
+
+/// What a disk alone says its replica's state is: the newest intact
+/// checkpoint plus every intact exec record past it, applied to a fresh
+/// store. Written against the record codec only, so it shares no code
+/// with the replicas' `replay_wal`. `batch_shift` is how many low bits of
+/// an exec slot number positions inside one decision (SMaRt packs
+/// `(batch << 20) | offset`; IDEM and Paxos decide single slots).
+fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRecord>) {
+    let replay = Wal::replay(records);
+    let mut kv = KvStore::new();
+    let covered = replay.checkpoint.as_ref().map_or(0, |cp| {
+        kv.restore(cp.snapshot);
+        cp.next_exec
+    });
+    let mut frontier = covered;
+    let mut log = Vec::new();
+    for rec in &replay.records {
+        let WalRecordRef::Exec {
+            slot,
+            id,
+            fresh,
+            command,
+            epoch,
+        } = *rec
+        else {
+            continue;
+        };
+        log.push(ExecRecord::at_epoch(slot, id, fresh, epoch));
+        let decision = slot >> batch_shift;
+        if decision >= covered {
+            if fresh {
+                kv.execute(command);
+            }
+            frontier = frontier.max(decision + 1);
+        }
+    }
+    (frontier, kv.digest(), log)
+}
+
+/// A write torn by power loss cuts the *last* record of the log — an
+/// execution or an acceptance, not a checkpoint — off mid-record. Replay
+/// must drop exactly that record and nothing else: the wiped replica comes
+/// back as what its disk says without it, and rejoins from there.
+///
+/// IDEM and Paxos then execute the torn slot a second time, from their
+/// peers. SMaRt does not: its frontier counts batches, the surviving
+/// records of the batch carry replay past all of it, and the one request
+/// whose record was torn is never executed on this replica (ROADMAP item
+/// 2). The last assert pins that gap so that closing it shows up here.
+#[test]
+fn torn_log_tail_loses_exactly_the_torn_record() {
+    for protocol in protocols() {
+        let name = protocol.name();
+        let smart = name == "BFT-SMaRt";
+        let batch_shift = if smart { 20 } else { 0 };
+        let mut cluster = durable_cluster(&protocol, 0);
+        cluster.run_for(Duration::from_millis(600));
+        let tail_tag = |cluster: &ClusterHandles| cluster.disk(2).records().last().map(|r| r[0]);
+        while tail_tag(&cluster) == Some(TAG_CHECKPOINT) {
+            cluster.run_for(Duration::from_micros(50));
+        }
+
+        // Intact, the disk alone reproduces the live replica.
+        let (frontier, app, log) = (
+            cluster.exec_frontier(2),
+            cluster.app_digest(2),
+            cluster.exec_log(2),
+        );
+        assert!(
+            state_on_disk(cluster.disk(2).records(), batch_shift) == (frontier, app, log.clone()),
+            "{name}: the intact disk does not say what the replica holds"
+        );
+
+        let torn_exec = (tail_tag(&cluster) == Some(TAG_EXEC)).then(|| log[log.len() - 1]);
+        let last = cluster.disk(2).len() - 1;
+        let keep = cluster.disk(2).records()[last].len() / 2;
+        let intact_records = Wal::replay(cluster.disk(2).records()).records.len();
+        cluster.disk_mut(2).tear(last, keep);
+        assert_eq!(
+            Wal::replay(cluster.disk(2).records()).records.len(),
+            intact_records - 1,
+            "{name}: the torn record must not decode"
+        );
+        let expected = state_on_disk(cluster.disk(2).records(), batch_shift);
+        let kept = log.len() - usize::from(torn_exec.is_some());
+        assert!(expected.2 == log[..kept], "{name}: not exactly one record");
+        // An acceptance moves no frontier; an execution moves it by one,
+        // unless the rest of its batch holds it.
+        let lost = u64::from(torn_exec.is_some() && !smart);
+        assert_eq!(expected.0, frontier - lost, "{name}: disk frontier");
+
+        // Recovery runs inside the wipe; look before any message arrives.
+        cluster.wipe_replica(2, false);
+        assert_eq!(cluster.exec_frontier(2), expected.0, "{name}: frontier");
+        assert_eq!(cluster.app_digest(2), expected.1, "{name}: app state");
+        assert!(cluster.exec_log(2) == expected.2, "{name}: exec log");
+
+        // And the replica rejoins from there.
+        cluster.run_for(Duration::from_millis(300));
+        assert!(cluster.exec_frontier(2) > frontier, "{name}: no progress");
+        let logs: Vec<_> = (0..3).map(|i| cluster.exec_log(i)).collect();
+        assert_eq!(check_agreement(&logs), vec![], "{name}");
+        assert_eq!(check_exactly_once(&logs), vec![], "{name}");
+        if let Some(torn) = torn_exec {
+            let again = logs[2][kept..].contains(&torn);
+            assert_eq!(again, !smart, "{name}: the torn slot after rejoining");
+        }
     }
 }

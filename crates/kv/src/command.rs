@@ -67,14 +67,12 @@ pub(crate) fn encode_update_with(
     out: &mut Vec<u8>,
     fill: impl FnOnce(&mut Vec<u8>),
 ) {
-    let prof = idem_common::phaseprof::begin();
     out.clear();
     out.reserve(9 + value_len);
     out.push(TAG_UPDATE);
     out.extend_from_slice(&key.to_le_bytes());
     fill(out);
     debug_assert_eq!(out.len(), 9 + value_len);
-    idem_common::phaseprof::end_encode(prof);
 }
 
 impl Command {
@@ -93,7 +91,6 @@ impl Command {
     /// them through a reused scratch buffer keeps that path free of
     /// per-request allocations.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let prof = idem_common::phaseprof::begin();
         out.clear();
         out.reserve(self.encoded_len());
         match self {
@@ -117,7 +114,6 @@ impl Command {
             }
         }
         debug_assert_eq!(out.len(), self.encoded_len());
-        idem_common::phaseprof::end_encode(prof);
     }
 
     /// Encodes the command into its wire representation.

@@ -116,10 +116,14 @@ impl KvStore {
     }
 }
 
-impl KvStore {
-    /// The borrowed-parse execution core shared by both
-    /// [`StateMachine::execute`] entry points.
-    fn exec_inner(&mut self, command: &[u8], out: &mut Vec<u8>) {
+impl StateMachine for KvStore {
+    fn execute(&mut self, command: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.execute_into(command, &mut out);
+        out
+    }
+
+    fn execute_into(&mut self, command: &[u8], out: &mut Vec<u8>) {
         out.clear();
         // Borrowed parse, replies written straight into the caller's
         // scratch: unlike `Command::decode`, the Update value stays a slice
@@ -192,20 +196,6 @@ impl KvStore {
             }
             _ => out.push(STATUS_BAD_COMMAND),
         }
-    }
-}
-
-impl StateMachine for KvStore {
-    fn execute(&mut self, command: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.execute_into(command, &mut out);
-        out
-    }
-
-    fn execute_into(&mut self, command: &[u8], out: &mut Vec<u8>) {
-        let prof = idem_common::phaseprof::begin();
-        self.exec_inner(command, out);
-        idem_common::phaseprof::end_exec(prof);
     }
 
     fn execution_cost(&self, command: &[u8]) -> Duration {

@@ -75,7 +75,6 @@ pub mod disk;
 pub mod event;
 pub mod net;
 pub mod node;
-pub mod prof;
 pub mod sim;
 pub mod time;
 pub mod trace;
@@ -87,7 +86,7 @@ pub use arena::{MessageArena, MsgId};
 pub use disk::{Disk, DiskLatency};
 pub use net::{LinkSpec, Network};
 pub use node::{AsAny, Context, Node, NodeId, TimerId};
-pub use sim::{DrainProfile, EventStats, Simulation, DRAIN_BUCKETS};
+pub use sim::{EventStats, Simulation};
 pub use time::SimTime;
 pub use trace::{TraceBuffer, TraceEvent, TraceEventKind};
 pub use traffic::Traffic;

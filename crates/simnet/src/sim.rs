@@ -129,71 +129,6 @@ enum WakeState {
     Queued,
 }
 
-/// Number of log2 buckets in a [`DrainProfile`]: bucket `i` counts drains
-/// of `2^(i-1) < len ≤ 2^i - 1`-ish granularity (precisely: `len` with
-/// `i` significant bits), and the last bucket absorbs everything deeper.
-pub const DRAIN_BUCKETS: usize = 18;
-
-/// Per-node profile of backlog drains, collected for free on the hot path
-/// and surfaced so profiling runs (`profcell`) can verify that
-/// run-to-completion scheduling actually batches work: under saturation
-/// the bulk of processed items should come from long drains, not from
-/// one-item wake-ups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainProfile {
-    /// Backlog drain passes (queue-dispatched and inline alike).
-    pub drains: u64,
-    /// Total backlog items processed across all drains.
-    pub items: u64,
-    /// Deepest single drain.
-    pub max: u64,
-    /// Log2 histogram of drain lengths: index = number of significant
-    /// bits of the length (0 = empty drain, 1 = one item, 2 = 2–3 items,
-    /// 3 = 4–7, ...), saturating at the last bucket.
-    pub buckets: [u64; DRAIN_BUCKETS],
-}
-
-impl Default for DrainProfile {
-    fn default() -> DrainProfile {
-        DrainProfile {
-            drains: 0,
-            items: 0,
-            max: 0,
-            buckets: [0; DRAIN_BUCKETS],
-        }
-    }
-}
-
-impl DrainProfile {
-    fn record(&mut self, len: u64) {
-        self.drains += 1;
-        self.items += len;
-        self.max = self.max.max(len);
-        let bucket = (u64::BITS - len.leading_zeros()) as usize;
-        self.buckets[bucket.min(DRAIN_BUCKETS - 1)] += 1;
-    }
-
-    /// Inclusive `(lo, hi)` drain-length range covered by `bucket`.
-    pub fn bucket_range(bucket: usize) -> (u64, u64) {
-        match bucket {
-            0 => (0, 0),
-            _ if bucket >= DRAIN_BUCKETS - 1 => (1 << (DRAIN_BUCKETS - 2), u64::MAX),
-            _ => (1 << (bucket - 1), (1 << bucket) - 1),
-        }
-    }
-
-    /// Accumulates another node's profile into this one (counters add,
-    /// `max` takes the max).
-    pub fn merge(&mut self, other: &DrainProfile) {
-        self.drains += other.drains;
-        self.items += other.items;
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-}
-
 #[derive(Debug)]
 struct NodeState<M> {
     busy_until: SimTime,
@@ -242,7 +177,6 @@ pub struct Core<M> {
     mcast_scratch: Vec<(SimTime, u64, NodeId)>,
     events_processed: u64,
     stats: EventStats,
-    drain_profiles: Vec<DrainProfile>,
     trace: Option<TraceBuffer>,
     disks: Vec<Disk>,
     disk_latency: DiskLatency,
@@ -445,9 +379,6 @@ pub struct Simulation<M> {
     /// inline — the pre-run-to-completion reference scheduler. See
     /// [`set_eager_wakes`](Self::set_eager_wakes).
     eager_wakes: bool,
-    /// Private handler-invocation counter for the sampled protocol-time
-    /// probe (see [`crate::prof`]); purely observational.
-    prof_ticks: u64,
 }
 
 impl<M: Wire + 'static> Simulation<M> {
@@ -473,7 +404,6 @@ impl<M: Wire + 'static> Simulation<M> {
                 mcast_scratch: Vec::new(),
                 events_processed: 0,
                 stats: EventStats::default(),
-                drain_profiles: Vec::new(),
                 trace: None,
                 disks: Vec::new(),
                 disk_latency: DiskLatency::default(),
@@ -484,7 +414,6 @@ impl<M: Wire + 'static> Simulation<M> {
             wake_lane: BinaryHeap::new(),
             wake_high_water: 0,
             eager_wakes: false,
-            prof_ticks: 0,
         }
     }
 
@@ -506,7 +435,6 @@ impl<M: Wire + 'static> Simulation<M> {
         self.nodes.push(None);
         self.factories.push(None);
         self.core.states.push(NodeState::default());
-        self.core.drain_profiles.push(DrainProfile::default());
         self.core.disks.push(Disk::new());
         self.core.timers.push(TimerTable::new());
         id
@@ -621,9 +549,7 @@ impl<M: Wire + 'static> Simulation<M> {
                 }
                 let mut node = self.nodes[nid.index()].take().expect("node present");
                 let mut ctx = Context::new(&mut self.core, nid);
-                let prof = crate::prof::begin(&mut self.prof_ticks);
                 node.on_message(&mut ctx, from, msg);
-                crate::prof::end(prof);
                 self.nodes[nid.index()] = Some(node);
             }
             Deferred::Timer { id } => {
@@ -638,9 +564,7 @@ impl<M: Wire + 'static> Simulation<M> {
                 }
                 let mut node = self.nodes[nid.index()].take().expect("node present");
                 let mut ctx = Context::new(&mut self.core, nid);
-                let prof = crate::prof::begin(&mut self.prof_ticks);
                 node.on_timer(&mut ctx, id, msg);
-                crate::prof::end(prof);
                 self.nodes[nid.index()] = Some(node);
             }
         }
@@ -680,7 +604,6 @@ impl<M: Wire + 'static> Simulation<M> {
     /// busy again, then reserves a fresh wake-up slot if work remains.
     fn drain_backlog(&mut self, nid: NodeId, at: SimTime) {
         self.core.states[nid.index()].wake = WakeState::Idle;
-        let mut drained: u64 = 0;
         loop {
             let state = &mut self.core.states[nid.index()];
             if state.crashed {
@@ -691,14 +614,11 @@ impl<M: Wire + 'static> Simulation<M> {
                 break;
             }
             let Some(work) = state.backlog.pop_front() else {
-                self.core.drain_profiles[nid.index()].record(drained);
                 return;
             };
-            drained += 1;
             self.core.now = at;
             self.process(nid, work);
         }
-        self.core.drain_profiles[nid.index()].record(drained);
         // Work remains but the processor is busy: wake again when free.
         let state = &mut self.core.states[nid.index()];
         if !state.backlog.is_empty() && state.wake == WakeState::Idle {
@@ -1049,16 +969,6 @@ impl<M: Wire + 'static> Simulation<M> {
     /// differs. Kept as the oracle for differential scheduler tests.
     pub fn set_eager_wakes(&mut self, eager: bool) {
         self.eager_wakes = eager;
-    }
-
-    /// The backlog drain profile of `node` so far.
-    pub fn drain_profile(&self, node: NodeId) -> &DrainProfile {
-        &self.core.drain_profiles[node.index()]
-    }
-
-    /// Per-node backlog drain profiles, indexed by node id.
-    pub fn drain_profiles(&self) -> &[DrainProfile] {
-        &self.core.drain_profiles
     }
 
     /// Read access to the traffic accounting.
@@ -2018,8 +1928,8 @@ mod tests {
     }
 
     /// Floods `n` messages at a 1 ms/message sink and returns the run's
-    /// stats plus the sink's drain profile.
-    fn saturate(n: u32, eager: bool) -> (EventStats, DrainProfile, u32) {
+    /// stats plus the number of messages the sink received.
+    fn saturate(n: u32, eager: bool) -> (EventStats, u32) {
         struct Flood {
             peer: NodeId,
             n: u32,
@@ -2041,12 +1951,12 @@ mod tests {
         sim.add_node(Box::new(Flood { peer: echo, n }));
         sim.run_for(Duration::from_secs(60));
         let received = sim.node_as::<Echo>(echo).unwrap().received;
-        (sim.event_stats(), *sim.drain_profile(echo), received)
+        (sim.event_stats(), received)
     }
 
     #[test]
     fn saturated_backlog_drains_without_queued_wakes() {
-        let (stats, profile, received) = saturate(500, false);
+        let (stats, received) = saturate(500, false);
         assert_eq!(received, 500);
         // All 500 messages arrive at the same instant. The first wake is
         // armed while the remaining deliveries still precede it, so it is
@@ -2055,16 +1965,12 @@ mod tests {
         // ever travels through the global queue.
         assert_eq!(stats.wakes, 0);
         assert_eq!(stats.inline_wakes, 499);
-        // Each inline drain frees exactly one 1 ms slot.
-        assert_eq!(profile.drains, 499);
-        assert_eq!(profile.items, 499);
-        assert_eq!(profile.max, 1);
     }
 
     #[test]
     fn eager_and_lazy_schedulers_agree_on_everything_but_wakes() {
-        let (eager, _, received_eager) = saturate(300, true);
-        let (lazy, _, received_lazy) = saturate(300, false);
+        let (eager, received_eager) = saturate(300, true);
+        let (lazy, received_lazy) = saturate(300, false);
         assert_eq!(received_eager, received_lazy);
         assert_eq!(eager.delivers, lazy.delivers);
         assert_eq!(eager.timers, lazy.timers);
@@ -2104,30 +2010,5 @@ mod tests {
         sim.run_for(Duration::from_secs(60));
         assert_eq!(sim.node_as::<Echo>(echo).unwrap().received, 10);
         assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn drain_profile_buckets_by_log2_length() {
-        let mut p = DrainProfile::default();
-        for len in [0u64, 1, 1, 2, 3, 4, 7, 8, 1 << 40] {
-            p.record(len);
-        }
-        assert_eq!(p.drains, 9);
-        assert_eq!(p.max, 1 << 40);
-        assert_eq!(p.buckets[0], 1); // len 0
-        assert_eq!(p.buckets[1], 2); // len 1
-        assert_eq!(p.buckets[2], 2); // len 2–3
-        assert_eq!(p.buckets[3], 2); // len 4–7
-        assert_eq!(p.buckets[4], 1); // len 8–15
-        assert_eq!(p.buckets[DRAIN_BUCKETS - 1], 1); // saturating tail
-        assert_eq!(DrainProfile::bucket_range(0), (0, 0));
-        assert_eq!(DrainProfile::bucket_range(1), (1, 1));
-        assert_eq!(DrainProfile::bucket_range(3), (4, 7));
-        let mut merged = DrainProfile::default();
-        merged.merge(&p);
-        merged.merge(&p);
-        assert_eq!(merged.drains, 18);
-        assert_eq!(merged.buckets[2], 4);
-        assert_eq!(merged.max, p.max);
     }
 }

@@ -1,40 +1,39 @@
 #!/usr/bin/env bash
-# Compares a fresh `repro` bench summary against a committed baseline and
-# fails when the run regressed past the threshold. Two schemas are
+# Compares a fresh `repro` bench summary against a committed baseline.
+# The simulator is deterministic, so every counter it produces is gated
+# exactly and only host timing is gated loosely. Two schemas are
 # auto-detected from the file contents:
 #
 #   generic (BENCH_repro.json, written by `repro --bench-out`): one entry
-#     per experiment, two gates. Exact: when both files carry the same
-#     "mode" (quick / full), sim_events per entry must EQUAL the baseline
-#     — the simulator is deterministic and the count is the same at every
-#     --jobs, so any difference is a behaviour change, not noise. Loose:
-#     events_per_sec must not drop more than threshold_pct below baseline
-#     (wall time on a shared runner). Files of different modes run
-#     different grids and get the loose gate only.
+#     per experiment. Exact: when both files carry the same "mode" (quick
+#     / full), sim_events, delivers, timers, inline_wakes and
+#     queue_high_water per entry must EQUAL the baseline — they are the
+#     same at every --jobs, so any difference is a behaviour change, not
+#     noise. Loose: events_per_sec must not drop more than threshold_pct
+#     below baseline (wall time on a shared runner). Files of different
+#     modes run different grids and get the loose gate only.
 #
 #   load (BENCH_load.json, written by `repro load`): one entry per
-#     scenario/system cell, named like "flash_crowd/IDEM"; the gates are
-#     goodput_per_s (floor: baseline minus threshold_pct) and p999_ms
-#     (ceiling: baseline plus threshold_pct, with 1 ms of absolute slack
-#     so sub-millisecond cells don't fail on noise-sized drift). wall_s
-#     and events_per_sec vary by machine and are ignored in this mode;
-#     the goodput/latency numbers come out of the deterministic
-#     simulator, so they only move when the code changes. A cell whose
-#     baseline goodput is 0 has no goodput gate at all (any value clears a
-#     floor of 0); it prints "vacuous:" instead of "ok:" so the gap stays
-#     visible in the CI log.
+#     scenario/system cell, named like "flash_crowd/IDEM". Exact only:
+#     goodput_per_s, p50_ms / p99_ms / p999_ms, reject_fraction and
+#     shed_fraction must EQUAL the baseline (CI's determinism job already
+#     `cmp`s them at --jobs 1 vs 4). wall_s and events_per_sec vary by
+#     machine and are ignored in this mode. Two load files of different
+#     modes (smoke / full) run different populations and phase lengths
+#     and are not comparable at all (exit 2). A cell whose baseline
+#     goodput is 0 prints "vacuous:" instead of "ok:": its gate pins a
+#     cell that completes nothing, and the CI log should keep saying so.
 #
 # Campaign summaries (BENCH_chaos.json, written by `repro chaos` /
 # `repro churn`) use the generic schema with extra per-entry fields
-# appended after events_per_sec: rejoin_runs/rejoin_ms_mean (wipe
+# appended after queue_high_water: rejoin_runs/rejoin_ms_mean (wipe
 # campaigns) and reconfig_runs/reconfig_ms_mean/epochs_applied (churn
-# campaigns). The extraction below keys on name + sim_events +
-# events_per_sec on one line and ignores anything after, so those fields
-# never break the gate (two campaign files are only comparable at the same
-# seed count: the exact gate sees the different amount of work);
-# when present they are echoed as informational notes so a campaign's
-# reconfiguration latency is visible in the CI log next to the
-# throughput verdict.
+# campaigns). The extraction below ignores anything after the fields it
+# names, so those never break the gate (two campaign files are only
+# comparable at the same seed count: the exact gate sees the different
+# amount of work); when present they are echoed as informational notes so
+# a campaign's reconfiguration latency is visible in the CI log next to
+# the throughput verdict.
 #
 # usage: scripts/check_bench_regression.sh <baseline.json> <current.json> [threshold_pct]
 #
@@ -59,39 +58,15 @@
 # path — worth investigating even if events_per_sec is still within
 # threshold.
 #
-# Allocation baseline: the deliver hot path is allocation-free in steady
-# state (DESIGN.md §6c — slab message arena, one shared body per
-# multicast, dense per-node network state). That contract is NOT visible
-# in the events/s numbers here; it is enforced directly by the
-# counting-allocator regression tests, which any hot-path change should
-# re-run:
+# Allocations per event are deterministic too but not in these files;
+# they are gated by the counting-allocator tests, which any hot-path
+# change should re-run (an allocation sneaking back into the deliver path
+# is the usual cause of an events/s drift):
 #
 #     cargo test -p idem-harness --features alloc-count --test alloc_regression
 #
-# Baselines pinned there: a pure-simnet fan-out scenario performs zero
-# allocator calls over its measured window; a saturated 3-replica IDEM
-# cell stays under one allocation per four simulated events (0.19
-# measured since the dense protocol state of DESIGN.md §6e, 0.80 before
-# it; the assert allows < 0.25); the WAL path allocates once per record
-# whatever the session count; and the open-loop `LoadSource` allocates
-# once per issued operation (the command's shared `Arc<[u8]>`). When the
-# per-run events/s totals here drift, check those tests first — an
-# allocation sneaking back into the deliver path is the usual cause.
-#
-# The committed BENCH_repro.json totals 4.16M events/s (quick mode,
-# --jobs 2, two cores, a quiet day; the parent build measured 4.18M
-# minutes apart, and the file committed before this one, from the same
-# code path on a busier day, 3.3M). It was regenerated when batched
-# multicast delivery was measured and removed (DESIGN.md §6c): sim_events
-# per experiment came out identical, queue_high_water 16-40 entries
-# higher. On the earlier, slower runs the history was 499k before wake
-# elision, 928k after it, 1.45M with the arena + dense network state (and
-# the batched multicast of that time), 1.78M with the dense protocol
-# state. The committed BENCH_load.json cells (smoke, --jobs 2) run at
-# 1.7-2.5M events/s, the deep-backlog flash_crowd/IDEM_noPR cell at
-# 1.2M; their wall_s / events_per_sec are informational only (see "load"
-# above), and their goodput and latency columns are identical to the
-# file before.
+# The throughput history behind the committed baselines is in DESIGN.md
+# §6c.
 set -euo pipefail
 
 baseline="${1:?usage: $0 <baseline.json> <current.json> [threshold_pct]}"
@@ -116,15 +91,39 @@ if [[ "$base_mode" != "$cur_mode" ]]; then
 fi
 mode=$cur_mode
 
-# Prints one "name field..." line per entry. Names may contain "/" and
-# "-" (load cells are "scenario/System", e.g. "bursty/BFT-SMaRt"), so
-# the character class admits both and the sed delimiter is "|".
+run_mode_of() {
+    sed -n 's|.*"mode": "\([a-z]*\)".*|\1|p' "$1"
+}
+base_run_mode=$(run_mode_of "$baseline")
+cur_run_mode=$(run_mode_of "$current")
+same_grid=0
+if [[ -n "$base_run_mode" && "$base_run_mode" == "$cur_run_mode" ]]; then
+    same_grid=1
+elif [[ "$mode" == load ]]; then
+    echo "error: load summaries of different modes ('$base_run_mode' vs '$cur_run_mode') are not comparable" >&2
+    exit 2
+fi
+
+# The fields read off each entry, in file order. All but events_per_sec
+# come out of the deterministic simulator and are gated exactly.
+if [[ "$mode" == load ]]; then
+    fields=(goodput_per_s p50_ms p99_ms p999_ms reject_fraction shed_fraction)
+else
+    fields=(sim_events events_per_sec delivers timers inline_wakes queue_high_water)
+fi
+
+# Prints one "name value..." line per entry, values in `fields` order.
+# Names may contain "/" and "-" (load cells are "scenario/System", e.g.
+# "bursty/BFT-SMaRt"), so the character class admits both and the sed
+# delimiter is "|".
 extract() {
-    if [[ "$mode" == load ]]; then
-        sed -n 's|.*"name": "\([A-Za-z0-9_/-]*\)".*"goodput_per_s": \([0-9]*\).*"p999_ms": \([0-9.]*\).*|\1 \2 \3|p' "$1"
-    else
-        sed -n 's|.*"name": "\([A-Za-z0-9_/-]*\)".*"sim_events": \([0-9]*\).*"events_per_sec": \([0-9]*\).*|\1 \3 \2|p' "$1"
-    fi
+    local pattern='.*"name": "\([A-Za-z0-9_/-]*\)"' out='\1' n=1 f
+    for f in "${fields[@]}"; do
+        n=$((n + 1))
+        pattern+=".*\"$f\": \\([0-9.]*\\)"
+        out+=" \\$n"
+    done
+    sed -n "s|$pattern.*|$out|p" "$1"
 }
 
 extract "$baseline" | sort > /tmp/bench_baseline.$$
@@ -148,52 +147,47 @@ fi
 
 fail=0
 compared=0
-if [[ "$mode" == load ]]; then
-    while read -r name cur_good cur_p999; do
-        read -r base_good base_p999 < <(awk -v n="$name" '$1 == n { print $2, $3 }' /tmp/bench_baseline.$$)
-        compared=$((compared + 1))
-        floor=$(awk -v b="$base_good" -v t="$threshold" 'BEGIN { printf "%d", b * (100 - t) / 100 }')
-        if (( cur_good < floor )); then
-            delta=$(awk -v b="$base_good" -v c="$cur_good" 'BEGIN { printf "%.1f", (b - c) * 100 / b }')
-            echo "REGRESSION: $name: goodput $cur_good/s vs baseline $base_good (-$delta%, threshold ${threshold}%)"
-            fail=1
-        elif [[ $(awk -v b="$base_p999" -v c="$cur_p999" -v t="$threshold" \
-                'BEGIN { print (c > b * (100 + t) / 100 + 1.0) ? 1 : 0 }') == 1 ]]; then
-            echo "REGRESSION: $name: p999 ${cur_p999}ms vs baseline ${base_p999}ms (ceiling +${threshold}% + 1ms)"
-            fail=1
-        elif (( base_good == 0 )); then
-            echo "vacuous: $name: baseline goodput 0, p999 gate only (p999 ${cur_p999}ms, baseline ${base_p999}ms)"
-        else
-            echo "ok: $name: goodput $cur_good/s (baseline $base_good), p999 ${cur_p999}ms (baseline ${base_p999}ms)"
+while read -r name cur_line; do
+    read -ra cur <<< "$cur_line"
+    read -ra base < <(awk -v n="$name" '$1 == n { $1 = ""; print }' /tmp/bench_baseline.$$)
+    compared=$((compared + 1))
+    changed=0
+    summary=""
+    for i in "${!fields[@]}"; do
+        f=${fields[i]}
+        if [[ "$f" == events_per_sec ]]; then
+            cur_eps=${cur[i]}
+            base_eps=${base[i]}
+            continue
         fi
-    done < /tmp/bench_current.$$
-else
-    run_mode_of() {
-        sed -n 's|.*"mode": "\([a-z]*\)".*|\1|p' "$1"
-    }
-    base_run_mode=$(run_mode_of "$baseline")
-    same_grid=0
-    exact_note=""
-    if [[ -n "$base_run_mode" && "$base_run_mode" == "$(run_mode_of "$current")" ]]; then
-        same_grid=1
-        exact_note=" (exact)"
-    fi
-    while read -r name cur_eps cur_events; do
-        read -r base_eps base_events < <(awk -v n="$name" '$1 == n { print $2, $3 }' /tmp/bench_baseline.$$)
-        compared=$((compared + 1))
+        summary+=", $f ${cur[i]}"
+        if (( same_grid )) && [[ "${cur[i]}" != "${base[i]}" ]]; then
+            echo "BEHAVIOUR CHANGE: $name: $f ${cur[i]} vs baseline ${base[i]} (deterministic, must be equal)"
+            changed=1
+        fi
+    done
+    summary=${summary#, }
+    if (( changed )); then
+        fail=1
+    elif [[ "$mode" == load ]]; then
+        if (( base[0] == 0 )); then
+            echo "vacuous: $name: baseline goodput 0, the gate pins a cell that completes nothing ($summary)"
+        else
+            echo "ok: $name: $summary (exact)"
+        fi
+    else
         floor=$(awk -v b="$base_eps" -v t="$threshold" 'BEGIN { printf "%d", b * (100 - t) / 100 }')
-        if (( same_grid )) && [[ "$cur_events" != "$base_events" ]]; then
-            echo "BEHAVIOUR CHANGE: $name: sim_events $cur_events vs baseline $base_events (deterministic counter, must be equal)"
-            fail=1
-        elif (( cur_eps < floor )); then
+        if (( cur_eps < floor )); then
             delta=$(awk -v b="$base_eps" -v c="$cur_eps" 'BEGIN { printf "%.1f", (b - c) * 100 / b }')
             echo "REGRESSION: $name: $cur_eps events/s vs baseline $base_eps (-$delta%, threshold ${threshold}%)"
             fail=1
+        elif (( same_grid )); then
+            echo "ok: $name: $cur_eps events/s vs baseline $base_eps; $summary (exact)"
         else
-            echo "ok: $name: $cur_eps events/s vs baseline $base_eps, sim_events $cur_events$exact_note"
+            echo "ok: $name: $cur_eps events/s vs baseline $base_eps; $summary"
         fi
-    done < /tmp/bench_current.$$
-fi
+    fi
+done < /tmp/bench_current.$$
 
 if (( compared == 0 )); then
     echo "error: no entries extracted from '$current' (schema drift?)" >&2
@@ -207,14 +201,16 @@ if [[ "$mode" == generic ]]; then
         "$current"
 fi
 
-# Also compare the whole-run total when both files carry one (full
-# `repro all` summaries do; subset runs and load summaries skip it).
+# Also compare the whole-run totals when both files carry one and cover
+# the same entries: the total of a subset run (CI's `repro table1 fig3`)
+# is a mix of different experiments than the baseline's and says nothing
+# against it. Load summaries carry none.
 total_of() {
     sed -n 's|.*"total": {.*"events_per_sec": \([0-9]*\).*|\1|p' "$1"
 }
 base_total=$(total_of "$baseline")
 cur_total=$(total_of "$current")
-if [[ -n "$base_total" && -n "$cur_total" ]]; then
+if [[ -n "$base_total" && -n "$cur_total" && $(wc -l < /tmp/bench_baseline.$$) -eq $compared ]]; then
     floor=$(awk -v b="$base_total" -v t="$threshold" 'BEGIN { printf "%d", b * (100 - t) / 100 }')
     if (( cur_total < floor )); then
         delta=$(awk -v b="$base_total" -v c="$cur_total" 'BEGIN { printf "%.1f", (b - c) * 100 / b }')
@@ -226,8 +222,9 @@ if [[ -n "$base_total" && -n "$cur_total" ]]; then
 fi
 
 # Append this run to the bench trajectory, pass or fail — a failing
-# point is the most interesting one on the curve. Runs without a
-# whole-run total (subset runs, load summaries) record nothing.
+# point is the most interesting one on the curve; points are comparable
+# with each other as long as the job keeps running the same entries.
+# Load summaries carry no total and record nothing.
 if [[ -n "${BENCH_HISTORY:-}" && -n "$cur_total" ]]; then
     sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
     printf '{"sha": "%s", "events_per_sec": %s, "baseline_events_per_sec": %s, "threshold_pct": %s}\n' \
@@ -239,9 +236,9 @@ if (( fail )); then
     if [[ "$mode" == load ]]; then
         cat >&2 <<'EOF'
 
-The load family's goodput or tail latency moved past what the committed
-baseline allows. The numbers come from the deterministic simulator, so
-this is a code-behavior change, not machine noise. If it is intentional
+A goodput, latency, reject or shed column of the load family differs from
+the committed baseline. The numbers come from the deterministic simulator,
+so this is a code-behaviour change, not machine noise. If it is intentional
 (e.g. a scheduling-fidelity change that shifts the overload equilibrium),
 refresh the baseline and commit it:
 
@@ -254,11 +251,11 @@ EOF
     else
         cat >&2 <<'EOF'
 
-The simulator got slower than the committed baseline allows, or an
-experiment's sim_events count moved (a behaviour change: results/ will
-have moved with it). If that is intentional (e.g. a fidelity improvement
-that costs throughput), refresh the baseline on a quiet machine and
-commit it:
+The simulator got slower than the committed baseline allows, or one of an
+experiment's deterministic counters moved (a behaviour change: results/
+will usually have moved with it). If that is intentional (e.g. a fidelity
+improvement that costs throughput), refresh the baseline on a quiet machine
+and commit it:
 
     cargo build --release
     ./target/release/repro all --jobs 2
@@ -269,4 +266,10 @@ EOF
     fi
     exit 1
 fi
-echo "bench check passed ($mode): $compared entries within ${threshold}% of baseline"
+if [[ "$mode" == load ]]; then
+    echo "bench check passed (load): $compared cells equal to baseline"
+elif (( same_grid )); then
+    echo "bench check passed (generic): $compared entries equal to baseline in every counter, events/s within ${threshold}%"
+else
+    echo "bench check passed (generic): $compared entries within ${threshold}% of baseline"
+fi

@@ -9,6 +9,8 @@ use idem_common::app::NullApp;
 use idem_common::driver::{ClientApp, OperationOutcome, OutcomeKind};
 use idem_common::{ClientId, Directory, QuorumSet, ReplicaId};
 use idem_core::{ClientConfig, IdemClient, IdemConfig, IdemMessage, IdemReplica};
+use idem_harness::scenario::{clients_for_factor, Scenario};
+use idem_harness::Protocol;
 use idem_kv::{KvStore, Workload, WorkloadSpec};
 use idem_simnet::{LinkSpec, Network, NodeId, Simulation};
 use rand::rngs::SmallRng;
@@ -151,6 +153,51 @@ fn rejected_cache_serves_bodies_for_requests_rejected_locally() {
     assert!(
         cache_hits > 0,
         "divergent accept/reject decisions should hit the rejected cache"
+    );
+}
+
+/// DESIGN.md §6, "rejected-request cache on/off": at 2x load with RT = 10
+/// replicas often reject what their peers accept, so a commit regularly
+/// arrives for a body the replica turned away. With the cache it still
+/// holds that body; without it the body has to come by forward or fetch.
+#[test]
+fn rejected_cache_off_moves_more_bodies_between_replicas() {
+    let moved = |capacity: Option<usize>| {
+        let protocol = match Protocol::idem_with_rt(10) {
+            Protocol::Idem { mut config, client } => {
+                if let Some(capacity) = capacity {
+                    config.rejected_cache_capacity = capacity;
+                }
+                Protocol::Idem { config, client }
+            }
+            _ => unreachable!(),
+        };
+        let mut cell = Scenario::new(
+            protocol,
+            clients_for_factor(2.0),
+            Duration::from_millis(300),
+        );
+        cell.warmup = Duration::from_millis(100);
+        let stats = cell.run().idem_stats;
+        let forwards: u64 = stats.iter().map(|s| s.forwards_sent).sum();
+        let fetches: u64 = stats.iter().map(|s| s.fetches_sent).sum();
+        let hits: u64 = stats.iter().map(|s| s.rejected_cache_hits).sum();
+        (forwards, fetches, hits)
+    };
+    let on = moved(None);
+    let off = moved(Some(0));
+    println!(
+        "cache default: forwards {} fetches {} cache hits {}",
+        on.0, on.1, on.2
+    );
+    println!(
+        "cache off:     forwards {} fetches {} cache hits {}",
+        off.0, off.1, off.2
+    );
+    assert_eq!(off.2, 0, "a cache of capacity 0 cannot hit");
+    assert!(
+        off.0 + off.1 > on.0 + on.1,
+        "cache off moved no more bodies ({off:?}) than cache on ({on:?})"
     );
 }
 

@@ -7,7 +7,7 @@ use idem_common::{
     ClientId, OpNumber, QuorumSet, QuorumTracker, ReplicaId, RequestId, SeqNumber, SeqWindow,
 };
 use idem_core::acceptance::{AcceptancePolicy, AcceptanceTest, AqmConfig};
-use idem_kv::{Command, KvStore, Zipfian};
+use idem_kv::{Command, DecodeCommandError, KvStore, Zipfian};
 use idem_metrics::{Histogram, Welford};
 use idem_simnet::SimTime;
 use proptest::prelude::*;
@@ -184,6 +184,38 @@ proptest! {
             Command::Scan { start: key, count: (value.len() as u32) },
         ] {
             prop_assert_eq!(Command::decode(&cmd.encode()).unwrap(), cmd);
+        }
+    }
+
+    /// `Command::decode` is total, and canonical up to trailing bytes: it
+    /// never panics, an accepted buffer starts with the command's own
+    /// encoding (and is exactly that encoding for `Update`, whose value is
+    /// the rest of the buffer), and every rejection names the right cause.
+    /// What follows a fixed-length command is ignored, by
+    /// `KvStore::execute_into` too (`execute_equivalence.rs` holds the two
+    /// together), so equality with `encode()` holds only for a prefix.
+    #[test]
+    fn command_decode_is_total(mut bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+        prop_assert_eq!(Command::decode(&[]), Err(DecodeCommandError::Empty));
+        for tag in 0..=u8::MAX {
+            let Some(first) = bytes.first_mut() else { break };
+            *first = tag;
+            let fixed_len = match tag {
+                0x01..=0x03 => 9,
+                0x04 => 13,
+                _ => 0,
+            };
+            match Command::decode(&bytes) {
+                Ok(cmd) => {
+                    prop_assert!(bytes.starts_with(&cmd.encode()));
+                    if let Command::Update { .. } = cmd {
+                        prop_assert_eq!(cmd.encoded_len(), bytes.len());
+                    }
+                }
+                Err(DecodeCommandError::Empty) => prop_assert!(false, "not empty: {bytes:?}"),
+                Err(DecodeCommandError::UnknownTag(t)) => prop_assert!(t == tag && fixed_len == 0),
+                Err(DecodeCommandError::Truncated) => prop_assert!(bytes.len() < fixed_len),
+            }
         }
     }
 
