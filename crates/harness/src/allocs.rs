@@ -3,15 +3,16 @@
 //!
 //! With the `alloc-count` feature enabled, every binary and test in this
 //! crate runs under a [`std::alloc::System`] wrapper that counts allocator
-//! calls in two relaxed atomics. The counters are process-global, so a
-//! measurement is a pair of [`snapshot`] calls around the region of
-//! interest. With the feature disabled the module compiles to nothing:
-//! [`ENABLED`] is `false` and [`snapshot`] always returns zeros, so callers
-//! can stay feature-free and just skip reporting when counts are absent.
+//! calls and live heap bytes in relaxed atomics. The counters are
+//! process-global, so a measurement is a pair of [`snapshot`] calls around
+//! the region of interest. With the feature disabled the module compiles to
+//! nothing: [`ENABLED`] is `false` and [`snapshot`] always returns zeros, so
+//! callers can stay feature-free and just skip reporting when counts are
+//! absent.
 //!
-//! Counting (two relaxed `fetch_add`s per allocator call) is cheap but not
-//! free, so the feature is off by default and benchmark numbers should
-//! never be taken with it on.
+//! Counting (three relaxed read-modify-writes per allocator call) is cheap
+//! but not free, so the feature is off by default and benchmark numbers
+//! should never be taken with it on.
 
 /// Whether the counting allocator is compiled into this build.
 pub const ENABLED: bool = cfg!(feature = "alloc-count");
@@ -23,19 +24,27 @@ pub struct AllocSnapshot {
     pub allocs: u64,
     /// Calls to `dealloc` since process start.
     pub frees: u64,
+    /// Bytes allocated and not yet freed, as requested: unlike resident
+    /// memory it does not depend on what the allocator gives back to the OS.
+    pub live_bytes: u64,
+    /// The highest `live_bytes` since the previous [`snapshot`] call.
+    pub peak_live_bytes: u64,
 }
 
 impl AllocSnapshot {
-    /// Counter deltas between `earlier` and `self`.
+    /// Counter deltas between `earlier` and `self`; the two byte gauges are
+    /// those of `self`.
     pub fn since(self, earlier: AllocSnapshot) -> AllocSnapshot {
         AllocSnapshot {
             allocs: self.allocs - earlier.allocs,
             frees: self.frees - earlier.frees,
+            ..self
         }
     }
 }
 
-/// Read the current allocation counters (zeros when [`ENABLED`] is false).
+/// Read the current allocation counters (zeros when [`ENABLED`] is false)
+/// and start a new peak from the current live bytes.
 pub fn snapshot() -> AllocSnapshot {
     #[cfg(feature = "alloc-count")]
     {
@@ -54,12 +63,22 @@ mod counting {
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
     static FREES: AtomicU64 = AtomicU64::new(0);
+    static LIVE: AtomicU64 = AtomicU64::new(0);
+    static PEAK: AtomicU64 = AtomicU64::new(0);
 
     pub(super) fn read() -> super::AllocSnapshot {
+        let live_bytes = LIVE.load(Relaxed);
         super::AllocSnapshot {
             allocs: ALLOCS.load(Relaxed),
             frees: FREES.load(Relaxed),
+            live_bytes,
+            peak_live_bytes: PEAK.swap(live_bytes, Relaxed).max(live_bytes),
         }
+    }
+
+    fn grow(bytes: usize) {
+        let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+        PEAK.fetch_max(live, Relaxed);
     }
 
     struct Counting;
@@ -96,22 +115,27 @@ mod counting {
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Relaxed);
+            grow(layout.size());
             maybe_sample();
             System.alloc(layout)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Relaxed);
+            grow(layout.size());
             System.alloc_zeroed(layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             ALLOCS.fetch_add(1, Relaxed);
+            LIVE.fetch_sub(layout.size() as u64, Relaxed);
+            grow(new_size);
             System.realloc(ptr, layout, new_size)
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             FREES.fetch_add(1, Relaxed);
+            LIVE.fetch_sub(layout.size() as u64, Relaxed);
             System.dealloc(ptr, layout)
         }
     }

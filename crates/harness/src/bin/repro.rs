@@ -465,6 +465,7 @@ fn main() {
             &bench_entries,
             args.full,
             runner.jobs(),
+            peak_rss_mb(),
             total_start.elapsed(),
         );
         match std::fs::write(&args.bench_out, &json) {
@@ -497,12 +498,25 @@ struct BenchEntry {
     reconfig: Option<(u64, u64, u64)>,
 }
 
+/// The process's high-water resident set size in MB (`VmHWM`), where the
+/// platform has a `/proc/self/status` to say so.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?;
+    Some(kb.trim().parse::<f64>().ok()? / 1024.0)
+}
+
 /// Renders the bench summary as JSON (hand-rolled: the workspace has no
 /// serde, and the schema is flat).
 fn render_bench_json(
     entries: &[BenchEntry],
     full: bool,
     jobs: usize,
+    peak_rss_mb: Option<f64>,
     total_wall: Duration,
 ) -> String {
     let mut out = String::new();
@@ -512,6 +526,11 @@ fn render_bench_json(
         if full { "full" } else { "quick" }
     ));
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
+    // Informational, never gated: `--jobs` cells share the process, so the
+    // peak is that of the largest cells that happened to overlap.
+    if let Some(mb) = peak_rss_mb {
+        out.push_str(&format!("  \"peak_rss_mb\": {mb:.1},\n"));
+    }
     out.push_str("  \"experiments\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let events_per_sec = e.events as f64 / e.wall.as_secs_f64().max(1e-9);
@@ -625,7 +644,11 @@ mod tests {
             rejoin: None,
             reconfig: None,
         };
-        let json = render_bench_json(&[entry], false, 2, Duration::from_secs(2));
+        let json = render_bench_json(&[entry], false, 2, Some(41.26), Duration::from_secs(2));
+        assert!(
+            json.contains("  \"jobs\": 2,\n  \"peak_rss_mb\": 41.3,\n  \"experiments\""),
+            "peak_rss_mb on its own line after jobs: {json}"
+        );
         assert!(!json.contains("\"threads\""), "no threads key: {json}");
         assert!(!json.contains("\"parallel_"), "no parallel_* key: {json}");
         for field in [

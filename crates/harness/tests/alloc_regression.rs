@@ -126,18 +126,24 @@ fn steady_state_simnet_hot_path_is_alloc_free() {
     );
 }
 
+/// 400 closed-loop clients against 3 replicas is deep into saturation.
+/// Empty values keep the workload from charging the simulator for payload
+/// bytes it has no say over — command framing, window maps, and retransmit
+/// state still churn.
+fn saturated_idem_cell(measured: Duration) -> Scenario {
+    let mut s = Scenario::new(Protocol::idem(), 400, measured);
+    s.warmup = Duration::from_secs(1);
+    s.workload = idem_kv::WorkloadSpec::write_only(0);
+    s
+}
+
 #[test]
 fn saturated_idem_run_allocates_less_than_once_per_event() {
     let _serial = serial();
-    // 400 closed-loop clients against 3 replicas is deep into saturation;
-    // events dominate committed operations by a
-    // wide margin, so protocol-state churn must stay well under one
-    // allocator call per event. Empty values keep the workload from
-    // charging the simulator for payload bytes it has no say over —
-    // command framing, window maps, and retransmit state still churn.
-    let mut s = Scenario::new(Protocol::idem(), 400, Duration::from_secs(2));
-    s.warmup = Duration::from_secs(1);
-    s.workload = idem_kv::WorkloadSpec::write_only(0);
+    // Events dominate committed operations by a wide margin, so
+    // protocol-state churn must stay well under one allocator call per
+    // event.
+    let s = saturated_idem_cell(Duration::from_secs(2));
 
     let before = allocs::snapshot();
     let r = s.run();
@@ -158,6 +164,31 @@ fn saturated_idem_run_allocates_less_than_once_per_event() {
         "allocs/event >= 0.25: {} allocs over {} events",
         delta.allocs,
         r.events_processed
+    );
+}
+
+#[test]
+fn saturated_idem_heap_does_not_grow_with_simulated_time() {
+    let _serial = serial();
+    // Peak live heap bytes of the saturated cell above where it started,
+    // for a run of `total` simulated seconds (one of them warm-up).
+    let peak = |total: u64| {
+        let s = saturated_idem_cell(Duration::from_secs(total - 1));
+        let before = allocs::snapshot();
+        let r = s.run();
+        assert!(r.events_processed > 100_000 * total);
+        allocs::snapshot().peak_live_bytes - before.live_bytes
+    };
+    let (short, long) = (peak(3), peak(9));
+    eprintln!("saturated IDEM cell: peak live bytes {short} at 3 s, {long} at 9 s");
+    // The pending population is the same at both lengths (400 clients, one
+    // operation each); what a run of three times the length may add is the
+    // recorder's per-window series. The timing wheel used to add ≈11 MB
+    // per simulated second: a slot's buffer of cancelled timers moved on to
+    // another slot every time one was drained (DESIGN.md §6a).
+    assert!(
+        long * 4 <= short * 5,
+        "peak live heap grew with simulated time: {short} B at 3 s, {long} B at 9 s"
     );
 }
 

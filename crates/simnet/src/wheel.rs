@@ -67,6 +67,12 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// cover every representable future time.
 const LEVELS: usize = 9;
 
+/// A drained slot keeps its buffer only up to this capacity: an upper-level
+/// slot collects a period's cancelled timers (megabytes) and comes round
+/// again 64 periods later, so parking those buffers would make the footprint
+/// follow elapsed time rather than the pending population.
+const KEEP_SLOT_BYTES: usize = 64 << 10;
+
 /// One scheduled item. Only `(time, seq)` participate in ordering; `seq` is
 /// globally unique, so the order is total.
 #[derive(Debug)]
@@ -127,8 +133,6 @@ pub struct TimingWheel<T> {
     /// Chunk index of the slot most recently drained. Every slotted event
     /// is at a strictly greater chunk.
     horizon: u64,
-    /// Reusable buffer for cascading one slot without reallocating.
-    scratch: Vec<Entry<T>>,
     len: usize,
     high_water: usize,
 }
@@ -147,7 +151,6 @@ impl<T> TimingWheel<T> {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             horizon: 0,
-            scratch: Vec::new(),
             len: 0,
             high_water: 0,
         }
@@ -195,19 +198,21 @@ impl<T> TimingWheel<T> {
         }
         self.horizon = slot_chunk;
         self.occ[level] &= !(1u64 << slot);
-        let mut scratch = mem::take(&mut self.scratch);
-        mem::swap(&mut scratch, &mut self.slots[level * SLOTS + slot]);
-        for entry in scratch.drain(..) {
+        let mut bucket = mem::take(&mut self.slots[level * SLOTS + slot]);
+        for entry in bucket.drain(..) {
             let chunk = entry.time >> GRANULARITY_BITS;
             if chunk <= self.horizon {
                 self.ready.push(entry);
             } else {
                 // Strictly lower level than before: the digits at and above
-                // `level` now agree with the horizon.
+                // `level` now agree with the horizon, so nothing files into
+                // this slot while its buffer is out.
                 self.place(chunk, entry);
             }
         }
-        self.scratch = scratch;
+        if bucket.capacity() * mem::size_of::<Entry<T>>() <= KEEP_SLOT_BYTES {
+            self.slots[level * SLOTS + slot] = bucket;
+        }
         true
     }
 
@@ -599,6 +604,57 @@ mod tests {
         w.push(1, 99, 0);
         assert_eq!(w.high_water(), 50);
         assert_eq!(w.len(), 31);
+    }
+
+    /// The IDEM shape: every delivery schedules the next one 100–150 µs out
+    /// and arms a timer 200 ms–1.5 s out that is long dead when the wheel
+    /// reaches it. The far entries pile up by the thousand in level-3 slots
+    /// (268 ms each); their buffers must not outlive the slot's drain and
+    /// wander into the lower levels.
+    #[test]
+    fn slot_buffers_do_not_grow_with_elapsed_time() {
+        assert_eq!(mem::size_of::<Entry<[u8; 32]>>(), 48);
+        const PERIOD: u64 = 1 << (GRANULARITY_BITS + 3 * SLOT_BITS);
+        const DELIVERY: [u8; 32] = [0; 32];
+        const DEAD_TIMER: [u8; 32] = [1; 32];
+        let mut w: TimingWheel<[u8; 32]> = TimingWheel::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |lo: u64, hi: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            lo + rng % (hi - lo)
+        };
+        let mut seq = 0u64;
+        for chain in 0..8 {
+            w.push(chain * 10_000, seq, DELIVERY);
+            seq += 1;
+        }
+        // Total slot capacity, in entries, at the end of each level-3 period.
+        let mut readings = Vec::new();
+        while readings.len() < 40 {
+            let (now, _, kind) = w.pop_before(u64::MAX).expect("chains never end");
+            if now >= (readings.len() as u64 + 1) * PERIOD {
+                readings.push(w.slots.iter().map(Vec::capacity).sum::<usize>());
+            }
+            if kind == DELIVERY {
+                w.push(now + draw(100_000, 150_000), seq, DELIVERY);
+                w.push(now + draw(200_000_000, 1_500_000_000), seq + 1, DEAD_TIMER);
+                seq += 2;
+            }
+        }
+        let (early, late) = (readings[9], readings[39]);
+        assert!(
+            late <= 3 * w.high_water(),
+            "{late} entries of slot capacity for a high-water mark of {}",
+            w.high_water()
+        );
+        // A sixteenth of slack: each lower-level slot keeps the largest
+        // small buffer it ever needed, a record that still creeps up.
+        assert!(
+            late <= early + early / 16,
+            "slot capacity grew: {early} -> {late}"
+        );
     }
 
     #[test]

@@ -33,7 +33,10 @@
 # comparable at the same seed count: the exact gate sees the different
 # amount of work); when present they are echoed as informational notes so
 # a campaign's reconfiguration latency is visible in the CI log next to
-# the throughput verdict.
+# the throughput verdict. The same goes for the top-level "peak_rss_mb"
+# (the repro process's VmHWM): it sits on a line of its own with no
+# "name", so no entry pattern can match it, and it is echoed, never gated
+# — it varies with --jobs, which decides how many cells overlap.
 #
 # usage: scripts/check_bench_regression.sh <baseline.json> <current.json> [threshold_pct]
 #
@@ -198,6 +201,8 @@ fi
 # per-campaign latency characteristics, not machine throughput).
 if [[ "$mode" == generic ]]; then
     sed -n 's|.*"name": "\([A-Za-z0-9_/-]*\)".*"reconfig_runs": \([0-9]*\), "reconfig_ms_mean": \([0-9]*\), "epochs_applied": \([0-9]*\).*|note: \1: \2 run(s) reconfigured, mean reconfig_ms \3, epochs high-water \4|p' \
+        "$current"
+    sed -n 's|^ *"peak_rss_mb": \([0-9.]*\),*$|note: peak_rss_mb \1 MB for the whole process (informational: varies with --jobs)|p' \
         "$current"
 fi
 

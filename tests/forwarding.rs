@@ -156,36 +156,40 @@ fn rejected_cache_serves_bodies_for_requests_rejected_locally() {
     );
 }
 
+/// Forwards, fetches and rejected-cache hits, summed over the replicas, of
+/// the 2x cell at RT = 10 with `tweak` applied to its replica configuration.
+fn body_traffic(tweak: impl FnOnce(IdemConfig) -> IdemConfig) -> (u64, u64, u64) {
+    let protocol = match Protocol::idem_with_rt(10) {
+        Protocol::Idem { config, client } => Protocol::Idem {
+            config: tweak(config),
+            client,
+        },
+        _ => unreachable!(),
+    };
+    let mut cell = Scenario::new(
+        protocol,
+        clients_for_factor(2.0),
+        Duration::from_millis(300),
+    );
+    cell.warmup = Duration::from_millis(100);
+    let stats = cell.run().idem_stats;
+    let forwards: u64 = stats.iter().map(|s| s.forwards_sent).sum();
+    let fetches: u64 = stats.iter().map(|s| s.fetches_sent).sum();
+    let hits: u64 = stats.iter().map(|s| s.rejected_cache_hits).sum();
+    (forwards, fetches, hits)
+}
+
 /// DESIGN.md §6, "rejected-request cache on/off": at 2x load with RT = 10
 /// replicas often reject what their peers accept, so a commit regularly
 /// arrives for a body the replica turned away. With the cache it still
 /// holds that body; without it the body has to come by forward or fetch.
 #[test]
 fn rejected_cache_off_moves_more_bodies_between_replicas() {
-    let moved = |capacity: Option<usize>| {
-        let protocol = match Protocol::idem_with_rt(10) {
-            Protocol::Idem { mut config, client } => {
-                if let Some(capacity) = capacity {
-                    config.rejected_cache_capacity = capacity;
-                }
-                Protocol::Idem { config, client }
-            }
-            _ => unreachable!(),
-        };
-        let mut cell = Scenario::new(
-            protocol,
-            clients_for_factor(2.0),
-            Duration::from_millis(300),
-        );
-        cell.warmup = Duration::from_millis(100);
-        let stats = cell.run().idem_stats;
-        let forwards: u64 = stats.iter().map(|s| s.forwards_sent).sum();
-        let fetches: u64 = stats.iter().map(|s| s.fetches_sent).sum();
-        let hits: u64 = stats.iter().map(|s| s.rejected_cache_hits).sum();
-        (forwards, fetches, hits)
-    };
-    let on = moved(None);
-    let off = moved(Some(0));
+    let on = body_traffic(|config| config);
+    let off = body_traffic(|mut config| {
+        config.rejected_cache_capacity = 0;
+        config
+    });
     println!(
         "cache default: forwards {} fetches {} cache hits {}",
         on.0, on.1, on.2
@@ -198,6 +202,21 @@ fn rejected_cache_off_moves_more_bodies_between_replicas() {
     assert!(
         off.0 + off.1 > on.0 + on.1,
         "cache off moved no more bodies ({off:?}) than cache on ({on:?})"
+    );
+}
+
+/// DESIGN.md §6, "delayed forwarding timeout": a replica forwards a body
+/// only once the request has sat accepted and unexecuted for the forward
+/// timeout, so a shorter timeout catches more requests still waiting.
+#[test]
+fn shorter_forward_timeout_forwards_more_request_bodies() {
+    let default = body_traffic(|config| config);
+    let short = body_traffic(|config| config.with_forward_timeout(Duration::from_millis(1)));
+    println!("forward timeout 10 ms: forwards {}", default.0);
+    println!("forward timeout  1 ms: forwards {}", short.0);
+    assert!(
+        short.0 > default.0,
+        "1 ms forwarded no more bodies ({short:?}) than 10 ms ({default:?})"
     );
 }
 
