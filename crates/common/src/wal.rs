@@ -13,7 +13,8 @@
 //!   durability invariant audits: every op executed before a wipe must be
 //!   replayable from here.
 //! - [`WalRecord::Checkpoint`] — an application snapshot plus client
-//!   table, bounding replay length.
+//!   table, bounding replay length. Only the two newest keep their bytes:
+//!   appending one empties, in place, the checkpoint that falls to third.
 //!
 //! The write discipline is write-ahead: a record is appended **and
 //! fsynced** before the replica acts on it (applies the command, sends the
@@ -657,7 +658,7 @@ impl Wal {
                 sessions.iter().map(|(c, op, r)| (c, op.0, r.as_slice())),
                 written_membership(membership),
             );
-            self.append(ctx, record);
+            self.append_checkpoint(ctx, record);
         }
     }
 
@@ -679,7 +680,23 @@ impl Wal {
                 clients,
                 written_membership(membership),
             );
-            self.append(ctx, record);
+            self.append_checkpoint(ctx, record);
+        }
+    }
+
+    /// Appends a checkpoint record, then empties the one it pushed below
+    /// the two newest synced checkpoints on the disk: replay decodes only
+    /// the newest intact checkpoint and falls back to the previous one
+    /// when the newest is torn, so a third is never read again. Ranked as
+    /// [`replay`](Self::replay) ranks them, by `next_exec` and the later
+    /// record on ties. Under [`PersistMode::Wal`] every record is synced
+    /// by now; [`PersistMode::WalNoFsync`] syncs none, so it keeps all.
+    fn append_checkpoint<M>(&self, ctx: &mut Context<'_, M>, record: Vec<u8>) {
+        self.append(ctx, record);
+        if self.mode == PersistMode::Wal {
+            if let Some(index) = superseded_checkpoint(ctx.disk_records()) {
+                ctx.disk_discard(index);
+            }
         }
     }
 
@@ -688,7 +705,8 @@ impl Wal {
     pub fn replay(disk: &[Vec<u8>]) -> ReplayLog<'_> {
         // Checkpoints are large and all but one are superseded: rank them
         // by the fixed-offset header alone and decode from the top until
-        // one is intact.
+        // one is intact. A reclaimed checkpoint is an empty record and no
+        // candidate.
         let mut candidates: Vec<(u64, usize)> = disk
             .iter()
             .enumerate()
@@ -719,6 +737,20 @@ impl Wal {
 /// the group is still the bootstrap configuration every party knows.
 fn written_membership(membership: &Membership) -> Option<&Membership> {
     (membership.epoch().0 > 0).then_some(membership)
+}
+
+/// The lowest-ranked of the three checkpoint records nearest the tail,
+/// if there are three. Every earlier checkpoint was reclaimed when it fell
+/// to third, so these are all the candidates on the disk, and the scan
+/// back to the third covers about two checkpoint intervals.
+fn superseded_checkpoint(disk: &[Vec<u8>]) -> Option<usize> {
+    let mut newest = disk
+        .iter()
+        .enumerate()
+        .rev()
+        .filter_map(|(i, bytes)| Some((peek_checkpoint(bytes)?, i)));
+    let (a, b, c) = (newest.next()?, newest.next()?, newest.next()?);
+    Some(a.min(b).min(c).1)
 }
 
 /// `next_exec` of a checkpoint record, read from its header without

@@ -9,6 +9,9 @@
 //!   borrowed command bodies, a live `StateMachine` and a live
 //!   `SessionTable` is byte for byte what `WalRecord::encode` produces
 //!   from the owned equivalent, in a buffer of exactly that length.
+//! * **Invisible reclaiming.** A disk on which the WAL has emptied its
+//!   superseded checkpoints replays exactly like one that kept every
+//!   record, and the `WalNoFsync` mode empties nothing.
 
 use std::time::Duration;
 
@@ -17,7 +20,7 @@ use idem_common::{
     ClientId, Membership, OpNumber, PersistMode, ReconfigCommand, ReplicaId, RequestId,
     ResultBytes, StateMachine, Wal, WalRecord, WalRecordRef,
 };
-use idem_simnet::{Context, Node, NodeId, Simulation, Wire};
+use idem_simnet::{Context, Disk, Node, NodeId, Simulation, Wire};
 use proptest::prelude::*;
 
 fn rid(client: u32, op: u64) -> RequestId {
@@ -48,6 +51,22 @@ fn membership(joins: &[u8]) -> Membership {
         }
     }
     m
+}
+
+/// A session table holding generated `(selector, last_op, reply)` rows.
+fn sessions_of(rows: &[(u32, u64, Vec<u8>)]) -> SessionTable {
+    let mut sessions = SessionTable::new();
+    sessions.reserve(32); // empty slots in between must be skipped
+    for (sel, last_op, reply) in rows {
+        // u64::MAX is the table's "no execution" marker.
+        let last_op = OpNumber(*last_op % (u64::MAX - 1));
+        sessions.record(
+            ClientId(client_id(*sel)),
+            last_op,
+            ResultBytes::from_slice(reply),
+        );
+    }
+    sessions
 }
 
 /// `decode` answers `None` or a record that is exactly `bytes`.
@@ -236,13 +255,7 @@ proptest! {
     ) {
         let (view, slot, client, op) = nums;
         let (fresh, streams, epoch) = flags;
-        let mut sessions = SessionTable::new();
-        sessions.reserve(32); // empty slots in between must be skipped
-        for (sel, last_op, reply) in &rows {
-            // u64::MAX is the table's "no execution" marker.
-            let last_op = OpNumber(*last_op % (u64::MAX - 1));
-            sessions.record(ClientId(client_id(*sel)), last_op, ResultBytes::from_slice(reply));
-        }
+        let sessions = sessions_of(&rows);
         let membership = membership(&joins);
         let clients: Vec<(u32, u64, Vec<u8>)> = sessions
             .iter()
@@ -289,4 +302,216 @@ proptest! {
             prop_assert_eq!(written.capacity(), rec.encoded_len());
         }
     }
+}
+
+// ----------------------------------------------------------- reclaiming
+
+/// One logged record; a checkpoint is either the replica's own
+/// (`log_checkpoint`) or one received by state transfer
+/// (`log_checkpoint_data`).
+#[derive(Clone, Debug)]
+struct Step {
+    record: WalRecord,
+    transferred: bool,
+}
+
+/// Logs a script through one `Wal`, checkpoints from live state.
+struct Scripted {
+    wal: Wal,
+    steps: Vec<Step>,
+    sessions: SessionTable,
+    membership: Membership,
+}
+
+impl Node<Msg> for Scripted {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        let wal = self.wal;
+        for step in &self.steps {
+            match &step.record {
+                WalRecord::View(view) => wal.log_view(ctx, *view),
+                WalRecord::Accept {
+                    slot,
+                    view,
+                    id,
+                    command,
+                } => wal.log_accept(ctx, *slot, *view, *id, command),
+                WalRecord::Exec {
+                    slot,
+                    id,
+                    fresh,
+                    command,
+                    epoch,
+                } => wal.log_exec(ctx, *slot, *id, *fresh, command, *epoch),
+                WalRecord::Checkpoint {
+                    next_exec,
+                    snapshot,
+                    clients,
+                    ..
+                } if step.transferred => {
+                    let rows = clients.iter().map(|(c, op, r)| (*c, *op, &r[..]));
+                    wal.log_checkpoint_data(ctx, *next_exec, snapshot, rows, &self.membership);
+                }
+                WalRecord::Checkpoint {
+                    next_exec,
+                    snapshot,
+                    ..
+                } => {
+                    let app = Blob {
+                        bytes: snapshot.clone(),
+                        streams: true,
+                    };
+                    wal.log_checkpoint(ctx, *next_exec, &app, &self.sessions, &self.membership);
+                }
+            }
+        }
+    }
+    fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+}
+
+/// Runs `steps` through a `Wal` in `mode` on a real simulated disk, and
+/// returns that disk together with a plain `Disk` that got every record,
+/// in full, in the same order and under the same fsync discipline.
+fn logged(
+    mode: PersistMode,
+    steps: Vec<Step>,
+    sessions: SessionTable,
+    membership: Membership,
+) -> (Disk, Disk) {
+    let mut shadow = Disk::new();
+    for step in &steps {
+        shadow.append(step.record.encode());
+        if mode == PersistMode::Wal {
+            shadow.fsync();
+        }
+    }
+    let mut sim: Simulation<Msg> = Simulation::new(1);
+    let node = sim.add_node(Box::new(Scripted {
+        wal: Wal::new(mode),
+        steps,
+        sessions,
+        membership,
+    }));
+    sim.run_for(Duration::from_millis(1));
+    (std::mem::take(sim.disk_mut(node)), shadow)
+}
+
+/// A script of view, accept, exec and checkpoint records, checkpoints
+/// heavy, with small slot numbers so that `next_exec` repeats and runs
+/// backwards. Every checkpoint's snapshot names its step, so replay
+/// installing a different checkpoint than it should shows.
+fn script(
+    kinds: Vec<(u8, u64, Vec<u8>)>,
+    sessions: &SessionTable,
+    membership: &Membership,
+) -> Vec<Step> {
+    let clients: Vec<(u32, u64, Vec<u8>)> = sessions
+        .iter()
+        .map(|(c, op, r)| (c, op.0, r.to_vec()))
+        .collect();
+    kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, (kind, n, mut blob))| {
+            let record = match kind {
+                0 => WalRecord::View(n),
+                1 => WalRecord::Accept {
+                    slot: n,
+                    view: 1,
+                    id: rid(1, n),
+                    command: blob,
+                },
+                2 => WalRecord::Exec {
+                    slot: n,
+                    id: rid(1, n),
+                    fresh: true,
+                    command: blob,
+                    epoch: 0,
+                },
+                _ => {
+                    blob.extend_from_slice(&(i as u64).to_le_bytes());
+                    WalRecord::Checkpoint {
+                        next_exec: n,
+                        snapshot: blob,
+                        clients: clients.clone(),
+                        membership: (membership.epoch().0 > 0).then(|| membership.clone()),
+                    }
+                }
+            };
+            Step {
+                record,
+                transferred: kind == 4,
+            }
+        })
+        .collect()
+}
+
+/// `next_exec` of a checkpoint record, from its header.
+fn checkpoint_at(bytes: &[u8]) -> Option<u64> {
+    (bytes.first() == Some(&4)).then(|| u64::from_le_bytes(bytes[1..9].try_into().unwrap()))
+}
+
+proptest! {
+    /// Reclaiming superseded checkpoints is invisible to replay: whatever
+    /// the order of `next_exec`, and with the newest checkpoint torn, the
+    /// reclaimed disk replays to the same checkpoint and the same records
+    /// as a disk that kept everything.
+    #[test]
+    fn reclaimed_disk_replays_like_one_that_kept_everything(
+        kinds in prop::collection::vec(
+            (0u8..6, 0u64..12, prop::collection::vec(any::<u8>(), 0..12)),
+            0..40,
+        ),
+        rows in prop::collection::vec(
+            (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..8)),
+            0..6,
+        ),
+        joins in prop::collection::vec(any::<u8>(), 0..2),
+        tear in (any::<bool>(), any::<u16>()),
+    ) {
+        let sessions = sessions_of(&rows);
+        let membership = membership(&joins);
+        let steps = script(kinds, &sessions, &membership);
+        let (mut disk, mut shadow) = logged(PersistMode::Wal, steps, sessions, membership);
+
+        prop_assert_eq!(disk.len(), shadow.len());
+        prop_assert_eq!(disk.synced_len(), shadow.synced_len());
+        for (kept, full) in disk.records().iter().zip(shadow.records()) {
+            let reclaimed = kept.is_empty() && checkpoint_at(full).is_some();
+            prop_assert!(kept == full || reclaimed, "a record other than a checkpoint moved");
+        }
+        let checkpoints = |disk: &Disk| disk.records().iter().filter_map(|r| checkpoint_at(r)).count();
+        prop_assert_eq!(checkpoints(&disk), checkpoints(&shadow).min(2));
+
+        if let (true, cut) = tear {
+            let newest = (0..shadow.len())
+                .filter_map(|i| Some((checkpoint_at(&shadow.records()[i])?, i)))
+                .max();
+            if let Some((_, i)) = newest {
+                let keep = usize::from(cut) % shadow.records()[i].len();
+                disk.tear(i, keep);
+                shadow.tear(i, keep);
+            }
+        }
+        let (got, want) = (Wal::replay(disk.records()), Wal::replay(shadow.records()));
+        prop_assert_eq!(got.checkpoint, want.checkpoint);
+        prop_assert_eq!(got.records, want.records);
+    }
+}
+
+/// The broken `WalNoFsync` mode syncs nothing, so no checkpoint counts as
+/// superseded: every record keeps its bytes.
+#[test]
+fn no_fsync_mode_reclaims_nothing() {
+    let sessions = sessions_of(&[(5, 9, vec![1, 2])]);
+    let membership = Membership::bootstrap(3);
+    let kinds = (0..6u64).map(|n| (3 + (n % 2) as u8, n, vec![7])).collect();
+    let steps = script(kinds, &sessions, &membership);
+    let (disk, shadow) = logged(PersistMode::WalNoFsync, steps, sessions, membership);
+    assert_eq!(disk.synced_len(), 0);
+    assert_eq!(disk.records(), shadow.records());
+    assert_eq!(
+        disk.records().iter().filter(|r| !r.is_empty()).count(),
+        6,
+        "six checkpoints, all kept"
+    );
 }

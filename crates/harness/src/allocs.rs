@@ -102,7 +102,7 @@ mod counting {
                     .unwrap_or(0);
                 EVERY.store(every, Relaxed);
             }
-            if every != 0 && ALLOCS.load(Relaxed) % every == 0 {
+            if every != 0 && ALLOCS.load(Relaxed).is_multiple_of(every) {
                 eprintln!(
                     "--- alloc sample ---\n{}",
                     std::backtrace::Backtrace::force_capture()

@@ -64,7 +64,8 @@ impl Node<Ping> for Hub {
         ctx.multicast(self.spokes.iter().copied(), Ping(self.round));
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _from: NodeId, _msg: Ping) {
+    fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _from: NodeId, msg: Ping) {
+        assert_eq!(msg.0, self.round, "a reply from another round");
         self.replies += 1;
         if self.replies == self.spokes.len() {
             self.replies = 0;

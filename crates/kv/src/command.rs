@@ -12,6 +12,7 @@
 //! SCAN:   [0x04][key: u64 LE][count: u32 LE]
 //! ```
 
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
@@ -126,39 +127,37 @@ impl Command {
     /// Decodes a command from its wire representation.
     ///
     /// # Errors
-    /// Returns [`DecodeCommandError`] if the buffer is truncated or carries
-    /// an unknown tag.
+    /// Returns [`DecodeCommandError`] if the buffer is truncated, carries
+    /// an unknown tag, or goes on past a fixed-length command: every
+    /// accepted buffer is exactly the [`encode`](Self::encode) of what it
+    /// decodes to.
     pub fn decode(bytes: &[u8]) -> Result<Command, DecodeCommandError> {
         let (&tag, rest) = bytes.split_first().ok_or(DecodeCommandError::Empty)?;
-        let key = |r: &[u8]| -> Result<u64, DecodeCommandError> {
-            let raw: [u8; 8] = r
-                .get(..8)
-                .ok_or(DecodeCommandError::Truncated)?
-                .try_into()
-                .expect("8-byte slice");
-            Ok(u64::from_le_bytes(raw))
+        // Everything after the tag has a fixed length but an Update's value.
+        let body_len = match tag {
+            TAG_GET | TAG_DELETE => 8,
+            TAG_UPDATE => rest.len().max(8),
+            TAG_SCAN => 12,
+            other => return Err(DecodeCommandError::UnknownTag(other)),
         };
-        match tag {
-            TAG_GET => Ok(Command::Get { key: key(rest)? }),
-            TAG_UPDATE => Ok(Command::Update {
-                key: key(rest)?,
-                value: rest.get(8..).unwrap_or_default().to_vec(),
-            }),
-            TAG_DELETE => Ok(Command::Delete { key: key(rest)? }),
-            TAG_SCAN => {
-                let start = key(rest)?;
-                let raw: [u8; 4] = rest
-                    .get(8..12)
-                    .ok_or(DecodeCommandError::Truncated)?
-                    .try_into()
-                    .expect("4-byte slice");
-                Ok(Command::Scan {
-                    start,
-                    count: u32::from_le_bytes(raw),
-                })
-            }
-            other => Err(DecodeCommandError::UnknownTag(other)),
+        match rest.len().cmp(&body_len) {
+            Ordering::Less => return Err(DecodeCommandError::Truncated),
+            Ordering::Greater => return Err(DecodeCommandError::TrailingBytes),
+            Ordering::Equal => {}
         }
+        let key = u64::from_le_bytes(rest[..8].try_into().expect("8-byte slice"));
+        Ok(match tag {
+            TAG_GET => Command::Get { key },
+            TAG_UPDATE => Command::Update {
+                key,
+                value: rest[8..].to_vec(),
+            },
+            TAG_DELETE => Command::Delete { key },
+            _ => Command::Scan {
+                start: key,
+                count: u32::from_le_bytes(rest[8..].try_into().expect("4-byte slice")),
+            },
+        })
     }
 
     /// Whether the command mutates state (relevant for read-only
@@ -175,6 +174,8 @@ pub enum DecodeCommandError {
     Empty,
     /// The buffer ended before the fixed-size fields.
     Truncated,
+    /// The buffer goes on past the end of a `Get`, `Delete` or `Scan`.
+    TrailingBytes,
     /// The leading tag byte is not a known command.
     UnknownTag(u8),
 }
@@ -184,6 +185,7 @@ impl fmt::Display for DecodeCommandError {
         match self {
             DecodeCommandError::Empty => write!(f, "empty command buffer"),
             DecodeCommandError::Truncated => write!(f, "truncated command buffer"),
+            DecodeCommandError::TrailingBytes => write!(f, "trailing bytes after command"),
             DecodeCommandError::UnknownTag(t) => write!(f, "unknown command tag {t:#04x}"),
         }
     }
@@ -233,6 +235,18 @@ mod tests {
             Command::decode(&[TAG_SCAN, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2]),
             Err(DecodeCommandError::Truncated)
         );
+        for cmd in [
+            Command::Get { key: 3 },
+            Command::Delete { key: 3 },
+            Command::Scan { start: 3, count: 1 },
+        ] {
+            let mut bytes = cmd.encode();
+            bytes.push(0);
+            assert_eq!(
+                Command::decode(&bytes),
+                Err(DecodeCommandError::TrailingBytes)
+            );
+        }
     }
 
     #[test]

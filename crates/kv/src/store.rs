@@ -138,8 +138,10 @@ impl StateMachine for KvStore {
             return;
         };
         let key = u64::from_le_bytes(raw_key.try_into().expect("8-byte slice"));
+        // Only an Update's value runs on; bytes past any other command
+        // make it malformed, as `Command::decode` says.
         match tag {
-            TAG_GET => {
+            TAG_GET if rest.len() == 8 => {
                 self.reads += 1;
                 match self.map.get(&key) {
                     Some(v) => {
@@ -171,7 +173,7 @@ impl StateMachine for KvStore {
                 }
                 out.push(STATUS_OK);
             }
-            TAG_DELETE => {
+            TAG_DELETE if rest.len() == 8 => {
                 self.writes += 1;
                 if let Some(old) = self.map.remove(&key) {
                     self.value_bytes -= old.len();
@@ -180,12 +182,8 @@ impl StateMachine for KvStore {
                     out.push(STATUS_NOT_FOUND);
                 }
             }
-            TAG_SCAN => {
-                let Some(raw_count) = rest.get(8..12) else {
-                    out.push(STATUS_BAD_COMMAND);
-                    return;
-                };
-                let count = u32::from_le_bytes(raw_count.try_into().expect("4-byte slice"));
+            TAG_SCAN if rest.len() == 12 => {
+                let count = u32::from_le_bytes(rest[8..].try_into().expect("4-byte slice"));
                 self.reads += 1;
                 out.push(STATUS_OK);
                 for (k, v) in self.map.range(key..).take(count as usize) {

@@ -1,7 +1,8 @@
 //! Property test: the borrowed-parse `execute_into` hot path must be
 //! byte-equivalent to the original decode-based `execute` semantics for
-//! every input — well-formed commands, truncated frames, unknown tags,
-//! and raw garbage — and must leave the store in the same state.
+//! every input — well-formed commands, truncated frames, bytes past a
+//! fixed-length command, unknown tags, and raw garbage — and must leave
+//! the store in the same state.
 
 use idem_common::app::StateMachine;
 use idem_kv::{Command, KvStore};

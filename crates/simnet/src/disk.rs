@@ -14,6 +14,10 @@
 //! persistence layer that skips the fsync is exactly what the chaos
 //! campaign's durability invariant exists to catch.
 //!
+//! A record can also be discarded: its bytes are freed and it stays in
+//! place as an empty record, so indices, the barrier and truncation are
+//! as they would have been without it.
+//!
 //! I/O latency is charged to the performing node's virtual CPU via
 //! [`Context::disk_append`](crate::Context::disk_append) and
 //! [`Context::disk_fsync`](crate::Context::disk_fsync) according to the
@@ -86,6 +90,16 @@ impl Disk {
         self.records.truncate(self.synced);
     }
 
+    /// Frees record `index`'s bytes but keeps its place: it reads as an
+    /// empty record from then on, and every other record keeps its index.
+    /// For a log that knows a record will never be read again.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    pub fn discard(&mut self, index: usize) {
+        self.records[index] = Vec::new();
+    }
+
     /// Fault injection: cuts record `index` down to its first `keep`
     /// bytes, as a write torn by power loss mid-record would leave it.
     ///
@@ -124,6 +138,29 @@ mod tests {
         disk.append(vec![5, 6]);
         disk.tear(0, 3);
         assert_eq!(disk.records(), &[vec![1, 2, 3], vec![5, 6]]);
+    }
+
+    #[test]
+    fn discard_empties_a_record_in_place() {
+        let mut disk = Disk::new();
+        for b in 1..=4 {
+            disk.append(vec![b; 3]);
+        }
+        disk.fsync();
+        disk.append(vec![5; 3]);
+        disk.discard(1);
+        disk.discard(4);
+        assert_eq!((disk.len(), disk.synced_len()), (5, 4));
+        assert_eq!(disk.append(vec![6]), 5, "indices keep counting");
+        disk.tear(2, 1);
+        assert_eq!(
+            disk.records(),
+            &[vec![1; 3], vec![], vec![3], vec![4; 3], vec![], vec![6]]
+        );
+        // Power loss drops the same records it would have without the
+        // discards: the two above the barrier, emptied or not.
+        disk.truncate_to_synced();
+        assert_eq!(disk.records(), &[vec![1; 3], vec![], vec![3], vec![4; 3]]);
     }
 
     #[test]

@@ -186,6 +186,17 @@ impl<M> Context<'_, M> {
         self.core.disk_fsync(self.id);
     }
 
+    /// Frees the bytes of record `index` on this node's disk and leaves
+    /// it in place as an empty record (see
+    /// [`Disk::discard`](crate::Disk::discard)). Charges no latency.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range, and so while the records are
+    /// lent out through [`with_disk_records`](Context::with_disk_records).
+    pub fn disk_discard(&mut self, index: usize) {
+        self.core.disk_mut(self.id).discard(index);
+    }
+
     /// All records on this node's disk, oldest first — the recovery
     /// replay surface after a wipe.
     pub fn disk_records(&self) -> &[Vec<u8>] {

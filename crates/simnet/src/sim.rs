@@ -1812,6 +1812,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn discarding_a_lent_record_panics() {
+        struct Discarder;
+        impl Node<Msg> for Discarder {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.disk_append(vec![1]);
+                ctx.with_disk_records(|ctx, _| ctx.disk_discard(0));
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+        }
+        let mut sim: Simulation<Msg> = Simulation::new(1);
+        sim.add_node(Box::new(Discarder));
+        sim.run_for(Duration::from_millis(1));
+    }
+
+    #[test]
     fn disk_latency_charges_cpu_only_when_configured() {
         struct Syncer {
             peer: NodeId,

@@ -187,13 +187,11 @@ proptest! {
         }
     }
 
-    /// `Command::decode` is total, and canonical up to trailing bytes: it
-    /// never panics, an accepted buffer starts with the command's own
-    /// encoding (and is exactly that encoding for `Update`, whose value is
-    /// the rest of the buffer), and every rejection names the right cause.
-    /// What follows a fixed-length command is ignored, by
-    /// `KvStore::execute_into` too (`execute_equivalence.rs` holds the two
-    /// together), so equality with `encode()` holds only for a prefix.
+    /// `Command::decode` is total and canonical: it never panics, an
+    /// accepted buffer is exactly the command's own encoding, and every
+    /// rejection names the right cause. Bytes after a fixed-length command
+    /// are refused, by `KvStore::execute_into` too (`execute_equivalence.rs`
+    /// holds the two together), so no two buffers decode to one command.
     #[test]
     fn command_decode_is_total(mut bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         prop_assert_eq!(Command::decode(&[]), Err(DecodeCommandError::Empty));
@@ -206,15 +204,13 @@ proptest! {
                 _ => 0,
             };
             match Command::decode(&bytes) {
-                Ok(cmd) => {
-                    prop_assert!(bytes.starts_with(&cmd.encode()));
-                    if let Command::Update { .. } = cmd {
-                        prop_assert_eq!(cmd.encoded_len(), bytes.len());
-                    }
-                }
+                Ok(cmd) => prop_assert_eq!(&cmd.encode(), &bytes),
                 Err(DecodeCommandError::Empty) => prop_assert!(false, "not empty: {bytes:?}"),
                 Err(DecodeCommandError::UnknownTag(t)) => prop_assert!(t == tag && fixed_len == 0),
                 Err(DecodeCommandError::Truncated) => prop_assert!(bytes.len() < fixed_len),
+                Err(DecodeCommandError::TrailingBytes) => {
+                    prop_assert!(tag != 0x02 && fixed_len > 0 && bytes.len() > fixed_len)
+                }
             }
         }
     }
