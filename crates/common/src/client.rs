@@ -24,8 +24,8 @@ use rand::Rng;
 
 use crate::driver::{ClientApp, OperationOutcome, OutcomeKind};
 use crate::{
-    ClientId, Directory, Membership, OpNumber, QuorumSet, QuorumTracker, Reply, Request, RequestId,
-    ResultBytes,
+    ClientId, DeadlineTimer, Directory, Membership, OpNumber, QuorumSet, QuorumTracker, Reply,
+    Request, RequestId, ResultBytes,
 };
 
 /// What an incoming message means to a client.
@@ -110,9 +110,9 @@ pub fn decode_tick(tick: u64) -> (u64, u64) {
     )
 }
 
-// The closed-loop client's tick kinds; the argument is the operation
-// number the timer was armed for. Retry is kind 0, so its payload is the
-// bare operation number.
+// The closed-loop client's tick kinds. A grace tick's argument is the
+// operation number it was armed for; a retry tick carries none, because
+// one retransmission deadline serves every operation in turn.
 const TAG_RETRY: u64 = 0;
 const TAG_GRACE: u64 = 1;
 const TAG_WAKE: u64 = 2;
@@ -168,7 +168,6 @@ struct InFlight {
     issued_at: SimTime,
     rejects: QuorumTracker,
     grace_timer: Option<TimerId>,
-    retry_timer: TimerId,
 }
 
 /// A closed-loop client node: issues the commands of its [`ClientApp`] one
@@ -181,6 +180,9 @@ pub struct Client<P: ClientPort> {
     app: Box<dyn ClientApp>,
     next_op: OpNumber,
     current: Option<InFlight>,
+    /// Retransmission of the operation in flight: running while there is
+    /// one, a whole interval after its last transmission.
+    retry: DeadlineTimer,
     /// The client's view of the replica group. Starts at the bootstrap
     /// membership and advances on `MembershipUpdate` redirects; reject
     /// thresholds count over the current members.
@@ -198,14 +200,16 @@ impl<P: ClientPort> Client<P> {
         app: Box<dyn ClientApp>,
     ) -> Client<P> {
         let membership = Membership::bootstrap(cfg.quorum().n());
+        let timing = cfg.timing();
         Client {
             port: cfg.port(&dir, &membership),
-            timing: cfg.timing(),
+            timing,
             id,
             dir,
             app,
             next_op: OpNumber(1),
             current: None,
+            retry: DeadlineTimer::new(timing.retransmit_interval),
             membership,
             stats: ClientStats::default(),
             stopped: false,
@@ -235,17 +239,13 @@ impl<P: ClientPort> Client<P> {
         self.stats.issued += 1;
         self.port
             .submit(ctx, &self.dir, Request::new(id, command.clone()));
-        let retry_timer = ctx.set_timer(
-            self.timing.retransmit_interval,
-            P::tick(encode_tick(TAG_RETRY, id.op.0)),
-        );
+        self.retry.push(ctx, P::tick(encode_tick(TAG_RETRY, 0)));
         self.current = Some(InFlight {
             id,
             command,
             issued_at: ctx.now(),
             rejects: QuorumTracker::new(self.membership.n()),
             grace_timer: None,
-            retry_timer,
         });
     }
 
@@ -256,7 +256,7 @@ impl<P: ClientPort> Client<P> {
         result: Option<ResultBytes>,
     ) {
         let flight = self.current.take().expect("operation in flight");
-        ctx.cancel_timer(flight.retry_timer);
+        self.retry.stop();
         if let Some(t) = flight.grace_timer {
             ctx.cancel_timer(t);
         }
@@ -332,13 +332,12 @@ impl<P: ClientPort> Client<P> {
         self.finish(ctx, OutcomeKind::RejectedFinal, None);
     }
 
-    fn handle_retry_timer(&mut self, ctx: &mut Context<'_, P::Msg>, op: u64) {
+    fn handle_retry_timeout(&mut self, ctx: &mut Context<'_, P::Msg>) {
         self.stats.retransmissions += 1;
         self.port.note_timeout();
-        let interval = self.timing.retransmit_interval;
-        let flight = self.current.as_mut().expect("checked by the caller");
+        let flight = self.current.as_ref().expect("retry runs only in flight");
         let req = Request::new(flight.id, flight.command.clone());
-        flight.retry_timer = ctx.set_timer(interval, P::tick(encode_tick(TAG_RETRY, op)));
+        self.retry.push(ctx, P::tick(encode_tick(TAG_RETRY, 0)));
         self.port.submit(ctx, &self.dir, req);
     }
 
@@ -388,22 +387,29 @@ impl<P: ClientPort> Node<P::Msg> for Client<P> {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, P::Msg>, _id: TimerId, msg: P::Msg) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, P::Msg>, id: TimerId, msg: P::Msg) {
         let Some((tag, op)) = P::tick_arg(&msg).map(decode_tick) else {
             return;
         };
-        if tag == TAG_WAKE {
-            if self.current.is_none() && !self.stopped {
-                self.issue_next(ctx);
+        match tag {
+            TAG_WAKE => {
+                if self.current.is_none() && !self.stopped {
+                    self.issue_next(ctx);
+                }
             }
-        } else if self.current.as_ref().is_some_and(|f| f.id.op.0 == op) {
-            // A timer armed for an operation that has finished since is
-            // stale; the operation number tells.
-            match tag {
-                TAG_RETRY => self.handle_retry_timer(ctx, op),
-                TAG_GRACE => self.finish(ctx, OutcomeKind::RejectedAmbivalent, None),
-                _ => unreachable!("unknown client tick tag"),
+            TAG_RETRY => {
+                if self.retry.fired(ctx, id, msg) {
+                    self.handle_retry_timeout(ctx);
+                }
             }
+            // A grace timer armed for an operation that has finished
+            // since is stale; the operation number tells.
+            TAG_GRACE => {
+                if self.current.as_ref().is_some_and(|f| f.id.op.0 == op) {
+                    self.finish(ctx, OutcomeKind::RejectedAmbivalent, None);
+                }
+            }
+            _ => unreachable!("unknown client tick tag"),
         }
     }
 }
@@ -719,7 +725,7 @@ mod tests {
         assert_eq!(rig.outcomes(), [(1, OutcomeKind::Success)]);
         assert_eq!(rig.hooks().last(), Some(&Hook::Answered(rig.replicas[0])));
         assert_eq!(rig.requests(1).last(), Some(&(at_us(25_200), 2)));
-        // The first operation's retry timer went with it.
+        // One retry timer serves both operations.
         assert_eq!(rig.sim.pending_timers(), 1);
 
         // Timers of the finished operation change nothing...
@@ -799,12 +805,15 @@ mod tests {
         assert_eq!(rig.sim.pending_timers(), 2);
         rig.say(2, Toy::Reply(Reply::new(op(2), &b"ok"[..])));
         assert_eq!(rig.outcomes()[1], (2, OutcomeKind::Success));
-        // Both of its timers are cancelled and the app has no third
-        // operation: nothing is left to fire.
-        assert_eq!(rig.sim.pending_timers(), 0);
+        // Its grace timer is cancelled, its retransmission deadline is
+        // cleared and the app has no third operation: nothing more
+        // happens, and the retry timer fires out idle.
         assert!(rig.chassis().is_stopped());
         rig.sim.run_for(ms(20));
         assert_eq!(rig.outcomes().len(), 2);
+        assert_eq!(rig.chassis().stats().retransmissions, 0);
+        assert_eq!(rig.requests(2).len(), 2);
+        assert_eq!(rig.sim.pending_timers(), 0);
     }
 
     #[test]
@@ -823,7 +832,12 @@ mod tests {
         // The third reject ends the grace period early, and its timer.
         assert_eq!(rig.outcomes(), [(1, OutcomeKind::RejectedFinal)]);
         assert_eq!(rig.chassis().stats().rejected_final, 1);
-        assert_eq!(rig.sim.pending_timers(), 1, "only the backoff is armed");
+        // Nothing is retransmitted after the verdict, and once the backoff
+        // finds the app exhausted nothing is left to fire.
+        rig.sim.run_for(ms(20));
+        assert_eq!(rig.chassis().stats().retransmissions, 0);
+        assert_eq!(rig.requests(0).len(), 1);
+        assert_eq!(rig.sim.pending_timers(), 0);
     }
 
     #[test]
@@ -900,11 +914,12 @@ mod tests {
         assert!(!rig.chassis().is_stopped());
         rig.say(0, Toy::Reply(Reply::new(op(1), &b"ok"[..])));
         assert!(rig.chassis().is_stopped());
-        assert_eq!(rig.sim.pending_timers(), 0);
         rig.fire(encode_tick(TAG_WAKE, 0));
         rig.sim.run_for(ms(20));
         assert_eq!(rig.chassis().stats().issued, 1);
+        assert_eq!(rig.chassis().stats().retransmissions, 0);
         assert_eq!(rig.requests(0).len(), 1);
+        assert_eq!(rig.sim.pending_timers(), 0);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 pub mod app;
 pub mod client;
+pub mod deadline;
 pub mod dense;
 pub mod directory;
 pub mod driver;
@@ -50,6 +51,7 @@ pub mod window;
 
 pub use app::{CostModel, FixedCost, StateMachine};
 pub use client::{Client, ClientEvent, ClientPort, ClientSetup, ClientStats, ClientTiming};
+pub use deadline::DeadlineTimer;
 pub use dense::{Chained, ReqHandle, ReqSlab, SessionTable};
 pub use directory::Directory;
 pub use driver::{ClientApp, OperationOutcome, OutcomeKind};

@@ -24,6 +24,7 @@ use std::time::Duration;
 use idem_simnet::{Context, NodeId, TimerId, Wire};
 
 use crate::app::{CostModel, FixedCost, StateMachine};
+use crate::deadline::DeadlineTimer;
 use crate::dense::SessionTable;
 use crate::directory::Directory;
 use crate::exec::ExecRecord;
@@ -175,7 +176,6 @@ pub struct ReplicaBase {
     pub dir: Directory<NodeId>,
     app: Box<dyn StateMachine + Send>,
     message_cost: FixedCost,
-    progress_timeout: Duration,
 
     /// The epoch-numbered replica set. All quorum arithmetic, the peer
     /// list and leader derivation come from here; reconfiguration commands
@@ -201,7 +201,9 @@ pub struct ReplicaBase {
     /// Set by the rebuild factory after an amnesia wipe: the next
     /// `on_recover` replays the disk before rejoining.
     wipe_recovering: bool,
-    progress_timer: Option<TimerId>,
+    /// The failure detector: expires after a whole progress timeout with
+    /// work pending and no execution.
+    progress: DeadlineTimer,
     /// Armed while catching up after a reboot; each firing asks again.
     recovery_timer: Option<TimerId>,
     recovery_attempts: u32,
@@ -229,7 +231,6 @@ impl ReplicaBase {
             dir,
             app,
             message_cost,
-            progress_timeout,
             membership: Membership::bootstrap(n),
             view: View(0),
             vc_target: None,
@@ -238,7 +239,7 @@ impl ReplicaBase {
             exec_scratch: Vec::new(),
             wal: Wal::default(),
             wipe_recovering: false,
-            progress_timer: None,
+            progress: DeadlineTimer::new(progress_timeout),
             recovery_timer: None,
             recovery_attempts: 0,
             exec_log: None,
@@ -442,33 +443,35 @@ impl ReplicaBase {
 
     // ------------------------------------------------------- progress timer
 
-    /// Arms the progress timer unless it is running.
+    /// Starts the progress timer unless it is running.
     pub fn ensure_progress_timer<M: ReplicaWire>(&mut self, ctx: &mut Context<'_, M>) {
-        if self.progress_timer.is_none() {
-            self.progress_timer = Some(ctx.set_timer(self.progress_timeout, M::PROGRESS_TIMER));
-        }
+        self.progress.start(ctx, M::PROGRESS_TIMER);
     }
 
-    /// Restarts the progress timer after progress: cancelled, and armed
-    /// afresh only while the caller still has `pending` work.
+    /// Restarts the progress timer after progress: a whole timeout from
+    /// now while the caller still has `pending` work, stopped otherwise.
+    /// One timer stays armed across restarts (see [`DeadlineTimer`]).
     pub fn reset_progress_timer<M: ReplicaWire>(
         &mut self,
         ctx: &mut Context<'_, M>,
         pending: bool,
     ) {
-        if let Some(timer) = self.progress_timer.take() {
-            ctx.cancel_timer(timer);
-        }
         if pending {
-            self.ensure_progress_timer(ctx);
+            self.progress.push(ctx, M::PROGRESS_TIMER);
+        } else {
+            self.progress.stop();
         }
     }
 
-    /// Notes that the progress timer fired, and returns whether this
-    /// replica is still a member (a non-member suspects nobody).
-    pub fn progress_timer_fired(&mut self) -> bool {
-        self.progress_timer = None;
-        self.is_member()
+    /// Handles the firing of progress timer `id`, and returns whether the
+    /// timeout expired at a member (a non-member suspects nobody). A fire
+    /// before the deadline re-arms for the remainder.
+    pub fn progress_timer_fired<M: ReplicaWire>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        id: TimerId,
+    ) -> bool {
+        self.progress.fired(ctx, id, M::PROGRESS_TIMER) && self.is_member()
     }
 
     // ------------------------------------------------------------- recovery
@@ -531,7 +534,7 @@ impl ReplicaBase {
     /// cancel it (a no-op if it fired) and arm a fresh one. Catch-up
     /// attempts count from zero again.
     pub fn rearm_on_recover<M: ReplicaWire>(&mut self, ctx: &mut Context<'_, M>) {
-        self.reset_progress_timer(ctx, true);
+        self.progress.restart(ctx, M::PROGRESS_TIMER);
         self.recovery_attempts = 0;
     }
 
@@ -769,9 +772,10 @@ impl ReplicaBase {
 
     /// Switches to the next epoch after executing reconfiguration command
     /// `cmd`, with `frontier` already past its slot. Returns false if this
-    /// replica was voted out: both timers are cancelled and it stops
-    /// participating. Otherwise a checkpoint is taken at the boundary (as
-    /// by [`take_checkpoint`](Self::take_checkpoint)) and pushed straight
+    /// replica was voted out: the progress timer is stopped, the catch-up
+    /// retry cancelled, and it stops participating. Otherwise a checkpoint
+    /// is taken at the boundary (as by
+    /// [`take_checkpoint`](Self::take_checkpoint)) and pushed straight
     /// at a joiner — waiting for its own request would put a retry
     /// interval on the convergence path — and the clients are told where
     /// the group now lives. Leadership derives from the member list, so
@@ -945,7 +949,8 @@ mod tests {
 
     /// A chassis with no ordering core: it runs the next scripted step on
     /// `Toy::Step`, keeps the recovery retry going, and logs everything
-    /// else it receives or sees fire.
+    /// else it receives or sees fire — of the progress timer, only the
+    /// expiries the chassis reports, which an ordering core would act on.
     struct ToyReplica {
         base: ReplicaBase,
         votes: VoteStore<u8>,
@@ -961,7 +966,10 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, ctx: &mut Context<'_, Toy>, _id: TimerId, msg: Toy) {
+        fn on_timer(&mut self, ctx: &mut Context<'_, Toy>, id: TimerId, msg: Toy) {
+            if msg == Toy::ProgressTimer && !self.base.progress_timer_fired(ctx, id) {
+                return;
+            }
             self.seen.push((ctx.now(), ctx.id(), msg.clone()));
             if msg == Toy::RecoveryTimer {
                 self.base.handle_recovery_timer(ctx);
@@ -1016,7 +1024,8 @@ mod tests {
         SimTime::from_nanos(t * 1_000_000)
     }
 
-    /// When each of `node`'s timers of kind `timer` fired.
+    /// When each of `node`'s timers of kind `timer` fired (expired, for the
+    /// progress timer).
     fn fired(sim: &Simulation<Toy>, node: NodeId, timer: &Toy) -> Vec<SimTime> {
         let seen = toy(sim, node).seen.iter();
         seen.filter(|(_, _, m)| m == timer)
@@ -1190,8 +1199,8 @@ mod tests {
             assert_eq!(r.base.view(), View(1));
             assert!(!r.base.in_view_change());
         });
-        // `pending` was false: the progress timer the solo change armed is
-        // cancelled with it.
+        // `pending` was false: the progress timer the solo change started
+        // is stopped with it, and never expires.
         sim.run_for(Duration::from_secs(6));
         assert_eq!(fired(&sim, nodes[1], &Toy::ProgressTimer), []);
     }
@@ -1206,7 +1215,9 @@ mod tests {
             let leave = ReconfigCommand::Leave(ReplicaId(2));
             assert!(!r.base.switch_epoch(ctx, &leave, SeqNumber(1)));
             assert!(!r.base.is_member());
+            assert!(!r.base.progress.is_running());
         });
+        // Neither times out: no view change, no catch-up request.
         sim.run_for(Duration::from_secs(6));
         assert_eq!(fired(&sim, me, &Toy::ProgressTimer), []);
         assert_eq!(fired(&sim, me, &Toy::RecoveryTimer), []);

@@ -517,17 +517,23 @@ impl IdemReplica {
         e.body = Some(req);
         let leader = self.leader_node();
         ctx.send(leader, IdemMessage::Require(id));
+        self.arm_forward_timer(ctx, h, id);
+        self.base.ensure_progress_timer(ctx);
+    }
+
+    /// (Re-)arms the delayed-forwarding timer of `id`, whose record is
+    /// `h`, and cancels the one it replaces.
+    fn arm_forward_timer(
+        &mut self,
+        ctx: &mut Context<'_, IdemMessage>,
+        h: ReqHandle,
+        id: RequestId,
+    ) {
         let timer = ctx.set_timer(self.cfg.forward_timeout, IdemMessage::ForwardTimer(id));
-        if let Some(old) = self
-            .reqs
-            .get_mut(h)
-            .expect("live")
-            .forward_timer
-            .replace(timer)
-        {
+        let e = self.reqs.get_mut(h).expect("live");
+        if let Some(old) = e.forward_timer.replace(timer) {
             ctx.cancel_timer(old);
         }
-        self.base.ensure_progress_timer(ctx);
     }
 
     /// Advances the exponentially smoothed load estimate to `now`.
@@ -596,10 +602,7 @@ impl IdemReplica {
             ctx.multicast(self.base.peers(), IdemMessage::Forward(req));
             let leader = self.leader_node();
             ctx.send(leader, IdemMessage::Require(id));
-            let timer = ctx.set_timer(self.cfg.forward_timeout, IdemMessage::ForwardTimer(id));
-            if let Some(e) = self.reqs.get_mut(h) {
-                e.forward_timer = Some(timer);
-            }
+            self.arm_forward_timer(ctx, h, id);
         }
     }
 
@@ -1301,18 +1304,15 @@ impl IdemReplica {
                 continue;
             }
             let h = self.find_or_create(*id);
-            if self.reqs.get(h).expect("live").active {
+            let e = self.reqs.get_mut(h).expect("live");
+            if e.active {
                 continue;
             }
-            let timer = ctx.set_timer(self.cfg.forward_timeout, IdemMessage::ForwardTimer(*id));
-            let e = self.reqs.get_mut(h).expect("live");
             e.active = true;
             self.active_count += 1;
             e.stored = true;
             e.body = Some(Request::new(*id, *command));
-            if let Some(old) = e.forward_timer.replace(timer) {
-                ctx.cancel_timer(old);
-            }
+            self.arm_forward_timer(ctx, h, *id);
         }
         // Slot-bound Accept records restore the bindings we proposed or
         // endorsed, and push next_propose past every slot we ever touched:
@@ -1366,8 +1366,8 @@ impl IdemReplica {
                 .is_some_and(|inst| inst.committed)
     }
 
-    fn handle_progress_timer(&mut self, ctx: &mut Context<'_, IdemMessage>) {
-        if !self.base.progress_timer_fired() || !self.has_pending_work() {
+    fn handle_progress_timer(&mut self, ctx: &mut Context<'_, IdemMessage>, timer: TimerId) {
+        if !self.base.progress_timer_fired(ctx, timer) || !self.has_pending_work() {
             return;
         }
         // No execution progress while work is pending: assume the leader of
@@ -1547,10 +1547,10 @@ impl Node<IdemMessage> for IdemReplica {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, IdemMessage>, _id: TimerId, msg: IdemMessage) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, IdemMessage>, timer: TimerId, msg: IdemMessage) {
         match msg {
             IdemMessage::ForwardTimer(id) => self.handle_forward_timer(ctx, id),
-            IdemMessage::ProgressTimer => self.handle_progress_timer(ctx),
+            IdemMessage::ProgressTimer => self.handle_progress_timer(ctx, timer),
             IdemMessage::RecoveryTimer => self.base.handle_recovery_timer(ctx),
             _ => {}
         }
@@ -1564,7 +1564,7 @@ impl Node<IdemMessage> for IdemReplica {
         }
         self.base.rearm_on_recover(ctx);
         // The forward timers' handles may be as stale as the progress
-        // timer's: cancel and re-arm. (Cancelling a timer that is still
+        // timer's: re-arm and cancel. (Cancelling a timer that is still
         // pending is also fine — we re-arm an equivalent one.)
         let mut pending: Vec<(RequestId, ReqHandle)> = self
             .reqs
@@ -1574,13 +1574,7 @@ impl Node<IdemMessage> for IdemReplica {
             .collect();
         pending.sort_unstable_by_key(|&(id, _)| id);
         for (id, h) in pending {
-            if let Some(old) = self.reqs.get_mut(h).and_then(|e| e.forward_timer.take()) {
-                ctx.cancel_timer(old);
-            }
-            let timer = ctx.set_timer(self.cfg.forward_timeout, IdemMessage::ForwardTimer(id));
-            if let Some(e) = self.reqs.get_mut(h) {
-                e.forward_timer = Some(timer);
-            }
+            self.arm_forward_timer(ctx, h, id);
         }
         // The cluster may have moved on (GC, view changes) while we were
         // down; ask for a checkpoint to catch up quickly, rotating through

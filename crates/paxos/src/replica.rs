@@ -617,8 +617,8 @@ impl PaxosReplica {
         self.base.reset_progress_timer(ctx, pending);
     }
 
-    fn handle_progress_timer(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
-        if !self.base.progress_timer_fired() {
+    fn handle_progress_timer(&mut self, ctx: &mut Context<'_, PaxosMessage>, timer: TimerId) {
+        if !self.base.progress_timer_fired(ctx, timer) {
             return;
         }
         let suspicious = self.has_pending_work()
@@ -824,9 +824,9 @@ impl Node<PaxosMessage> for PaxosReplica {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, PaxosMessage>, _id: TimerId, msg: PaxosMessage) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, PaxosMessage>, timer: TimerId, msg: PaxosMessage) {
         match msg {
-            PaxosMessage::ProgressTimer => self.handle_progress_timer(ctx),
+            PaxosMessage::ProgressTimer => self.handle_progress_timer(ctx, timer),
             PaxosMessage::RecoveryTimer => self.base.handle_recovery_timer(ctx),
             _ => {}
         }

@@ -68,9 +68,11 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 9;
 
 /// A drained slot keeps its buffer only up to this capacity: an upper-level
-/// slot collects a period's cancelled timers (megabytes) and comes round
-/// again 64 periods later, so parking those buffers would make the footprint
-/// follow elapsed time rather than the pending population.
+/// slot collects a period's cancelled timers and comes round again 64
+/// periods later, so parking those buffers would make the footprint follow
+/// elapsed time rather than the pending population. On a saturated IDEM
+/// cell they are its per-request 10 ms forward timers, up to ≈80 KB a slot
+/// (megabytes while every execution also filed a dead progress timer).
 const KEEP_SLOT_BYTES: usize = 64 << 10;
 
 /// One scheduled item. Only `(time, seq)` participate in ordering; `seq` is

@@ -543,8 +543,8 @@ impl SmartReplica {
         self.pending_live > 0 || self.open.is_some() || self.sync_target.is_some()
     }
 
-    fn handle_progress_timer(&mut self, ctx: &mut Context<'_, SmartMessage>) {
-        if !self.base.progress_timer_fired() {
+    fn handle_progress_timer(&mut self, ctx: &mut Context<'_, SmartMessage>, timer: TimerId) {
+        if !self.base.progress_timer_fired(ctx, timer) {
             return;
         }
         if self.sync_target.is_some() {
@@ -753,9 +753,9 @@ impl Node<SmartMessage> for SmartReplica {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, SmartMessage>, _id: TimerId, msg: SmartMessage) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, SmartMessage>, timer: TimerId, msg: SmartMessage) {
         match msg {
-            SmartMessage::ProgressTimer => self.handle_progress_timer(ctx),
+            SmartMessage::ProgressTimer => self.handle_progress_timer(ctx, timer),
             SmartMessage::RecoveryTimer => {
                 self.base.recovery_timer_fired();
                 self.ask_all_for_checkpoint(ctx);

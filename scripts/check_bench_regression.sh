@@ -40,12 +40,6 @@
 #
 # usage: scripts/check_bench_regression.sh <baseline.json> <current.json> [threshold_pct]
 #
-# Trajectory recording: when BENCH_HISTORY names a file, every run that
-# carries a whole-run total appends one JSON line — git SHA, the run's
-# total events_per_sec, and the baseline's — regardless of verdict. CI
-# persists that file across runs (cache + artifact), so perf PRs get a
-# throughput curve to read instead of a single-point threshold check.
-#
 # Every entry of the CURRENT file must exist in the baseline; an unknown
 # name fails loudly (exit 2) with a diff of the two name sets, because a
 # silently-skipped entry is exactly how a renamed experiment escapes the
@@ -224,17 +218,6 @@ if [[ -n "$base_total" && -n "$cur_total" && $(wc -l < /tmp/bench_baseline.$$) -
     else
         echo "ok: total: $cur_total events/s vs baseline $base_total"
     fi
-fi
-
-# Append this run to the bench trajectory, pass or fail — a failing
-# point is the most interesting one on the curve; points are comparable
-# with each other as long as the job keeps running the same entries.
-# Load summaries carry no total and record nothing.
-if [[ -n "${BENCH_HISTORY:-}" && -n "$cur_total" ]]; then
-    sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-    printf '{"sha": "%s", "events_per_sec": %s, "baseline_events_per_sec": %s, "threshold_pct": %s}\n' \
-        "$sha" "$cur_total" "${base_total:-0}" "$threshold" >> "$BENCH_HISTORY"
-    echo "recorded total $cur_total events/s @ $sha in $BENCH_HISTORY ($(wc -l < "$BENCH_HISTORY") point(s))"
 fi
 
 if (( fail )); then
