@@ -61,7 +61,8 @@ pub use load::{ArrivalProcess, ArrivalSampler, BackoffWheel, LoadCounters, LoadP
 pub use membership::{Epoch, Membership, ReconfigCommand, RECONFIG_CLIENT};
 pub use quorum::{QuorumSet, QuorumTracker};
 pub use replica::{
-    CheckpointData, ClientRecord, Replayed, ReplicaBase, ReplicaWire, ViewChangeStep, VoteStore,
+    CheckpointData, ClientRecord, Consumed, Replayed, ReplicaBase, ReplicaWire, ViewChangeStep,
+    VoteStore,
 };
 pub use request::{Reply, Request, ResultBytes, INLINE_RESULT_CAP};
 pub use wal::{CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord, WalRecordRef};

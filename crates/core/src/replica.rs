@@ -5,8 +5,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, CheckpointData, ClientId, Directory, QuorumTracker, ReconfigCommand, ReplicaBase,
-    Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber, SeqWindow, SessionTable,
+    Chained, CheckpointData, ClientId, Consumed, Directory, QuorumTracker, ReconfigCommand,
+    ReplicaBase, Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, SeqWindow, SessionTable,
     StateMachine, View, VoteStore, WalRecordRef, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, SimTime, TimerId, Wire};
@@ -223,11 +223,6 @@ pub struct IdemReplica {
     base: ReplicaBase,
     test: AcceptanceTest,
 
-    /// Leader only: slot of an in-flight reconfiguration command. No new
-    /// slots are bound past it until it executes, so the epoch switch
-    /// point is the last slot of the old epoch.
-    reconfig_barrier: Option<SeqNumber>,
-
     /// Latest `ViewChange` window summary per (target view, sender).
     vc_store: VoteStore<Vec<WindowEntry>>,
 
@@ -236,7 +231,6 @@ pub struct IdemReplica {
     /// [`SeqWindow::advance_to_into`] never allocates.
     gc_scratch: Vec<(SeqNumber, Instance)>,
     next_propose: SeqNumber,
-    next_exec: SeqNumber,
     /// Set when GC overtook local execution; cleared by checkpoint install.
     stalled: bool,
 
@@ -312,12 +306,10 @@ impl IdemReplica {
             window: SeqWindow::new(cfg.window_size),
             gc_scratch: Vec::new(),
             rejected_cache: RejectedCache::new(cfg.rejected_cache_capacity),
-            reconfig_barrier: None,
             cfg,
             test,
             vc_store: VoteStore::default(),
             next_propose: SeqNumber(0),
-            next_exec: SeqNumber(0),
             stalled: false,
             reqs: ReqSlab::new(),
             active_count: 0,
@@ -355,11 +347,6 @@ impl IdemReplica {
     /// `r_now` of the acceptance test.
     pub fn active_requests(&self) -> usize {
         self.active_count
-    }
-
-    /// Next sequence number to execute.
-    pub fn next_exec(&self) -> SeqNumber {
-        self.next_exec
     }
 
     /// Number of entries currently held in the rejected-request cache.
@@ -656,7 +643,7 @@ impl IdemReplica {
             self.release_if_unused(h);
             return;
         }
-        if self.barrier_active() || self.next_propose >= self.window.high() {
+        if self.base.barrier_active() || self.next_propose >= self.window.high() {
             self.pending_proposals.push_back(id);
             return;
         }
@@ -679,20 +666,6 @@ impl IdemReplica {
         ready.sort_unstable();
         for id in ready {
             self.try_propose(ctx, id);
-        }
-    }
-
-    /// Whether an in-flight reconfiguration blocks new slot bindings.
-    /// Self-clearing: once execution passes the barrier slot the epoch has
-    /// switched and proposing may resume.
-    fn barrier_active(&mut self) -> bool {
-        match self.reconfig_barrier {
-            Some(b) if self.next_exec > b => {
-                self.reconfig_barrier = None;
-                false
-            }
-            Some(_) => true,
-            None => false,
         }
     }
 
@@ -722,7 +695,7 @@ impl IdemReplica {
         };
         self.window.insert(sqn, inst);
         if id.client == RECONFIG_CLIENT {
-            self.reconfig_barrier = Some(sqn);
+            self.base.set_reconfig_barrier(sqn);
         }
         let h = self.find_or_create(id);
         let e = self.reqs.get_mut(h).expect("live");
@@ -931,12 +904,13 @@ impl IdemReplica {
             if self.stalled {
                 break;
             }
-            if self.window.is_stale(self.next_exec) {
+            let sqn = self.base.next_exec();
+            if self.window.is_stale(sqn) {
                 // GC overtook us; only a checkpoint can resynchronize.
                 self.enter_stall(ctx);
                 break;
             }
-            let Some(inst) = self.window.get(self.next_exec) else {
+            let Some(inst) = self.window.get(sqn) else {
                 break;
             };
             if !inst.committed {
@@ -944,103 +918,71 @@ impl IdemReplica {
             }
             let id = inst.id;
             if inst.executed {
-                self.next_exec = self.next_exec.next();
+                self.base.advance_exec();
                 self.after_execute(ctx);
                 progressed = true;
                 continue;
             }
-            if id.client == NOOP_CLIENT {
-                self.base
-                    .persist_exec(ctx, self.next_exec.0, id, false, &[]);
-                self.window
-                    .get_mut(self.next_exec)
-                    .expect("present")
-                    .executed = true;
-                self.next_exec = self.next_exec.next();
-                self.after_execute(ctx);
-                progressed = true;
-                continue;
-            }
-            if self.base.executed_already(id) {
-                // Duplicate binding across views: consume without re-running
-                // the application.
-                self.base
-                    .persist_exec(ctx, self.next_exec.0, id, false, &[]);
-                self.window
-                    .get_mut(self.next_exec)
-                    .expect("present")
-                    .executed = true;
-                self.finish_request(ctx, id);
-                self.next_exec = self.next_exec.next();
-                self.after_execute(ctx);
-                progressed = true;
-                continue;
-            }
-            let body = self.body_of(id).cloned();
-            let Some(req) = body else {
-                // Committed id whose body we never saw: fetch it
-                // (Section 5.2, request fetching).
-                let source = inst.source;
-                let already = inst.fetch_sent;
-                if !already {
-                    self.window
-                        .get_mut(self.next_exec)
-                        .expect("present")
-                        .fetch_sent = true;
-                    self.stats.fetches_sent += 1;
-                    let target = self.base.dir.replica(source);
-                    ctx.send(target, IdemMessage::Fetch(id));
+            // A no-op, or a duplicate binding across views, is consumed
+            // without running the application.
+            let skip = id.client == NOOP_CLIENT || self.base.executed_already(id);
+            let body = if skip {
+                None
+            } else {
+                let Some(req) = self.body_of(id).cloned() else {
+                    // Committed id whose body we never saw: fetch it
+                    // (Section 5.2, request fetching).
+                    if !inst.fetch_sent {
+                        let target = self.base.dir.replica(inst.source);
+                        self.window.get_mut(sqn).expect("present").fetch_sent = true;
+                        self.stats.fetches_sent += 1;
+                        ctx.send(target, IdemMessage::Fetch(id));
+                    }
+                    break;
+                };
+                let (rejected, stored) = self
+                    .reqs
+                    .get(self.find(id))
+                    .map(|e| (e.rejected, e.stored))
+                    .unwrap_or((false, false));
+                if id.client != RECONFIG_CLIENT
+                    && rejected
+                    && !stored
+                    && !self.cold_store.contains_key(&id)
+                {
+                    self.stats.rejected_cache_hits += 1;
                 }
-                break;
+                Some(req)
             };
-            if id.client == RECONFIG_CLIENT {
-                // Membership change: the epoch switches exactly here, at
-                // the agreed slot, on every replica. Applied to the
-                // membership instead of the app; no client reply.
-                self.base
-                    .persist_exec(ctx, self.next_exec.0, id, true, &req.command);
-                self.stats.executed += 1;
-                self.base
-                    .sessions
-                    .record(id.client, id.op, ResultBytes::from_slice(&[]));
-                self.window
-                    .get_mut(self.next_exec)
-                    .expect("present")
-                    .executed = true;
-                self.finish_request(ctx, id);
-                self.next_exec = self.next_exec.next();
-                if let Some(cmd) = ReconfigCommand::decode(&req.command) {
-                    self.apply_reconfig(ctx, &cmd);
+            // Durably logged first, so the op survives a wipe right after
+            // the client sees its reply.
+            let command = body.as_ref().map(|req| &req.command[..]);
+            let mut reconfig = None;
+            match self.base.consume(ctx, sqn.0, id, command) {
+                Consumed::Skipped => {}
+                Consumed::Reconfig(cmd) => {
+                    self.stats.executed += 1;
+                    reconfig = cmd;
                 }
-                self.after_execute(ctx);
-                progressed = true;
-                continue;
+                Consumed::Executed(result) => {
+                    self.stats.executed += 1;
+                    if self.base.is_leader() {
+                        self.stats.replies_sent += 1;
+                        let client = self.base.dir.client(id.client);
+                        ctx.send(client, IdemMessage::Reply(Reply::new(id, result)));
+                    }
+                }
             }
-            let (rejected, stored) = self
-                .reqs
-                .get(self.find(id))
-                .map(|e| (e.rejected, e.stored))
-                .unwrap_or((false, false));
-            if rejected && !stored && !self.cold_store.contains_key(&id) {
-                self.stats.rejected_cache_hits += 1;
+            self.window.get_mut(sqn).expect("present").executed = true;
+            if id.client != NOOP_CLIENT {
+                self.finish_request(ctx, id);
             }
-            // Execute (durably logged first, so the op survives a wipe
-            // right after the client sees its reply).
-            self.base
-                .persist_exec(ctx, self.next_exec.0, id, true, &req.command);
-            let result = self.base.execute(ctx, id, &req.command);
-            self.stats.executed += 1;
-            if self.base.is_leader() {
-                self.stats.replies_sent += 1;
-                let client = self.base.dir.client(id.client);
-                ctx.send(client, IdemMessage::Reply(Reply::new(id, result)));
+            self.base.advance_exec();
+            if let Some(cmd) = reconfig {
+                // Membership change: the epoch switches exactly here, at
+                // the agreed slot, on every replica; no client reply.
+                self.apply_reconfig(ctx, &cmd);
             }
-            self.window
-                .get_mut(self.next_exec)
-                .expect("present")
-                .executed = true;
-            self.finish_request(ctx, id);
-            self.next_exec = self.next_exec.next();
             self.after_execute(ctx);
             progressed = true;
         }
@@ -1087,8 +1029,7 @@ impl IdemReplica {
     /// command (see [`ReplicaBase::switch_epoch`]) and re-anchors
     /// leadership under the new member list.
     fn apply_reconfig(&mut self, ctx: &mut Context<'_, IdemMessage>, cmd: &ReconfigCommand) {
-        self.reconfig_barrier = None;
-        if !self.base.switch_epoch(ctx, cmd, self.next_exec) {
+        if !self.base.switch_epoch(ctx, cmd) {
             // Voted out. The on_message gate redirects clients and ignores
             // protocol traffic from here on.
             return;
@@ -1101,7 +1042,10 @@ impl IdemReplica {
             // A follower promoted by the switch has a stale proposal
             // cursor; binding below the execution frontier would target
             // slots whose bindings are already decided and be refused.
-            self.next_propose = self.next_propose.max(self.window.low()).max(self.next_exec);
+            self.next_propose = self
+                .next_propose
+                .max(self.window.low())
+                .max(self.base.next_exec());
             // As a follower this node endorsed its accepted requests with
             // the *old* leader; count its own endorsement now so live
             // requests do not wait out a client retransmission interval.
@@ -1130,11 +1074,12 @@ impl IdemReplica {
     /// Post-execution bookkeeping: periodic checkpointing.
     fn after_execute(&mut self, ctx: &mut Context<'_, IdemMessage>) {
         if self
-            .next_exec
+            .base
+            .next_exec()
             .0
             .is_multiple_of(self.cfg.checkpoint_interval)
         {
-            self.base.take_checkpoint(ctx, self.next_exec);
+            self.base.take_checkpoint(ctx);
             self.checkpoint_taken();
         }
     }
@@ -1151,14 +1096,10 @@ impl IdemReplica {
     }
 
     fn handle_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>, data: CheckpointData) {
-        let next_exec = data.next_exec;
-        let Some(new_epoch) = self.base.install_checkpoint(ctx, self.next_exec, data) else {
+        if !self.base.install_checkpoint(ctx, data) {
             return;
-        };
-        if new_epoch {
-            self.reconfig_barrier = None;
         }
-        self.next_exec = next_exec;
+        let next_exec = self.base.next_exec();
         let dropped = self.window.advance_to(next_exec);
         for (_, inst) in dropped {
             self.clear_proposed(inst.id);
@@ -1177,7 +1118,7 @@ impl IdemReplica {
         }
         self.stalled = false;
         self.stats.checkpoints_installed += 1;
-        self.next_propose = self.next_propose.max(self.next_exec);
+        self.next_propose = self.next_propose.max(next_exec);
         self.try_execute(ctx);
     }
 
@@ -1208,12 +1149,13 @@ impl IdemReplica {
         let mut dropped = self
             .window
             .advance_to_into(new_low, std::mem::take(&mut self.gc_scratch));
-        if !dropped.is_empty() || new_low > self.next_exec {
+        let next_exec = self.base.next_exec();
+        if !dropped.is_empty() || new_low > next_exec {
             self.stats.gc_advances += 1;
         }
         for &(s, ref inst) in &dropped {
             self.clear_binding(inst.id);
-            if !inst.executed && s >= self.next_exec {
+            if !inst.executed && s >= next_exec {
                 // We discarded instances we had not executed: state transfer
                 // is now required.
                 self.enter_stall(ctx);
@@ -1221,7 +1163,7 @@ impl IdemReplica {
         }
         dropped.clear();
         self.gc_scratch = dropped;
-        if self.window.is_stale(self.next_exec) {
+        if self.window.is_stale(next_exec) {
             self.enter_stall(ctx);
         }
         self.next_propose = self.next_propose.max(self.window.low());
@@ -1278,13 +1220,7 @@ impl IdemReplica {
     /// the newest durable checkpoint, replay executions past it, restore
     /// accepted-but-unexecuted request bodies, and resume the highest view.
     fn replay_wal(&mut self, ctx: &mut Context<'_, IdemMessage>, disk: &[Vec<u8>]) {
-        let replayed = self
-            .base
-            .replay_wal(ctx, disk, self.next_exec.0, |slot, _, next| {
-                (slot >= next).then_some(slot + 1)
-            });
-        self.next_exec = SeqNumber(replayed.frontier);
-        let records = replayed.records;
+        let records = self.base.replay_wal(ctx, disk, 0).records;
         // Restore the GC window's lower bound: the pre-wipe replica had
         // executed up to next_exec, so its window provably covered it.
         // Without this the window stays at 0, every binding near the
@@ -1292,8 +1228,8 @@ impl IdemReplica {
         // peers cannot help, because their checkpoints carry no executions
         // we do not already have and are therefore refused.
         let r_max = self.cfg.r_max();
-        self.window
-            .advance_to(SeqNumber(self.next_exec.0.saturating_sub(r_max)));
+        let low = self.base.next_exec().0.saturating_sub(r_max);
+        self.window.advance_to(SeqNumber(low));
         // Accepted-but-unexecuted requests come back as active, so their
         // bodies survive (peers may commit them on our pre-wipe vouching).
         for rec in &records {
@@ -1315,42 +1251,29 @@ impl IdemReplica {
             self.arm_forward_timer(ctx, h, *id);
         }
         // Slot-bound Accept records restore the bindings we proposed or
-        // endorsed, and push next_propose past every slot we ever touched:
-        // a rebooted leader must not re-bind an in-flight slot to a
-        // different request (equivocation).
-        let mut propose_past = self.next_exec;
-        for rec in &records {
-            let WalRecordRef::Accept { slot, view, id, .. } = rec else {
-                continue;
-            };
-            if *slot == u64::MAX {
-                continue; // REQUIRE-stage record, no slot bound yet
-            }
-            let sqn = SeqNumber(*slot);
-            propose_past = propose_past.max(sqn.next());
-            if self.window.is_stale(sqn) || self.window.is_ahead(sqn) {
-                continue;
-            }
-            if self.window.get(sqn).is_some_and(|i| i.view.0 >= *view) {
-                continue;
-            }
-            let v = View(*view);
-            let mut votes = QuorumTracker::new(self.base.majority());
-            votes.record(self.base.me);
-            let executed = self.base.executed_already(*id);
-            self.window.insert(
-                sqn,
+        // endorsed, and push next_propose past every slot we ever touched.
+        let mut bound = Vec::new();
+        let propose_past = self.base.replay_bindings(
+            &mut self.window,
+            &records,
+            |inst| inst.view,
+            |base, sqn, view, id, _| {
+                bound.push((id, sqn));
+                let mut votes = QuorumTracker::new(base.majority());
+                votes.record(base.me);
                 Instance {
-                    id: *id,
-                    view: v,
+                    id,
+                    view,
                     votes,
                     committed: false,
-                    executed,
+                    executed: base.executed_already(id),
                     fetch_sent: false,
-                    source: self.base.leader_of(v),
-                },
-            );
-            let h = self.find_or_create(*id);
+                    source: base.leader_of(view),
+                }
+            },
+        );
+        for (id, sqn) in bound {
+            let h = self.find_or_create(id);
             self.reqs.get_mut(h).expect("live").proposed = Some(sqn);
         }
         self.next_propose = self.next_propose.max(propose_past).max(self.window.low());
@@ -1362,7 +1285,7 @@ impl IdemReplica {
         self.active_count > 0
             || self
                 .window
-                .get(self.next_exec)
+                .get(self.base.next_exec())
                 .is_some_and(|inst| inst.committed)
     }
 
@@ -1483,7 +1406,7 @@ impl IdemReplica {
                 if id.client == RECONFIG_CLIENT && !executed {
                     // An in-flight reconfiguration survives the view
                     // change; the new leader inherits its barrier.
-                    self.reconfig_barrier = Some(sqn);
+                    self.base.set_reconfig_barrier(sqn);
                 }
                 let h = self.find_or_create(id);
                 self.reqs.get_mut(h).expect("live").proposed = Some(sqn);
@@ -1499,7 +1422,10 @@ impl IdemReplica {
             }
             self.next_propose = self.next_propose.max(SeqNumber(max + 1));
         }
-        self.next_propose = self.next_propose.max(self.window.low()).max(self.next_exec);
+        self.next_propose = self
+            .next_propose
+            .max(self.window.low())
+            .max(self.base.next_exec());
 
         // Propose requests whose REQUIRE quorum formed during the change.
         self.propose_ready(ctx);
@@ -1520,8 +1446,7 @@ impl Node<IdemMessage> for IdemReplica {
             IdemMessage::Checkpoint(data) => self.handle_checkpoint(ctx, data),
             IdemMessage::CheckpointRequest => {
                 // Answered with a fresh checkpoint.
-                self.base
-                    .handle_checkpoint_request(ctx, from, self.next_exec);
+                self.base.handle_checkpoint_request(ctx, from);
                 self.checkpoint_taken();
             }
             IdemMessage::Fetch(id) => self.handle_fetch(ctx, from, id),

@@ -166,10 +166,9 @@ impl Protocol {
 type App = Box<dyn StateMachine + Send>;
 
 /// One replication protocol as the harness wires it, keyed by its message
-/// type: the replica node and the few places it differs. Everything else
-/// about a replica is reached through its [`ReplicaBase`]; clients and
-/// load ports come from the protocol's client configuration
-/// ([`ClientSetup`]).
+/// type: the replica node and its constructor. Everything else about a
+/// replica is reached through its [`ReplicaBase`]; clients and load ports
+/// come from the protocol's client configuration ([`ClientSetup`]).
 pub(crate) trait Wired: ReplicaWire + 'static {
     /// Replica-side configuration.
     type Config: Clone + 'static;
@@ -183,8 +182,6 @@ pub(crate) trait Wired: ReplicaWire + 'static {
         dir: Directory<NodeId>,
         app: App,
     ) -> Self::Replica;
-    /// A replica's decision frontier, in the protocol's slot numbering.
-    fn frontier(replica: &Self::Replica) -> u64;
 }
 
 impl Wired for IdemMessage {
@@ -193,9 +190,6 @@ impl Wired for IdemMessage {
 
     fn replica(cfg: &Self::Config, me: ReplicaId, dir: Directory<NodeId>, app: App) -> IdemReplica {
         IdemReplica::new(cfg.clone(), me, dir, app)
-    }
-    fn frontier(replica: &IdemReplica) -> u64 {
-        replica.next_exec().0
     }
 }
 
@@ -211,9 +205,6 @@ impl Wired for PaxosMessage {
     ) -> PaxosReplica {
         PaxosReplica::new(cfg.clone(), me, dir, app)
     }
-    fn frontier(replica: &PaxosReplica) -> u64 {
-        replica.next_exec().0
-    }
 }
 
 impl Wired for SmartMessage {
@@ -228,8 +219,38 @@ impl Wired for SmartMessage {
     ) -> SmartReplica {
         SmartReplica::new(cfg.clone(), me, dir, app)
     }
-    fn frontier(replica: &SmartReplica) -> u64 {
-        replica.next_sqn().0
+}
+
+/// Builds replica `i` of one protocol at the `i`-th replica address of
+/// `dir`, over a fresh key-value store, and installs it with a factory
+/// that rebuilds it after a wipe, marked to replay its disk first.
+/// `record` turns on its exec log; `persist` is its WAL discipline.
+pub(crate) fn install_replicas<M: Wired>(
+    sim: &mut Simulation<M>,
+    config: &M::Config,
+    dir: &Directory<NodeId>,
+    record: bool,
+    persist: PersistMode,
+) {
+    for (i, &node) in dir.replica_addrs().iter().enumerate() {
+        let make = {
+            let (config, dir) = (config.clone(), dir.clone());
+            move |wiped: bool| {
+                let store = KvStore::with_costs(KV_EXEC_COST, Duration::ZERO);
+                let me = ReplicaId(i as u32);
+                let mut replica = M::replica(&config, me, dir.clone(), Box::new(store));
+                if record {
+                    replica.enable_exec_log();
+                }
+                replica.set_persistence(persist);
+                if wiped {
+                    replica.mark_wipe_recovery();
+                }
+                replica
+            }
+        };
+        sim.install_node(node, Box::new(make(false)));
+        sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
     }
 }
 
@@ -255,10 +276,6 @@ macro_rules! on_sim {
 
 fn replica_at<M: Wired>(sim: &Simulation<M>, node: NodeId) -> &M::Replica {
     sim.node_as::<M::Replica>(node).expect("replica type")
-}
-
-fn frontier_at<M: Wired>(sim: &Simulation<M>, node: NodeId) -> u64 {
-    M::frontier(replica_at(sim, node))
 }
 
 /// A running cluster: simulator, node ids, and the shared recorder.
@@ -365,27 +382,7 @@ where
     let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
     let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
     let dir = Directory::new(replicas.clone(), clients.clone());
-    for (i, &node) in replicas.iter().enumerate() {
-        let make = {
-            let (config, dir) = (config.clone(), dir.clone());
-            let (record, persist) = (opts.record_exec_log, opts.persist);
-            move |wiped: bool| {
-                let store = KvStore::with_costs(KV_EXEC_COST, Duration::ZERO);
-                let me = ReplicaId(i as u32);
-                let mut replica = M::replica(&config, me, dir.clone(), Box::new(store));
-                if record {
-                    replica.enable_exec_log();
-                }
-                replica.set_persistence(persist);
-                if wiped {
-                    replica.mark_wipe_recovery();
-                }
-                replica
-            }
-        };
-        sim.install_node(node, Box::new(make(false)));
-        sim.set_node_factory(node, Box::new(move || Box::new(make(true))));
-    }
+    install_replicas(&mut sim, config, &dir, opts.record_exec_log, opts.persist);
     for (i, &node) in clients.iter().enumerate() {
         let app = RecordingApp::new(
             Workload::new(opts.workload, i as u64),
@@ -470,8 +467,7 @@ impl ClusterHandles {
     /// # Panics
     /// Panics if the index is out of range.
     pub fn exec_frontier(&self, index: usize) -> u64 {
-        let node = self.replicas[index];
-        on_sim!(&self.sim, |sim| frontier_at(sim, node))
+        self.base(index).next_exec().0
     }
 
     /// The membership epoch the replica at `index` currently operates in.

@@ -34,14 +34,14 @@ use idem_common::client::{decode_tick, encode_tick, ClientSetup};
 use idem_common::driver::{OperationOutcome, OutcomeKind};
 use idem_common::load::{ArrivalSampler, BackoffWheel, LoadCounters};
 use idem_common::{
-    ClientId, Directory, Membership, OpNumber, QuorumTracker, ReplicaId, Request, RequestId,
+    ClientId, Directory, Membership, OpNumber, PersistMode, QuorumTracker, Request, RequestId,
 };
-use idem_kv::{KvStore, Workload};
+use idem_kv::Workload;
 use idem_metrics::Histogram;
 use idem_simnet::{Context, Node, NodeId, SimTime, Simulation, TimerId};
 use rand::Rng;
 
-use crate::cluster::{experiment_network, Protocol, Wired, KV_EXEC_COST};
+use crate::cluster::{experiment_network, install_replicas, Protocol, Wired};
 use crate::recorder::{Recorder, RecorderHandle};
 use crate::scenario::LoadScenario;
 
@@ -924,12 +924,8 @@ where
     let mut sim: Simulation<M> = Simulation::with_network(sc.seed, experiment_network());
     let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
     let source = sim.reserve_node();
-    let dir = Directory::with_client_fallback(replicas.clone(), Vec::new(), source);
-    for (i, &node) in replicas.iter().enumerate() {
-        let store = KvStore::with_costs(KV_EXEC_COST, Duration::ZERO);
-        let replica = M::replica(config, ReplicaId(i as u32), dir.clone(), Box::new(store));
-        sim.install_node(node, Box::new(replica));
-    }
+    let dir = Directory::with_client_fallback(replicas, Vec::new(), source);
+    install_replicas(&mut sim, config, &dir, false, PersistMode::Disabled);
     let port = client.port(&dir, &Membership::bootstrap(n));
     let recorder = RecorderHandle::new(
         Recorder::new(sc.warmup, Duration::from_millis(250)).with_expected_duration(total),

@@ -4,9 +4,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, CheckpointData, ClientId, Directory, QuorumTracker, ReconfigCommand, ReplicaBase,
-    Reply, ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber, SeqWindow, StateMachine,
-    View, VoteStore, WalRecordRef, RECONFIG_CLIENT,
+    Chained, CheckpointData, ClientId, Consumed, Directory, QuorumTracker, ReconfigCommand,
+    ReplicaBase, Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, SeqWindow, StateMachine,
+    View, VoteStore, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, TimerId, Wire};
 
@@ -87,15 +87,10 @@ pub struct PaxosReplica {
     cfg: PaxosConfig,
     base: ReplicaBase,
 
-    /// Slot of an in-flight reconfiguration: new proposals wait until it
-    /// executes, so no slot is bound under a membership it outlives.
-    reconfig_barrier: Option<SeqNumber>,
-
     vc_store: VoteStore<VcVote>,
 
     window: SeqWindow<Instance>,
     next_propose: SeqNumber,
-    next_exec: SeqNumber,
     stalled: bool,
 
     /// Leader: requests awaiting a window slot. Unbounded by design in
@@ -147,11 +142,9 @@ impl PaxosReplica {
                 cfg.progress_timeout,
             ),
             window: SeqWindow::new(cfg.window_size),
-            reconfig_barrier: None,
             cfg,
             vc_store: VoteStore::default(),
             next_propose: SeqNumber(0),
-            next_exec: SeqNumber(0),
             stalled: false,
             queue: VecDeque::new(),
             inflight: ReqSlab::new(),
@@ -170,15 +163,11 @@ impl PaxosReplica {
         self.queue.len()
     }
 
-    /// Next sequence number to execute.
-    pub fn next_exec(&self) -> SeqNumber {
-        self.next_exec
-    }
-
     /// The leader's current load: queued plus proposed-but-unexecuted
     /// requests. This is what LBR's threshold applies to.
     fn leader_load(&self) -> u64 {
-        self.queue.len() as u64 + self.next_propose.0.saturating_sub(self.next_exec.0)
+        let in_flight = self.next_propose.0.saturating_sub(self.base.next_exec().0);
+        self.queue.len() as u64 + in_flight
     }
 
     // ------------------------------------------------------------ requests
@@ -243,26 +232,11 @@ impl PaxosReplica {
         self.drain_queue(ctx);
     }
 
-    /// Whether an in-flight reconfiguration still blocks new proposals.
-    /// Self-clearing: the barrier lifts once execution passes the
-    /// reconfig slot (however the slot got executed — locally, via
-    /// checkpoint install, or after a view change).
-    fn barrier_active(&mut self) -> bool {
-        match self.reconfig_barrier {
-            Some(slot) if self.next_exec > slot => {
-                self.reconfig_barrier = None;
-                false
-            }
-            Some(_) => true,
-            None => false,
-        }
-    }
-
     fn drain_queue(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
         while self.base.is_leader()
             && !self.queue.is_empty()
             && self.next_propose < self.window.high()
-            && !self.barrier_active()
+            && !self.base.barrier_active()
         {
             let req = self.queue.pop_front().expect("non-empty");
             let sqn = self.next_propose.max(self.window.low());
@@ -292,7 +266,9 @@ impl PaxosReplica {
             },
         );
         if req.id.client == RECONFIG_CLIENT && !executed {
-            self.reconfig_barrier = Some(sqn);
+            // New proposals wait until it executes, so no slot is bound
+            // under a membership it outlives.
+            self.base.set_reconfig_barrier(sqn);
         }
         self.stats.proposals_sent += 1;
         let view = self.base.view();
@@ -466,10 +442,11 @@ impl PaxosReplica {
     fn try_execute(&mut self, ctx: &mut Context<'_, PaxosMessage>) {
         let mut progressed = false;
         loop {
-            if self.stalled || self.window.is_stale(self.next_exec) {
+            let sqn = self.base.next_exec();
+            if self.stalled || self.window.is_stale(sqn) {
                 break;
             }
-            let Some(inst) = self.window.get(self.next_exec) else {
+            let Some(inst) = self.window.get(sqn) else {
                 break;
             };
             if !inst.committed {
@@ -478,29 +455,21 @@ impl PaxosReplica {
             let req = inst.request.clone();
             let already =
                 inst.executed || req.id.client == NOOP_CLIENT || self.base.executed_already(req.id);
-            let reconfig = !already && req.id.client == RECONFIG_CLIENT;
-            self.base.persist_exec(
-                ctx,
-                self.next_exec.0,
-                req.id,
-                !already,
-                if already { &[] } else { &req.command[..] },
-            );
-            if reconfig {
-                // Membership change: the epoch switches exactly here, at
-                // the agreed slot, on every replica. Applied to the
-                // membership instead of the app; no client reply.
-                self.stats.executed += 1;
-                self.base
-                    .sessions
-                    .record(req.id.client, req.id.op, ResultBytes::from_slice(&[]));
-            } else if !already {
-                let result = self.base.execute(ctx, req.id, &req.command);
-                self.stats.executed += 1;
-                if self.base.is_leader() {
-                    self.stats.replies_sent += 1;
-                    let client = self.base.dir.client(req.id.client);
-                    ctx.send(client, PaxosMessage::Reply(Reply::new(req.id, result)));
+            let command = (!already).then_some(&req.command[..]);
+            let mut reconfig = None;
+            match self.base.consume(ctx, sqn.0, req.id, command) {
+                Consumed::Skipped => {}
+                Consumed::Reconfig(cmd) => {
+                    self.stats.executed += 1;
+                    reconfig = Some(cmd);
+                }
+                Consumed::Executed(result) => {
+                    self.stats.executed += 1;
+                    if self.base.is_leader() {
+                        self.stats.replies_sent += 1;
+                        let client = self.base.dir.client(req.id.client);
+                        ctx.send(client, PaxosMessage::Reply(Reply::new(req.id, result)));
+                    }
                 }
             }
             let mut head = self.base.sessions.head(req.id.client);
@@ -510,21 +479,21 @@ impl PaxosReplica {
                 self.base.sessions.set_head(req.id.client, head);
                 self.inflight.remove(h);
             }
-            self.window
-                .get_mut(self.next_exec)
-                .expect("present")
-                .executed = true;
-            self.next_exec = self.next_exec.next();
-            if reconfig {
-                if let Some(cmd) = ReconfigCommand::decode(&req.command) {
+            self.window.get_mut(sqn).expect("present").executed = true;
+            self.base.advance_exec();
+            if let Some(cmd) = reconfig {
+                // Membership change: the epoch switches exactly here, at
+                // the agreed slot, on every replica; no client reply.
+                if let Some(cmd) = cmd {
                     self.apply_reconfig(ctx, &cmd);
                 }
             } else if self
-                .next_exec
+                .base
+                .next_exec()
                 .0
                 .is_multiple_of(self.cfg.checkpoint_interval)
             {
-                self.base.take_checkpoint(ctx, self.next_exec);
+                self.base.take_checkpoint(ctx);
                 self.checkpoint_taken();
             }
             progressed = true;
@@ -539,8 +508,7 @@ impl PaxosReplica {
     /// command (see [`ReplicaBase::switch_epoch`]) and re-homes queued
     /// work under the new member list.
     fn apply_reconfig(&mut self, ctx: &mut Context<'_, PaxosMessage>, cmd: &ReconfigCommand) {
-        self.reconfig_barrier = None;
-        if !self.base.switch_epoch(ctx, cmd, self.next_exec) {
+        if !self.base.switch_epoch(ctx, cmd) {
             // Voted out. Requests this node queued as leader would be lost
             // with it; hand them to the new epoch's leader before going
             // dark (the client retransmission path still covers a lost
@@ -557,7 +525,10 @@ impl PaxosReplica {
         // binding below the execution frontier would target slots whose
         // bindings are already decided and be refused.
         if self.base.is_leader() {
-            self.next_propose = self.next_propose.max(self.window.low()).max(self.next_exec);
+            self.next_propose = self
+                .next_propose
+                .max(self.window.low())
+                .max(self.base.next_exec());
             self.drain_queue(ctx);
         } else if !self.queue.is_empty() && self.hand_queue_to_leader(ctx) {
             self.inflight.clear();
@@ -583,20 +554,15 @@ impl PaxosReplica {
     /// instances it covers.
     fn checkpoint_taken(&mut self) {
         self.stats.checkpoints_taken += 1;
-        self.window.advance_to(self.next_exec);
+        self.window.advance_to(self.base.next_exec());
         self.next_propose = self.next_propose.max(self.window.low());
     }
 
     fn handle_checkpoint(&mut self, ctx: &mut Context<'_, PaxosMessage>, data: CheckpointData) {
-        let next_exec = data.next_exec;
-        let Some(new_epoch) = self.base.install_checkpoint(ctx, self.next_exec, data) else {
+        if !self.base.install_checkpoint(ctx, data) {
             return;
-        };
-        if new_epoch {
-            self.reconfig_barrier = None;
         }
-        self.next_exec = next_exec;
-        self.window.advance_to(next_exec);
+        self.window.advance_to(self.base.next_exec());
         self.next_propose = self.next_propose.max(self.window.low());
         self.stalled = false;
         self.stats.checkpoints_installed += 1;
@@ -606,7 +572,7 @@ impl PaxosReplica {
     // --------------------------------------------------------- view change
 
     fn has_pending_work(&self) -> bool {
-        !self.queue.is_empty() || self.window.get(self.next_exec).is_some()
+        !self.queue.is_empty() || self.window.get(self.base.next_exec()).is_some()
     }
 
     /// Restarts failure detection after execution progress (or a fall
@@ -644,8 +610,8 @@ impl PaxosReplica {
         target: View,
         theirs: Option<(NodeId, VcVote)>,
     ) {
+        let (window, next_exec) = (&self.window, self.base.next_exec());
         let (base, votes) = (&mut self.base, &mut self.vc_store);
-        let (window, next_exec) = (&self.window, self.next_exec);
         let vote = || {
             let entry = |(sqn, inst): (SeqNumber, &Instance)| PaxosWindowEntry {
                 sqn,
@@ -679,7 +645,7 @@ impl PaxosReplica {
         // survive only in checkpoints — proposing there (a no-op for a gap,
         // or fresh client work) would rewrite history those replicas
         // already executed.
-        let mut floor = self.next_exec;
+        let mut floor = self.base.next_exec();
         let mut merged: BTreeMap<u64, PaxosWindowEntry> = BTreeMap::new();
         for (next_exec, window) in msgs.into_values() {
             floor = floor.max(next_exec);
@@ -715,9 +681,9 @@ impl PaxosReplica {
         self.next_propose = self
             .next_propose
             .max(self.window.low())
-            .max(self.next_exec)
+            .max(self.base.next_exec())
             .max(floor);
-        if floor > self.next_exec {
+        if floor > self.base.next_exec() {
             // We lead but lag the quorum's execution prefix: catch up via
             // checkpoint before executing. If the request or its reply is
             // lost, the progress timer escalates the view change and the
@@ -736,55 +702,28 @@ impl PaxosReplica {
     /// surviving accept votes (they constrain what the cluster may commit
     /// in those slots), then the highest view we ever acted in.
     fn replay_wal(&mut self, ctx: &mut Context<'_, PaxosMessage>, disk: &[Vec<u8>]) {
-        let replayed = self
-            .base
-            .replay_wal(ctx, disk, self.next_exec.0, |slot, _, next| {
-                (slot >= next).then_some(slot + 1)
-            });
+        let replayed = self.base.replay_wal(ctx, disk, 0);
         self.stats.executed += replayed.executed;
-        self.next_exec = SeqNumber(replayed.frontier);
-        self.window.advance_to(self.next_exec);
-        let mut propose_past = self.next_exec;
-        for rec in replayed.records {
-            let WalRecordRef::Accept {
-                slot,
-                view,
-                id,
-                command,
-            } = rec
-            else {
-                continue;
-            };
-            let sqn = SeqNumber(slot);
-            if slot == u64::MAX {
-                continue;
-            }
-            // Every slot we ever voted in may hold a decided value —
-            // proposing fresh requests there would equivocate, so new
-            // proposals must start strictly above the whole voted prefix
-            // (even the parts outside the restored window).
-            propose_past = propose_past.max(sqn.next());
-            if self.window.is_stale(sqn) || self.window.is_ahead(sqn) {
-                continue;
-            }
-            if self.window.get(sqn).is_some_and(|i| i.view.0 >= view) {
-                continue;
-            }
-            let mut votes = QuorumTracker::new(self.base.majority());
-            votes.record(self.base.me);
-            let committed = votes.reached();
-            let executed = self.base.executed_already(id);
-            self.window.insert(
-                sqn,
+        self.window.advance_to(self.base.next_exec());
+        // Every slot we ever voted in may hold a decided value — proposing
+        // fresh requests there would equivocate, so new proposals start
+        // strictly above the whole voted prefix.
+        let propose_past = self.base.replay_bindings(
+            &mut self.window,
+            &replayed.records,
+            |inst| inst.view,
+            |base, _, view, id, command| {
+                let mut votes = QuorumTracker::new(base.majority());
+                votes.record(base.me);
                 Instance {
                     request: Request::new(id, command),
-                    view: View(view),
+                    view,
+                    committed: votes.reached(),
                     votes,
-                    committed,
-                    executed,
-                },
-            );
-        }
+                    executed: base.executed_already(id),
+                }
+            },
+        );
         self.next_propose = self.next_propose.max(propose_past).max(self.window.low());
     }
 }
@@ -799,8 +738,7 @@ impl Node<PaxosMessage> for PaxosReplica {
             PaxosMessage::Checkpoint(data) => self.handle_checkpoint(ctx, data),
             PaxosMessage::CheckpointRequest => {
                 // Answered with a fresh checkpoint.
-                self.base
-                    .handle_checkpoint_request(ctx, from, self.next_exec);
+                self.base.handle_checkpoint_request(ctx, from);
                 self.checkpoint_taken();
             }
             PaxosMessage::Request(req) if !member => self.base.redirect_client(ctx, req.id.client),

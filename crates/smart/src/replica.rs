@@ -4,8 +4,8 @@ use std::collections::VecDeque;
 
 use idem_common::app::CostModel;
 use idem_common::{
-    Chained, CheckpointData, Directory, QuorumTracker, ReconfigCommand, ReplicaBase, Reply,
-    ReqHandle, ReqSlab, Request, RequestId, ResultBytes, SeqNumber, StateMachine, View, VoteStore,
+    Chained, CheckpointData, Consumed, Directory, QuorumTracker, ReconfigCommand, ReplicaBase,
+    Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, StateMachine, View, VoteStore,
     WalRecordRef, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, TimerId, Wire};
@@ -91,15 +91,13 @@ pub struct SmartReplica {
     /// Live (queued, undecided) entries in `pending`.
     pending_live: usize,
 
-    /// Next consensus instance to decide.
-    next_sqn: SeqNumber,
     open: Option<OpenInstance>,
     /// Set when a view change revealed that a quorum member decided past
-    /// `next_sqn`: the value is that higher sequence number. While set,
-    /// this replica must not open instances — its `next_sqn` points at a
+    /// the frontier: the value is that higher sequence number. While set,
+    /// this replica must not open instances — its frontier points at a
     /// slot that was already decided elsewhere, and proposing a fresh
     /// batch there would rewrite it. Cleared once a checkpoint (or decided
-    /// proposals) advance `next_sqn` to the target.
+    /// proposals) advance the frontier to the target.
     sync_target: Option<SeqNumber>,
     /// The undecided proposal a view-change quorum member reported for the
     /// slot this leader is syncing toward. Once caught up, the leader must
@@ -152,7 +150,6 @@ impl SmartReplica {
             pending: VecDeque::new(),
             pending_ids: ReqSlab::new(),
             pending_live: 0,
-            next_sqn: SeqNumber(0),
             open: None,
             sync_target: None,
             vc_resume: None,
@@ -170,9 +167,10 @@ impl SmartReplica {
         self.pending_live
     }
 
-    /// Next consensus instance to decide (the batch-level frontier).
+    /// Next consensus instance to decide: the base's batch-level
+    /// frontier, under the name SMaRt's callers know.
     pub fn next_sqn(&self) -> SeqNumber {
-        self.next_sqn
+        self.base.next_exec()
     }
 
     /// Tracks a fresh request: a slab record chained off the client's
@@ -241,7 +239,7 @@ impl SmartReplica {
             // A quorum member reported this undecided batch for exactly
             // this slot during the last view change — it may already be
             // decided somewhere, so it goes first, unchanged.
-            Some((sqn, batch)) if sqn == self.next_sqn => batch,
+            Some((sqn, batch)) if sqn == self.base.next_exec() => batch,
             // Anything else is stale: a checkpoint moved us past the slot,
             // which proves its decided contents are reflected in our state.
             _ => {
@@ -279,7 +277,7 @@ impl SmartReplica {
                 batch
             }
         };
-        let sqn = self.next_sqn;
+        let sqn = self.base.next_exec();
         // The leader's own vote must be durable before peers can count it.
         self.persist_batch_accept(ctx, sqn, self.base.view(), &batch);
         let mut votes = QuorumTracker::new(self.base.majority());
@@ -350,10 +348,10 @@ impl SmartReplica {
             return;
         }
         self.enter_view_as_follower(ctx, view);
-        if sqn < self.next_sqn {
+        if sqn < self.base.next_exec() {
             return; // already decided
         }
-        if sqn > self.next_sqn {
+        if sqn > self.base.next_exec() {
             // We are lagging: ask for a checkpoint.
             ctx.send(from, SmartMessage::CheckpointRequest);
             return;
@@ -415,7 +413,7 @@ impl SmartReplica {
         let decided = self
             .open
             .as_ref()
-            .is_some_and(|open| open.votes.reached() && open.sqn == self.next_sqn);
+            .is_some_and(|open| open.votes.reached() && open.sqn == self.base.next_exec());
         if !decided {
             return;
         }
@@ -426,36 +424,28 @@ impl SmartReplica {
         for (offset, req) in open.batch.iter().enumerate() {
             // Remove from our own pool regardless of who batched it.
             self.untrack_pending(req.id);
-            let already = self.base.executed_already(req.id);
             let slot = (open.sqn.0 << SLOT_BATCH_SHIFT) | offset as u64;
-            self.base.persist_exec(
-                ctx,
-                slot,
-                req.id,
-                !already,
-                if already { &[] } else { &req.command[..] },
-            );
-            if already {
-                continue;
+            let fresh = !self.base.executed_already(req.id);
+            match self
+                .base
+                .consume(ctx, slot, req.id, fresh.then_some(&req.command[..]))
+            {
+                Consumed::Skipped => {}
+                Consumed::Reconfig(cmd) => {
+                    // Applied to the membership after the batch frontier
+                    // advances (so the epoch boundary checkpoint covers
+                    // this instance); no client reply.
+                    self.stats.executed += 1;
+                    reconfig = cmd;
+                }
+                Consumed::Executed(result) => {
+                    self.stats.executed += 1;
+                    // Every replica replies (CFT mode of BFT-SMaRt).
+                    self.stats.replies_sent += 1;
+                    let client = self.base.dir.client(req.id.client);
+                    ctx.send(client, SmartMessage::Reply(Reply::new(req.id, result)));
+                }
             }
-            if req.id.client == RECONFIG_CLIENT {
-                // Membership change: applied to the membership instead of
-                // the app, after the batch frontier advances (so the epoch
-                // boundary checkpoint covers this instance); no client
-                // reply.
-                self.stats.executed += 1;
-                self.base
-                    .sessions
-                    .record(req.id.client, req.id.op, ResultBytes::from_slice(&[]));
-                reconfig = ReconfigCommand::decode(&req.command);
-                continue;
-            }
-            let result = self.base.execute(ctx, req.id, &req.command);
-            self.stats.executed += 1;
-            // Every replica replies (CFT mode of BFT-SMaRt).
-            self.stats.replies_sent += 1;
-            let client = self.base.dir.client(req.id.client);
-            ctx.send(client, SmartMessage::Reply(Reply::new(req.id, result)));
         }
         // Only a leader carves the deque: left alone, a follower's keeps a
         // dead entry for every request it ever received. Readers skip
@@ -466,8 +456,9 @@ impl SmartReplica {
             }
             self.pending.pop_front();
         }
-        self.next_sqn = self.next_sqn.next();
-        if self.sync_target.is_some_and(|t| self.next_sqn >= t) {
+        self.base.advance_exec();
+        let next_sqn = self.base.next_exec();
+        if self.sync_target.is_some_and(|t| next_sqn >= t) {
             self.sync_target = None;
         }
         if let Some(cmd) = reconfig {
@@ -475,8 +466,8 @@ impl SmartReplica {
             if !self.base.is_member() {
                 return;
             }
-        } else if self.next_sqn.0.is_multiple_of(self.cfg.checkpoint_interval) {
-            self.base.take_checkpoint(ctx, self.next_sqn);
+        } else if next_sqn.0.is_multiple_of(self.cfg.checkpoint_interval) {
+            self.base.take_checkpoint(ctx);
             self.stats.checkpoints_taken += 1;
         }
         let pending = self.has_pending_work();
@@ -487,7 +478,7 @@ impl SmartReplica {
     /// Switches to the next epoch after executing a reconfiguration
     /// command (see [`ReplicaBase::switch_epoch`]).
     fn apply_reconfig(&mut self, ctx: &mut Context<'_, SmartMessage>, cmd: &ReconfigCommand) {
-        if !self.base.switch_epoch(ctx, cmd, self.next_sqn) {
+        if !self.base.switch_epoch(ctx, cmd) {
             // Voted out. The on_message gate redirects clients and ignores
             // protocol traffic from here on.
             self.pending.clear();
@@ -505,17 +496,11 @@ impl SmartReplica {
     }
 
     fn handle_checkpoint(&mut self, ctx: &mut Context<'_, SmartMessage>, data: CheckpointData) {
-        let next_sqn = data.next_exec;
-        if self
-            .base
-            .install_checkpoint(ctx, self.next_sqn, data)
-            .is_none()
-        {
+        if !self.base.install_checkpoint(ctx, data) {
             return;
         }
-        self.next_sqn = next_sqn;
         self.open = None;
-        if self.sync_target.is_some_and(|t| self.next_sqn >= t) {
+        if self.sync_target.is_some_and(|t| self.base.next_exec() >= t) {
             self.sync_target = None;
         }
         self.stats.checkpoints_installed += 1;
@@ -571,8 +556,8 @@ impl SmartReplica {
         target: View,
         theirs: Option<(NodeId, VcVote)>,
     ) {
+        let (open, next_sqn) = (&self.open, self.base.next_exec());
         let (base, votes) = (&mut self.base, &mut self.vc_store);
-        let (open, next_sqn) = (&self.open, self.next_sqn);
         let vote = || {
             let pending = open.as_ref().map(|o| (o.sqn, o.view, o.batch.clone()));
             (pending, next_sqn)
@@ -598,13 +583,13 @@ impl SmartReplica {
         let msgs = self.vc_store.take(target);
 
         // The first instance the new leader may decide is the highest
-        // `next_sqn` any participant reported — everything below it was
+        // frontier any participant reported — everything below it was
         // decided by someone. If a participant also reported an undecided
         // proposal for exactly that slot, it must be re-proposed there
         // unchanged (highest view wins): some replica may have decided it
         // already, with its accept to the old leader lost.
         let mut best: Option<(View, Vec<Request>)> = None;
-        let mut max_next = self.next_sqn;
+        let mut max_next = self.base.next_exec();
         for (_, next) in msgs.values() {
             max_next = max_next.max(*next);
         }
@@ -617,11 +602,11 @@ impl SmartReplica {
         }
         self.open = None;
         self.vc_resume = best.map(|(_, batch)| (max_next, batch));
-        if max_next > self.next_sqn {
+        if max_next > self.base.next_exec() {
             // We lag the quorum's decisions: freeze proposing until a
             // checkpoint catches us up (the progress timer retries the
             // request if it or its reply is lost). `maybe_propose` emits
-            // the re-proposal once `next_sqn` reaches the slot.
+            // the re-proposal once the frontier reaches the slot.
             self.sync_target = Some(max_next);
             ctx.multicast(self.base.peers(), SmartMessage::CheckpointRequest);
         }
@@ -666,21 +651,10 @@ impl SmartReplica {
     /// newest checkpoint first, then the execution suffix, then our open
     /// (voted-for but undecided) batch, then the highest view we acted in.
     fn replay_wal(&mut self, ctx: &mut Context<'_, SmartMessage>, disk: &[Vec<u8>]) {
-        // State application resumes past the restored checkpoint's batch.
-        // The coverage bound must be the checkpoint's frontier, frozen:
-        // comparing against the evolving frontier would skip every record
-        // of a batch after its first one (which already advanced it past
-        // the whole batch), leaving `last_executed` holes that a later
-        // served checkpoint would spread to healthy peers as a
-        // client-progress rewind.
-        let replayed = self
-            .base
-            .replay_wal(ctx, disk, self.next_sqn.0, |slot, covered, _| {
-                let batch_sqn = slot >> SLOT_BATCH_SHIFT;
-                (batch_sqn >= covered).then_some(batch_sqn + 1)
-            });
+        // Exec slots pack the batch and the offset in it: the frontier
+        // counts batches.
+        let replayed = self.base.replay_wal(ctx, disk, SLOT_BATCH_SHIFT);
         self.stats.executed += replayed.executed;
-        self.next_sqn = SeqNumber(replayed.frontier);
         let records = replayed.records;
         // Re-open the newest undecided batch we voted for (own vote only):
         // that vote may be part of a quorum the cluster counted. Only its
@@ -701,7 +675,7 @@ impl SmartReplica {
             _ => None,
         });
         let newest = accepts.clone().map(|(sqn, view, ..)| (sqn, view)).max();
-        if let Some((sqn, view)) = newest.filter(|&(sqn, _)| sqn >= self.next_sqn.0) {
+        if let Some((sqn, view)) = newest.filter(|&(sqn, _)| sqn >= self.base.next_exec().0) {
             let mut entries: Vec<(u64, Request)> = accepts
                 .filter(|&(s, v, ..)| (s, v) == (sqn, view))
                 .map(|(_, _, offset, id, command)| (offset, Request::new(id, command)))
@@ -729,8 +703,7 @@ impl Node<SmartMessage> for SmartReplica {
             SmartMessage::Checkpoint(data) => self.handle_checkpoint(ctx, data),
             SmartMessage::CheckpointRequest => {
                 // Answered with a fresh checkpoint.
-                self.base
-                    .handle_checkpoint_request(ctx, from, self.next_sqn);
+                self.base.handle_checkpoint_request(ctx, from);
                 self.stats.checkpoints_taken += 1;
             }
             SmartMessage::Request(req) if !member => self.base.redirect_client(ctx, req.id.client),
