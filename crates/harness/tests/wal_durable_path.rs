@@ -24,10 +24,11 @@
 //! commit 88774c5, the last build that kept every checkpoint in full: a
 //! reclaiming build writes exactly the bytes the older one kept.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use idem_common::{
-    ExecRecord, PersistMode, ReconfigCommand, ReplicaId, StateMachine, Wal, WalRecordRef,
+    ExecRecord, PersistMode, ReconfigCommand, ReplicaId, RequestId, StateMachine, Wal, WalRecordRef,
 };
 use idem_harness::cluster::{build_cluster, ClusterOptions};
 use idem_harness::invariants::{check_agreement, check_exactly_once};
@@ -390,15 +391,20 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_one() {
 
 /// What a disk alone says its replica's state is: the newest intact
 /// checkpoint plus every intact exec record past it, applied to a fresh
-/// store. Written against the record codec only, so it shares no code
-/// with the replicas' `replay_wal`. `batch_shift` is how many low bits of
-/// an exec slot number positions inside one decision (SMaRt packs
-/// `(batch << 20) | offset`; IDEM and Paxos decide single slots).
+/// store — and, if the last decision is a batch cut short, the rest of it
+/// as its accept records name it. Written against the record codec only,
+/// so it shares no code with the replicas' `replay_wal`. `batch_shift` is
+/// how many low bits of an exec slot number positions inside one decision
+/// (SMaRt packs `(batch << 20) | offset`; IDEM and Paxos decide single
+/// slots).
 fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRecord>) {
     let replay = Wal::replay(records);
     let mut kv = KvStore::new();
+    // Highest executed op per client: whether the rest of a batch is fresh.
+    let mut last_op: BTreeMap<u32, u64> = BTreeMap::new();
     let covered = replay.checkpoint.as_ref().map_or(0, |cp| {
         kv.restore(cp.snapshot);
+        last_op.extend(cp.clients.iter().map(|(client, op, _)| (client, op)));
         cp.next_exec
     });
     let mut frontier = covered;
@@ -419,8 +425,53 @@ fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRe
         if decision >= covered {
             if fresh {
                 kv.execute(command);
+                last_op.insert(id.client.0, id.op.0);
             }
             frontier = frontier.max(decision + 1);
+        }
+    }
+    if frontier == covered {
+        return (frontier, kv.digest(), log);
+    }
+    // The last decision's surviving exec records by slot, and its accept
+    // records by view, then slot. A torn write can cut off its tail: the
+    // live replica ran what the highest view agreeing with every survivor
+    // names past the last one.
+    let ours = |slot: u64| slot != u64::MAX && slot >> batch_shift == frontier - 1;
+    let mut done = BTreeMap::new();
+    let mut named: BTreeMap<u64, BTreeMap<u64, (RequestId, &[u8])>> = BTreeMap::new();
+    for rec in &replay.records {
+        match *rec {
+            WalRecordRef::Exec {
+                slot, id, epoch, ..
+            } if ours(slot) => {
+                done.insert(slot, (id, epoch));
+            }
+            WalRecordRef::Accept {
+                slot,
+                view,
+                id,
+                command,
+            } if ours(slot) => {
+                let batch = named.entry(view).or_default();
+                batch.entry(slot).or_insert((id, command));
+            }
+            _ => {}
+        }
+    }
+    let (&cut, &(_, epoch)) = done.last_key_value().expect("an applied record");
+    let agrees = |batch: &&BTreeMap<u64, (RequestId, &[u8])>| {
+        done.iter()
+            .all(|(slot, (id, _))| batch.get(slot).is_some_and(|(named, _)| named == id))
+    };
+    if let Some(batch) = named.values().rev().find(agrees) {
+        for (&slot, &(id, command)) in batch.range(cut + 1..) {
+            let fresh = last_op.get(&id.client.0).is_none_or(|&op| op < id.op.0);
+            if fresh {
+                kv.execute(command);
+                last_op.insert(id.client.0, id.op.0);
+            }
+            log.push(ExecRecord::at_epoch(slot, id, fresh, epoch));
         }
     }
     (frontier, kv.digest(), log)
@@ -431,11 +482,11 @@ fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRe
 /// must drop exactly that record and nothing else: the wiped replica comes
 /// back as what its disk says without it, and rejoins from there.
 ///
-/// IDEM and Paxos then execute the torn slot a second time, from their
-/// peers. SMaRt does not: its frontier counts batches, the surviving
-/// records of the batch carry replay past all of it, and the one request
-/// whose record was torn is never executed on this replica (ROADMAP item
-/// 2). The last assert pins that gap so that closing it shows up here.
+/// IDEM and Paxos lose the torn slot and execute it a second time, from
+/// their peers. SMaRt's frontier counts batches, and the surviving records
+/// of the batch carry replay past all of it; the batch's accept records
+/// name the torn request, and replay runs it from them. Either way the
+/// torn execution is in the replica's log again after rejoining.
 #[test]
 fn torn_log_tail_loses_exactly_the_torn_record() {
     for protocol in protocols() {
@@ -471,12 +522,16 @@ fn torn_log_tail_loses_exactly_the_torn_record() {
             "{name}: the torn record must not decode"
         );
         let expected = state_on_disk(cluster.disk(2).records(), batch_shift);
-        let kept = log.len() - usize::from(torn_exec.is_some());
+        // An acceptance moves nothing. An execution is lost with its slot,
+        // unless the rest of its batch holds the frontier and names it.
+        let lost = torn_exec.is_some() && !smart;
+        let kept = log.len() - usize::from(lost);
         assert!(expected.2 == log[..kept], "{name}: not exactly one record");
-        // An acceptance moves no frontier; an execution moves it by one,
-        // unless the rest of its batch holds it.
-        let lost = u64::from(torn_exec.is_some() && !smart);
-        assert_eq!(expected.0, frontier - lost, "{name}: disk frontier");
+        assert_eq!(
+            expected.0,
+            frontier - u64::from(lost),
+            "{name}: disk frontier"
+        );
 
         // Recovery runs inside the wipe; look before any message arrives.
         cluster.wipe_replica(2, false);
@@ -491,8 +546,8 @@ fn torn_log_tail_loses_exactly_the_torn_record() {
         assert_eq!(check_agreement(&logs), vec![], "{name}");
         assert_eq!(check_exactly_once(&logs), vec![], "{name}");
         if let Some(torn) = torn_exec {
-            let again = logs[2][kept..].contains(&torn);
-            assert_eq!(again, !smart, "{name}: the torn slot after rejoining");
+            let again = logs[2][log.len() - 1..].contains(&torn);
+            assert!(again, "{name}: the torn slot after rejoining");
         }
     }
 }
