@@ -93,7 +93,8 @@ fn heap_steady(c: &mut Criterion) {
 
 /// IDEM's dominant timer pattern: arm a retransmit/reject timer per
 /// request, cancel it shortly after (the request completed), and let the
-/// stale queue entry drop at its scheduled time. One iteration is the
+/// stale queue entry drop at its scheduled time through the same
+/// `is_live` probe the simulator's dispatch makes. One iteration is the
 /// whole arm → schedule → cancel → expire lifecycle.
 fn timer_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/timer");
@@ -124,7 +125,7 @@ fn timer_churn(c: &mut Criterion) {
                 table.cancel(id);
                 if let Some((t, _, stale)) = w.pop_before(u64::MAX) {
                     now = t;
-                    black_box(table.fire(stale).is_none());
+                    black_box(table.is_live(stale));
                 }
             }
             b.iter(|| {
@@ -135,7 +136,7 @@ fn timer_churn(c: &mut Criterion) {
                 // Expire one stale entry to keep the population flat.
                 if let Some((t, _, stale)) = w.pop_before(u64::MAX) {
                     now = t;
-                    black_box(table.fire(stale).is_none());
+                    black_box(table.is_live(stale));
                 }
             });
         });
@@ -179,36 +180,33 @@ impl Node<WorkUnit> for Flooder {
     fn on_message(&mut self, _: &mut Context<'_, WorkUnit>, _: NodeId, _: WorkUnit) {}
 }
 
-/// The scheduler's worst case before run-to-completion draining: one node
-/// with 100k messages queued against it and a nonzero per-message CPU
-/// charge. The eager scheduler turned every backlog item into a Wake
-/// event round-tripped through the queue; the lazy scheduler drains the
-/// backlog inline against the event horizon. One iteration builds the
-/// simulation and runs the burst to completion.
+/// The scheduler's worst case without run-to-completion draining: one
+/// node with 100k messages queued against it and a nonzero per-message
+/// CPU charge, every backlog item a drain. The scheduler runs them inline
+/// against the event horizon instead of round-tripping a wake through the
+/// queue per item. One iteration builds the simulation and runs the burst
+/// to completion.
 fn saturated_backlog(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/saturated");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
     const BACKLOG: u32 = 100_000;
-    for (eager, label) in [(false, "backlog_100k_lazy"), (true, "backlog_100k_eager")] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let link = LinkSpec::new(Duration::from_micros(100), Duration::ZERO);
-                let mut sim: Simulation<WorkUnit> =
-                    Simulation::with_network(0xBAC1, Network::new(link));
-                sim.set_eager_wakes(eager);
-                let sink = sim.add_node(Box::new(Sink));
-                sim.add_node(Box::new(Flooder {
-                    sink,
-                    count: BACKLOG,
-                }));
-                // 100k messages at 1 µs each drain in 100 ms of sim time.
-                sim.run_until(SimTime::from_nanos(200_000_000));
-                black_box(sim.events_processed())
-            });
+    group.bench_function("backlog_100k", |b| {
+        b.iter(|| {
+            let link = LinkSpec::new(Duration::from_micros(100), Duration::ZERO);
+            let mut sim: Simulation<WorkUnit> =
+                Simulation::with_network(0xBAC1, Network::new(link));
+            let sink = sim.add_node(Box::new(Sink));
+            sim.add_node(Box::new(Flooder {
+                sink,
+                count: BACKLOG,
+            }));
+            // 100k messages at 1 µs each drain in 100 ms of sim time.
+            sim.run_until(SimTime::from_nanos(200_000_000));
+            black_box(sim.events_processed())
         });
-    }
+    });
     group.finish();
 }
 

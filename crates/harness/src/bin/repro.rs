@@ -556,7 +556,7 @@ fn render_bench_json(
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"cells\": {}, \"sim_events\": {}, \
              \"events_per_sec\": {:.0}, \"cell_cpu_s\": {:.3}, \
-             \"delivers\": {}, \"timers\": {}, \"wakes\": {}, \"inline_wakes\": {}, \
+             \"delivers\": {}, \"timers\": {}, \"inline_wakes\": {}, \
              \"crashes\": {}, \"queue_high_water\": {}{rejoin}{reconfig}}}{}\n",
             e.name,
             e.wall.as_secs_f64(),
@@ -566,7 +566,6 @@ fn render_bench_json(
             e.cell_cpu.as_secs_f64(),
             e.kinds.delivers,
             e.kinds.timers,
-            e.kinds.wakes,
             e.kinds.inline_wakes,
             e.kinds.crashes,
             e.kinds.queue_high_water,
@@ -635,7 +634,6 @@ mod tests {
             kinds: EventStats {
                 delivers: 11,
                 timers: 12,
-                wakes: 13,
                 inline_wakes: 14,
                 crashes: 15,
                 queue_high_water: 16,
@@ -651,11 +649,8 @@ mod tests {
         );
         assert!(!json.contains("\"threads\""), "no threads key: {json}");
         assert!(!json.contains("\"parallel_"), "no parallel_* key: {json}");
-        for field in [
-            "\"wakes\": 13",
-            "\"inline_wakes\": 14",
-            "\"queue_high_water\": 16",
-        ] {
+        assert!(!json.contains("\"wakes\""), "no wakes key: {json}");
+        for field in ["\"inline_wakes\": 14", "\"queue_high_water\": 16"] {
             assert!(json.contains(field), "{field} missing: {json}");
         }
         // check_bench_regression.sh greps both keys off one line.

@@ -312,11 +312,6 @@ pub struct ClusterOptions {
     pub persist: PersistMode,
     /// I/O latency charged per disk operation (zero by default).
     pub disk_latency: DiskLatency,
-    /// Run under the eager-wakes reference scheduler (one `Wake` queue
-    /// event per backlog drain) instead of the default run-to-completion
-    /// scheduler. Observable behaviour is identical — this exists so
-    /// differential tests can hold the old scheduler up as an oracle.
-    pub eager_wakes: bool,
     /// Expected virtual run length past warmup, used to pre-size the
     /// recorder's time-series bins. A hint only; `None` skips pre-sizing.
     pub expected_duration: Option<Duration>,
@@ -340,7 +335,6 @@ impl Default for ClusterOptions {
             record_exec_log: false,
             persist: PersistMode::Disabled,
             disk_latency: DiskLatency::default(),
-            eager_wakes: false,
             expected_duration: None,
             spares: 0,
         }
@@ -378,7 +372,6 @@ where
     let recorder = RecorderHandle::new(recorder);
     let mut sim: Simulation<M> = Simulation::with_network(opts.seed, experiment_network());
     sim.set_disk_latency(opts.disk_latency);
-    sim.set_eager_wakes(opts.eager_wakes);
     let replicas: Vec<NodeId> = (0..n).map(|_| sim.reserve_node()).collect();
     let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
     let dir = Directory::new(replicas.clone(), clients.clone());

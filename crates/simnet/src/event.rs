@@ -82,8 +82,6 @@ pub(crate) enum EventKind<M> {
     Crash { node: NodeId },
     /// Bring a crashed `node` back.
     Recover { node: NodeId },
-    /// Drain the per-node backlog of `node` once its processor is free.
-    Wake { node: NodeId },
 }
 
 /// A scheduled event. Ordering is `(time, seq)`: seq is a global
@@ -145,12 +143,6 @@ impl<M> EventQueue<M> {
         self.wheel.len()
     }
 
-    /// Whether no event is pending.
-    #[allow(dead_code)] // used by tests and kept for API symmetry with len()
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
     /// The largest number of entries that were ever pending at once.
     pub fn high_water(&self) -> usize {
         self.wheel.high_water()
@@ -201,7 +193,7 @@ mod tests {
         assert!(q.pop_before(SimTime::from_nanos(49)).is_none());
         assert_eq!(q.len(), 1);
         assert!(q.pop_before(SimTime::from_nanos(50)).is_some());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -222,7 +214,7 @@ mod tests {
         for expect in 0..N {
             assert_eq!(q.pop_before(limit).unwrap().seq, expect);
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.high_water(), N as usize);
     }
 

@@ -123,11 +123,12 @@ impl<M: crate::Wire> Context<'_, M> {
 
     /// Sends `msg` to every node in `targets`.
     ///
-    /// The message body is shared behind an `Arc` and materialized per
-    /// recipient only at delivery time (the final delivery moves it out
-    /// without cloning), so multicasting a large message does not pay one
-    /// deep clone per recipient. Traffic accounting and delivery behaviour
-    /// are identical to calling [`send`](Context::send) once per target.
+    /// The message body is stored once in the message arena and
+    /// materialized per recipient only at delivery time (the final
+    /// delivery moves it out without cloning), so multicasting a large
+    /// message does not pay one deep clone per recipient. Traffic
+    /// accounting and delivery behaviour are identical to calling
+    /// [`send`](Context::send) once per target.
     pub fn multicast(&mut self, targets: impl IntoIterator<Item = NodeId>, msg: M)
     where
         M: Clone,

@@ -29,17 +29,12 @@ pub struct EventStats {
     pub delivers: u64,
     /// Timers that fired live (cancelled timers are not counted).
     pub timers: u64,
-    /// Backlog wake-ups dispatched as events of the global timing-wheel
-    /// queue. Zero under run-to-completion scheduling (the default):
-    /// wake-ups either drain inline or travel through the dedicated wake
-    /// lane, never the wheel. Only the eager-wakes reference scheduler
-    /// (see [`Simulation::set_eager_wakes`]) still pushes them here.
+    /// Always 0: no backlog wake-up travels through the global queue.
+    /// Kept only because the repository benchmark builds this struct
+    /// field by field; it goes with the `multicast_batches` rename.
     pub wakes: u64,
-    /// Backlog drains that skipped the timing wheel: run inline at their
-    /// reserved slot, or dispatched from the wake lane. Under the
-    /// eager-wakes reference scheduler each of these would have been a
-    /// `Wake` queue event, so `wakes + inline_wakes` is invariant across
-    /// the two schedulers.
+    /// Backlog drains: each one ran inline at its reserved slot or was
+    /// dispatched from the wake lane.
     pub inline_wakes: u64,
     /// Crash and recovery control events dispatched.
     pub crashes: u64,
@@ -104,28 +99,26 @@ const QUEUE_CAPACITY_PER_NODE: usize = 8;
 
 /// Scheduling state of a node's backlog wake-up.
 ///
-/// The moment a wake becomes necessary, the scheduler reserves its
-/// `(time, seq)` slot in the global order — consuming a seq from the same
-/// counter, at the same points, as the eager scheduler that pushed a real
-/// `Wake` event — but defers materializing a queue event. While the
-/// reserved slot precedes every pending queue event, the drain runs
-/// *inline* (run-to-completion); only when some other event would fire
-/// first, or the run limit intervenes, is a single real `Wake` pushed
-/// carrying the reserved seq. Keeping the seq stream identical either way
-/// is what keeps `(time, seq)` tie-breaks — and hence dispatch order and
-/// RNG draws — byte-identical to the eager scheduler.
+/// The moment a wake becomes necessary — work is parked behind a busy
+/// processor — the scheduler reserves its `(time, seq)` slot in the
+/// global order, taking a seq from the one counter every event draws
+/// from. The reservation is what fixes the drain's place among
+/// simultaneous events, so `(time, seq)` tie-breaks, RNG draws and every
+/// committed CSV depend on *when* a wake is armed, never on how it is
+/// later dispatched. While the reserved slot precedes every pending
+/// event, the drain runs *inline* (run-to-completion); only when some
+/// other event comes first, or the run limit intervenes, does the wake
+/// park in the wake lane, still carrying its reserved seq.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WakeState {
     /// No drain is pending.
     Idle,
     /// A drain is due at `at` with reserved global-order slot `seq`, but
-    /// no queue event exists yet. Only exists transiently within a
+    /// it is not in the wake lane yet. Only exists transiently within a
     /// dispatch: [`Simulation::settle_wake`] always resolves it to `Idle`
     /// (ran inline) or `Queued` before control returns to the event loop.
     Armed { at: SimTime, seq: u64 },
-    /// The wake was materialized, carrying the reserved seq: it sits in
-    /// the wake lane (default scheduler) or in the global event queue
-    /// (eager-wakes reference scheduler).
+    /// The wake sits in the wake lane, carrying the reserved seq.
     Queued,
 }
 
@@ -374,11 +367,6 @@ pub struct Simulation<M> {
     /// (queue + wake lane), sampled at wake-lane pushes; the queue tracks
     /// its own lane internally.
     wake_high_water: usize,
-    /// When set, every reserved wake slot is immediately materialized as a
-    /// global queue event instead of using the wake lane or draining
-    /// inline — the pre-run-to-completion reference scheduler. See
-    /// [`set_eager_wakes`](Self::set_eager_wakes).
-    eager_wakes: bool,
 }
 
 impl<M: Wire + 'static> Simulation<M> {
@@ -413,7 +401,6 @@ impl<M: Wire + 'static> Simulation<M> {
             started: false,
             wake_lane: BinaryHeap::new(),
             wake_high_water: 0,
-            eager_wakes: false,
         }
     }
 
@@ -574,8 +561,8 @@ impl<M: Wire + 'static> Simulation<M> {
     /// is free, otherwise appends it to the node's FIFO backlog and
     /// reserves a wake-up slot. The caller must follow up with
     /// [`settle_wake`](Self::settle_wake) before returning to the event
-    /// loop, so the reserved slot is either drained inline or materialized
-    /// as a queue event.
+    /// loop, so the reserved slot is either drained inline or parked in
+    /// the wake lane.
     fn offer(&mut self, nid: NodeId, work: Deferred<M>, at: SimTime) {
         let state = &mut self.core.states[nid.index()];
         if state.crashed {
@@ -631,24 +618,15 @@ impl<M: Wire + 'static> Simulation<M> {
     /// Resolves `nid`'s reserved wake slot before control returns to the
     /// event loop: as long as the slot's `(time, seq)` strictly precedes
     /// every other pending event — queued or in the wake lane — and does
-    /// not overrun `limit`, the drain runs inline, at exactly the point in
-    /// the global order where the eager scheduler would have popped the
-    /// corresponding `Wake` event. Otherwise the wake is materialized into
-    /// the wake lane (never the timing wheel), carrying the reserved seq
-    /// so later tie-breaks are unchanged. Each inline drain may reserve a
-    /// fresh slot, hence the loop: under saturation a node runs to
-    /// completion against the horizon with no queue round-trips at all.
+    /// not overrun `limit`, the drain runs inline, at exactly its reserved
+    /// place in the global `(time, seq)` order. Otherwise the wake parks
+    /// in the wake lane (never the timing wheel), carrying the reserved
+    /// seq, and the run loop dispatches it at that same place. Each inline
+    /// drain may reserve a fresh slot, hence the loop: under saturation a
+    /// node runs to completion against the horizon with no queue
+    /// round-trips at all.
     fn settle_wake(&mut self, nid: NodeId, limit: SimTime) {
         while let WakeState::Armed { at, seq } = self.core.states[nid.index()].wake {
-            if self.eager_wakes {
-                self.core.states[nid.index()].wake = WakeState::Queued;
-                self.core.queue.push(Event {
-                    time: at,
-                    seq,
-                    kind: EventKind::Wake { node: nid },
-                });
-                return;
-            }
             let lane_first = match self.wake_lane.peek() {
                 Some(&Reverse((wt, ws, _))) => (wt, ws) < (at, seq),
                 None => false,
@@ -673,10 +651,8 @@ impl<M: Wire + 'static> Simulation<M> {
         }
     }
 
-    /// Dispatches a wake-up popped from the wake lane — the lazy
-    /// scheduler's equivalent of an `EventKind::Wake` queue event,
-    /// counted under [`EventStats::inline_wakes`] because it never
-    /// travelled through the timing wheel.
+    /// Dispatches a wake-up popped from the wake lane, counted under
+    /// [`EventStats::inline_wakes`] like a drain that ran inline.
     fn dispatch_lane_wake(&mut self, nid: NodeId, at: SimTime, limit: SimTime) {
         debug_assert!(at >= self.core.now, "time must not move backwards");
         self.core.now = at;
@@ -734,11 +710,6 @@ impl<M: Wire + 'static> Simulation<M> {
                 self.core.stats.crashes += 1;
                 self.do_recover(nid);
             }
-            EventKind::Wake { node: nid } => {
-                self.core.stats.wakes += 1;
-                self.drain_backlog(nid, ev.time);
-                self.settle_wake(nid, limit);
-            }
         }
     }
 
@@ -754,9 +725,11 @@ impl<M: Wire + 'static> Simulation<M> {
         }
         state.crashed = false;
         state.busy_until = self.core.now;
-        // A wake the old incarnation left in the queue becomes stale; its
-        // eventual pop drains an empty backlog harmlessly, just as under
-        // the eager scheduler.
+        // A wake the old incarnation parked in the wake lane stays there,
+        // stale. When it pops it drains whatever backlog is due by then
+        // (never work whose processor is still busy), and a wake that
+        // drain arms takes a seq, so dropping the stale one would move
+        // seqs.
         state.wake = WakeState::Idle;
         self.core.clear_backlog(nid);
         if let Some(trace) = &mut self.core.trace {
@@ -862,6 +835,7 @@ impl<M: Wire + 'static> Simulation<M> {
         let state = &mut self.core.states[node.index()];
         state.crashed = false;
         state.busy_until = self.core.now;
+        // As in `do_recover`: a wake left in the lane stays there, stale.
         state.wake = WakeState::Idle;
         state.epoch += 1;
         if truncate_to_synced {
@@ -956,19 +930,6 @@ impl<M: Wire + 'static> Simulation<M> {
     /// reference.
     pub fn pending_messages(&self) -> usize {
         self.core.arena.live()
-    }
-
-    /// Switches to the eager-wakes reference scheduler: every reserved
-    /// backlog wake-up is materialized as a queue event immediately, never
-    /// drained inline — the exact pre-run-to-completion behaviour.
-    ///
-    /// Both schedulers consume seqs from the same counter at the same
-    /// points, so dispatch order, RNG draws, node states, traces, and
-    /// traffic are identical between the two; only the `wakes` vs
-    /// [`inline_wakes`](EventStats::inline_wakes) split (and throughput)
-    /// differs. Kept as the oracle for differential scheduler tests.
-    pub fn set_eager_wakes(&mut self, eager: bool) {
-        self.eager_wakes = eager;
     }
 
     /// Read access to the traffic accounting.
@@ -1943,65 +1904,44 @@ mod tests {
         );
     }
 
-    /// Floods `n` messages at a 1 ms/message sink and returns the run's
-    /// stats plus the number of messages the sink received.
-    fn saturate(n: u32, eager: bool) -> (EventStats, u32) {
+    #[test]
+    fn saturated_backlog_drains_without_queued_wakes() {
+        // 500 messages flood a 1 ms/message sink.
         struct Flood {
             peer: NodeId,
-            n: u32,
         }
         impl Node<Msg> for Flood {
             fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                for _ in 0..self.n {
+                for _ in 0..500 {
                     ctx.send(self.peer, Msg::Ping(100));
                 }
             }
             fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
         }
         let mut sim: Simulation<Msg> = Simulation::with_network(1, fixed_net(10));
-        sim.set_eager_wakes(eager);
         let echo = sim.add_node(Box::new(Echo {
             received: 0,
             charge: Duration::from_millis(1),
         }));
-        sim.add_node(Box::new(Flood { peer: echo, n }));
+        sim.add_node(Box::new(Flood { peer: echo }));
         sim.run_for(Duration::from_secs(60));
-        let received = sim.node_as::<Echo>(echo).unwrap().received;
-        (sim.event_stats(), received)
-    }
-
-    #[test]
-    fn saturated_backlog_drains_without_queued_wakes() {
-        let (stats, received) = saturate(500, false);
-        assert_eq!(received, 500);
+        let stats = sim.event_stats();
+        assert_eq!(sim.node_as::<Echo>(echo).unwrap().received, 500);
         // All 500 messages arrive at the same instant. The first wake is
-        // armed while the remaining deliveries still precede it, so it is
-        // materialized — into the wake lane, never the timing wheel; every
-        // drain after that runs inline against an empty horizon. No wake
-        // ever travels through the global queue.
+        // armed while the remaining deliveries still precede it, so it
+        // parks in the wake lane, never the timing wheel; every drain
+        // after that runs inline against an empty horizon. No wake ever
+        // travels through the global queue.
         assert_eq!(stats.wakes, 0);
         assert_eq!(stats.inline_wakes, 499);
     }
 
     #[test]
-    fn eager_and_lazy_schedulers_agree_on_everything_but_wakes() {
-        let (eager, received_eager) = saturate(300, true);
-        let (lazy, received_lazy) = saturate(300, false);
-        assert_eq!(received_eager, received_lazy);
-        assert_eq!(eager.delivers, lazy.delivers);
-        assert_eq!(eager.timers, lazy.timers);
-        assert_eq!(eager.crashes, lazy.crashes);
-        // Every wake the eager scheduler dispatched ran inline instead.
-        assert_eq!(eager.inline_wakes, 0);
-        assert_eq!(eager.wakes, lazy.wakes + lazy.inline_wakes);
-        assert!(lazy.wakes < eager.wakes / 5, "wakes must collapse");
-    }
-
-    #[test]
     fn run_limit_materializes_pending_wake() {
         // Flood a busy node, then stop the run mid-drain: the wake due
-        // past the limit must surface as a real queue event so a later
-        // run resumes exactly where the eager scheduler would.
+        // past the limit must park in the wake lane, keeping the seq it
+        // reserved when it was armed, so a later run resumes at exactly
+        // that place in the `(time, seq)` order.
         struct Flood {
             peer: NodeId,
         }

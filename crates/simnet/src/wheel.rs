@@ -3,7 +3,7 @@
 //!
 //! # Why a wheel
 //!
-//! The simulator funnels every delivery, wake-up, and timer through one
+//! The simulator funnels every delivery, timer and crash through one
 //! global priority queue. A binary heap pays O(log K) per push/pop with K
 //! growing into the hundreds of thousands under the overload regimes the
 //! paper studies. A timing wheel exploits the structure of simulated time —
@@ -312,10 +312,10 @@ impl<T> TimingWheel<T> {
 /// liveness needs no separate flag.
 #[derive(Debug)]
 pub struct TimerTable<M> {
-    /// `(generation, payload)` per slot. The payload is taken when the
-    /// timer's queue entry fires but the slot stays live until the timer is
-    /// processed or cancelled, so a cancel racing work queued behind a busy
-    /// node still wins.
+    /// `(generation, payload)` per slot. A live slot holds its payload
+    /// until [`consume`](Self::consume) or [`cancel`](Self::cancel)
+    /// settles it, so a cancel racing work queued behind a busy node still
+    /// wins; a free slot holds `None`.
     slots: Vec<(u32, Option<M>)>,
     free: Vec<u32>,
     live: usize,
@@ -373,58 +373,37 @@ impl<M> TimerTable<M> {
         }
     }
 
-    /// Takes the payload when the timer's queue entry fires. Returns `None`
-    /// if the timer was cancelled in the meantime. The slot stays live so a
-    /// later [`cancel`](Self::cancel) can still suppress the deferred
-    /// delivery; [`complete`](Self::complete) settles it.
-    pub fn fire(&mut self, id: TimerId) -> Option<M> {
-        let (idx, gen) = Self::parts(id);
-        let slot = self.slots.get_mut(idx)?;
-        if slot.0 != gen {
-            return None;
-        }
-        slot.1.take()
-    }
-
-    /// Settles a fired timer right before its handler runs. Returns whether
-    /// it is still live (i.e. was not cancelled while deferred) and
-    /// recycles the slot either way.
-    pub fn complete(&mut self, id: TimerId) -> bool {
-        self.cancel(id)
-    }
-
-    /// Whether `id` is live with its payload still in place — the cheap
-    /// dispatch-time check of the deferred-take protocol (see
-    /// [`consume`](Self::consume)).
+    /// Whether `id` is still live: the dispatch-time check made when the
+    /// timer's queue entry expires. The payload stays in the table until
+    /// [`consume`](Self::consume).
     pub fn is_live(&self, id: TimerId) -> bool {
         let (idx, gen) = Self::parts(id);
-        matches!(self.slots.get(idx), Some(slot) if slot.0 == gen && slot.1.is_some())
+        matches!(self.slots.get(idx), Some(slot) if slot.0 == gen)
     }
 
     /// Takes the payload and settles the slot in one step, right before
-    /// the handler runs. Returns `None` — leaving a still-live slot for
-    /// [`cancel`](Self::cancel) to settle — when the timer was cancelled
-    /// while its delivery sat in a node backlog.
+    /// the handler runs. Returns `None` when the timer was cancelled while
+    /// its delivery sat in a node backlog.
     ///
-    /// This is the deferred-take alternative to
-    /// [`fire`](Self::fire)-then-[`complete`](Self::complete): the payload
-    /// stays in the table while the delivery is queued behind a busy node,
-    /// so the queued work is an 8-byte id instead of a message body, and a
-    /// cancel in the window still frees the payload immediately.
+    /// The payload stays in the table while the delivery is queued behind
+    /// a busy node, so the queued work is an 8-byte id instead of a
+    /// message body, and a cancel in that window still frees the payload
+    /// immediately.
     pub fn consume(&mut self, id: TimerId) -> Option<M> {
         let (idx, gen) = Self::parts(id);
         let slot = self.slots.get_mut(idx)?;
         if slot.0 != gen {
             return None;
         }
-        let msg = slot.1.take()?;
+        let msg = slot.1.take().expect("a live slot holds its payload");
         slot.0 = slot.0.wrapping_add(1); // odd → even: free
         self.free.push(idx as u32);
         self.live -= 1;
         Some(msg)
     }
 
-    /// Number of timers currently armed (including fired-but-unprocessed).
+    /// Number of timers currently armed (including expired ones still
+    /// deferred behind busy nodes).
     pub fn live(&self) -> usize {
         self.live
     }
@@ -659,19 +638,21 @@ mod tests {
         );
     }
 
+    /// The lifecycle the simulator drives: arm, the queue entry fires
+    /// (`is_live`), the handler runs (`consume` completes the timer).
     #[test]
     fn timer_table_arm_fire_complete_roundtrip() {
         let mut t: TimerTable<&str> = TimerTable::new();
         let id = t.arm("hello");
         assert_eq!(t.live(), 1);
-        assert_eq!(t.fire(id), Some("hello"));
-        assert_eq!(t.live(), 1, "fired timers stay live until completed");
-        assert!(t.complete(id));
+        assert!(t.is_live(id));
+        assert_eq!(t.live(), 1, "fired timers stay live until consumed");
+        assert_eq!(t.consume(id), Some("hello"));
         assert_eq!(t.live(), 0);
         // The handle is now stale everywhere.
+        assert!(!t.is_live(id));
         assert!(!t.cancel(id));
-        assert!(!t.complete(id));
-        assert_eq!(t.fire(id), None);
+        assert_eq!(t.consume(id), None);
     }
 
     #[test]
@@ -681,7 +662,7 @@ mod tests {
         assert!(t.cancel(id));
         assert_eq!(t.live(), 0);
         // The queue entry that still references the id fires into nothing.
-        assert_eq!(t.fire(id), None);
+        assert!(!t.is_live(id));
     }
 
     #[test]
@@ -691,8 +672,7 @@ mod tests {
         }
         let mut t: TimerTable<u32> = TimerTable::new();
         let first = t.arm(1);
-        assert_eq!(t.fire(first), Some(1));
-        assert!(t.complete(first));
+        assert_eq!(t.consume(first), Some(1));
         // The slot is recycled with a new generation.
         let second = t.arm(2);
         assert_eq!(slot_of(first), slot_of(second));
@@ -700,7 +680,7 @@ mod tests {
         // Cancelling the dead handle must not touch the new occupant.
         assert!(!t.cancel(first));
         assert_eq!(t.live(), 1);
-        assert_eq!(t.fire(second), Some(2));
+        assert_eq!(t.consume(second), Some(2));
     }
 
     #[test]
@@ -728,18 +708,6 @@ mod tests {
         assert!(t.cancel(id));
         // …so the deferred consume must see it dead.
         assert_eq!(t.consume(id), None);
-        assert_eq!(t.live(), 0);
-    }
-
-    #[test]
-    fn cancel_between_fire_and_complete_wins() {
-        let mut t: TimerTable<u32> = TimerTable::new();
-        let id = t.arm(5);
-        assert_eq!(t.fire(id), Some(5));
-        // Cancelled while the payload sits in a node backlog…
-        assert!(t.cancel(id));
-        // …so the deferred processing step must see it dead.
-        assert!(!t.complete(id));
         assert_eq!(t.live(), 0);
     }
 }

@@ -1,16 +1,18 @@
-//! Differential test of the run-to-completion scheduler against the
-//! eager-wakes reference scheduler.
+//! Golden test of the run-to-completion backlog scheduler.
 //!
-//! The lazy scheduler ([`Simulation`]'s default) drains node backlogs
-//! inline against the queue horizon instead of materializing one `Wake`
-//! event per backlog item; `set_eager_wakes(true)` restores the old
-//! behaviour exactly. A stress scenario exercising every scheduler edge —
-//! deep backlogs, timers firing into busy nodes and being cancelled
-//! there, multicast fan-out, jittery and lossy links, crashes,
-//! recoveries, and amnesia wipes — must produce byte-identical traces and
-//! identical observable state under both schedulers, with only the
-//! `wakes` / `inline_wakes` split (and the queue high-water mark)
-//! allowed to differ.
+//! The scheduler drains node backlogs inline against the queue horizon,
+//! parking a wake in the wake lane only when another event comes first.
+//! A stress scenario exercising every scheduler edge — deep backlogs,
+//! timers firing into busy nodes and being cancelled there, multicast
+//! fan-out, jittery and lossy links, crashes, recoveries, and amnesia
+//! wipes — must reproduce a pinned trace digest and every pinned field of
+//! the run's observable state.
+//!
+//! The constants were captured from a one-`Wake`-event-per-drain
+//! reference scheduler, which this test used to run side by side with
+//! the current one and found identical in every field below: same
+//! trace, same states, same counts. That reference drained 3,348 wakes
+//! through the global queue; here each is one `inline_wakes`.
 
 use std::time::Duration;
 
@@ -151,13 +153,12 @@ struct Observation {
     stats: EventStats,
 }
 
-fn run(eager: bool) -> Observation {
+fn run() -> Observation {
     // Jitter makes link delays RNG-dependent and loss drops a deterministic
     // subset of sends — both would diverge under any dispatch reordering.
     let link =
         LinkSpec::new(Duration::from_micros(100), Duration::from_micros(40)).with_drop_prob(0.01);
     let mut sim: Simulation<Msg> = Simulation::with_network(0xD1FF, Network::new(link));
-    sim.set_eager_wakes(eager);
     sim.set_trace(1 << 16);
 
     let workers: Vec<NodeId> = (0..4).map(|_| sim.reserve_node()).collect();
@@ -219,48 +220,51 @@ fn run(eager: bool) -> Observation {
     }
 }
 
+/// 64-bit FNV-1a: a fixed, dependency-free digest of the trace dump.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
-fn lazy_scheduler_is_observationally_identical_to_eager() {
-    let eager = run(true);
-    let lazy = run(false);
+fn stress_run_matches_pinned_golden() {
+    let obs = run();
 
-    // Byte-identical execution trace: every send (with its sampled loss),
-    // delivery, timer fire, crash, recovery, and wipe at the same time in
-    // the same order.
-    assert_eq!(eager.trace, lazy.trace);
+    // The execution trace — every send (with its sampled loss), delivery,
+    // timer fire, crash, recovery, and wipe, with its time, in order.
+    assert_eq!(obs.trace.lines().count(), 8_109);
+    assert_eq!(fnv1a(obs.trace.as_bytes()), 0x524d_eca1_380c_d972);
 
-    assert_eq!(eager.digests, lazy.digests);
-    assert_eq!(eager.received, lazy.received);
-    assert_eq!(eager.events_processed, lazy.events_processed);
-    assert_eq!(eager.pending_events, lazy.pending_events);
-    assert_eq!(eager.pending_timers, lazy.pending_timers);
-    assert_eq!(eager.total_bytes, lazy.total_bytes);
-    assert_eq!(eager.total_messages, lazy.total_messages);
-    assert_eq!(eager.now, lazy.now);
-
-    // Dispatch mix: identical up to the wakes/inline split.
-    assert_eq!(eager.stats.delivers, lazy.stats.delivers);
-    assert_eq!(eager.stats.timers, lazy.stats.timers);
-    assert_eq!(eager.stats.crashes, lazy.stats.crashes);
-    assert_eq!(eager.stats.inline_wakes, 0);
     assert_eq!(
-        eager.stats.wakes,
-        lazy.stats.wakes + lazy.stats.inline_wakes,
-        "every eager wake must be accounted for as queued or inline"
+        obs.digests,
+        [
+            0xdf4f_a251_e39b_8f6b,
+            0x2309_87f8_29cc_e4ab,
+            0x9adc_2824_4bd0_d689,
+            0x1685_2e99_f7b2_03bd,
+        ]
     );
-    assert!(
-        eager.stats.wakes > 0,
-        "the stress scenario must actually exercise backlogs"
-    );
-    // This scenario is deliberately adversarial for inline draining (four
-    // equally saturated workers whose wake slots interleave, so most wakes
-    // are legally beaten by another node's queued wake); it pins down
-    // equivalence, not the throughput win. The wake-collapse property is
-    // asserted where it holds by construction: the single-bottleneck unit
-    // test in `sim.rs` and the saturated-cluster differential test in the
-    // harness crate.
-    assert!(
-        lazy.stats.inline_wakes > 0,
-        "some drains must still run inline"
+    assert_eq!(obs.received, [1_065, 623, 290, 1_085]);
+    assert_eq!(obs.events_processed, 4_095);
+    assert_eq!(obs.pending_events, 1);
+    assert_eq!(obs.pending_timers, 1);
+    assert_eq!(obs.total_bytes, 211_344);
+    assert_eq!(obs.total_messages, 3_774);
+    assert_eq!(obs.now, SimTime::from_nanos(45_000_000));
+    assert_eq!(
+        obs.stats,
+        EventStats {
+            delivers: 4_407,
+            timers: 659,
+            wakes: 0,
+            inline_wakes: 3_348,
+            crashes: 3,
+            queue_high_water: 1_588,
+            arena_messages: 4_342,
+            arena_high_water: 1_585,
+            multicast_batches: 22,
+            batched_deliveries: 87,
+        }
     );
 }

@@ -65,48 +65,71 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 
-    /// Randomized arm/cancel/fire/complete schedules keep the timer table
-    /// consistent with a reference model: live handles resolve to their
-    /// payload exactly once, stale handles (fired, cancelled, or recycled)
-    /// are no-ops everywhere, and the live count never drifts.
+    /// Randomized schedules of the simulator's timer protocol keep the
+    /// timer table consistent with a reference model. A timer is armed;
+    /// its queue entry expires (`is_live`) and the timer waits in a node
+    /// backlog; the backlog drains (`consume`). A cancel may land before
+    /// expiry or in the backlog window between `is_live` and `consume`.
+    /// Live handles resolve to their payload exactly once, cancelled ones
+    /// never, stale handles (consumed, cancelled, or recycled) are no-ops
+    /// everywhere, and the live count never drifts.
     #[test]
     fn timer_table_matches_reference_model(ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..250)) {
         let mut table: TimerTable<u64> = TimerTable::new();
-        let mut live: Vec<(TimerId, u64)> = Vec::new();
+        // Armed timers whose queue entry has not expired yet.
+        let mut armed: Vec<(TimerId, u64)> = Vec::new();
+        // Expired timers waiting in a backlog: `None` once cancelled there.
+        let mut backlog: Vec<(TimerId, Option<u64>)> = Vec::new();
         let mut dead: Vec<TimerId> = Vec::new();
         let mut next_payload = 0u64;
         for (sel, raw) in ops {
-            match sel % 4 {
+            match sel % 6 {
                 0 | 1 => {
                     next_payload += 1;
-                    live.push((table.arm(next_payload), next_payload));
+                    armed.push((table.arm(next_payload), next_payload));
                 }
                 2 => {
-                    if raw & 1 == 0 && !live.is_empty() {
-                        let (id, _) = live.swap_remove(raw as usize % live.len());
+                    if raw & 1 == 0 && !armed.is_empty() {
+                        let (id, _) = armed.swap_remove(raw as usize % armed.len());
                         prop_assert!(table.cancel(id));
-                        prop_assert_eq!(table.fire(id), None);
+                        prop_assert!(!table.is_live(id), "a cancelled entry expires into nothing");
                         dead.push(id);
                     } else if !dead.is_empty() {
                         let id = dead[raw as usize % dead.len()];
                         prop_assert!(!table.cancel(id), "stale cancel must be a no-op");
                     }
                 }
+                3 => {
+                    if !armed.is_empty() {
+                        let (id, payload) = armed.swap_remove(raw as usize % armed.len());
+                        prop_assert!(table.is_live(id));
+                        backlog.push((id, Some(payload)));
+                    }
+                }
+                4 => {
+                    let waiting: Vec<usize> = (0..backlog.len()).filter(|&i| backlog[i].1.is_some()).collect();
+                    if !waiting.is_empty() {
+                        let i = waiting[raw as usize % waiting.len()];
+                        prop_assert!(table.cancel(backlog[i].0));
+                        backlog[i].1 = None;
+                    }
+                }
                 _ => {
-                    if !live.is_empty() {
-                        let (id, payload) = live.swap_remove(raw as usize % live.len());
-                        prop_assert_eq!(table.fire(id), Some(payload));
-                        prop_assert!(table.complete(id));
+                    if !backlog.is_empty() {
+                        let (id, payload) = backlog.remove(raw as usize % backlog.len());
+                        prop_assert_eq!(table.consume(id), payload);
                         dead.push(id);
                     }
                 }
             }
-            prop_assert_eq!(table.live(), live.len());
+            let waiting = backlog.iter().filter(|(_, p)| p.is_some()).count();
+            prop_assert_eq!(table.live(), armed.len() + waiting);
         }
         // Every dead handle stays dead, even after all the slot reuse above.
         for id in dead {
+            prop_assert!(!table.is_live(id));
             prop_assert!(!table.cancel(id));
-            prop_assert_eq!(table.fire(id), None);
+            prop_assert_eq!(table.consume(id), None);
         }
     }
 }

@@ -47,14 +47,6 @@
 # `repro table1 fig3`) checks fine against the full committed baseline.
 # The JSON is the flat hand-rolled schema; no jq required.
 #
-# Note on the `wakes` counter in the generic summaries: since the
-# run-to-completion scheduler landed, node backlogs drain inline against
-# the event horizon, so `wakes` is 0 by design in every experiment (the
-# per-drain backlog work is reported as `inline_wakes` instead). A nonzero
-# `wakes` in a new summary means the lazy scheduler stopped covering some
-# path — worth investigating even if events_per_sec is still within
-# threshold.
-#
 # Allocations per event are deterministic too but not in these files;
 # they are gated by the counting-allocator tests, which any hot-path
 # change should re-run (an allocation sneaking back into the deliver path
