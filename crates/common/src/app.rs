@@ -89,70 +89,17 @@ pub trait StateMachine {
     /// The exact byte length [`snapshot`](Self::snapshot) would return,
     /// without materializing it.
     ///
-    /// Replicas charge checkpoint CPU cost by snapshot size but, when
-    /// persistence is off, never read the bytes of a periodic checkpoint —
-    /// this lets them price the snapshot without serializing the whole
-    /// state. Implementations that can answer in O(1) should override the
-    /// default, which serializes and measures.
+    /// The write-ahead log sizes a checkpoint record with it before
+    /// streaming the snapshot in through
+    /// [`snapshot_into`](Self::snapshot_into). Implementations that can
+    /// answer in O(1) should override the default, which serializes and
+    /// measures.
     fn snapshot_len(&self) -> usize {
         self.snapshot().len()
     }
 
     /// Replaces the application state with a previously taken snapshot.
     fn restore(&mut self, snapshot: &[u8]);
-}
-
-/// A cost model decoupled from any particular state machine, used where a
-/// protocol needs to price per-message CPU handling work.
-pub trait CostModel {
-    /// CPU time charged for handling one protocol message of `bytes` payload
-    /// size.
-    fn message_cost(&self, bytes: usize) -> Duration;
-}
-
-/// The simplest useful [`CostModel`]: a fixed per-message cost plus a
-/// per-byte cost.
-///
-/// # Example
-/// ```
-/// use idem_common::{CostModel, FixedCost};
-/// use std::time::Duration;
-/// let m = FixedCost::new(Duration::from_micros(2), Duration::from_nanos(1));
-/// assert_eq!(m.message_cost(1000), Duration::from_micros(3));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedCost {
-    per_message: Duration,
-    per_byte: Duration,
-}
-
-impl FixedCost {
-    /// Creates a cost model with the given fixed and per-byte components.
-    pub fn new(per_message: Duration, per_byte: Duration) -> FixedCost {
-        FixedCost {
-            per_message,
-            per_byte,
-        }
-    }
-
-    /// A zero-cost model (useful in logic-only unit tests).
-    pub fn free() -> FixedCost {
-        FixedCost::new(Duration::ZERO, Duration::ZERO)
-    }
-}
-
-impl Default for FixedCost {
-    /// Defaults to 2 µs per message and 0.25 ns per byte, roughly matching
-    /// kernel-bypass-free commodity networking stacks.
-    fn default() -> FixedCost {
-        FixedCost::new(Duration::from_micros(2), Duration::from_nanos(0))
-    }
-}
-
-impl CostModel for FixedCost {
-    fn message_cost(&self, bytes: usize) -> Duration {
-        self.per_message + self.per_byte * bytes as u32
-    }
 }
 
 /// A trivial no-op state machine for protocol-logic tests: execution echoes
@@ -207,20 +154,6 @@ impl StateMachine for NullApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_cost_combines_components() {
-        let m = FixedCost::new(Duration::from_micros(5), Duration::from_nanos(2));
-        assert_eq!(
-            m.message_cost(500),
-            Duration::from_micros(5) + Duration::from_nanos(1000)
-        );
-    }
-
-    #[test]
-    fn free_cost_is_zero() {
-        assert_eq!(FixedCost::free().message_cost(1 << 20), Duration::ZERO);
-    }
 
     #[test]
     fn null_app_roundtrips_snapshot() {

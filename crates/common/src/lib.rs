@@ -49,7 +49,7 @@ pub mod request;
 pub mod wal;
 pub mod window;
 
-pub use app::{CostModel, FixedCost, StateMachine};
+pub use app::StateMachine;
 pub use client::{Client, ClientEvent, ClientPort, ClientSetup, ClientStats, ClientTiming};
 pub use deadline::DeadlineTimer;
 pub use dense::{Chained, ReqHandle, ReqSlab, SessionTable};
@@ -62,7 +62,7 @@ pub use membership::{Epoch, Membership, ReconfigCommand, RECONFIG_CLIENT};
 pub use quorum::{QuorumSet, QuorumTracker};
 pub use replica::{
     CheckpointData, ClientRecord, Consumed, Replayed, ReplicaBase, ReplicaWire, ViewChangeStep,
-    VoteStore,
+    VoteStore, PROGRESS_TIMEOUT,
 };
 pub use request::{Reply, Request, ResultBytes, INLINE_RESULT_CAP};
 pub use wal::{CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord, WalRecordRef};

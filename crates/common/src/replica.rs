@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use idem_simnet::{Context, NodeId, TimerId, Wire};
 
-use crate::app::{CostModel, FixedCost, StateMachine};
+use crate::app::StateMachine;
 use crate::deadline::DeadlineTimer;
 use crate::dense::SessionTable;
 use crate::directory::Directory;
@@ -34,6 +34,11 @@ use crate::quorum::QuorumTracker;
 use crate::request::{Reply, ResultBytes};
 use crate::wal::{PersistMode, ReplayLog, Wal, WalRecordRef};
 use crate::window::SeqWindow;
+
+/// The view-change timeout of all three protocols (paper Section 7.1):
+/// no execution progress for this long while work is pending makes a
+/// replica abandon its view.
+pub const PROGRESS_TIMEOUT: Duration = Duration::from_millis(1500);
 
 /// Base backoff before a rebooted replica retries checkpoint catch-up; it
 /// doubles per attempt up to eight times this.
@@ -186,7 +191,7 @@ pub struct ReplicaBase {
     /// The cluster address book.
     pub dir: Directory<NodeId>,
     app: Box<dyn StateMachine + Send>,
-    message_cost: FixedCost,
+    message_cost: Duration,
 
     /// The epoch-numbered replica set. All quorum arithmetic, the peer
     /// list and leader derivation come from here; reconfiguration commands
@@ -233,15 +238,16 @@ pub struct ReplicaBase {
 
 impl ReplicaBase {
     /// A chassis for replica `me` of a bootstrap group of `n`, replicating
-    /// `app`. `message_cost` prices checkpoint (de)serialization like a
-    /// message of the snapshot's size; `progress_timeout` is the
-    /// view-change timeout.
+    /// `app`. `message_cost` is the protocol's flat per-message charge,
+    /// also charged once per checkpoint (de)serialization whatever the
+    /// snapshot's size; `progress_timeout` is the view-change timeout
+    /// ([`PROGRESS_TIMEOUT`] in every protocol).
     pub fn new(
         me: ReplicaId,
         dir: Directory<NodeId>,
         app: Box<dyn StateMachine + Send>,
         n: u32,
-        message_cost: FixedCost,
+        message_cost: Duration,
         progress_timeout: Duration,
     ) -> ReplicaBase {
         ReplicaBase {
@@ -750,13 +756,13 @@ impl ReplicaBase {
     // ---------------------------------------------------------- checkpoints
 
     /// The shared part of taking a checkpoint at the frontier: charges the
-    /// serialization like handling a message of the snapshot's size and
-    /// streams the state into the WAL, which bounds replay length after a
-    /// wipe. Nothing is materialized — state transfer builds its own
+    /// serialization like handling one message and streams the state into
+    /// the WAL, which bounds replay length after a wipe. Nothing is
+    /// materialized — state transfer builds its own
     /// [`checkpoint_data`](Self::checkpoint_data). The caller counts the
     /// checkpoint and prunes what it covers.
     pub fn take_checkpoint<M>(&self, ctx: &mut Context<'_, M>) {
-        ctx.charge(self.message_cost.message_cost(self.app.snapshot_len()));
+        ctx.charge(self.message_cost);
         self.wal.log_checkpoint(
             ctx,
             self.next_exec.0,
@@ -820,7 +826,7 @@ impl ReplicaBase {
         if data.next_exec <= self.next_exec {
             return false;
         }
-        ctx.charge(self.message_cost.message_cost(data.snapshot.len()));
+        ctx.charge(self.message_cost);
         if data.membership.epoch() > self.membership.epoch() {
             self.membership = data.membership;
             self.reconfig_barrier = None;
@@ -1173,7 +1179,7 @@ mod tests {
                 dir.clone(),
                 Box::new(NullApp::default()),
                 members,
-                FixedCost::free(),
+                Duration::ZERO,
                 Duration::from_secs(5),
             );
             let toy = ToyReplica {

@@ -4,11 +4,6 @@ use std::sync::Arc;
 
 use crate::ids::RequestId;
 
-/// Per-message wire overhead assumed for every protocol message (transport
-/// headers, framing, message tag). Used by the traffic accounting that
-/// reproduces Table 1 of the paper.
-pub const MESSAGE_HEADER_BYTES: usize = 48;
-
 /// A client request: the unique id plus the opaque application command.
 ///
 /// The command is opaque to the replication protocols; only the application

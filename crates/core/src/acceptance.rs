@@ -15,24 +15,12 @@ use std::time::Duration;
 use idem_common::{ClientId, RequestId};
 use idem_simnet::SimTime;
 
-/// Parameters of the active-queue-management acceptance test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AqmConfig {
-    /// Fraction of the reject threshold at which probabilistic dropping
-    /// starts (the paper uses 60 %).
-    pub start_fraction: f64,
-    /// Length of one prioritization time slice (the paper uses 2 s).
-    pub slice: Duration,
-}
+/// Fraction of the reject threshold at which the probabilistic early drop
+/// of non-prioritized clients starts (paper Section 5.1: 60 %).
+pub(crate) const AQM_START_FRACTION: f64 = 0.6;
 
-impl Default for AqmConfig {
-    fn default() -> AqmConfig {
-        AqmConfig {
-            start_fraction: 0.6,
-            slice: Duration::from_secs(2),
-        }
-    }
-}
+/// Length of one prioritization time slice (paper Section 5.1: 2 s).
+pub(crate) const AQM_SLICE: Duration = Duration::from_secs(2);
 
 /// The admission policy a replica applies to fresh client requests.
 ///
@@ -46,52 +34,35 @@ pub enum AcceptancePolicy {
     /// plain tail drop, the `IDEM_noAQM` ablation.
     TailDrop,
     /// Tail drop for the currently prioritized client group, probabilistic
-    /// early drop (`p = r_now / r`) for everyone else — IDEM's default.
+    /// early drop for everyone else, ramping from 60 % to 90 % of the
+    /// threshold — IDEM's default.
     #[default]
     ActiveQueue,
-    /// Like [`ActiveQueue`](AcceptancePolicy::ActiveQueue), but the drop
-    /// probability is additionally scaled by the request's estimated
-    /// resource cost (its payload size relative to `reference_size`), so
-    /// expensive requests are shed first under pressure. This implements
-    /// one of the "further options" sketched in paper Section 5.1.
-    CostAware {
-        /// Payload size at which a request is considered averagely
-        /// expensive; smaller requests are shed later, larger ones earlier.
-        reference_size: usize,
-    },
 }
 
-/// The full acceptance test, combining policy, threshold and AQM
-/// parameters.
+/// The full acceptance test: a policy and its reject threshold.
 ///
 /// # Example
 /// ```
-/// use idem_core::acceptance::{AcceptanceTest, AcceptancePolicy, AqmConfig};
+/// use idem_core::acceptance::{AcceptanceTest, AcceptancePolicy};
 /// use idem_common::{ClientId, OpNumber, RequestId};
 /// use idem_simnet::SimTime;
 ///
-/// let test = AcceptanceTest::new(AcceptancePolicy::TailDrop, 50, AqmConfig::default());
+/// let test = AcceptanceTest::new(AcceptancePolicy::TailDrop, 50);
 /// let id = RequestId::new(ClientId(0), OpNumber(1));
-/// assert!(test.accepts(id, 49, SimTime::ZERO, 1));
-/// assert!(!test.accepts(id, 50, SimTime::ZERO, 1));
+/// assert!(test.accepts(id, 49, 49.0, SimTime::ZERO, 1));
+/// assert!(!test.accepts(id, 50, 50.0, SimTime::ZERO, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptanceTest {
     policy: AcceptancePolicy,
     threshold: u32,
-    aqm: AqmConfig,
 }
 
 impl AcceptanceTest {
-    /// Creates a test with the given policy, reject threshold `r`, and AQM
-    /// parameters (ignored unless the policy is
-    /// [`AcceptancePolicy::ActiveQueue`]).
-    pub fn new(policy: AcceptancePolicy, threshold: u32, aqm: AqmConfig) -> AcceptanceTest {
-        AcceptanceTest {
-            policy,
-            threshold,
-            aqm,
-        }
+    /// Creates a test with the given policy and reject threshold `r`.
+    pub fn new(policy: AcceptancePolicy, threshold: u32) -> AcceptanceTest {
+        AcceptanceTest { policy, threshold }
     }
 
     /// The configured reject threshold `r`.
@@ -117,45 +88,26 @@ impl AcceptanceTest {
         if group_count <= 1 {
             return 0;
         }
-        let slice_ns = self.aqm.slice.as_nanos() as u64;
+        let slice_ns = AQM_SLICE.as_nanos() as u64;
         ((now.as_nanos() / slice_ns.max(1)) % u64::from(group_count)) as u32
     }
 
     /// Runs the acceptance test for request `id` given `r_now` currently
-    /// active requests at this replica and `max_client` the highest client
-    /// id observed so far (used to derive the number of prioritization
-    /// groups).
+    /// active requests at this replica, a smoothed `load_estimate` of the
+    /// same for the probabilistic branch, and `max_client` the highest
+    /// client id observed so far (used to derive the number of
+    /// prioritization groups).
+    ///
+    /// Replicas feed an exponentially smoothed `r_now` as the estimate:
+    /// the slow-moving estimate is nearly identical across replicas, so
+    /// together with the id-keyed PRF the early-drop verdicts become
+    /// near-unanimous (Section 7.7's stability effect), while the
+    /// instantaneous `r_now` still enforces the hard threshold.
     ///
     /// Returns `true` to accept, `false` to reject.
-    pub fn accepts(&self, id: RequestId, r_now: u32, now: SimTime, max_client: u32) -> bool {
-        self.accepts_request(id, 0, r_now, f64::from(r_now), now, max_client)
-    }
-
-    /// Like [`accepts`](Self::accepts), but with a separately smoothed load
-    /// estimate for the probabilistic branch. Replicas feed an
-    /// exponentially smoothed `r_now` here: the slow-moving estimate is
-    /// nearly identical across replicas, so together with the id-keyed PRF
-    /// the early-drop verdicts become near-unanimous (Section 7.7's
-    /// stability effect), while the instantaneous `r_now` still enforces
-    /// the hard threshold.
-    pub fn accepts_with_estimate(
+    pub fn accepts(
         &self,
         id: RequestId,
-        r_now: u32,
-        load_estimate: f64,
-        now: SimTime,
-        max_client: u32,
-    ) -> bool {
-        self.accepts_request(id, 0, r_now, load_estimate, now, max_client)
-    }
-
-    /// The most general entry point: additionally receives the request's
-    /// payload size, which the [`AcceptancePolicy::CostAware`] policy uses
-    /// as its resource-cost estimate (ignored by the other policies).
-    pub fn accepts_request(
-        &self,
-        id: RequestId,
-        payload_size: usize,
         r_now: u32,
         load_estimate: f64,
         now: SimTime,
@@ -164,11 +116,11 @@ impl AcceptanceTest {
         match self.policy {
             AcceptancePolicy::AlwaysAccept => true,
             AcceptancePolicy::TailDrop => r_now < self.threshold,
-            AcceptancePolicy::ActiveQueue | AcceptancePolicy::CostAware { .. } => {
+            AcceptancePolicy::ActiveQueue => {
                 if r_now >= self.threshold {
                     return false;
                 }
-                let start = (f64::from(self.threshold) * self.aqm.start_fraction) as u32;
+                let start = (f64::from(self.threshold) * AQM_START_FRACTION) as u32;
                 if r_now < start && load_estimate < f64::from(start) {
                     return true;
                 }
@@ -192,18 +144,10 @@ impl AcceptanceTest {
                 //  * the probability is quantized to coarse steps, so
                 //    replicas whose load estimates differ by a few requests
                 //    still compute the same p and reach the same verdict.
-                let start_f = f64::from(self.threshold) * self.aqm.start_fraction;
+                let start_f = f64::from(self.threshold) * AQM_START_FRACTION;
                 let full = f64::from(self.threshold) * 0.9;
                 let load = load_estimate.max(f64::from(r_now));
-                let mut raw = ((load - start_f) / (full - start_f).max(1.0)).clamp(0.0, 1.0);
-                if let AcceptancePolicy::CostAware { reference_size } = self.policy {
-                    // Expensive requests are shed earlier: scale the drop
-                    // probability by the payload size relative to the
-                    // reference ("estimated resource costs", Section 5.1).
-                    let weight =
-                        (payload_size as f64 / reference_size.max(1) as f64).clamp(0.25, 4.0);
-                    raw = (raw * weight).clamp(0.0, 1.0);
-                }
+                let raw = ((load - start_f) / (full - start_f).max(1.0)).clamp(0.0, 1.0);
                 let p = (raw * 8.0).floor() / 8.0;
                 let u = (id.stable_hash() >> 11) as f64 / (1u64 << 53) as f64;
                 u >= p
@@ -222,27 +166,28 @@ mod tests {
     }
 
     fn aqm_test(threshold: u32) -> AcceptanceTest {
-        AcceptanceTest::new(
-            AcceptancePolicy::ActiveQueue,
-            threshold,
-            AqmConfig::default(),
-        )
+        AcceptanceTest::new(AcceptancePolicy::ActiveQueue, threshold)
+    }
+
+    /// The test at an instantaneous load, estimate equal to `r_now`.
+    fn accepts(t: &AcceptanceTest, id: RequestId, r_now: u32, max_client: u32) -> bool {
+        t.accepts(id, r_now, f64::from(r_now), SimTime::ZERO, max_client)
     }
 
     #[test]
     fn always_accept_ignores_load() {
-        let t = AcceptanceTest::new(AcceptancePolicy::AlwaysAccept, 1, AqmConfig::default());
-        assert!(t.accepts(id(0, 0), u32::MAX, SimTime::ZERO, 1000));
+        let t = AcceptanceTest::new(AcceptancePolicy::AlwaysAccept, 1);
+        assert!(accepts(&t, id(0, 0), u32::MAX, 1000));
     }
 
     #[test]
     fn tail_drop_binary_threshold() {
-        let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, 10, AqmConfig::default());
+        let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, 10);
         for r_now in 0..10 {
-            assert!(t.accepts(id(0, r_now as u64), r_now, SimTime::ZERO, 0));
+            assert!(accepts(&t, id(0, r_now as u64), r_now, 0));
         }
-        assert!(!t.accepts(id(0, 99), 10, SimTime::ZERO, 0));
-        assert!(!t.accepts(id(0, 99), 11, SimTime::ZERO, 0));
+        assert!(!accepts(&t, id(0, 99), 10, 0));
+        assert!(!accepts(&t, id(0, 99), 11, 0));
     }
 
     #[test]
@@ -250,7 +195,7 @@ mod tests {
         let t = aqm_test(50); // start at 30
         for r_now in 0..30 {
             for c in 0..200 {
-                assert!(t.accepts(id(c, 7), r_now, SimTime::ZERO, 199));
+                assert!(accepts(&t, id(c, 7), r_now, 199));
             }
         }
     }
@@ -259,7 +204,7 @@ mod tests {
     fn aqm_rejects_everything_at_threshold() {
         let t = aqm_test(50);
         for c in 0..200 {
-            assert!(!t.accepts(id(c, 7), 50, SimTime::ZERO, 199));
+            assert!(!accepts(&t, id(c, 7), 50, 199));
         }
     }
 
@@ -269,7 +214,7 @@ mod tests {
         // max_client 149 → 3 groups; at time 0 group 0 is prioritized.
         for c in 0..50 {
             assert!(
-                t.accepts(id(c, 3), 45, SimTime::ZERO, 149),
+                accepts(&t, id(c, 3), 45, 149),
                 "prioritized client {c} must be accepted below threshold"
             );
         }
@@ -283,7 +228,7 @@ mod tests {
         // Clients 50..100 are group 1 (not prioritized at time 0).
         let count_accepted = |r_now: u32| {
             (0..1000u64)
-                .filter(|&op| t.accepts(id(60, op), r_now, SimTime::ZERO, 149))
+                .filter(|&op| accepts(&t, id(60, op), r_now, 149))
                 .count()
         };
         let at_start = count_accepted(30); // p = 0 → everyone accepted
@@ -306,10 +251,7 @@ mod tests {
         for c in 0..100 {
             for op in 0..50 {
                 let r = id(c, op);
-                assert_eq!(
-                    a.accepts(r, 40, SimTime::ZERO, 99),
-                    b.accepts(r, 40, SimTime::ZERO, 99)
-                );
+                assert_eq!(accepts(&a, r, 40, 99), accepts(&b, r, 40, 99));
             }
         }
     }
@@ -317,11 +259,10 @@ mod tests {
     #[test]
     fn prioritized_group_rotates_over_time_slices() {
         let t = aqm_test(50);
-        let slice = AqmConfig::default().slice;
         let g0 = t.prioritized_group(SimTime::ZERO, 3);
-        let g1 = t.prioritized_group(SimTime::ZERO + slice, 3);
-        let g2 = t.prioritized_group(SimTime::ZERO + slice * 2, 3);
-        let g3 = t.prioritized_group(SimTime::ZERO + slice * 3, 3);
+        let g1 = t.prioritized_group(SimTime::ZERO + AQM_SLICE, 3);
+        let g2 = t.prioritized_group(SimTime::ZERO + AQM_SLICE * 2, 3);
+        let g3 = t.prioritized_group(SimTime::ZERO + AQM_SLICE * 3, 3);
         assert_eq!(vec![g0, g1, g2], vec![0, 1, 2]);
         assert_eq!(g3, 0, "rotation wraps around");
     }
@@ -331,10 +272,9 @@ mod tests {
         // Fairness: over one full rotation each of the 4 groups gets
         // exactly one slice.
         let t = aqm_test(10);
-        let slice = AqmConfig::default().slice;
         let mut seen = [false; 4];
         for i in 0..4u32 {
-            let g = t.prioritized_group(SimTime::ZERO + slice * i, 4);
+            let g = t.prioritized_group(SimTime::ZERO + AQM_SLICE * i, 4);
             seen[g as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
@@ -350,56 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_sheds_large_requests_first() {
-        let t = AcceptanceTest::new(
-            AcceptancePolicy::CostAware {
-                reference_size: 100,
-            },
-            50,
-            AqmConfig::default(),
-        );
-        // Mid-ramp load; client 60 is not prioritized at time 0.
-        let accepted = |size: usize| {
-            (0..1000u64)
-                .filter(|&op| t.accepts_request(id(60, op), size, 38, 38.0, SimTime::ZERO, 149))
-                .count()
-        };
-        let small = accepted(25); // quarter-weight requests
-        let medium = accepted(100); // reference weight
-        let large = accepted(400); // four times the reference
-        assert!(
-            small > medium && medium > large,
-            "acceptance must fall with request size: {small} / {medium} / {large}"
-        );
-        assert_eq!(large, 0, "4x-cost requests at mid-ramp are fully shed");
-    }
-
-    #[test]
-    fn cost_aware_matches_aqm_for_reference_size() {
-        let aqm = aqm_test(50);
-        let cost = AcceptanceTest::new(
-            AcceptancePolicy::CostAware {
-                reference_size: 100,
-            },
-            50,
-            AqmConfig::default(),
-        );
-        for op in 0..500u64 {
-            let r = id(60, op);
-            assert_eq!(
-                aqm.accepts_request(r, 100, 40, 40.0, SimTime::ZERO, 149),
-                cost.accepts_request(r, 100, 40, 40.0, SimTime::ZERO, 149),
-                "reference-size requests behave exactly like plain AQM"
-            );
-        }
-    }
-
-    #[test]
     fn single_group_degrades_to_tail_drop() {
         let t = aqm_test(50);
         // Only clients 0..50 exist → one group → everyone prioritized.
         for c in 0..50 {
-            assert!(t.accepts(id(c, 1), 49, SimTime::ZERO, 49));
+            assert!(accepts(&t, id(c, 1), 49, 49));
         }
     }
 }

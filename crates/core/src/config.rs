@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use idem_common::{FixedCost, QuorumSet};
+use idem_common::QuorumSet;
 
 use crate::acceptance::AcceptancePolicy;
 
@@ -10,8 +10,8 @@ use crate::acceptance::AcceptancePolicy;
 ///
 /// Defaults mirror the evaluation setup of the paper (Section 7.1):
 /// reject threshold `RT = 50`, active queue management with 2 s time
-/// slices, a 10 ms forward timeout, and a 1.5 s progress (view-change)
-/// timeout.
+/// slices, and a 10 ms forward timeout. The view-change timeout is
+/// [`idem_common::PROGRESS_TIMEOUT`].
 ///
 /// # Example
 /// ```
@@ -22,6 +22,7 @@ use crate::acceptance::AcceptancePolicy;
 /// assert_eq!(cfg.quorum.n(), 3);
 /// assert_eq!(cfg.reject_threshold, 75);
 /// assert_eq!(cfg.r_max(), 225);
+/// assert_eq!(cfg.window_size(), 450);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdemConfig {
@@ -32,22 +33,15 @@ pub struct IdemConfig {
     pub reject_threshold: u32,
     /// The acceptance test variant (Section 5.1).
     pub acceptance: AcceptancePolicy,
-    /// Size of the parallel consensus window; must be at least
-    /// [`r_max`](IdemConfig::r_max) for implicit garbage collection to be
-    /// sound (Theorem 6.1).
-    pub window_size: u64,
     /// A checkpoint is taken every this many executed instances.
     pub checkpoint_interval: u64,
     /// Delay before an accepted-but-unexecuted request is forwarded to the
     /// other replicas (Section 5.2, "delayed forwarding").
     pub forward_timeout: Duration,
-    /// View-change timeout: if no execution progress happens for this long
-    /// while requests are pending, the replica abandons the current view.
-    pub progress_timeout: Duration,
     /// Capacity of the recently-rejected request cache (Section 5.2).
     pub rejected_cache_capacity: usize,
-    /// CPU cost charged per received protocol message.
-    pub message_cost: FixedCost,
+    /// CPU cost charged per received protocol message, whatever its size.
+    pub message_cost: Duration,
 }
 
 impl IdemConfig {
@@ -56,17 +50,14 @@ impl IdemConfig {
     pub fn for_faults(f: u32) -> IdemConfig {
         let quorum = QuorumSet::for_faults(f);
         let reject_threshold = 50;
-        let r_max = u64::from(quorum.n()) * u64::from(reject_threshold);
         IdemConfig {
             quorum,
             reject_threshold,
             acceptance: AcceptancePolicy::default(),
-            window_size: 2 * r_max,
             checkpoint_interval: 128,
             forward_timeout: Duration::from_millis(10),
-            progress_timeout: Duration::from_millis(1500),
             rejected_cache_capacity: 4 * reject_threshold as usize,
-            message_cost: FixedCost::new(Duration::from_micros(2), Duration::ZERO),
+            message_cost: Duration::from_micros(2),
         }
     }
 
@@ -76,13 +67,18 @@ impl IdemConfig {
         u64::from(self.quorum.n()) * u64::from(self.reject_threshold)
     }
 
-    /// Returns a copy with a different reject threshold, keeping the window
-    /// sized at twice the new `r_max` and the cache at four times the
-    /// threshold.
+    /// Size of the parallel consensus window: twice
+    /// [`r_max`](IdemConfig::r_max), so implicit garbage collection is
+    /// sound (Theorem 6.1 needs at least `r_max`).
+    pub fn window_size(&self) -> u64 {
+        2 * self.r_max()
+    }
+
+    /// Returns a copy with a different reject threshold, keeping the cache
+    /// at four times the threshold.
     #[must_use]
     pub fn with_reject_threshold(mut self, rt: u32) -> IdemConfig {
         self.reject_threshold = rt;
-        self.window_size = 2 * self.r_max();
         self.rejected_cache_capacity = 4 * rt as usize;
         self
     }
@@ -101,16 +97,9 @@ impl IdemConfig {
         self
     }
 
-    /// Returns a copy with a different progress (view-change) timeout.
+    /// Returns a copy with a different per-message CPU cost.
     #[must_use]
-    pub fn with_progress_timeout(mut self, t: Duration) -> IdemConfig {
-        self.progress_timeout = t;
-        self
-    }
-
-    /// Returns a copy with a different per-message CPU cost model.
-    #[must_use]
-    pub fn with_message_cost(mut self, cost: FixedCost) -> IdemConfig {
+    pub fn with_message_cost(mut self, cost: Duration) -> IdemConfig {
         self.message_cost = cost;
         self
     }
@@ -118,19 +107,11 @@ impl IdemConfig {
     /// Validates the invariants the protocol relies on.
     ///
     /// # Panics
-    /// Panics if `window_size < r_max` (would break implicit GC,
-    /// Theorem 6.1), if the reject threshold is zero, or if the checkpoint
-    /// interval is zero.
+    /// Panics if the reject threshold or the checkpoint interval is zero.
     pub fn validate(&self) {
         assert!(
             self.reject_threshold > 0,
             "reject threshold must be positive"
-        );
-        assert!(
-            self.window_size >= self.r_max(),
-            "window size {} smaller than r_max {}; implicit GC would be unsound",
-            self.window_size,
-            self.r_max()
         );
         assert!(
             self.checkpoint_interval > 0,
@@ -164,16 +145,8 @@ mod tests {
     fn with_reject_threshold_rescales_window_and_cache() {
         let cfg = IdemConfig::for_faults(1).with_reject_threshold(20);
         assert_eq!(cfg.r_max(), 60);
-        assert_eq!(cfg.window_size, 120);
+        assert_eq!(cfg.window_size(), 120);
         assert_eq!(cfg.rejected_cache_capacity, 80);
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "implicit GC would be unsound")]
-    fn validate_rejects_small_window() {
-        let mut cfg = IdemConfig::default();
-        cfg.window_size = cfg.r_max() - 1;
         cfg.validate();
     }
 

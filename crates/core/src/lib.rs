@@ -86,7 +86,7 @@ pub mod config;
 pub mod messages;
 pub mod replica;
 
-pub use acceptance::{AcceptancePolicy, AqmConfig};
+pub use acceptance::AcceptancePolicy;
 pub use client::{
     ClientApp, ClientConfig, ClientStats, IdemClient, IdemPort, OperationOutcome, OutcomeKind,
     RejectHandling,

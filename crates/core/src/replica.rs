@@ -3,13 +3,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use idem_common::app::CostModel;
 use idem_common::{
     Chained, CheckpointData, ClientId, Consumed, Directory, QuorumTracker, ReconfigCommand,
     ReplicaBase, Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, SeqWindow, SessionTable,
-    StateMachine, View, VoteStore, WalRecordRef, RECONFIG_CLIENT,
+    StateMachine, View, VoteStore, WalRecordRef, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
 };
-use idem_simnet::{Context, Node, NodeId, SimTime, TimerId, Wire};
+use idem_simnet::{Context, Node, NodeId, SimTime, TimerId};
 
 use crate::acceptance::AcceptanceTest;
 use crate::config::IdemConfig;
@@ -129,7 +128,6 @@ impl Chained for ReqEntry {
 struct RejectedCache {
     capacity: usize,
     order: VecDeque<RequestId>,
-    len: usize,
 }
 
 impl RejectedCache {
@@ -137,7 +135,6 @@ impl RejectedCache {
         RejectedCache {
             capacity,
             order: VecDeque::new(),
-            len: 0,
         }
     }
 
@@ -172,8 +169,7 @@ impl RejectedCache {
             e.body = Some(req);
         }
         self.order.push_back(id);
-        self.len += 1;
-        while self.len > self.capacity {
+        while self.order.len() > self.capacity {
             let Some(old) = self.order.pop_front() else {
                 break;
             };
@@ -190,12 +186,7 @@ impl RejectedCache {
                     reqs.remove(oh);
                 }
             }
-            self.len -= 1;
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -289,11 +280,7 @@ impl IdemReplica {
         app: Box<dyn StateMachine + Send>,
     ) -> IdemReplica {
         cfg.validate();
-        let test = AcceptanceTest::new(
-            cfg.acceptance,
-            cfg.reject_threshold,
-            crate::acceptance::AqmConfig::default(),
-        );
+        let test = AcceptanceTest::new(cfg.acceptance, cfg.reject_threshold);
         IdemReplica {
             base: ReplicaBase::new(
                 me,
@@ -301,9 +288,9 @@ impl IdemReplica {
                 app,
                 cfg.quorum.n(),
                 cfg.message_cost,
-                cfg.progress_timeout,
+                PROGRESS_TIMEOUT,
             ),
-            window: SeqWindow::new(cfg.window_size),
+            window: SeqWindow::new(cfg.window_size()),
             gc_scratch: Vec::new(),
             rejected_cache: RejectedCache::new(cfg.rejected_cache_capacity),
             cfg,
@@ -341,17 +328,6 @@ impl IdemReplica {
     /// Protocol counters.
     pub fn stats(&self) -> &ReplicaStats {
         &self.stats
-    }
-
-    /// Number of currently active (accepted, unexecuted) requests: the
-    /// `r_now` of the acceptance test.
-    pub fn active_requests(&self) -> usize {
-        self.active_count
-    }
-
-    /// Number of entries currently held in the rejected-request cache.
-    pub fn rejected_cache_len(&self) -> usize {
-        self.rejected_cache.len()
     }
 
     fn leader_node(&self) -> NodeId {
@@ -462,14 +438,10 @@ impl IdemReplica {
         // The acceptance test (Section 5.1).
         let r_now = self.active_count as u32;
         let estimate = self.update_load_estimate(ctx.now(), r_now);
-        if !self.test.accepts_request(
-            id,
-            req.command.len(),
-            r_now,
-            estimate,
-            ctx.now(),
-            self.max_client_seen,
-        ) {
+        if !self
+            .test
+            .accepts(id, r_now, estimate, ctx.now(), self.max_client_seen)
+        {
             self.stats.rejected += 1;
             let client = self.base.dir.client(id.client);
             self.rejected_cache
@@ -1437,7 +1409,7 @@ impl IdemReplica {
 
 impl Node<IdemMessage> for IdemReplica {
     fn on_message(&mut self, ctx: &mut Context<'_, IdemMessage>, from: NodeId, msg: IdemMessage) {
-        ctx.charge(self.cfg.message_cost.message_cost(msg.wire_size()));
+        ctx.charge(self.cfg.message_cost);
         // A non-member takes no part in the protocol: it handles the first
         // arms — bodies are still served, a member may need one this node
         // sourced — and drops the rest (see `ReplicaBase::redirect_client`).
@@ -1546,7 +1518,7 @@ mod tests {
                 Request::new(rid(0, i), vec![i as u8]),
             );
         }
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.order.len(), 3);
         assert!(!is_rejected(&reqs, &sessions, rid(0, 0)));
         assert!(!is_rejected(&reqs, &sessions, rid(0, 1)));
         assert!(is_rejected(&reqs, &sessions, rid(0, 2)));
@@ -1572,7 +1544,7 @@ mod tests {
             &mut sessions,
             Request::new(rid(0, 1), vec![1]),
         );
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.order.len(), 1);
         assert_eq!(reqs.len(), 1);
     }
 
@@ -1587,7 +1559,7 @@ mod tests {
             &mut sessions,
             Request::new(rid(0, 1), vec![1]),
         );
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.order.len(), 0);
         assert!(reqs.is_empty());
     }
 

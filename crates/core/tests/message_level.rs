@@ -112,7 +112,7 @@ fn count<F: Fn(&IdemMessage) -> bool>(log: &Log, f: F) -> usize {
 /// timing is exact.
 fn test_cfg() -> IdemConfig {
     IdemConfig::for_faults(1)
-        .with_message_cost(idem_common::FixedCost::free())
+        .with_message_cost(Duration::ZERO)
         .with_acceptance(AcceptancePolicy::AlwaysAccept)
 }
 
@@ -250,7 +250,7 @@ fn replica_serves_fetch_from_rejected_cache() {
     // threshold of 1 and fill it so the next request is rejected, then ask
     // for the rejected request's body via FETCH.
     let cfg = IdemConfig::for_faults(1)
-        .with_message_cost(idem_common::FixedCost::free())
+        .with_message_cost(Duration::ZERO)
         .with_reject_threshold(1)
         .with_acceptance(AcceptancePolicy::TailDrop);
     let mut r = rig(cfg, 2);
@@ -287,6 +287,85 @@ fn replica_serves_fetch_from_rejected_cache() {
         .filter(|(_, m)| matches!(m, IdemMessage::Forward(f) if f.id == second.id))
         .count();
     assert_eq!(forwards, 1, "rejected cache must serve the fetch");
+}
+
+#[test]
+fn rejected_body_aged_out_of_the_cache_is_fetched_again() {
+    // Follower r2 at tail-drop threshold 1 with room for one rejected
+    // body: op 1 takes the only slot, op 2 and op 3 are rejected, and
+    // caching op 3 evicts op 2.
+    let evicted = request(2);
+    let cached = request(3);
+    let rejected_pair = || {
+        let mut cfg = IdemConfig::for_faults(1)
+            .with_message_cost(Duration::ZERO)
+            .with_reject_threshold(1)
+            .with_acceptance(AcceptancePolicy::TailDrop);
+        cfg.rejected_cache_capacity = 1;
+        let mut r = rig(cfg, 2);
+        let target = r.replica;
+        for req in [cached.clone(), evicted.clone(), request(1)] {
+            r.scripts[2]
+                .borrow_mut()
+                .push((target, IdemMessage::Request(req)));
+        }
+        r.sim.run_for(Duration::from_millis(2));
+        assert_eq!(
+            count(&r.client_log, |m| matches!(m, IdemMessage::Reject(_))),
+            2
+        );
+        r
+    };
+    let forwards_of = |log: &Log, id: RequestId| {
+        count(log, |m| matches!(m, IdemMessage::Forward(f) if f.id == id))
+    };
+    let fetches_of =
+        |log: &Log, id: RequestId| count(log, |m| matches!(m, IdemMessage::Fetch(f) if *f == id));
+    let propose = |r: &Rig, id: RequestId| {
+        r.scripts[0].borrow_mut().push((
+            r.replica,
+            IdemMessage::Propose {
+                id,
+                sqn: SeqNumber(0),
+                view: View(0),
+            },
+        ));
+    };
+
+    // A peer's fetch is served for the cached body only.
+    let mut r = rejected_pair();
+    let target = r.replica;
+    for id in [evicted.id, cached.id] {
+        r.scripts[0]
+            .borrow_mut()
+            .push((target, IdemMessage::Fetch(id)));
+    }
+    r.sim.run_for(Duration::from_millis(2));
+    assert_eq!(forwards_of(&r.peer_logs[0], evicted.id), 0, "evicted");
+    assert_eq!(forwards_of(&r.peer_logs[0], cached.id), 1, "cached");
+
+    // The leader binds the evicted id: the body is fetched from the
+    // proposal's source, and once it arrives the request executes once.
+    let mut r = rejected_pair();
+    propose(&r, evicted.id);
+    r.sim.run_for(Duration::from_millis(2));
+    assert_eq!(fetches_of(&r.peer_logs[0], evicted.id), 1);
+    r.scripts[0]
+        .borrow_mut()
+        .push((r.replica, IdemMessage::Forward(evicted.clone())));
+    r.sim.run_for(Duration::from_millis(2));
+    let stats = r.sim.node_as::<IdemReplica>(r.replica).unwrap().stats();
+    assert_eq!(stats.executed, 1);
+    assert_eq!(stats.rejected_cache_hits, 0);
+
+    // The same binding of the still-cached id executes from the cache.
+    let mut r = rejected_pair();
+    propose(&r, cached.id);
+    r.sim.run_for(Duration::from_millis(2));
+    assert_eq!(fetches_of(&r.peer_logs[0], cached.id), 0);
+    let stats = r.sim.node_as::<IdemReplica>(r.replica).unwrap().stats();
+    assert_eq!(stats.executed, 1);
+    assert_eq!(stats.rejected_cache_hits, 1);
 }
 
 #[test]
@@ -363,7 +442,7 @@ fn implicit_gc_advances_on_future_sequence_numbers() {
 #[test]
 fn reject_goes_only_to_the_client() {
     let cfg = IdemConfig::for_faults(1)
-        .with_message_cost(idem_common::FixedCost::free())
+        .with_message_cost(Duration::ZERO)
         .with_reject_threshold(1)
         .with_acceptance(AcceptancePolicy::TailDrop);
     let mut r = rig(cfg, 0);

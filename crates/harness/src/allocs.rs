@@ -6,16 +6,12 @@
 //! calls and live heap bytes in relaxed atomics. The counters are
 //! process-global, so a measurement is a pair of [`snapshot`] calls around
 //! the region of interest. With the feature disabled the module compiles to
-//! nothing: [`ENABLED`] is `false` and [`snapshot`] always returns zeros, so
-//! callers can stay feature-free and just skip reporting when counts are
-//! absent.
+//! nothing: [`snapshot`] always returns zeros, so callers can stay
+//! feature-free and just skip reporting when counts are absent.
 //!
 //! Counting (three relaxed read-modify-writes per allocator call) is cheap
 //! but not free, so the feature is off by default and benchmark numbers
 //! should never be taken with it on.
-
-/// Whether the counting allocator is compiled into this build.
-pub const ENABLED: bool = cfg!(feature = "alloc-count");
 
 /// A point-in-time reading of the process-global allocation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,8 +39,8 @@ impl AllocSnapshot {
     }
 }
 
-/// Read the current allocation counters (zeros when [`ENABLED`] is false)
-/// and start a new peak from the current live bytes.
+/// Read the current allocation counters (zeros without the `alloc-count`
+/// feature) and start a new peak from the current live bytes.
 pub fn snapshot() -> AllocSnapshot {
     #[cfg(feature = "alloc-count")]
     {

@@ -25,7 +25,7 @@
 //! [`Schedule::generate`] derives a schedule deterministically from a seed,
 //! with safety constraints baked in: at most one node-fault episode and one
 //! network-fault episode at a time, every crash paired with a recovery, and
-//! all episodes over before [`FAULT_WINDOW_END`]. A campaign run
+//! all episodes over before [`FAULT_WINDOW_END_MS`]. A campaign run
 //! ([`run_campaign`]) replays each seed's schedule against IDEM, Paxos, and
 //! BFT-SMaRt, force-heals everything at the end of the fault window, lets
 //! the cluster run a fixed cooldown, and then checks the
@@ -60,11 +60,14 @@ pub const FAULT_WINDOW_END_MS: u64 = 1500;
 
 /// Post-heal cooldown (ms) during which commits must resume and every
 /// client must make progress. Must comfortably exceed the protocols'
-/// 1.5 s progress timeout: a leader that makes its last bit of progress
-/// right at the heal boundary only detects the stall one full timeout
-/// later, and the view change plus client retransmissions need room
-/// after that.
+/// [`PROGRESS_TIMEOUT`](idem_common::PROGRESS_TIMEOUT): a leader that
+/// makes its last bit of progress right at the heal boundary only detects
+/// the stall one full timeout later, and the view change plus client
+/// retransmissions need room after that. "Comfortably" is at least twice
+/// the timeout, checked at compile time.
 pub const COOLDOWN_MS: u64 = 4000;
+
+const _: () = assert!(COOLDOWN_MS >= 2 * idem_common::PROGRESS_TIMEOUT.as_millis() as u64);
 
 /// Closed-loop clients per chaos run — enough concurrency to exercise
 /// forwarding and batching without making 50-seed campaigns slow.

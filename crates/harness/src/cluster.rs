@@ -13,7 +13,7 @@ use idem_paxos::{PaxosMessage, PaxosReplica};
 use idem_simnet::{DiskLatency, LinkSpec, Network, Node, NodeId, SimTime, Simulation};
 use idem_smart::{SmartMessage, SmartReplica};
 
-use crate::recorder::{Recorder, RecorderHandle, RecordingApp};
+use crate::recorder::{Recorder, RecorderHandle, RecordingApp, BIN_WIDTH};
 
 /// Per-operation execution cost of the replicated key-value store,
 /// calibrated so a three-replica cluster saturates around the paper's
@@ -68,8 +68,7 @@ impl Protocol {
     /// optimistic clients).
     pub fn idem() -> Protocol {
         Protocol::Idem {
-            config: idem_core::IdemConfig::for_faults(1)
-                .with_message_cost(idem_common::FixedCost::new(MESSAGE_COST, Duration::ZERO)),
+            config: idem_core::IdemConfig::for_faults(1).with_message_cost(MESSAGE_COST),
             client: idem_core::ClientConfig::for_quorum(idem_common::QuorumSet::for_faults(1)),
         }
     }
@@ -110,8 +109,7 @@ impl Protocol {
     /// Plain Paxos (unbounded queues).
     pub fn paxos() -> Protocol {
         Protocol::Paxos {
-            config: idem_paxos::PaxosConfig::for_faults(1)
-                .with_message_cost(idem_common::FixedCost::new(MESSAGE_COST, Duration::ZERO)),
+            config: idem_paxos::PaxosConfig::for_faults(1).with_message_cost(MESSAGE_COST),
             client: idem_paxos::PaxosClientConfig::default(),
         }
     }
@@ -120,7 +118,7 @@ impl Protocol {
     pub fn paxos_lbr(threshold: u32) -> Protocol {
         Protocol::Paxos {
             config: idem_paxos::PaxosConfig::for_faults(1)
-                .with_message_cost(idem_common::FixedCost::new(MESSAGE_COST, Duration::ZERO))
+                .with_message_cost(MESSAGE_COST)
                 .with_reject_policy(idem_paxos::RejectPolicy::LeaderBased { threshold }),
             client: idem_paxos::PaxosClientConfig::default(),
         }
@@ -129,8 +127,7 @@ impl Protocol {
     /// The BFT-SMaRt-style baseline.
     pub fn smart() -> Protocol {
         Protocol::Smart {
-            config: idem_smart::SmartConfig::for_faults(1)
-                .with_message_cost(idem_common::FixedCost::new(MESSAGE_COST, Duration::ZERO)),
+            config: idem_smart::SmartConfig::for_faults(1).with_message_cost(MESSAGE_COST),
             client: idem_smart::SmartClientConfig::default(),
         }
     }
@@ -142,7 +139,6 @@ impl Protocol {
                 idem_core::AcceptancePolicy::AlwaysAccept => "IDEM_noPR",
                 idem_core::AcceptancePolicy::TailDrop => "IDEM_noAQM",
                 idem_core::AcceptancePolicy::ActiveQueue => "IDEM",
-                idem_core::AcceptancePolicy::CostAware { .. } => "IDEM_costaware",
             },
             Protocol::Paxos { config, .. } => match config.reject_policy {
                 idem_paxos::RejectPolicy::Never => "Paxos",
@@ -300,8 +296,6 @@ pub struct ClusterOptions {
     pub seed: u64,
     /// Outcomes completing before this are excluded from metrics.
     pub warmup: Duration,
-    /// Time-series bin width.
-    pub bin_width: Duration,
     /// Per-client cap on issued operations (`None` = unbounded).
     pub ops_per_client: Option<u64>,
     /// Record per-replica execution logs for post-run invariant checking
@@ -330,7 +324,6 @@ impl Default for ClusterOptions {
             workload: WorkloadSpec::update_heavy(),
             seed: 1,
             warmup: Duration::from_secs(1),
-            bin_width: Duration::from_millis(250),
             ops_per_client: None,
             record_exec_log: false,
             persist: PersistMode::Disabled,
@@ -365,7 +358,7 @@ fn wire<M: Wired, C: ClientSetup + Copy>(
 where
     C::Port: ClientPort<Msg = M>,
 {
-    let mut recorder = Recorder::new(opts.warmup, opts.bin_width);
+    let mut recorder = Recorder::new(opts.warmup, BIN_WIDTH);
     if let Some(expected) = opts.expected_duration {
         recorder = recorder.with_expected_duration(expected);
     }

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use crate::cluster::Protocol;
 use crate::experiments::{reject_downtime_s, Effort};
+use crate::recorder::BIN_WIDTH;
 use crate::report::{downsample, fmt_ms, render_csv, render_table, sparkline, ExperimentReport};
 use crate::scenario::{clients_for_factor, CrashPlan, Scenario};
 use crate::sweep::{Cell, SweepRunner};
@@ -46,7 +47,7 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         let end = result.measured.as_secs_f64();
         let rate = result.reject_throughput_series();
         let lat = result.reject_latency_series_ms();
-        let bin_s = result.bin_width.as_secs_f64();
+        let bin_s = BIN_WIDTH.as_secs_f64();
         let downtime = reject_downtime_s(&rate, bin_s, crash_s, end);
         let pre = mean_in(&lat, 0.0, crash_s);
         let post = mean_in(&lat, crash_s + downtime + 0.5, end);

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use crate::cluster::Protocol;
 use crate::experiments::{reject_downtime_s, Effort};
+use crate::recorder::BIN_WIDTH;
 use crate::report::{downsample, render_csv, render_table, sparkline, ExperimentReport};
 use crate::scenario::{clients_for_factor, CrashPlan, Scenario};
 use crate::sweep::{Cell, SweepRunner};
@@ -40,7 +41,7 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
 
     let series = result.reject_throughput_series();
     let latency_series = result.reject_latency_series_ms();
-    let bin_s = result.bin_width.as_secs_f64();
+    let bin_s = BIN_WIDTH.as_secs_f64();
     let crash_s = (crash_at - warmup).as_secs_f64();
     let downtime = reject_downtime_s(&series, bin_s, crash_s, duration.as_secs_f64());
 

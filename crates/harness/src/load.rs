@@ -42,7 +42,7 @@ use idem_simnet::{Context, Node, NodeId, SimTime, Simulation, TimerId};
 use rand::Rng;
 
 use crate::cluster::{experiment_network, install_replicas, Protocol, Wired};
-use crate::recorder::{Recorder, RecorderHandle};
+use crate::recorder::{Recorder, RecorderHandle, BIN_WIDTH};
 use crate::scenario::LoadScenario;
 
 /// The protocol adapter the source talks through, and what a message it
@@ -59,6 +59,10 @@ const TAG_ISSUE: u64 = 3;
 /// the backoff wheel granularity, so a due bucket is released by the next
 /// tick.
 const HOUSEKEEP_EVERY: Duration = Duration::from_millis(5);
+
+/// Retransmissions per operation before the source just keeps waiting
+/// (links are lossless; this bounds duplicate traffic).
+const MAX_RETRANSMITS: u8 = 3;
 
 /// Cap on a single sampled arrival gap, so a zero-rate regime arms a
 /// bounded timer instead of one ~584 years out.
@@ -529,7 +533,7 @@ impl<P: LoadPort> LoadSource<P> {
                 client,
                 arrived_ns,
                 command: command.clone(),
-                retx_left: self.sc.max_retransmits,
+                retx_left: MAX_RETRANSMITS,
                 rejects: QuorumTracker::new(threshold),
             },
         );
@@ -927,9 +931,8 @@ where
     let dir = Directory::with_client_fallback(replicas, Vec::new(), source);
     install_replicas(&mut sim, config, &dir, false, PersistMode::Disabled);
     let port = client.port(&dir, &Membership::bootstrap(n));
-    let recorder = RecorderHandle::new(
-        Recorder::new(sc.warmup, Duration::from_millis(250)).with_expected_duration(total),
-    );
+    let recorder =
+        RecorderHandle::new(Recorder::new(sc.warmup, BIN_WIDTH).with_expected_duration(total));
     sim.install_node(
         source,
         Box::new(LoadSource::new(port, dir, sc.clone(), recorder)),

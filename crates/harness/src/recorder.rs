@@ -38,6 +38,10 @@ pub struct Recorder {
     order_violations: u64,
 }
 
+/// Width of the time-series bins every harness run records (the
+/// throughput and latency timelines of Figures 3 and 10).
+pub const BIN_WIDTH: Duration = Duration::from_millis(250);
+
 impl Recorder {
     /// Creates a recorder excluding outcomes before `warmup` and bucketing
     /// time series at `bin_width`.

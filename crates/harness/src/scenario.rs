@@ -6,7 +6,7 @@ use idem_kv::WorkloadSpec;
 use idem_metrics::TimeBin;
 
 use crate::cluster::{build_cluster, ClusterHandles, ClusterOptions, Protocol};
-use crate::recorder::RunMetrics;
+use crate::recorder::{RunMetrics, BIN_WIDTH};
 
 /// The paper's baseline client count: 50 closed-loop clients saturate the
 /// system (client-load factor 1x, Section 7.3).
@@ -39,8 +39,6 @@ pub struct Scenario {
     pub warmup: Duration,
     /// Measured phase.
     pub duration: Duration,
-    /// Time-series bin width.
-    pub bin_width: Duration,
     /// Optional crash injection.
     pub crash: Option<CrashPlan>,
     /// RNG seed.
@@ -56,7 +54,6 @@ impl Scenario {
             workload: WorkloadSpec::update_heavy(),
             warmup: Duration::from_secs(1),
             duration,
-            bin_width: Duration::from_millis(250),
             crash: None,
             seed: 1,
         }
@@ -83,20 +80,12 @@ impl Scenario {
         self
     }
 
-    /// Returns a copy with a different time-series bin width.
-    #[must_use]
-    pub fn with_bin_width(mut self, bin_width: Duration) -> Scenario {
-        self.bin_width = bin_width;
-        self
-    }
-
     fn options(&self) -> ClusterOptions {
         ClusterOptions {
             clients: self.clients,
             workload: self.workload,
             seed: self.seed,
             warmup: self.warmup,
-            bin_width: self.bin_width,
             ops_per_client: None,
             record_exec_log: false,
             expected_duration: Some(self.warmup + self.duration),
@@ -157,7 +146,6 @@ impl Scenario {
             clients: self.clients,
             metrics,
             measured,
-            bin_width: self.bin_width,
             reply_series,
             reject_series,
             client_traffic_bytes: cluster.client_traffic_bytes(),
@@ -182,9 +170,8 @@ pub struct RunResult {
     pub metrics: RunMetrics,
     /// Actual measured duration.
     pub measured: Duration,
-    /// Time-series bin width.
-    pub bin_width: Duration,
-    /// Per-bin successful operations (bin start, bin).
+    /// Per-bin successful operations (bin start, bin), bins [`BIN_WIDTH`]
+    /// wide.
     pub reply_series: Vec<(Duration, TimeBin)>,
     /// Per-bin rejected operations (bin start, bin).
     pub reject_series: Vec<(Duration, TimeBin)>,
@@ -215,7 +202,7 @@ impl RunResult {
 
     /// Per-bin throughput series in requests/second.
     pub fn throughput_series(&self) -> Vec<(f64, f64)> {
-        let secs = self.bin_width.as_secs_f64();
+        let secs = BIN_WIDTH.as_secs_f64();
         self.reply_series
             .iter()
             .map(|(t, bin)| (t.as_secs_f64(), bin.count as f64 / secs))
@@ -232,7 +219,7 @@ impl RunResult {
 
     /// Per-bin reject throughput series in rejections/second.
     pub fn reject_throughput_series(&self) -> Vec<(f64, f64)> {
-        let secs = self.bin_width.as_secs_f64();
+        let secs = BIN_WIDTH.as_secs_f64();
         self.reject_series
             .iter()
             .map(|(t, bin)| (t.as_secs_f64(), bin.count as f64 / secs))
@@ -280,9 +267,6 @@ pub struct LoadScenario {
     pub backoff: (Duration, Duration),
     /// Retransmit interval for outstanding requests.
     pub retransmit_every: Duration,
-    /// Retransmissions per operation before the source just keeps waiting
-    /// (links are lossless; this bounds duplicate traffic).
-    pub max_retransmits: u8,
     /// Fraction of the population that are stragglers (slow clients).
     pub straggler_fraction: f64,
     /// Extra issue delay range (min, max) for straggler clients.
@@ -312,7 +296,6 @@ impl LoadScenario {
             sla: Duration::from_millis(100),
             backoff: (Duration::from_millis(50), Duration::from_millis(100)),
             retransmit_every: Duration::from_secs(1),
-            max_retransmits: 3,
             straggler_fraction: 0.0,
             straggler_delay: (Duration::from_millis(20), Duration::from_millis(50)),
             seed: 1,

@@ -174,14 +174,12 @@ fn smart_saturated_cell_matches_map_based_golden() {
 // it, and re-captured like the four above.
 
 const WARMUP: Duration = Duration::from_secs(1);
-const BIN_WIDTH: Duration = Duration::from_millis(250);
 
 fn client_path_cluster(protocol: &Protocol, clients: u32, spares: u32) -> ClusterHandles {
     let opts = ClusterOptions {
         clients,
         seed: 7,
         warmup: WARMUP,
-        bin_width: BIN_WIDTH,
         spares,
         ..ClusterOptions::default()
     };
@@ -198,7 +196,6 @@ fn collect(cluster: &ClusterHandles, protocol: &Protocol, clients: u32) -> RunRe
         clients,
         metrics: cluster.recorder.with(|r| r.metrics(measured)),
         measured,
-        bin_width: BIN_WIDTH,
         reply_series: cluster.recorder.with(|r| r.reply_series().iter().collect()),
         reject_series: cluster
             .recorder

@@ -44,9 +44,8 @@ pub struct KvStore {
     writes: u64,
     reads: u64,
     /// Total length of all stored values, maintained incrementally so
-    /// [`snapshot_len`](StateMachine::snapshot_len) is O(1) — replicas call
-    /// it on every periodic checkpoint to price serialization without
-    /// performing it.
+    /// [`snapshot_len`](StateMachine::snapshot_len) is O(1) — the WAL calls
+    /// it to size every checkpoint record before streaming the snapshot.
     value_bytes: usize,
 }
 

@@ -100,7 +100,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipfian {
@@ -124,7 +123,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -151,11 +149,6 @@ impl Zipfian {
     /// The keyspace size.
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// Kept for introspection/debugging of the distribution constants.
-    pub fn constants(&self) -> (f64, f64, f64) {
-        (self.zetan, self.eta, self.zeta2)
     }
 }
 

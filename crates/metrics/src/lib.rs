@@ -3,17 +3,14 @@
 //! Measurement infrastructure for the IDEM reproduction.
 //!
 //! The paper's evaluation plots average latency with standard deviation,
-//! throughput over time, percentile tails, reject rates, and total network
-//! traffic. This crate provides exactly those primitives:
+//! throughput over time and percentile tails. This crate provides those
+//! primitives (Table 1's network traffic is counted by the simulator):
 //!
 //! * [`Histogram`] — a log-bucketed (HDR-style) value histogram with
 //!   percentile queries, mean and standard deviation; used for end-to-end
 //!   latency distributions.
 //! * [`TimeSeries`] — fixed-bin-width accumulation of (count, sum) pairs;
 //!   used for the throughput/latency-over-time plots of Figures 3 and 10.
-//! * [`Counter`]s via [`CounterSet`] — named monotonic counters; used for
-//!   message/byte accounting behind Table 1.
-//! * [`Welford`] — streaming mean/variance for cheap summary statistics.
 //!
 //! All types are plain data: no global state, no interior mutability, no
 //! threads. That keeps experiments deterministic and mergeable.
@@ -32,12 +29,8 @@
 //! assert!(h.percentile(99.9) >= 1_000_000 / 2);
 //! ```
 
-pub mod counters;
 pub mod histogram;
-pub mod stats;
 pub mod timeseries;
 
-pub use counters::{Counter, CounterSet};
 pub use histogram::Histogram;
-pub use stats::Welford;
 pub use timeseries::{TimeBin, TimeSeries};

@@ -44,7 +44,6 @@ impl TimeBin {
 /// ts.record(1_200_000_000, 300); // t = 1.2 s, value 300
 /// assert_eq!(ts.bin(0).count, 1);
 /// assert_eq!(ts.bin(1).sum, 300);
-/// assert_eq!(ts.throughput(0), 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
@@ -63,11 +62,6 @@ impl TimeSeries {
             bin_width,
             bins: Vec::new(),
         }
-    }
-
-    /// The configured bin width.
-    pub fn bin_width(&self) -> Duration {
-        self.bin_width
     }
 
     /// Reserves capacity for all bins up to `horizon`, so a series whose
@@ -106,22 +100,12 @@ impl TimeSeries {
         self.bins.iter().all(|b| b.count == 0)
     }
 
-    /// Event rate in the bin at `index`, in events per second.
-    pub fn throughput(&self, index: usize) -> f64 {
-        self.bin(index).count as f64 / self.bin_width.as_secs_f64()
-    }
-
     /// Iterates `(bin_start, bin)` over all allocated bins.
     pub fn iter(&self) -> impl Iterator<Item = (Duration, TimeBin)> + '_ {
         self.bins
             .iter()
             .enumerate()
             .map(move |(i, &b)| (self.bin_width * i as u32, b))
-    }
-
-    /// Total number of events across all bins.
-    pub fn total_count(&self) -> u64 {
-        self.bins.iter().map(|b| b.count).sum()
     }
 }
 
@@ -152,15 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_scales_with_bin_width() {
-        let mut ts = TimeSeries::new(Duration::from_millis(500));
-        for i in 0..10 {
-            ts.record(i * 50_000_000, 0); // 10 events in the first 0.5 s
-        }
-        assert_eq!(ts.throughput(0), 20.0); // 10 events / 0.5 s
-    }
-
-    #[test]
     fn bin_mean() {
         let mut ts = TimeSeries::new(Duration::from_secs(1));
         ts.record(0, 10);
@@ -175,15 +150,6 @@ mod tests {
         ts.record(3_000_000_000, 1);
         let starts: Vec<_> = ts.iter().map(|(t, _)| t.as_secs()).collect();
         assert_eq!(starts, vec![0, 2]);
-    }
-
-    #[test]
-    fn total_count_sums_bins() {
-        let mut ts = TimeSeries::new(Duration::from_secs(1));
-        for i in 0..7 {
-            ts.record(i * 300_000_000, 0);
-        }
-        assert_eq!(ts.total_count(), 7);
     }
 
     #[test]

@@ -32,24 +32,17 @@ pub struct PaxosClientConfig {
     /// How long to wait for a reply before assuming the presumed leader is
     /// unreachable and probing the next replica.
     pub request_timeout: Duration,
-    /// Uniform random delay before the next operation after an LBR
-    /// rejection (same load regulation as IDEM clients).
-    pub backoff: (Duration, Duration),
     /// Uniform random delay of the first operation.
     pub start_stagger: Duration,
-    /// Closed-loop think time after a success.
-    pub think_time: Duration,
 }
 
 impl Default for PaxosClientConfig {
-    /// `f = 1`, 1 s request timeout, 50–100 ms backoff.
+    /// `f = 1`, 1 s request timeout.
     fn default() -> PaxosClientConfig {
         PaxosClientConfig {
             quorum: QuorumSet::for_faults(1),
             request_timeout: Duration::from_secs(1),
-            backoff: (Duration::from_millis(50), Duration::from_millis(100)),
             start_stagger: Duration::from_millis(10),
-            think_time: Duration::ZERO,
         }
     }
 }
@@ -173,10 +166,11 @@ impl ClientSetup for PaxosClientConfig {
     fn timing(&self) -> ClientTiming {
         ClientTiming {
             retransmit_interval: self.request_timeout,
-            backoff: self.backoff,
+            // After an LBR rejection: the same load regulation as IDEM's.
+            backoff: (Duration::from_millis(50), Duration::from_millis(100)),
             start_delay: Duration::ZERO,
             start_stagger: self.start_stagger,
-            think_time: self.think_time,
+            think_time: Duration::ZERO,
         }
     }
 

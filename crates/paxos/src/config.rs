@@ -2,7 +2,10 @@
 
 use std::time::Duration;
 
-use idem_common::{FixedCost, QuorumSet};
+use idem_common::QuorumSet;
+
+/// Number of consensus instances the leader proposes concurrently.
+pub(crate) const WINDOW_SIZE: u64 = 256;
 
 /// Rejection behaviour of the Paxos leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,16 +38,11 @@ pub struct PaxosConfig {
     pub quorum: QuorumSet,
     /// Leader rejection behaviour.
     pub reject_policy: RejectPolicy,
-    /// Number of consensus instances proposed concurrently.
-    pub window_size: u64,
     /// A checkpoint is taken every this many executed instances; the
     /// instance window is garbage-collected up to the checkpoint.
     pub checkpoint_interval: u64,
-    /// View-change timeout: no execution progress for this long while work
-    /// is pending makes a replica abandon the view.
-    pub progress_timeout: Duration,
-    /// CPU cost charged per received protocol message.
-    pub message_cost: FixedCost,
+    /// CPU cost charged per received protocol message, whatever its size.
+    pub message_cost: Duration,
 }
 
 impl PaxosConfig {
@@ -53,10 +51,8 @@ impl PaxosConfig {
         PaxosConfig {
             quorum: QuorumSet::for_faults(f),
             reject_policy: RejectPolicy::Never,
-            window_size: 256,
             checkpoint_interval: 128,
-            progress_timeout: Duration::from_millis(1500),
-            message_cost: FixedCost::new(Duration::from_micros(2), Duration::ZERO),
+            message_cost: Duration::from_micros(2),
         }
     }
 
@@ -67,16 +63,9 @@ impl PaxosConfig {
         self
     }
 
-    /// Returns a copy with a different progress (view-change) timeout.
+    /// Returns a copy with a different per-message CPU cost.
     #[must_use]
-    pub fn with_progress_timeout(mut self, t: Duration) -> PaxosConfig {
-        self.progress_timeout = t;
-        self
-    }
-
-    /// Returns a copy with a different per-message CPU cost model.
-    #[must_use]
-    pub fn with_message_cost(mut self, cost: FixedCost) -> PaxosConfig {
+    pub fn with_message_cost(mut self, cost: Duration) -> PaxosConfig {
         self.message_cost = cost;
         self
     }
@@ -84,9 +73,8 @@ impl PaxosConfig {
     /// Validates invariants.
     ///
     /// # Panics
-    /// Panics if the window or checkpoint interval is zero.
+    /// Panics if the checkpoint interval is zero.
     pub fn validate(&self) {
-        assert!(self.window_size > 0, "window size must be positive");
         assert!(
             self.checkpoint_interval > 0,
             "checkpoint interval must be positive"
@@ -119,15 +107,5 @@ mod tests {
             cfg.reject_policy,
             RejectPolicy::LeaderBased { threshold: 42 }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "window size must be positive")]
-    fn zero_window_rejected() {
-        let cfg = PaxosConfig {
-            window_size: 0,
-            ..PaxosConfig::default()
-        };
-        cfg.validate();
     }
 }

@@ -2,15 +2,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use idem_common::app::CostModel;
 use idem_common::{
     Chained, CheckpointData, ClientId, Consumed, Directory, QuorumTracker, ReconfigCommand,
     ReplicaBase, Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, SeqWindow, StateMachine,
-    View, VoteStore, RECONFIG_CLIENT,
+    View, VoteStore, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
 };
-use idem_simnet::{Context, Node, NodeId, TimerId, Wire};
+use idem_simnet::{Context, Node, NodeId, TimerId};
 
-use crate::config::{PaxosConfig, RejectPolicy};
+use crate::config::{PaxosConfig, RejectPolicy, WINDOW_SIZE};
 use crate::messages::{PaxosMessage, PaxosWindowEntry};
 
 /// Reserved client id for gap-filling no-op requests.
@@ -139,9 +138,9 @@ impl PaxosReplica {
                 app,
                 cfg.quorum.n(),
                 cfg.message_cost,
-                cfg.progress_timeout,
+                PROGRESS_TIMEOUT,
             ),
-            window: SeqWindow::new(cfg.window_size),
+            window: SeqWindow::new(WINDOW_SIZE),
             cfg,
             vc_store: VoteStore::default(),
             next_propose: SeqNumber(0),
@@ -730,7 +729,7 @@ impl PaxosReplica {
 
 impl Node<PaxosMessage> for PaxosReplica {
     fn on_message(&mut self, ctx: &mut Context<'_, PaxosMessage>, from: NodeId, msg: PaxosMessage) {
-        ctx.charge(self.cfg.message_cost.message_cost(msg.wire_size()));
+        ctx.charge(self.cfg.message_cost);
         // A non-member takes no part in the protocol: it handles the first
         // arms and drops the rest (see `ReplicaBase::redirect_client`).
         let member = self.base.is_member();

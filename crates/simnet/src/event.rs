@@ -1,7 +1,7 @@
 //! Event types and the global event queue.
 //!
 //! The queue is a thin wrapper over the hierarchical
-//! [`TimingWheel`](crate::wheel::TimingWheel); see that module for the
+//! [`TimingWheel`]; see that module for the
 //! scheduling algorithm and the `(time, seq)` ordering contract.
 //!
 //! Message bodies never travel through the queue: entries carry 8-byte

@@ -57,14 +57,6 @@ impl Traffic {
         self.bytes[from.index() * self.nodes + to.index()]
     }
 
-    /// Total messages sent from `from` to `to`.
-    pub fn messages_between(&self, from: NodeId, to: NodeId) -> u64 {
-        if from.index() >= self.nodes || to.index() >= self.nodes {
-            return 0;
-        }
-        self.messages[from.index() * self.nodes + to.index()]
-    }
-
     /// Total bytes across all pairs.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
@@ -97,19 +89,6 @@ impl Traffic {
         }
         total
     }
-
-    /// Sums messages over all ordered pairs accepted by `filter`.
-    pub fn messages_matching(&self, mut filter: impl FnMut(NodeId, NodeId) -> bool) -> u64 {
-        let mut total = 0;
-        for f in 0..self.nodes {
-            for t in 0..self.nodes {
-                if filter(NodeId(f as u32), NodeId(t as u32)) {
-                    total += self.messages[f * self.nodes + t];
-                }
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +103,6 @@ mod tests {
         t.record(NodeId(1), NodeId(0), 3);
         assert_eq!(t.bytes_between(NodeId(0), NodeId(1)), 15);
         assert_eq!(t.bytes_between(NodeId(1), NodeId(0)), 3);
-        assert_eq!(t.messages_between(NodeId(0), NodeId(1)), 2);
         assert_eq!(t.total_bytes(), 18);
         assert_eq!(t.total_messages(), 3);
     }
@@ -142,7 +120,7 @@ mod tests {
     fn unknown_pairs_read_zero() {
         let t = Traffic::new();
         assert_eq!(t.bytes_between(NodeId(5), NodeId(6)), 0);
-        assert_eq!(t.messages_between(NodeId(5), NodeId(6)), 0);
+        assert_eq!(t.total_messages(), 0);
     }
 
     #[test]
@@ -156,6 +134,5 @@ mod tests {
         assert_eq!(inter_replica, 40);
         let client_side = t.bytes_matching(|f, to| !replicas(f) || !replicas(to));
         assert_eq!(client_side, 120);
-        assert_eq!(t.messages_matching(|f, _| f == NodeId(0)), 1);
     }
 }

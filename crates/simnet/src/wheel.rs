@@ -14,12 +14,12 @@
 //! # Layout
 //!
 //! Virtual time (u64 nanoseconds) is bucketed into *chunks* of
-//! 2^[`GRANULARITY_BITS`] ns (1.024 µs). The wheel keeps:
+//! 2^`GRANULARITY_BITS` ns (1.024 µs). The wheel keeps:
 //!
 //! * a `ready` min-heap holding only the events of the chunk currently being
 //!   drained (a handful of events, so its O(log n) is on a tiny n) — this is
 //!   what restores exact `(time, seq)` order *within* a chunk;
-//! * [`LEVELS`] levels of 2^[`SLOT_BITS`] = 64 slots each. A slot at level
+//! * `LEVELS` levels of 2^`SLOT_BITS` = 64 slots each. A slot at level
 //!   `l` spans 64^l chunks; level 0 resolves single chunks, level 8 spans
 //!   the remainder of the u64 range. Each level has a 64-bit occupancy
 //!   bitmap so the next occupied slot is one `trailing_zeros` away.
@@ -32,7 +32,7 @@
 //! occupied slot, jumps `horizon` to that slot's first chunk, and re-files
 //! the slot's events — each lands at a strictly lower level (its leading
 //! digits now agree with `horizon`), so every event cascades at most
-//! [`LEVELS`] times before reaching the ready heap. That bounded re-filing
+//! `LEVELS` times before reaching the ready heap. That bounded re-filing
 //! is the amortized O(1).
 //!
 //! # Ordering invariant
@@ -236,8 +236,8 @@ impl<T> TimingWheel<T> {
     }
 
     /// The `(time, seq)` of the earliest pending item if it is scheduled
-    /// at or before `limit`, without removing it — [`pop_before`]
-    /// (Self::pop_before) minus the pop.
+    /// at or before `limit`, without removing it —
+    /// [`pop_before`](Self::pop_before) minus the pop.
     ///
     /// This is the look-ahead the run-to-completion scheduler is built on:
     /// a node may keep draining its backlog as long as its next start slot

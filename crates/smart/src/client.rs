@@ -26,8 +26,6 @@ pub struct SmartClientConfig {
     pub retransmit_interval: Duration,
     /// Uniform random delay of the first operation.
     pub start_stagger: Duration,
-    /// Closed-loop think time after a success.
-    pub think_time: Duration,
 }
 
 impl Default for SmartClientConfig {
@@ -36,7 +34,6 @@ impl Default for SmartClientConfig {
             quorum: QuorumSet::for_faults(1),
             retransmit_interval: Duration::from_millis(500),
             start_stagger: Duration::from_millis(10),
-            think_time: Duration::ZERO,
         }
     }
 }
@@ -118,7 +115,7 @@ impl ClientSetup for SmartClientConfig {
             backoff: (Duration::ZERO, Duration::ZERO),
             start_delay: Duration::ZERO,
             start_stagger: self.start_stagger,
-            think_time: self.think_time,
+            think_time: Duration::ZERO,
         }
     }
 

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use idem_common::{FixedCost, QuorumSet};
+use idem_common::QuorumSet;
 
 /// Bits reserved for the in-batch offset when a SMaRt execution slot is
 /// packed as `(batch_sqn << SLOT_BATCH_SHIFT) | offset`: the exec log, the
@@ -26,22 +26,19 @@ pub struct SmartConfig {
     pub max_batch: usize,
     /// A checkpoint is taken every this many executed *batches*.
     pub checkpoint_interval: u64,
-    /// View-change timeout.
-    pub progress_timeout: Duration,
-    /// CPU cost charged per received protocol message.
-    pub message_cost: FixedCost,
+    /// CPU cost charged per received protocol message, whatever its size.
+    pub message_cost: Duration,
 }
 
 impl SmartConfig {
     /// Default configuration for a group tolerating `f` crashes: batches of
-    /// up to 256 requests, 1.5 s view-change timeout.
+    /// up to 256 requests.
     pub fn for_faults(f: u32) -> SmartConfig {
         SmartConfig {
             quorum: QuorumSet::for_faults(f),
             max_batch: 256,
             checkpoint_interval: 64,
-            progress_timeout: Duration::from_millis(1500),
-            message_cost: FixedCost::new(Duration::from_micros(2), Duration::ZERO),
+            message_cost: Duration::from_micros(2),
         }
     }
 
@@ -74,9 +71,9 @@ impl SmartConfig {
         );
     }
 
-    /// Returns a copy with a different per-message CPU cost model.
+    /// Returns a copy with a different per-message CPU cost.
     #[must_use]
-    pub fn with_message_cost(mut self, cost: FixedCost) -> SmartConfig {
+    pub fn with_message_cost(mut self, cost: Duration) -> SmartConfig {
         self.message_cost = cost;
         self
     }

@@ -2,13 +2,12 @@
 
 use std::collections::VecDeque;
 
-use idem_common::app::CostModel;
 use idem_common::{
     Chained, CheckpointData, Consumed, Directory, QuorumTracker, ReconfigCommand, ReplicaBase,
     Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, StateMachine, View, VoteStore,
-    WalRecordRef, RECONFIG_CLIENT,
+    WalRecordRef, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
 };
-use idem_simnet::{Context, Node, NodeId, TimerId, Wire};
+use idem_simnet::{Context, Node, NodeId, TimerId};
 
 use crate::config::{SmartConfig, SLOT_BATCH_SHIFT};
 use crate::messages::SmartMessage;
@@ -143,7 +142,7 @@ impl SmartReplica {
                 app,
                 cfg.quorum.n(),
                 cfg.message_cost,
-                cfg.progress_timeout,
+                PROGRESS_TIMEOUT,
             ),
             cfg,
             vc_store: VoteStore::default(),
@@ -695,7 +694,7 @@ impl SmartReplica {
 
 impl Node<SmartMessage> for SmartReplica {
     fn on_message(&mut self, ctx: &mut Context<'_, SmartMessage>, from: NodeId, msg: SmartMessage) {
-        ctx.charge(self.cfg.message_cost.message_cost(msg.wire_size()));
+        ctx.charge(self.cfg.message_cost);
         // A non-member takes no part in the protocol: it handles the first
         // arms and drops the rest (see `ReplicaBase::redirect_client`).
         let member = self.base.is_member();

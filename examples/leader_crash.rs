@@ -83,10 +83,7 @@ fn main() {
         sim.install_node(
             node,
             Box::new(IdemReplica::new(
-                IdemConfig::for_faults(1).with_message_cost(idem_common::FixedCost::new(
-                    Duration::from_nanos(500),
-                    Duration::ZERO,
-                )),
+                IdemConfig::for_faults(1).with_message_cost(Duration::from_nanos(500)),
                 ReplicaId(i as u32),
                 dir.clone(),
                 Box::new(KvStore::with_costs(

@@ -110,10 +110,7 @@ fn main() {
         .collect();
     let dir = Directory::new(replicas.clone(), clients.clone());
 
-    let cfg = IdemConfig::for_faults(1).with_message_cost(idem_common::FixedCost::new(
-        Duration::from_nanos(500),
-        Duration::ZERO,
-    ));
+    let cfg = IdemConfig::for_faults(1).with_message_cost(Duration::from_nanos(500));
     for (i, &node) in replicas.iter().enumerate() {
         sim.install_node(
             node,

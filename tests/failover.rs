@@ -5,22 +5,20 @@
 use std::time::Duration;
 
 use idem_harness::cluster::{build_cluster, ClusterOptions, Protocol};
-use idem_harness::recorder::Recorder;
+use idem_harness::recorder::{Recorder, BIN_WIDTH};
 use idem_harness::scenario::{clients_for_factor, CrashPlan, Scenario};
 
 fn crash_scenario(protocol: Protocol, clients: u32, replica: usize) -> Scenario {
-    Scenario::new(protocol, clients, Duration::from_secs(10))
-        .with_crash(CrashPlan {
-            replica,
-            at: Duration::from_secs(3),
-        })
-        .with_bin_width(Duration::from_millis(250))
+    Scenario::new(protocol, clients, Duration::from_secs(10)).with_crash(CrashPlan {
+        replica,
+        at: Duration::from_secs(3),
+    })
 }
 
 /// Longest reject gap (seconds) after the crash instant.
 fn downtime(result: &idem_harness::RunResult, crash_s: f64) -> f64 {
     let series = result.reject_throughput_series();
-    let bin = result.bin_width.as_secs_f64();
+    let bin = BIN_WIDTH.as_secs_f64();
     let end = result.measured.as_secs_f64();
     let mut last = crash_s;
     let mut max_gap: f64 = 0.0;

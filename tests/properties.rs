@@ -6,9 +6,9 @@ use std::time::Duration;
 use idem_common::{
     ClientId, OpNumber, QuorumSet, QuorumTracker, ReplicaId, RequestId, SeqNumber, SeqWindow,
 };
-use idem_core::acceptance::{AcceptancePolicy, AcceptanceTest, AqmConfig};
+use idem_core::acceptance::{AcceptancePolicy, AcceptanceTest};
 use idem_kv::{Command, DecodeCommandError, KvStore, Zipfian};
-use idem_metrics::{Histogram, Welford};
+use idem_metrics::Histogram;
 use idem_simnet::SimTime;
 use proptest::prelude::*;
 
@@ -49,17 +49,6 @@ proptest! {
         for p in [10.0, 50.0, 90.0] {
             prop_assert_eq!(ha.percentile(p), hall.percentile(p));
         }
-    }
-
-    /// Welford matches the two-pass computation.
-    #[test]
-    fn welford_matches_two_pass(values in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut w = Welford::new();
-        for &v in &values { w.record(v); }
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
-        prop_assert!((w.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        prop_assert!((w.variance() - var).abs() < 1e-5 * var.abs().max(1.0));
     }
 
     // ------------------------------------------------------------- window
@@ -142,13 +131,13 @@ proptest! {
         now_ms in 0u64..10_000,
         max_client in 0u32..500,
     ) {
-        let t1 = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50, AqmConfig::default());
-        let t2 = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50, AqmConfig::default());
+        let t1 = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50);
+        let t2 = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50);
         let id = RequestId::new(ClientId(client), OpNumber(op));
         let now = SimTime::ZERO + Duration::from_millis(now_ms);
         prop_assert_eq!(
-            t1.accepts(id, r_now, now, max_client),
-            t2.accepts(id, r_now, now, max_client)
+            t1.accepts(id, r_now, f64::from(r_now), now, max_client),
+            t2.accepts(id, r_now, f64::from(r_now), now, max_client)
         );
     }
 
@@ -157,19 +146,21 @@ proptest! {
     fn tail_drop_is_threshold_indicator(
         client in 0u32..100, op in 0u64..100, r_now in 0u32..200, threshold in 1u32..100,
     ) {
-        let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, threshold, AqmConfig::default());
+        let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, threshold);
         let id = RequestId::new(ClientId(client), OpNumber(op));
-        prop_assert_eq!(t.accepts(id, r_now, SimTime::ZERO, 100), r_now < threshold);
+        let accepted = t.accepts(id, r_now, f64::from(r_now), SimTime::ZERO, 100);
+        prop_assert_eq!(accepted, r_now < threshold);
     }
 
     /// At or above the threshold, AQM rejects everything; below the AQM
     /// start fraction it accepts everything.
     #[test]
     fn aqm_extremes(client in 0u32..300, op in 0u64..100, over in 0u32..50) {
-        let t = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50, AqmConfig::default());
+        let t = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50);
         let id = RequestId::new(ClientId(client), OpNumber(op));
-        prop_assert!(!t.accepts(id, 50 + over, SimTime::ZERO, 299));
-        prop_assert!(t.accepts(id, 29u32.min(over), SimTime::ZERO, 299));
+        let (high, low) = (50 + over, 29u32.min(over));
+        prop_assert!(!t.accepts(id, high, f64::from(high), SimTime::ZERO, 299));
+        prop_assert!(t.accepts(id, low, f64::from(low), SimTime::ZERO, 299));
     }
 
     // ------------------------------------------------------------ kv & co
