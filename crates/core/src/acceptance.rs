@@ -290,6 +290,93 @@ mod tests {
     }
 
     #[test]
+    fn aqm_smoothed_estimate_alone_engages_early_drop() {
+        // No request active right now, but the smoothed estimate sits at
+        // 90 % of the threshold: non-prioritized clients are all dropped,
+        // the prioritized group (clients 0..50 at time 0) still gets in.
+        let t = aqm_test(50);
+        for op in 0..200 {
+            assert!(!t.accepts(id(60, op), 0, 45.0, SimTime::ZERO, 149));
+            assert!(t.accepts(id(10, op), 0, 45.0, SimTime::ZERO, 149));
+        }
+    }
+
+    #[test]
+    fn aqm_low_estimate_cannot_lift_the_hard_threshold() {
+        let t = aqm_test(50);
+        for c in 0..150 {
+            assert!(!t.accepts(id(c, 1), 50, 0.0, SimTime::ZERO, 149));
+        }
+    }
+
+    #[test]
+    fn aqm_instant_load_above_the_estimate_still_drives_early_drop() {
+        // The ramp reads the higher of the two: a lagging estimate must not
+        // let a burst through once r_now itself is at 90 %.
+        let t = aqm_test(50);
+        for op in 0..200 {
+            assert!(!t.accepts(id(60, op), 45, 0.0, SimTime::ZERO, 149));
+        }
+    }
+
+    #[test]
+    fn aqm_estimates_within_one_eighth_step_reach_identical_verdicts() {
+        // RT = 50: the ramp runs from 30 to 45 in eighths of 1.875, so
+        // 37.6 and 39.3 share p = 1/2 while 39.4 is already at p = 5/8.
+        let t = aqm_test(50);
+        let verdicts = |estimate: f64| -> Vec<bool> {
+            (0..1000u64)
+                .map(|op| t.accepts(id(60, op), 0, estimate, SimTime::ZERO, 149))
+                .collect()
+        };
+        assert_eq!(verdicts(37.6), verdicts(39.3));
+        assert_ne!(verdicts(39.3), verdicts(39.4));
+    }
+
+    #[test]
+    fn aqm_early_drop_begins_above_sixty_percent_of_the_threshold() {
+        // RT = 100: everything passes at 59 active requests; one eighth
+        // step past 60 (at 64) the first non-prioritized requests drop.
+        let t = aqm_test(100);
+        let rejected = |load: u32| {
+            (0..1000u64)
+                .filter(|&op| !accepts(&t, id(150, op), load, 299))
+                .count()
+        };
+        assert_eq!(rejected(59), 0);
+        assert!(
+            (50..=200).contains(&rejected(64)),
+            "p = 1/8 rejected {}/1000",
+            rejected(64)
+        );
+    }
+
+    #[test]
+    fn tail_drop_ignores_the_load_estimate() {
+        let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, 10);
+        assert!(t.accepts(id(0, 1), 9, 1000.0, SimTime::ZERO, 0));
+        assert!(!t.accepts(id(0, 1), 10, 0.0, SimTime::ZERO, 0));
+    }
+
+    #[test]
+    fn prioritized_group_changes_every_two_seconds() {
+        let t = aqm_test(50);
+        let at = |ms: u64| t.prioritized_group(SimTime::ZERO + Duration::from_millis(ms), 3);
+        assert_eq!([at(0), at(1_999), at(2_000), at(3_999)], [0, 0, 1, 1]);
+        assert_eq!([at(4_000), at(5_999), at(6_000)], [2, 2, 0]);
+    }
+
+    #[test]
+    fn one_group_is_prioritized_at_every_time() {
+        let t = aqm_test(50);
+        for s in [0, 1, 2, 3, 7, 1_000] {
+            let now = SimTime::ZERO + Duration::from_secs(s);
+            assert_eq!(t.prioritized_group(now, 1), 0);
+            assert_eq!(t.prioritized_group(now, 0), 0);
+        }
+    }
+
+    #[test]
     fn single_group_degrades_to_tail_drop() {
         let t = aqm_test(50);
         // Only clients 0..50 exist → one group → everyone prioritized.

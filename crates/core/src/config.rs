@@ -151,6 +151,47 @@ mod tests {
     }
 
     #[test]
+    fn window_size_covers_r_max_for_every_group_and_threshold() {
+        // Theorem 6.1 needs a window of at least r_max; the derived window
+        // is twice that for every group size and threshold.
+        for f in 1..=3 {
+            for rt in [1, 20, 50, 75] {
+                let cfg = IdemConfig::for_faults(f).with_reject_threshold(rt);
+                let n = u64::from(2 * f + 1);
+                assert_eq!(cfg.r_max(), n * u64::from(rt));
+                assert_eq!(cfg.window_size(), 2 * cfg.r_max());
+            }
+        }
+    }
+
+    #[test]
+    fn builders_replace_only_their_own_field() {
+        let base = IdemConfig::default();
+        let cfg = base
+            .clone()
+            .with_acceptance(AcceptancePolicy::AlwaysAccept)
+            .with_forward_timeout(Duration::from_millis(3))
+            .with_message_cost(Duration::from_micros(7));
+        assert_eq!(cfg.acceptance, AcceptancePolicy::AlwaysAccept);
+        assert_eq!(cfg.forward_timeout, Duration::from_millis(3));
+        assert_eq!(cfg.message_cost, Duration::from_micros(7));
+        assert_eq!(cfg.reject_threshold, base.reject_threshold);
+        assert_eq!(cfg.checkpoint_interval, base.checkpoint_interval);
+        assert_eq!(cfg.rejected_cache_capacity, base.rejected_cache_capacity);
+        assert_eq!(cfg.window_size(), base.window_size());
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint interval must be positive")]
+    fn validate_rejects_zero_checkpoint_interval() {
+        let cfg = IdemConfig {
+            checkpoint_interval: 0,
+            ..IdemConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
     #[should_panic(expected = "reject threshold must be positive")]
     fn validate_rejects_zero_threshold() {
         let cfg = IdemConfig {

@@ -420,6 +420,39 @@ mod tests {
     }
 
     #[test]
+    fn series_bins_are_a_quarter_second_counted_from_the_warmup_cutoff() {
+        let mut r = Recorder::new(Duration::from_millis(100), BIN_WIDTH);
+        let mut op = 0;
+        let mut at = |r: &mut Recorder, kind, ms| {
+            op += 1;
+            r.record(&OperationOutcome {
+                id: RequestId::new(ClientId(0), OpNumber(op)),
+                ..outcome(kind, ms, 500)
+            });
+        };
+        at(&mut r, OutcomeKind::Success, 349); // 249 ms past the cutoff
+        at(&mut r, OutcomeKind::Success, 350); // 250 ms: the second bin
+        at(&mut r, OutcomeKind::RejectedFinal, 1_100); // 1 s: the fifth bin
+        assert_eq!(r.order_violations(), 0);
+        assert_eq!(r.reply_series().bin(0).count, 1);
+        assert_eq!(r.reply_series().bin(1).count, 1);
+        assert_eq!(r.reply_series().bin(1).sum, 500_000);
+        assert_eq!(r.reject_series().len(), 5);
+        assert_eq!(r.reject_series().bin(4).count, 1);
+        let starts: Vec<_> = r.reply_series().iter().map(|(t, _)| t).collect();
+        assert_eq!(starts, vec![Duration::ZERO, BIN_WIDTH]);
+    }
+
+    #[test]
+    fn expected_duration_hint_leaves_the_series_empty() {
+        let r = Recorder::new(Duration::ZERO, BIN_WIDTH)
+            .with_expected_duration(Duration::from_secs(30));
+        assert!(r.reply_series().is_empty());
+        assert_eq!(r.reject_series().len(), 0);
+        assert_eq!(r.metrics(Duration::from_secs(30)).successes, 0);
+    }
+
+    #[test]
     fn recording_app_respects_limit() {
         let handle = RecorderHandle::new(Recorder::new(Duration::ZERO, Duration::from_millis(10)));
         let workload = Workload::new(idem_kv::WorkloadSpec::update_heavy(), 0);

@@ -325,6 +325,29 @@ mod tests {
     }
 
     #[test]
+    fn merging_an_empty_histogram_changes_nothing() {
+        // An empty histogram's min sentinel must not leak into the result.
+        let mut h = Histogram::new();
+        for v in [7u64, 70, 700_000] {
+            h.record(v);
+        }
+        let before = (h.count(), h.mean(), h.stddev(), h.min(), h.max());
+        let p99 = h.percentile(99.0);
+        h.merge(&Histogram::new());
+        assert_eq!((h.count(), h.mean(), h.stddev(), h.min(), h.max()), before);
+        assert_eq!(h.percentile(99.0), p99);
+    }
+
+    #[test]
+    fn one_repeated_value_has_zero_stddev() {
+        let mut h = Histogram::new();
+        h.record_n(1_234_567, 1_000);
+        assert_eq!(h.stddev(), 0.0);
+        assert_eq!(h.mean(), 1_234_567.0);
+        assert_eq!((h.min(), h.max()), (1_234_567, 1_234_567));
+    }
+
+    #[test]
     fn clear_resets_everything() {
         let mut h = Histogram::new();
         h.record(42);

@@ -136,6 +136,17 @@ mod tests {
     }
 
     #[test]
+    fn is_empty_until_an_event_is_recorded() {
+        let mut ts = TimeSeries::new(Duration::from_millis(250));
+        assert!(ts.is_empty());
+        ts.reserve_for(Duration::from_secs(10));
+        assert!(ts.is_empty(), "reserving bins records nothing");
+        ts.record(2_000_000_000, 0);
+        assert!(!ts.is_empty(), "a zero value still counts as an event");
+        assert_eq!(ts.len(), 9);
+    }
+
+    #[test]
     fn bin_mean() {
         let mut ts = TimeSeries::new(Duration::from_secs(1));
         ts.record(0, 10);

@@ -202,6 +202,20 @@ mod tests {
     }
 
     #[test]
+    fn timing_backs_off_50_to_100_ms_after_a_rejection_and_never_thinks() {
+        let cfg = PaxosClientConfig::default().with_request_timeout(Duration::from_millis(300));
+        let timing = cfg.timing();
+        assert_eq!(timing.retransmit_interval, Duration::from_millis(300));
+        assert_eq!(
+            timing.backoff,
+            (Duration::from_millis(50), Duration::from_millis(100))
+        );
+        assert_eq!(timing.start_stagger, cfg.start_stagger);
+        assert_eq!(timing.start_delay, Duration::ZERO);
+        assert_eq!(timing.think_time, Duration::ZERO);
+    }
+
+    #[test]
     fn port_follows_answers_walks_members_on_timeout_and_remaps_a_departed_leader() {
         use idem_common::ReconfigCommand;
         // Four replica slots, the last one a spare outside the group.

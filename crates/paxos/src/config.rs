@@ -100,6 +100,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "checkpoint interval must be positive")]
+    fn zero_checkpoint_interval_is_invalid() {
+        let cfg = PaxosConfig {
+            checkpoint_interval: 0,
+            ..PaxosConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    fn window_spans_more_than_one_checkpoint_interval() {
+        // The instance window is only garbage-collected up to a
+        // checkpoint, so it must hold at least one interval's worth.
+        assert!(WINDOW_SIZE > PaxosConfig::default().checkpoint_interval);
+    }
+
+    #[test]
     fn lbr_policy_round_trips() {
         let cfg = PaxosConfig::for_faults(1)
             .with_reject_policy(RejectPolicy::LeaderBased { threshold: 42 });

@@ -117,6 +117,28 @@ mod tests {
     }
 
     #[test]
+    fn empty_messages_count_without_adding_bytes() {
+        let mut t = Traffic::new();
+        t.record(NodeId(2), NodeId(0), 0);
+        t.record(NodeId(2), NodeId(0), 0);
+        assert_eq!(t.total_messages(), 2);
+        assert_eq!(t.total_bytes(), 0);
+        assert_eq!(t.bytes_between(NodeId(2), NodeId(0)), 0);
+    }
+
+    #[test]
+    fn filtered_sums_see_pairs_recorded_before_growth() {
+        let mut t = Traffic::new();
+        t.record(NodeId(1), NodeId(0), 8);
+        t.record(NodeId(0), NodeId(1), 4);
+        t.record(NodeId(6), NodeId(6), 2); // forces growth
+        assert_eq!(t.bytes_matching(|f, _| f == NodeId(1)), 8);
+        assert_eq!(t.bytes_matching(|_, to| to == NodeId(1)), 4);
+        assert_eq!(t.bytes_matching(|_, _| true), t.total_bytes());
+        assert_eq!(t.total_bytes(), 14);
+    }
+
+    #[test]
     fn unknown_pairs_read_zero() {
         let t = Traffic::new();
         assert_eq!(t.bytes_between(NodeId(5), NodeId(6)), 0);

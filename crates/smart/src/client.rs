@@ -142,4 +142,14 @@ mod tests {
         assert_eq!(cfg.quorum.n(), 5);
         assert_eq!(cfg.start_stagger, Duration::ZERO);
     }
+
+    #[test]
+    fn timing_retransmits_at_the_configured_interval_and_never_thinks() {
+        let cfg = SmartClientConfig::default();
+        let timing = cfg.timing();
+        assert_eq!(timing.retransmit_interval, cfg.retransmit_interval);
+        assert_eq!(timing.start_stagger, cfg.start_stagger);
+        assert_eq!(timing.start_delay, Duration::ZERO);
+        assert_eq!(timing.think_time, Duration::ZERO);
+    }
 }

@@ -51,6 +51,19 @@ proptest! {
         }
     }
 
+    /// Histogram mean and standard deviation match the two-pass
+    /// computation over the raw values (both are exact sums, not bucketed).
+    #[test]
+    fn histogram_moments_match_two_pass(values in prop::collection::vec(0u64..1_000_000, 1..200)) {
+        let mut h = Histogram::new();
+        for &v in &values { h.record(v); }
+        let n = values.len() as f64;
+        let mean = values.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let var = values.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
+        prop_assert!((h.mean() - mean).abs() <= 1e-9 * mean.max(1.0));
+        prop_assert!((h.stddev() - var.sqrt()).abs() <= 1e-6 * var.sqrt() + 0.05);
+    }
+
     // ------------------------------------------------------------- window
 
     /// A window never reports slots outside its bounds and advance drops
@@ -161,6 +174,22 @@ proptest! {
         let (high, low) = (50 + over, 29u32.min(over));
         prop_assert!(!t.accepts(id, high, f64::from(high), SimTime::ZERO, 299));
         prop_assert!(t.accepts(id, low, f64::from(low), SimTime::ZERO, 299));
+    }
+
+    /// More load never admits what less load rejected: raising either the
+    /// instantaneous count or the smoothed estimate only adds rejections.
+    #[test]
+    fn aqm_more_load_never_accepts_what_less_load_rejected(
+        client in 0u32..300, op in 0u64..1000, now_ms in 0u64..10_000,
+        r_now in 0u32..60, extra_r in 0u32..20,
+        estimate in 0.0f64..60.0, extra_estimate in 0.0f64..20.0,
+    ) {
+        let t = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50);
+        let id = RequestId::new(ClientId(client), OpNumber(op));
+        let now = SimTime::ZERO + Duration::from_millis(now_ms);
+        let low = t.accepts(id, r_now, estimate, now, 299);
+        let high = t.accepts(id, r_now + extra_r, estimate + extra_estimate, now, 299);
+        prop_assert!(low || !high, "accepted at the higher load only");
     }
 
     // ------------------------------------------------------------ kv & co
