@@ -117,6 +117,12 @@ const TAG_RETRY: u64 = 0;
 const TAG_GRACE: u64 = 1;
 const TAG_WAKE: u64 = 2;
 
+/// The uniform random delay (min, max) before a client's next operation
+/// after its last one was rejected: the load regulation of the paper's
+/// evaluation (Section 7.1, 50–100 ms).
+pub const REJECT_BACKOFF: (Duration, Duration) =
+    (Duration::from_millis(50), Duration::from_millis(100));
+
 /// The timing of a closed-loop client, as its protocol's configuration
 /// sets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

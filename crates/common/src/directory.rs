@@ -104,11 +104,6 @@ impl<N: Copy + PartialEq> Directory<N> {
         self.replicas.len() as u32
     }
 
-    /// Number of clients.
-    pub fn client_count(&self) -> u32 {
-        self.clients.len() as u32
-    }
-
     /// All replica addresses in id order.
     pub fn replica_addrs(&self) -> &[N] {
         &self.replicas
@@ -171,7 +166,6 @@ mod tests {
     fn counts() {
         let dir: Directory<u8> = Directory::new(vec![1, 2, 3], vec![]);
         assert_eq!(dir.replica_count(), 3);
-        assert_eq!(dir.client_count(), 0);
         assert_eq!(dir.replica_addrs(), &[1, 2, 3]);
     }
 }

@@ -37,11 +37,6 @@ impl OutcomeKind {
     pub fn is_success(self) -> bool {
         self == OutcomeKind::Success
     }
-
-    /// Whether the operation was abandoned due to rejection.
-    pub fn is_rejection(self) -> bool {
-        !self.is_success()
-    }
 }
 
 /// Report handed to the [`ClientApp`] when an operation terminates.
@@ -97,8 +92,7 @@ mod tests {
     #[test]
     fn outcome_kind_classification() {
         assert!(OutcomeKind::Success.is_success());
-        assert!(!OutcomeKind::Success.is_rejection());
-        assert!(OutcomeKind::RejectedAmbivalent.is_rejection());
-        assert!(OutcomeKind::RejectedFinal.is_rejection());
+        assert!(!OutcomeKind::RejectedAmbivalent.is_success());
+        assert!(!OutcomeKind::RejectedFinal.is_success());
     }
 }

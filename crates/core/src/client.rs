@@ -5,7 +5,9 @@
 
 use std::time::Duration;
 
-use idem_common::client::{Client, ClientEvent, ClientPort, ClientSetup, ClientTiming};
+use idem_common::client::{
+    Client, ClientEvent, ClientPort, ClientSetup, ClientTiming, REJECT_BACKOFF,
+};
 use idem_common::{Directory, Membership, OpNumber, QuorumSet, Request};
 use idem_simnet::{Context, NodeId};
 
@@ -32,12 +34,13 @@ pub enum RejectHandling {
 /// # Example
 /// ```
 /// use idem_core::{ClientConfig, RejectHandling};
+/// use idem_common::client::ClientSetup;
 /// use idem_common::QuorumSet;
 /// use std::time::Duration;
 /// let cfg = ClientConfig::for_quorum(QuorumSet::for_faults(1))
 ///     .with_reject_handling(RejectHandling::Pessimistic);
 /// assert_eq!(cfg.reject_handling, RejectHandling::Pessimistic);
-/// assert_eq!(cfg.backoff, (Duration::from_millis(50), Duration::from_millis(100)));
+/// assert_eq!(cfg.timing().backoff, (Duration::from_millis(50), Duration::from_millis(100)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientConfig {
@@ -45,9 +48,6 @@ pub struct ClientConfig {
     pub quorum: QuorumSet,
     /// Reaction to the ambivalence state.
     pub reject_handling: RejectHandling,
-    /// Uniform random delay before the next operation after an abort
-    /// (load regulation, Section 7.1: 50–100 ms).
-    pub backoff: (Duration, Duration),
     /// Retransmission interval for unanswered requests (fair-loss links).
     pub retransmit_interval: Duration,
     /// Fixed delay before this client starts issuing operations (e.g. to
@@ -67,7 +67,6 @@ impl ClientConfig {
         ClientConfig {
             quorum,
             reject_handling: RejectHandling::Optimistic(Duration::from_millis(5)),
-            backoff: (Duration::from_millis(50), Duration::from_millis(100)),
             retransmit_interval: Duration::from_millis(200),
             start_delay: Duration::ZERO,
             start_stagger: Duration::from_millis(10),
@@ -79,14 +78,6 @@ impl ClientConfig {
     #[must_use]
     pub fn with_reject_handling(mut self, handling: RejectHandling) -> ClientConfig {
         self.reject_handling = handling;
-        self
-    }
-
-    /// Returns a copy with a different post-abort backoff range.
-    #[must_use]
-    pub fn with_backoff(mut self, min: Duration, max: Duration) -> ClientConfig {
-        assert!(min <= max, "backoff range must be ordered");
-        self.backoff = (min, max);
         self
     }
 
@@ -182,7 +173,7 @@ impl ClientSetup for ClientConfig {
     fn timing(&self) -> ClientTiming {
         ClientTiming {
             retransmit_interval: self.retransmit_interval,
-            backoff: self.backoff,
+            backoff: REJECT_BACKOFF,
             start_delay: self.start_delay,
             start_stagger: self.start_stagger,
             think_time: self.think_time,
@@ -210,20 +201,11 @@ mod tests {
     fn config_builder_round_trips() {
         let cfg = ClientConfig::for_quorum(QuorumSet::for_faults(2))
             .with_reject_handling(RejectHandling::Pessimistic)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(2))
             .with_start_stagger(Duration::ZERO)
             .with_think_time(Duration::from_micros(5));
         assert_eq!(cfg.quorum.n(), 5);
         assert_eq!(cfg.reject_handling, RejectHandling::Pessimistic);
-        assert_eq!(cfg.backoff.0, Duration::from_millis(1));
         assert_eq!(cfg.think_time, Duration::from_micros(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff range must be ordered")]
-    fn backoff_range_must_be_ordered() {
-        let _ = ClientConfig::for_quorum(QuorumSet::for_faults(1))
-            .with_backoff(Duration::from_millis(5), Duration::from_millis(1));
     }
 
     #[test]
@@ -234,7 +216,7 @@ mod tests {
             RejectHandling::Optimistic(Duration::from_millis(5))
         );
         assert_eq!(
-            cfg.backoff,
+            cfg.timing().backoff,
             (Duration::from_millis(50), Duration::from_millis(100))
         );
     }

@@ -294,7 +294,7 @@ impl LoadScenario {
             warmup: Duration::from_secs(1),
             workload: WorkloadSpec::update_heavy(),
             sla: Duration::from_millis(100),
-            backoff: (Duration::from_millis(50), Duration::from_millis(100)),
+            backoff: idem_common::client::REJECT_BACKOFF,
             retransmit_every: Duration::from_secs(1),
             straggler_fraction: 0.0,
             straggler_delay: (Duration::from_millis(20), Duration::from_millis(50)),

@@ -159,12 +159,6 @@ impl Command {
             },
         })
     }
-
-    /// Whether the command mutates state (relevant for read-only
-    /// optimizations and for workload accounting).
-    pub fn is_write(&self) -> bool {
-        matches!(self, Command::Update { .. } | Command::Delete { .. })
-    }
 }
 
 /// Error decoding a [`Command`] from bytes.
@@ -247,18 +241,6 @@ mod tests {
                 Err(DecodeCommandError::TrailingBytes)
             );
         }
-    }
-
-    #[test]
-    fn is_write_classification() {
-        assert!(!Command::Get { key: 1 }.is_write());
-        assert!(!Command::Scan { start: 1, count: 2 }.is_write());
-        assert!(Command::Update {
-            key: 1,
-            value: vec![]
-        }
-        .is_write());
-        assert!(Command::Delete { key: 1 }.is_write());
     }
 
     #[test]

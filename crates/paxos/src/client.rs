@@ -10,7 +10,9 @@
 
 use std::time::Duration;
 
-use idem_common::client::{Client, ClientEvent, ClientPort, ClientSetup, ClientTiming};
+use idem_common::client::{
+    Client, ClientEvent, ClientPort, ClientSetup, ClientTiming, REJECT_BACKOFF,
+};
 use idem_common::{Directory, Membership, OpNumber, QuorumSet, ReplicaId, Request};
 use idem_simnet::{Context, NodeId};
 
@@ -167,7 +169,7 @@ impl ClientSetup for PaxosClientConfig {
         ClientTiming {
             retransmit_interval: self.request_timeout,
             // After an LBR rejection: the same load regulation as IDEM's.
-            backoff: (Duration::from_millis(50), Duration::from_millis(100)),
+            backoff: REJECT_BACKOFF,
             start_delay: Duration::ZERO,
             start_stagger: self.start_stagger,
             think_time: Duration::ZERO,

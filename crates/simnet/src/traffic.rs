@@ -8,12 +8,12 @@
 
 use crate::node::NodeId;
 
-/// Per-ordered-pair traffic totals.
+/// Per-ordered-pair byte totals and a message count.
 #[derive(Debug, Clone, Default)]
 pub struct Traffic {
     nodes: usize,
     bytes: Vec<u64>,
-    messages: Vec<u64>,
+    messages: u64,
 }
 
 impl Traffic {
@@ -28,16 +28,13 @@ impl Traffic {
             // Grow the square matrix, remapping existing entries.
             let old = self.nodes;
             let mut bytes = vec![0u64; needed * needed];
-            let mut messages = vec![0u64; needed * needed];
             for f in 0..old {
                 for t in 0..old {
                     bytes[f * needed + t] = self.bytes[f * old + t];
-                    messages[f * needed + t] = self.messages[f * old + t];
                 }
             }
             self.nodes = needed;
             self.bytes = bytes;
-            self.messages = messages;
         }
         from.index() * self.nodes + to.index()
     }
@@ -46,7 +43,7 @@ impl Traffic {
     pub fn record(&mut self, from: NodeId, to: NodeId, bytes: usize) {
         let i = self.index(from, to);
         self.bytes[i] += bytes as u64;
-        self.messages[i] += 1;
+        self.messages += 1;
     }
 
     /// Total bytes sent from `from` to `to`.
@@ -64,7 +61,7 @@ impl Traffic {
 
     /// Total messages across all pairs.
     pub fn total_messages(&self) -> u64 {
-        self.messages.iter().sum()
+        self.messages
     }
 
     /// Sums bytes over all ordered pairs `(from, to)` accepted by `filter`.

@@ -284,3 +284,55 @@ fn multicast_is_observationally_identical_to_a_loop_of_sends() {
     assert_eq!(multicast.pending_messages, 0);
     assert_eq!(sends.pending_messages, 0);
 }
+
+/// Charges a fixed service cost per delivery.
+struct FanoutSink;
+
+impl Node<Msg> for FanoutSink {
+    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
+        ctx.charge(Duration::from_micros(2));
+    }
+}
+
+/// Multicasts to every sink each 50 µs.
+struct Broadcaster {
+    sinks: Vec<NodeId>,
+}
+
+impl Node<Msg> for Broadcaster {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        ctx.set_timer(Duration::from_micros(50), Msg::Tick);
+    }
+
+    fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _id: TimerId, _msg: Msg) {
+        ctx.multicast(
+            self.sinks.iter().copied(),
+            Msg::Gossip { round: 0, hops: 0 },
+        );
+        ctx.set_timer(Duration::from_micros(50), Msg::Tick);
+    }
+}
+
+/// One arena body per multicast, whatever the fan-out: 100 ms of a
+/// multicast every 50 µs is 2 000 bodies and `fanout` deliveries each, and
+/// with a 100 µs link at most two bodies are ever in flight at once.
+#[test]
+fn multicast_stores_one_body_per_send_at_any_fan_out() {
+    for fanout in [3u64, 9, 27] {
+        let link = LinkSpec::new(Duration::from_micros(100), Duration::ZERO);
+        let mut sim: Simulation<Msg> = Simulation::with_network(0xFA0 + fanout, Network::new(link));
+        let sinks: Vec<NodeId> = (0..fanout)
+            .map(|_| sim.add_node(Box::new(FanoutSink)))
+            .collect();
+        sim.add_node(Box::new(Broadcaster { sinks }));
+        sim.run_until(SimTime::from_nanos(100_000_000));
+
+        let stats = sim.event_stats();
+        assert_eq!(stats.arena_messages, 2_000, "fan-out {fanout}");
+        assert_eq!(stats.multicast_batches, 2_000, "fan-out {fanout}");
+        assert_eq!(stats.batched_deliveries, fanout * 2_000, "fan-out {fanout}");
+        assert_eq!(stats.arena_high_water, 2, "fan-out {fanout}");
+    }
+}

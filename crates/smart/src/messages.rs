@@ -1,7 +1,7 @@
 //! SMaRt baseline wire messages and timer payloads.
 
 use idem_common::{
-    CheckpointData, Membership, OpNumber, ReplicaWire, Reply, Request, RequestId, SeqNumber, View,
+    CheckpointData, Membership, OpNumber, ReplicaWire, Reply, Request, SeqNumber, View,
 };
 use idem_simnet::Wire;
 
@@ -104,15 +104,10 @@ impl ReplicaWire for SmartMessage {
     }
 }
 
-/// Convenience: the id set of a batch.
-pub fn batch_ids(batch: &[Request]) -> Vec<RequestId> {
-    batch.iter().map(|r| r.id).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idem_common::{ClientId, ClientRecord};
+    use idem_common::{ClientId, ClientRecord, RequestId};
 
     fn req(bytes: usize, op: u64) -> Request {
         Request::new(RequestId::new(ClientId(1), OpNumber(op)), vec![0; bytes])
@@ -143,14 +138,6 @@ mod tests {
             .wire_size(),
             16
         );
-    }
-
-    #[test]
-    fn batch_ids_extracts_in_order() {
-        let batch = vec![req(1, 1), req(1, 2)];
-        let ids = batch_ids(&batch);
-        assert_eq!(ids[0].op, OpNumber(1));
-        assert_eq!(ids[1].op, OpNumber(2));
     }
 
     #[test]
