@@ -10,10 +10,17 @@
 
 use std::time::Duration;
 
+use crate::request::ResultBytes;
+
 /// A deterministic replicated state machine.
 ///
 /// Implementations must be deterministic: executing the same command
 /// sequence from the same snapshot yields the same results on every replica.
+///
+/// Replicas call one entry point, [`execute_reply`](Self::execute_reply);
+/// its default runs [`execute_into`](Self::execute_into), whose default
+/// runs [`execute`](Self::execute). Override as far down that chain as
+/// the state machine can save work.
 ///
 /// # Example
 ///
@@ -56,15 +63,30 @@ pub trait StateMachine {
     /// Executes `command`, appending the result to `out` instead of
     /// allocating a fresh `Vec`.
     ///
-    /// Replicas drive execution through this entry point with a reused
-    /// scratch buffer, so a state machine that overrides it can keep the
-    /// execute path allocation-free. The default delegates to
-    /// [`execute`](Self::execute). `out` is cleared first; on return it
+    /// The default [`execute_reply`](Self::execute_reply) runs this with
+    /// a replica-owned scratch buffer, so a state machine that overrides
+    /// it can keep the execute path allocation-free. The default delegates
+    /// to [`execute`](Self::execute). `out` is cleared first; on return it
     /// holds exactly the reply bytes.
     fn execute_into(&mut self, command: &[u8], out: &mut Vec<u8>) {
         out.clear();
         let result = self.execute(command);
         out.extend_from_slice(&result);
+    }
+
+    /// Executes `command` and returns the reply the replica caches in
+    /// the client's session and sends back. This is the entry point
+    /// replicas call.
+    ///
+    /// The default runs [`execute_into`](Self::execute_into) into
+    /// `scratch` and copies the bytes into a [`ResultBytes`]. A state
+    /// machine that already holds the reply in an `Arc` can override it
+    /// to hand that out with a refcount bump instead of a copy; the
+    /// bytes it returns must equal what `execute_into` would write, and
+    /// must never change afterwards.
+    fn execute_reply(&mut self, command: &[u8], scratch: &mut Vec<u8>) -> ResultBytes {
+        self.execute_into(command, scratch);
+        ResultBytes::from_slice(scratch)
     }
 
     /// The simulated CPU time that executing `command` occupies on a

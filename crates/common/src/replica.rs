@@ -472,8 +472,7 @@ impl ReplicaBase {
             return Consumed::Reconfig(ReconfigCommand::decode(command));
         }
         ctx.charge(self.app.execution_cost(command));
-        self.app.execute_into(command, &mut self.exec_scratch);
-        let result = ResultBytes::from_slice(&self.exec_scratch);
+        let result = self.app.execute_reply(command, &mut self.exec_scratch);
         self.sessions.record(id.client, id.op, result.clone());
         Consumed::Executed(result)
     }

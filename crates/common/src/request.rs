@@ -49,9 +49,9 @@ impl Request {
 
 /// Largest result stored inline in a [`ResultBytes`] without touching the
 /// heap. Sized so the enum stays at 24 bytes — the same footprint as the
-/// `Vec<u8>` it replaced — while covering every status-byte reply and all
-/// small GET values.
-pub const INLINE_RESULT_CAP: usize = 23;
+/// `Vec<u8>` it replaced: the tag and the length byte take two of them —
+/// while covering every status-byte reply and all small GET values.
+pub const INLINE_RESULT_CAP: usize = 22;
 
 /// An application result, inline when small.
 ///
@@ -60,7 +60,10 @@ pub const INLINE_RESULT_CAP: usize = 23;
 /// made every execution, every `last_executed` cache insert, and every
 /// duplicate-reply resend a heap allocation. `ResultBytes` keeps results up
 /// to [`INLINE_RESULT_CAP`] bytes in the enum itself and shares larger ones
-/// behind an `Arc`, so cloning a reply is at worst a refcount bump.
+/// behind an `Arc`, so cloning a reply is at worst a refcount bump. A
+/// state machine can hand out an `Arc` it already holds (a GET hit on
+/// `KvStore` shares the stored value's buffer), so neither the session
+/// row nor the outgoing reply copies it.
 ///
 /// # Example
 /// ```
@@ -83,6 +86,10 @@ pub enum ResultBytes {
     /// Result too large to inline, shared immutably.
     Shared(Arc<[u8]>),
 }
+
+// A `SessionTable` row holds one per client; 32 bytes here is 8 more per
+// client per replica.
+const _: () = assert!(size_of::<ResultBytes>() == 24);
 
 impl ResultBytes {
     /// Builds a result from raw bytes, inlining when they fit.

@@ -24,14 +24,15 @@ use std::sync::{Mutex, MutexGuard};
 
 use idem_common::load::LoadPhase;
 use idem_common::{
-    ClientSetup, Directory, Membership, OpNumber, PersistMode, ReplicaId, Reply, Request, Wal,
+    ClientSetup, Directory, Membership, OpNumber, PersistMode, ReplicaId, Reply, Request,
+    StateMachine, Wal,
 };
 use idem_core::{IdemMessage, IdemReplica};
 use idem_harness::allocs;
 use idem_harness::cluster::{experiment_network, KV_EXEC_COST};
 use idem_harness::load::{LoadEvent, LoadPort};
 use idem_harness::{LoadScenario, LoadSource, Protocol, Recorder, RecorderHandle, Scenario};
-use idem_kv::KvStore;
+use idem_kv::{Command, KvStore};
 use idem_simnet::{Context, Node, NodeId, Simulation, Wire};
 
 /// The counters are process-global and the test harness runs tests on
@@ -390,4 +391,74 @@ fn open_loop_source_allocates_once_per_issued_operation() {
         (issued..=issued + 64).contains(&allocs),
         "{allocs} allocator calls for {issued} issued operations"
     );
+}
+
+/// Allocator calls made while `f` runs.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = allocs::snapshot();
+    f();
+    allocs::snapshot().since(before).allocs
+}
+
+/// A 100-byte value behind key 7: allocator calls for 10 000 GET hits
+/// (the last reply held), an UPDATE while that reply is held, and an
+/// UPDATE once it is dropped.
+fn kv_share_and_copy_on_write() -> [u64; 3] {
+    let update = |fill: u8| {
+        Command::Update {
+            key: 7,
+            value: vec![fill; 100],
+        }
+        .encode()
+    };
+    let get = Command::Get { key: 7 }.encode();
+    let (write_a, write_b, write_c) = (update(b'a'), update(b'b'), update(b'c'));
+    let mut store = KvStore::new();
+    let mut scratch = Vec::with_capacity(256);
+    store.execute_reply(&write_a, &mut scratch);
+    let mut want = vec![idem_kv::store::STATUS_OK];
+    want.extend_from_slice(&[b'a'; 100]);
+
+    // A 101-byte reply is past the inline cap: each hit is a refcount
+    // bump on the store's buffer, where it used to be a fresh copy.
+    let mut held = None;
+    let gets = allocs_during(|| {
+        for _ in 0..10_000 {
+            held = Some(store.execute_reply(&get, &mut scratch));
+        }
+    });
+    let held = held.expect("a GET ran");
+    assert_eq!(&held[..], &want[..]);
+
+    // The held reply shares the buffer, so the write copies the value
+    // once and the reply keeps its bytes.
+    let shared_write = allocs_during(|| {
+        store.execute_reply(&write_b, &mut scratch);
+    });
+    assert_eq!(&held[..], &want[..], "a held reply changed");
+    assert_eq!(store.get(7), Some(&[b'b'; 100][..]));
+
+    // Nobody shares the new buffer: same length, overwritten in place.
+    drop(held);
+    let lone_write = allocs_during(|| {
+        store.execute_reply(&write_c, &mut scratch);
+    });
+    assert_eq!(store.get(7), Some(&[b'c'; 100][..]));
+    [gets, shared_write, lone_write]
+}
+
+#[test]
+fn kv_get_hit_shares_the_stored_value_and_update_copies_only_when_shared() {
+    let _serial = serial();
+    // The counters are process-global, and the harness's main thread
+    // allocates while it reports the test that finished before this one.
+    // That can only add calls, so the fewest over three tries is exact.
+    let counts = (0..3)
+        .map(|_| kv_share_and_copy_on_write())
+        .reduce(|a, b| std::array::from_fn(|i| a[i].min(b[i])))
+        .expect("three tries");
+    let [gets, shared_write, lone_write] = counts;
+    assert_eq!(gets, 0, "10 000 GET hits allocated {gets} times");
+    assert_eq!(shared_write, 1, "UPDATE under a held reply");
+    assert_eq!(lone_write, 0, "UPDATE with no reply held");
 }

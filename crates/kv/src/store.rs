@@ -2,9 +2,10 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
-use idem_common::StateMachine;
+use idem_common::{ResultBytes, StateMachine, INLINE_RESULT_CAP};
 
 use crate::command::{TAG_DELETE, TAG_GET, TAG_SCAN, TAG_UPDATE};
 
@@ -20,6 +21,15 @@ pub const STATUS_BAD_COMMAND: u8 = 0x02;
 /// Keys are `u64`, values arbitrary bytes; a `BTreeMap` keeps iteration
 /// (and therefore [`snapshot`](StateMachine::snapshot)) deterministic across
 /// replicas, which protocol checkpoint comparison relies on.
+///
+/// Each value is stored in GET-reply form, `STATUS_OK` then the value
+/// bytes, in one `Arc<[u8]>`. A GET hit too long to inline hands that
+/// `Arc` out through [`execute_reply`](StateMachine::execute_reply), so
+/// the replica's session row and the outgoing reply share the store's
+/// buffer. An UPDATE overwrites in place only while nobody shares the
+/// buffer and the length is unchanged; otherwise it installs a fresh one
+/// (copy-on-write), so a reply once handed out never changes. The
+/// derived `Clone` shares buffers the same way.
 ///
 /// Execution costs model a memory-resident store: a base cost per operation
 /// plus a small per-byte cost for values, calibrated so a three-replica
@@ -38,7 +48,8 @@ pub const STATUS_BAD_COMMAND: u8 = 0x02;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
-    map: BTreeMap<u64, Vec<u8>>,
+    /// Key → `[STATUS_OK, value…]`.
+    map: BTreeMap<u64, Arc<[u8]>>,
     base_cost: Duration,
     per_byte_cost: Duration,
     writes: u64,
@@ -81,7 +92,7 @@ impl KvStore {
     /// Reads a value directly (bypassing the command layer), for tests and
     /// state comparison.
     pub fn get(&self, key: u64) -> Option<&[u8]> {
-        self.map.get(&key).map(Vec::as_slice)
+        self.map.get(&key).map(|v| &v[1..])
     }
 
     /// Total successfully executed write commands.
@@ -106,13 +117,30 @@ impl KvStore {
             for b in k.to_le_bytes() {
                 mix(b);
             }
-            for &b in v {
+            for &b in &v[1..] {
                 mix(b);
             }
             mix(0xFF);
         }
         h
     }
+
+    /// The stored reply of a well-formed GET hit too long to inline.
+    fn shared_get(&self, command: &[u8]) -> Option<&Arc<[u8]>> {
+        let [TAG_GET, raw_key @ ..] = command else {
+            return None;
+        };
+        let key = u64::from_le_bytes(raw_key.try_into().ok()?);
+        self.map.get(&key).filter(|v| v.len() > INLINE_RESULT_CAP)
+    }
+}
+
+/// A value in its stored form, `STATUS_OK` then the bytes, in one
+/// allocation (the iterator has a trusted length).
+fn stored(value: &[u8]) -> Arc<[u8]> {
+    std::iter::once(STATUS_OK)
+        .chain(value.iter().copied())
+        .collect()
 }
 
 impl StateMachine for KvStore {
@@ -143,31 +171,30 @@ impl StateMachine for KvStore {
             TAG_GET if rest.len() == 8 => {
                 self.reads += 1;
                 match self.map.get(&key) {
-                    Some(v) => {
-                        out.reserve(1 + v.len());
-                        out.push(STATUS_OK);
-                        out.extend_from_slice(v);
-                    }
+                    Some(v) => out.extend_from_slice(v),
                     None => out.push(STATUS_NOT_FOUND),
                 }
             }
             TAG_UPDATE => {
                 let value = rest.get(8..).unwrap_or_default();
                 self.writes += 1;
+                self.value_bytes += value.len();
                 match self.map.entry(key) {
                     Entry::Occupied(mut e) => {
-                        // In-place overwrite: reuse the stored Vec's
-                        // capacity instead of dropping it for a fresh
-                        // allocation on every hot-key update.
                         let old = e.get_mut();
-                        self.value_bytes += value.len();
-                        self.value_bytes -= old.len();
-                        old.clear();
-                        old.extend_from_slice(value);
+                        self.value_bytes -= old.len() - 1;
+                        // In place when no cached reply shares the buffer
+                        // and the length is unchanged; otherwise
+                        // copy-on-write, so a handed-out reply keeps its bytes.
+                        match Arc::get_mut(old) {
+                            Some(buf) if buf.len() == 1 + value.len() => {
+                                buf[1..].copy_from_slice(value);
+                            }
+                            _ => *old = stored(value),
+                        }
                     }
                     Entry::Vacant(e) => {
-                        self.value_bytes += value.len();
-                        e.insert(value.to_vec());
+                        e.insert(stored(value));
                     }
                 }
                 out.push(STATUS_OK);
@@ -175,7 +202,7 @@ impl StateMachine for KvStore {
             TAG_DELETE if rest.len() == 8 => {
                 self.writes += 1;
                 if let Some(old) = self.map.remove(&key) {
-                    self.value_bytes -= old.len();
+                    self.value_bytes -= old.len() - 1;
                     out.push(STATUS_OK);
                 } else {
                     out.push(STATUS_NOT_FOUND);
@@ -186,6 +213,7 @@ impl StateMachine for KvStore {
                 self.reads += 1;
                 out.push(STATUS_OK);
                 for (k, v) in self.map.range(key..).take(count as usize) {
+                    let v = &v[1..];
                     out.extend_from_slice(&k.to_le_bytes());
                     out.extend_from_slice(&(v.len() as u32).to_le_bytes());
                     out.extend_from_slice(v);
@@ -193,6 +221,16 @@ impl StateMachine for KvStore {
             }
             _ => out.push(STATUS_BAD_COMMAND),
         }
+    }
+
+    fn execute_reply(&mut self, command: &[u8], scratch: &mut Vec<u8>) -> ResultBytes {
+        if let Some(v) = self.shared_get(command) {
+            let reply = ResultBytes::Shared(Arc::clone(v));
+            self.reads += 1;
+            return reply;
+        }
+        self.execute_into(command, scratch);
+        ResultBytes::from_slice(scratch)
     }
 
     fn execution_cost(&self, command: &[u8]) -> Duration {
@@ -210,6 +248,7 @@ impl StateMachine for KvStore {
         let start = out.len();
         out.extend_from_slice(&(self.map.len() as u64).to_le_bytes());
         for (k, v) in &self.map {
+            let v = &v[1..];
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
             out.extend_from_slice(v);
@@ -234,7 +273,7 @@ impl StateMachine for KvStore {
             let len = u32::from_le_bytes(snapshot[pos..pos + 4].try_into().expect("len")) as usize;
             pos += 4;
             self.value_bytes += len;
-            self.map.insert(k, snapshot[pos..pos + len].to_vec());
+            self.map.insert(k, stored(&snapshot[pos..pos + len]));
             pos += len;
         }
     }
@@ -380,6 +419,26 @@ mod tests {
             s.execution_cost(&big),
             Duration::from_micros(12) // 10 µs + 1000 B * 2 ns
         );
+    }
+
+    #[test]
+    fn get_hit_shares_the_stored_buffer_past_the_inline_cap() {
+        let mut s = KvStore::new();
+        let mut scratch = Vec::new();
+        let get = Command::Get { key: 1 }.encode();
+        s.execute(&update(1, &[9; INLINE_RESULT_CAP]));
+        let a = s.execute_reply(&get, &mut scratch);
+        let b = s.execute_reply(&get, &mut scratch);
+        let (ResultBytes::Shared(a), ResultBytes::Shared(b)) = (&a, &b) else {
+            panic!("a {}-byte reply was copied inline", a.len());
+        };
+        assert!(Arc::ptr_eq(a, b));
+        assert_eq!(&a[1..], s.get(1).unwrap());
+        // One byte shorter, the reply fits inline and nothing is shared.
+        s.execute(&update(1, &[9; INLINE_RESULT_CAP - 1]));
+        let c = s.execute_reply(&get, &mut scratch);
+        assert!(matches!(c, ResultBytes::Inline { len: 22, .. }));
+        assert_eq!(s.reads(), 3);
     }
 
     #[test]

@@ -48,9 +48,10 @@
 # The JSON is the flat hand-rolled schema; no jq required.
 #
 # Allocations per event are deterministic too but not in these files;
-# they are gated by the counting-allocator tests, which any hot-path
-# change should re-run (an allocation sneaking back into the deliver path
-# is the usual cause of an events/s drift):
+# they are gated by the counting-allocator tests, which CI's bench job
+# runs next to this script and any hot-path change should re-run (an
+# allocation sneaking back into the deliver path is the usual cause of an
+# events/s drift):
 #
 #     cargo test -p idem-harness --features alloc-count --test alloc_regression
 #
