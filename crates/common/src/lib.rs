@@ -61,9 +61,8 @@ pub use load::{ArrivalProcess, ArrivalSampler, BackoffWheel, LoadCounters, LoadP
 pub use membership::{Epoch, Membership, ReconfigCommand, RECONFIG_CLIENT};
 pub use quorum::{QuorumSet, QuorumTracker};
 pub use replica::{
-    CheckpointData, ClientRecord, Consumed, Replayed, ReplicaBase, ReplicaWire, ViewChangeStep,
-    VoteStore, PROGRESS_TIMEOUT,
+    Consumed, Replayed, ReplicaBase, ReplicaWire, ViewChangeStep, VoteStore, PROGRESS_TIMEOUT,
 };
 pub use request::{Reply, Request, ResultBytes, INLINE_RESULT_CAP};
-pub use wal::{CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord, WalRecordRef};
+pub use wal::{CheckpointData, CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord};
 pub use window::SeqWindow;

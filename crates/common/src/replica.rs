@@ -28,11 +28,11 @@ use crate::deadline::DeadlineTimer;
 use crate::dense::SessionTable;
 use crate::directory::Directory;
 use crate::exec::ExecRecord;
-use crate::ids::{ClientId, OpNumber, ReplicaId, RequestId, SeqNumber, View};
+use crate::ids::{ClientId, ReplicaId, RequestId, SeqNumber, View};
 use crate::membership::{Membership, ReconfigCommand, RECONFIG_CLIENT};
 use crate::quorum::QuorumTracker;
 use crate::request::{Reply, ResultBytes};
-use crate::wal::{PersistMode, ReplayLog, Wal, WalRecordRef};
+use crate::wal::{CheckpointData, CheckpointRef, PersistMode, ReplayLog, Wal, WalRecord};
 use crate::window::SeqWindow;
 
 /// The view-change timeout of all three protocols (paper Section 7.1):
@@ -59,48 +59,6 @@ pub trait ReplicaWire: Wire + Clone {
     fn membership_update(membership: Membership) -> Self;
     /// Replica → client: an execution result.
     fn reply(reply: Reply) -> Self;
-}
-
-/// Per-client execution record carried in checkpoints: highest executed
-/// operation plus the cached reply (for retransmission answers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientRecord {
-    /// The client.
-    pub client: ClientId,
-    /// Highest executed operation number of this client.
-    pub last_op: OpNumber,
-    /// Reply of that operation (resent on duplicates).
-    pub reply: Vec<u8>,
-}
-
-/// A full checkpoint: application snapshot plus client table, valid as the
-/// state *before* executing `next_exec`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointData {
-    /// First slot not covered by this checkpoint, in the protocol's own
-    /// frontier numbering (a batch instance for SMaRt).
-    pub next_exec: SeqNumber,
-    /// Serialized application state.
-    pub snapshot: Vec<u8>,
-    /// Per-client duplicate-suppression / reply-cache table.
-    pub clients: Vec<ClientRecord>,
-    /// The membership in force at `next_exec`. State transfer is
-    /// epoch-aware: a joiner installs this before serving. Costs zero
-    /// wire bytes while the group is still in its bootstrap epoch.
-    pub membership: Membership,
-}
-
-impl CheckpointData {
-    /// Estimated wire size.
-    pub fn wire_size(&self) -> usize {
-        8 + self.snapshot.len()
-            + self
-                .clients
-                .iter()
-                .map(|c| 12 + c.reply.len())
-                .sum::<usize>()
-            + self.membership.wire_size()
-    }
 }
 
 /// The `ViewChange` votes a replica has received, per target view and
@@ -161,7 +119,7 @@ pub struct ViewChangeStep {
 /// finish from.
 pub struct Replayed<'d> {
     /// The log's view, accept and exec records, in disk order.
-    pub records: Vec<WalRecordRef<'d>>,
+    pub records: Vec<WalRecord<'d>>,
     /// Commands that ran against the application.
     pub executed: u64,
 }
@@ -757,38 +715,32 @@ impl ReplicaBase {
     /// The shared part of taking a checkpoint at the frontier: charges the
     /// serialization like handling one message and streams the state into
     /// the WAL, which bounds replay length after a wipe. Nothing is
-    /// materialized — state transfer builds its own
-    /// [`checkpoint_data`](Self::checkpoint_data). The caller counts the
-    /// checkpoint and prunes what it covers.
+    /// encoded while the WAL is off. The caller counts the checkpoint and
+    /// prunes what it covers.
     pub fn take_checkpoint<M>(&self, ctx: &mut Context<'_, M>) {
         ctx.charge(self.message_cost);
-        self.wal.log_checkpoint(
-            ctx,
-            self.next_exec.0,
-            &*self.app,
-            &self.sessions,
-            &self.membership,
-        );
+        if self.wal.enabled() {
+            self.wal.log_checkpoint(ctx, self.capture());
+        }
     }
 
-    /// The current state as a transferable checkpoint. Taken at the
-    /// current frontier, so the current membership is exactly the one in
-    /// force there.
-    pub fn checkpoint_data(&self) -> CheckpointData {
-        CheckpointData {
-            next_exec: self.next_exec,
-            snapshot: self.app.snapshot(),
-            clients: self
-                .sessions
-                .iter()
-                .map(|(cid, op, reply)| ClientRecord {
-                    client: ClientId(cid),
-                    last_op: op,
-                    reply: reply.to_vec(),
-                })
-                .collect(),
-            membership: self.membership.clone(),
+    /// Takes a checkpoint as [`take_checkpoint`](Self::take_checkpoint)
+    /// does and returns it for state transfer: the bytes on the wire are
+    /// the record on the disk.
+    fn take_checkpoint_to_send<M>(&self, ctx: &mut Context<'_, M>) -> CheckpointData {
+        ctx.charge(self.message_cost);
+        let checkpoint = self.capture();
+        if self.wal.enabled() {
+            self.wal.log_checkpoint(ctx, checkpoint.clone());
         }
+        checkpoint
+    }
+
+    /// The current state as one checkpoint record. Taken at the current
+    /// frontier, so the current membership is exactly the one in force
+    /// there.
+    fn capture(&self) -> CheckpointData {
+        CheckpointData::capture(self.next_exec, &*self.app, &self.sessions, &self.membership)
     }
 
     /// Answers a checkpoint request with a *fresh* checkpoint (taken as
@@ -800,8 +752,8 @@ impl ReplicaBase {
         ctx: &mut Context<'_, M>,
         from: NodeId,
     ) {
-        self.take_checkpoint(ctx);
-        ctx.send(from, M::checkpoint(self.checkpoint_data()));
+        let checkpoint = self.take_checkpoint_to_send(ctx);
+        ctx.send(from, M::checkpoint(checkpoint));
     }
 
     /// The shared part of installing a transferred checkpoint. Any
@@ -810,9 +762,9 @@ impl ReplicaBase {
     /// which this returns false. Otherwise the frontier, the application,
     /// the sessions and — if newer: the moment a joiner becomes a member,
     /// which also lifts the reconfiguration barrier — the membership are
-    /// the checkpoint's, and it is on disk (it moved the app past slots
-    /// this replica never logged, so replay after a wipe must start from
-    /// it).
+    /// the checkpoint's, and its bytes are on disk as they arrived (it
+    /// moved the app past slots this replica never logged, so replay after
+    /// a wipe must start from it).
     pub fn install_checkpoint<M: ReplicaWire>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -822,32 +774,41 @@ impl ReplicaBase {
             ctx.cancel_timer(timer);
             self.recovery_attempts = 0;
         }
-        if data.next_exec <= self.next_exec {
+        if data.next_exec() <= self.next_exec {
             return false;
         }
         ctx.charge(self.message_cost);
-        if data.membership.epoch() > self.membership.epoch() {
-            self.membership = data.membership;
-            self.reconfig_barrier = None;
-            if self.is_member() {
-                self.ensure_progress_timer(ctx);
-            }
+        if self.restore(data.decode()) && self.is_member() {
+            self.ensure_progress_timer(ctx);
         }
-        self.app.restore(&data.snapshot);
-        let rows = data
-            .clients
-            .iter()
-            .map(|c| (c.client.0, c.last_op.0, &c.reply[..]));
-        self.sessions.restore_executed(rows.clone());
-        self.wal.log_checkpoint_data(
-            ctx,
-            data.next_exec.0,
-            &data.snapshot,
-            rows,
-            &self.membership,
-        );
-        self.next_exec = data.next_exec;
+        self.wal.log_checkpoint(ctx, data);
         true
+    }
+
+    /// Restores what a checkpoint record holds, for WAL replay and state
+    /// transfer alike: the application, the sessions, the frontier and,
+    /// when the record carries a newer one, the membership — which lifts
+    /// the reconfiguration barrier. Returns whether the membership changed.
+    fn restore(&mut self, cp: CheckpointRef<'_>) -> bool {
+        let adopted = match cp.membership {
+            Some(m) if m.epoch() > self.membership.epoch() => {
+                self.membership = m;
+                self.reconfig_barrier = None;
+                true
+            }
+            // Epochs only advance with the frontier, so a replica behind
+            // this checkpoint's frontier holds no newer membership: the
+            // record's tail is the one this replica would write itself.
+            m => {
+                let own = (self.membership.epoch().0 > 0).then_some(&self.membership);
+                debug_assert_eq!(m.as_ref(), own, "checkpoint from an older epoch");
+                false
+            }
+        };
+        self.app.restore(cp.snapshot);
+        self.sessions.restore_executed(cp.clients.iter());
+        self.next_exec = SeqNumber(cp.next_exec);
+        adopted
     }
 
     // --------------------------------------------------------- epoch switch
@@ -876,10 +837,12 @@ impl ReplicaBase {
             }
             return false;
         }
-        self.take_checkpoint(ctx);
-        if let Some(joiner) = cmd.added().filter(|&r| r != self.me) {
-            let cp = self.checkpoint_data();
-            ctx.send(self.dir.replica(joiner), M::checkpoint(cp));
+        match cmd.added().filter(|&r| r != self.me) {
+            Some(joiner) => {
+                let checkpoint = self.take_checkpoint_to_send(ctx);
+                ctx.send(self.dir.replica(joiner), M::checkpoint(checkpoint));
+            }
+            None => self.take_checkpoint(ctx),
         }
         ctx.multicast(
             self.dir.client_addrs().iter().copied(),
@@ -933,23 +896,17 @@ impl ReplicaBase {
             records,
         } = Wal::replay(disk);
         let max_view = records.iter().fold(self.view.0, |max, rec| match rec {
-            WalRecordRef::View(v) | WalRecordRef::Accept { view: v, .. } => max.max(*v),
+            WalRecord::View(v) | WalRecord::Accept { view: v, .. } => max.max(*v),
             _ => max,
         });
         self.view = View(max_view);
         if let Some(cp) = checkpoint {
-            if let Some(m) = cp.membership {
-                // The membership in force at the checkpoint's frontier.
-                self.membership = m;
-            }
-            self.app.restore(cp.snapshot);
-            self.sessions.restore_executed(cp.clients.iter());
-            self.next_exec = SeqNumber(cp.next_exec);
+            self.restore(cp);
         }
         let covered = self.next_exec.0;
         let mut executed = 0;
         for rec in &records {
-            let WalRecordRef::Exec {
+            let WalRecord::Exec {
                 slot,
                 id,
                 fresh,
@@ -1011,13 +968,13 @@ impl ReplicaBase {
     pub fn replay_bindings<'d, T>(
         &self,
         window: &mut SeqWindow<T>,
-        records: &[WalRecordRef<'d>],
+        records: &[WalRecord<'d>],
         view_of: impl Fn(&T) -> View,
         mut bind: impl FnMut(&ReplicaBase, SeqNumber, View, RequestId, &'d [u8]) -> T,
     ) -> SeqNumber {
         let mut propose_past = self.next_exec;
         for rec in records {
-            let WalRecordRef::Accept {
+            let WalRecord::Accept {
                 slot,
                 view,
                 id,
@@ -1051,7 +1008,7 @@ impl ReplicaBase {
 /// survivors' epoch. Empty when nothing is missing, as always for a
 /// single-slot decision.
 fn torn_tail<'d>(
-    records: &[WalRecordRef<'d>],
+    records: &[WalRecord<'d>],
     decision: u64,
     shift: u32,
 ) -> Vec<(u64, RequestId, &'d [u8], u64)> {
@@ -1059,11 +1016,11 @@ fn torn_tail<'d>(
     let (mut survivors, mut accepts) = (Vec::new(), Vec::new());
     for rec in records {
         match *rec {
-            WalRecordRef::Exec {
+            WalRecord::Exec {
                 slot, id, epoch, ..
             } if ours(slot) => survivors.push((slot, id, epoch)),
             // Highest view first, each view's records in slot order.
-            WalRecordRef::Accept {
+            WalRecord::Accept {
                 slot,
                 view,
                 id,
@@ -1097,6 +1054,7 @@ mod tests {
 
     use super::*;
     use crate::app::NullApp;
+    use crate::ids::OpNumber;
 
     /// A message type with nothing but the chassis's own variants, plus
     /// one to carry a toy view-change vote and one to make a node act.
@@ -1266,7 +1224,7 @@ mod tests {
         assert_eq!(toy(&sim, me).base.recovery_attempts, 1);
         act(&mut sim, me, |r, ctx| {
             // Stale (nothing past frontier 0), but an answer all the same.
-            let stale = r.base.checkpoint_data();
+            let stale = r.base.capture();
             assert!(!r.base.install_checkpoint(ctx, stale));
         });
         sim.run_for(Duration::from_secs(2));
@@ -1432,11 +1390,17 @@ mod tests {
         act(&mut sim, nodes[0], move |r, ctx| {
             r.base.next_exec = SeqNumber(5);
             r.base.set_reconfig_barrier(SeqNumber(barrier));
-            let mut data = r.base.checkpoint_data();
-            data.next_exec = SeqNumber(at);
+            let mut membership = r.base.membership().clone();
             if join {
-                data.membership.apply(&ReconfigCommand::Join(ReplicaId(3)));
+                membership.apply(&ReconfigCommand::Join(ReplicaId(3)));
             }
+            let snapshot = r.base.app().snapshot();
+            let rows = r
+                .base
+                .sessions
+                .iter()
+                .map(|(c, op, r)| (c, op.0, r.as_slice()));
+            let data = CheckpointData::new(SeqNumber(at), &snapshot, rows, &membership);
             let installed = r.base.install_checkpoint(ctx, data);
             let epoch = r.base.membership().epoch().0;
             seen.set(Some((
@@ -1546,11 +1510,112 @@ mod tests {
         assert!(matches!(
             &pushed[..],
             [(_, _, Toy::Checkpoint(cp))]
-                if cp.next_exec == SeqNumber(8) && cp.membership.contains(ReplicaId(3))
+                if cp.next_exec() == SeqNumber(8)
+                    && cp.decode().membership.is_some_and(|m| m.contains(ReplicaId(3)))
         ));
         assert!(matches!(
             &toy(&sim, client).seen[..],
             [(_, _, Toy::MembershipUpdate(_))]
         ));
+    }
+
+    /// Turns on the WAL at `nodes` and gives replica 0 sessions with
+    /// replies of several lengths, frontier 8.
+    fn durable_sender(sim: &mut Simulation<Toy>, nodes: &[NodeId]) {
+        for &node in nodes {
+            let replica = sim.node_as_mut::<ToyReplica>(node).expect("toy replica");
+            replica.base.set_persistence(PersistMode::Wal);
+        }
+        let sender = sim
+            .node_as_mut::<ToyReplica>(nodes[0])
+            .expect("toy replica");
+        for (client, reply) in [(0, &b""[..]), (3, b"ok"), (9, &[7; 200])] {
+            let result = ResultBytes::from_slice(reply);
+            sender
+                .base
+                .sessions
+                .record(ClientId(client), OpNumber(2), result);
+        }
+        sender.base.next_exec = SeqNumber(8);
+    }
+
+    /// Installs at `node` the one checkpoint it received.
+    fn install_received(sim: &mut Simulation<Toy>, node: NodeId) {
+        let received: Vec<CheckpointData> = toy(sim, node)
+            .seen
+            .iter()
+            .filter_map(|(.., m)| match m {
+                Toy::Checkpoint(cp) => Some(cp.clone()),
+                _ => None,
+            })
+            .collect();
+        let [data] = &received[..] else {
+            panic!("{} checkpoints received", received.len());
+        };
+        let data = data.clone();
+        act(sim, node, move |r, ctx| {
+            assert!(r.base.install_checkpoint(ctx, data));
+        });
+    }
+
+    fn newest_record(sim: &Simulation<Toy>, node: NodeId) -> Vec<u8> {
+        let records = sim.disk(node).records();
+        records.last().expect("a record on the disk").clone()
+    }
+
+    #[test]
+    fn an_answered_request_lands_byte_for_byte_on_the_requesters_disk() {
+        let (mut sim, nodes) = cluster(3, 3);
+        durable_sender(&mut sim, &nodes[..2]);
+        let requester = nodes[1];
+        act(&mut sim, nodes[0], move |r, ctx| {
+            r.base.handle_checkpoint_request(ctx, requester)
+        });
+        sim.run_for(Duration::from_millis(10));
+        install_received(&mut sim, requester);
+        assert_eq!(
+            newest_record(&sim, requester),
+            newest_record(&sim, nodes[0])
+        );
+        let base = &toy(&sim, requester).base;
+        assert_eq!(base.next_exec(), SeqNumber(8));
+        let cached = base.sessions.get(ClientId(9));
+        assert!(matches!(cached, Some((OpNumber(2), r)) if r.as_slice() == [7; 200]));
+    }
+
+    #[test]
+    fn a_pushed_checkpoint_lands_byte_for_byte_on_the_joiners_disk() {
+        let (mut sim, nodes) = cluster(4, 3);
+        durable_sender(&mut sim, &[nodes[0], nodes[3]]);
+        act(&mut sim, nodes[0], |r, ctx| {
+            assert!(r
+                .base
+                .switch_epoch(ctx, &ReconfigCommand::Join(ReplicaId(3))));
+        });
+        sim.run_for(Duration::from_millis(10));
+        install_received(&mut sim, nodes[3]);
+        assert_eq!(newest_record(&sim, nodes[3]), newest_record(&sim, nodes[0]));
+        let joiner = &toy(&sim, nodes[3]).base;
+        assert!(joiner.is_member());
+        assert_eq!(joiner.membership(), toy(&sim, nodes[0]).base.membership());
+    }
+
+    #[test]
+    fn checkpoint_wire_size_counts_snapshot_rows_and_membership() {
+        let mut joined = Membership::bootstrap(3);
+        joined.apply(&ReconfigCommand::Join(ReplicaId(3)));
+        let many: Vec<(u32, u64, Vec<u8>)> = (0..50)
+            .map(|c| (c * 3, u64::from(c) + 1, vec![1; c as usize]))
+            .collect();
+        for membership in [Membership::bootstrap(3), joined] {
+            for rows in [&many[..0], &many[..1], &many[..]] {
+                let snapshot = [5; 37];
+                let iter = rows.iter().map(|(c, op, r)| (*c, *op, &r[..]));
+                let data = CheckpointData::new(SeqNumber(4), &snapshot, iter, &membership);
+                let replies: usize = rows.iter().map(|(.., r)| 12 + r.len()).sum();
+                let formula = 8 + snapshot.len() + replies + membership.wire_size();
+                assert_eq!(data.wire_size(), formula, "{} rows", rows.len());
+            }
+        }
     }
 }

@@ -15,6 +15,8 @@
 //! - [`WalRecord::Checkpoint`] — an application snapshot plus client
 //!   table, bounding replay length. Only the two newest keep their bytes:
 //!   appending one empties, in place, the checkpoint that falls to third.
+//!   State transfer ships the same record ([`CheckpointData`]), and the
+//!   receiver appends the bytes it got.
 //!
 //! The write discipline is write-ahead: a record is appended **and
 //! fsynced** before the replica acts on it (applies the command, sends the
@@ -24,12 +26,29 @@
 //! replica externalized. [`PersistMode::WalNoFsync`] deliberately breaks
 //! that discipline — it exists so tests can prove the durability invariant
 //! has teeth.
+//!
+//! # Byte layout
+//!
+//! Integers are little-endian. A *blob* is a `u32` length followed by that
+//! many bytes; a request *id* is its client (`u32`) followed by its op
+//! (`u64`). Every record starts with a one-byte tag:
+//!
+//! | Kind | Bytes, in order |
+//! |---|---|
+//! | view | `1`, view `u64` |
+//! | accept | `2`, slot `u64`, view `u64`, id, command blob |
+//! | exec | `3`, slot `u64`, id, fresh `u8` (`0` or `1`), command blob, then epoch `u64` only when the epoch is not 0 |
+//! | checkpoint | `4`, `next_exec` `u64`, snapshot blob, row count `u32`, that many rows of client `u32`, last op `u64`, reply blob; then, only once the group has left its bootstrap epoch, the membership: epoch `u64`, member count `u32`, one `u32` per member |
+//!
+//! Nothing follows the last field. A decoder refuses anything else: an
+//! unknown tag, an underrun, trailing bytes, a fresh byte other than 0 or
+//! 1, a written epoch of 0, or a membership tail that does not decode.
 
 use idem_simnet::Context;
 
 use crate::app::StateMachine;
 use crate::dense::SessionTable;
-use crate::ids::{ClientId, OpNumber, RequestId};
+use crate::ids::{ClientId, OpNumber, RequestId, SeqNumber};
 use crate::membership::Membership;
 
 /// Whether (and how honestly) a replica persists to its simulated disk.
@@ -46,12 +65,12 @@ pub enum PersistMode {
     WalNoFsync,
 }
 
-/// One durable log record, owning its bytes. See the [module docs](self)
-/// for when each kind is written. The replicas write and replay through
-/// the borrowed [`WalRecordRef`]; this is the form
-/// [`WalRecordRef::to_owned`] copies out, and it shares that codec.
+/// One durable log record viewed in place: command bodies, the snapshot
+/// and the client rows borrow from the record's bytes. See the
+/// [module docs](self) for when each kind is written and how it is laid
+/// out.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub enum WalRecord<'a> {
     /// The replica entered (or promised) this view/ballot.
     View(u64),
     /// The replica accepted `id` with `command` at `slot` in `view`.
@@ -63,7 +82,7 @@ pub enum WalRecord {
         /// The accepted request id.
         id: RequestId,
         /// The accepted command body.
-        command: Vec<u8>,
+        command: &'a [u8],
     },
     /// The replica executed `command` for `id` at `slot`.
     Exec {
@@ -75,60 +94,12 @@ pub enum WalRecord {
         /// re-delivery recorded for the audit log only).
         fresh: bool,
         /// The command body, replayed against the app on recovery.
-        command: Vec<u8>,
-        /// Membership epoch the replica was in at execution time. Encoded
-        /// as an optional record tail only when nonzero, so
-        /// pre-reconfiguration logs are byte-identical and decode
-        /// unchanged.
+        command: &'a [u8],
+        /// Membership epoch at execution time (0 = no record tail, so
+        /// pre-reconfiguration logs decode unchanged).
         epoch: u64,
     },
     /// Application snapshot at `next_exec` plus the client reply table.
-    Checkpoint {
-        /// First slot *not* covered by the snapshot.
-        next_exec: u64,
-        /// Opaque application snapshot bytes.
-        snapshot: Vec<u8>,
-        /// Per-client `(client, last_op, reply)` dedup records.
-        clients: Vec<(u32, u64, Vec<u8>)>,
-        /// The membership the replica held at `next_exec`, written only
-        /// once the group has reconfigured (`None` = still the bootstrap
-        /// configuration). Encoded as an optional record tail so
-        /// pre-reconfiguration logs decode unchanged.
-        membership: Option<Membership>,
-    },
-}
-
-/// One durable log record viewed in place: command bodies, the snapshot
-/// and the client rows borrow from the record's bytes on disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecordRef<'a> {
-    /// See [`WalRecord::View`].
-    View(u64),
-    /// See [`WalRecord::Accept`].
-    Accept {
-        /// Protocol slot (sequence number; `u64::MAX` = not yet bound).
-        slot: u64,
-        /// View the acceptance happened in.
-        view: u64,
-        /// The accepted request id.
-        id: RequestId,
-        /// The accepted command body.
-        command: &'a [u8],
-    },
-    /// See [`WalRecord::Exec`].
-    Exec {
-        /// Execution slot, in the protocol's slot numbering.
-        slot: u64,
-        /// The executed request id.
-        id: RequestId,
-        /// Whether this was a fresh application.
-        fresh: bool,
-        /// The command body.
-        command: &'a [u8],
-        /// Membership epoch at execution time (0 = no record tail).
-        epoch: u64,
-    },
-    /// See [`WalRecord::Checkpoint`].
     Checkpoint(CheckpointRef<'a>),
 }
 
@@ -139,14 +110,15 @@ pub struct CheckpointRef<'a> {
     pub next_exec: u64,
     /// Opaque application snapshot bytes.
     pub snapshot: &'a [u8],
-    /// Per-client dedup records.
+    /// Per-client `(client, last_op, reply)` dedup records.
     pub clients: ClientRows<'a>,
-    /// The membership held at `next_exec` (`None` = bootstrap).
+    /// The membership held at `next_exec`, written only once the group
+    /// has reconfigured (`None` = still the bootstrap configuration).
     pub membership: Option<Membership>,
 }
 
 /// The client table of a checkpoint record, still in its on-disk form.
-/// [`WalRecordRef::decode`] has walked every row, so iteration cannot
+/// [`WalRecord::decode`] has walked every row, so iteration cannot
 /// underrun.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientRows<'a> {
@@ -295,16 +267,16 @@ fn encode_checkpoint<'c>(
     })
 }
 
-impl<'a> WalRecordRef<'a> {
+impl<'a> WalRecord<'a> {
     /// The exact byte length [`encode`](Self::encode) produces.
     pub fn encoded_len(&self) -> usize {
         match self {
-            WalRecordRef::View(_) => 1 + 8,
-            WalRecordRef::Accept { command, .. } => 1 + 8 + 8 + 4 + 8 + 4 + command.len(),
-            WalRecordRef::Exec { command, epoch, .. } => {
+            WalRecord::View(_) => 1 + 8,
+            WalRecord::Accept { command, .. } => 1 + 8 + 8 + 4 + 8 + 4 + command.len(),
+            WalRecord::Exec { command, epoch, .. } => {
                 1 + 8 + 4 + 8 + 1 + 4 + command.len() + if *epoch > 0 { 8 } else { 0 }
             }
-            WalRecordRef::Checkpoint(cp) => {
+            WalRecord::Checkpoint(cp) => {
                 checkpoint_len(cp.snapshot.len(), cp.clients.iter(), cp.membership.as_ref()).1
             }
         }
@@ -314,11 +286,11 @@ impl<'a> WalRecordRef<'a> {
     /// exactly [`encoded_len`](Self::encoded_len) bytes.
     pub fn encode(&self) -> Vec<u8> {
         match *self {
-            WalRecordRef::View(view) => build(self.encoded_len(), |out| {
+            WalRecord::View(view) => build(self.encoded_len(), |out| {
                 out.push(TAG_VIEW);
                 put_u64(out, view);
             }),
-            WalRecordRef::Accept {
+            WalRecord::Accept {
                 slot,
                 view,
                 id,
@@ -330,7 +302,7 @@ impl<'a> WalRecordRef<'a> {
                 put_id(out, id);
                 put_bytes(out, command);
             }),
-            WalRecordRef::Exec {
+            WalRecord::Exec {
                 slot,
                 id,
                 fresh,
@@ -346,7 +318,7 @@ impl<'a> WalRecordRef<'a> {
                     put_u64(out, epoch);
                 }
             }),
-            WalRecordRef::Checkpoint(ref cp) => encode_checkpoint(
+            WalRecord::Checkpoint(ref cp) => encode_checkpoint(
                 cp.next_exec,
                 cp.snapshot.len(),
                 |out| out.extend_from_slice(cp.snapshot),
@@ -360,11 +332,11 @@ impl<'a> WalRecordRef<'a> {
     /// [`encode`](Self::encode) cannot have produced: unknown tag,
     /// underrun, trailing garbage, or a non-canonical flag or tail.
     /// Allocates only for a checkpoint's membership tail.
-    pub fn decode(bytes: &'a [u8]) -> Option<WalRecordRef<'a>> {
+    pub fn decode(bytes: &'a [u8]) -> Option<WalRecord<'a>> {
         let mut cur = Cursor(bytes);
         let rec = match cur.u8()? {
-            TAG_VIEW => WalRecordRef::View(cur.u64()?),
-            TAG_ACCEPT => WalRecordRef::Accept {
+            TAG_VIEW => WalRecord::View(cur.u64()?),
+            TAG_ACCEPT => WalRecord::Accept {
                 slot: cur.u64()?,
                 view: cur.u64()?,
                 id: cur.id()?,
@@ -386,7 +358,7 @@ impl<'a> WalRecordRef<'a> {
                 } else {
                     Some(cur.u64()?).filter(|&e| e > 0)?
                 };
-                WalRecordRef::Exec {
+                WalRecord::Exec {
                     slot,
                     id,
                     fresh,
@@ -418,7 +390,7 @@ impl<'a> WalRecordRef<'a> {
                     cur.0 = &[];
                     Some(m)
                 };
-                WalRecordRef::Checkpoint(CheckpointRef {
+                WalRecord::Checkpoint(CheckpointRef {
                     next_exec,
                     snapshot,
                     clients,
@@ -429,137 +401,92 @@ impl<'a> WalRecordRef<'a> {
         };
         cur.0.is_empty().then_some(rec)
     }
-
-    /// Copies the borrowed bytes out into an owned record.
-    pub fn to_owned(&self) -> WalRecord {
-        match self {
-            WalRecordRef::View(view) => WalRecord::View(*view),
-            WalRecordRef::Accept {
-                slot,
-                view,
-                id,
-                command,
-            } => WalRecord::Accept {
-                slot: *slot,
-                view: *view,
-                id: *id,
-                command: command.to_vec(),
-            },
-            WalRecordRef::Exec {
-                slot,
-                id,
-                fresh,
-                command,
-                epoch,
-            } => WalRecord::Exec {
-                slot: *slot,
-                id: *id,
-                fresh: *fresh,
-                command: command.to_vec(),
-                epoch: *epoch,
-            },
-            WalRecordRef::Checkpoint(cp) => {
-                let mut clients = Vec::with_capacity(cp.clients.len());
-                clients.extend(cp.clients.iter().map(|(c, op, r)| (c, op, r.to_vec())));
-                WalRecord::Checkpoint {
-                    next_exec: cp.next_exec,
-                    snapshot: cp.snapshot.to_vec(),
-                    clients,
-                    membership: cp.membership.clone(),
-                }
-            }
-        }
-    }
 }
 
-/// The rows of an owned checkpoint record, as the encoder takes them.
-fn owned_rows(clients: &[(u32, u64, Vec<u8>)]) -> impl Iterator<Item = (u32, u64, &[u8])> + Clone {
-    clients.iter().map(|(c, op, r)| (*c, *op, &r[..]))
+/// A checkpoint, encoded: the [`WalRecord::Checkpoint`] record a replica
+/// appends to its own disk and, unchanged, what state transfer ships and
+/// the receiver appends to its disk. Only the checkpoint encoder builds
+/// one, so it always decodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointData {
+    record: Vec<u8>,
 }
 
-impl WalRecord {
-    /// Views a view, accept or exec record's bytes in place. A checkpoint
-    /// is encoded from its owned rows instead: they have no contiguous
-    /// on-disk form to borrow.
-    fn borrowed(&self) -> WalRecordRef<'_> {
-        match self {
-            WalRecord::View(view) => WalRecordRef::View(*view),
-            WalRecord::Accept {
-                slot,
-                view,
-                id,
-                command,
-            } => WalRecordRef::Accept {
-                slot: *slot,
-                view: *view,
-                id: *id,
-                command,
-            },
-            WalRecord::Exec {
-                slot,
-                id,
-                fresh,
-                command,
-                epoch,
-            } => WalRecordRef::Exec {
-                slot: *slot,
-                id: *id,
-                fresh: *fresh,
-                command,
-                epoch: *epoch,
-            },
-            WalRecord::Checkpoint { .. } => {
-                unreachable!("checkpoints are encoded from their owned rows")
-            }
+impl CheckpointData {
+    /// A checkpoint of live state at `next_exec`: the application
+    /// serializes itself into the record and the session table's rows
+    /// follow, with nothing materialized in between. `membership` is
+    /// written only past the bootstrap epoch.
+    pub fn capture(
+        next_exec: SeqNumber,
+        app: &dyn StateMachine,
+        sessions: &SessionTable,
+        membership: &Membership,
+    ) -> CheckpointData {
+        let record = encode_checkpoint(
+            next_exec.0,
+            app.snapshot_len(),
+            |out| app.snapshot_into(out),
+            sessions.iter().map(|(c, op, r)| (c, op.0, r.as_slice())),
+            written_membership(membership),
+        );
+        CheckpointData { record }
+    }
+
+    /// A checkpoint of these parts: the snapshot bytes and the
+    /// `(client, last_op, reply)` rows, with `membership` written as by
+    /// [`capture`](Self::capture).
+    pub fn new<'c>(
+        next_exec: SeqNumber,
+        snapshot: &[u8],
+        clients: impl Iterator<Item = (u32, u64, &'c [u8])> + Clone,
+        membership: &Membership,
+    ) -> CheckpointData {
+        let record = encode_checkpoint(
+            next_exec.0,
+            snapshot.len(),
+            |out| out.extend_from_slice(snapshot),
+            clients,
+            written_membership(membership),
+        );
+        CheckpointData { record }
+    }
+
+    /// First slot not covered by this checkpoint, in the protocol's own
+    /// frontier numbering (a batch instance for SMaRt).
+    pub fn next_exec(&self) -> SeqNumber {
+        SeqNumber(peek_checkpoint(&self.record).expect("a checkpoint record"))
+    }
+
+    /// The record viewed in place.
+    pub fn decode(&self) -> CheckpointRef<'_> {
+        match WalRecord::decode(&self.record) {
+            Some(WalRecord::Checkpoint(cp)) => cp,
+            _ => unreachable!("built by the checkpoint encoder"),
         }
     }
 
-    /// The exact byte length [`encode`](Self::encode) produces.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            WalRecord::Checkpoint {
-                snapshot,
-                clients,
-                membership,
-                ..
-            } => checkpoint_len(snapshot.len(), owned_rows(clients), membership.as_ref()).1,
-            simple => simple.borrowed().encoded_len(),
-        }
-    }
-
-    /// Serializes the record to its on-disk byte form.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            WalRecord::Checkpoint {
-                next_exec,
-                snapshot,
-                clients,
-                membership,
-            } => encode_checkpoint(
-                *next_exec,
-                snapshot.len(),
-                |out| out.extend_from_slice(snapshot),
-                owned_rows(clients),
-                membership.as_ref(),
-            ),
-            simple => simple.borrowed().encode(),
-        }
-    }
-
-    /// Decodes a record from its on-disk byte form. Returns `None` on a
-    /// malformed record; see [`WalRecordRef::decode`].
-    pub fn decode(bytes: &[u8]) -> Option<WalRecord> {
-        WalRecordRef::decode(bytes).map(|rec| rec.to_owned())
+    /// Estimated wire size: `8 + snapshot + Σ(12 + reply) + membership`,
+    /// which is the record less its tag, the snapshot length, the row
+    /// count and each row's reply length — read from the header alone.
+    pub fn wire_size(&self) -> usize {
+        let mut cur = Cursor(&self.record[9..]);
+        let rows = cur
+            .bytes()
+            .and_then(|_| cur.u32())
+            .expect("a checkpoint header");
+        self.record.len() - 9 - 4 * rows as usize
     }
 }
 
 /// A replica's handle on its write-ahead log: encodes records to the
 /// node's disk under the configured [`PersistMode`].
 ///
-/// Every `log_*` entry point encodes straight from the caller's borrowed
-/// state into one exactly-sized record, appends it, and (unless the mode
-/// is the deliberately broken [`PersistMode::WalNoFsync`]) fsyncs, making
-/// the record durable before the caller acts on it. All are no-ops when
+/// Every `log_*` entry point appends one exactly-sized record — encoded
+/// straight from the caller's borrowed state, or for a checkpoint already
+/// encoded as a [`CheckpointData`] — and (unless the mode is the
+/// deliberately broken [`PersistMode::WalNoFsync`]) fsyncs, making the
+/// record durable before the caller acts on it. All are no-ops when
 /// persistence is disabled.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Wal {
@@ -588,7 +515,7 @@ impl Wal {
     /// Logs a [`WalRecord::View`].
     pub fn log_view<M>(&self, ctx: &mut Context<'_, M>, view: u64) {
         if self.enabled() {
-            self.append(ctx, WalRecordRef::View(view).encode());
+            self.append(ctx, WalRecord::View(view).encode());
         }
     }
 
@@ -605,7 +532,7 @@ impl Wal {
         command: &[u8],
     ) {
         if self.enabled() {
-            let rec = WalRecordRef::Accept {
+            let rec = WalRecord::Accept {
                 slot,
                 view,
                 id,
@@ -627,7 +554,7 @@ impl Wal {
         epoch: u64,
     ) {
         if self.enabled() {
-            let rec = WalRecordRef::Exec {
+            let rec = WalRecord::Exec {
                 slot,
                 id,
                 fresh,
@@ -638,61 +565,19 @@ impl Wal {
         }
     }
 
-    /// Logs a [`WalRecord::Checkpoint`] of the replica's own live state at
-    /// `next_exec`: the application serializes itself into the record and
-    /// the session table's rows follow, with nothing materialized in
-    /// between. `membership` is written only past the bootstrap epoch.
-    pub fn log_checkpoint<M>(
-        &self,
-        ctx: &mut Context<'_, M>,
-        next_exec: u64,
-        app: &dyn StateMachine,
-        sessions: &SessionTable,
-        membership: &Membership,
-    ) {
-        if self.enabled() {
-            let record = encode_checkpoint(
-                next_exec,
-                app.snapshot_len(),
-                |out| app.snapshot_into(out),
-                sessions.iter().map(|(c, op, r)| (c, op.0, r.as_slice())),
-                written_membership(membership),
-            );
-            self.append_checkpoint(ctx, record);
-        }
-    }
-
-    /// Logs a [`WalRecord::Checkpoint`] received by state transfer, from
-    /// the transferred parts as they are.
-    pub fn log_checkpoint_data<'c, M>(
-        &self,
-        ctx: &mut Context<'_, M>,
-        next_exec: u64,
-        snapshot: &[u8],
-        clients: impl Iterator<Item = (u32, u64, &'c [u8])> + Clone,
-        membership: &Membership,
-    ) {
-        if self.enabled() {
-            let record = encode_checkpoint(
-                next_exec,
-                snapshot.len(),
-                |out| out.extend_from_slice(snapshot),
-                clients,
-                written_membership(membership),
-            );
-            self.append_checkpoint(ctx, record);
-        }
-    }
-
-    /// Appends a checkpoint record, then empties the one it pushed below
-    /// the two newest synced checkpoints on the disk: replay decodes only
-    /// the newest intact checkpoint and falls back to the previous one
+    /// Logs a checkpoint record — the replica's own, or one it received
+    /// by state transfer, as it arrived — then empties the one it pushed
+    /// below the two newest synced checkpoints on the disk: replay decodes
+    /// only the newest intact checkpoint and falls back to the previous one
     /// when the newest is torn, so a third is never read again. Ranked as
     /// [`replay`](Self::replay) ranks them, by `next_exec` and the later
     /// record on ties. Under [`PersistMode::Wal`] every record is synced
     /// by now; [`PersistMode::WalNoFsync`] syncs none, so it keeps all.
-    fn append_checkpoint<M>(&self, ctx: &mut Context<'_, M>, record: Vec<u8>) {
-        self.append(ctx, record);
+    pub fn log_checkpoint<M>(&self, ctx: &mut Context<'_, M>, checkpoint: CheckpointData) {
+        if !self.enabled() {
+            return;
+        }
+        self.append(ctx, checkpoint.record);
         if self.mode == PersistMode::Wal {
             if let Some(index) = superseded_checkpoint(ctx.disk_records()) {
                 ctx.disk_discard(index);
@@ -717,14 +602,14 @@ impl Wal {
             candidates
                 .iter()
                 .rev()
-                .find_map(|&(_, i)| match WalRecordRef::decode(&disk[i]) {
-                    Some(WalRecordRef::Checkpoint(cp)) => Some(cp),
+                .find_map(|&(_, i)| match WalRecord::decode(&disk[i]) {
+                    Some(WalRecord::Checkpoint(cp)) => Some(cp),
                     _ => None,
                 });
         let records = disk
             .iter()
             .filter(|bytes| bytes.first() != Some(&TAG_CHECKPOINT))
-            .filter_map(|bytes| WalRecordRef::decode(bytes))
+            .filter_map(|bytes| WalRecord::decode(bytes))
             .collect();
         ReplayLog {
             checkpoint,
@@ -771,7 +656,7 @@ pub struct ReplayLog<'a> {
     pub checkpoint: Option<CheckpointRef<'a>>,
     /// Every intact view, accept and exec record, oldest first. Malformed
     /// records are skipped.
-    pub records: Vec<WalRecordRef<'a>>,
+    pub records: Vec<WalRecord<'a>>,
 }
 
 #[cfg(test)]
@@ -785,58 +670,65 @@ mod tests {
         }
     }
 
+    fn checkpoint(
+        next_exec: u64,
+        snapshot: &[u8],
+        clients: &[(u32, u64, &[u8])],
+        membership: &Membership,
+    ) -> Vec<u8> {
+        let rows = clients.iter().copied();
+        CheckpointData::new(SeqNumber(next_exec), snapshot, rows, membership).record
+    }
+
     #[test]
     fn records_roundtrip_through_bytes() {
-        let records = vec![
-            WalRecord::View(42),
+        let bootstrap = Membership::bootstrap(3);
+        let records = [
+            WalRecord::View(42).encode(),
             WalRecord::Accept {
                 slot: 7,
                 view: 2,
                 id: rid(3, 11),
-                command: vec![1, 2, 3],
-            },
+                command: &[1, 2, 3],
+            }
+            .encode(),
             WalRecord::Exec {
                 slot: 9,
                 id: rid(0, 1),
                 fresh: true,
-                command: Vec::new(),
+                command: &[],
                 epoch: 0,
-            },
+            }
+            .encode(),
             WalRecord::Exec {
                 slot: 10,
                 id: rid(1, 5),
                 fresh: false,
-                command: vec![0xFF; 100],
+                command: &[0xFF; 100],
                 epoch: 3,
-            },
-            WalRecord::Checkpoint {
-                next_exec: 50,
-                snapshot: vec![9, 9, 9],
-                clients: vec![(0, 12, vec![1]), (1, 3, Vec::new())],
-                membership: None,
-            },
+            }
+            .encode(),
+            checkpoint(50, &[9, 9, 9], &[(0, 12, &[1]), (1, 3, &[])], &bootstrap),
         ];
-        for rec in records {
-            let bytes = rec.encode();
-            assert_eq!(WalRecord::decode(&bytes), Some(rec.clone()), "{rec:?}");
+        for bytes in records {
+            let rec = WalRecord::decode(&bytes).expect("decodes");
+            assert_eq!(rec.encoded_len(), bytes.len(), "{rec:?}");
+            assert_eq!(rec.encode(), bytes, "{rec:?}");
         }
     }
 
     #[test]
     fn checkpoint_membership_tail_roundtrips() {
         use crate::ids::ReplicaId;
-        use crate::membership::{Membership, ReconfigCommand};
+        use crate::membership::ReconfigCommand;
         let mut m = Membership::bootstrap(3);
         m.apply(&ReconfigCommand::Join(ReplicaId(3)));
-        let rec = WalRecord::Checkpoint {
-            next_exec: 50,
-            snapshot: vec![9, 9],
-            clients: vec![(0, 12, vec![1])],
-            membership: Some(m),
+        let bytes = checkpoint(50, &[9, 9], &[(0, 12, &[1])], &m);
+        let Some(WalRecord::Checkpoint(cp)) = WalRecord::decode(&bytes) else {
+            panic!("a checkpoint record");
         };
-        let bytes = rec.encode();
-        assert_eq!(bytes.len(), rec.encoded_len());
-        assert_eq!(WalRecord::decode(&bytes), Some(rec.clone()));
+        assert_eq!(cp.membership, Some(m));
+        assert_eq!(WalRecord::Checkpoint(cp).encode(), bytes);
         // A truncated tail is a malformed record, not a silent None.
         assert_eq!(WalRecord::decode(&bytes[..bytes.len() - 1]), None);
     }
@@ -847,7 +739,7 @@ mod tests {
             slot: 9,
             id: rid(0, 1),
             fresh: true,
-            command: vec![5],
+            command: &[5],
             epoch: 0,
         };
         let mut bytes = exec.encode();
@@ -860,21 +752,21 @@ mod tests {
 
     #[test]
     fn replay_installs_the_newest_intact_checkpoint_only() {
+        let bootstrap = Membership::bootstrap(3);
         let cp = |next_exec: u64, marker: u8| {
-            WalRecord::Checkpoint {
+            checkpoint(
                 next_exec,
-                snapshot: vec![marker],
-                clients: vec![(1, next_exec, vec![marker; 30])],
-                membership: None,
-            }
-            .encode()
+                &[marker],
+                &[(1, next_exec, &[marker; 30])],
+                &bootstrap,
+            )
         };
         let exec = |slot: u64| {
             WalRecord::Exec {
                 slot,
                 id: rid(1, slot),
                 fresh: true,
-                command: vec![slot as u8],
+                command: &[slot as u8],
                 epoch: 0,
             }
             .encode()

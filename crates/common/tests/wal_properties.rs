@@ -1,14 +1,16 @@
-//! Property tests for the WAL codec and the streamed write path.
+//! Property tests for the WAL codec and the write path.
 //!
-//! * **Total decoders.** Arbitrary, truncated and bit-flipped byte strings
-//!   go through both decoders (borrowed `WalRecordRef` and owned
-//!   `WalRecord`): the answer is `None`, or a record that re-encodes to
-//!   exactly the input — never a panic, never an allocation sized by a
+//! * **A layout oracle.** `layout` below writes each record kind from the
+//!   byte layout in the `wal` module docs and calls nothing in `wal.rs`.
+//!   What `Wal::log_*` streams onto a simulated disk from borrowed command
+//!   bodies, a live `StateMachine` and a live `SessionTable`, and a
+//!   `CheckpointData` built from transferred parts, are byte for byte what
+//!   it writes, in a buffer of exactly that length.
+//! * **A total decoder.** Arbitrary, truncated and bit-flipped byte strings
+//!   go through `WalRecord::decode`: the answer is `None`, or a record
+//!   that re-encodes to exactly the input and whose fields the oracle lays
+//!   out as the input — never a panic, never an allocation sized by a
 //!   length the input merely claims.
-//! * **One codec.** What `Wal::log_*` streams onto a simulated disk from
-//!   borrowed command bodies, a live `StateMachine` and a live
-//!   `SessionTable` is byte for byte what `WalRecord::encode` produces
-//!   from the owned equivalent, in a buffer of exactly that length.
 //! * **Invisible reclaiming.** A disk on which the WAL has emptied its
 //!   superseded checkpoints replays exactly like one that kept every
 //!   record, and the `WalNoFsync` mode empties nothing.
@@ -17,8 +19,8 @@ use std::time::Duration;
 
 use idem_common::dense::{SessionTable, DENSE_CLIENT_LIMIT};
 use idem_common::{
-    ClientId, Membership, OpNumber, PersistMode, ReconfigCommand, ReplicaId, RequestId,
-    ResultBytes, StateMachine, Wal, WalRecord, WalRecordRef,
+    CheckpointData, ClientId, Membership, OpNumber, PersistMode, ReconfigCommand, ReplicaId,
+    RequestId, ResultBytes, SeqNumber, StateMachine, Wal, WalRecord,
 };
 use idem_simnet::{Context, Disk, Node, NodeId, Simulation, Wire};
 use proptest::prelude::*;
@@ -69,19 +71,171 @@ fn sessions_of(rows: &[(u32, u64, Vec<u8>)]) -> SessionTable {
     sessions
 }
 
-/// `decode` answers `None` or a record that is exactly `bytes`.
-fn check_total(bytes: &[u8]) -> Result<(), String> {
-    let owned = WalRecord::decode(bytes);
-    match WalRecordRef::decode(bytes) {
-        None => prop_assert!(owned.is_none(), "owned decoded what borrowed refused"),
-        Some(rec) => {
-            prop_assert_eq!(rec.encoded_len(), bytes.len());
-            prop_assert_eq!(&rec.encode()[..], bytes);
-            let owned = owned.expect("borrowed decoded, owned must too");
-            prop_assert_eq!(owned.encoded_len(), bytes.len());
-            prop_assert_eq!(&owned.encode()[..], bytes);
-            prop_assert_eq!(rec.to_owned(), owned);
+/// The rows of a session table, as a checkpoint stores them.
+fn rows_of(sessions: &SessionTable) -> Vec<(u32, u64, Vec<u8>)> {
+    sessions
+        .iter()
+        .map(|(c, op, r)| (c, op.0, r.to_vec()))
+        .collect()
+}
+
+// --------------------------------------------------------------- oracle
+
+/// One record as the test models it: plain owned fields, nothing from the
+/// codec under test.
+#[derive(Clone, Debug, PartialEq)]
+enum Rec {
+    View(u64),
+    Accept {
+        slot: u64,
+        view: u64,
+        id: RequestId,
+        command: Vec<u8>,
+    },
+    Exec {
+        slot: u64,
+        id: RequestId,
+        fresh: bool,
+        command: Vec<u8>,
+        epoch: u64,
+    },
+    Checkpoint {
+        next_exec: u64,
+        snapshot: Vec<u8>,
+        clients: Vec<(u32, u64, Vec<u8>)>,
+        /// `(epoch, members)`; `None` writes no tail.
+        membership: Option<(u64, Vec<u32>)>,
+    },
+}
+
+/// The membership tail a checkpoint at `m` carries: none at the bootstrap
+/// epoch.
+fn tail_of(m: &Membership) -> Option<(u64, Vec<u32>)> {
+    (m.epoch().0 > 0).then(|| (m.epoch().0, m.members().iter().map(|r| r.0).collect()))
+}
+
+/// `rec` laid out as the `wal` module docs say, written without the codec.
+fn layout(rec: &Rec) -> Vec<u8> {
+    fn blob(out: &mut Vec<u8>, bytes: &[u8]) {
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(bytes);
+    }
+    fn id(out: &mut Vec<u8>, id: RequestId) {
+        out.extend_from_slice(&id.client.0.to_le_bytes());
+        out.extend_from_slice(&id.op.0.to_le_bytes());
+    }
+    let mut out = Vec::new();
+    match rec {
+        Rec::View(view) => {
+            out.push(1);
+            out.extend_from_slice(&view.to_le_bytes());
         }
+        Rec::Accept {
+            slot,
+            view,
+            id: rid,
+            command,
+        } => {
+            out.push(2);
+            out.extend_from_slice(&slot.to_le_bytes());
+            out.extend_from_slice(&view.to_le_bytes());
+            id(&mut out, *rid);
+            blob(&mut out, command);
+        }
+        Rec::Exec {
+            slot,
+            id: rid,
+            fresh,
+            command,
+            epoch,
+        } => {
+            out.push(3);
+            out.extend_from_slice(&slot.to_le_bytes());
+            id(&mut out, *rid);
+            out.push(u8::from(*fresh));
+            blob(&mut out, command);
+            if *epoch != 0 {
+                out.extend_from_slice(&epoch.to_le_bytes());
+            }
+        }
+        Rec::Checkpoint {
+            next_exec,
+            snapshot,
+            clients,
+            membership,
+        } => {
+            out.push(4);
+            out.extend_from_slice(&next_exec.to_le_bytes());
+            blob(&mut out, snapshot);
+            out.extend_from_slice(&(clients.len() as u32).to_le_bytes());
+            for (client, last_op, reply) in clients {
+                out.extend_from_slice(&client.to_le_bytes());
+                out.extend_from_slice(&last_op.to_le_bytes());
+                blob(&mut out, reply);
+            }
+            if let Some((epoch, members)) = membership {
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
+                for member in members {
+                    out.extend_from_slice(&member.to_le_bytes());
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The fields of a decoded record, copied out field by field.
+fn model(rec: &WalRecord<'_>) -> Rec {
+    match *rec {
+        WalRecord::View(view) => Rec::View(view),
+        WalRecord::Accept {
+            slot,
+            view,
+            id,
+            command,
+        } => Rec::Accept {
+            slot,
+            view,
+            id,
+            command: command.to_vec(),
+        },
+        WalRecord::Exec {
+            slot,
+            id,
+            fresh,
+            command,
+            epoch,
+        } => Rec::Exec {
+            slot,
+            id,
+            fresh,
+            command: command.to_vec(),
+            epoch,
+        },
+        WalRecord::Checkpoint(ref cp) => Rec::Checkpoint {
+            next_exec: cp.next_exec,
+            snapshot: cp.snapshot.to_vec(),
+            clients: cp
+                .clients
+                .iter()
+                .map(|(c, op, r)| (c, op, r.to_vec()))
+                .collect(),
+            membership: cp
+                .membership
+                .as_ref()
+                .map(|m| (m.epoch().0, m.members().iter().map(|r| r.0).collect())),
+        },
+    }
+}
+
+/// `decode` answers `None` or a record that is exactly `bytes`, both by
+/// the codec's own encoder and by the oracle.
+fn check_total(bytes: &[u8]) -> Result<(), String> {
+    if let Some(rec) = WalRecord::decode(bytes) {
+        prop_assert_eq!(rec.encoded_len(), bytes.len());
+        prop_assert_eq!(&rec.encode()[..], bytes);
+        prop_assert_eq!(&layout(&model(&rec))[..], bytes);
     }
     Ok(())
 }
@@ -115,25 +269,25 @@ proptest! {
     ) {
         let (a, b, c, d) = nums;
         let rec = match kind {
-            0 => WalRecord::View(a),
-            1 => WalRecord::Accept { slot: a, view: b, id: rid(c, d), command: blob },
-            2 => WalRecord::Exec {
+            0 => Rec::View(a),
+            1 => Rec::Accept { slot: a, view: b, id: rid(c, d), command: blob },
+            2 => Rec::Exec {
                 slot: a,
                 id: rid(c, d),
                 fresh,
                 command: blob,
                 epoch: b % 3,
             },
-            _ => WalRecord::Checkpoint {
+            _ => Rec::Checkpoint {
                 next_exec: a,
                 snapshot: blob,
                 clients: rows,
-                membership: (!joins.is_empty()).then(|| membership(&joins)),
+                membership: tail_of(&membership(&joins)),
             },
         };
-        let bytes = rec.encode();
-        prop_assert_eq!(bytes.len(), rec.encoded_len());
-        prop_assert_eq!(WalRecord::decode(&bytes), Some(rec));
+        let bytes = layout(&rec);
+        let decoded = WalRecord::decode(&bytes);
+        prop_assert_eq!(decoded.as_ref().map(model), Some(rec));
         check_total(&bytes)?;
         // Every truncation is a torn write; a flipped byte is corruption.
         check_total(&bytes[..usize::from(cut) % (bytes.len() + 1)])?;
@@ -154,7 +308,6 @@ fn huge_client_count_is_refused_not_reserved() {
     bytes.extend_from_slice(&0u32.to_le_bytes()); // empty snapshot
     bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // claimed row count
     assert_eq!(WalRecord::decode(&bytes), None);
-    assert_eq!(WalRecordRef::decode(&bytes), None);
     // Same with a few real rows behind the lie.
     bytes.extend_from_slice(&[0u8; 16 * 3]);
     assert_eq!(WalRecord::decode(&bytes), None);
@@ -231,18 +384,19 @@ impl Node<Msg> for Logger {
         self.wal.log_accept(ctx, p.slot, p.view, p.id, &p.command);
         self.wal
             .log_exec(ctx, p.slot, p.id, p.fresh, &p.command, p.epoch);
-        self.wal
-            .log_checkpoint(ctx, p.slot, &p.app, &p.sessions, &p.membership);
+        let next_exec = SeqNumber(p.slot);
+        let own = CheckpointData::capture(next_exec, &p.app, &p.sessions, &p.membership);
+        self.wal.log_checkpoint(ctx, own);
         let rows = p.sessions.iter().map(|(c, op, r)| (c, op.0, r.as_slice()));
-        self.wal
-            .log_checkpoint_data(ctx, p.slot, &p.app.bytes, rows, &p.membership);
+        let transferred = CheckpointData::new(next_exec, &p.app.bytes, rows, &p.membership);
+        self.wal.log_checkpoint(ctx, transferred);
     }
     fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
 }
 
 proptest! {
     #[test]
-    fn streamed_records_equal_the_owned_encoding(
+    fn logged_records_equal_the_documented_layout(
         nums in (any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>()),
         flags in (any::<bool>(), any::<bool>(), 0u64..3),
         command in prop::collection::vec(any::<u8>(), 0..80),
@@ -257,21 +411,17 @@ proptest! {
         let (fresh, streams, epoch) = flags;
         let sessions = sessions_of(&rows);
         let membership = membership(&joins);
-        let clients: Vec<(u32, u64, Vec<u8>)> = sessions
-            .iter()
-            .map(|(c, op, r)| (c, op.0, r.to_vec()))
-            .collect();
         let id = rid(client, op);
-        let checkpoint = WalRecord::Checkpoint {
+        let checkpoint = Rec::Checkpoint {
             next_exec: slot,
             snapshot: snapshot.clone(),
-            clients,
-            membership: (membership.epoch().0 > 0).then(|| membership.clone()),
+            clients: rows_of(&sessions),
+            membership: tail_of(&membership),
         };
         let expected = [
-            WalRecord::View(view),
-            WalRecord::Accept { slot, view, id, command: command.clone() },
-            WalRecord::Exec { slot, id, fresh, command: command.clone(), epoch },
+            Rec::View(view),
+            Rec::Accept { slot, view, id, command: command.clone() },
+            Rec::Exec { slot, id, fresh, command: command.clone(), epoch },
             checkpoint.clone(),
             checkpoint,
         ];
@@ -297,21 +447,22 @@ proptest! {
         prop_assert_eq!(disk.len(), expected.len());
         prop_assert_eq!(disk.synced_len(), expected.len());
         for (written, rec) in disk.records().iter().zip(&expected) {
-            prop_assert_eq!(written, &rec.encode());
+            let want = layout(rec);
+            prop_assert_eq!(written, &want);
             // The disk keeps the buffer: no slack beyond the record.
-            prop_assert_eq!(written.capacity(), rec.encoded_len());
+            prop_assert_eq!(written.capacity(), want.len());
         }
     }
 }
 
 // ----------------------------------------------------------- reclaiming
 
-/// One logged record; a checkpoint is either the replica's own
-/// (`log_checkpoint`) or one received by state transfer
-/// (`log_checkpoint_data`).
+/// One logged record; a checkpoint is either the replica's own, captured
+/// from live state, or one received by state transfer, built from its
+/// parts.
 #[derive(Clone, Debug)]
 struct Step {
-    record: WalRecord,
+    record: Rec,
     transferred: bool,
 }
 
@@ -328,30 +479,32 @@ impl Node<Msg> for Scripted {
         let wal = self.wal;
         for step in &self.steps {
             match &step.record {
-                WalRecord::View(view) => wal.log_view(ctx, *view),
-                WalRecord::Accept {
+                Rec::View(view) => wal.log_view(ctx, *view),
+                Rec::Accept {
                     slot,
                     view,
                     id,
                     command,
                 } => wal.log_accept(ctx, *slot, *view, *id, command),
-                WalRecord::Exec {
+                Rec::Exec {
                     slot,
                     id,
                     fresh,
                     command,
                     epoch,
                 } => wal.log_exec(ctx, *slot, *id, *fresh, command, *epoch),
-                WalRecord::Checkpoint {
+                Rec::Checkpoint {
                     next_exec,
                     snapshot,
                     clients,
                     ..
                 } if step.transferred => {
                     let rows = clients.iter().map(|(c, op, r)| (*c, *op, &r[..]));
-                    wal.log_checkpoint_data(ctx, *next_exec, snapshot, rows, &self.membership);
+                    let next_exec = SeqNumber(*next_exec);
+                    let data = CheckpointData::new(next_exec, snapshot, rows, &self.membership);
+                    wal.log_checkpoint(ctx, data);
                 }
-                WalRecord::Checkpoint {
+                Rec::Checkpoint {
                     next_exec,
                     snapshot,
                     ..
@@ -360,7 +513,10 @@ impl Node<Msg> for Scripted {
                         bytes: snapshot.clone(),
                         streams: true,
                     };
-                    wal.log_checkpoint(ctx, *next_exec, &app, &self.sessions, &self.membership);
+                    let next_exec = SeqNumber(*next_exec);
+                    let data =
+                        CheckpointData::capture(next_exec, &app, &self.sessions, &self.membership);
+                    wal.log_checkpoint(ctx, data);
                 }
             }
         }
@@ -379,7 +535,7 @@ fn logged(
 ) -> (Disk, Disk) {
     let mut shadow = Disk::new();
     for step in &steps {
-        shadow.append(step.record.encode());
+        shadow.append(layout(&step.record));
         if mode == PersistMode::Wal {
             shadow.fsync();
         }
@@ -404,23 +560,20 @@ fn script(
     sessions: &SessionTable,
     membership: &Membership,
 ) -> Vec<Step> {
-    let clients: Vec<(u32, u64, Vec<u8>)> = sessions
-        .iter()
-        .map(|(c, op, r)| (c, op.0, r.to_vec()))
-        .collect();
+    let clients = rows_of(sessions);
     kinds
         .into_iter()
         .enumerate()
         .map(|(i, (kind, n, mut blob))| {
             let record = match kind {
-                0 => WalRecord::View(n),
-                1 => WalRecord::Accept {
+                0 => Rec::View(n),
+                1 => Rec::Accept {
                     slot: n,
                     view: 1,
                     id: rid(1, n),
                     command: blob,
                 },
-                2 => WalRecord::Exec {
+                2 => Rec::Exec {
                     slot: n,
                     id: rid(1, n),
                     fresh: true,
@@ -429,11 +582,11 @@ fn script(
                 },
                 _ => {
                     blob.extend_from_slice(&(i as u64).to_le_bytes());
-                    WalRecord::Checkpoint {
+                    Rec::Checkpoint {
                         next_exec: n,
                         snapshot: blob,
                         clients: clients.clone(),
-                        membership: (membership.epoch().0 > 0).then(|| membership.clone()),
+                        membership: tail_of(membership),
                     }
                 }
             };

@@ -92,5 +92,5 @@ pub use client::{
     RejectHandling,
 };
 pub use config::IdemConfig;
-pub use messages::{CheckpointData, ClientRecord, IdemMessage, WindowEntry};
+pub use messages::{CheckpointData, IdemMessage, WindowEntry};
 pub use replica::{IdemReplica, ReplicaStats};

@@ -1,6 +1,6 @@
 //! IDEM wire messages and internal timer payloads.
 
-pub use idem_common::{CheckpointData, ClientRecord};
+pub use idem_common::CheckpointData;
 use idem_common::{Membership, OpNumber, ReplicaWire, Reply, Request, RequestId, SeqNumber, View};
 use idem_simnet::Wire;
 
@@ -188,16 +188,8 @@ mod tests {
 
     #[test]
     fn checkpoint_size_counts_snapshot_and_clients() {
-        let data = CheckpointData {
-            next_exec: SeqNumber(10),
-            snapshot: vec![0; 100],
-            clients: vec![ClientRecord {
-                client: ClientId(0),
-                last_op: OpNumber(5),
-                reply: vec![0; 8],
-            }],
-            membership: Membership::bootstrap(3),
-        };
+        let rows = [(0, 5, &[0; 8][..])].into_iter();
+        let data = CheckpointData::new(SeqNumber(10), &[0; 100], rows, &Membership::bootstrap(3));
         // The bootstrap membership is wire-free: checkpoint sizes are
         // unchanged from the fixed-membership protocol.
         assert_eq!(data.wire_size(), 8 + 100 + 12 + 8);

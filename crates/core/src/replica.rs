@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 use idem_common::{
     Chained, CheckpointData, ClientId, Consumed, Directory, QuorumTracker, ReconfigCommand,
     ReplicaBase, Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, SeqWindow, SessionTable,
-    StateMachine, View, VoteStore, WalRecordRef, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
+    StateMachine, View, VoteStore, WalRecord, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, SimTime, TimerId};
 
@@ -1192,7 +1192,9 @@ impl IdemReplica {
     /// the newest durable checkpoint, replay executions past it, restore
     /// accepted-but-unexecuted request bodies, and resume the highest view.
     fn replay_wal(&mut self, ctx: &mut Context<'_, IdemMessage>, disk: &[Vec<u8>]) {
-        let records = self.base.replay_wal(ctx, disk, 0).records;
+        let replayed = self.base.replay_wal(ctx, disk, 0);
+        self.stats.executed += replayed.executed;
+        let records = replayed.records;
         // Restore the GC window's lower bound: the pre-wipe replica had
         // executed up to next_exec, so its window provably covered it.
         // Without this the window stays at 0, every binding near the
@@ -1205,7 +1207,7 @@ impl IdemReplica {
         // Accepted-but-unexecuted requests come back as active, so their
         // bodies survive (peers may commit them on our pre-wipe vouching).
         for rec in &records {
-            let WalRecordRef::Accept { id, command, .. } = rec else {
+            let WalRecord::Accept { id, command, .. } = rec else {
                 continue;
             };
             if command.is_empty() || id.client == NOOP_CLIENT || self.base.executed_already(*id) {

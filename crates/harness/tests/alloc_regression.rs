@@ -24,8 +24,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use idem_common::load::LoadPhase;
 use idem_common::{
-    ClientSetup, Directory, Membership, OpNumber, PersistMode, ReplicaId, Reply, Request,
-    StateMachine, Wal,
+    ClientId, ClientSetup, Directory, Membership, OpNumber, PersistMode, ReplicaId, Reply, Request,
+    ResultBytes, StateMachine, Wal,
 };
 use idem_core::{IdemMessage, IdemReplica};
 use idem_harness::allocs;
@@ -298,6 +298,61 @@ fn wal_path_allocates_once_per_record_whatever_the_session_count() {
         on.checkpoints,
         on.sessions
     );
+}
+
+/// Allocator calls one IDEM replica of three makes to answer a
+/// `CheckpointRequest` while it holds `sessions` sessions, each with a
+/// short reply. The request is posted to the replica itself, so the
+/// answer comes back to it too and is refused as stale; persistence is
+/// off, so the answer is all the window holds.
+fn checkpoint_answer_allocs(sessions: u32) -> u64 {
+    let Protocol::Idem { config, .. } = Protocol::idem() else {
+        unreachable!("idem() builds the Idem variant");
+    };
+    let mut sim: Simulation<IdemMessage> = Simulation::with_network(3, experiment_network());
+    let replicas: Vec<NodeId> = (0..config.quorum.n()).map(|_| sim.reserve_node()).collect();
+    let dir = Directory::new(replicas.clone(), Vec::new());
+    for (i, &node) in replicas.iter().enumerate() {
+        let mut replica = IdemReplica::new(
+            config.clone(),
+            ReplicaId(i as u32),
+            dir.clone(),
+            Box::new(KvStore::new()),
+        );
+        if i == 0 {
+            for client in 0..sessions {
+                let reply = ResultBytes::from_slice(b"ok");
+                replica
+                    .sessions
+                    .record(ClientId(client), OpNumber(1), reply);
+            }
+        }
+        sim.install_node(node, Box::new(replica));
+    }
+    let answer = |sim: &mut Simulation<IdemMessage>| {
+        sim.post(replicas[0], IdemMessage::CheckpointRequest);
+        sim.run_for(Duration::from_millis(1));
+    };
+    // The first answer grows the queue and the arena to their size.
+    answer(&mut sim);
+    allocs_during(|| answer(&mut sim))
+}
+
+#[test]
+fn answering_a_checkpoint_request_allocates_independently_of_the_session_count() {
+    let _serial = serial();
+    // Process-global counters: the fewest over three tries is exact.
+    let fewest = |sessions| {
+        (0..3)
+            .map(|_| checkpoint_answer_allocs(sessions))
+            .min()
+            .expect("three tries")
+    };
+    let (few, many) = (fewest(10), fewest(10_000));
+    eprintln!("checkpoint answer: {few} allocator calls at 10 sessions, {many} at 10 000");
+    // One record for the wire, whatever it covers. Building the transfer
+    // message row by row cost one more call per session with a reply.
+    assert_eq!(many, few, "answering over 10 000 sessions");
 }
 
 /// IDEM's client messages with the cluster cut out: a submitted request

@@ -4,10 +4,13 @@
 //! by the durability invariant, and a wiped replica must rejoin even
 //! when its leader guess is crashed at recovery time.
 
-use idem_common::PersistMode;
+use std::time::Duration;
+
+use idem_common::{PersistMode, Wal, WalRecord, RECONFIG_CLIENT};
 use idem_harness::chaos::{run_chaos, run_chaos_with_mode, Schedule};
+use idem_harness::cluster::{build_cluster, ClusterOptions};
 use idem_harness::invariants::ViolationKind;
-use idem_harness::Protocol;
+use idem_harness::{ClusterHandles, Protocol};
 
 fn protocols() -> Vec<Protocol> {
     vec![Protocol::idem(), Protocol::paxos(), Protocol::smart()]
@@ -75,5 +78,56 @@ fn wiped_replica_rejoins_while_leader_is_crashed() {
             "{}: wiped replica never rejoined with the leader down",
             protocol.name()
         );
+    }
+}
+
+/// `executed` of the replica at `index`, and how many low bits of an exec
+/// slot number a position inside one decision (SMaRt packs
+/// `(batch << 20) | offset`; IDEM and Paxos decide single slots).
+fn executed_and_shift(cluster: &ClusterHandles, index: usize) -> (u64, u32) {
+    let idem = cluster.idem_stats(index).map(|s| (s.executed, 0));
+    let paxos = || cluster.paxos_stats(index).map(|s| (s.executed, 0));
+    let smart = || cluster.smart_stats(index).map(|s| (s.executed, 20));
+    idem.or_else(paxos)
+        .or_else(smart)
+        .expect("one of the three")
+}
+
+/// What replaying `records` runs against the application: every fresh
+/// exec record, other than a reconfiguration, at or past the newest
+/// checkpoint's frontier.
+fn replayed_executions(records: &[Vec<u8>], shift: u32) -> u64 {
+    let replay = Wal::replay(records);
+    let covered = replay.checkpoint.map_or(0, |cp| cp.next_exec);
+    let ran = replay.records.iter().filter(|rec| {
+        matches!(**rec, WalRecord::Exec { slot, id, fresh: true, .. }
+            if slot >> shift >= covered && id.client != RECONFIG_CLIENT)
+    });
+    ran.count() as u64
+}
+
+/// A wiped replica counts the executions its replay ran: the rebuilt
+/// object starts from zero, and recovery runs inside the wipe, so straight
+/// after it `executed` is exactly the fresh exec records past the newest
+/// checkpoint on the disk.
+#[test]
+fn a_wiped_replica_counts_what_its_replay_executed() {
+    for protocol in protocols() {
+        let name = protocol.name();
+        let opts = ClusterOptions {
+            clients: 20,
+            seed: 5,
+            warmup: Duration::ZERO,
+            persist: PersistMode::Wal,
+            ..ClusterOptions::default()
+        };
+        let mut cluster = build_cluster(&protocol, &opts);
+        cluster.run_for(Duration::from_millis(500));
+        let (live, shift) = executed_and_shift(&cluster, 1);
+        let ran = replayed_executions(cluster.disk(1).records(), shift);
+        assert!(ran > 0, "{name}: nothing past the newest checkpoint");
+        assert!(live > ran, "{name}: no checkpoint on the disk");
+        cluster.wipe_replica(1, false);
+        assert_eq!(executed_and_shift(&cluster, 1).0, ran, "{name}");
     }
 }

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use idem_common::{
-    ExecRecord, PersistMode, ReconfigCommand, ReplicaId, RequestId, StateMachine, Wal, WalRecordRef,
+    ExecRecord, PersistMode, ReconfigCommand, ReplicaId, RequestId, StateMachine, Wal, WalRecord,
 };
 use idem_harness::cluster::{build_cluster, ClusterOptions};
 use idem_harness::invariants::{check_agreement, check_exactly_once};
@@ -410,7 +410,7 @@ fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRe
     let mut frontier = covered;
     let mut log = Vec::new();
     for rec in &replay.records {
-        let WalRecordRef::Exec {
+        let WalRecord::Exec {
             slot,
             id,
             fresh,
@@ -442,12 +442,12 @@ fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRe
     let mut named: BTreeMap<u64, BTreeMap<u64, (RequestId, &[u8])>> = BTreeMap::new();
     for rec in &replay.records {
         match *rec {
-            WalRecordRef::Exec {
+            WalRecord::Exec {
                 slot, id, epoch, ..
             } if ours(slot) => {
                 done.insert(slot, (id, epoch));
             }
-            WalRecordRef::Accept {
+            WalRecord::Accept {
                 slot,
                 view,
                 id,

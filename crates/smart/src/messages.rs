@@ -107,7 +107,7 @@ impl ReplicaWire for SmartMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idem_common::{ClientId, ClientRecord, RequestId};
+    use idem_common::{ClientId, RequestId};
 
     fn req(bytes: usize, op: u64) -> Request {
         Request::new(RequestId::new(ClientId(1), OpNumber(op)), vec![0; bytes])
@@ -142,16 +142,14 @@ mod tests {
 
     #[test]
     fn checkpoint_membership_is_wire_free_at_bootstrap() {
-        let msg = SmartMessage::Checkpoint(CheckpointData {
-            next_exec: SeqNumber(4),
-            snapshot: vec![0; 50],
-            clients: vec![ClientRecord {
-                client: ClientId(1),
-                last_op: OpNumber(2),
-                reply: vec![0; 8],
-            }],
-            membership: Membership::bootstrap(3),
-        });
+        let rows = [(1, 2, &[0; 8][..])].into_iter();
+        let bootstrap = Membership::bootstrap(3);
+        let msg = SmartMessage::Checkpoint(CheckpointData::new(
+            SeqNumber(4),
+            &[0; 50],
+            rows,
+            &bootstrap,
+        ));
         // Unchanged from the fixed-membership protocol.
         assert_eq!(msg.wire_size(), 8 + 50 + 12 + 8);
         assert_eq!(

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use idem_common::{
     Chained, CheckpointData, Consumed, Directory, QuorumTracker, ReconfigCommand, ReplicaBase,
     Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, StateMachine, View, VoteStore,
-    WalRecordRef, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
+    WalRecord, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
 };
 use idem_simnet::{Context, Node, NodeId, TimerId};
 
@@ -659,7 +659,7 @@ impl SmartReplica {
         // that vote may be part of a quorum the cluster counted. Only its
         // bodies, under its highest view, are copied off the disk.
         let accepts = records.iter().filter_map(|rec| match *rec {
-            WalRecordRef::Accept {
+            WalRecord::Accept {
                 slot,
                 view,
                 id,
