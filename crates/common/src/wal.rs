@@ -8,6 +8,11 @@
 //!   replica never regresses below a promise it made.
 //! - [`WalRecord::Accept`] — an accepted (voted-for) window entry with its
 //!   command body, so accepted-but-unexecuted state survives amnesia.
+//!   IDEM writes one before it binds a slot (`slot = u64::MAX`, the
+//!   REQUIRE stage) and one per slot binding. A binding carries an empty
+//!   command when the replica knows a REQUIRE-stage record on the same
+//!   disk holds the body, so an accepted body is on a disk once. The
+//!   layout is the same either way.
 //! - [`WalRecord::Exec`] — one state-machine execution, written *before*
 //!   the command is applied. This is the record the chaos campaign's
 //!   durability invariant audits: every op executed before a wipe must be

@@ -70,6 +70,9 @@ struct ReqEntry {
     active: bool,
     /// Body held for fetches until a checkpoint prunes it.
     stored: bool,
+    /// This replica's disk holds the body in a REQUIRE-stage accept
+    /// record (`slot = u64::MAX`), so a slot binding need not repeat it.
+    body_on_disk: bool,
     /// Present in the bounded FIFO rejected-request cache.
     rejected: bool,
     /// Leader: REQUIRE endorsements collected so far.
@@ -88,6 +91,7 @@ impl ReqEntry {
             body: None,
             active: false,
             stored: false,
+            body_on_disk: false,
             rejected: false,
             votes: None,
             proposed: None,
@@ -105,6 +109,9 @@ impl ReqEntry {
             || self.forward_timer.is_some()
     }
 }
+
+// The flag above fits in padding: the IDEM request slab keeps its size.
+const _: () = assert!(size_of::<ReqEntry>() == 120);
 
 impl Chained for ReqEntry {
     fn request_id(&self) -> RequestId {
@@ -311,7 +318,10 @@ impl IdemReplica {
     }
 
     /// Durably logs the binding of `id` to `sqn` in `view`, body included
-    /// when this replica holds it.
+    /// when this replica holds it and its disk does not already hold it in
+    /// the REQUIRE-stage record `accept` wrote. Replay revives the body
+    /// from that record and reads no body from a binding, so one copy per
+    /// disk suffices.
     fn log_binding(
         &self,
         ctx: &mut Context<'_, IdemMessage>,
@@ -320,7 +330,9 @@ impl IdemReplica {
         id: RequestId,
     ) {
         if self.base.wal.enabled() {
-            let command = self.store_get(id).map_or(&[][..], |r| &r.command);
+            let on_disk = self.reqs.get(self.find(id)).is_some_and(|e| e.body_on_disk);
+            let body = if on_disk { None } else { self.store_get(id) };
+            let command = body.map_or(&[][..], |r| &r.command);
             self.base.wal.log_accept(ctx, sqn.0, view.0, id, command);
         }
     }
@@ -473,6 +485,7 @@ impl IdemReplica {
             self.active_count += 1;
         }
         e.stored = true;
+        e.body_on_disk = self.base.wal.enabled();
         e.body = Some(req);
         let leader = self.leader_node();
         ctx.send(leader, IdemMessage::Require(id));
@@ -1207,7 +1220,10 @@ impl IdemReplica {
         // Accepted-but-unexecuted requests come back as active, so their
         // bodies survive (peers may commit them on our pre-wipe vouching).
         for rec in &records {
-            let WalRecord::Accept { id, command, .. } = rec else {
+            let WalRecord::Accept {
+                slot, id, command, ..
+            } = rec
+            else {
                 continue;
             };
             if command.is_empty() || id.client == NOOP_CLIENT || self.base.executed_already(*id) {
@@ -1221,6 +1237,7 @@ impl IdemReplica {
             e.active = true;
             self.active_count += 1;
             e.stored = true;
+            e.body_on_disk = *slot == u64::MAX;
             e.body = Some(Request::new(*id, *command));
             self.arm_forward_timer(ctx, h, *id);
         }

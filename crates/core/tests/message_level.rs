@@ -7,7 +7,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use idem_common::app::NullApp;
-use idem_common::{ClientId, Directory, OpNumber, ReplicaId, Request, RequestId, SeqNumber, View};
+use idem_common::{
+    ClientId, Directory, OpNumber, PersistMode, ReplicaId, Request, RequestId, SeqNumber, View,
+    WalRecord,
+};
 use idem_core::{AcceptancePolicy, IdemConfig, IdemMessage, IdemReplica};
 use idem_simnet::{Context, Node, NodeId, Simulation};
 
@@ -60,6 +63,12 @@ struct Rig {
 /// Builds a rig where the real replica has the given id within a 3-replica
 /// group; the other two replicas and one client are probes.
 fn rig(cfg: IdemConfig, me: u32) -> Rig {
+    rig_with(cfg, me, PersistMode::Disabled)
+}
+
+/// [`rig`] with the real replica persisting to its disk as `persist`
+/// says; it can be wiped, and replays that disk when it is.
+fn rig_with(cfg: IdemConfig, me: u32, persist: PersistMode) -> Rig {
     let mut sim: Simulation<IdemMessage> = Simulation::with_network(
         1,
         idem_simnet::Network::new(idem_simnet::LinkSpec::new(
@@ -89,8 +98,17 @@ fn rig(cfg: IdemConfig, me: u32) -> Rig {
         logs.push(log);
         scripts.push(script);
     }
-    let replica = IdemReplica::new(cfg, ReplicaId(me), dir, Box::new(NullApp::default()));
-    sim.install_node(nodes[me as usize], Box::new(replica));
+    let make = move |wiped: bool| {
+        let app = Box::new(NullApp::default());
+        let mut replica = IdemReplica::new(cfg.clone(), ReplicaId(me), dir.clone(), app);
+        replica.set_persistence(persist);
+        if wiped {
+            replica.mark_wipe_recovery();
+        }
+        replica
+    };
+    sim.install_node(nodes[me as usize], Box::new(make(false)));
+    sim.set_node_factory(nodes[me as usize], Box::new(move || Box::new(make(true))));
     Rig {
         sim,
         replica: nodes[me as usize],
@@ -567,4 +585,156 @@ fn view_change_merge_prefers_highest_view_binding() {
         })
         .collect();
     assert_eq!(proposals, vec![id_new], "view-1 binding must beat view-0");
+}
+
+/// The accept records on the real replica's disk, in order, as
+/// `(slot, view, id, command)`.
+fn accepts(r: &Rig) -> Vec<(u64, u64, RequestId, Vec<u8>)> {
+    let records = r.sim.disk(r.replica).records();
+    let accept = |record: &Vec<u8>| match WalRecord::decode(record) {
+        Some(WalRecord::Accept {
+            slot,
+            view,
+            id,
+            command,
+        }) => Some((slot, view, id, command.to_vec())),
+        _ => None,
+    };
+    records.iter().filter_map(accept).collect()
+}
+
+const UNBOUND: u64 = u64::MAX;
+
+#[test]
+fn binding_of_an_accepted_op_is_logged_without_its_body() {
+    // r1 accepts a client's request, then the leader proposes it: the body
+    // is on r1's disk in the REQUIRE-stage record, so the binding omits it.
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let req = request(5);
+    let target = r.replica;
+    r.scripts[2]
+        .borrow_mut()
+        .push((target, IdemMessage::Request(req.clone())));
+    r.sim.run_for(Duration::from_millis(1));
+    r.scripts[0].borrow_mut().push((
+        target,
+        IdemMessage::Propose {
+            id: req.id,
+            sqn: SeqNumber(0),
+            view: View(0),
+        },
+    ));
+    r.sim.run_for(Duration::from_millis(1));
+    assert_eq!(
+        accepts(&r),
+        vec![
+            (UNBOUND, 0, req.id, req.command.to_vec()),
+            (0, 0, req.id, Vec::new()),
+        ]
+    );
+    let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
+    assert_eq!(replica.stats().executed, 1);
+}
+
+#[test]
+fn body_arriving_after_its_proposal_is_logged_once() {
+    // r1 learns the binding first (logged without a body: it has none),
+    // then the body arrives as a forward and is accepted, which logs it.
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let req = request(6);
+    let target = r.replica;
+    r.scripts[0].borrow_mut().push((
+        target,
+        IdemMessage::Propose {
+            id: req.id,
+            sqn: SeqNumber(0),
+            view: View(0),
+        },
+    ));
+    r.sim.run_for(Duration::from_millis(1));
+    r.scripts[0]
+        .borrow_mut()
+        .push((target, IdemMessage::Forward(req.clone())));
+    r.sim.run_for(Duration::from_millis(1));
+    assert_eq!(
+        accepts(&r),
+        vec![
+            (0, 0, req.id, Vec::new()),
+            (UNBOUND, 0, req.id, req.command.to_vec()),
+        ]
+    );
+    let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
+    assert_eq!(replica.stats().executed, 1);
+}
+
+#[test]
+fn binding_after_a_wipe_still_omits_the_replayed_body() {
+    // r1 accepts a request, loses its memory, and revives the request from
+    // its REQUIRE-stage record; binding it afterwards must not log the
+    // body a second time.
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let req = request(7);
+    let target = r.replica;
+    r.scripts[2]
+        .borrow_mut()
+        .push((target, IdemMessage::Request(req.clone())));
+    r.sim.run_for(Duration::from_millis(1));
+    r.sim.wipe_now(target, true);
+    r.scripts[0].borrow_mut().push((
+        target,
+        IdemMessage::Propose {
+            id: req.id,
+            sqn: SeqNumber(0),
+            view: View(0),
+        },
+    ));
+    r.sim.run_for(Duration::from_millis(1));
+    assert_eq!(
+        accepts(&r),
+        vec![
+            (UNBOUND, 0, req.id, req.command.to_vec()),
+            (0, 0, req.id, Vec::new()),
+        ]
+    );
+    let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
+    assert_eq!(replica.stats().executed, 1, "the replayed body executes");
+}
+
+#[test]
+fn body_known_only_from_a_retransmission_goes_with_the_next_binding() {
+    // r1 leads view 1 and binds an id it holds no body for; the client's
+    // retransmission then delivers the body, which no record holds yet.
+    // When r1 binds the id again, in view 4, the binding carries it.
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let req = request(8);
+    let target = r.replica;
+    let view_change = |target: u64, view: u64| IdemMessage::ViewChange {
+        target: View(target),
+        window: vec![idem_core::WindowEntry {
+            sqn: SeqNumber(0),
+            id: req.id,
+            view: View(view),
+        }],
+    };
+    r.scripts[0].borrow_mut().push((target, view_change(1, 0)));
+    r.scripts[1].borrow_mut().push((target, view_change(1, 0)));
+    r.sim.run_for(Duration::from_millis(1));
+    r.scripts[2]
+        .borrow_mut()
+        .push((target, IdemMessage::Request(req.clone())));
+    r.sim.run_for(Duration::from_millis(1));
+    r.scripts[0].borrow_mut().push((target, view_change(4, 1)));
+    r.scripts[1].borrow_mut().push((target, view_change(4, 1)));
+    r.sim.run_for(Duration::from_millis(1));
+    assert_eq!(
+        r.sim.node_as::<IdemReplica>(target).unwrap().view(),
+        View(4)
+    );
+    assert_eq!(
+        accepts(&r),
+        vec![
+            (0, 1, req.id, Vec::new()),
+            (0, 4, req.id, req.command.to_vec()),
+        ]
+    );
 }

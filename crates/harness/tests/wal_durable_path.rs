@@ -23,8 +23,17 @@
 //! on any build. All six goldens were re-captured under that rule from
 //! commit 88774c5, the last build that kept every checkpoint in full: a
 //! reclaiming build writes exactly the bytes the older one kept.
+//!
+//! IDEM writes an accepted body once per disk: in the REQUIRE-stage accept
+//! record (`slot = u64::MAX`), not again in the slot binding that follows
+//! it (DESIGN.md §8). The digest therefore counts a slot-bound accept
+//! whose command repeats an earlier REQUIRE-stage accept of the same id on
+//! the same disk as that record with an empty command. The two IDEM
+//! goldens were re-captured under that rule from commit d15fe33, the last
+//! build that wrote every body twice; Paxos and SMaRt write no
+//! REQUIRE-stage records, so the rule leaves their goldens as they were.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use idem_common::{
@@ -94,10 +103,42 @@ fn ranked_checkpoints(records: &[Vec<u8>]) -> Vec<usize> {
     ranked.into_iter().map(|(_, i)| i).collect()
 }
 
+/// The slot-bound accept records on a disk whose command repeats the
+/// command of an earlier REQUIRE-stage accept of the same id on that disk:
+/// each one's position, and its bytes re-encoded with an empty command.
+fn repeated_bodies(records: &[Vec<u8>]) -> BTreeMap<usize, Vec<u8>> {
+    let mut required = BTreeSet::new();
+    let mut repeats = BTreeMap::new();
+    for (i, record) in records.iter().enumerate() {
+        let Some(WalRecord::Accept {
+            slot,
+            view,
+            id,
+            command,
+        }) = WalRecord::decode(record)
+        else {
+            continue;
+        };
+        if slot == u64::MAX {
+            required.insert((id, command));
+        } else if !command.is_empty() && required.contains(&(id, command)) {
+            let bodiless = WalRecord::Accept {
+                slot,
+                view,
+                id,
+                command: &[],
+            };
+            repeats.insert(i, bodiless.encode());
+        }
+    }
+    repeats
+}
+
 /// Digests every disk byte (record boundaries and fsync barrier included)
 /// and every exec-log entry of every replica. A checkpoint record below
 /// its disk's two newest counts as an empty record: nothing reads it
-/// again, and the WAL reclaims it.
+/// again, and the WAL reclaims it. A slot-bound accept that repeats an
+/// earlier REQUIRE-stage body counts as itself with an empty command.
 fn digest(cluster: &ClusterHandles) -> u64 {
     let mut h = 0u64;
     for index in 0..cluster.replicas.len() {
@@ -106,8 +147,13 @@ fn digest(cluster: &ClusterHandles) -> u64 {
         mix(&mut h, disk.synced_len() as u64);
         let ranked = ranked_checkpoints(disk.records());
         let superseded = &ranked[..ranked.len().saturating_sub(2)];
+        let repeats = repeated_bodies(disk.records());
         for (i, record) in disk.records().iter().enumerate() {
-            let record: &[u8] = if superseded.contains(&i) { &[] } else { record };
+            let record: &[u8] = if superseded.contains(&i) {
+                &[]
+            } else {
+                repeats.get(&i).map_or(record, Vec::as_slice)
+            };
             mix(&mut h, record.len() as u64);
             for chunk in record.chunks(8) {
                 let mut word = [0u8; 8];
@@ -138,7 +184,7 @@ fn crash_wipe_cell(protocol: &Protocol) -> ClusterHandles {
     cluster
 }
 
-const GOLDEN_IDEM: u64 = 0x7127876250dc6b0a;
+const GOLDEN_IDEM: u64 = 0x0306c094d06dcaff;
 const GOLDEN_PAXOS: u64 = 0x20edceb6c234c6ed;
 const GOLDEN_SMART: u64 = 0x8306a3d4ab6450b4;
 
@@ -199,6 +245,24 @@ fn paxos_disks_and_exec_logs_match_owned_record_golden() {
 #[test]
 fn smart_disks_and_exec_logs_match_owned_record_golden() {
     assert_golden(Protocol::smart(), GOLDEN_SMART);
+}
+
+/// IDEM's slot bindings repeat no body their disk already holds: each
+/// accepted body is on a disk once, in its REQUIRE-stage record, through a
+/// leader crash, a truncating wipe and leader churn.
+#[test]
+fn idem_disks_hold_each_accepted_body_once() {
+    let crash = crash_wipe_cell(&Protocol::idem());
+    let churn = leader_churn_cell(&Protocol::idem()).cluster;
+    for (cell, cluster) in [("crash/wipe", &crash), ("churn", &churn)] {
+        for index in 0..cluster.replicas.len() {
+            let repeats = repeated_bodies(cluster.disk(index).records()).len();
+            assert_eq!(
+                repeats, 0,
+                "{cell}: replica {index} repeats {repeats} bodies in slot bindings"
+            );
+        }
+    }
 }
 
 /// Proposals (IDEM, Paxos) or batches (SMaRt) the replica at `index` has
@@ -276,7 +340,7 @@ fn leader_churn_cell(protocol: &Protocol) -> Churned {
     }
 }
 
-const GOLDEN_CHURN_IDEM: u64 = 0x047708039b4b2929;
+const GOLDEN_CHURN_IDEM: u64 = 0xa43a984dc54dd2f3;
 const GOLDEN_CHURN_PAXOS: u64 = 0x0512815b18a9d2fa;
 const GOLDEN_CHURN_SMART: u64 = 0xd6f2d92411c36796;
 
