@@ -7,7 +7,7 @@
 
 use crate::cluster::Protocol;
 use crate::experiments::{measure_grid, Effort};
-use crate::report::{fmt_kreq, fmt_ms, render_csv, render_table, ExperimentReport};
+use crate::report::{Column, ExperimentReport, Table, Value};
 use crate::sweep::SweepRunner;
 
 /// The client-load factors swept (1.0 = 50 clients = saturation).
@@ -17,8 +17,13 @@ pub const FACTORS: [f64; 7] = [0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0];
 pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
     let points: Vec<(Protocol, f64)> = FACTORS.iter().map(|&f| (Protocol::paxos(), f)).collect();
     let measured = measure_grid(runner, &points, effort);
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(&[
+        Column::Both("load", "load_factor"),
+        Column::Both("tput [req/s]", "throughput"),
+        Column::Both("lat [ms]", "latency_ms"),
+        Column::Both("std [ms]", "std_ms"),
+        Column::Both("p99 [ms]", "p99_ms"),
+    ]);
     let mut normal_latency = f64::NAN;
     let mut overload_latency = f64::NAN;
     for (&factor, m) in FACTORS.iter().zip(&measured) {
@@ -28,28 +33,18 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         if factor == 4.0 {
             overload_latency = m.latency_mean_ms;
         }
-        rows.push(vec![
-            format!("{factor}x"),
-            fmt_kreq(m.throughput),
-            fmt_ms(m.latency_mean_ms),
-            fmt_ms(m.latency_std_ms),
-            fmt_ms(m.latency_p99_ms),
-        ]);
-        csv_rows.push(vec![
-            factor.to_string(),
-            m.throughput.to_string(),
-            m.latency_mean_ms.to_string(),
-            m.latency_std_ms.to_string(),
-            m.latency_p99_ms.to_string(),
+        table.push([
+            Value::factor(factor),
+            Value::kreq(m.throughput),
+            Value::ms(m.latency_mean_ms),
+            Value::ms(m.latency_std_ms),
+            Value::ms(m.latency_p99_ms),
         ]);
     }
     let blowup = 100.0 * overload_latency / normal_latency;
     let body = format!(
         "{}\nlatency at 4x overload = {:.0}% of normal-case (0.5x) latency (paper: >600%)\n",
-        render_table(
-            &["load", "tput [req/s]", "lat [ms]", "std [ms]", "p99 [ms]"],
-            &rows,
-        ),
+        table.text(),
         blowup
     );
     ExperimentReport {
@@ -58,18 +53,6 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
                       escalates to >600% of normal once the load exceeds the saturation point"
             .into(),
         body,
-        csv: vec![(
-            "fig2_paxos.csv".into(),
-            render_csv(
-                &[
-                    "load_factor",
-                    "throughput",
-                    "latency_ms",
-                    "std_ms",
-                    "p99_ms",
-                ],
-                &csv_rows,
-            ),
-        )],
+        csv: vec![("fig2_paxos.csv".into(), table.csv())],
     }
 }

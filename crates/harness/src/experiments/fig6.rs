@@ -7,7 +7,7 @@
 
 use crate::cluster::Protocol;
 use crate::experiments::{measure_grid, Effort};
-use crate::report::{fmt_kreq, fmt_ms, render_csv, render_table, ExperimentReport};
+use crate::report::{fmt_ms, Column, ExperimentReport, Table, Value};
 use crate::sweep::SweepRunner;
 
 /// The client-load factors swept.
@@ -30,8 +30,13 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         .flat_map(|p| FACTORS.iter().map(move |&f| (p.clone(), f)))
         .collect();
     let measured = measure_grid(runner, &points, effort);
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(&[
+        Column::Both("system", "system"),
+        Column::Both("load", "load_factor"),
+        Column::Both("tput [req/s]", "throughput"),
+        Column::Both("lat [ms]", "latency_ms"),
+        Column::Both("std [ms]", "std_ms"),
+    ]);
     let mut idem_peak_latency: f64 = 0.0;
     let mut worst_baseline_latency: f64 = 0.0;
     for ((protocol, factor), m) in points.iter().zip(&measured) {
@@ -40,28 +45,18 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         } else if protocol.name() != "IDEM_noPR" {
             worst_baseline_latency = worst_baseline_latency.max(m.latency_mean_ms);
         }
-        rows.push(vec![
-            protocol.name().to_string(),
-            format!("{factor}x"),
-            fmt_kreq(m.throughput),
-            fmt_ms(m.latency_mean_ms),
-            fmt_ms(m.latency_std_ms),
-        ]);
-        csv_rows.push(vec![
-            protocol.name().to_string(),
-            factor.to_string(),
-            m.throughput.to_string(),
-            m.latency_mean_ms.to_string(),
-            m.latency_std_ms.to_string(),
+        table.push([
+            Value::plain(protocol.name()),
+            Value::factor(*factor),
+            Value::kreq(m.throughput),
+            Value::ms(m.latency_mean_ms),
+            Value::ms(m.latency_std_ms),
         ]);
     }
     let body = format!(
         "{}\nIDEM peak latency {} ms vs worst baseline latency {} ms \
          (paper: IDEM plateaus ~1.3 ms, baselines explode)\n",
-        render_table(
-            &["system", "load", "tput [req/s]", "lat [ms]", "std [ms]"],
-            &rows,
-        ),
+        table.text(),
         fmt_ms(idem_peak_latency),
         fmt_ms(worst_baseline_latency),
     );
@@ -72,18 +67,6 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
                       engages at ~43k req/s"
             .into(),
         body,
-        csv: vec![(
-            "fig6_comparison.csv".into(),
-            render_csv(
-                &[
-                    "system",
-                    "load_factor",
-                    "throughput",
-                    "latency_ms",
-                    "std_ms",
-                ],
-                &csv_rows,
-            ),
-        )],
+        csv: vec![("fig6_comparison.csv".into(), table.csv())],
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::cluster::Protocol;
 use crate::experiments::{measure_grid, Effort};
-use crate::report::{fmt_kreq, fmt_ms, render_csv, render_table, ExperimentReport};
+use crate::report::{Column, ExperimentReport, Table, Value};
 use crate::sweep::SweepRunner;
 
 /// The thresholds swept.
@@ -26,47 +26,29 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         .map(|&(rt, f)| (Protocol::idem_with_rt(rt), f))
         .collect();
     let measured = measure_grid(runner, &points, effort);
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(&[
+        Column::Both("threshold", "reject_threshold"),
+        Column::Both("load", "load_factor"),
+        Column::Both("tput [req/s]", "throughput"),
+        Column::Both("lat [ms]", "latency_ms"),
+        Column::Both("std [ms]", "std_ms"),
+    ]);
     for (&(rt, factor), m) in grid.iter().zip(&measured) {
-        rows.push(vec![
-            format!("RT={rt}"),
-            format!("{factor}x"),
-            fmt_kreq(m.throughput),
-            fmt_ms(m.latency_mean_ms),
-            fmt_ms(m.latency_std_ms),
-        ]);
-        csv_rows.push(vec![
-            rt.to_string(),
-            factor.to_string(),
-            m.throughput.to_string(),
-            m.latency_mean_ms.to_string(),
-            m.latency_std_ms.to_string(),
+        table.push([
+            Value::new(format!("RT={rt}"), rt.to_string()),
+            Value::factor(factor),
+            Value::kreq(m.throughput),
+            Value::ms(m.latency_mean_ms),
+            Value::ms(m.latency_std_ms),
         ]);
     }
-    let body = render_table(
-        &["threshold", "load", "tput [req/s]", "lat [ms]", "std [ms]"],
-        &rows,
-    );
     ExperimentReport {
         title: "Figure 8 — reject-threshold sweep (RT = 20 / 50 / 75)".into(),
         paper_claim: "RT=20 caps throughput at ~65% of max with latency <0.6 ms; RT=50 gives \
                       ~43k req/s at ≤1.3 ms; RT=75 gives ~46k at ≤1.6 ms; all identical below \
                       the threshold"
             .into(),
-        body,
-        csv: vec![(
-            "fig8_thresholds.csv".into(),
-            render_csv(
-                &[
-                    "reject_threshold",
-                    "load_factor",
-                    "throughput",
-                    "latency_ms",
-                    "std_ms",
-                ],
-                &csv_rows,
-            ),
-        )],
+        body: table.text(),
+        csv: vec![("fig8_thresholds.csv".into(), table.csv())],
     }
 }

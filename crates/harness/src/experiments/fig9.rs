@@ -3,7 +3,7 @@
 
 use crate::cluster::Protocol;
 use crate::experiments::{measure_grid, Effort};
-use crate::report::{fmt_kreq, fmt_ms, render_csv, render_table, ExperimentReport};
+use crate::report::{Column, ExperimentReport, Table, Value};
 use crate::sweep::SweepRunner;
 
 /// Load factors of the misconfiguration experiment (Figure 9a).
@@ -15,81 +15,64 @@ pub const MISCONFIG_RT: u32 = 100;
 
 /// Runs Figure 9a: reject threshold far above what the system can handle.
 pub fn run_misconfigured(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
-    let points: Vec<(Protocol, f64)> = MISCONFIG_FACTORS
-        .iter()
-        .map(|&f| (Protocol::idem_with_rt(MISCONFIG_RT), f))
-        .collect();
-    let measured = measure_grid(runner, &points, effort);
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for (&factor, m) in MISCONFIG_FACTORS.iter().zip(&measured) {
-        rows.push(vec![
-            format!("{factor}x"),
-            fmt_kreq(m.throughput),
-            fmt_ms(m.latency_mean_ms),
-            fmt_ms(m.latency_std_ms),
-        ]);
-        csv_rows.push(vec![
-            factor.to_string(),
-            m.throughput.to_string(),
-            m.latency_mean_ms.to_string(),
-            m.latency_std_ms.to_string(),
-        ]);
-    }
-    let body = render_table(&["load", "tput [req/s]", "lat [ms]", "std [ms]"], &rows);
-    ExperimentReport {
-        title: format!("Figure 9a — misconfigured reject threshold (RT = {MISCONFIG_RT})"),
-        paper_claim: "latency rises into overload before rejection engages (~2 ms), then the \
-                      increase slows markedly; no state-of-the-art-style explosion even at 8x"
-            .into(),
-        body,
-        csv: vec![(
-            "fig9a_misconfigured.csv".into(),
-            render_csv(
-                &["load_factor", "throughput", "latency_ms", "std_ms"],
-                &csv_rows,
-            ),
-        )],
-    }
+    sweep(
+        Protocol::idem_with_rt(MISCONFIG_RT),
+        &MISCONFIG_FACTORS,
+        format!("Figure 9a — misconfigured reject threshold (RT = {MISCONFIG_RT})"),
+        "latency rises into overload before rejection engages (~2 ms), then the \
+         increase slows markedly; no state-of-the-art-style explosion even at 8x",
+        "fig9a_misconfigured.csv",
+        effort,
+        runner,
+    )
 }
 
 /// Runs Figure 9b: extreme overload up to 14× the baseline client load.
 pub fn run_extreme(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
-    let points: Vec<(Protocol, f64)> = EXTREME_FACTORS
-        .iter()
-        .map(|&f| (Protocol::idem(), f))
-        .collect();
+    sweep(
+        Protocol::idem(),
+        &EXTREME_FACTORS,
+        "Figure 9b — extreme load (up to 14x baseline)".into(),
+        "throughput stays stable into medium overload, then decreases (≈55% of \
+         peak at 14x) as rejected clients back off, while latency stays low \
+         (≈0.9–1.3 ms) — no latency explosion",
+        "fig9b_extreme.csv",
+        effort,
+        runner,
+    )
+}
+
+/// Measures `protocol` at each load factor and tabulates throughput and
+/// latency.
+fn sweep(
+    protocol: Protocol,
+    factors: &[f64],
+    title: String,
+    paper_claim: &str,
+    csv_name: &str,
+    effort: Effort,
+    runner: &SweepRunner,
+) -> ExperimentReport {
+    let points: Vec<(Protocol, f64)> = factors.iter().map(|&f| (protocol.clone(), f)).collect();
     let measured = measure_grid(runner, &points, effort);
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for (&factor, m) in EXTREME_FACTORS.iter().zip(&measured) {
-        rows.push(vec![
-            format!("{factor}x"),
-            fmt_kreq(m.throughput),
-            fmt_ms(m.latency_mean_ms),
-            fmt_ms(m.latency_std_ms),
-        ]);
-        csv_rows.push(vec![
-            factor.to_string(),
-            m.throughput.to_string(),
-            m.latency_mean_ms.to_string(),
-            m.latency_std_ms.to_string(),
+    let mut table = Table::new(&[
+        Column::Both("load", "load_factor"),
+        Column::Both("tput [req/s]", "throughput"),
+        Column::Both("lat [ms]", "latency_ms"),
+        Column::Both("std [ms]", "std_ms"),
+    ]);
+    for (&factor, m) in factors.iter().zip(&measured) {
+        table.push([
+            Value::factor(factor),
+            Value::kreq(m.throughput),
+            Value::ms(m.latency_mean_ms),
+            Value::ms(m.latency_std_ms),
         ]);
     }
-    let body = render_table(&["load", "tput [req/s]", "lat [ms]", "std [ms]"], &rows);
     ExperimentReport {
-        title: "Figure 9b — extreme load (up to 14x baseline)".into(),
-        paper_claim: "throughput stays stable into medium overload, then decreases (≈55% of \
-                      peak at 14x) as rejected clients back off, while latency stays low \
-                      (≈0.9–1.3 ms) — no latency explosion"
-            .into(),
-        body,
-        csv: vec![(
-            "fig9b_extreme.csv".into(),
-            render_csv(
-                &["load_factor", "throughput", "latency_ms", "std_ms"],
-                &csv_rows,
-            ),
-        )],
+        title,
+        paper_claim: paper_claim.into(),
+        body: table.text(),
+        csv: vec![(csv_name.into(), table.csv())],
     }
 }

@@ -28,7 +28,7 @@ use idem_common::{ArrivalProcess, LoadPhase, MmppState};
 
 use crate::cluster::Protocol;
 use crate::load::{run_load_scenario, LoadRunResult};
-use crate::report::{fmt_ms, fmt_pct, render_csv, render_table, ExperimentReport};
+use crate::report::{fmt_ms, fmt_pct, Column, ExperimentReport, Table, Value};
 use crate::scenario::LoadScenario;
 use crate::sweep::SweepRunner;
 
@@ -227,97 +227,78 @@ pub fn run(effort: LoadEffort, runner: &SweepRunner) -> LoadFamilyRun {
     }
     check_flash_crowd_goodput(&timed);
 
-    let mut rows = Vec::new();
-    let mut totals_csv = Vec::new();
-    let mut phase_rows = Vec::new();
-    let mut phases_csv = Vec::new();
+    let mut totals = Table::new(&[
+        Column::Both("scenario", "scenario"),
+        Column::Both("system", "system"),
+        Column::Csv("population"),
+        Column::Both("offered/s", "offered_per_s"),
+        Column::Both("goodput/s", "goodput_per_s"),
+        Column::Csv("completed"),
+        Column::Csv("rejected"),
+        Column::Csv("shed"),
+        Column::Both("p50", "p50_ms"),
+        Column::Both("p99", "p99_ms"),
+        Column::Both("p999", "p999_ms"),
+        Column::Both("rej", "reject_fraction"),
+        Column::Both("shed", "shed_fraction"),
+    ]);
+    let mut phases = Table::new(&[
+        Column::Both("scenario", "scenario"),
+        Column::Both("system", "system"),
+        Column::Both("phase", "phase"),
+        Column::Csv("duration_s"),
+        Column::Both("offered/s", "offered_per_s"),
+        Column::Both("goodput/s", "goodput_per_s"),
+        Column::Csv("completed"),
+        Column::Csv("rejected"),
+        Column::Csv("shed"),
+        Column::Csv("retransmits"),
+        Column::Csv("p50_ms"),
+        Column::Both("p99", "p99_ms"),
+        Column::Csv("p999_ms"),
+        Column::Both("rej", "reject_fraction"),
+        Column::Both("shed", "shed_fraction"),
+    ]);
+    let rate = |v: f64| Value::new(format!("{v:.0}"), format!("{v:.1}"));
+    let ms = |v: f64| Value::new(fmt_ms(v), format!("{v:.4}"));
+    let fraction = |v: f64| Value::new(fmt_pct(100.0 * v), format!("{v:.6}"));
     for (r, _) in &timed {
         let t = &r.totals;
-        rows.push(vec![
-            r.scenario.clone(),
-            r.protocol.to_string(),
-            format!("{:.0}", t.offered_per_s()),
-            format!("{:.0}", t.goodput_per_s()),
-            fmt_ms(t.latency_p50_ms),
-            fmt_ms(t.latency_p99_ms),
-            fmt_ms(t.latency_p999_ms),
-            fmt_pct(100.0 * t.reject_fraction()),
-            fmt_pct(100.0 * t.shed_fraction()),
-        ]);
-        totals_csv.push(vec![
-            r.scenario.clone(),
-            r.protocol.to_string(),
-            r.population.to_string(),
-            format!("{:.1}", t.offered_per_s()),
-            format!("{:.1}", t.goodput_per_s()),
-            t.completed.to_string(),
-            t.rejected.to_string(),
-            t.shed.to_string(),
-            format!("{:.4}", t.latency_p50_ms),
-            format!("{:.4}", t.latency_p99_ms),
-            format!("{:.4}", t.latency_p999_ms),
-            format!("{:.6}", t.reject_fraction()),
-            format!("{:.6}", t.shed_fraction()),
+        totals.push([
+            Value::plain(&r.scenario),
+            Value::plain(r.protocol),
+            Value::plain(r.population),
+            rate(t.offered_per_s()),
+            rate(t.goodput_per_s()),
+            Value::plain(t.completed),
+            Value::plain(t.rejected),
+            Value::plain(t.shed),
+            ms(t.latency_p50_ms),
+            ms(t.latency_p99_ms),
+            ms(t.latency_p999_ms),
+            fraction(t.reject_fraction()),
+            fraction(t.shed_fraction()),
         ]);
         for p in &r.phases {
-            phase_rows.push(vec![
-                r.scenario.clone(),
-                r.protocol.to_string(),
-                p.label.clone(),
-                format!("{:.0}", p.offered_per_s()),
-                format!("{:.0}", p.goodput_per_s()),
-                fmt_ms(p.latency_p99_ms),
-                fmt_pct(100.0 * p.reject_fraction()),
-                fmt_pct(100.0 * p.shed_fraction()),
-            ]);
-            phases_csv.push(vec![
-                r.scenario.clone(),
-                r.protocol.to_string(),
-                p.label.clone(),
-                format!("{:.3}", p.duration.as_secs_f64()),
-                format!("{:.1}", p.offered_per_s()),
-                format!("{:.1}", p.goodput_per_s()),
-                p.completed.to_string(),
-                p.rejected.to_string(),
-                p.shed.to_string(),
-                p.retransmits.to_string(),
-                format!("{:.4}", p.latency_p50_ms),
-                format!("{:.4}", p.latency_p99_ms),
-                format!("{:.4}", p.latency_p999_ms),
-                format!("{:.6}", p.reject_fraction()),
-                format!("{:.6}", p.shed_fraction()),
+            phases.push([
+                Value::plain(&r.scenario),
+                Value::plain(r.protocol),
+                Value::plain(&p.label),
+                Value::plain(format!("{:.3}", p.duration.as_secs_f64())),
+                rate(p.offered_per_s()),
+                rate(p.goodput_per_s()),
+                Value::plain(p.completed),
+                Value::plain(p.rejected),
+                Value::plain(p.shed),
+                Value::plain(p.retransmits),
+                ms(p.latency_p50_ms),
+                ms(p.latency_p99_ms),
+                ms(p.latency_p999_ms),
+                fraction(p.reject_fraction()),
+                fraction(p.shed_fraction()),
             ]);
         }
     }
-
-    let mut body = render_table(
-        &[
-            "scenario",
-            "system",
-            "offered/s",
-            "goodput/s",
-            "p50",
-            "p99",
-            "p999",
-            "rej",
-            "shed",
-        ],
-        &rows,
-    );
-    body.push('\n');
-    body.push_str(&render_table(
-        &[
-            "scenario",
-            "system",
-            "phase",
-            "offered/s",
-            "goodput/s",
-            "p99",
-            "rej",
-            "shed",
-        ],
-        &phase_rows,
-    ));
 
     let report = ExperimentReport {
         title: format!(
@@ -328,52 +309,10 @@ pub fn run(effort: LoadEffort, runner: &SweepRunner) -> LoadFamilyRun {
                       rejection sustains strictly higher goodput (completions within the SLA) \
                       than accepting everything and letting queues grow"
             .into(),
-        body,
+        body: format!("{}\n{}", totals.text(), phases.text()),
         csv: vec![
-            (
-                "load_totals.csv".into(),
-                render_csv(
-                    &[
-                        "scenario",
-                        "system",
-                        "population",
-                        "offered_per_s",
-                        "goodput_per_s",
-                        "completed",
-                        "rejected",
-                        "shed",
-                        "p50_ms",
-                        "p99_ms",
-                        "p999_ms",
-                        "reject_fraction",
-                        "shed_fraction",
-                    ],
-                    &totals_csv,
-                ),
-            ),
-            (
-                "load_phases.csv".into(),
-                render_csv(
-                    &[
-                        "scenario",
-                        "system",
-                        "phase",
-                        "duration_s",
-                        "offered_per_s",
-                        "goodput_per_s",
-                        "completed",
-                        "rejected",
-                        "shed",
-                        "retransmits",
-                        "p50_ms",
-                        "p99_ms",
-                        "p999_ms",
-                        "reject_fraction",
-                        "shed_fraction",
-                    ],
-                    &phases_csv,
-                ),
-            ),
+            ("load_totals.csv".into(), totals.csv()),
+            ("load_phases.csv".into(), phases.csv()),
         ],
     };
 

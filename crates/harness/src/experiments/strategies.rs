@@ -13,7 +13,7 @@ use idem_core::RejectHandling;
 
 use crate::cluster::Protocol;
 use crate::experiments::Effort;
-use crate::report::{fmt_kreq, fmt_ms, fmt_pct, render_csv, render_table, ExperimentReport};
+use crate::report::{Column, ExperimentReport, Table, Value};
 use crate::scenario::{clients_for_factor, Scenario};
 use crate::sweep::{Cell, SweepRunner};
 
@@ -57,54 +57,30 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         cells.push(Cell::timed(scenario));
     }
     let results = runner.run_cells(cells);
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(&[
+        Column::Both("strategy", "strategy"),
+        Column::Both("tput [req/s]", "throughput"),
+        Column::Both("reject share", "reject_share_pct"),
+        Column::Both("rej lat [ms]", "reject_latency_ms"),
+        Column::Both("reply lat [ms]", "reply_latency_ms"),
+    ]);
     for ((label, _), result) in strategies().into_iter().zip(&results) {
         let m = result.metrics;
-        rows.push(vec![
-            label.to_string(),
-            fmt_kreq(m.throughput),
-            fmt_pct(m.reject_share_percent()),
-            fmt_ms(m.reject_latency_mean_ms),
-            fmt_ms(m.latency_mean_ms),
-        ]);
-        csv_rows.push(vec![
-            label.to_string(),
-            m.throughput.to_string(),
-            m.reject_share_percent().to_string(),
-            m.reject_latency_mean_ms.to_string(),
-            m.latency_mean_ms.to_string(),
+        table.push([
+            Value::plain(label),
+            Value::kreq(m.throughput),
+            Value::pct(m.reject_share_percent()),
+            Value::ms(m.reject_latency_mean_ms),
+            Value::ms(m.latency_mean_ms),
         ]);
     }
-    let body = render_table(
-        &[
-            "strategy",
-            "tput [req/s]",
-            "reject share",
-            "rej lat [ms]",
-            "reply lat [ms]",
-        ],
-        &rows,
-    );
     ExperimentReport {
         title: "Extra — client reject-handling spectrum (Section 5.3)".into(),
         paper_claim: "pessimistic clients minimize rejection latency; optimistic clients \
                       trade higher rejection latency for a better operation success rate \
                       (fewer aborts), with the grace period as the knob"
             .into(),
-        body,
-        csv: vec![(
-            "extra_strategies.csv".into(),
-            render_csv(
-                &[
-                    "strategy",
-                    "throughput",
-                    "reject_share_pct",
-                    "reject_latency_ms",
-                    "reply_latency_ms",
-                ],
-                &csv_rows,
-            ),
-        )],
+        body: table.text(),
+        csv: vec![("extra_strategies.csv".into(), table.csv())],
     }
 }

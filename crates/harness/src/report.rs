@@ -53,6 +53,153 @@ pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// One column of a [`Table`]: its header in the text table, in the CSV, or
+/// in both. A column with one header is left out of the other rendering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// `(text header, CSV header)`.
+    Both(&'static str, &'static str),
+    /// A column only the text table prints.
+    Text(&'static str),
+    /// A column only the CSV stores.
+    Csv(&'static str),
+}
+
+impl Column {
+    fn text(self) -> Option<&'static str> {
+        match self {
+            Column::Both(h, _) | Column::Text(h) => Some(h),
+            Column::Csv(_) => None,
+        }
+    }
+
+    fn csv(self) -> Option<&'static str> {
+        match self {
+            Column::Both(_, h) | Column::Csv(h) => Some(h),
+            Column::Text(_) => None,
+        }
+    }
+}
+
+/// One cell of a [`Table`] row in both its forms: what the text table
+/// prints and what the CSV stores.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Value {
+    /// The paper-style form, e.g. `43.1k`.
+    pub text: String,
+    /// The raw form, e.g. `43120.5`.
+    pub csv: String,
+}
+
+impl Value {
+    /// A value with a different text and CSV form.
+    pub fn new(text: impl Into<String>, csv: impl Into<String>) -> Value {
+        Value {
+            text: text.into(),
+            csv: csv.into(),
+        }
+    }
+
+    /// A value both forms print alike: a label or a count.
+    pub fn plain(v: impl ToString) -> Value {
+        let s = v.to_string();
+        Value::new(s.clone(), s)
+    }
+
+    /// A client-load factor: `2x` / `2`.
+    pub fn factor(f: f64) -> Value {
+        Value::new(format!("{f}x"), f.to_string())
+    }
+
+    /// A rate in requests per second: [`fmt_kreq`] / raw.
+    pub fn kreq(v: f64) -> Value {
+        Value::new(fmt_kreq(v), v.to_string())
+    }
+
+    /// A latency in milliseconds: [`fmt_ms`] / raw.
+    pub fn ms(v: f64) -> Value {
+        Value::new(fmt_ms(v), v.to_string())
+    }
+
+    /// A percentage: [`fmt_pct`] / raw.
+    pub fn pct(v: f64) -> Value {
+        Value::new(fmt_pct(v), v.to_string())
+    }
+}
+
+/// An experiment table declared once and rendered twice: as the aligned
+/// text table of [`render_table`] and as the CSV of [`render_csv`], from
+/// the same rows.
+///
+/// # Example
+/// ```
+/// use idem_harness::report::{Column, Table, Value};
+/// let mut t = Table::new(&[
+///     Column::Both("load", "load_factor"),
+///     Column::Csv("clients"),
+///     Column::Both("tput [req/s]", "throughput"),
+/// ]);
+/// t.push([Value::factor(0.5), Value::plain(25), Value::kreq(21_500.0)]);
+/// assert_eq!(t.csv(), "load_factor,clients,throughput\n0.5,25,21500\n");
+/// assert!(t.text().ends_with("\n0.5x         21.5k\n"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Table {
+    columns: Vec<Column>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl Table {
+    /// An empty table with these columns.
+    pub fn new(columns: &[Column]) -> Table {
+        Table {
+            columns: columns.to_vec(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends one row, one value per column.
+    ///
+    /// # Panics
+    /// Panics if the row does not have one value per column.
+    pub fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        let row: Vec<Value> = row.into_iter().collect();
+        assert_eq!(row.len(), self.columns.len(), "one value per column");
+        self.rows.push(row);
+    }
+
+    /// The aligned text table of the columns that have a text header.
+    pub fn text(&self) -> String {
+        let (headers, rows) = self.select(Column::text, |v| &v.text);
+        render_table(&headers, &rows)
+    }
+
+    /// The CSV of the columns that have a CSV header.
+    pub fn csv(&self) -> String {
+        let (headers, rows) = self.select(Column::csv, |v| &v.csv);
+        render_csv(&headers, &rows)
+    }
+
+    fn select(
+        &self,
+        header: fn(Column) -> Option<&'static str>,
+        form: fn(&Value) -> &String,
+    ) -> (Vec<&'static str>, Vec<Vec<String>>) {
+        let (keep, headers): (Vec<usize>, Vec<&'static str>) = self
+            .columns
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &c)| header(c).map(|h| (i, h)))
+            .unzip();
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| keep.iter().map(|&i| form(&row[i]).clone()).collect())
+            .collect();
+        (headers, rows)
+    }
+}
+
 /// Formats a requests-per-second value the way the paper quotes it
 /// ("43.1k req/s").
 pub fn fmt_kreq(v: f64) -> String {
@@ -171,6 +318,63 @@ mod tests {
         assert_eq!(fmt_ms(1.276), "1.28");
         assert_eq!(fmt_gb(3_260_000_000), "3.26");
         assert_eq!(fmt_pct(10.04), "10.0%");
+    }
+
+    #[test]
+    fn values_carry_both_forms() {
+        let forms = |v: Value| (v.text, v.csv);
+        let pair = |t: &str, c: &str| (t.to_string(), c.to_string());
+        assert_eq!(forms(Value::factor(0.2)), pair("0.2x", "0.2"));
+        assert_eq!(forms(Value::factor(1.0)), pair("1x", "1"));
+        assert_eq!(forms(Value::kreq(42_551.67)), pair("42.6k", "42551.67"));
+        assert_eq!(forms(Value::ms(1.276)), pair("1.28", "1.276"));
+        assert_eq!(forms(Value::pct(10.04)), pair("10.0%", "10.04"));
+        assert_eq!(forms(Value::plain(12_345u64)), pair("12345", "12345"));
+        assert_eq!(forms(Value::new("RT=20", "20")), pair("RT=20", "20"));
+    }
+
+    #[test]
+    fn one_sided_columns_render_once() {
+        let mut t = Table::new(&[
+            Column::Both("system", "system"),
+            Column::Csv("population"),
+            Column::Text("note"),
+            Column::Both("p99", "p99_ms"),
+        ]);
+        t.push([
+            Value::plain("IDEM"),
+            Value::plain(100),
+            Value::plain("ok"),
+            Value::new("1.28", "1.2760"),
+        ]);
+        assert_eq!(t.csv(), "system,population,p99_ms\nIDEM,100,1.2760\n");
+        assert_eq!(
+            t.text(),
+            render_table(
+                &["system", "note", "p99"],
+                &[vec!["IDEM".into(), "ok".into(), "1.28".into()]],
+            )
+        );
+    }
+
+    #[test]
+    fn table_text_is_right_aligned() {
+        let mut t = Table::new(&[Column::Both("a", "a"), Column::Both("long_header", "b")]);
+        t.push([Value::plain(1), Value::plain(2)]);
+        t.push([Value::plain(333), Value::plain(4)]);
+        let out = t.text();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0], "  a  long_header");
+        assert_eq!(lines[1], "---  -----------");
+        assert_eq!(lines[2], "  1            2");
+        assert_eq!(lines[3], "333            4");
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per column")]
+    fn short_rows_are_refused() {
+        Table::new(&[Column::Csv("x"), Column::Csv("y")]).push([Value::plain(1)]);
     }
 
     #[test]
