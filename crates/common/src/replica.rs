@@ -373,8 +373,10 @@ impl ReplicaBase {
 
     /// Consumes committed slot `slot`, bound to `id`: logs it ahead of
     /// everything else (`persist_exec`), then runs `command` — or, for a
-    /// duplicate or a no-op (`None`), nothing. A reconfiguration is
-    /// not run against the application: its session records an empty
+    /// duplicate or a no-op (`None`), nothing. `body_on_disk` says that an
+    /// earlier accept record of `id` on this replica's disk holds
+    /// `command`, so the exec record may leave it out. A reconfiguration
+    /// is not run against the application: its session records an empty
     /// reply and the decoded command goes back to the caller. The caller
     /// advances the frontier ([`advance_exec`](Self::advance_exec)).
     #[inline]
@@ -384,13 +386,13 @@ impl ReplicaBase {
         slot: u64,
         id: RequestId,
         command: Option<&[u8]>,
+        body_on_disk: bool,
     ) -> Consumed {
-        let Some(command) = command else {
-            self.persist_exec(ctx, slot, id, false, &[]);
-            return Consumed::Skipped;
-        };
-        self.persist_exec(ctx, slot, id, true, command);
-        self.apply(ctx, id, command)
+        self.persist_exec(ctx, slot, id, command, body_on_disk);
+        match command {
+            Some(command) => self.apply(ctx, id, command),
+            None => Consumed::Skipped,
+        }
     }
 
     /// Moves the frontier past the slot just consumed.
@@ -402,20 +404,31 @@ impl ReplicaBase {
     /// Write-ahead record of one consumed slot: it hits the disk (and the
     /// fsync barrier) before the command is applied, so every
     /// externalized execution is replayable after a wipe; then it feeds
-    /// the in-memory exec log the safety checker reads.
+    /// the in-memory exec log the safety checker reads. A fresh command
+    /// the disk already holds is named, not repeated; an empty one is
+    /// always written, so replay never mistakes it for a missing body.
     #[inline]
     fn persist_exec<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
         slot: u64,
         id: RequestId,
-        fresh: bool,
-        command: &[u8],
+        command: Option<&[u8]>,
+        body_on_disk: bool,
     ) {
         let epoch = self.membership.epoch().0;
-        self.wal.log_exec(ctx, slot, id, fresh, command, epoch);
+        match command {
+            Some(command) if body_on_disk && !command.is_empty() => {
+                self.wal.log_exec_elided(ctx, slot, id, epoch);
+            }
+            _ => {
+                let fresh = command.is_some();
+                let command = command.unwrap_or_default();
+                self.wal.log_exec(ctx, slot, id, fresh, command, epoch);
+            }
+        }
         if let Some(log) = &mut self.exec_log {
-            log.push(ExecRecord::at_epoch(slot, id, fresh, epoch));
+            log.push(ExecRecord::at_epoch(slot, id, command.is_some(), epoch));
         }
     }
 
@@ -1450,7 +1463,7 @@ mod tests {
         act(&mut sim, nodes[0], move |r, ctx| {
             r.base.app = Box::new(NullApp::with_cost(Duration::from_millis(5)));
             r.base.enable_exec_log();
-            let step = r.base.consume(ctx, slot, id, command.as_deref());
+            let step = r.base.consume(ctx, slot, id, command.as_deref(), false);
             *consumed.borrow_mut() = Some(step);
             ctx.send(peer, Toy::CheckpointRequest);
         });

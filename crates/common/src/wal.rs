@@ -16,7 +16,13 @@
 //! - [`WalRecord::Exec`] — one state-machine execution, written *before*
 //!   the command is applied. This is the record the chaos campaign's
 //!   durability invariant audits: every op executed before a wipe must be
-//!   replayable from here.
+//!   replayable from here. A fresh execution leaves its command out
+//!   ([`WalRecord::ExecElided`]) when the replica knows an earlier accept
+//!   record on the same disk holds that id's body — IDEM when its REQUIRE
+//!   stage or a slot binding wrote it, Paxos and SMaRt always, since every
+//!   entry they execute was logged with its body when it was created.
+//!   [`Wal::replay`] puts the body back, so its readers see whole
+//!   commands.
 //! - [`WalRecord::Checkpoint`] — an application snapshot plus client
 //!   table, bounding replay length. Only the two newest keep their bytes:
 //!   appending one empties, in place, the checkpoint that falls to third.
@@ -43,11 +49,16 @@
 //! | view | `1`, view `u64` |
 //! | accept | `2`, slot `u64`, view `u64`, id, command blob |
 //! | exec | `3`, slot `u64`, id, fresh `u8` (`0` or `1`), command blob, then epoch `u64` only when the epoch is not 0 |
+//! | exec, body elided | `3`, slot `u64`, id, `2`, then epoch `u64` only when the epoch is not 0 |
 //! | checkpoint | `4`, `next_exec` `u64`, snapshot blob, row count `u32`, that many rows of client `u32`, last op `u64`, reply blob; then, only once the group has left its bootstrap epoch, the membership: epoch `u64`, member count `u32`, one `u32` per member |
 //!
 //! Nothing follows the last field. A decoder refuses anything else: an
-//! unknown tag, an underrun, trailing bytes, a fresh byte other than 0 or
-//! 1, a written epoch of 0, or a membership tail that does not decode.
+//! unknown tag, an underrun, trailing bytes, a fresh byte other than 0, 1
+//! or 2, a written epoch of 0, or a membership tail that does not decode.
+//! A body is elided only when it is not empty, so an empty command blob
+//! never stands for an elided one.
+
+use std::collections::HashMap;
 
 use idem_simnet::Context;
 
@@ -104,6 +115,18 @@ pub enum WalRecord<'a> {
         /// pre-reconfiguration logs decode unchanged).
         epoch: u64,
     },
+    /// A fresh [`Exec`](Self::Exec) whose command is left out: an earlier
+    /// accept record of `id` on the same disk holds it. Only
+    /// [`decode`](Self::decode) yields one; [`Wal::replay`] turns it back
+    /// into an `Exec` with the command borrowed from that record.
+    ExecElided {
+        /// Execution slot, in the protocol's slot numbering.
+        slot: u64,
+        /// The executed request id.
+        id: RequestId,
+        /// Membership epoch at execution time, as for `Exec`.
+        epoch: u64,
+    },
     /// Application snapshot at `next_exec` plus the client reply table.
     Checkpoint(CheckpointRef<'a>),
 }
@@ -153,6 +176,9 @@ const TAG_VIEW: u8 = 1;
 const TAG_ACCEPT: u8 = 2;
 const TAG_EXEC: u8 = 3;
 const TAG_CHECKPOINT: u8 = 4;
+
+/// The `fresh` byte of an exec record whose command is elided.
+const FRESH_ELIDED: u8 = 2;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -281,6 +307,9 @@ impl<'a> WalRecord<'a> {
             WalRecord::Exec { command, epoch, .. } => {
                 1 + 8 + 4 + 8 + 1 + 4 + command.len() + if *epoch > 0 { 8 } else { 0 }
             }
+            WalRecord::ExecElided { epoch, .. } => {
+                1 + 8 + 4 + 8 + 1 + if *epoch > 0 { 8 } else { 0 }
+            }
             WalRecord::Checkpoint(cp) => {
                 checkpoint_len(cp.snapshot.len(), cp.clients.iter(), cp.membership.as_ref()).1
             }
@@ -323,6 +352,15 @@ impl<'a> WalRecord<'a> {
                     put_u64(out, epoch);
                 }
             }),
+            WalRecord::ExecElided { slot, id, epoch } => build(self.encoded_len(), |out| {
+                out.push(TAG_EXEC);
+                put_u64(out, slot);
+                put_id(out, id);
+                out.push(FRESH_ELIDED);
+                if epoch > 0 {
+                    put_u64(out, epoch);
+                }
+            }),
             WalRecord::Checkpoint(ref cp) => encode_checkpoint(
                 cp.next_exec,
                 cp.snapshot.len(),
@@ -350,12 +388,12 @@ impl<'a> WalRecord<'a> {
             TAG_EXEC => {
                 let slot = cur.u64()?;
                 let id = cur.id()?;
-                let fresh = match cur.u8()? {
-                    0 => false,
-                    1 => true,
+                let fresh = cur.u8()?;
+                let command = match fresh {
+                    0 | 1 => Some(cur.bytes()?),
+                    FRESH_ELIDED => None,
                     _ => return None,
                 };
-                let command = cur.bytes()?;
                 // Optional epoch tail; absent means epoch 0, and a written
                 // tail is never 0.
                 let epoch = if cur.0.is_empty() {
@@ -363,12 +401,15 @@ impl<'a> WalRecord<'a> {
                 } else {
                     Some(cur.u64()?).filter(|&e| e > 0)?
                 };
-                WalRecord::Exec {
-                    slot,
-                    id,
-                    fresh,
-                    command,
-                    epoch,
+                match command {
+                    Some(command) => WalRecord::Exec {
+                        slot,
+                        id,
+                        fresh: fresh == 1,
+                        command,
+                        epoch,
+                    },
+                    None => WalRecord::ExecElided { slot, id, epoch },
                 }
             }
             TAG_CHECKPOINT => {
@@ -570,6 +611,21 @@ impl Wal {
         }
     }
 
+    /// Logs a [`WalRecord::ExecElided`]: the caller knows an earlier accept
+    /// record of `id` on this disk holds the command.
+    #[inline]
+    pub fn log_exec_elided<M>(
+        &self,
+        ctx: &mut Context<'_, M>,
+        slot: u64,
+        id: RequestId,
+        epoch: u64,
+    ) {
+        if self.enabled() {
+            self.append(ctx, WalRecord::ExecElided { slot, id, epoch }.encode());
+        }
+    }
+
     /// Logs a checkpoint record — the replica's own, or one it received
     /// by state transfer, as it arrived — then empties the one it pushed
     /// below the two newest synced checkpoints on the disk: replay decodes
@@ -611,11 +667,38 @@ impl Wal {
                     Some(WalRecord::Checkpoint(cp)) => Some(cp),
                     _ => None,
                 });
-        let records = disk
-            .iter()
-            .filter(|bytes| bytes.first() != Some(&TAG_CHECKPOINT))
-            .filter_map(|bytes| WalRecord::decode(bytes))
-            .collect();
+        // Each id's body, from the first intact accept record that holds
+        // one, for the elided exec records after it.
+        let mut bodies: HashMap<RequestId, &[u8]> = HashMap::new();
+        let mut unresolved = false;
+        let mut records = Vec::new();
+        for bytes in disk.iter().filter(|b| b.first() != Some(&TAG_CHECKPOINT)) {
+            let rec = match WalRecord::decode(bytes) {
+                Some(rec @ WalRecord::Accept { id, command, .. }) => {
+                    if !command.is_empty() {
+                        bodies.entry(id).or_insert(command);
+                    }
+                    rec
+                }
+                Some(WalRecord::ExecElided { slot, id, epoch }) => match bodies.get(&id) {
+                    Some(&command) if !unresolved => WalRecord::Exec {
+                        slot,
+                        id,
+                        fresh: true,
+                        command,
+                        epoch,
+                    },
+                    _ => {
+                        unresolved = true;
+                        continue;
+                    }
+                },
+                Some(WalRecord::Exec { .. }) if unresolved => continue,
+                Some(rec) => rec,
+                None => continue,
+            };
+            records.push(rec);
+        }
         ReplayLog {
             checkpoint,
             records,
@@ -660,12 +743,18 @@ pub struct ReplayLog<'a> {
     /// next newest — a torn tail is indistinguishable from garbage.
     pub checkpoint: Option<CheckpointRef<'a>>,
     /// Every intact view, accept and exec record, oldest first. Malformed
-    /// records are skipped.
+    /// records are skipped. An elided exec record comes back as a
+    /// [`WalRecord::Exec`] whose command borrows from the first earlier
+    /// intact accept record of its id with a non-empty command; one with
+    /// no such record ends the executions, as a torn tail would: it and
+    /// every later exec record are left out, so replay stops before it.
     pub records: Vec<WalRecord<'a>>,
 }
 
 #[cfg(test)]
 mod tests {
+    use idem_simnet::Disk;
+
     use super::*;
 
     fn rid(client: u32, op: u64) -> RequestId {
@@ -713,6 +802,18 @@ mod tests {
                 epoch: 3,
             }
             .encode(),
+            WalRecord::ExecElided {
+                slot: 11,
+                id: rid(1, 6),
+                epoch: 0,
+            }
+            .encode(),
+            WalRecord::ExecElided {
+                slot: 12,
+                id: rid(1, 7),
+                epoch: 4,
+            }
+            .encode(),
             checkpoint(50, &[9, 9, 9], &[(0, 12, &[1]), (1, 3, &[])], &bootstrap),
         ];
         for bytes in records {
@@ -748,7 +849,10 @@ mod tests {
             epoch: 0,
         };
         let mut bytes = exec.encode();
-        bytes[1 + 8 + 12] = 2; // `fresh` is written as 0 or 1 only
+        bytes[1 + 8 + 12] = 3; // `fresh` is written as 0, 1 or 2 only
+        assert_eq!(WalRecord::decode(&bytes), None);
+        let mut bytes = exec.encode();
+        bytes[1 + 8 + 12] = FRESH_ELIDED; // an elided body has no blob
         assert_eq!(WalRecord::decode(&bytes), None);
         let mut bytes = exec.encode();
         bytes.extend_from_slice(&0u64.to_le_bytes()); // epoch 0 has no tail
@@ -805,6 +909,65 @@ mod tests {
         assert_eq!(picked(&disk), Some((10, 1)));
         disk[0].clear();
         assert_eq!(picked(&disk), None);
+    }
+
+    /// An elided exec record whose id's body no intact accept record
+    /// holds is not run with some other command: replay ends the
+    /// executions before it, as at a torn tail.
+    #[test]
+    fn an_exec_whose_body_is_torn_away_ends_the_replayed_executions() {
+        let (a, b, c) = (rid(1, 1), rid(2, 1), rid(3, 1));
+        let accept = |slot: u64, id: RequestId, command: &[u8]| {
+            WalRecord::Accept {
+                slot,
+                view: 0,
+                id,
+                command,
+            }
+            .encode()
+        };
+        let elided =
+            |slot: u64, id: RequestId| WalRecord::ExecElided { slot, id, epoch: 0 }.encode();
+        let body = |id: RequestId| [id.client.0 as u8; 3];
+        let mut disk = Disk::new();
+        for record in [
+            accept(u64::MAX, b, &body(b)),
+            accept(0, b, &[]), // a slot binding that leaves the body out
+            elided(0, b),
+            accept(1, a, &[]),
+            accept(u64::MAX, a, &body(a)), // record 4: torn below
+            accept(u64::MAX, c, &body(c)),
+            elided(1, a),
+            elided(2, c),
+        ] {
+            disk.append(record);
+        }
+        disk.fsync();
+        // The executions replay hands out, and the frontier they reach.
+        let replayed = |disk: &Disk| {
+            let execs: Vec<(u64, RequestId)> = Wal::replay(disk.records())
+                .records
+                .iter()
+                .filter_map(|rec| match *rec {
+                    WalRecord::Exec {
+                        slot,
+                        id,
+                        fresh,
+                        command,
+                        ..
+                    } => {
+                        assert!(fresh && command == body(id), "{id:?} ran {command:?}");
+                        Some((slot, id))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let frontier = execs.iter().map(|&(slot, _)| slot + 1).max().unwrap_or(0);
+            (execs, frontier)
+        };
+        assert_eq!(replayed(&disk), (vec![(0, b), (1, a), (2, c)], 3));
+        disk.tear(4, 10);
+        assert_eq!(replayed(&disk), (vec![(0, b)], 1), "stops before a's");
     }
 
     #[test]

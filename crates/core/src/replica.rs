@@ -70,8 +70,9 @@ struct ReqEntry {
     active: bool,
     /// Body held for fetches until a checkpoint prunes it.
     stored: bool,
-    /// This replica's disk holds the body in a REQUIRE-stage accept
-    /// record (`slot = u64::MAX`), so a slot binding need not repeat it.
+    /// This replica's disk holds the body in an accept record — the
+    /// REQUIRE-stage one (`slot = u64::MAX`) or a slot binding that wrote
+    /// it — so neither a later binding nor the exec record repeats it.
     body_on_disk: bool,
     /// Present in the bounded FIFO rejected-request cache.
     rejected: bool,
@@ -318,22 +319,29 @@ impl IdemReplica {
     }
 
     /// Durably logs the binding of `id` to `sqn` in `view`, body included
-    /// when this replica holds it and its disk does not already hold it in
-    /// the REQUIRE-stage record `accept` wrote. Replay revives the body
-    /// from that record and reads no body from a binding, so one copy per
-    /// disk suffices.
+    /// when this replica holds it and its disk does not hold it yet; once
+    /// written, the body is marked as on the disk. Replay revives a body
+    /// from the first accept record that holds it and resolves elided
+    /// exec records from the same, so one copy per disk suffices.
     fn log_binding(
-        &self,
+        &mut self,
         ctx: &mut Context<'_, IdemMessage>,
         sqn: SeqNumber,
         view: View,
         id: RequestId,
     ) {
-        if self.base.wal.enabled() {
-            let on_disk = self.reqs.get(self.find(id)).is_some_and(|e| e.body_on_disk);
-            let body = if on_disk { None } else { self.store_get(id) };
-            let command = body.map_or(&[][..], |r| &r.command);
-            self.base.wal.log_accept(ctx, sqn.0, view.0, id, command);
+        if !self.base.wal.enabled() {
+            return;
+        }
+        let h = self.find(id);
+        let on_disk = self.reqs.get(h).is_some_and(|e| e.body_on_disk);
+        let body = if on_disk { None } else { self.store_get(id) };
+        let command = body.map_or(&[][..], |r| &r.command);
+        self.base.wal.log_accept(ctx, sqn.0, view.0, id, command);
+        if body.is_some() {
+            if let Some(e) = self.reqs.get_mut(h) {
+                e.body_on_disk = true;
+            }
         }
     }
 
@@ -925,11 +933,11 @@ impl IdemReplica {
                     }
                     break;
                 };
-                let (rejected, stored) = self
+                let (rejected, stored, on_disk) = self
                     .reqs
                     .get(self.find(id))
-                    .map(|e| (e.rejected, e.stored))
-                    .unwrap_or((false, false));
+                    .map(|e| (e.rejected, e.stored, e.body_on_disk))
+                    .unwrap_or((false, false, false));
                 if id.client != RECONFIG_CLIENT
                     && rejected
                     && !stored
@@ -937,13 +945,14 @@ impl IdemReplica {
                 {
                     self.stats.rejected_cache_hits += 1;
                 }
-                Some(req)
+                Some((req, on_disk))
             };
             // Durably logged first, so the op survives a wipe right after
             // the client sees its reply.
-            let command = body.as_ref().map(|req| &req.command[..]);
+            let command = body.as_ref().map(|(req, _)| &req.command[..]);
+            let on_disk = body.as_ref().is_some_and(|&(_, on_disk)| on_disk);
             let mut reconfig = None;
-            match self.base.consume(ctx, sqn.0, id, command) {
+            match self.base.consume(ctx, sqn.0, id, command, on_disk) {
                 Consumed::Skipped => {}
                 Consumed::Reconfig(cmd) => {
                     self.stats.executed += 1;
@@ -1220,10 +1229,7 @@ impl IdemReplica {
         // Accepted-but-unexecuted requests come back as active, so their
         // bodies survive (peers may commit them on our pre-wipe vouching).
         for rec in &records {
-            let WalRecord::Accept {
-                slot, id, command, ..
-            } = rec
-            else {
+            let WalRecord::Accept { id, command, .. } = rec else {
                 continue;
             };
             if command.is_empty() || id.client == NOOP_CLIENT || self.base.executed_already(*id) {
@@ -1237,7 +1243,7 @@ impl IdemReplica {
             e.active = true;
             self.active_count += 1;
             e.stored = true;
-            e.body_on_disk = *slot == u64::MAX;
+            e.body_on_disk = true;
             e.body = Some(Request::new(*id, *command));
             self.arm_forward_timer(ctx, h, *id);
         }

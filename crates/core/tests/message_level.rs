@@ -8,10 +8,11 @@ use std::time::Duration;
 
 use idem_common::app::NullApp;
 use idem_common::{
-    ClientId, Directory, OpNumber, PersistMode, ReplicaId, Request, RequestId, SeqNumber, View,
-    WalRecord,
+    ClientId, Directory, OpNumber, PersistMode, ReplicaId, Request, RequestId, SeqNumber,
+    StateMachine, View, WalRecord,
 };
 use idem_core::{AcceptancePolicy, IdemConfig, IdemMessage, IdemReplica};
+use idem_kv::{Command as KvCommand, KvStore};
 use idem_simnet::{Context, Node, NodeId, Simulation};
 
 /// Mock node that records everything it receives and sends scripted
@@ -63,12 +64,22 @@ struct Rig {
 /// Builds a rig where the real replica has the given id within a 3-replica
 /// group; the other two replicas and one client are probes.
 fn rig(cfg: IdemConfig, me: u32) -> Rig {
-    rig_with(cfg, me, PersistMode::Disabled)
+    rig_with(cfg, me, PersistMode::Disabled, null_app)
+}
+
+fn null_app() -> Box<dyn StateMachine + Send> {
+    Box::new(NullApp::default())
 }
 
 /// [`rig`] with the real replica persisting to its disk as `persist`
-/// says; it can be wiped, and replays that disk when it is.
-fn rig_with(cfg: IdemConfig, me: u32, persist: PersistMode) -> Rig {
+/// says and running the state machine `app` builds; it can be wiped, and
+/// replays that disk when it is.
+fn rig_with(
+    cfg: IdemConfig,
+    me: u32,
+    persist: PersistMode,
+    app: fn() -> Box<dyn StateMachine + Send>,
+) -> Rig {
     let mut sim: Simulation<IdemMessage> = Simulation::with_network(
         1,
         idem_simnet::Network::new(idem_simnet::LinkSpec::new(
@@ -99,8 +110,7 @@ fn rig_with(cfg: IdemConfig, me: u32, persist: PersistMode) -> Rig {
         scripts.push(script);
     }
     let make = move |wiped: bool| {
-        let app = Box::new(NullApp::default());
-        let mut replica = IdemReplica::new(cfg.clone(), ReplicaId(me), dir.clone(), app);
+        let mut replica = IdemReplica::new(cfg.clone(), ReplicaId(me), dir.clone(), app());
         replica.set_persistence(persist);
         if wiped {
             replica.mark_wipe_recovery();
@@ -603,13 +613,28 @@ fn accepts(r: &Rig) -> Vec<(u64, u64, RequestId, Vec<u8>)> {
     records.iter().filter_map(accept).collect()
 }
 
+/// The exec records on the real replica's disk, in order, as
+/// `(slot, id, command)`: `None` for an elided body, which an earlier
+/// accept record holds.
+fn execs(r: &Rig) -> Vec<(u64, RequestId, Option<Vec<u8>>)> {
+    let records = r.sim.disk(r.replica).records();
+    let exec = |record: &Vec<u8>| match WalRecord::decode(record) {
+        Some(WalRecord::Exec {
+            slot, id, command, ..
+        }) => Some((slot, id, Some(command.to_vec()))),
+        Some(WalRecord::ExecElided { slot, id, .. }) => Some((slot, id, None)),
+        _ => None,
+    };
+    records.iter().filter_map(exec).collect()
+}
+
 const UNBOUND: u64 = u64::MAX;
 
 #[test]
 fn binding_of_an_accepted_op_is_logged_without_its_body() {
     // r1 accepts a client's request, then the leader proposes it: the body
     // is on r1's disk in the REQUIRE-stage record, so the binding omits it.
-    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal, null_app);
     let req = request(5);
     let target = r.replica;
     r.scripts[2]
@@ -634,13 +659,15 @@ fn binding_of_an_accepted_op_is_logged_without_its_body() {
     );
     let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
     assert_eq!(replica.stats().executed, 1);
+    // Nor does the exec record: it names the body by its id.
+    assert_eq!(execs(&r), vec![(0, req.id, None)]);
 }
 
 #[test]
 fn body_arriving_after_its_proposal_is_logged_once() {
     // r1 learns the binding first (logged without a body: it has none),
     // then the body arrives as a forward and is accepted, which logs it.
-    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal, null_app);
     let req = request(6);
     let target = r.replica;
     r.scripts[0].borrow_mut().push((
@@ -665,6 +692,9 @@ fn body_arriving_after_its_proposal_is_logged_once() {
     );
     let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
     assert_eq!(replica.stats().executed, 1);
+    // The forward that answered the fetch accepted the body, and its
+    // REQUIRE-stage record holds it before the exec record names it.
+    assert_eq!(execs(&r), vec![(0, req.id, None)]);
 }
 
 #[test]
@@ -672,7 +702,7 @@ fn binding_after_a_wipe_still_omits_the_replayed_body() {
     // r1 accepts a request, loses its memory, and revives the request from
     // its REQUIRE-stage record; binding it afterwards must not log the
     // body a second time.
-    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal, null_app);
     let req = request(7);
     let target = r.replica;
     r.scripts[2]
@@ -698,6 +728,7 @@ fn binding_after_a_wipe_still_omits_the_replayed_body() {
     );
     let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
     assert_eq!(replica.stats().executed, 1, "the replayed body executes");
+    assert_eq!(execs(&r), vec![(0, req.id, None)]);
 }
 
 #[test]
@@ -705,7 +736,7 @@ fn body_known_only_from_a_retransmission_goes_with_the_next_binding() {
     // r1 leads view 1 and binds an id it holds no body for; the client's
     // retransmission then delivers the body, which no record holds yet.
     // When r1 binds the id again, in view 4, the binding carries it.
-    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal);
+    let mut r = rig_with(test_cfg(), 1, PersistMode::Wal, null_app);
     let req = request(8);
     let target = r.replica;
     let view_change = |target: u64, view: u64| IdemMessage::ViewChange {
@@ -737,4 +768,113 @@ fn body_known_only_from_a_retransmission_goes_with_the_next_binding() {
             (0, 4, req.id, req.command.to_vec()),
         ]
     );
+    // Once a peer commits the binding, the exec record names the body
+    // that binding wrote.
+    r.scripts[0].borrow_mut().push((
+        target,
+        IdemMessage::Commit {
+            id: req.id,
+            sqn: SeqNumber(0),
+            view: View(4),
+        },
+    ));
+    r.sim.run_for(Duration::from_millis(1));
+    let replica = r.sim.node_as::<IdemReplica>(target).unwrap();
+    assert_eq!(replica.stats().executed, 1);
+    assert_eq!(execs(&r), vec![(0, req.id, None)]);
+}
+
+#[test]
+fn exec_of_a_body_from_the_rejected_cache_keeps_it() {
+    // Follower r2 at tail-drop threshold 1 accepts op 1 and rejects op 2,
+    // caching its body without logging it. When the leader binds op 2,
+    // r2 runs it from the cache: no accept record holds that body, so
+    // the exec record carries it.
+    let cfg = IdemConfig::for_faults(1)
+        .with_message_cost(Duration::ZERO)
+        .with_reject_threshold(1)
+        .with_acceptance(AcceptancePolicy::TailDrop);
+    let mut r = rig_with(cfg, 2, PersistMode::Wal, null_app);
+    let target = r.replica;
+    let (accepted, rejected) = (request(1), request(2));
+    for req in [rejected.clone(), accepted.clone()] {
+        r.scripts[2]
+            .borrow_mut()
+            .push((target, IdemMessage::Request(req)));
+    }
+    r.sim.run_for(Duration::from_millis(1));
+    r.scripts[0].borrow_mut().push((
+        target,
+        IdemMessage::Propose {
+            id: rejected.id,
+            sqn: SeqNumber(0),
+            view: View(0),
+        },
+    ));
+    r.sim.run_for(Duration::from_millis(1));
+    let stats = r.sim.node_as::<IdemReplica>(target).unwrap().stats();
+    assert_eq!((stats.executed, stats.rejected_cache_hits), (1, 1));
+    assert_eq!(
+        accepts(&r),
+        vec![
+            (UNBOUND, 0, accepted.id, accepted.command.to_vec()),
+            (0, 0, rejected.id, Vec::new()),
+        ]
+    );
+    assert_eq!(
+        execs(&r),
+        vec![(0, rejected.id, Some(rejected.command.to_vec()))]
+    );
+}
+
+/// The store a replica's application holds, by its digest.
+fn store_digest(r: &Rig) -> u64 {
+    let replica = r.sim.node_as::<IdemReplica>(r.replica).unwrap();
+    let mut kv = KvStore::new();
+    kv.restore(&replica.app().snapshot());
+    kv.digest()
+}
+
+#[test]
+fn replay_of_named_bodies_rebuilds_the_live_store() {
+    // r1 runs a key-value store and executes five updates the leader
+    // binds: four it accepted (their exec records name the body) and one
+    // from its rejected cache (carried in full). A wipe replays the disk
+    // into the same store.
+    let cfg = IdemConfig::for_faults(1)
+        .with_message_cost(Duration::ZERO)
+        .with_reject_threshold(4)
+        .with_acceptance(AcceptancePolicy::TailDrop);
+    let mut r = rig_with(cfg, 1, PersistMode::Wal, || Box::new(KvStore::new()));
+    let target = r.replica;
+    let update = |op: u64| {
+        let value = vec![op as u8; 16];
+        let command = KvCommand::Update { key: op % 3, value }.encode();
+        Request::new(RequestId::new(ClientId(0), OpNumber(op)), command)
+    };
+    for op in (1..=5).rev() {
+        r.scripts[2]
+            .borrow_mut()
+            .push((target, IdemMessage::Request(update(op))));
+    }
+    r.sim.run_for(Duration::from_millis(1));
+    for op in (1..=5).rev() {
+        r.scripts[0].borrow_mut().push((
+            target,
+            IdemMessage::Propose {
+                id: update(op).id,
+                sqn: SeqNumber(op - 1),
+                view: View(0),
+            },
+        ));
+    }
+    r.sim.run_for(Duration::from_millis(1));
+    let live = store_digest(&r);
+    assert_ne!(live, KvStore::new().digest());
+    let bodies: Vec<bool> = execs(&r).iter().map(|e| e.2.is_some()).collect();
+    assert_eq!(bodies, [false, false, false, false, true]);
+    r.sim.wipe_now(target, true);
+    let replica = r.sim.node_as::<IdemReplica>(target).unwrap();
+    assert_eq!(replica.next_exec(), SeqNumber(5));
+    assert_eq!(store_digest(&r), live);
 }

@@ -4,9 +4,10 @@
 //! by the durability invariant, and a wiped replica must rejoin even
 //! when its leader guess is crashed at recovery time.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use idem_common::{PersistMode, Wal, WalRecord, RECONFIG_CLIENT};
+use idem_common::{PersistMode, RequestId, Wal, WalRecord, RECONFIG_CLIENT};
 use idem_harness::chaos::{run_chaos, run_chaos_with_mode, Schedule};
 use idem_harness::cluster::{build_cluster, ClusterOptions};
 use idem_harness::invariants::ViolationKind;
@@ -95,15 +96,35 @@ fn executed_and_shift(cluster: &ClusterHandles, index: usize) -> (u64, u32) {
 
 /// What replaying `records` runs against the application: every fresh
 /// exec record, other than a reconfiguration, at or past the newest
-/// checkpoint's frontier.
+/// checkpoint's frontier. An elided exec record counts while an earlier
+/// accept record of its id holds a body; the first that none does ends
+/// the count. Read from the record decoder, not from `Wal::replay`'s
+/// resolution of elided bodies.
 fn replayed_executions(records: &[Vec<u8>], shift: u32) -> u64 {
-    let replay = Wal::replay(records);
-    let covered = replay.checkpoint.map_or(0, |cp| cp.next_exec);
-    let ran = replay.records.iter().filter(|rec| {
-        matches!(**rec, WalRecord::Exec { slot, id, fresh: true, .. }
-            if slot >> shift >= covered && id.client != RECONFIG_CLIENT)
-    });
-    ran.count() as u64
+    let covered = Wal::replay(records).checkpoint.map_or(0, |cp| cp.next_exec);
+    let counts =
+        |slot: u64, id: RequestId| slot >> shift >= covered && id.client != RECONFIG_CLIENT;
+    let mut bodies = BTreeSet::new();
+    let mut ran = 0;
+    for record in records {
+        match WalRecord::decode(record) {
+            Some(WalRecord::Accept { id, command, .. }) if !command.is_empty() => {
+                bodies.insert(id);
+            }
+            Some(WalRecord::Exec {
+                slot,
+                id,
+                fresh: true,
+                ..
+            }) => ran += u64::from(counts(slot, id)),
+            Some(WalRecord::ExecElided { slot, id, .. }) if bodies.contains(&id) => {
+                ran += u64::from(counts(slot, id));
+            }
+            Some(WalRecord::ExecElided { .. }) => break,
+            _ => {}
+        }
+    }
+    ran
 }
 
 /// A wiped replica counts the executions its replay ran: the rebuilt

@@ -32,6 +32,14 @@
 //! goldens were re-captured under that rule from commit d15fe33, the last
 //! build that wrote every body twice; Paxos and SMaRt write no
 //! REQUIRE-stage records, so the rule leaves their goldens as they were.
+//!
+//! No protocol repeats an accepted body in an exec record either: a fresh
+//! execution whose body an earlier accept record of its id on the same
+//! disk holds is written in its elided form (DESIGN.md §8). The digest
+//! counts a fresh exec record whose non-empty command equals the body of
+//! an earlier accept record of the same id on the same disk as that
+//! elided form. All six goldens were re-captured under both rules from
+//! commit 1de2e13, the last build that wrote every exec body.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -96,39 +104,56 @@ fn mix_exec_log(h: &mut u64, log: &[ExecRecord]) {
 /// record on ties, lowest first.
 fn ranked_checkpoints(records: &[Vec<u8>]) -> Vec<usize> {
     let mut ranked: Vec<(u64, usize)> = (0..records.len())
-        .filter(|&i| records[i].first() == Some(&TAG_CHECKPOINT))
+        .filter(|&i| records[i].first() == Some(&TAG_CHECKPOINT) && records[i].len() >= 9)
         .map(|i| (u64::from_le_bytes(records[i][1..9].try_into().unwrap()), i))
         .collect();
     ranked.sort_unstable();
     ranked.into_iter().map(|(_, i)| i).collect()
 }
 
-/// The slot-bound accept records on a disk whose command repeats the
-/// command of an earlier REQUIRE-stage accept of the same id on that disk:
-/// each one's position, and its bytes re-encoded with an empty command.
+/// The records on a disk that repeat a body an earlier record on that
+/// disk holds, each one's position with its bytes re-encoded in the form
+/// that leaves the body out: a slot-bound accept whose command repeats an
+/// earlier REQUIRE-stage accept of the same id, with an empty command; a
+/// fresh exec whose non-empty command repeats the body of an earlier
+/// accept record of the same id, as an elided exec record.
 fn repeated_bodies(records: &[Vec<u8>]) -> BTreeMap<usize, Vec<u8>> {
     let mut required = BTreeSet::new();
+    let mut accepted = BTreeSet::new();
     let mut repeats = BTreeMap::new();
     for (i, record) in records.iter().enumerate() {
-        let Some(WalRecord::Accept {
-            slot,
-            view,
-            id,
-            command,
-        }) = WalRecord::decode(record)
-        else {
-            continue;
-        };
-        if slot == u64::MAX {
-            required.insert((id, command));
-        } else if !command.is_empty() && required.contains(&(id, command)) {
-            let bodiless = WalRecord::Accept {
+        match WalRecord::decode(record) {
+            Some(WalRecord::Accept {
                 slot,
                 view,
                 id,
-                command: &[],
-            };
-            repeats.insert(i, bodiless.encode());
+                command,
+            }) => {
+                if !command.is_empty() {
+                    accepted.insert((id, command));
+                }
+                if slot == u64::MAX {
+                    required.insert((id, command));
+                } else if !command.is_empty() && required.contains(&(id, command)) {
+                    let bodiless = WalRecord::Accept {
+                        slot,
+                        view,
+                        id,
+                        command: &[],
+                    };
+                    repeats.insert(i, bodiless.encode());
+                }
+            }
+            Some(WalRecord::Exec {
+                slot,
+                id,
+                fresh: true,
+                command,
+                epoch,
+            }) if accepted.contains(&(id, command)) => {
+                repeats.insert(i, WalRecord::ExecElided { slot, id, epoch }.encode());
+            }
+            _ => {}
         }
     }
     repeats
@@ -137,8 +162,8 @@ fn repeated_bodies(records: &[Vec<u8>]) -> BTreeMap<usize, Vec<u8>> {
 /// Digests every disk byte (record boundaries and fsync barrier included)
 /// and every exec-log entry of every replica. A checkpoint record below
 /// its disk's two newest counts as an empty record: nothing reads it
-/// again, and the WAL reclaims it. A slot-bound accept that repeats an
-/// earlier REQUIRE-stage body counts as itself with an empty command.
+/// again, and the WAL reclaims it. A record that repeats a body already
+/// on its disk counts as the form that leaves it out (`repeated_bodies`).
 fn digest(cluster: &ClusterHandles) -> u64 {
     let mut h = 0u64;
     for index in 0..cluster.replicas.len() {
@@ -184,9 +209,9 @@ fn crash_wipe_cell(protocol: &Protocol) -> ClusterHandles {
     cluster
 }
 
-const GOLDEN_IDEM: u64 = 0x0306c094d06dcaff;
-const GOLDEN_PAXOS: u64 = 0x20edceb6c234c6ed;
-const GOLDEN_SMART: u64 = 0x8306a3d4ab6450b4;
+const GOLDEN_IDEM: u64 = 0x6c55409d1cdc66be;
+const GOLDEN_PAXOS: u64 = 0xffb990d47d48fb3e;
+const GOLDEN_SMART: u64 = 0x3be97f6482cbe6c9;
 
 fn assert_golden(protocol: Protocol, golden: u64) {
     let cluster = crash_wipe_cell(&protocol);
@@ -247,19 +272,33 @@ fn smart_disks_and_exec_logs_match_owned_record_golden() {
     assert_golden(Protocol::smart(), GOLDEN_SMART);
 }
 
-/// IDEM's slot bindings repeat no body their disk already holds: each
-/// accepted body is on a disk once, in its REQUIRE-stage record, through a
-/// leader crash, a truncating wipe and leader churn.
+/// No record repeats a body its disk already holds: IDEM's slot bindings
+/// leave out what its REQUIRE-stage records hold, and no protocol's exec
+/// records repeat what an accept record holds — through a leader crash, a
+/// truncating wipe and leader churn. Elided exec records are there to see.
 #[test]
-fn idem_disks_hold_each_accepted_body_once() {
-    let crash = crash_wipe_cell(&Protocol::idem());
-    let churn = leader_churn_cell(&Protocol::idem()).cluster;
-    for (cell, cluster) in [("crash/wipe", &crash), ("churn", &churn)] {
-        for index in 0..cluster.replicas.len() {
-            let repeats = repeated_bodies(cluster.disk(index).records()).len();
-            assert_eq!(
-                repeats, 0,
-                "{cell}: replica {index} repeats {repeats} bodies in slot bindings"
+fn disks_hold_each_accepted_body_once() {
+    for protocol in protocols() {
+        let name = protocol.name();
+        let crash = crash_wipe_cell(&protocol);
+        let churn = leader_churn_cell(&protocol).cluster;
+        for (cell, cluster) in [("crash/wipe", &crash), ("churn", &churn)] {
+            let mut elided = 0;
+            for index in 0..cluster.replicas.len() {
+                let records = cluster.disk(index).records();
+                let repeats = repeated_bodies(records).len();
+                assert_eq!(
+                    repeats, 0,
+                    "{name} {cell}: replica {index} repeats {repeats} bodies"
+                );
+                elided += records
+                    .iter()
+                    .filter(|r| matches!(WalRecord::decode(r), Some(WalRecord::ExecElided { .. })))
+                    .count();
+            }
+            assert!(
+                elided > 0,
+                "{name} {cell}: no exec record left its body out"
             );
         }
     }
@@ -340,9 +379,9 @@ fn leader_churn_cell(protocol: &Protocol) -> Churned {
     }
 }
 
-const GOLDEN_CHURN_IDEM: u64 = 0xa43a984dc54dd2f3;
-const GOLDEN_CHURN_PAXOS: u64 = 0x0512815b18a9d2fa;
-const GOLDEN_CHURN_SMART: u64 = 0xd6f2d92411c36796;
+const GOLDEN_CHURN_IDEM: u64 = 0xacc2067723c64a1b;
+const GOLDEN_CHURN_PAXOS: u64 = 0xef0cfd47c35bcb79;
+const GOLDEN_CHURN_SMART: u64 = 0x4e2bef25c5866e0e;
 
 fn assert_churn_golden(protocol: Protocol, golden: u64) {
     let name = protocol.name();
@@ -456,24 +495,61 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_one() {
 /// What a disk alone says its replica's state is: the newest intact
 /// checkpoint plus every intact exec record past it, applied to a fresh
 /// store — and, if the last decision is a batch cut short, the rest of it
-/// as its accept records name it. Written against the record codec only,
-/// so it shares no code with the replicas' `replay_wal`. `batch_shift` is
-/// how many low bits of an exec slot number positions inside one decision
-/// (SMaRt packs `(batch << 20) | offset`; IDEM and Paxos decide single
-/// slots).
+/// as its accept records name it. An elided exec record runs the body of
+/// the first earlier accept record of its id that holds one; one with no
+/// such record ends the executions. Written against the record decoder
+/// only, so it shares no code with `Wal::replay` or the replicas'
+/// `replay_wal`. `batch_shift` is how many low bits of an exec slot number
+/// positions inside one decision (SMaRt packs `(batch << 20) | offset`;
+/// IDEM and Paxos decide single slots).
 fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRecord>) {
-    let replay = Wal::replay(records);
+    let checkpoint = ranked_checkpoints(records).into_iter().rev().find_map(|i| {
+        match WalRecord::decode(&records[i]) {
+            Some(WalRecord::Checkpoint(cp)) => Some(cp),
+            _ => None,
+        }
+    });
+    let mut bodies = BTreeMap::new();
+    let mut unresolved = false;
+    let mut decoded = Vec::new();
+    for record in records
+        .iter()
+        .filter(|r| r.first() != Some(&TAG_CHECKPOINT))
+    {
+        match WalRecord::decode(record) {
+            Some(WalRecord::ExecElided { slot, id, epoch }) => match bodies.get(&id) {
+                Some(&command) if !unresolved => decoded.push(WalRecord::Exec {
+                    slot,
+                    id,
+                    fresh: true,
+                    command,
+                    epoch,
+                }),
+                _ => unresolved = true,
+            },
+            Some(WalRecord::Exec { .. }) if unresolved => {}
+            Some(rec) => {
+                if let WalRecord::Accept { id, command, .. } = rec {
+                    if !command.is_empty() {
+                        bodies.entry(id).or_insert(command);
+                    }
+                }
+                decoded.push(rec);
+            }
+            None => {}
+        }
+    }
     let mut kv = KvStore::new();
     // Highest executed op per client: whether the rest of a batch is fresh.
     let mut last_op: BTreeMap<u32, u64> = BTreeMap::new();
-    let covered = replay.checkpoint.as_ref().map_or(0, |cp| {
+    let covered = checkpoint.as_ref().map_or(0, |cp| {
         kv.restore(cp.snapshot);
         last_op.extend(cp.clients.iter().map(|(client, op, _)| (client, op)));
         cp.next_exec
     });
     let mut frontier = covered;
     let mut log = Vec::new();
-    for rec in &replay.records {
+    for rec in &decoded {
         let WalRecord::Exec {
             slot,
             id,
@@ -504,7 +580,7 @@ fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRe
     let ours = |slot: u64| slot != u64::MAX && slot >> batch_shift == frontier - 1;
     let mut done = BTreeMap::new();
     let mut named: BTreeMap<u64, BTreeMap<u64, (RequestId, &[u8])>> = BTreeMap::new();
-    for rec in &replay.records {
+    for rec in &decoded {
         match *rec {
             WalRecord::Exec {
                 slot, id, epoch, ..

@@ -456,7 +456,9 @@ impl PaxosReplica {
                 inst.executed || req.id.client == NOOP_CLIENT || self.base.executed_already(req.id);
             let command = (!already).then_some(&req.command[..]);
             let mut reconfig = None;
-            match self.base.consume(ctx, sqn.0, req.id, command) {
+            // Every window entry was logged with its body when it was
+            // created (`propose_at`, `handle_propose`, replay).
+            match self.base.consume(ctx, sqn.0, req.id, command, true) {
                 Consumed::Skipped => {}
                 Consumed::Reconfig(cmd) => {
                     self.stats.executed += 1;

@@ -425,10 +425,10 @@ impl SmartReplica {
             self.untrack_pending(req.id);
             let slot = (open.sqn.0 << SLOT_BATCH_SHIFT) | offset as u64;
             let fresh = !self.base.executed_already(req.id);
-            match self
-                .base
-                .consume(ctx, slot, req.id, fresh.then_some(&req.command[..]))
-            {
+            // Every open batch was logged with its bodies when it was
+            // opened (`persist_batch_accept`, or replay from those records).
+            let command = fresh.then_some(&req.command[..]);
+            match self.base.consume(ctx, slot, req.id, command, true) {
                 Consumed::Skipped => {}
                 Consumed::Reconfig(cmd) => {
                     // Applied to the membership after the batch frontier
