@@ -17,9 +17,12 @@
 //! * [`SessionTable`] — the per-client session state (highest executed
 //!   op, cached reply, and the head of that client's chain of live
 //!   request records), indexed directly by the contiguous client ids
-//!   the harness assigns. Reserved ids near `u32::MAX` (the reconfig
-//!   and no-op pseudo-clients) and any pathologically large id fall
-//!   back to a tree so the dense part never over-allocates.
+//!   the harness assigns. Rows live in fixed pages of [`SESSION_PAGE`]
+//!   rows, each allocated when one of its ids is first touched and never
+//!   moved, so the table holds the pages its clients touch whatever order
+//!   they arrive in. Reserved ids near `u32::MAX` (the reconfig and no-op
+//!   pseudo-clients) and any pathologically large id fall back to a tree
+//!   so the dense part never over-allocates.
 //!
 //! Request records for one client are threaded into a singly-linked
 //! chain (the [`Chained`] trait) rooted at the client's session slot:
@@ -38,10 +41,20 @@ use crate::ids::{ClientId, OpNumber, RequestId};
 use crate::request::ResultBytes;
 
 /// Client ids at or above this value are stored in the session table's
-/// fallback tree rather than the dense vector. Covers the reserved
+/// fallback tree rather than its pages. Covers the reserved
 /// pseudo-clients (`RECONFIG_CLIENT`, the no-op client) and shields the
-/// dense vector from ever sizing itself to a wild id.
+/// page directory from ever sizing itself to a wild id.
 pub const DENSE_CLIENT_LIMIT: u32 = 1 << 26;
+
+/// Log2 of [`SESSION_PAGE`].
+const PAGE_BITS: u32 = 10;
+
+/// Rows per session-table page: 40 KiB of 40-byte rows, so a cell of a
+/// few hundred clients pays for one small page and 10⁵ clients for 98.
+pub const SESSION_PAGE: usize = 1 << PAGE_BITS;
+
+/// One page of session rows, ids `page << PAGE_BITS ..` upwards.
+type Page = Box<[Session; SESSION_PAGE]>;
 
 /// Compact, copyable key of a record in a [`ReqSlab`].
 ///
@@ -308,13 +321,26 @@ impl Session {
     };
 }
 
+/// A page of empty rows, built on the heap: a `[Session; SESSION_PAGE]`
+/// temporary would give every caller of `slot_mut` a 40 KiB stack frame to
+/// probe on each call.
+#[cold]
+fn new_page() -> Page {
+    vec![Session::EMPTY; SESSION_PAGE]
+        .into_boxed_slice()
+        .try_into()
+        .ok()
+        .expect("a page holds SESSION_PAGE rows")
+}
+
 /// Dense per-client session state: the `last_executed` reply cache plus
 /// the root of each client's live-request chain.
 ///
-/// Client ids below [`DENSE_CLIENT_LIMIT`] index a vector that grows on
-/// first touch and never shrinks — membership reconfiguration can only
-/// widen the client population, so an epoch change keeps every slot and
-/// later epochs reuse them (the membership-epoch resize rule of
+/// Client ids below [`DENSE_CLIENT_LIMIT`] index fixed pages of
+/// [`SESSION_PAGE`] rows. A page is allocated when one of its ids is first
+/// touched and is never moved or freed — membership reconfiguration can
+/// only widen the client population, so an epoch change keeps every row
+/// and later epochs reuse them (the membership-epoch resize rule of
 /// DESIGN.md §6e). Reserved pseudo-client ids near `u32::MAX` live in a
 /// small fallback tree.
 ///
@@ -329,7 +355,8 @@ impl Session {
 /// ```
 #[derive(Clone, Default)]
 pub struct SessionTable {
-    dense: Vec<Session>,
+    /// Page `i` holds ids `i * SESSION_PAGE ..`; `None` until touched.
+    pages: Vec<Option<Page>>,
     special: BTreeMap<u32, Session>,
 }
 
@@ -341,7 +368,8 @@ impl SessionTable {
 
     fn slot(&self, client: ClientId) -> Option<&Session> {
         if client.0 < DENSE_CLIENT_LIMIT {
-            self.dense.get(client.0 as usize)
+            let page = self.pages.get((client.0 >> PAGE_BITS) as usize)?;
+            Some(&page.as_ref()?[client.0 as usize % SESSION_PAGE])
         } else {
             self.special.get(&client.0)
         }
@@ -349,23 +377,28 @@ impl SessionTable {
 
     fn slot_mut(&mut self, client: ClientId) -> &mut Session {
         if client.0 < DENSE_CLIENT_LIMIT {
-            let idx = client.0 as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize(idx + 1, Session::EMPTY);
+            let idx = (client.0 >> PAGE_BITS) as usize;
+            if idx >= self.pages.len() {
+                self.pages.resize_with(idx + 1, || None);
             }
-            &mut self.dense[idx]
+            let page = self.pages[idx].get_or_insert_with(new_page);
+            &mut page[client.0 as usize % SESSION_PAGE]
         } else {
             self.special.entry(client.0).or_insert(Session::EMPTY)
         }
     }
 
-    /// Pre-sizes the dense vector for `clients` contiguous ids, so the
-    /// steady state never grows it again.
-    pub fn reserve(&mut self, clients: usize) {
-        let clients = clients.min(DENSE_CLIENT_LIMIT as usize);
-        if clients > self.dense.len() {
-            self.dense.resize(clients, Session::EMPTY);
-        }
+    /// Every allocated row with its client id, in ascending id order.
+    fn rows(&self) -> impl Iterator<Item = (u32, &Session)> + Clone {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(i, page)| Some((i, page.as_ref()?)))
+            .flat_map(|(i, page)| {
+                page.iter()
+                    .enumerate()
+                    .map(move |(j, s)| (((i << PAGE_BITS) + j) as u32, s))
+            })
     }
 
     /// Highest executed op and cached reply, if any.
@@ -409,7 +442,7 @@ impl SessionTable {
     /// Forgets every execution record (checkpoint install replaces the
     /// table wholesale) while keeping the live-request chains rooted.
     pub fn clear_executed(&mut self) {
-        for s in &mut self.dense {
+        for s in self.pages.iter_mut().flatten().flat_map(|p| p.iter_mut()) {
             s.last_op = NO_OP;
             s.reply = ResultBytes::from_slice(&[]);
         }
@@ -434,14 +467,11 @@ impl SessionTable {
         }
     }
 
-    /// Iterates executed clients in ascending id order (dense ids first,
+    /// Iterates executed clients in ascending id order (paged ids first,
     /// then the reserved high ids — numerically ascending overall, which
     /// matches the `BTreeMap` order checkpoints were built with).
     pub fn iter(&self) -> impl Iterator<Item = (u32, OpNumber, &ResultBytes)> + Clone {
-        self.dense
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s))
+        self.rows()
             .chain(self.special.iter().map(|(&c, s)| (c, s)))
             .filter(|(_, s)| s.last_op != NO_OP)
             .map(|(c, s)| (c, OpNumber(s.last_op), &s.reply))
@@ -449,8 +479,8 @@ impl SessionTable {
 
     /// Number of clients with a recorded execution.
     pub fn executed_clients(&self) -> usize {
-        self.dense
-            .iter()
+        self.rows()
+            .map(|(_, s)| s)
             .chain(self.special.values())
             .filter(|s| s.last_op != NO_OP)
             .count()
@@ -601,5 +631,92 @@ mod tests {
         assert_eq!(t.last_op(ClientId(2)), None);
         assert_eq!(t.last_op(ClientId(u32::MAX)), None);
         assert_eq!(t.head(ClientId(2)), head);
+    }
+
+    fn pages_allocated(t: &SessionTable) -> usize {
+        t.pages.iter().flatten().count()
+    }
+
+    /// The first ids to arrive need not be the lowest: the table holds
+    /// the pages its clients touch, not a vector doubled from whichever
+    /// id came first (77,965 then 99,999 once sized one to 155,932 rows).
+    #[test]
+    fn session_table_allocates_the_pages_its_clients_touch() {
+        let mut t = SessionTable::new();
+        t.record(ClientId(77_965), OpNumber(1), ResultBytes::from_slice(b"a"));
+        t.record(ClientId(99_999), OpNumber(1), ResultBytes::from_slice(b"b"));
+        assert_eq!(pages_allocated(&t), 2);
+        for c in 0..100_000 {
+            t.set_head(ClientId(c), ReqHandle::NULL);
+        }
+        let pages = 100_000usize.div_ceil(SESSION_PAGE);
+        assert_eq!(pages_allocated(&t), pages);
+        assert_eq!(t.executed_clients(), 2);
+        // Neither a reserved id nor a lookup past the last page takes one.
+        t.record(
+            ClientId(DENSE_CLIENT_LIMIT),
+            OpNumber(1),
+            ResultBytes::from_slice(&[]),
+        );
+        assert_eq!(t.last_op(ClientId(200_000)), None);
+        assert_eq!(pages_allocated(&t), pages);
+    }
+
+    #[test]
+    fn session_table_iterates_ascending_across_pages() {
+        let page = SESSION_PAGE as u32;
+        let ids = [
+            0,
+            page - 1,
+            page,
+            page + 1,
+            5 * page + 7,
+            DENSE_CLIENT_LIMIT - 1,
+            DENSE_CLIENT_LIMIT,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        let mut t = SessionTable::new();
+        for (n, &c) in ids.iter().enumerate().rev() {
+            t.record(
+                ClientId(c),
+                OpNumber(n as u64),
+                ResultBytes::from_slice(&[n as u8]),
+            );
+        }
+        // A touched row without an execution is skipped.
+        t.set_head(ClientId(2 * page), ReqHandle::NULL);
+        let got: Vec<(u32, u64, Vec<u8>)> = t
+            .iter()
+            .map(|(c, op, r)| (c, op.0, r.as_slice().to_vec()))
+            .collect();
+        let want: Vec<(u32, u64, Vec<u8>)> = ids
+            .iter()
+            .enumerate()
+            .map(|(n, &c)| (c, n as u64, vec![n as u8]))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(t.executed_clients(), ids.len());
+    }
+
+    #[test]
+    fn session_table_clear_keeps_chain_heads_on_every_page() {
+        let page = SESSION_PAGE as u32;
+        let ids = [1, page + 2, 3 * page, 7 * page - 1];
+        let mut t = SessionTable::new();
+        for (n, &c) in ids.iter().enumerate() {
+            let head = ReqHandle {
+                index: n as u32,
+                generation: 1,
+            };
+            t.set_head(ClientId(c), head);
+            t.record(ClientId(c), OpNumber(9), ResultBytes::from_slice(b"x"));
+        }
+        t.clear_executed();
+        assert_eq!(t.executed_clients(), 0);
+        for (n, &c) in ids.iter().enumerate() {
+            assert_eq!(t.last_op(ClientId(c)), None);
+            assert_eq!(t.head(ClientId(c)).index, n as u32, "client {c}");
+        }
     }
 }

@@ -695,6 +695,13 @@ impl Wal {
                 },
                 Some(WalRecord::Exec { .. }) if unresolved => continue,
                 Some(rec) => rec,
+                // A torn exec record ends the executions like an
+                // unresolved one: running the ones after it would move the
+                // frontier past a slot replay never applied.
+                None if bytes.first() == Some(&TAG_EXEC) => {
+                    unresolved = true;
+                    continue;
+                }
                 None => continue,
             };
             records.push(rec);
@@ -742,12 +749,14 @@ pub struct ReplayLog<'a> {
     /// on ties. A torn or corrupt checkpoint record is passed over for the
     /// next newest — a torn tail is indistinguishable from garbage.
     pub checkpoint: Option<CheckpointRef<'a>>,
-    /// Every intact view, accept and exec record, oldest first. Malformed
-    /// records are skipped. An elided exec record comes back as a
-    /// [`WalRecord::Exec`] whose command borrows from the first earlier
+    /// Every intact view, accept and exec record, oldest first. Other
+    /// malformed records are skipped. An elided exec record comes back as
+    /// a [`WalRecord::Exec`] whose command borrows from the first earlier
     /// intact accept record of its id with a non-empty command; one with
     /// no such record ends the executions, as a torn tail would: it and
     /// every later exec record are left out, so replay stops before it.
+    /// A torn exec record (its tag, then bytes that do not decode) ends
+    /// them the same way.
     pub records: Vec<WalRecord<'a>>,
 }
 
@@ -968,6 +977,45 @@ mod tests {
         assert_eq!(replayed(&disk), (vec![(0, b), (1, a), (2, c)], 3));
         disk.tear(4, 10);
         assert_eq!(replayed(&disk), (vec![(0, b)], 1), "stops before a's");
+    }
+
+    /// A torn exec record is not skipped over: the executions replay
+    /// hands out end before it, so the frontier stays below its slot.
+    #[test]
+    fn a_torn_exec_record_ends_the_replayed_executions() {
+        let exec = |slot: u64| {
+            WalRecord::Exec {
+                slot,
+                id: rid(1, slot + 1),
+                fresh: true,
+                command: &[7; 4],
+                epoch: 0,
+            }
+            .encode()
+        };
+        let execs = |disk: &Disk| {
+            Wal::replay(disk.records())
+                .records
+                .iter()
+                .filter(|rec| matches!(rec, WalRecord::Exec { .. }))
+                .count()
+        };
+        let mut disk = Disk::new();
+        disk.append(exec(0));
+        disk.append(exec(1));
+        disk.append(WalRecord::View(2).encode());
+        disk.fsync();
+        assert_eq!(execs(&disk), 2);
+        disk.tear(0, 12);
+        assert_eq!(execs(&disk), 0, "exec 1 is not replayed past torn exec 0");
+        assert_eq!(
+            Wal::replay(disk.records()).records.len(),
+            1,
+            "the view stays"
+        );
+        // A discarded record is no torn one: the executions after it stay.
+        disk.discard(0);
+        assert_eq!(execs(&disk), 1);
     }
 
     #[test]

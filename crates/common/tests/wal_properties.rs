@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use idem_common::dense::{SessionTable, DENSE_CLIENT_LIMIT};
+use idem_common::dense::{ReqHandle, SessionTable, DENSE_CLIENT_LIMIT, SESSION_PAGE};
 use idem_common::{
     CheckpointData, ClientId, Membership, OpNumber, PersistMode, ReconfigCommand, ReplicaId,
     RequestId, ResultBytes, SeqNumber, StateMachine, Wal, WalRecord,
@@ -61,7 +61,9 @@ fn membership(joins: &[u8]) -> Membership {
 /// A session table holding generated `(selector, last_op, reply)` rows.
 fn sessions_of(rows: &[(u32, u64, Vec<u8>)]) -> SessionTable {
     let mut sessions = SessionTable::new();
-    sessions.reserve(32); // empty slots in between must be skipped
+    // Rows that exist but never executed — the rest of the first page and
+    // all of a later one — must be skipped.
+    sessions.set_head(ClientId(3 * SESSION_PAGE as u32), ReqHandle::NULL);
     for (sel, last_op, reply) in rows {
         // u64::MAX is the table's "no execution" marker.
         let last_op = OpNumber(*last_op % (u64::MAX - 1));

@@ -192,6 +192,13 @@ fn saturated_idem_heap_does_not_grow_with_simulated_time() {
         long * 4 <= short * 5,
         "peak live heap grew with simulated time: {short} B at 3 s, {long} B at 9 s"
     );
+    // And the level follows the population too: ≈5.2 MB since the wheel
+    // files its events in one slab, ≈8.7 MB while each of its slots kept
+    // the largest buffer it had ever needed.
+    assert!(
+        long < 7_000_000,
+        "peak live heap of {long} B at 9 s, above 7 MB"
+    );
 }
 
 /// What one WAL-on/off run of the durable cell observed.

@@ -497,11 +497,11 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_one() {
 /// store — and, if the last decision is a batch cut short, the rest of it
 /// as its accept records name it. An elided exec record runs the body of
 /// the first earlier accept record of its id that holds one; one with no
-/// such record ends the executions. Written against the record decoder
-/// only, so it shares no code with `Wal::replay` or the replicas'
-/// `replay_wal`. `batch_shift` is how many low bits of an exec slot number
-/// positions inside one decision (SMaRt packs `(batch << 20) | offset`;
-/// IDEM and Paxos decide single slots).
+/// such record ends the executions, and so does a torn exec record.
+/// Written against the record decoder only, so it shares no code with
+/// `Wal::replay` or the replicas' `replay_wal`. `batch_shift` is how many
+/// low bits of an exec slot number position inside one decision (SMaRt
+/// packs `(batch << 20) | offset`; IDEM and Paxos decide single slots).
 fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRecord>) {
     let checkpoint = ranked_checkpoints(records).into_iter().rev().find_map(|i| {
         match WalRecord::decode(&records[i]) {
@@ -536,6 +536,7 @@ fn state_on_disk(records: &[Vec<u8>], batch_shift: u32) -> (u64, u64, Vec<ExecRe
                 }
                 decoded.push(rec);
             }
+            None if record.first() == Some(&TAG_EXEC) => unresolved = true,
             None => {}
         }
     }

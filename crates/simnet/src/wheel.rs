@@ -46,6 +46,18 @@
 //! "late" (at a chunk at or before `horizon`, e.g. after an idle period
 //! advanced the clock) simply joins the ready heap and still sorts
 //! correctly.
+//!
+//! # Footprint
+//!
+//! Slotted events live in one slab of cells; a slot is a `u32` head of a
+//! singly linked list through that slab, and freed cells form a free
+//! list. Filing pops a free cell and links it at the slot's head;
+//! draining a slot detaches the whole list and frees each cell before
+//! re-filing its event, so a cascade reuses the cells it empties. The
+//! slab therefore holds at most as many cells as events were ever
+//! slotted at once — it follows the pending population, not the time
+//! elapsed. Order inside a slot does not matter: the ready heap orders by
+//! `(time, seq)`, and a cascade only files into lower levels.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -67,13 +79,8 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// cover every representable future time.
 const LEVELS: usize = 9;
 
-/// A drained slot keeps its buffer only up to this capacity: an upper-level
-/// slot collects a period's cancelled timers and comes round again 64
-/// periods later, so parking those buffers would make the footprint follow
-/// elapsed time rather than the pending population. On a saturated IDEM
-/// cell they are its per-request 10 ms forward timers, up to ≈80 KB a slot
-/// (megabytes while every execution also filed a dead progress timer).
-const KEEP_SLOT_BYTES: usize = 64 << 10;
+/// The end of a slot's list and of the free list.
+const NIL: u32 = u32::MAX;
 
 /// One scheduled item. Only `(time, seq)` participate in ordering; `seq` is
 /// globally unique, so the order is total.
@@ -106,6 +113,14 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// A slab cell: a slotted entry and the next cell of its slot's list, or,
+/// while free, no entry and the next free cell.
+#[derive(Debug)]
+struct Cell<T> {
+    entry: Option<Entry<T>>,
+    next: u32,
+}
+
 /// A hierarchical timing wheel ordering items by `(time, seq)`.
 ///
 /// `push` and `pop_before` are amortized O(1) in the number of pending
@@ -128,8 +143,13 @@ pub struct TimingWheel<T> {
     /// Events of the chunk currently being drained (plus any late pushes at
     /// or before the horizon).
     ready: BinaryHeap<Entry<T>>,
-    /// `LEVELS × SLOTS` buckets, row-major by level.
-    slots: Box<[Vec<Entry<T>>]>,
+    /// Every slotted entry, in cells linked into one list per slot.
+    cells: Vec<Cell<T>>,
+    /// First cell of each of the `LEVELS × SLOTS` slots, row-major by
+    /// level; `NIL` when the slot is empty.
+    heads: Box<[u32]>,
+    /// First free cell of `cells`; `NIL` when every cell is in use.
+    free: u32,
     /// Per-level occupancy bitmaps.
     occ: [u64; LEVELS],
     /// Chunk index of the slot most recently drained. Every slotted event
@@ -150,7 +170,9 @@ impl<T> TimingWheel<T> {
     pub fn new() -> TimingWheel<T> {
         TimingWheel {
             ready: BinaryHeap::new(),
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            cells: Vec::new(),
+            heads: vec![NIL; LEVELS * SLOTS].into_boxed_slice(),
+            free: NIL,
             occ: [0; LEVELS],
             horizon: 0,
             len: 0,
@@ -173,12 +195,31 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Files an entry at `chunk > self.horizon` into its wheel slot.
+    /// Files an entry at `chunk > self.horizon` into its wheel slot: a
+    /// free cell, linked in at the head of the slot's list.
     fn place(&mut self, chunk: u64, entry: Entry<T>) {
         let delta = chunk ^ self.horizon;
         let level = ((63 - delta.leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((chunk >> (level as u32 * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(entry);
+        let head = &mut self.heads[level * SLOTS + slot];
+        let cell = Cell {
+            entry: Some(entry),
+            next: *head,
+        };
+        *head = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.cells.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("wheel exceeds u32 cells");
+                self.cells.push(cell);
+                idx
+            }
+            free => {
+                self.free = mem::replace(&mut self.cells[free as usize], cell).next;
+                free
+            }
+        };
         self.occ[level] |= 1 << slot;
     }
 
@@ -200,20 +241,23 @@ impl<T> TimingWheel<T> {
         }
         self.horizon = slot_chunk;
         self.occ[level] &= !(1u64 << slot);
-        let mut bucket = mem::take(&mut self.slots[level * SLOTS + slot]);
-        for entry in bucket.drain(..) {
+        let mut cur = mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
+        while cur != NIL {
+            // Free the cell before re-filing its entry, so a cascade reuses
+            // the cells it empties instead of growing the slab.
+            let cell = &mut self.cells[cur as usize];
+            let entry = cell.entry.take().expect("a listed cell holds an entry");
+            let next = mem::replace(&mut cell.next, self.free);
+            self.free = cur;
+            cur = next;
             let chunk = entry.time >> GRANULARITY_BITS;
             if chunk <= self.horizon {
                 self.ready.push(entry);
             } else {
                 // Strictly lower level than before: the digits at and above
-                // `level` now agree with the horizon, so nothing files into
-                // this slot while its buffer is out.
+                // `level` now agree with the horizon.
                 self.place(chunk, entry);
             }
-        }
-        if bucket.capacity() * mem::size_of::<Entry<T>>() <= KEEP_SLOT_BYTES {
-            self.slots[level * SLOTS + slot] = bucket;
         }
         true
     }
@@ -275,8 +319,8 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Reserves capacity in the ready heap, which bounds the only
-    /// reallocation the hot path can hit.
+    /// Reserves capacity in the ready heap. The slab of slotted events
+    /// grows only while the pending population sets a new high-water mark.
     pub fn reserve(&mut self, additional: usize) {
         self.ready.reserve(additional);
     }
@@ -590,11 +634,10 @@ mod tests {
     /// The IDEM shape: every delivery schedules the next one 100–150 µs out
     /// and arms a timer 200 ms–1.5 s out that is long dead when the wheel
     /// reaches it. The far entries pile up by the thousand in level-3 slots
-    /// (268 ms each); their buffers must not outlive the slot's drain and
-    /// wander into the lower levels.
+    /// (268 ms each) and cascade down as those slots drain; the slab must
+    /// follow the pending population, never the time elapsed.
     #[test]
     fn slot_buffers_do_not_grow_with_elapsed_time() {
-        assert_eq!(mem::size_of::<Entry<[u8; 32]>>(), 48);
         const PERIOD: u64 = 1 << (GRANULARITY_BITS + 3 * SLOT_BITS);
         const DELIVERY: [u8; 32] = [0; 32];
         const DEAD_TIMER: [u8; 32] = [1; 32];
@@ -611,31 +654,39 @@ mod tests {
             w.push(chain * 10_000, seq, DELIVERY);
             seq += 1;
         }
-        // Total slot capacity, in entries, at the end of each level-3 period.
-        let mut readings = Vec::new();
-        while readings.len() < 40 {
+        loop {
             let (now, _, kind) = w.pop_before(u64::MAX).expect("chains never end");
-            if now >= (readings.len() as u64 + 1) * PERIOD {
-                readings.push(w.slots.iter().map(Vec::capacity).sum::<usize>());
+            if now >= 40 * PERIOD {
+                break;
             }
+            assert!(
+                w.cells.capacity() <= 2 * w.high_water(),
+                "{} cells for a high-water mark of {} at {now} ns",
+                w.cells.capacity(),
+                w.high_water()
+            );
             if kind == DELIVERY {
                 w.push(now + draw(100_000, 150_000), seq, DELIVERY);
                 w.push(now + draw(200_000_000, 1_500_000_000), seq + 1, DEAD_TIMER);
                 seq += 2;
             }
         }
-        let (early, late) = (readings[9], readings[39]);
-        assert!(
-            late <= 3 * w.high_water(),
-            "{late} entries of slot capacity for a high-water mark of {}",
-            w.high_water()
-        );
-        // A sixteenth of slack: each lower-level slot keeps the largest
-        // small buffer it ever needed, a record that still creeps up.
-        assert!(
-            late <= early + early / 16,
-            "slot capacity grew: {early} -> {late}"
-        );
+    }
+
+    /// A cascade frees each cell before it re-files the entry, so draining
+    /// one slot into lower ones reuses the cells it empties.
+    #[test]
+    fn cascade_reuses_the_cells_it_frees() {
+        let mut w = TimingWheel::new();
+        for i in 0..1_000u64 {
+            // One level-2 slot, spread over many level-1 and level-0 slots.
+            w.push((1 << 22) + i * 4_096, i, 0u32);
+        }
+        assert_eq!(w.cells.len(), 1_000);
+        assert_eq!(w.pop_before(u64::MAX), Some((1 << 22, 0, 0)));
+        assert_eq!(w.cells.len(), 1_000, "the cascade took no new cell");
+        assert_eq!(drain(&mut w).len(), 999);
+        assert_eq!(w.cells.len(), 1_000);
     }
 
     /// The lifecycle the simulator drives: arm, the queue entry fires
