@@ -427,6 +427,9 @@ impl ReplicaBase {
                 self.wal.log_exec(ctx, slot, id, fresh, command, epoch);
             }
         }
+        if command.is_some() {
+            self.wal.executed(self.next_exec.0, slot, id);
+        }
         if let Some(log) = &mut self.exec_log {
             log.push(ExecRecord::at_epoch(slot, id, command.is_some(), epoch));
         }
@@ -730,17 +733,18 @@ impl ReplicaBase {
     /// the WAL, which bounds replay length after a wipe. Nothing is
     /// encoded while the WAL is off. The caller counts the checkpoint and
     /// prunes what it covers.
-    pub fn take_checkpoint<M>(&self, ctx: &mut Context<'_, M>) {
+    pub fn take_checkpoint<M>(&mut self, ctx: &mut Context<'_, M>) {
         ctx.charge(self.message_cost);
         if self.wal.enabled() {
-            self.wal.log_checkpoint(ctx, self.capture());
+            let checkpoint = self.capture();
+            self.wal.log_checkpoint(ctx, checkpoint);
         }
     }
 
     /// Takes a checkpoint as [`take_checkpoint`](Self::take_checkpoint)
     /// does and returns it for state transfer: the bytes on the wire are
     /// the record on the disk.
-    fn take_checkpoint_to_send<M>(&self, ctx: &mut Context<'_, M>) -> CheckpointData {
+    fn take_checkpoint_to_send<M>(&mut self, ctx: &mut Context<'_, M>) -> CheckpointData {
         ctx.charge(self.message_cost);
         let checkpoint = self.capture();
         if self.wal.enabled() {
@@ -761,7 +765,7 @@ impl ReplicaBase {
     /// predate the requester's own state, and its gap is only repairable
     /// by a checkpoint taken at or after its missing slot.
     pub fn handle_checkpoint_request<M: ReplicaWire>(
-        &self,
+        &mut self,
         ctx: &mut Context<'_, M>,
         from: NodeId,
     ) {
@@ -891,7 +895,11 @@ impl ReplicaBase {
     /// frontier past its decision. Every record re-enters the exec log
     /// either way — the durability invariant audits the whole history —
     /// under the epoch it was written in, not the current one: replayed
-    /// entries must agree with what peers logged live.
+    /// entries must agree with what peers logged live. Below the
+    /// checkpoint an exec record may have lost its body to reclaiming
+    /// ([`Wal::replay`] hands it back elided); it is audited only. The
+    /// WAL handle then learns the disk ([`Wal::resume`]), so its next
+    /// checkpoint reclaims from where the wiped one left off.
     ///
     /// A decision's exec records are appended and synced in one handler,
     /// so only a torn write leaves one short, and only the last decision.
@@ -907,7 +915,8 @@ impl ReplicaBase {
         let ReplayLog {
             checkpoint,
             records,
-        } = Wal::replay(disk);
+        } = Wal::replay(disk, shift);
+        self.wal.resume(disk, shift);
         let max_view = records.iter().fold(self.view.0, |max, rec| match rec {
             WalRecord::View(v) | WalRecord::Accept { view: v, .. } => max.max(*v),
             _ => max,
@@ -919,23 +928,26 @@ impl ReplicaBase {
         let covered = self.next_exec.0;
         let mut executed = 0;
         for rec in &records {
-            let WalRecord::Exec {
-                slot,
-                id,
-                fresh,
-                command,
-                epoch,
-            } = *rec
-            else {
-                continue;
+            let (slot, id, fresh, command, epoch) = match *rec {
+                WalRecord::Exec {
+                    slot,
+                    id,
+                    fresh,
+                    command,
+                    epoch,
+                } => (slot, id, fresh, Some(command), epoch),
+                WalRecord::ExecElided { slot, id, epoch } => (slot, id, true, None, epoch),
+                _ => continue,
             };
             if let Some(log) = &mut self.exec_log {
                 log.push(ExecRecord::at_epoch(slot, id, fresh, epoch));
             }
             let decision = slot >> shift;
-            if decision < covered {
+            // Below the checkpoint, and an elided record comes back only
+            // there: audited, never applied.
+            let Some(command) = command.filter(|_| decision >= covered) else {
                 continue;
-            }
+            };
             if fresh && !self.executed_already(id) {
                 executed += u64::from(self.reapply(ctx, id, command));
             }

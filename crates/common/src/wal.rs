@@ -29,6 +29,18 @@
 //!   State transfer ships the same record ([`CheckpointData`]), and the
 //!   receiver appends the bytes it got.
 //!
+//! Appending a checkpoint also reclaims accepted bodies. Replay installs
+//! the newest intact checkpoint and falls back to the other retained one
+//! when the newest is torn, so the *older* of the two is the floor below
+//! which no execution is ever replayed again. Every accept record that
+//! holds the body of an id whose fresh execution lies below that floor is
+//! emptied in place — its REQUIRE-stage record and the binding of the
+//! slot it ran at; a binding of any other slot is a vote a rebooted
+//! leader must still see, and stays. Exec, view and checkpoint records
+//! are never touched, so the exec history stays whole. [`Wal::replay`]
+//! runs no execution below its checkpoint, so an elided exec record there
+//! no longer needs its body.
+//!
 //! The write discipline is write-ahead: a record is appended **and
 //! fsynced** before the replica acts on it (applies the command, sends the
 //! accept, enters the view). Under power-loss truncation
@@ -58,7 +70,8 @@
 //! A body is elided only when it is not empty, so an empty command blob
 //! never stands for an elided one.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use idem_simnet::Context;
 
@@ -118,7 +131,8 @@ pub enum WalRecord<'a> {
     /// A fresh [`Exec`](Self::Exec) whose command is left out: an earlier
     /// accept record of `id` on the same disk holds it. Only
     /// [`decode`](Self::decode) yields one; [`Wal::replay`] turns it back
-    /// into an `Exec` with the command borrowed from that record.
+    /// into an `Exec` with the command borrowed from that record, unless
+    /// its checkpoint covers it.
     ExecElided {
         /// Execution slot, in the protocol's slot numbering.
         slot: u64,
@@ -534,15 +548,69 @@ impl CheckpointData {
 /// deliberately broken [`PersistMode::WalNoFsync`]) fsyncs, making the
 /// record durable before the caller acts on it. All are no-ops when
 /// persistence is disabled.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Wal {
     mode: PersistMode,
+    /// Under [`PersistMode::Wal`], the accepted bodies a checkpoint may
+    /// reclaim (see [`log_checkpoint`](Self::log_checkpoint)).
+    bodies: BodyIndex,
+}
+
+/// Where each accepted body lies on the disk and which ids have run, so a
+/// checkpoint finds the bodies it covers without rescanning the disk.
+#[derive(Debug, Clone, Default)]
+struct BodyIndex {
+    /// Disk index of the first accept record holding each id's body.
+    first: HashMap<RequestId, usize>,
+    /// Later records holding the body of an id already in `first` — a
+    /// body accepted again, a slot re-accepted in a later view. Rare.
+    more: HashMap<RequestId, Vec<usize>>,
+    /// Fresh executions whose bodies have not been reclaimed yet, as
+    /// `(decision, slot, id)`, in the order they were logged. That is
+    /// decision order, since the frontier only moves forward; an entry
+    /// out of order would only hold back the ones behind it.
+    executed: VecDeque<(u64, u64, RequestId)>,
+}
+
+impl BodyIndex {
+    /// Notes that record `index` holds `id`'s body.
+    fn held(&mut self, id: RequestId, index: usize) {
+        match self.first.entry(id) {
+            Entry::Vacant(first) => {
+                first.insert(index);
+            }
+            Entry::Occupied(_) => self.more.entry(id).or_default().push(index),
+        }
+    }
+
+    /// Empties the body records of every id that ran below `floor`: those
+    /// at slot `u64::MAX` or at the slot it ran at. An execution at or
+    /// past the floor, and everything logged after it, waits for a later
+    /// checkpoint.
+    fn reclaim_below<M>(&mut self, ctx: &mut Context<'_, M>, floor: u64) {
+        while let Some(&(decision, slot, id)) = self.executed.front() {
+            if decision >= floor {
+                break;
+            }
+            self.executed.pop_front();
+            let more = self.more.remove(&id).into_iter().flatten();
+            for index in self.first.remove(&id).into_iter().chain(more) {
+                let bound = peek_accept_slot(&ctx.disk_records()[index]);
+                if bound.is_some_and(|bound| bound == u64::MAX || bound == slot) {
+                    ctx.disk_discard(index);
+                }
+            }
+        }
+    }
 }
 
 impl Wal {
     /// Creates a log handle with the given mode.
     pub fn new(mode: PersistMode) -> Wal {
-        Wal { mode }
+        Wal {
+            mode,
+            ..Wal::default()
+        }
     }
 
     /// Whether records are written at all.
@@ -550,12 +618,20 @@ impl Wal {
         self.mode != PersistMode::Disabled
     }
 
-    /// Appends an encoded record and, in the honest mode, fsyncs.
-    fn append<M>(&self, ctx: &mut Context<'_, M>, record: Vec<u8>) {
-        ctx.disk_append(record);
+    /// Whether accepted bodies are reclaimed: only when every record is
+    /// synced, as for superseded checkpoints.
+    fn reclaims(&self) -> bool {
+        self.mode == PersistMode::Wal
+    }
+
+    /// Appends an encoded record and, in the honest mode, fsyncs. Returns
+    /// the record's index on the disk.
+    fn append<M>(&self, ctx: &mut Context<'_, M>, record: Vec<u8>) -> usize {
+        let index = ctx.disk_append(record);
         if self.mode == PersistMode::Wal {
             ctx.disk_fsync();
         }
+        index
     }
 
     /// Logs a [`WalRecord::View`].
@@ -570,7 +646,7 @@ impl Wal {
     /// one branch per request for it.
     #[inline]
     pub fn log_accept<M>(
-        &self,
+        &mut self,
         ctx: &mut Context<'_, M>,
         slot: u64,
         view: u64,
@@ -584,7 +660,10 @@ impl Wal {
                 id,
                 command,
             };
-            self.append(ctx, rec.encode());
+            let index = self.append(ctx, rec.encode());
+            if self.reclaims() && !command.is_empty() {
+                self.bodies.held(id, index);
+            }
         }
     }
 
@@ -626,29 +705,79 @@ impl Wal {
         }
     }
 
+    /// Notes that `id` ran fresh at `slot`, part of `decision` (the slot
+    /// itself, or for SMaRt its batch): the checkpoint whose append lifts
+    /// the floor past `decision` reclaims the body records of `id` (see
+    /// the [module docs](self)). The caller logs the exec record first.
+    #[inline]
+    pub fn executed(&mut self, decision: u64, slot: u64, id: RequestId) {
+        if self.reclaims() {
+            self.bodies.executed.push_back((decision, slot, id));
+        }
+    }
+
     /// Logs a checkpoint record — the replica's own, or one it received
     /// by state transfer, as it arrived — then empties the one it pushed
     /// below the two newest synced checkpoints on the disk: replay decodes
     /// only the newest intact checkpoint and falls back to the previous one
     /// when the newest is torn, so a third is never read again. Ranked as
     /// [`replay`](Self::replay) ranks them, by `next_exec` and the later
-    /// record on ties. Under [`PersistMode::Wal`] every record is synced
-    /// by now; [`PersistMode::WalNoFsync`] syncs none, so it keeps all.
-    pub fn log_checkpoint<M>(&self, ctx: &mut Context<'_, M>, checkpoint: CheckpointData) {
+    /// record on ties. The older of the two left is the floor: every body
+    /// record of an id that ran below it is emptied too (see the
+    /// [module docs](self)). Under [`PersistMode::Wal`] every record is
+    /// synced by now; [`PersistMode::WalNoFsync`] syncs none, so it keeps
+    /// all.
+    pub fn log_checkpoint<M>(&mut self, ctx: &mut Context<'_, M>, checkpoint: CheckpointData) {
         if !self.enabled() {
             return;
         }
         self.append(ctx, checkpoint.record);
-        if self.mode == PersistMode::Wal {
-            if let Some(index) = superseded_checkpoint(ctx.disk_records()) {
+        if self.reclaims() {
+            let (superseded, floor) = retained_checkpoints(ctx.disk_records());
+            if let Some(index) = superseded {
                 ctx.disk_discard(index);
+            }
+            if let Some(floor) = floor {
+                self.bodies.reclaim_below(ctx, floor);
+            }
+        }
+    }
+
+    /// Rebuilds what reclaiming needs from a replayed disk, after a wipe
+    /// left this handle knowing nothing of it: where each body lies and
+    /// which ids ran, a decision being `slot >> shift` as in
+    /// [`replay`](Self::replay). The next checkpoint reclaims from there.
+    pub fn resume(&mut self, disk: &[Vec<u8>], shift: u32) {
+        if !self.reclaims() {
+            return;
+        }
+        for (index, bytes) in disk.iter().enumerate() {
+            if bytes.first() == Some(&TAG_CHECKPOINT) {
+                continue;
+            }
+            match WalRecord::decode(bytes) {
+                Some(WalRecord::Accept { id, command, .. }) if !command.is_empty() => {
+                    self.bodies.held(id, index);
+                }
+                Some(
+                    WalRecord::Exec {
+                        slot,
+                        id,
+                        fresh: true,
+                        ..
+                    }
+                    | WalRecord::ExecElided { slot, id, .. },
+                ) => self.executed(slot >> shift, slot, id),
+                _ => {}
             }
         }
     }
 
     /// Reads a node's disk after a wipe; see [`ReplayLog`]. `disk` comes
-    /// from [`Context::with_disk_records`].
-    pub fn replay(disk: &[Vec<u8>]) -> ReplayLog<'_> {
+    /// from [`Context::with_disk_records`]. An exec record's decision is
+    /// `slot >> shift`: SMaRt packs the in-batch offset into the low
+    /// `shift` bits, IDEM and Paxos decide single slots (`shift = 0`).
+    pub fn replay(disk: &[Vec<u8>], shift: u32) -> ReplayLog<'_> {
         // Checkpoints are large and all but one are superseded: rank them
         // by the fixed-offset header alone and decode from the top until
         // one is intact. A reclaimed checkpoint is an empty record and no
@@ -667,6 +796,7 @@ impl Wal {
                     Some(WalRecord::Checkpoint(cp)) => Some(cp),
                     _ => None,
                 });
+        let covered = checkpoint.as_ref().map_or(0, |cp| cp.next_exec);
         // Each id's body, from the first intact accept record that holds
         // one, for the elided exec records after it.
         let mut bodies: HashMap<RequestId, &[u8]> = HashMap::new();
@@ -680,20 +810,25 @@ impl Wal {
                     }
                     rec
                 }
+                Some(WalRecord::Exec { .. } | WalRecord::ExecElided { .. }) if unresolved => {
+                    continue
+                }
+                // The checkpoint covers it: kept for the audit only, so
+                // its body may have been reclaimed.
+                Some(rec @ WalRecord::ExecElided { slot, .. }) if slot >> shift < covered => rec,
                 Some(WalRecord::ExecElided { slot, id, epoch }) => match bodies.get(&id) {
-                    Some(&command) if !unresolved => WalRecord::Exec {
+                    Some(&command) => WalRecord::Exec {
                         slot,
                         id,
                         fresh: true,
                         command,
                         epoch,
                     },
-                    _ => {
+                    None => {
                         unresolved = true;
                         continue;
                     }
                 },
-                Some(WalRecord::Exec { .. }) if unresolved => continue,
                 Some(rec) => rec,
                 // A torn exec record ends the executions like an
                 // unresolved one: running the ones after it would move the
@@ -719,18 +854,35 @@ fn written_membership(membership: &Membership) -> Option<&Membership> {
     (membership.epoch().0 > 0).then_some(membership)
 }
 
-/// The lowest-ranked of the three checkpoint records nearest the tail,
-/// if there are three. Every earlier checkpoint was reclaimed when it fell
-/// to third, so these are all the candidates on the disk, and the scan
-/// back to the third covers about two checkpoint intervals.
-fn superseded_checkpoint(disk: &[Vec<u8>]) -> Option<usize> {
+/// What the checkpoint records nearest the tail say, up to three of them:
+/// the lowest-ranked of three, which is superseded, and the `next_exec` of
+/// the older of the two newest — the replay floor — if there are two.
+/// Every earlier checkpoint was reclaimed when it fell to third, so these
+/// are all the candidates on the disk, and the scan back to the third
+/// covers about two checkpoint intervals.
+fn retained_checkpoints(disk: &[Vec<u8>]) -> (Option<usize>, Option<u64>) {
     let mut newest = disk
         .iter()
         .enumerate()
         .rev()
         .filter_map(|(i, bytes)| Some((peek_checkpoint(bytes)?, i)));
-    let (a, b, c) = (newest.next()?, newest.next()?, newest.next()?);
-    Some(a.min(b).min(c).1)
+    match [newest.next(), newest.next(), newest.next()] {
+        [Some(a), Some(b), Some(c)] => {
+            let mut ranked = [a, b, c];
+            ranked.sort_unstable();
+            (Some(ranked[0].1), Some(ranked[1].0))
+        }
+        [Some(a), Some(b), None] => (None, Some(a.0.min(b.0))),
+        _ => (None, None),
+    }
+}
+
+/// The slot of an accept record, read from its header. `None` for other
+/// kinds and for an emptied record.
+fn peek_accept_slot(bytes: &[u8]) -> Option<u64> {
+    let mut cur = Cursor(bytes);
+    (cur.u8()? == TAG_ACCEPT).then_some(())?;
+    cur.u64()
 }
 
 /// `next_exec` of a checkpoint record, read from its header without
@@ -750,13 +902,16 @@ pub struct ReplayLog<'a> {
     /// next newest — a torn tail is indistinguishable from garbage.
     pub checkpoint: Option<CheckpointRef<'a>>,
     /// Every intact view, accept and exec record, oldest first. Other
-    /// malformed records are skipped. An elided exec record comes back as
-    /// a [`WalRecord::Exec`] whose command borrows from the first earlier
-    /// intact accept record of its id with a non-empty command; one with
-    /// no such record ends the executions, as a torn tail would: it and
-    /// every later exec record are left out, so replay stops before it.
-    /// A torn exec record (its tag, then bytes that do not decode) ends
-    /// them the same way.
+    /// malformed records are skipped. An elided exec record below the
+    /// checkpoint's `next_exec` (its decision, `slot >> shift`, compared)
+    /// comes back as it is, a [`WalRecord::ExecElided`]: nothing runs it,
+    /// it only re-enters the exec log, and its body may have been
+    /// reclaimed. One at or past it comes back as a [`WalRecord::Exec`]
+    /// whose command borrows from the first earlier intact accept record
+    /// of its id with a non-empty command; one with no such record ends
+    /// the executions, as a torn tail would: it and every later exec
+    /// record are left out, so replay stops before it. A torn exec record
+    /// (its tag, then bytes that do not decode) ends them the same way.
     pub records: Vec<WalRecord<'a>>,
 }
 
@@ -899,7 +1054,7 @@ mod tests {
             cp(15, 4), // out of order: ranked by frontier, not position
         ];
         let picked = |disk: &[Vec<u8>]| {
-            let log = Wal::replay(disk);
+            let log = Wal::replay(disk, 0);
             assert_eq!(log.records.len(), 3, "execs survive whatever is torn");
             log.checkpoint.map(|cp| (cp.next_exec, cp.snapshot[0]))
         };
@@ -954,7 +1109,7 @@ mod tests {
         disk.fsync();
         // The executions replay hands out, and the frontier they reach.
         let replayed = |disk: &Disk| {
-            let execs: Vec<(u64, RequestId)> = Wal::replay(disk.records())
+            let execs: Vec<(u64, RequestId)> = Wal::replay(disk.records(), 0)
                 .records
                 .iter()
                 .filter_map(|rec| match *rec {
@@ -994,7 +1149,7 @@ mod tests {
             .encode()
         };
         let execs = |disk: &Disk| {
-            Wal::replay(disk.records())
+            Wal::replay(disk.records(), 0)
                 .records
                 .iter()
                 .filter(|rec| matches!(rec, WalRecord::Exec { .. }))
@@ -1009,13 +1164,303 @@ mod tests {
         disk.tear(0, 12);
         assert_eq!(execs(&disk), 0, "exec 1 is not replayed past torn exec 0");
         assert_eq!(
-            Wal::replay(disk.records()).records.len(),
+            Wal::replay(disk.records(), 0).records.len(),
             1,
             "the view stays"
         );
         // A discarded record is no torn one: the executions after it stay.
         disk.discard(0);
         assert_eq!(execs(&disk), 1);
+    }
+
+    // ---------------------------------------------- reclaiming accepted bodies
+
+    /// One step of a replica's log, as the reclaiming tests script it.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// `id` accepted: its REQUIRE-stage record holds the body, the
+        /// binding of `slot` does not.
+        Accept(u64, RequestId),
+        /// A binding of `slot` that holds `id`'s body itself.
+        Bind(u64, RequestId),
+        /// `id` ran fresh at `slot`, part of decision `.0`, logged elided.
+        Run(u64, u64, RequestId),
+        /// A checkpoint at `next_exec`; its snapshot is the app so far.
+        Checkpoint(u64),
+    }
+
+    fn body(id: RequestId) -> [u8; 8] {
+        id.op.0.to_le_bytes()
+    }
+
+    /// The toy application: a fold over the bodies it ran, in order.
+    fn run(app: u64, command: &[u8]) -> u64 {
+        app.rotate_left(7) ^ u64::from_le_bytes(command.try_into().expect("an 8-byte body"))
+    }
+
+    #[derive(Debug)]
+    struct Nothing;
+
+    impl idem_simnet::Wire for Nothing {
+        fn wire_size(&self) -> usize {
+            0
+        }
+    }
+
+    struct Logger {
+        wal: Wal,
+        steps: Vec<Step>,
+    }
+
+    impl idem_simnet::Node<Nothing> for Logger {
+        fn on_start(&mut self, ctx: &mut Context<'_, Nothing>) {
+            let mut app = 0;
+            for &step in &self.steps {
+                match step {
+                    Step::Accept(slot, id) => {
+                        self.wal.log_accept(ctx, u64::MAX, 0, id, &body(id));
+                        self.wal.log_accept(ctx, slot, 0, id, &[]);
+                    }
+                    Step::Bind(slot, id) => self.wal.log_accept(ctx, slot, 0, id, &body(id)),
+                    Step::Run(decision, slot, id) => {
+                        self.wal.log_exec_elided(ctx, slot, id, 0);
+                        self.wal.executed(decision, slot, id);
+                        app = run(app, &body(id));
+                    }
+                    Step::Checkpoint(next_exec) => {
+                        let rows = std::iter::empty();
+                        let bootstrap = Membership::bootstrap(3);
+                        let snapshot = app.to_le_bytes();
+                        let cp =
+                            CheckpointData::new(SeqNumber(next_exec), &snapshot, rows, &bootstrap);
+                        self.wal.log_checkpoint(ctx, cp);
+                    }
+                }
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Nothing>, _: idem_simnet::NodeId, _: Nothing) {
+        }
+    }
+
+    /// The disk a `Wal` in `mode` leaves after logging `steps`.
+    fn logged(mode: PersistMode, steps: &[Step]) -> Disk {
+        let mut sim: idem_simnet::Simulation<Nothing> = idem_simnet::Simulation::new(1);
+        let node = sim.add_node(Box::new(Logger {
+            wal: Wal::new(mode),
+            steps: steps.to_vec(),
+        }));
+        sim.run_for(std::time::Duration::from_millis(1));
+        std::mem::take(sim.disk_mut(node))
+    }
+
+    /// What a replica rebuilds from `disk`, as `ReplicaBase::replay_wal`
+    /// does it: the frontier, the app, and the exec log.
+    fn outcome(disk: &Disk, shift: u32) -> (u64, u64, Vec<(u64, RequestId)>) {
+        let log = Wal::replay(disk.records(), shift);
+        let covered = log.checkpoint.as_ref().map_or(0, |cp| cp.next_exec);
+        let mut app = log.checkpoint.map_or(0, |cp| {
+            u64::from_le_bytes(cp.snapshot.try_into().expect("an 8-byte snapshot"))
+        });
+        let (mut frontier, mut audit) = (covered, Vec::new());
+        for rec in log.records {
+            match rec {
+                WalRecord::Exec {
+                    slot, id, command, ..
+                } => {
+                    audit.push((slot, id));
+                    if slot >> shift >= covered {
+                        app = run(app, command);
+                        frontier = frontier.max((slot >> shift) + 1);
+                    }
+                }
+                WalRecord::ExecElided { slot, id, .. } => {
+                    assert!(slot >> shift < covered, "elided past the checkpoint");
+                    audit.push((slot, id));
+                }
+                _ => {}
+            }
+        }
+        (frontier, app, audit)
+    }
+
+    /// The ids whose REQUIRE-stage record a disk has emptied.
+    fn reclaimed(intact: &Disk, disk: &Disk) -> Vec<RequestId> {
+        intact
+            .records()
+            .iter()
+            .zip(disk.records())
+            .filter(|(_, kept)| kept.is_empty())
+            .filter_map(|(full, _)| match WalRecord::decode(full) {
+                Some(WalRecord::Accept { id, .. }) => Some(id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Forty ops, one decision each, every one accepted two ahead of its
+    /// run, and a checkpoint every eighth. Op 5's body is in its binding
+    /// only; op 7 is accepted a second time just before it runs (IDEM
+    /// takes a fetched body as a new request); op 3 is bound again, with
+    /// its body, at a slot it never ran at.
+    fn single_slot_script() -> Vec<Step> {
+        let id = |op: u64| rid(1, op);
+        let accept = |op: u64| match op {
+            5 => Step::Bind(5, id(5)),
+            _ => Step::Accept(op, id(op)),
+        };
+        let mut steps = vec![accept(0), accept(1)];
+        for op in 0..40 {
+            if op + 2 < 40 {
+                steps.push(accept(op + 2));
+            }
+            if op == 7 {
+                steps.push(accept(7));
+            }
+            steps.push(Step::Run(op, op, id(op)));
+            if op == 3 {
+                steps.push(Step::Bind(100, id(3)));
+            }
+            if (op + 1) % 8 == 0 {
+                steps.push(Step::Checkpoint(op + 1));
+            }
+        }
+        steps
+    }
+
+    /// A disk whose bodies below the older retained checkpoint are gone
+    /// replays to what the same log left intact replays to, and exactly
+    /// those bodies are gone: both of op 7's REQUIRE-stage records and
+    /// everyone else's, and the binding op 5 ran at, not op 3's binding
+    /// of a slot it never ran at. The broken `WalNoFsync` mode keeps every
+    /// record.
+    #[test]
+    fn reclaimed_bodies_replay_like_the_intact_disk() {
+        let steps = single_slot_script();
+        let (disk, intact) = (
+            logged(PersistMode::Wal, &steps),
+            logged(PersistMode::WalNoFsync, &steps),
+        );
+        assert!(intact.records().iter().all(|r| !r.is_empty()));
+        assert_eq!(disk.len(), intact.len());
+        let mut gone = reclaimed(&intact, &disk);
+        gone.sort_unstable();
+        // Checkpoints at 8..=40: 32 and 40 are retained, so 32 is the floor.
+        let mut below: Vec<RequestId> = (0..32).chain([7]).map(|op| rid(1, op)).collect();
+        below.sort_unstable();
+        assert_eq!(gone, below);
+        let expected = outcome(&intact, 0);
+        assert_eq!(expected.0, 40);
+        assert_eq!(expected.2.len(), 40);
+        assert_eq!(outcome(&disk, 0), expected);
+    }
+
+    /// Past the checkpoint an elided exec record still needs its body: one
+    /// without it ends the executions. Below it, one never does.
+    #[test]
+    fn an_elided_exec_past_the_checkpoint_still_needs_its_body() {
+        let (a, b, c) = (rid(1, 1), rid(2, 1), rid(3, 1));
+        let accept = |id: RequestId| {
+            WalRecord::Accept {
+                slot: u64::MAX,
+                view: 0,
+                id,
+                command: &body(id),
+            }
+            .encode()
+        };
+        let elided =
+            |slot: u64, id: RequestId| WalRecord::ExecElided { slot, id, epoch: 0 }.encode();
+        let bootstrap = Membership::bootstrap(3);
+        let snapshot = run(0, &body(a)).to_le_bytes();
+        let mut disk = Disk::new();
+        for record in [
+            accept(a),
+            elided(0, a),
+            accept(b), // record 2
+            checkpoint(1, &snapshot, &[], &bootstrap),
+            elided(1, b),
+            accept(c),
+            elided(2, c),
+        ] {
+            disk.append(record);
+        }
+        disk.fsync();
+        let app = run(run(u64::from_le_bytes(snapshot), &body(b)), &body(c));
+        let all = vec![(0, a), (1, b), (2, c)];
+        assert_eq!(outcome(&disk, 0), (3, app, all.clone()));
+        disk.discard(0);
+        assert_eq!(outcome(&disk, 0), (3, app, all), "a's body is not needed");
+        disk.discard(2);
+        let at_checkpoint = (1, u64::from_le_bytes(snapshot), vec![(0, a)]);
+        assert_eq!(outcome(&disk, 0), at_checkpoint, "b's is, and c waits");
+    }
+
+    /// Replay falls back to the older retained checkpoint when the newest
+    /// is torn, so every body at or past that one is still there: the torn
+    /// disk rebuilds what the intact log rebuilds. A floor taken from the
+    /// newest checkpoint would have reclaimed the bodies between the two.
+    #[test]
+    fn a_torn_newest_checkpoint_falls_back_to_bodies_the_floor_kept() {
+        let steps = single_slot_script();
+        let (mut disk, mut intact) = (
+            logged(PersistMode::Wal, &steps),
+            logged(PersistMode::WalNoFsync, &steps),
+        );
+        let newest = (0..disk.len())
+            .rev()
+            .find(|&i| peek_checkpoint(&disk.records()[i]) == Some(40))
+            .expect("the checkpoint at 40");
+        let keep = disk.records()[newest].len() / 2;
+        disk.tear(newest, keep);
+        intact.tear(newest, keep);
+        let log = Wal::replay(disk.records(), 0);
+        assert_eq!(log.checkpoint.map(|cp| cp.next_exec), Some(32));
+        let expected = outcome(&intact, 0);
+        assert_eq!(expected.0, 40, "every op replays from 32 on");
+        assert_eq!(outcome(&disk, 0), expected);
+    }
+
+    /// SMaRt's slots pack `(batch << shift) | offset`, and a batch is one
+    /// decision: the WAL's floor and replay's checkpoint are compared in
+    /// decisions, so a whole batch below the floor goes and comes back
+    /// audited only.
+    #[test]
+    fn batched_slots_compare_decisions_not_slots() {
+        const SHIFT: u32 = 20;
+        let id = |batch: u64, offset: u64| rid(offset as u32 + 1, batch);
+        let slot = |batch: u64, offset: u64| (batch << SHIFT) | offset;
+        let mut steps = Vec::new();
+        for batch in 0..12 {
+            for offset in 0..3 {
+                steps.push(Step::Accept(slot(batch, offset), id(batch, offset)));
+            }
+            for offset in 0..3 {
+                steps.push(Step::Run(batch, slot(batch, offset), id(batch, offset)));
+            }
+            if (batch + 1) % 4 == 0 {
+                steps.push(Step::Checkpoint(batch + 1));
+            }
+        }
+        let (mut disk, mut intact) = (
+            logged(PersistMode::Wal, &steps),
+            logged(PersistMode::WalNoFsync, &steps),
+        );
+        // Checkpoints at batches 4, 8 and 12: batches 0..8 are below 8.
+        let gone = reclaimed(&intact, &disk);
+        let below: Vec<RequestId> = (0..8)
+            .flat_map(|batch| (0..3).map(move |offset| id(batch, offset)))
+            .collect();
+        assert_eq!(gone, below);
+        let expected = outcome(&intact, SHIFT);
+        assert_eq!((expected.0, expected.2.len()), (12, 36));
+        assert_eq!(outcome(&disk, SHIFT), expected);
+        // Torn newest: replay from batch 8, whose bodies are all there.
+        let newest = disk.len() - 1;
+        disk.tear(newest, 12);
+        intact.tear(newest, 12);
+        let expected = outcome(&intact, SHIFT);
+        assert_eq!(expected.0, 12);
+        assert_eq!(outcome(&disk, SHIFT), expected);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   out as the input — never a panic, never an allocation sized by a
 //!   length the input merely claims.
 //! * **Invisible reclaiming.** A disk on which the WAL has emptied its
-//!   superseded checkpoints replays exactly like one that kept every
-//!   record, and the `WalNoFsync` mode empties nothing.
+//!   superseded checkpoints and the accepted bodies a retained checkpoint
+//!   covers replays like one that kept every record, less those accept
+//!   records, and the `WalNoFsync` mode empties nothing.
 //! * **Invisible elision.** A disk whose exec records leave out the bodies
 //!   earlier accept records hold replays exactly like one that writes
 //!   every body in.
@@ -494,7 +495,9 @@ struct Step {
     transferred: bool,
 }
 
-/// Logs a script through one `Wal`, checkpoints from live state.
+/// Logs a script through one `Wal`, checkpoints from live state. A fresh
+/// exec is reported to the WAL as run at its slot, as a replica with
+/// single-slot decisions does.
 struct Scripted {
     wal: Wal,
     steps: Vec<Step>,
@@ -504,7 +507,7 @@ struct Scripted {
 
 impl Node<Msg> for Scripted {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        let wal = self.wal;
+        let wal = &mut self.wal;
         for step in &self.steps {
             match &step.record {
                 Rec::View(view) => wal.log_view(ctx, *view),
@@ -520,7 +523,12 @@ impl Node<Msg> for Scripted {
                     fresh,
                     command,
                     epoch,
-                } => wal.log_exec(ctx, *slot, *id, *fresh, command, *epoch),
+                } => {
+                    wal.log_exec(ctx, *slot, *id, *fresh, command, *epoch);
+                    if *fresh {
+                        wal.executed(*slot, *slot, *id);
+                    }
+                }
                 Rec::ExecElided { slot, id, epoch } => wal.log_exec_elided(ctx, *slot, *id, *epoch),
                 Rec::Checkpoint {
                     next_exec,
@@ -632,11 +640,40 @@ fn checkpoint_at(bytes: &[u8]) -> Option<u64> {
     (bytes.first() == Some(&4)).then(|| u64::from_le_bytes(bytes[1..9].try_into().unwrap()))
 }
 
+/// Whether the WAL may empty record `index` of a disk that kept every
+/// record: an accept record holding the body of an id with a fresh exec
+/// record at the same slot below the floor — the second-highest checkpoint
+/// `next_exec` on the disk, the older of the two it retains.
+fn covered_body(full: &Disk, index: usize) -> bool {
+    let mut frontiers: Vec<u64> = full
+        .records()
+        .iter()
+        .filter_map(|r| checkpoint_at(r))
+        .collect();
+    frontiers.sort_unstable();
+    let Some(&floor) = frontiers.len().checked_sub(2).map(|i| &frontiers[i]) else {
+        return false;
+    };
+    let Some(WalRecord::Accept {
+        slot, id, command, ..
+    }) = WalRecord::decode(&full.records()[index])
+    else {
+        return false;
+    };
+    !command.is_empty()
+        && full.records().iter().any(|r| {
+            matches!(WalRecord::decode(r), Some(WalRecord::Exec { slot: ran, id: ran_id, fresh: true, .. })
+                if ran == slot && ran_id == id && ran < floor)
+        })
+}
+
 proptest! {
-    /// Reclaiming superseded checkpoints is invisible to replay: whatever
-    /// the order of `next_exec`, and with the newest checkpoint torn, the
-    /// reclaimed disk replays to the same checkpoint and the same records
-    /// as a disk that kept everything.
+    /// Reclaiming is invisible to replay: whatever the order of
+    /// `next_exec`, and with the newest checkpoint torn, the reclaimed disk
+    /// replays to the same checkpoint and the same view and exec records as
+    /// a disk that kept everything. The records it emptied are superseded
+    /// checkpoints and accepted bodies a retained checkpoint covers, and
+    /// its accept records are the full disk's less those.
     #[test]
     fn reclaimed_disk_replays_like_one_that_kept_everything(
         kinds in prop::collection::vec(
@@ -657,9 +694,10 @@ proptest! {
 
         prop_assert_eq!(disk.len(), shadow.len());
         prop_assert_eq!(disk.synced_len(), shadow.synced_len());
-        for (kept, full) in disk.records().iter().zip(shadow.records()) {
-            let reclaimed = kept.is_empty() && checkpoint_at(full).is_some();
-            prop_assert!(kept == full || reclaimed, "a record other than a checkpoint moved");
+        for (i, (kept, full)) in disk.records().iter().zip(shadow.records()).enumerate() {
+            let reclaimed =
+                kept.is_empty() && (checkpoint_at(full).is_some() || covered_body(&shadow, i));
+            prop_assert!(kept == full || reclaimed, "record {} moved", i);
         }
         let checkpoints = |disk: &Disk| disk.records().iter().filter_map(|r| checkpoint_at(r)).count();
         prop_assert_eq!(checkpoints(&disk), checkpoints(&shadow).min(2));
@@ -674,9 +712,21 @@ proptest! {
                 shadow.tear(i, keep);
             }
         }
-        let (got, want) = (Wal::replay(disk.records()), Wal::replay(shadow.records()));
+        let (got, want) = (Wal::replay(disk.records(), 0), Wal::replay(shadow.records(), 0));
         prop_assert_eq!(got.checkpoint, want.checkpoint);
-        prop_assert_eq!(got.records, want.records);
+        let is_accept = |r: &WalRecord| matches!(r, WalRecord::Accept { .. });
+        let (got_accepts, got_rest): (Vec<_>, Vec<_>) =
+            got.records.into_iter().partition(is_accept);
+        let want_rest: Vec<_> = want.records.into_iter().filter(|r| !is_accept(r)).collect();
+        prop_assert_eq!(got_rest, want_rest);
+        let kept_accepts: Vec<_> = shadow
+            .records()
+            .iter()
+            .zip(disk.records())
+            .filter(|(_, kept)| !kept.is_empty())
+            .filter_map(|(full, _)| WalRecord::decode(full).filter(is_accept))
+            .collect();
+        prop_assert_eq!(got_accepts, kept_accepts);
     }
 }
 
@@ -742,7 +792,7 @@ proptest! {
             elided.append(layout(&short));
             written.append(layout(&full));
         }
-        let (got, want) = (Wal::replay(elided.records()), Wal::replay(written.records()));
+        let (got, want) = (Wal::replay(elided.records(), 0), Wal::replay(written.records(), 0));
         prop_assert_eq!(&got.records, &want.records);
         prop_assert_eq!(got.records.len(), steps.len());
         let shorter = written.records().iter().map(Vec::len).sum::<usize>()

@@ -334,8 +334,14 @@ impl IdemReplica {
             return;
         }
         let h = self.find(id);
-        let on_disk = self.reqs.get(h).is_some_and(|e| e.body_on_disk);
-        let body = if on_disk { None } else { self.store_get(id) };
+        let entry = self.reqs.get(h);
+        // Only a stored body — accepted, not yet pruned by a checkpoint:
+        // live in the slab, executed in the cold store.
+        let body = match entry {
+            Some(e) if e.body_on_disk => None,
+            Some(e) if e.stored => e.body.as_ref(),
+            _ => self.cold_store.get(&id),
+        };
         let command = body.map_or(&[][..], |r| &r.command);
         self.base.wal.log_accept(ctx, sqn.0, view.0, id, command);
         if body.is_some() {
@@ -390,16 +396,6 @@ impl IdemReplica {
         self.reqs.chain_unlink(&mut head, h);
         self.base.sessions.set_head(client, head);
         self.reqs.remove(h);
-    }
-
-    /// Body lookup with the former `store` semantics: accepted bodies
-    /// not yet pruned by a checkpoint (live in the slab, executed in
-    /// the cold store).
-    fn store_get(&self, id: RequestId) -> Option<&Request> {
-        match self.reqs.get(self.find(id)) {
-            Some(e) if e.stored => e.body.as_ref(),
-            _ => self.cold_store.get(&id),
-        }
     }
 
     /// Body lookup across both the store and the rejected cache (the
@@ -480,8 +476,8 @@ impl IdemReplica {
         let id = req.id;
         // Durable before the REQUIRE leaves: an accepted body must
         // survive amnesia, because peers may commit it on our vouching.
-        self.wal
-            .log_accept(ctx, u64::MAX, self.base.view().0, id, &req.command);
+        let view = self.base.view().0;
+        self.wal.log_accept(ctx, u64::MAX, view, id, &req.command);
         let h = if self.reqs.contains(h) {
             h
         } else {

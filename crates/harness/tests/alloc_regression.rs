@@ -265,7 +265,7 @@ fn durable_cell(persist: PersistMode) -> DurableCell {
     sim.run_for(Duration::from_secs(1));
     let allocs = allocs::snapshot().since(before).allocs;
     let (checkpoints1, records1, events1) = counts(&sim);
-    let sessions = Wal::replay(sim.disk(replicas[1]).records())
+    let sessions = Wal::replay(sim.disk(replicas[1]).records(), 0)
         .checkpoint
         .map_or(0, |cp| cp.clients.len());
     DurableCell {

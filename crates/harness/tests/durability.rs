@@ -96,12 +96,15 @@ fn executed_and_shift(cluster: &ClusterHandles, index: usize) -> (u64, u32) {
 
 /// What replaying `records` runs against the application: every fresh
 /// exec record, other than a reconfiguration, at or past the newest
-/// checkpoint's frontier. An elided exec record counts while an earlier
-/// accept record of its id holds a body; the first that none does ends
-/// the count. Read from the record decoder, not from `Wal::replay`'s
-/// resolution of elided bodies.
+/// checkpoint's frontier. Past it, an elided exec record counts while an
+/// earlier accept record of its id holds a body, and the first that none
+/// does ends the count; below it, one needs no body (the WAL may have
+/// reclaimed it) and neither counts nor ends anything. Read from the
+/// record decoder, not from `Wal::replay`'s resolution of elided bodies.
 fn replayed_executions(records: &[Vec<u8>], shift: u32) -> u64 {
-    let covered = Wal::replay(records).checkpoint.map_or(0, |cp| cp.next_exec);
+    let covered = Wal::replay(records, shift)
+        .checkpoint
+        .map_or(0, |cp| cp.next_exec);
     let counts =
         |slot: u64, id: RequestId| slot >> shift >= covered && id.client != RECONFIG_CLIENT;
     let mut bodies = BTreeSet::new();
@@ -117,6 +120,7 @@ fn replayed_executions(records: &[Vec<u8>], shift: u32) -> u64 {
                 fresh: true,
                 ..
             }) => ran += u64::from(counts(slot, id)),
+            Some(WalRecord::ExecElided { slot, .. }) if slot >> shift < covered => {}
             Some(WalRecord::ExecElided { slot, id, .. }) if bodies.contains(&id) => {
                 ran += u64::from(counts(slot, id));
             }

@@ -173,11 +173,12 @@ impl<M> Context<'_, M> {
         &mut self.core.rng
     }
 
-    /// Appends a record to this node's stable-storage device cache. The
+    /// Appends a record to this node's stable-storage device cache and
+    /// returns its index (see [`Disk::append`](crate::Disk::append)). The
     /// record is not durable until [`disk_fsync`](Context::disk_fsync);
     /// the configured append latency is charged to this node's CPU.
-    pub fn disk_append(&mut self, record: Vec<u8>) {
-        self.core.disk_append(self.id, record);
+    pub fn disk_append(&mut self, record: Vec<u8>) -> usize {
+        self.core.disk_append(self.id, record)
     }
 
     /// Fsyncs this node's disk: everything appended so far becomes

@@ -226,12 +226,12 @@ impl<M> Core<M> {
         state.busy_until = state.busy_until.max(self.now) + cpu;
     }
 
-    pub(crate) fn disk_append(&mut self, node: NodeId, record: Vec<u8>) {
+    pub(crate) fn disk_append(&mut self, node: NodeId, record: Vec<u8>) -> usize {
         let latency = self.disk_latency.append;
         if !latency.is_zero() {
             self.charge(node, latency);
         }
-        self.disks[node.index()].append(record);
+        self.disks[node.index()].append(record)
     }
 
     pub(crate) fn disk_fsync(&mut self, node: NodeId) {
