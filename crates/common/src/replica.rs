@@ -798,6 +798,9 @@ impl ReplicaBase {
         if self.restore(data.decode()) && self.is_member() {
             self.ensure_progress_timer(ctx);
         }
+        let sessions = &self.sessions;
+        self.wal
+            .installed(self.next_exec.0, |id| sessions.executed_already(id));
         self.wal.log_checkpoint(ctx, data);
         true
     }

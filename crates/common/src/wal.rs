@@ -36,7 +36,11 @@
 //! holds the body of an id whose fresh execution lies below that floor is
 //! emptied in place — its REQUIRE-stage record and the binding of the
 //! slot it ran at; a binding of any other slot is a vote a rebooted
-//! leader must still see, and stays. Exec, view and checkpoint records
+//! leader must still see, and stays. A checkpoint installed by state
+//! transfer covers ids that ran elsewhere, with no exec record here: each
+//! id holding a body on the disk that its sessions show run counts as run
+//! just below it, at slot `u64::MAX`, so only its REQUIRE-stage records
+//! go ([`Wal::installed`]). Exec, view and checkpoint records
 //! are never touched, so the exec history stays whole. [`Wal::replay`]
 //! runs no execution below its checkpoint, so an elided exec record there
 //! no longer needs its body.
@@ -716,6 +720,23 @@ impl Wal {
         }
     }
 
+    /// Notes that a checkpoint installed by state transfer, at
+    /// `next_exec`, covers every id holding a body on this disk that `ran`
+    /// names, though no exec record of it is here: the checkpoint whose
+    /// append lifts the floor past `next_exec − 1` empties its
+    /// REQUIRE-stage records (slot `u64::MAX`). Its slot bindings stay:
+    /// they are votes.
+    pub fn installed(&mut self, next_exec: u64, ran: impl Fn(RequestId) -> bool) {
+        let Some(decision) = next_exec.checked_sub(1).filter(|_| self.reclaims()) else {
+            return;
+        };
+        let BodyIndex {
+            first, executed, ..
+        } = &mut self.bodies;
+        let covered = first.keys().filter(|&&id| ran(id));
+        executed.extend(covered.map(|&id| (decision, u64::MAX, id)));
+    }
+
     /// Logs a checkpoint record — the replica's own, or one it received
     /// by state transfer, as it arrived — then empties the one it pushed
     /// below the two newest synced checkpoints on the disk: replay decodes
@@ -1187,6 +1208,9 @@ mod tests {
         Run(u64, u64, RequestId),
         /// A checkpoint at `next_exec`; its snapshot is the app so far.
         Checkpoint(u64),
+        /// A checkpoint at `.0` installed by state transfer, whose
+        /// sessions show every op below `.1` run.
+        Install(u64, u64),
     }
 
     fn body(id: RequestId) -> [u8; 8] {
@@ -1227,7 +1251,10 @@ mod tests {
                         self.wal.executed(decision, slot, id);
                         app = run(app, &body(id));
                     }
-                    Step::Checkpoint(next_exec) => {
+                    Step::Checkpoint(next_exec) | Step::Install(next_exec, _) => {
+                        if let Step::Install(_, below) = step {
+                            self.wal.installed(next_exec, |id| id.op.0 < below);
+                        }
                         let rows = std::iter::empty();
                         let bootstrap = Membership::bootstrap(3);
                         let snapshot = app.to_le_bytes();
@@ -1352,6 +1379,29 @@ mod tests {
         assert_eq!(expected.0, 40);
         assert_eq!(expected.2.len(), 40);
         assert_eq!(outcome(&disk, 0), expected);
+    }
+
+    /// A transferred checkpoint covers ids with no exec record on the
+    /// disk: their REQUIRE-stage bodies go once a later checkpoint lifts
+    /// the floor to it. A binding that holds a body is a vote and stays,
+    /// as does the body of an id the checkpoint does not show run.
+    #[test]
+    fn bodies_a_transferred_checkpoint_covers_go_with_the_next_floor() {
+        let id = |op: u64| rid(1, op);
+        let mut steps: Vec<Step> = (0..7)
+            .map(|op| match op {
+                5 => Step::Bind(5, id(5)),
+                _ => Step::Accept(op, id(op)),
+            })
+            .collect();
+        steps.push(Step::Install(10, 6));
+        let gone = |steps: &[Step]| {
+            let intact = logged(PersistMode::WalNoFsync, steps);
+            reclaimed(&intact, &logged(PersistMode::Wal, steps))
+        };
+        assert_eq!(gone(&steps), [], "the floor is still below it");
+        steps.push(Step::Checkpoint(12));
+        assert_eq!(gone(&steps), (0..5).map(id).collect::<Vec<_>>());
     }
 
     /// Past the checkpoint an elided exec record still needs its body: one

@@ -9,7 +9,8 @@
 //! operations on the wire live in a recycled slab addressed through that
 //! array, reject-backoff is a count-bucketed [`BackoffWheel`] with one
 //! timer per release *bucket*, and retransmission is a deadline-ordered
-//! queue scanned by a periodic housekeeping tick. Cost per logical client
+//! list threaded through the flight slab, scanned by a periodic
+//! housekeeping tick. Cost per logical client
 //! is 12 bytes of memory and zero standing simulator state, so 10⁶
 //! clients are as cheap as 10².
 //!
@@ -26,7 +27,6 @@
 //! in the port's client-timer variant, which is sound because it is the
 //! only consumer of its own timers.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,12 +74,21 @@ const IN_FLIGHT: u8 = 1;
 const BACKOFF: u8 = 2;
 const PENDING: u8 = 3;
 
+/// Slab index naming no flight: either end of the retransmit list.
+const NIL: u32 = u32::MAX;
+
 struct Flight {
     client: u32,
     /// When the user's request arrived (straggler delay included in
     /// latency, as the user perceives it).
     arrived_ns: u64,
     command: Arc<[u8]>,
+    /// When the next retransmission is due, while the flight is linked.
+    due_ns: u64,
+    /// Neighbours in the retransmit list; `prev` is `NIL` at the head
+    /// and while unlinked.
+    prev: u32,
+    next: u32,
     retx_left: u8,
     rejects: QuorumTracker,
 }
@@ -101,12 +110,20 @@ struct ClientSlot {
 /// so a [`RequestId`] names a live flight exactly when its client is
 /// `IN_FLIGHT` and its op number is the client's current one. That test
 /// is two loads from one [`ClientSlot`]; duplicate replies, rejects of
-/// abandoned operations, expired retransmit deadlines and ids outside
-/// the population all fail it without touching the slab.
+/// abandoned operations and ids outside the population all fail it
+/// without touching the slab.
+///
+/// Flights awaiting a retransmit deadline are linked through the slab,
+/// earliest first. Every deadline is `now + retransmit_every` and `now`
+/// only moves forward, so linking at the tail keeps the list sorted; a
+/// flight leaves it when it is taken or its last deadline is popped, so
+/// the list never holds more than the live flights.
 struct ClientTable {
     clients: Vec<ClientSlot>,
     flights: Vec<Option<Flight>>,
     free: Vec<u32>,
+    head: u32,
+    tail: u32,
 }
 
 impl ClientTable {
@@ -120,6 +137,8 @@ impl ClientTable {
             clients: vec![idle; population as usize],
             flights: Vec::new(),
             free: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -134,8 +153,9 @@ impl ClientTable {
         self.clients[client as usize].state = state;
     }
 
-    /// Puts the client's next operation on the wire and names it.
-    fn issue(&mut self, client: u32, flight: Flight) -> RequestId {
+    /// Puts the client's next operation on the wire, its retransmission
+    /// due at `due_ns`, and names it.
+    fn issue(&mut self, client: u32, flight: Flight, due_ns: u64) -> RequestId {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.flights[slot as usize] = Some(flight);
@@ -151,7 +171,71 @@ impl ClientTable {
         c.next_op += 1;
         c.flight = slot;
         c.state = IN_FLIGHT;
-        RequestId::new(ClientId(client), OpNumber(u64::from(c.next_op)))
+        let id = RequestId::new(ClientId(client), OpNumber(u64::from(c.next_op)));
+        self.link(slot, due_ns);
+        id
+    }
+
+    fn flight(&mut self, slot: u32) -> &mut Flight {
+        self.flights[slot as usize]
+            .as_mut()
+            .expect("a linked slot holds a flight")
+    }
+
+    /// Links the flight in `slot` at the tail of the retransmit list.
+    fn link(&mut self, slot: u32, due_ns: u64) {
+        let tail = self.tail;
+        let f = self.flight(slot);
+        f.due_ns = due_ns;
+        f.prev = tail;
+        f.next = NIL;
+        match tail {
+            NIL => self.head = slot,
+            tail => {
+                debug_assert!(self.flight(tail).due_ns <= due_ns, "deadlines out of order");
+                self.flight(tail).next = slot;
+            }
+        }
+        self.tail = slot;
+    }
+
+    /// Takes the flight in `slot` off the retransmit list, if it is on it.
+    fn unlink(&mut self, slot: u32) {
+        let head = self.head;
+        let f = self.flight(slot);
+        let (prev, next) = (f.prev, f.next);
+        if prev == NIL && head != slot {
+            return;
+        }
+        (f.prev, f.next) = (NIL, NIL);
+        match prev {
+            NIL => self.head = next,
+            prev => self.flight(prev).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.flight(next).prev = prev,
+        }
+    }
+
+    /// Unlinks the earliest flight whose retransmission is due by
+    /// `now_ns` and names it.
+    fn pop_due(&mut self, now_ns: u64) -> Option<RequestId> {
+        let slot = self.head;
+        let f = self.flights.get(slot as usize)?.as_ref()?;
+        if f.due_ns > now_ns {
+            return None;
+        }
+        let client = f.client;
+        self.unlink(slot);
+        let op = self.clients[client as usize].next_op;
+        Some(RequestId::new(ClientId(client), OpNumber(u64::from(op))))
+    }
+
+    /// Links the live flight `id` names again, due at `due_ns`.
+    fn relink(&mut self, id: RequestId, due_ns: u64) {
+        let slot = self.live_slot(id).expect("a retransmitted flight is live");
+        self.link(slot as u32, due_ns);
     }
 
     /// Slab slot of the live flight `id` names, if it names one.
@@ -165,9 +249,11 @@ impl ClientTable {
         self.flights[slot].as_mut()
     }
 
-    /// Takes the flight off the wire, leaving its client `IDLE`.
+    /// Takes the flight off the wire and the retransmit list, leaving its
+    /// client `IDLE`.
     fn take(&mut self, id: RequestId) -> Option<Flight> {
         let slot = self.live_slot(id)?;
+        self.unlink(slot as u32);
         self.clients[id.client.0 as usize].state = IDLE;
         self.free.push(slot as u32);
         self.flights[slot].take()
@@ -178,8 +264,9 @@ impl ClientTable {
     }
 
     /// Checks the slab against the client array: every `IN_FLIGHT`
-    /// client owns the flight in its slot, and the free list is exactly
-    /// the empty slots, each once.
+    /// client owns the flight in its slot, the free list is exactly the
+    /// empty slots, each once, and the retransmit list links live flights
+    /// only, each once, both ways, with deadlines that never decrease.
     fn slab_error(&self) -> Option<String> {
         for (client, c) in self.clients.iter().enumerate() {
             if c.state != IN_FLIGHT {
@@ -215,6 +302,46 @@ impl ClientTable {
                 "free list + live flights cover {accounted} slots, slab has {}",
                 self.flights.len()
             ));
+        }
+        self.list_error()
+    }
+
+    fn list_error(&self) -> Option<String> {
+        let mut linked = vec![false; self.flights.len()];
+        let (mut prev, mut slot, mut due) = (NIL, self.head, 0);
+        while slot != NIL {
+            let Some(Some(f)) = self.flights.get(slot as usize) else {
+                return Some(format!(
+                    "retransmit list links slot {slot}, which holds no flight"
+                ));
+            };
+            if std::mem::replace(&mut linked[slot as usize], true) {
+                return Some(format!("slot {slot} is on the retransmit list twice"));
+            }
+            if f.prev != prev {
+                return Some(format!(
+                    "slot {slot} follows slot {prev} but names {}",
+                    f.prev
+                ));
+            }
+            if f.due_ns < due {
+                return Some(format!(
+                    "slot {slot} is due at {} ns, before {due} ns",
+                    f.due_ns
+                ));
+            }
+            (prev, slot, due) = (slot, f.next, f.due_ns);
+        }
+        if prev != self.tail {
+            return Some(format!(
+                "retransmit list ends at slot {prev}, tail is {}",
+                self.tail
+            ));
+        }
+        for (slot, f) in self.flights.iter().enumerate() {
+            if let Some(f) = f.as_ref().filter(|f| !linked[slot] && f.prev != NIL) {
+                return Some(format!("slot {slot} is unlinked but names slot {}", f.prev));
+            }
         }
         None
     }
@@ -427,7 +554,6 @@ pub struct LoadSource<P: LoadPort> {
     straggler_cut: u32,
     sample_stride: u32,
 
-    retx: VecDeque<(u64, RequestId)>,
     backoff: BackoffWheel,
     pending: Vec<Option<(u32, u64)>>,
     pending_free: Vec<usize>,
@@ -490,7 +616,6 @@ impl<P: LoadPort> LoadSource<P> {
             command_buf: Vec::new(),
             straggler_cut,
             sample_stride,
-            retx: VecDeque::new(),
             backoff: BackoffWheel::new(HOUSEKEEP_EVERY),
             pending: Vec::new(),
             pending_free: Vec::new(),
@@ -533,14 +658,14 @@ impl<P: LoadPort> LoadSource<P> {
                 client,
                 arrived_ns,
                 command: command.clone(),
+                due_ns: 0,
+                prev: NIL,
+                next: NIL,
                 retx_left: MAX_RETRANSMITS,
                 rejects: QuorumTracker::new(threshold),
             },
-        );
-        self.retx.push_back((
             now.as_nanos() + self.sc.retransmit_every.as_nanos() as u64,
-            id,
-        ));
+        );
         self.port.submit(ctx, &self.dir, Request::new(id, command));
     }
 
@@ -648,14 +773,8 @@ impl<P: LoadPort> LoadSource<P> {
             self.table.set_state(client, IDLE);
         }
         // Retransmit overdue flights.
-        while let Some(&(due, id)) = self.retx.front() {
-            if due > now_ns {
-                break;
-            }
-            self.retx.pop_front();
-            let Some(flight) = self.table.get_mut(id) else {
-                continue; // already completed or abandoned
-            };
+        while let Some(id) = self.table.pop_due(now_ns) {
+            let flight = self.table.get_mut(id).expect("a linked flight is live");
             if flight.retx_left == 0 {
                 continue; // cap reached: keep waiting, links are lossless
             }
@@ -664,8 +783,8 @@ impl<P: LoadPort> LoadSource<P> {
             let idx = self.accum_index(now_ns);
             self.accums[idx].retransmits += 1;
             self.port.submit(ctx, &self.dir, Request::new(id, command));
-            self.retx
-                .push_back((now_ns + self.sc.retransmit_every.as_nanos() as u64, id));
+            self.table
+                .relink(id, now_ns + self.sc.retransmit_every.as_nanos() as u64);
         }
         ctx.set_timer(HOUSEKEEP_EVERY, P::tick(encode_tick(TAG_HOUSEKEEP, 0)));
     }
@@ -950,7 +1069,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
     use crate::scenario::LoadScenario;
@@ -1133,6 +1252,9 @@ mod tests {
             client,
             arrived_ns,
             command: Arc::from(&[][..]),
+            due_ns: 0,
+            prev: NIL,
+            next: NIL,
             retx_left: 3,
             rejects: QuorumTracker::new(2),
         }
@@ -1142,16 +1264,28 @@ mod tests {
         RequestId::new(ClientId(client), OpNumber(op))
     }
 
+    /// The flights on the retransmit list, head to tail.
+    fn linked(t: &ClientTable) -> Vec<u32> {
+        let mut slots = Vec::new();
+        let mut slot = t.head;
+        while slot != NIL {
+            slots.push(slot);
+            slot = t.flights[slot as usize].as_ref().unwrap().next;
+        }
+        slots
+    }
+
     #[test]
     fn slab_books_catch_each_kind_of_corruption() {
         let table = || {
             let mut t = ClientTable::new(4);
             for client in 0..3 {
-                t.issue(client, flight(client, 0));
+                t.issue(client, flight(client, 0), 10 * u64::from(client + 1));
             }
             assert!(t.take(rid(1, 1)).is_some());
             assert_eq!(t.slab_error(), None);
-            t // clients 0 and 2 live in slots 0 and 2; slot 1 free
+            assert_eq!(linked(&t), [0, 2]);
+            t // clients 0 and 2 live and linked in slots 0 and 2; slot 1 free
         };
         let err = |t: ClientTable| t.slab_error().expect("corruption goes unnoticed");
 
@@ -1181,6 +1315,34 @@ mod tests {
         let mut t = table();
         t.free.clear();
         assert_eq!(err(t), "free list + live flights cover 2 slots, slab has 3");
+
+        let mut t = table();
+        t.head = 1;
+        assert_eq!(
+            err(t),
+            "retransmit list links slot 1, which holds no flight"
+        );
+
+        let mut t = table();
+        t.flight(2).next = 0;
+        assert_eq!(err(t), "slot 0 is on the retransmit list twice");
+
+        let mut t = table();
+        t.flight(2).prev = 1;
+        assert_eq!(err(t), "slot 2 follows slot 0 but names 1");
+
+        let mut t = table();
+        t.flight(2).due_ns = 5;
+        assert_eq!(err(t), "slot 2 is due at 5 ns, before 10 ns");
+
+        let mut t = table();
+        t.tail = 0;
+        assert_eq!(err(t), "retransmit list ends at slot 2, tail is 0");
+
+        let mut t = table();
+        t.unlink(2);
+        t.flight(2).prev = 0;
+        assert_eq!(err(t), "slot 2 is unlinked but names slot 0");
     }
 
     #[test]
@@ -1202,18 +1364,24 @@ mod tests {
 
     const MODEL_POPULATION: u32 = 6;
 
+    const MODEL_RETX_EVERY: u64 = 1_000;
+
     proptest! {
         /// The client-indexed flight table against the map it replaced,
-        /// keyed by request id. Ids are probed the way the wire does it:
-        /// the live operation, the one before it (duplicate reply, reject
-        /// of an abandoned operation, expired retransmit deadline), ones
-        /// never issued, and clients outside the population.
+        /// keyed by request id, and its retransmit list against the
+        /// deadline queue it replaced, which kept every deadline until it
+        /// came due and skipped those of flights gone by then. Ids are
+        /// probed the way the wire does it: the live operation, the one
+        /// before it (duplicate reply, reject of an abandoned operation),
+        /// ones never issued, and clients outside the population.
         #[test]
         fn client_table_matches_request_id_map(
             steps in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u64>()), 1..600)
         ) {
             let mut table = ClientTable::new(MODEL_POPULATION);
             let mut model: BTreeMap<RequestId, (u64, u8)> = BTreeMap::new();
+            let mut deadlines: VecDeque<(u64, RequestId)> = VecDeque::new();
+            let mut now = 0u64;
             let mut issued = [0u64; MODEL_POPULATION as usize];
 
             for (sel, raw, val) in steps {
@@ -1227,12 +1395,43 @@ mod tests {
                     _ => val,
                 };
                 let id = rid(client, op);
-                match sel % 4 {
+                match sel % 5 {
                     0 if known && !model.contains_key(&rid(client, current)) => {
-                        let id = table.issue(client, flight(client, val));
+                        let due = now + MODEL_RETX_EVERY;
+                        let id = table.issue(client, flight(client, val), due);
                         issued[client as usize] += 1;
                         prop_assert_eq!(id, rid(client, issued[client as usize]));
                         prop_assert!(model.insert(id, (val, 3)).is_none());
+                        deadlines.push_back((due, id));
+                    }
+                    // Housekeeping: time moves on and every due flight is
+                    // retransmitted and linked again, until its cap.
+                    4 => {
+                        now += val % (2 * MODEL_RETX_EVERY);
+                        let mut want = Vec::new();
+                        while let Some(&(due, id)) = deadlines.front() {
+                            if due > now {
+                                break;
+                            }
+                            deadlines.pop_front();
+                            if let Some((_, left)) = model.get_mut(&id) {
+                                want.push(id);
+                                if *left > 0 {
+                                    *left -= 1;
+                                    deadlines.push_back((now + MODEL_RETX_EVERY, id));
+                                }
+                            }
+                        }
+                        let mut got = Vec::new();
+                        while let Some(id) = table.pop_due(now) {
+                            got.push(id);
+                            let f = table.get_mut(id).expect("a popped flight is live");
+                            if f.retx_left > 0 {
+                                f.retx_left -= 1;
+                                table.relink(id, now + MODEL_RETX_EVERY);
+                            }
+                        }
+                        prop_assert_eq!(got, want);
                     }
                     // Reply: the first takes the flight, every other misses.
                     0 | 1 => {
@@ -1255,6 +1454,7 @@ mod tests {
                 }
                 prop_assert_eq!(table.slab_error(), None);
                 prop_assert_eq!(table.live(), model.len() as u64);
+                prop_assert!(linked(&table).len() as u64 <= table.live());
                 for c in 0..MODEL_POPULATION {
                     let live = model.contains_key(&rid(c, issued[c as usize]));
                     prop_assert_eq!(table.state(c) == IN_FLIGHT, live);

@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use idem_common::load::LoadPhase;
 use idem_common::{
@@ -31,7 +31,9 @@ use idem_core::{IdemMessage, IdemReplica};
 use idem_harness::allocs;
 use idem_harness::cluster::{experiment_network, KV_EXEC_COST};
 use idem_harness::load::{LoadEvent, LoadPort};
-use idem_harness::{LoadScenario, LoadSource, Protocol, Recorder, RecorderHandle, Scenario};
+use idem_harness::{
+    run_load_scenario, LoadScenario, LoadSource, Protocol, Recorder, RecorderHandle, Scenario,
+};
 use idem_kv::{Command, KvStore};
 use idem_simnet::{Context, Node, NodeId, Simulation, Wire};
 
@@ -198,6 +200,56 @@ fn saturated_idem_heap_does_not_grow_with_simulated_time() {
     assert!(
         long < 7_000_000,
         "peak live heap of {long} B at 9 s, above 7 MB"
+    );
+}
+
+/// Three IDEM replicas under one open-loop `LoadSource` of 10⁵ logical
+/// clients at 20k req/s of `update_heavy` traffic (under capacity, so
+/// nothing is rejected), for `total` simulated seconds (one of them
+/// warm-up): peak live heap bytes above where it started.
+fn open_loop_idem_peak(total: u64) -> u64 {
+    let scenario = LoadScenario::new(
+        "alloc-open-heap",
+        100_000,
+        20_000.0,
+        vec![LoadPhase::new(
+            "steady",
+            Duration::from_secs(total - 1),
+            1.0,
+        )],
+    )
+    .with_workload(idem_kv::WorkloadSpec::update_heavy())
+    .with_warmup(Duration::from_secs(1));
+    let before = allocs::snapshot();
+    let r = run_load_scenario(&Protocol::idem(), &scenario);
+    let peak = allocs::snapshot().peak_live_bytes - before.live_bytes;
+    assert_eq!(r.conservation, None);
+    assert!(r.totals.completed > 15_000 * (total - 1));
+    peak
+}
+
+/// What the replicas and the source keep follows the live state, not the
+/// number of operations run: each session row holds its client's last
+/// reply, and a GET reply shares the store's buffer, which an UPDATE of
+/// the same bytes keeps (every workload value derives from its key). The
+/// source links its retransmit deadlines through the flights they belong
+/// to. While every UPDATE under a shared buffer installed a fresh copy,
+/// rows pinned ever more stale copies of the same 10⁴ values, and a
+/// deadline queue kept every issued operation for a second: 21.1 MB at
+/// 3 s and 26.7 MB at 9 s (×1.26); 16.6 and 17.0 MB since (×1.02).
+#[test]
+fn open_loop_idem_heap_does_not_grow_with_simulated_time() {
+    let _serial = serial();
+    let (short, long) = (open_loop_idem_peak(3), open_loop_idem_peak(9));
+    eprintln!("open-loop IDEM cell: peak live bytes {short} at 3 s, {long} at 9 s");
+    assert!(
+        long * 4 <= short * 5,
+        "peak live heap grew with simulated time: {short} B at 3 s, {long} B at 9 s"
+    );
+    // Three 4 MB session tables for 10⁵ clients are most of the level.
+    assert!(
+        long < 20_000_000,
+        "peak live heap of {long} B at 9 s, above 20 MB"
     );
 }
 
@@ -463,9 +515,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 }
 
 /// A 100-byte value behind key 7: allocator calls for 10 000 GET hits
-/// (the last reply held), an UPDATE while that reply is held, and an
-/// UPDATE once it is dropped.
-fn kv_share_and_copy_on_write() -> [u64; 3] {
+/// (the last reply held), an UPDATE while that reply is held, an UPDATE
+/// once it is dropped, and an UPDATE that rewrites a held reply's bytes.
+fn kv_share_and_copy_on_write() -> [u64; 4] {
     let update = |fill: u8| {
         Command::Update {
             key: 7,
@@ -506,7 +558,23 @@ fn kv_share_and_copy_on_write() -> [u64; 3] {
         store.execute_reply(&write_c, &mut scratch);
     });
     assert_eq!(store.get(7), Some(&[b'c'; 100][..]));
-    [gets, shared_write, lone_write]
+
+    // The same bytes again under a held reply: the store keeps the buffer
+    // the reply shares, and the next GET hands out that buffer once more.
+    let ResultBytes::Shared(held) = store.execute_reply(&get, &mut scratch) else {
+        panic!("a 101-byte reply was copied inline");
+    };
+    let same_write = allocs_during(|| {
+        store.execute_reply(&write_c, &mut scratch);
+    });
+    let ResultBytes::Shared(next) = store.execute_reply(&get, &mut scratch) else {
+        panic!("a 101-byte reply was copied inline");
+    };
+    assert!(
+        Arc::ptr_eq(&held, &next),
+        "an identical rewrite moved the value"
+    );
+    [gets, shared_write, lone_write, same_write]
 }
 
 #[test]
@@ -519,8 +587,9 @@ fn kv_get_hit_shares_the_stored_value_and_update_copies_only_when_shared() {
         .map(|_| kv_share_and_copy_on_write())
         .reduce(|a, b| std::array::from_fn(|i| a[i].min(b[i])))
         .expect("three tries");
-    let [gets, shared_write, lone_write] = counts;
+    let [gets, shared_write, lone_write, same_write] = counts;
     assert_eq!(gets, 0, "10 000 GET hits allocated {gets} times");
     assert_eq!(shared_write, 1, "UPDATE under a held reply");
     assert_eq!(lone_write, 0, "UPDATE with no reply held");
+    assert_eq!(same_write, 0, "UPDATE of a held reply's own bytes");
 }

@@ -26,10 +26,13 @@ pub const STATUS_BAD_COMMAND: u8 = 0x02;
 /// bytes, in one `Arc<[u8]>`. A GET hit too long to inline hands that
 /// `Arc` out through [`execute_reply`](StateMachine::execute_reply), so
 /// the replica's session row and the outgoing reply share the store's
-/// buffer. An UPDATE overwrites in place only while nobody shares the
-/// buffer and the length is unchanged; otherwise it installs a fresh one
-/// (copy-on-write), so a reply once handed out never changes. The
-/// derived `Clone` shares buffers the same way.
+/// buffer. An UPDATE that writes the bytes already stored keeps the
+/// buffer, so every row holding it keeps sharing one allocation with the
+/// store (workloads derive each value from its key, so most rewrites are
+/// identical). Any other UPDATE overwrites in place only while nobody
+/// shares the buffer and the length is unchanged; otherwise it installs a
+/// fresh one (copy-on-write), so a reply once handed out never changes.
+/// The derived `Clone` shares buffers the same way.
 ///
 /// Execution costs model a memory-resident store: a base cost per operation
 /// plus a small per-byte cost for values, calibrated so a three-replica
@@ -183,14 +186,18 @@ impl StateMachine for KvStore {
                     Entry::Occupied(mut e) => {
                         let old = e.get_mut();
                         self.value_bytes -= old.len() - 1;
-                        // In place when no cached reply shares the buffer
-                        // and the length is unchanged; otherwise
+                        // The bytes already stored: keep the buffer, so
+                        // the replies sharing it stay one allocation.
+                        // Otherwise in place when no cached reply shares
+                        // the buffer and the length is unchanged, else
                         // copy-on-write, so a handed-out reply keeps its bytes.
-                        match Arc::get_mut(old) {
-                            Some(buf) if buf.len() == 1 + value.len() => {
-                                buf[1..].copy_from_slice(value);
+                        if old[1..] != *value {
+                            match Arc::get_mut(old) {
+                                Some(buf) if buf.len() == 1 + value.len() => {
+                                    buf[1..].copy_from_slice(value);
+                                }
+                                _ => *old = stored(value),
                             }
-                            _ => *old = stored(value),
                         }
                     }
                     Entry::Vacant(e) => {
