@@ -5,10 +5,11 @@
 //! active-queue-management variant deliberately *correlates* decisions
 //! across replicas: the random draw for a request is produced by a
 //! pseudo-random function seeded with the request id
-//! ([`RequestId::stable_hash`]), so all replicas draw the same number and —
-//! given similar load estimates — reach the same verdict. The paper shows
-//! (Section 7.7) that this markedly stabilizes behaviour when only `f + 1`
-//! replicas remain.
+//! ([`RequestId::stable_hash`]), so all replicas draw the same number:
+//! replicas at the same `r_now` reach the same verdict, and replicas at
+//! different loads disagree only on the ids whose draw falls between their
+//! two drop probabilities. The paper shows (Section 7.7) that this markedly
+//! stabilizes behaviour when only `f + 1` replicas remain.
 
 use std::time::Duration;
 
@@ -34,8 +35,8 @@ pub enum AcceptancePolicy {
     /// plain tail drop, the `IDEM_noAQM` ablation.
     TailDrop,
     /// Tail drop for the currently prioritized client group, probabilistic
-    /// early drop for everyone else, ramping from 60 % to 90 % of the
-    /// threshold — IDEM's default.
+    /// early drop for everyone else, ramping linearly from 60 % of the
+    /// threshold to the threshold itself — IDEM's default.
     #[default]
     ActiveQueue,
 }
@@ -50,8 +51,8 @@ pub enum AcceptancePolicy {
 ///
 /// let test = AcceptanceTest::new(AcceptancePolicy::TailDrop, 50);
 /// let id = RequestId::new(ClientId(0), OpNumber(1));
-/// assert!(test.accepts(id, 49, 49.0, SimTime::ZERO, 1));
-/// assert!(!test.accepts(id, 50, 50.0, SimTime::ZERO, 1));
+/// assert!(test.accepts(id, 49, SimTime::ZERO, 1));
+/// assert!(!test.accepts(id, 50, SimTime::ZERO, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptanceTest {
@@ -93,26 +94,12 @@ impl AcceptanceTest {
     }
 
     /// Runs the acceptance test for request `id` given `r_now` currently
-    /// active requests at this replica, a smoothed `load_estimate` of the
-    /// same for the probabilistic branch, and `max_client` the highest
-    /// client id observed so far (used to derive the number of
-    /// prioritization groups).
-    ///
-    /// Replicas feed an exponentially smoothed `r_now` as the estimate:
-    /// the slow-moving estimate is nearly identical across replicas, so
-    /// together with the id-keyed PRF the early-drop verdicts become
-    /// near-unanimous (Section 7.7's stability effect), while the
-    /// instantaneous `r_now` still enforces the hard threshold.
+    /// active requests at this replica and `max_client` the highest client
+    /// id observed so far (used to derive the number of prioritization
+    /// groups).
     ///
     /// Returns `true` to accept, `false` to reject.
-    pub fn accepts(
-        &self,
-        id: RequestId,
-        r_now: u32,
-        load_estimate: f64,
-        now: SimTime,
-        max_client: u32,
-    ) -> bool {
+    pub fn accepts(&self, id: RequestId, r_now: u32, now: SimTime, max_client: u32) -> bool {
         match self.policy {
             AcceptancePolicy::AlwaysAccept => true,
             AcceptancePolicy::TailDrop => r_now < self.threshold,
@@ -120,8 +107,8 @@ impl AcceptanceTest {
                 if r_now >= self.threshold {
                     return false;
                 }
-                let start = (f64::from(self.threshold) * AQM_START_FRACTION) as u32;
-                if r_now < start && load_estimate < f64::from(start) {
+                let start = f64::from(self.threshold) * AQM_START_FRACTION;
+                if r_now < start as u32 {
                     return true;
                 }
                 let group_count = (max_client / self.threshold.max(1)) + 1;
@@ -132,23 +119,12 @@ impl AcceptanceTest {
                     return true;
                 }
                 // Non-prioritized clients: early drop with a probability
-                // that grows with load, drawn from a PRF keyed by the
-                // request id so all replicas draw the same number. Two
-                // refinements maximize cross-replica unanimity (the goal of
-                // Section 5.1, whose stabilizing effect Section 7.7
-                // demonstrates):
-                //  * the probability ramps to 1.0 at 90 % of the threshold,
-                //    so in sustained overload the *correlated* probabilistic
-                //    branch performs the rejection and the uncorrelated
-                //    hard cap is rarely reached;
-                //  * the probability is quantized to coarse steps, so
-                //    replicas whose load estimates differ by a few requests
-                //    still compute the same p and reach the same verdict.
-                let start_f = f64::from(self.threshold) * AQM_START_FRACTION;
-                let full = f64::from(self.threshold) * 0.9;
-                let load = load_estimate.max(f64::from(r_now));
-                let raw = ((load - start_f) / (full - start_f).max(1.0)).clamp(0.0, 1.0);
-                let p = (raw * 8.0).floor() / 8.0;
+                // that ramps linearly from 0 at the start fraction to 1 at
+                // the threshold, where the hard cap takes over, drawn from
+                // a PRF keyed by the request id so all replicas draw the
+                // same number.
+                let full = f64::from(self.threshold);
+                let p = ((f64::from(r_now) - start) / (full - start)).clamp(0.0, 1.0);
                 let u = (id.stable_hash() >> 11) as f64 / (1u64 << 53) as f64;
                 u >= p
             }
@@ -169,9 +145,9 @@ mod tests {
         AcceptanceTest::new(AcceptancePolicy::ActiveQueue, threshold)
     }
 
-    /// The test at an instantaneous load, estimate equal to `r_now`.
+    /// The test at time zero.
     fn accepts(t: &AcceptanceTest, id: RequestId, r_now: u32, max_client: u32) -> bool {
-        t.accepts(id, r_now, f64::from(r_now), SimTime::ZERO, max_client)
+        t.accepts(id, r_now, SimTime::ZERO, max_client)
     }
 
     #[test]
@@ -222,8 +198,8 @@ mod tests {
 
     #[test]
     fn aqm_non_prioritized_drop_rate_tracks_load() {
-        // The drop probability ramps from 0 at the AQM start fraction
-        // (60 % of RT) to 1 at 90 % of RT.
+        // The drop probability ramps linearly from 0 at the AQM start
+        // fraction (60 % of RT) to 1 at RT.
         let t = aqm_test(50);
         // Clients 50..100 are group 1 (not prioritized at time 0).
         let count_accepted = |r_now: u32| {
@@ -231,21 +207,50 @@ mod tests {
                 .filter(|&op| accepts(&t, id(60, op), r_now, 149))
                 .count()
         };
-        let at_start = count_accepted(30); // p = 0 → everyone accepted
-        let mid_ramp = count_accepted(38); // p ≈ 0.5 → ~half accepted
-        let at_full = count_accepted(45); // p = 1 → everyone rejected
-        assert_eq!(at_start, 1000, "no early drop at the ramp start");
+        assert_eq!(count_accepted(30), 1000, "no early drop at the ramp start");
+        let mid_ramp = count_accepted(40); // p = 1/2
         assert!(
-            (350..=650).contains(&mid_ramp),
+            (400..=600).contains(&mid_ramp),
             "accept rate mid-ramp was {mid_ramp}/1000"
         );
-        assert_eq!(at_full, 0, "full drop at 90% of the threshold");
+        let near_cap = count_accepted(49); // p = 19/20
+        assert!(
+            (20..=80).contains(&near_cap),
+            "accept rate one below RT was {near_cap}/1000"
+        );
+        assert_eq!(count_accepted(50), 0, "full drop at the threshold");
+    }
+
+    #[test]
+    fn aqm_ramp_meets_the_hard_cap_without_a_gap() {
+        // One request below RT the non-prioritized accept share is still
+        // 1 / (0.4 · RT); at RT the hard cap takes it to 0.
+        for threshold in [20u32, 50, 100] {
+            let t = aqm_test(threshold);
+            let non_prioritized = ClientId(threshold);
+            let max_client = 3 * threshold - 1;
+            let accepted = |r_now: u32| {
+                (0..4000u64)
+                    .filter(|&op| {
+                        let r = RequestId::new(non_prioritized, OpNumber(op));
+                        accepts(&t, r, r_now, max_client)
+                    })
+                    .count()
+            };
+            let expected = 4000.0 / (0.4 * f64::from(threshold));
+            let below = accepted(threshold - 1) as f64;
+            assert!(
+                (0.6 * expected..=1.4 * expected).contains(&below),
+                "RT {threshold}: {below} of 4000 accepted at RT - 1, expected ≈{expected}"
+            );
+            assert_eq!(accepted(threshold), 0, "RT {threshold}");
+        }
     }
 
     #[test]
     fn aqm_decision_is_identical_across_replicas() {
-        // Two replicas with the same load estimate must agree on every
-        // request — the PRF is keyed by the request id alone.
+        // Two replicas at the same r_now must agree on every request —
+        // the PRF is keyed by the request id alone.
         let a = aqm_test(50);
         let b = aqm_test(50);
         for c in 0..100 {
@@ -290,53 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn aqm_smoothed_estimate_alone_engages_early_drop() {
-        // No request active right now, but the smoothed estimate sits at
-        // 90 % of the threshold: non-prioritized clients are all dropped,
-        // the prioritized group (clients 0..50 at time 0) still gets in.
-        let t = aqm_test(50);
-        for op in 0..200 {
-            assert!(!t.accepts(id(60, op), 0, 45.0, SimTime::ZERO, 149));
-            assert!(t.accepts(id(10, op), 0, 45.0, SimTime::ZERO, 149));
-        }
-    }
-
-    #[test]
-    fn aqm_low_estimate_cannot_lift_the_hard_threshold() {
-        let t = aqm_test(50);
-        for c in 0..150 {
-            assert!(!t.accepts(id(c, 1), 50, 0.0, SimTime::ZERO, 149));
-        }
-    }
-
-    #[test]
-    fn aqm_instant_load_above_the_estimate_still_drives_early_drop() {
-        // The ramp reads the higher of the two: a lagging estimate must not
-        // let a burst through once r_now itself is at 90 %.
-        let t = aqm_test(50);
-        for op in 0..200 {
-            assert!(!t.accepts(id(60, op), 45, 0.0, SimTime::ZERO, 149));
-        }
-    }
-
-    #[test]
-    fn aqm_estimates_within_one_eighth_step_reach_identical_verdicts() {
-        // RT = 50: the ramp runs from 30 to 45 in eighths of 1.875, so
-        // 37.6 and 39.3 share p = 1/2 while 39.4 is already at p = 5/8.
-        let t = aqm_test(50);
-        let verdicts = |estimate: f64| -> Vec<bool> {
-            (0..1000u64)
-                .map(|op| t.accepts(id(60, op), 0, estimate, SimTime::ZERO, 149))
-                .collect()
-        };
-        assert_eq!(verdicts(37.6), verdicts(39.3));
-        assert_ne!(verdicts(39.3), verdicts(39.4));
-    }
-
-    #[test]
     fn aqm_early_drop_begins_above_sixty_percent_of_the_threshold() {
-        // RT = 100: everything passes at 59 active requests; one eighth
-        // step past 60 (at 64) the first non-prioritized requests drop.
+        // RT = 100: everything passes at 59 active requests; four past 60
+        // (at 64, p = 1/10) the first non-prioritized requests drop.
         let t = aqm_test(100);
         let rejected = |load: u32| {
             (0..1000u64)
@@ -346,16 +307,9 @@ mod tests {
         assert_eq!(rejected(59), 0);
         assert!(
             (50..=200).contains(&rejected(64)),
-            "p = 1/8 rejected {}/1000",
+            "p = 1/10 rejected {}/1000",
             rejected(64)
         );
-    }
-
-    #[test]
-    fn tail_drop_ignores_the_load_estimate() {
-        let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, 10);
-        assert!(t.accepts(id(0, 1), 9, 1000.0, SimTime::ZERO, 0));
-        assert!(!t.accepts(id(0, 1), 10, 0.0, SimTime::ZERO, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use idem_common::{
     ReplicaBase, Reply, ReqHandle, ReqSlab, Request, RequestId, SeqNumber, SeqWindow, SessionTable,
     StateMachine, View, VoteStore, WalRecord, PROGRESS_TIMEOUT, RECONFIG_CLIENT,
 };
-use idem_simnet::{Context, Node, NodeId, SimTime, TimerId};
+use idem_simnet::{Context, Node, NodeId, TimerId};
 
 use crate::acceptance::AcceptanceTest;
 use crate::config::IdemConfig;
@@ -254,10 +254,6 @@ pub struct IdemReplica {
     vc_merge: Vec<Option<WindowEntry>>,
 
     max_client_seen: u32,
-    /// Exponentially smoothed `r_now` (time constant ≈20 ms) feeding the
-    /// AQM probability so replicas compute near-identical drop rates.
-    load_estimate: f64,
-    load_estimate_at: SimTime,
     stats: ReplicaStats,
 }
 
@@ -312,8 +308,6 @@ impl IdemReplica {
             pending_proposals: VecDeque::new(),
             vc_merge: Vec::new(),
             max_client_seen: 0,
-            load_estimate: 0.0,
-            load_estimate_at: SimTime::ZERO,
             stats: ReplicaStats::default(),
         }
     }
@@ -453,10 +447,9 @@ impl IdemReplica {
 
         // The acceptance test (Section 5.1).
         let r_now = self.active_count as u32;
-        let estimate = self.update_load_estimate(ctx.now(), r_now);
         if !self
             .test
-            .accepts(id, r_now, estimate, ctx.now(), self.max_client_seen)
+            .accepts(id, r_now, ctx.now(), self.max_client_seen)
         {
             self.stats.rejected += 1;
             let client = self.base.dir.client(id.client);
@@ -510,16 +503,6 @@ impl IdemReplica {
         if let Some(old) = e.forward_timer.replace(timer) {
             ctx.cancel_timer(old);
         }
-    }
-
-    /// Advances the exponentially smoothed load estimate to `now`.
-    fn update_load_estimate(&mut self, now: SimTime, r_now: u32) -> f64 {
-        const TAU_NS: f64 = 20_000_000.0; // 20 ms time constant
-        let dt = now.saturating_since(self.load_estimate_at).as_nanos() as f64;
-        let w = (-dt / TAU_NS).exp();
-        self.load_estimate = w * self.load_estimate + (1.0 - w) * f64::from(r_now);
-        self.load_estimate_at = now;
-        self.load_estimate
     }
 
     fn handle_forward(&mut self, ctx: &mut Context<'_, IdemMessage>, req: Request) {

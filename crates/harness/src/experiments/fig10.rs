@@ -5,7 +5,9 @@
 //! findings: a leader crash costs ≈1.5 s (the view-change timeout), after
 //! which IDEM stabilizes (≈9 % lower throughput, ≈45 % higher latency in
 //! overload, still <1.7 ms); IDEM_noAQM turns unstable with only `f + 1`
-//! replicas, which the active-queue-management unanimity prevents.
+//! replicas, while IDEM with active queue management does not. Here IDEM
+//! gains throughput after the crash instead of losing it (EXPERIMENTS.md,
+//! deviation 4).
 
 use std::time::Duration;
 

@@ -105,7 +105,13 @@ fn two_phases(ms: u64) -> Vec<LoadPhase> {
 
 /// Goldens captured from the tree-based build (the parent of the commit
 /// that introduced the slab ran this very file).
-const GOLDEN_IDEM_REJECT_BACKOFF_STRAGGLERS: u64 = 0xacd6_7e35_f9c5_b535;
+///
+/// Re-pinning rule, as in `protocol_state_differential.rs`: a golden may
+/// move only when the admission decision it runs through changes on
+/// purpose, and then only the cells of the variant whose decision changed.
+/// The IDEM golden was re-pinned when IDEM's early-drop ramp became linear
+/// over the instantaneous `r_now`; the Paxos and SMaRt goldens stayed.
+const GOLDEN_IDEM_REJECT_BACKOFF_STRAGGLERS: u64 = 0x0f7d_c46b_12d6_727a;
 const GOLDEN_PAXOS_LBR_FINAL_REJECT: u64 = 0xd65b_9594_7564_8e6d;
 const GOLDEN_SMART_STALE_RETRANSMIT: u64 = 0x580d_b2f5_eff5_8931;
 

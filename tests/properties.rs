@@ -149,8 +149,8 @@ proptest! {
         let id = RequestId::new(ClientId(client), OpNumber(op));
         let now = SimTime::ZERO + Duration::from_millis(now_ms);
         prop_assert_eq!(
-            t1.accepts(id, r_now, f64::from(r_now), now, max_client),
-            t2.accepts(id, r_now, f64::from(r_now), now, max_client)
+            t1.accepts(id, r_now, now, max_client),
+            t2.accepts(id, r_now, now, max_client)
         );
     }
 
@@ -161,7 +161,7 @@ proptest! {
     ) {
         let t = AcceptanceTest::new(AcceptancePolicy::TailDrop, threshold);
         let id = RequestId::new(ClientId(client), OpNumber(op));
-        let accepted = t.accepts(id, r_now, f64::from(r_now), SimTime::ZERO, 100);
+        let accepted = t.accepts(id, r_now, SimTime::ZERO, 100);
         prop_assert_eq!(accepted, r_now < threshold);
     }
 
@@ -172,23 +172,22 @@ proptest! {
         let t = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50);
         let id = RequestId::new(ClientId(client), OpNumber(op));
         let (high, low) = (50 + over, 29u32.min(over));
-        prop_assert!(!t.accepts(id, high, f64::from(high), SimTime::ZERO, 299));
-        prop_assert!(t.accepts(id, low, f64::from(low), SimTime::ZERO, 299));
+        prop_assert!(!t.accepts(id, high, SimTime::ZERO, 299));
+        prop_assert!(t.accepts(id, low, SimTime::ZERO, 299));
     }
 
-    /// More load never admits what less load rejected: raising either the
-    /// instantaneous count or the smoothed estimate only adds rejections.
+    /// More load never admits what less load rejected: raising `r_now`
+    /// only adds rejections.
     #[test]
     fn aqm_more_load_never_accepts_what_less_load_rejected(
         client in 0u32..300, op in 0u64..1000, now_ms in 0u64..10_000,
         r_now in 0u32..60, extra_r in 0u32..20,
-        estimate in 0.0f64..60.0, extra_estimate in 0.0f64..20.0,
     ) {
         let t = AcceptanceTest::new(AcceptancePolicy::ActiveQueue, 50);
         let id = RequestId::new(ClientId(client), OpNumber(op));
         let now = SimTime::ZERO + Duration::from_millis(now_ms);
-        let low = t.accepts(id, r_now, estimate, now, 299);
-        let high = t.accepts(id, r_now + extra_r, estimate + extra_estimate, now, 299);
+        let low = t.accepts(id, r_now, now, 299);
+        let high = t.accepts(id, r_now + extra_r, now, 299);
         prop_assert!(low || !high, "accepted at the higher load only");
     }
 
