@@ -29,6 +29,12 @@
 //! --smoke           load: CI preset (100k logical clients, truncated phases)
 //! ```
 //!
+//! Each experiment checks the paper's claims it measures: every report
+//! opens with its claims table, and the run writes them all to
+//! `claims.csv` under `--out` (`load_claims.csv` for `load`). A claim is
+//! declared either to hold or to fail by a numbered EXPERIMENTS.md
+//! deviation; `repro` exits 1 if any verdict differs from its declaration.
+//!
 //! `chaos` exits 1 if any invariant was violated, printing a replayable
 //! `--seed X --schedule '...'` line per violation.
 //!
@@ -46,14 +52,14 @@
 //! hotspot migration, stragglers, bursty MMPP) and writes its
 //! offered-vs-goodput summary to `BENCH_load.json` (or `--bench-out` when
 //! load is the only thing run). It exits by panic if a scenario breaks
-//! conservation, session order, or the flash-crowd goodput ordering.
+//! conservation or session order.
 
 use std::time::{Duration, Instant};
 
 use idem_harness::chaos::{self, ChaosConfig, Schedule};
 use idem_harness::experiments::load::LoadEffort;
 use idem_harness::experiments::{self, Effort};
-use idem_harness::report::ExperimentReport;
+use idem_harness::report::{claims_table, Claim, ExperimentReport};
 use idem_harness::sweep::SweepRunner;
 use idem_harness::Protocol;
 use idem_harness::Scenario;
@@ -316,6 +322,8 @@ fn main() {
     );
     let mut bench_entries: Vec<BenchEntry> = Vec::new();
     let mut chaos_violations = 0usize;
+    let mut claims: Vec<(&str, Claim)> = Vec::new();
+    let mut unexpected_verdicts = 0usize;
     let total_start = Instant::now();
     for name in &args.wanted {
         let start = Instant::now();
@@ -358,12 +366,7 @@ fn main() {
                 let stats = runner.take_stats();
                 let text = report.render();
                 print!("{text}");
-                if std::fs::create_dir_all(&args.out_dir).is_ok() {
-                    let path = format!("{}/{name}_report.txt", args.out_dir);
-                    if let Err(e) = std::fs::write(&path, &text) {
-                        eprintln!("warning: could not write {path}: {e}");
-                    }
-                }
+                write_out(&args.out_dir, &format!("{name}_report.txt"), &text);
                 chaos_violations += report.total_violations();
                 let rejoins: Vec<u64> = report.runs.iter().filter_map(|r| r.rejoin_ms).collect();
                 let reconfigs: Vec<u64> =
@@ -408,12 +411,9 @@ fn main() {
                 let wall = start.elapsed();
                 let stats = runner.take_stats();
                 emit(&family.report, &args.out_dir);
-                if std::fs::create_dir_all(&args.out_dir).is_ok() {
-                    let path = format!("{}/load_report.txt", args.out_dir);
-                    if let Err(e) = std::fs::write(&path, family.report.to_text()) {
-                        eprintln!("warning: could not write {path}: {e}");
-                    }
-                }
+                let claims = family.report.claims.iter().map(|c| ("load", c));
+                unexpected_verdicts += write_claims(&args.out_dir, "load_claims.csv", claims);
+                write_out(&args.out_dir, "load_report.txt", &family.report.to_text());
                 // The goodput summary has its own schema, so it never goes
                 // through the generic BenchEntry list. Honour --bench-out
                 // only when load is all that runs; otherwise that file
@@ -442,6 +442,7 @@ fn main() {
         let wall = start.elapsed();
         let stats = runner.take_stats();
         emit(&report, &args.out_dir);
+        claims.extend(report.claims.into_iter().map(|c| (name.as_str(), c)));
         bench_entries.push(BenchEntry {
             name: name.clone(),
             wall,
@@ -460,6 +461,10 @@ fn main() {
             stats.events_per_sec(wall),
         );
     }
+    if !claims.is_empty() {
+        let claims = claims.iter().map(|(name, c)| (*name, c));
+        unexpected_verdicts += write_claims(&args.out_dir, "claims.csv", claims);
+    }
     if !bench_entries.is_empty() {
         let json = render_bench_json(
             &bench_entries,
@@ -476,6 +481,31 @@ fn main() {
     if chaos_violations > 0 {
         eprintln!("chaos: {chaos_violations} invariant violation(s) — failing");
         std::process::exit(1);
+    }
+    if unexpected_verdicts > 0 {
+        eprintln!(
+            "claims: {unexpected_verdicts} verdict(s) differ from their declaration — failing"
+        );
+        std::process::exit(1);
+    }
+}
+
+/// Writes `claims` (experiment name, claim) as `file` under `out_dir` and
+/// returns how many verdicts differ from their declaration.
+fn write_claims<'a>(
+    out_dir: &str,
+    file: &str,
+    claims: impl Iterator<Item = (&'a str, &'a Claim)> + Clone,
+) -> usize {
+    write_out(out_dir, file, &claims_table(claims.clone()).csv());
+    claims.filter(|(_, c)| !c.verdict().as_declared()).count()
+}
+
+/// Writes `content` as `file` under `out_dir`, warning when it cannot.
+fn write_out(out_dir: &str, file: &str, content: &str) {
+    let path = format!("{out_dir}/{file}");
+    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, content)) {
+        eprintln!("warning: could not write {path}: {e}");
     }
 }
 
@@ -587,13 +617,8 @@ fn render_bench_json(
 
 fn emit(report: &ExperimentReport, out_dir: &str) {
     println!("{}", report.to_text());
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        for (file, content) in &report.csv {
-            let path = format!("{out_dir}/{file}");
-            if let Err(e) = std::fs::write(&path, content) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-        }
+    for (file, content) in &report.csv {
+        write_out(out_dir, file, content);
     }
 }
 

@@ -12,8 +12,9 @@
 use std::time::Duration;
 
 use crate::cluster::Protocol;
-use crate::experiments::Effort;
-use crate::report::{fmt_kreq, fmt_ms, render_csv, render_table, ExperimentReport};
+use crate::experiments::{timeline_csv, window, window_mean, Effort};
+use crate::report::Bound::{AtLeast, AtMost};
+use crate::report::{fmt_kreq, fmt_ms, render_table, Claim, ExperimentReport};
 use crate::scenario::{CrashPlan, Scenario};
 use crate::sweep::{Cell, SweepRunner};
 
@@ -39,28 +40,10 @@ fn timeline_cell(
     (Cell::timed(scenario), crash_s)
 }
 
-/// Mean of the series values in `[from, to)` seconds.
-fn window_mean(series: &[(f64, f64)], from: f64, to: f64) -> f64 {
-    let vals: Vec<f64> = series
-        .iter()
-        .filter(|(t, _)| *t >= from && *t < to)
-        .map(|(_, v)| *v)
-        .collect();
-    if vals.is_empty() {
-        f64::NAN
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    }
-}
-
 /// Coefficient of variation of the series values in `[from, to)` — the
 /// instability measure for the noAQM comparison.
 fn window_cv(series: &[(f64, f64)], from: f64, to: f64) -> f64 {
-    let vals: Vec<f64> = series
-        .iter()
-        .filter(|(t, _)| *t >= from && *t < to)
-        .map(|(_, v)| *v)
-        .collect();
+    let vals = window(series, from, to);
     if vals.len() < 2 {
         return f64::NAN;
     }
@@ -88,6 +71,8 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
     let results = runner.run_cells(cells);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
+    // `(tput post / pre, lat post, cv post)` per timeline, in `labels` order.
+    let mut post = Vec::new();
     for (&(name, clients, crash_name, crash_s), result) in labels.iter().zip(&results) {
         let tput = result.throughput_series();
         let lat = result.latency_series_ms();
@@ -109,19 +94,28 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
             fmt_ms(after_lat),
             format!("{:.2}", stability),
         ]);
-        let mut csv_rows = Vec::new();
-        for &(t, v) in &tput {
-            let l = lat
-                .iter()
-                .find(|(lt, _)| (*lt - t).abs() < 1e-9)
-                .map_or(f64::NAN, |(_, l)| *l);
-            csv_rows.push(vec![t.to_string(), v.to_string(), l.to_string()]);
-        }
+        post.push((after_tput / before_tput, after_lat, stability));
         csv.push((
             format!("fig10_{name}_{clients}c_{crash_name}.csv"),
-            render_csv(&["t_s", "throughput", "latency_ms"], &csv_rows),
+            timeline_csv(&["t_s", "throughput", "latency_ms"], &tput, &lat),
         ));
     }
+    let at = |name: &str, clients: u32, crash: &str| {
+        let i = labels
+            .iter()
+            .position(|&(n, c, k, _)| (n, c, k) == (name, clients, crash));
+        post[i.expect("a timeline of the grid")]
+    };
+    let (normal, overload) = (at("IDEM", 50, "leader"), at("IDEM", 100, "leader"));
+    let follower = at("IDEM", 100, "follower");
+    let calmer = overload.2 / at("IDEM_noAQM", 100, "leader").2;
+    let claims = vec![
+        Claim::new("IDEM tput post/pre leader 50c", normal.0, AtLeast(0.9)),
+        Claim::new("IDEM tput post/pre follower 100c", follower.0, AtLeast(0.9)),
+        Claim::new("IDEM lat post leader 100c [ms]", overload.1, AtMost(1.7)),
+        Claim::new("cv IDEM / IDEM_noAQM leader 100c", calmer, AtMost(0.5)),
+        Claim::new("IDEM tput post/pre leader 100c", overload.0, AtMost(0.95)).deviation(4),
+    ];
     let body = format!(
         "{}\n('cv' is the post-crash throughput coefficient of variation: \
          the paper's instability of IDEM_noAQM shows up as a larger cv)\n",
@@ -141,10 +135,7 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
     );
     ExperimentReport {
         title: "Figure 10a–c — replica crash timelines (IDEM vs IDEM_noAQM)".into(),
-        paper_claim: "leader crash: ≈1.5 s gap, then stable service (overload: ≈9% lower \
-                      throughput, ≈45% higher latency, <1.7 ms); follower crash: no \
-                      interruption; IDEM_noAQM is visibly unstable with f+1 replicas"
-            .into(),
+        claims,
         body,
         csv,
     }

@@ -8,9 +8,10 @@
 use std::time::Duration;
 
 use crate::cluster::Protocol;
-use crate::experiments::{reject_downtime_s, Effort};
+use crate::experiments::{join_bins, reject_downtime_s, timeline_csv, Effort};
 use crate::recorder::BIN_WIDTH;
-use crate::report::{downsample, render_csv, render_table, sparkline, ExperimentReport};
+use crate::report::Bound::AtLeast;
+use crate::report::{downsample, render_table, sparkline, Claim, ExperimentReport};
 use crate::scenario::{clients_for_factor, CrashPlan, Scenario};
 use crate::sweep::{Cell, SweepRunner};
 
@@ -46,13 +47,7 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
     let downtime = reject_downtime_s(&series, bin_s, crash_s, duration.as_secs_f64());
 
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for (i, &(t, rate)) in series.iter().enumerate() {
-        let lat = latency_series
-            .iter()
-            .find(|(lt, _)| (*lt - t).abs() < 1e-9)
-            .map_or(f64::NAN, |(_, l)| *l);
-        csv_rows.push(vec![t.to_string(), rate.to_string(), lat.to_string()]);
+    for (i, (t, rate, lat)) in join_bins(&series, &latency_series).into_iter().enumerate() {
         // Keep the text table readable: subsample to ~1 s granularity.
         if i % (1.0 / bin_s).round().max(1.0) as usize == 0 {
             rows.push(vec![
@@ -74,13 +69,19 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
     );
     ExperimentReport {
         title: "Figure 3 — leader crash silences rejections in Paxos_LBR".into(),
-        paper_claim: "with leader-based rejection, a leader crash stops rejection \
-                      notifications for ≈4 s (client timeouts + view change + failover)"
-            .into(),
+        claims: vec![Claim::new(
+            "Paxos_LBR reject downtime after leader crash [s]",
+            downtime,
+            AtLeast(3.0),
+        )],
         body,
         csv: vec![(
             "fig3_lbr_crash.csv".into(),
-            render_csv(&["t_s", "reject_rate", "reject_latency_ms"], &csv_rows),
+            timeline_csv(
+                &["t_s", "reject_rate", "reject_latency_ms"],
+                &series,
+                &latency_series,
+            ),
         )],
     }
 }

@@ -7,7 +7,8 @@
 
 use crate::cluster::Protocol;
 use crate::experiments::{measure_grid, Effort};
-use crate::report::{Column, ExperimentReport, Table, Value};
+use crate::report::Bound::AtMost;
+use crate::report::{Claim, Column, ExperimentReport, Table, Value};
 use crate::sweep::SweepRunner;
 
 /// Client-load factors (1x = 50 clients).
@@ -37,12 +38,23 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
             Value::ms(m.latency_mean_ms),
         ]);
     }
+    let at = |factor: f64| &measured[FACTORS.iter().position(|&f| f == factor).unwrap()];
+    let (m4, m8) = (at(4.0), at(8.0));
+    let worst = [2.0, 4.0, 6.0, 8.0].map(|f| at(f).reject_latency_mean_ms);
+    let worst = worst.into_iter().fold(0.0, f64::max);
+    let (moderate, severe) = (at(2.0).reject_share_percent(), m8.reject_share_percent());
+    let as_reply = m8.reject_latency_mean_ms / m8.latency_mean_ms;
+    let falling = m8.reject_latency_mean_ms / m4.reject_latency_mean_ms;
+    let claims = vec![
+        Claim::new("reject share at 2x [%]", moderate, AtMost(3.0)),
+        Claim::new("reject share at 8x [%]", severe, AtMost(12.0)),
+        Claim::new("reject / reply latency at 8x", as_reply, AtMost(1.5)),
+        Claim::new("reject latency 8x / 4x", falling, AtMost(1.0)),
+        Claim::new("worst reject latency 2x-8x [ms]", worst, AtMost(1.5)).deviation(1),
+    ];
     ExperimentReport {
         title: "Figure 7 — reject behaviour under increasing load".into(),
-        paper_claim: "reject latency stays ≈1.3–1.5 ms (same range as replies) up to 8x load; \
-                      reject share <3% in moderate overload and ≈10% at 8x thanks to client \
-                      backoff"
-            .into(),
+        claims,
         body: table.text(),
         csv: vec![("fig7_rejects.csv".into(), table.csv())],
     }

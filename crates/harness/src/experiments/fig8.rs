@@ -7,7 +7,8 @@
 
 use crate::cluster::Protocol;
 use crate::experiments::{measure_grid, Effort};
-use crate::report::{Column, ExperimentReport, Table, Value};
+use crate::report::Bound::{AtLeast, AtMost};
+use crate::report::{Claim, Column, ExperimentReport, Table, Value};
 use crate::sweep::SweepRunner;
 
 /// The thresholds swept.
@@ -42,12 +43,19 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
             Value::ms(m.latency_std_ms),
         ]);
     }
+    // RT=20 and RT=75 against RT=50, at 4x.
+    let at = |rt: u32| &measured[grid.iter().position(|&p| p == (rt, 4.0)).unwrap()];
+    let tput = |rt: u32| at(rt).throughput / at(50).throughput;
+    let lat = |rt: u32| at(rt).latency_mean_ms / at(50).latency_mean_ms;
+    let claims = vec![
+        Claim::new("RT=20 / RT=50 throughput at 4x", tput(20), AtMost(0.8)),
+        Claim::new("RT=20 / RT=50 latency at 4x", lat(20), AtMost(0.6)),
+        Claim::new("RT=75 / RT=50 latency at 4x", lat(75), AtLeast(1.1)),
+        Claim::new("RT=75 / RT=50 throughput at 4x", tput(75), AtLeast(1.05)).deviation(2),
+    ];
     ExperimentReport {
         title: "Figure 8 — reject-threshold sweep (RT = 20 / 50 / 75)".into(),
-        paper_claim: "RT=20 caps throughput at ~65% of max with latency <0.6 ms; RT=50 gives \
-                      ~43k req/s at ≤1.3 ms; RT=75 gives ~46k at ≤1.6 ms; all identical below \
-                      the threshold"
-            .into(),
+        claims,
         body: table.text(),
         csv: vec![("fig8_thresholds.csv".into(), table.csv())],
     }

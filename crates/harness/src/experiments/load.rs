@@ -6,9 +6,9 @@
 //! cannot reach:
 //!
 //! * **flash_crowd** — calm traffic, then a spike at 2.2× cluster capacity,
-//!   then calm again. The headline check: IDEM's proactive rejection must
-//!   sustain strictly higher goodput through the spike than the
-//!   no-rejection baselines, whose queues blow past the SLA.
+//!   then calm again. The family's claim: IDEM's proactive rejection
+//!   sustains higher goodput through the spike than the no-rejection
+//!   baselines, whose queues blow past the SLA.
 //! * **diurnal** — a slow ramp up to just above capacity and back down.
 //! * **hotspot** — steady overload while the zipfian key hotspot migrates
 //!   between phases.
@@ -18,17 +18,16 @@
 //!   burst states faster than any phase schedule.
 //!
 //! Every cell checks the engine's conservation books and the shared
-//! recorder's session-order oracle, and the flash-crowd goodput ordering is
-//! asserted outright — a failed run exits loudly rather than producing a
-//! quietly wrong report.
+//! recorder's session-order oracle — a failed run exits loudly rather than
+//! producing a quietly wrong report.
 
 use std::time::{Duration, Instant};
 
 use idem_common::{ArrivalProcess, LoadPhase, MmppState};
 
 use crate::cluster::Protocol;
-use crate::load::{run_load_scenario, LoadRunResult};
-use crate::report::{fmt_ms, fmt_pct, Column, ExperimentReport, Table, Value};
+use crate::load::{run_load_scenario, LoadRunResult, PhaseMetrics};
+use crate::report::{fmt_ms, fmt_pct, Bound, Claim, Column, ExperimentReport, Table, Value};
 use crate::scenario::LoadScenario;
 use crate::sweep::SweepRunner;
 
@@ -198,9 +197,8 @@ pub struct LoadFamilyRun {
 /// Runs the whole scenario grid on `runner` and renders the report.
 ///
 /// # Panics
-/// Panics if any cell breaks conservation or session order, or if IDEM
-/// fails to beat every no-rejection flash-crowd baseline on spike goodput
-/// — these are the correctness gates of the load-smoke CI job.
+/// Panics if any cell breaks conservation or session order — the
+/// correctness gates of the load-smoke CI job.
 pub fn run(effort: LoadEffort, runner: &SweepRunner) -> LoadFamilyRun {
     let cells = grid(&effort);
     let timed: Vec<(LoadRunResult, Duration)> = runner.run_tasks(cells, |(protocol, sc)| {
@@ -225,7 +223,6 @@ pub fn run(effort: LoadEffort, runner: &SweepRunner) -> LoadFamilyRun {
             r.conservation.clone().unwrap_or_default()
         );
     }
-    check_flash_crowd_goodput(&timed);
 
     let mut totals = Table::new(&[
         Column::Both("scenario", "scenario"),
@@ -305,10 +302,7 @@ pub fn run(effort: LoadEffort, runner: &SweepRunner) -> LoadFamilyRun {
             "Load scenarios — open-loop arrival, {} logical clients per cell ({})",
             effort.population, effort.label
         ),
-        paper_claim: "under open-loop overload (flash crowd at 2.2x capacity), proactive \
-                      rejection sustains strictly higher goodput (completions within the SLA) \
-                      than accepting everything and letting queues grow"
-            .into(),
+        claims: vec![flash_crowd_claim(&timed)],
         body: format!("{}\n{}", totals.text(), phases.text()),
         csv: vec![
             ("load_totals.csv".into(), totals.csv()),
@@ -324,35 +318,33 @@ pub fn run(effort: LoadEffort, runner: &SweepRunner) -> LoadFamilyRun {
     }
 }
 
-/// The acceptance gate: through the flash-crowd spike, IDEM's goodput must
-/// strictly beat every baseline that cannot reject (IDEM_noPR accepts
-/// everything; plain Paxos has no reject path at all).
-fn check_flash_crowd_goodput(timed: &[(LoadRunResult, Duration)]) {
+/// The family's claim: through the flash-crowd spike (2.2x capacity),
+/// IDEM's goodput — completions within the SLA — against that of the best
+/// baseline that cannot reject (IDEM_noPR accepts everything; plain Paxos
+/// has no reject path at all).
+fn flash_crowd_claim(timed: &[(LoadRunResult, Duration)]) -> Claim {
     let spike = |r: &LoadRunResult| {
         r.phases
             .iter()
             .find(|p| p.label == "spike")
-            .map(crate::load::PhaseMetrics::goodput_per_s)
+            .map_or(0.0, PhaseMetrics::goodput_per_s)
     };
-    let mut idem = None;
-    let mut baselines = Vec::new();
-    for (r, _) in timed {
-        if r.scenario != "flash_crowd" {
-            continue;
-        }
-        match r.protocol {
-            "IDEM" => idem = spike(r),
-            _ => baselines.push((r.protocol, spike(r).unwrap_or(0.0))),
-        }
-    }
-    let idem = idem.expect("flash_crowd grid includes IDEM");
-    for (name, goodput) in baselines {
-        assert!(
-            idem > goodput,
-            "flash crowd spike: IDEM goodput {idem:.0}/s must strictly exceed {name} \
-             ({goodput:.0}/s)"
-        );
-    }
+    let flash = || {
+        timed
+            .iter()
+            .map(|(r, _)| r)
+            .filter(|r| r.scenario == "flash_crowd")
+    };
+    let idem = flash().find(|r| r.protocol == "IDEM").map_or(0.0, spike);
+    let best_baseline = flash()
+        .filter(|r| r.protocol != "IDEM")
+        .map(spike)
+        .fold(0.0, f64::max);
+    Claim::new(
+        "IDEM / best baseline spike goodput",
+        idem / best_baseline,
+        Bound::AtLeast(1.0),
+    )
 }
 
 /// Renders `BENCH_load.json`: one flat line per cell so the regression

@@ -21,6 +21,7 @@ pub mod table1;
 use std::time::Duration;
 
 use crate::recorder::RunMetrics;
+use crate::report::render_csv;
 use crate::scenario::{clients_for_factor, Scenario};
 use crate::sweep::{Cell, SweepRunner};
 use crate::Protocol;
@@ -136,6 +137,54 @@ pub(crate) fn reject_downtime_s(
     max_gap.max(end_s - last)
 }
 
+/// The series values in `[from, to)` seconds.
+pub(crate) fn window(series: &[(f64, f64)], from: f64, to: f64) -> Vec<f64> {
+    series
+        .iter()
+        .filter(|(t, _)| *t >= from && *t < to)
+        .map(|(_, v)| *v)
+        .collect()
+}
+
+/// Mean of the series values in `[from, to)` seconds; NaN if there are none.
+pub(crate) fn window_mean(series: &[(f64, f64)], from: f64, to: f64) -> f64 {
+    let vals = window(series, from, to);
+    if vals.is_empty() {
+        f64::NAN
+    } else {
+        vals.iter().sum::<f64>() / vals.len() as f64
+    }
+}
+
+/// Joins a per-bin series to a second one over the same bins:
+/// `(t, value, other's value at t)`, NaN where `other` has no bin at `t`.
+pub(crate) fn join_bins(series: &[(f64, f64)], other: &[(f64, f64)]) -> Vec<(f64, f64, f64)> {
+    series
+        .iter()
+        .map(|&(t, v)| {
+            let o = other
+                .iter()
+                .find(|(ot, _)| (*ot - t).abs() < 1e-9)
+                .map_or(f64::NAN, |(_, o)| *o);
+            (t, v, o)
+        })
+        .collect()
+}
+
+/// The CSV of a timeline: [`join_bins`] of `series` and `other`, one row
+/// per bin, under the three `headers`.
+pub(crate) fn timeline_csv(
+    headers: &[&str; 3],
+    series: &[(f64, f64)],
+    other: &[(f64, f64)],
+) -> String {
+    let rows: Vec<Vec<String>> = join_bins(series, other)
+        .into_iter()
+        .map(|(t, v, o)| vec![t.to_string(), v.to_string(), o.to_string()])
+        .collect();
+    render_csv(headers, &rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +232,18 @@ mod tests {
         let series: Vec<(f64, f64)> = (0..40).map(|i| (i as f64 * 0.25, 5.0)).collect();
         let downtime = reject_downtime_s(&series, 0.25, 1.0, 10.0);
         assert!(downtime < 0.5, "downtime was {downtime}");
+    }
+
+    #[test]
+    fn timelines_join_on_bins() {
+        let rate = [(0.0, 4.0), (0.25, 0.0), (0.5, 8.0)];
+        let lat = [(0.0, 1.5), (0.5, 2.5)];
+        assert_eq!(
+            timeline_csv(&["t_s", "rate", "lat"], &rate, &lat),
+            "t_s,rate,lat\n0,4,1.5\n0.25,0,NaN\n0.5,8,2.5\n"
+        );
+        assert_eq!(window_mean(&rate, 0.0, 0.5), 2.0);
+        assert!(window_mean(&rate, 1.0, 2.0).is_nan());
     }
 
     #[test]

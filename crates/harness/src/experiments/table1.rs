@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use crate::cluster::Protocol;
 use crate::experiments::Effort;
-use crate::report::{fmt_gb, render_csv, render_table, ExperimentReport};
+use crate::report::Bound::AtMost;
+use crate::report::{fmt_gb, render_csv, render_table, Claim, ExperimentReport};
 use crate::scenario::{clients_for_factor, Scenario};
 use crate::sweep::{Cell, SweepRunner};
 
@@ -64,16 +65,20 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
             ]);
         }
     }
-    let mut overheads = Vec::new();
-    for fi in 0..3 {
-        let no_pr = bytes[0][fi] as f64;
-        let with_pr = bytes[1][fi] as f64;
-        overheads.push(format!(
-            "{}: {:+.2}%",
-            FACTORS[fi].1,
-            100.0 * (with_pr - no_pr) / no_pr
-        ));
-    }
+    let overhead_pct = |fi: usize| {
+        let (no_pr, with_pr) = (bytes[0][fi] as f64, bytes[1][fi] as f64);
+        100.0 * (with_pr - no_pr) / no_pr
+    };
+    let overheads: Vec<String> = (0..3)
+        .map(|fi| format!("{}: {:+.2}%", FACTORS[fi].1, overhead_pct(fi)))
+        .collect();
+    // The paper's "no visible difference" is run-to-run variation of ±2–3 %.
+    let over = |fi: usize| overhead_pct(fi).abs();
+    let claims = vec![
+        Claim::new("|traffic overhead| at 0.5x [%]", over(0), AtMost(3.0)),
+        Claim::new("|traffic overhead| at 1x [%]", over(1), AtMost(3.0)),
+        Claim::new("|traffic overhead| at 4x [%]", over(2), AtMost(3.0)).deviation(5),
+    ];
     let body = format!(
         "{}\nrejection-mechanism overhead vs IDEM_noPR: {} (paper: no visible difference, ±2-3%)\n\
          total forwards sent by IDEM (all replicas): medium={} high={} overload={}\n",
@@ -88,9 +93,7 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
             "Table 1 — network traffic for {} completed requests",
             effort.fixed_requests
         ),
-        paper_claim: "IDEM's rejection mechanism (forwarding, caching, rejects) adds no \
-                      visible network traffic versus IDEM_noPR at any load level"
-            .into(),
+        claims,
         body,
         csv: vec![(
             "table1_overhead.csv".into(),

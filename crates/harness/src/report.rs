@@ -266,13 +266,138 @@ pub fn downsample(series: &[(f64, f64)], width: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A rendered experiment: title, paper-style table(s), CSV artifacts.
+/// The paper's bound on the number a [`Claim`] measures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The number must be at least this.
+    AtLeast(f64),
+    /// The number must be at most this.
+    AtMost(f64),
+}
+
+impl std::fmt::Display for Bound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Bound::AtLeast(b) => write!(f, ">= {b}"),
+            Bound::AtMost(b) => write!(f, "<= {b}"),
+        }
+    }
+}
+
+/// One checkable clause of the paper's statement for an experiment: a
+/// number the experiment measured, held against the paper's bound.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// What is measured, e.g. `Paxos latency 4x / 0.5x`.
+    pub name: &'static str,
+    /// The measured number.
+    pub measured: f64,
+    /// The paper's bound on it.
+    pub bound: Bound,
+    /// The EXPERIMENTS.md "Summary of deviations" entry this claim is
+    /// known to fail by; `None` declares that it holds.
+    pub deviation: Option<u8>,
+}
+
+/// How a [`Claim`] came out against its declaration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Declared to hold, and holds.
+    Holds,
+    /// Fails by its declared deviation.
+    Deviation(u8),
+    /// Declared to hold, and fails.
+    Fails,
+    /// Declared to fail by this deviation, and holds.
+    Closes(u8),
+}
+
+impl Verdict {
+    /// Whether the claim came out as declared.
+    pub fn as_declared(self) -> bool {
+        matches!(self, Verdict::Holds | Verdict::Deviation(_))
+    }
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Verdict::Holds => write!(f, "holds"),
+            Verdict::Deviation(n) => write!(f, "deviation {n}"),
+            Verdict::Fails => write!(f, "FAILS"),
+            Verdict::Closes(n) => write!(f, "HOLDS against deviation {n}"),
+        }
+    }
+}
+
+impl Claim {
+    /// A claim declared to hold. `claims.csv` is not quoted, so the name
+    /// may hold no comma.
+    pub fn new(name: &'static str, measured: f64, bound: Bound) -> Claim {
+        assert!(!name.contains(','), "claim name with a comma: {name}");
+        Claim {
+            name,
+            measured,
+            bound,
+            deviation: None,
+        }
+    }
+
+    /// Declares the claim known to fail by deviation `n`.
+    pub fn deviation(self, n: u8) -> Claim {
+        Claim {
+            deviation: Some(n),
+            ..self
+        }
+    }
+
+    /// The measured number against the bound and the declaration. A NaN
+    /// measurement admits no bound.
+    pub fn verdict(&self) -> Verdict {
+        let holds = match self.bound {
+            Bound::AtLeast(b) => self.measured >= b,
+            Bound::AtMost(b) => self.measured <= b,
+        };
+        match (holds, self.deviation) {
+            (true, None) => Verdict::Holds,
+            (false, None) => Verdict::Fails,
+            (false, Some(n)) => Verdict::Deviation(n),
+            (true, Some(n)) => Verdict::Closes(n),
+        }
+    }
+}
+
+/// The claims of one or more experiments as one [`Table`]: its text is a
+/// report's claims, its CSV is `claims.csv`. Each claim comes with the
+/// name of its experiment, which only the CSV stores.
+pub fn claims_table<'a>(claims: impl IntoIterator<Item = (&'a str, &'a Claim)>) -> Table {
+    let mut table = Table::new(&[
+        Column::Csv("experiment"),
+        Column::Both("claim", "claim"),
+        Column::Both("paper", "paper"),
+        Column::Both("measured", "measured"),
+        Column::Both("verdict", "verdict"),
+    ]);
+    for (experiment, c) in claims {
+        table.push([
+            Value::plain(experiment),
+            Value::plain(c.name),
+            Value::plain(c.bound),
+            Value::new(format!("{:.2}", c.measured), c.measured.to_string()),
+            Value::plain(c.verdict()),
+        ]);
+    }
+    table
+}
+
+/// A rendered experiment: title, the claims it checks, paper-style
+/// table(s), CSV artifacts.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Experiment label, e.g. "Figure 6".
     pub title: String,
-    /// The claim from the paper this experiment checks.
-    pub paper_claim: String,
+    /// The paper's claims this experiment checks, as measured.
+    pub claims: Vec<Claim>,
     /// Rendered plain-text tables.
     pub body: String,
     /// `(file name, content)` CSV artifacts for plotting.
@@ -280,12 +405,11 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Renders the complete report as text.
+    /// Renders the complete report as text: the title, the claims table,
+    /// the body.
     pub fn to_text(&self) -> String {
-        format!(
-            "== {} ==\npaper: {}\n\n{}",
-            self.title, self.paper_claim, self.body
-        )
+        let claims = claims_table(self.claims.iter().map(|c| ("", c)));
+        format!("== {} ==\n{}\n{}", self.title, claims.text(), self.body)
     }
 }
 
@@ -397,15 +521,69 @@ mod tests {
     }
 
     #[test]
-    fn report_text_includes_claim() {
-        let r = ExperimentReport {
-            title: "Figure X".into(),
-            paper_claim: "something holds".into(),
-            body: "table".into(),
-            csv: Vec::new(),
+    fn claims_render_their_verdicts() {
+        let claim = |measured, bound, deviation| Claim {
+            name: "tput 14x / 2x",
+            measured,
+            bound,
+            deviation,
         };
-        let text = r.to_text();
-        assert!(text.contains("Figure X"));
-        assert!(text.contains("something holds"));
+        // (claim, verdict, as declared, text line under the title, claims.csv row)
+        let cases = [
+            (
+                claim(7.333, Bound::AtLeast(6.0), None),
+                Verdict::Holds,
+                true,
+                "tput 14x / 2x   >= 6      7.33    holds",
+                "fig9b,tput 14x / 2x,>= 6,7.333,holds",
+            ),
+            (
+                claim(2.5, Bound::AtMost(2.0), None),
+                Verdict::Fails,
+                false,
+                "tput 14x / 2x   <= 2      2.50    FAILS",
+                "fig9b,tput 14x / 2x,<= 2,2.5,FAILS",
+            ),
+            (
+                claim(f64::NAN, Bound::AtMost(2.0), None),
+                Verdict::Fails,
+                false,
+                "tput 14x / 2x   <= 2       NaN    FAILS",
+                "fig9b,tput 14x / 2x,<= 2,NaN,FAILS",
+            ),
+            (
+                claim(0.97, Bound::AtMost(0.6), Some(3)),
+                Verdict::Deviation(3),
+                true,
+                "tput 14x / 2x  <= 0.6      0.97  deviation 3",
+                "fig9b,tput 14x / 2x,<= 0.6,0.97,deviation 3",
+            ),
+            (
+                claim(0.5, Bound::AtMost(0.6), Some(3)),
+                Verdict::Closes(3),
+                false,
+                "tput 14x / 2x  <= 0.6      0.50  HOLDS against deviation 3",
+                "fig9b,tput 14x / 2x,<= 0.6,0.5,HOLDS against deviation 3",
+            ),
+        ];
+        for (claim, verdict, declared, line, row) in cases {
+            assert_eq!(claim.verdict(), verdict, "{claim:?}");
+            assert_eq!(verdict.as_declared(), declared, "{claim:?}");
+            let report = ExperimentReport {
+                title: "Figure 9b".into(),
+                claims: vec![claim.clone()],
+                body: "table\n".into(),
+                csv: Vec::new(),
+            };
+            let text = report.to_text();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines[0], "== Figure 9b ==");
+            assert_eq!(lines[3], line, "{claim:?}");
+            assert!(text.ends_with(&format!("{line}\n\ntable\n")), "{text}");
+            assert_eq!(
+                claims_table([("fig9b", &claim)]).csv(),
+                format!("experiment,claim,paper,measured,verdict\n{row}\n")
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Overload-behaviour tests: the qualitative claims of the paper's
-//! evaluation, asserted as invariants on short runs.
+//! Overload behaviour of cells that no experiment runs. The experiments'
+//! own cells carry their claims (`tests/claims.rs`).
 
 use std::time::Duration;
 
@@ -13,118 +13,6 @@ fn measure(protocol: Protocol, clients: u32) -> idem_harness::RunMetrics {
 }
 
 #[test]
-fn baselines_explode_idem_plateaus() {
-    // The core claim of Figures 2/6: past saturation the baselines' latency
-    // keeps climbing with load, IDEM's does not.
-    let factor_1 = clients_for_factor(1.0);
-    let factor_4 = clients_for_factor(4.0);
-
-    let paxos_1 = measure(Protocol::paxos(), factor_1);
-    let paxos_4 = measure(Protocol::paxos(), factor_4);
-    assert!(
-        paxos_4.latency_mean_ms > 3.0 * paxos_1.latency_mean_ms,
-        "paxos latency should explode: {} -> {}",
-        paxos_1.latency_mean_ms,
-        paxos_4.latency_mean_ms
-    );
-
-    let idem_1 = measure(Protocol::idem(), factor_1);
-    let idem_4 = measure(Protocol::idem(), factor_4);
-    assert!(
-        idem_4.latency_mean_ms < 1.5 * idem_1.latency_mean_ms,
-        "idem latency should plateau: {} -> {}",
-        idem_1.latency_mean_ms,
-        idem_4.latency_mean_ms
-    );
-    assert!(idem_4.latency_mean_ms < 2.0, "plateau should be ≈1.3 ms");
-    // IDEM keeps throughput near saturation under overload.
-    assert!(idem_4.throughput > 0.9 * idem_1.throughput);
-}
-
-#[test]
-fn idem_no_pr_matches_idem_below_threshold() {
-    // Figure 6: the two curves only diverge once rejection engages.
-    let clients = clients_for_factor(0.5);
-    let idem = measure(Protocol::idem(), clients);
-    let no_pr = measure(Protocol::idem_no_pr(), clients);
-    let rel = (idem.latency_mean_ms - no_pr.latency_mean_ms).abs() / no_pr.latency_mean_ms;
-    assert!(
-        rel < 0.05,
-        "below threshold the variants must match ({rel})"
-    );
-    assert_eq!(idem.rejections, 0);
-}
-
-#[test]
-fn reject_latency_is_in_reply_latency_range() {
-    // Figure 7: a rejection answers about as fast as a reply. Our
-    // optimistic clients wait up to 5 ms for a late reply when decisions
-    // split, so the bound is reply latency plus a fraction of that grace
-    // period; at severe overload decisions are near-unanimous and the two
-    // converge.
-    let m4 = measure(Protocol::idem(), clients_for_factor(4.0));
-    assert!(m4.rejections > 0, "4x overload must produce rejections");
-    assert!(
-        m4.reject_latency_mean_ms < m4.latency_mean_ms + 3.0,
-        "reject latency {} vs reply latency {}",
-        m4.reject_latency_mean_ms,
-        m4.latency_mean_ms
-    );
-    let m8 = measure(Protocol::idem(), clients_for_factor(8.0));
-    assert!(
-        m8.reject_latency_mean_ms < 1.5 * m8.latency_mean_ms,
-        "at 8x rejects should answer as fast as replies: {} vs {}",
-        m8.reject_latency_mean_ms,
-        m8.latency_mean_ms
-    );
-    assert!(
-        m8.reject_latency_mean_ms < m4.reject_latency_mean_ms,
-        "unanimity (and hence reject latency) improves with load"
-    );
-}
-
-#[test]
-fn reject_share_stays_low_due_to_backoff() {
-    // Figure 7: ≲3% rejects in moderate overload, ≈10% at 8x.
-    let moderate = measure(Protocol::idem(), clients_for_factor(2.0));
-    assert!(
-        moderate.reject_share_percent() < 8.0,
-        "moderate overload reject share {}",
-        moderate.reject_share_percent()
-    );
-    let severe = measure(Protocol::idem(), clients_for_factor(8.0));
-    assert!(
-        severe.reject_share_percent() < 25.0,
-        "severe overload reject share {}",
-        severe.reject_share_percent()
-    );
-    assert!(severe.reject_share_percent() > moderate.reject_share_percent());
-}
-
-#[test]
-fn threshold_orders_throughput_and_latency() {
-    // Figure 8: lower RT ⇒ lower plateau latency and lower peak throughput.
-    let clients = clients_for_factor(4.0);
-    let rt20 = measure(Protocol::idem_with_rt(20), clients);
-    let rt50 = measure(Protocol::idem_with_rt(50), clients);
-    let rt75 = measure(Protocol::idem_with_rt(75), clients);
-    assert!(
-        rt20.throughput < rt50.throughput && rt50.throughput <= rt75.throughput * 1.02,
-        "throughput ordering violated: {} / {} / {}",
-        rt20.throughput,
-        rt50.throughput,
-        rt75.throughput
-    );
-    assert!(
-        rt20.latency_mean_ms < rt50.latency_mean_ms && rt50.latency_mean_ms < rt75.latency_mean_ms,
-        "latency ordering violated: {} / {} / {}",
-        rt20.latency_mean_ms,
-        rt50.latency_mean_ms,
-        rt75.latency_mean_ms
-    );
-}
-
-#[test]
 fn identical_below_threshold_across_rts() {
     // Figure 8: "below this threshold they all have nearly identical
     // performance".
@@ -133,29 +21,6 @@ fn identical_below_threshold_across_rts() {
     let rt75 = measure(Protocol::idem_with_rt(75), clients);
     let rel = (rt20.latency_mean_ms - rt75.latency_mean_ms).abs() / rt75.latency_mean_ms;
     assert!(rel < 0.05, "sub-threshold divergence {rel}");
-}
-
-#[test]
-fn extreme_load_keeps_latency_low_with_reduced_throughput() {
-    // Figure 9b: at 14x, throughput sags (clients back off) but latency
-    // stays near the plateau.
-    let peak = measure(Protocol::idem(), clients_for_factor(2.0));
-    let extreme = measure(Protocol::idem(), clients_for_factor(14.0));
-    assert!(
-        extreme.throughput < peak.throughput,
-        "extreme load should cost throughput"
-    );
-    assert!(
-        extreme.throughput > 0.3 * peak.throughput,
-        "but the system must not collapse: {} vs {}",
-        extreme.throughput,
-        peak.throughput
-    );
-    assert!(
-        extreme.latency_mean_ms < 2.0,
-        "latency must stay near the plateau, got {}",
-        extreme.latency_mean_ms
-    );
 }
 
 #[test]
