@@ -3,9 +3,8 @@
 //! The replication hot path used to resolve every incoming message
 //! against a fistful of `BTreeMap<RequestId, …>`s — one tree probe per
 //! concern (body store, endorsement votes, propose cursor, forward
-//! timer, duplicate suppression). This module replaces those with two
-//! flat structures, mirroring the message-arena design of the simnet
-//! layer:
+//! timer, duplicate suppression). This module replaces those with flat
+//! structures, mirroring the message-arena design of the simnet layer:
 //!
 //! * [`ReqSlab`] — a generation-stamped slab of per-request records.
 //!   A record is addressed by a small copyable [`ReqHandle`]; a freed
@@ -14,15 +13,20 @@
 //!   instances and queues, so every later stage of a request's life
 //!   costs an O(1) slot load instead of a fresh tree descent.
 //!
+//! * [`Dense`] — rows indexed directly by a `u64` key. Rows live in fixed
+//!   pages of [`DENSE_PAGE`] rows, each allocated when one of its keys is
+//!   first touched and never moved, so the container holds the pages its
+//!   keys touch whatever order they arrive in. Keys at or above
+//!   [`DENSE_LIMIT`] fall back to an ordered spill tree so the page
+//!   directory never sizes itself to a wild key. Iteration runs in
+//!   ascending key order from any start key: the pages, then the tree.
+//!   Two users: [`SessionTable`] and the key-value store of `idem-kv`.
+//!
 //! * [`SessionTable`] — the per-client session state (highest executed
 //!   op, cached reply, and the head of that client's chain of live
-//!   request records), indexed directly by the contiguous client ids
-//!   the harness assigns. Rows live in fixed pages of [`SESSION_PAGE`]
-//!   rows, each allocated when one of its ids is first touched and never
-//!   moved, so the table holds the pages its clients touch whatever order
-//!   they arrive in. Reserved ids near `u32::MAX` (the reconfig and no-op
-//!   pseudo-clients) and any pathologically large id fall back to a tree
-//!   so the dense part never over-allocates.
+//!   request records), a [`Dense`] over the contiguous client ids the
+//!   harness assigns. Reserved ids near `u32::MAX` (the reconfig and
+//!   no-op pseudo-clients) land in the spill tree.
 //!
 //! Request records for one client are threaded into a singly-linked
 //! chain (the [`Chained`] trait) rooted at the client's session slot:
@@ -36,25 +40,33 @@
 //! deterministic.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::ids::{ClientId, OpNumber, RequestId};
 use crate::request::ResultBytes;
 
-/// Client ids at or above this value are stored in the session table's
-/// fallback tree rather than its pages. Covers the reserved
-/// pseudo-clients (`RECONFIG_CLIENT`, the no-op client) and shields the
-/// page directory from ever sizing itself to a wild id.
-pub const DENSE_CLIENT_LIMIT: u32 = 1 << 26;
+/// Keys at or above this value are stored in a [`Dense`] container's
+/// spill tree rather than its pages, which shields the page directory
+/// from ever sizing itself to a wild key.
+pub const DENSE_LIMIT: u64 = 1 << 26;
 
-/// Log2 of [`SESSION_PAGE`].
+/// [`DENSE_LIMIT`] as a client id: the session table's reserved
+/// pseudo-clients (`RECONFIG_CLIENT`, the no-op client) lie above it.
+pub const DENSE_CLIENT_LIMIT: u32 = DENSE_LIMIT as u32;
+
+/// Log2 of [`DENSE_PAGE`].
 const PAGE_BITS: u32 = 10;
 
-/// Rows per session-table page: 40 KiB of 40-byte rows, so a cell of a
-/// few hundred clients pays for one small page and 10⁵ clients for 98.
-pub const SESSION_PAGE: usize = 1 << PAGE_BITS;
+/// Rows per page of a [`Dense`] container: 40 KiB of 40-byte session
+/// rows, so a cell of a few hundred clients pays for one small page and
+/// 10⁵ clients for 98; 16 KiB of store rows, 10 pages for 10⁴ keys.
+pub const DENSE_PAGE: usize = 1 << PAGE_BITS;
 
-/// One page of session rows, ids `page << PAGE_BITS ..` upwards.
-type Page = Box<[Session; SESSION_PAGE]>;
+/// Rows per session-table page.
+pub const SESSION_PAGE: usize = DENSE_PAGE;
+
+/// One page of rows, keys `page << PAGE_BITS ..` upwards.
+type Page<T> = Box<[T; DENSE_PAGE]>;
 
 /// Compact, copyable key of a record in a [`ReqSlab`].
 ///
@@ -299,6 +311,152 @@ impl<T: Chained> ReqSlab<T> {
     }
 }
 
+/// A page of default rows, built on the heap: a `[T; DENSE_PAGE]`
+/// temporary would give every caller of [`Dense::row_mut`] a page-sized
+/// stack frame to probe on each call.
+#[cold]
+fn new_page<T: Default>() -> Page<T> {
+    (0..DENSE_PAGE)
+        .map(|_| T::default())
+        .collect::<Vec<T>>()
+        .into_boxed_slice()
+        .try_into()
+        .ok()
+        .expect("a page holds DENSE_PAGE rows")
+}
+
+/// Rows indexed directly by a `u64` key, in ascending key order.
+///
+/// Keys below [`DENSE_LIMIT`] index fixed pages of [`DENSE_PAGE`] rows; a
+/// page is allocated when one of its keys is first touched through
+/// [`row_mut`](Self::row_mut) and is never moved or freed. Keys at or
+/// above the limit live in an ordered spill tree. A touched row stays,
+/// in its page or in the tree, holding whatever its user last wrote;
+/// untouched rows of an allocated page hold `T::default()`. Lookups
+/// ([`get`](Self::get), [`get_mut`](Self::get_mut)) never allocate.
+///
+/// # Example
+/// ```
+/// use idem_common::dense::{Dense, DENSE_LIMIT};
+/// let mut rows: Dense<u32> = Dense::new();
+/// *rows.row_mut(DENSE_LIMIT) = 3;
+/// *rows.row_mut(1500) = 2;
+/// assert_eq!(rows.get(7), None); // untouched page
+/// assert_eq!(rows.pages(), 1);
+/// let from: Vec<(u64, u32)> = rows.range(1500).map(|(k, &v)| (k, v)).collect();
+/// assert_eq!(from[0], (1500, 2));
+/// assert_eq!(from.last(), Some(&(DENSE_LIMIT, 3)));
+/// ```
+#[derive(Clone)]
+pub struct Dense<T> {
+    /// Page `i` holds keys `i * DENSE_PAGE ..`; `None` until touched.
+    pages: Vec<Option<Page<T>>>,
+    spill: BTreeMap<u64, T>,
+}
+
+impl<T> Default for Dense<T> {
+    fn default() -> Dense<T> {
+        Dense::new()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Dense<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.range(0)).finish()
+    }
+}
+
+impl<T> Dense<T> {
+    /// Creates an empty container.
+    pub fn new() -> Dense<T> {
+        Dense {
+            pages: Vec::new(),
+            spill: BTreeMap::new(),
+        }
+    }
+
+    /// The row of `key`; `None` when its page was never allocated or,
+    /// past the limit, the key was never touched.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<&T> {
+        if key < DENSE_LIMIT {
+            let page = self.pages.get((key >> PAGE_BITS) as usize)?.as_deref()?;
+            Some(&page[key as usize % DENSE_PAGE])
+        } else {
+            self.spill.get(&key)
+        }
+    }
+
+    /// Mutable [`get`](Self::get): touches nothing that was not there.
+    #[inline]
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        if key < DENSE_LIMIT {
+            let page = self
+                .pages
+                .get_mut((key >> PAGE_BITS) as usize)?
+                .as_deref_mut()?;
+            Some(&mut page[key as usize % DENSE_PAGE])
+        } else {
+            self.spill.get_mut(&key)
+        }
+    }
+
+    /// Every row with its key, ascending from `start`: the allocated
+    /// pages, then the spill tree.
+    pub fn range(&self, start: u64) -> impl Iterator<Item = (u64, &T)> + Clone {
+        let (first, offset) = if start < DENSE_LIMIT {
+            ((start >> PAGE_BITS) as usize, start as usize % DENSE_PAGE)
+        } else {
+            (self.pages.len(), 0)
+        };
+        self.pages
+            .iter()
+            .enumerate()
+            .skip(first)
+            .filter_map(|(i, page)| Some((i, page.as_deref()?)))
+            .flat_map(move |(i, page)| {
+                let from = if i == first { offset } else { 0 };
+                page[from..]
+                    .iter()
+                    .enumerate()
+                    .map(move |(j, row)| (((i << PAGE_BITS) + from + j) as u64, row))
+            })
+            .chain(self.spill.range(start..).map(|(&k, row)| (k, row)))
+    }
+
+    /// Every row, mutably, in ascending key order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.pages
+            .iter_mut()
+            .flatten()
+            .flat_map(|page| page.iter_mut())
+            .chain(self.spill.values_mut())
+    }
+
+    /// Number of allocated pages.
+    pub fn pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
+}
+
+impl<T: Default> Dense<T> {
+    /// The row of `key`, touching it: its page is allocated on first
+    /// touch, or a default row enters the spill tree.
+    #[inline]
+    pub fn row_mut(&mut self, key: u64) -> &mut T {
+        if key < DENSE_LIMIT {
+            let idx = (key >> PAGE_BITS) as usize;
+            if idx >= self.pages.len() {
+                self.pages.resize_with(idx + 1, || None);
+            }
+            let page = self.pages[idx].get_or_insert_with(new_page);
+            &mut page[key as usize % DENSE_PAGE]
+        } else {
+            self.spill.entry(key).or_default()
+        }
+    }
+}
+
 #[derive(Clone)]
 struct Session {
     /// Highest executed op for this client; `NO_OP` when none.
@@ -310,39 +468,24 @@ struct Session {
 
 const NO_OP: u64 = u64::MAX;
 
-impl Session {
-    const EMPTY: Session = Session {
-        last_op: NO_OP,
-        reply: ResultBytes::Inline {
-            len: 0,
-            buf: [0; crate::request::INLINE_RESULT_CAP],
-        },
-        head: ReqHandle::NULL,
-    };
-}
-
-/// A page of empty rows, built on the heap: a `[Session; SESSION_PAGE]`
-/// temporary would give every caller of `slot_mut` a 40 KiB stack frame to
-/// probe on each call.
-#[cold]
-fn new_page() -> Page {
-    vec![Session::EMPTY; SESSION_PAGE]
-        .into_boxed_slice()
-        .try_into()
-        .ok()
-        .expect("a page holds SESSION_PAGE rows")
+impl Default for Session {
+    fn default() -> Session {
+        Session {
+            last_op: NO_OP,
+            reply: ResultBytes::from_slice(&[]),
+            head: ReqHandle::NULL,
+        }
+    }
 }
 
 /// Dense per-client session state: the `last_executed` reply cache plus
 /// the root of each client's live-request chain.
 ///
-/// Client ids below [`DENSE_CLIENT_LIMIT`] index fixed pages of
-/// [`SESSION_PAGE`] rows. A page is allocated when one of its ids is first
-/// touched and is never moved or freed — membership reconfiguration can
-/// only widen the client population, so an epoch change keeps every row
-/// and later epochs reuse them (the membership-epoch resize rule of
-/// DESIGN.md §6e). Reserved pseudo-client ids near `u32::MAX` live in a
-/// small fallback tree.
+/// The rows are a [`Dense`] over client ids: a page is never moved or
+/// freed — membership reconfiguration can only widen the client
+/// population, so an epoch change keeps every row and later epochs reuse
+/// them (the membership-epoch resize rule of DESIGN.md §6e). Reserved
+/// pseudo-client ids near `u32::MAX` live in the spill tree.
 ///
 /// # Example
 /// ```
@@ -355,9 +498,7 @@ fn new_page() -> Page {
 /// ```
 #[derive(Clone, Default)]
 pub struct SessionTable {
-    /// Page `i` holds ids `i * SESSION_PAGE ..`; `None` until touched.
-    pages: Vec<Option<Page>>,
-    special: BTreeMap<u32, Session>,
+    rows: Dense<Session>,
 }
 
 impl SessionTable {
@@ -366,91 +507,58 @@ impl SessionTable {
         SessionTable::default()
     }
 
-    fn slot(&self, client: ClientId) -> Option<&Session> {
-        if client.0 < DENSE_CLIENT_LIMIT {
-            let page = self.pages.get((client.0 >> PAGE_BITS) as usize)?;
-            Some(&page.as_ref()?[client.0 as usize % SESSION_PAGE])
-        } else {
-            self.special.get(&client.0)
-        }
-    }
-
-    fn slot_mut(&mut self, client: ClientId) -> &mut Session {
-        if client.0 < DENSE_CLIENT_LIMIT {
-            let idx = (client.0 >> PAGE_BITS) as usize;
-            if idx >= self.pages.len() {
-                self.pages.resize_with(idx + 1, || None);
-            }
-            let page = self.pages[idx].get_or_insert_with(new_page);
-            &mut page[client.0 as usize % SESSION_PAGE]
-        } else {
-            self.special.entry(client.0).or_insert(Session::EMPTY)
-        }
-    }
-
-    /// Every allocated row with its client id, in ascending id order.
-    fn rows(&self) -> impl Iterator<Item = (u32, &Session)> + Clone {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, page)| Some((i, page.as_ref()?)))
-            .flat_map(|(i, page)| {
-                page.iter()
-                    .enumerate()
-                    .map(move |(j, s)| (((i << PAGE_BITS) + j) as u32, s))
-            })
+    /// The client's row, if it was ever touched and has executed.
+    fn executed(&self, client: ClientId) -> Option<&Session> {
+        self.rows
+            .get(u64::from(client.0))
+            .filter(|s| s.last_op != NO_OP)
     }
 
     /// Highest executed op and cached reply, if any.
     pub fn get(&self, client: ClientId) -> Option<(OpNumber, &ResultBytes)> {
-        self.slot(client)
-            .filter(|s| s.last_op != NO_OP)
+        self.executed(client)
             .map(|s| (OpNumber(s.last_op), &s.reply))
     }
 
     /// Highest executed op, if any (skips touching the reply bytes).
     pub fn last_op(&self, client: ClientId) -> Option<OpNumber> {
-        self.slot(client)
-            .filter(|s| s.last_op != NO_OP)
-            .map(|s| OpNumber(s.last_op))
+        self.executed(client).map(|s| OpNumber(s.last_op))
     }
 
     /// Whether `id` is at or below the client's highest executed op —
     /// the duplicate-suppression test every message pays first.
     pub fn executed_already(&self, id: RequestId) -> bool {
-        self.slot(id.client)
-            .is_some_and(|s| s.last_op != NO_OP && OpNumber(s.last_op) >= id.op)
+        self.executed(id.client)
+            .is_some_and(|s| OpNumber(s.last_op) >= id.op)
     }
 
     /// Records an execution: overwrites the client's op and reply.
     pub fn record(&mut self, client: ClientId, op: OpNumber, reply: ResultBytes) {
-        let slot = self.slot_mut(client);
+        let slot = self.rows.row_mut(u64::from(client.0));
         slot.last_op = op.0;
         slot.reply = reply;
     }
 
     /// Head of the client's live-request chain.
     pub fn head(&self, client: ClientId) -> ReqHandle {
-        self.slot(client).map(|s| s.head).unwrap_or(ReqHandle::NULL)
+        self.rows
+            .get(u64::from(client.0))
+            .map(|s| s.head)
+            .unwrap_or(ReqHandle::NULL)
     }
 
     /// Re-roots the client's live-request chain.
     pub fn set_head(&mut self, client: ClientId, head: ReqHandle) {
-        self.slot_mut(client).head = head;
+        self.rows.row_mut(u64::from(client.0)).head = head;
     }
 
     /// Forgets every execution record (checkpoint install replaces the
     /// table wholesale) while keeping the live-request chains rooted.
     pub fn clear_executed(&mut self) {
-        for s in self.pages.iter_mut().flatten().flat_map(|p| p.iter_mut()) {
+        for s in self.rows.iter_mut() {
             s.last_op = NO_OP;
             s.reply = ResultBytes::from_slice(&[]);
         }
-        self.special.retain(|_, s| {
-            s.last_op = NO_OP;
-            s.reply = ResultBytes::from_slice(&[]);
-            !s.head.is_null()
-        });
     }
 
     /// Replaces every execution record with a checkpoint's
@@ -471,19 +579,15 @@ impl SessionTable {
     /// then the reserved high ids — numerically ascending overall, which
     /// matches the `BTreeMap` order checkpoints were built with).
     pub fn iter(&self) -> impl Iterator<Item = (u32, OpNumber, &ResultBytes)> + Clone {
-        self.rows()
-            .chain(self.special.iter().map(|(&c, s)| (c, s)))
+        self.rows
+            .range(0)
             .filter(|(_, s)| s.last_op != NO_OP)
-            .map(|(c, s)| (c, OpNumber(s.last_op), &s.reply))
+            .map(|(c, s)| (c as u32, OpNumber(s.last_op), &s.reply))
     }
 
     /// Number of clients with a recorded execution.
     pub fn executed_clients(&self) -> usize {
-        self.rows()
-            .map(|(_, s)| s)
-            .chain(self.special.values())
-            .filter(|s| s.last_op != NO_OP)
-            .count()
+        self.iter().count()
     }
 }
 
@@ -634,7 +738,7 @@ mod tests {
     }
 
     fn pages_allocated(t: &SessionTable) -> usize {
-        t.pages.iter().flatten().count()
+        t.rows.pages()
     }
 
     /// The first ids to arrive need not be the lowest: the table holds

@@ -52,7 +52,7 @@ pub mod window;
 pub use app::StateMachine;
 pub use client::{Client, ClientEvent, ClientPort, ClientSetup, ClientStats, ClientTiming};
 pub use deadline::DeadlineTimer;
-pub use dense::{Chained, ReqHandle, ReqSlab, SessionTable};
+pub use dense::{Chained, Dense, ReqHandle, ReqSlab, SessionTable};
 pub use directory::Directory;
 pub use driver::{ClientApp, OperationOutcome, OutcomeKind};
 pub use exec::ExecRecord;

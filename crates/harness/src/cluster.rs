@@ -369,9 +369,10 @@ where
     let clients: Vec<NodeId> = (0..opts.clients).map(|_| sim.reserve_node()).collect();
     let dir = Directory::new(replicas.clone(), clients.clone());
     install_replicas(&mut sim, config, &dir, opts.record_exec_log, opts.persist);
+    let workload = Workload::new(opts.workload, 0);
     for (i, &node) in clients.iter().enumerate() {
         let app = RecordingApp::new(
-            Workload::new(opts.workload, i as u64),
+            workload.with_salt(i as u64),
             recorder.clone(),
             opts.seed.wrapping_mul(1000).wrapping_add(i as u64),
         );

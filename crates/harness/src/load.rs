@@ -795,7 +795,7 @@ impl<P: LoadPort> LoadSource<P> {
             self.rate_mult = ph.rate_mult;
             if ph.rotate_hotspot {
                 self.rotations += 1;
-                self.workload = Workload::new(self.sc.workload, self.sc.seed ^ self.rotations);
+                self.workload = self.workload.with_salt(self.sc.seed ^ self.rotations);
             }
             ctx.set_timer(ph.duration, P::tick(encode_tick(TAG_PHASE, 0)));
             self.next_phase += 1;

@@ -593,3 +593,63 @@ fn kv_get_hit_shares_the_stored_value_and_update_copies_only_when_shared() {
     assert_eq!(lone_write, 0, "UPDATE with no reply held");
     assert_eq!(same_write, 0, "UPDATE of a held reply's own bytes");
 }
+
+/// Allocator calls of the store's index: an UPDATE of a fresh key in a
+/// page already touched, a GET and a DELETE of absent keys in an
+/// untouched page and past the last page, and the first UPDATE in that
+/// untouched page.
+fn kv_index_allocs() -> [u64; 3] {
+    let page = idem_common::dense::DENSE_PAGE as u64;
+    let update = |key| {
+        Command::Update {
+            key,
+            value: vec![b'v'; 100],
+        }
+        .encode()
+    };
+    let mut store = KvStore::new();
+    let mut scratch = Vec::with_capacity(256);
+    // Pages 0 and 6 touched: the page directory already reaches page 3.
+    store.execute_reply(&update(1), &mut scratch);
+    store.execute_reply(&update(6 * page), &mut scratch);
+    let fresh_write = update(2);
+    let fresh = allocs_during(|| {
+        store.execute_reply(&fresh_write, &mut scratch);
+    });
+    let misses: Vec<Vec<u8>> = [3 * page + 5, 100 * page]
+        .into_iter()
+        .flat_map(|key| {
+            [
+                Command::Get { key }.encode(),
+                Command::Delete { key }.encode(),
+            ]
+        })
+        .collect();
+    let missed = allocs_during(|| {
+        for raw in &misses {
+            store.execute_reply(raw, &mut scratch);
+        }
+    });
+    // Had a miss created page 3, this write would pay for its value only.
+    let first_write = update(3 * page + 6);
+    let first = allocs_during(|| {
+        store.execute_reply(&first_write, &mut scratch);
+    });
+    [fresh, missed, first]
+}
+
+#[test]
+fn kv_index_allocates_only_values_and_the_pages_writes_touch() {
+    let _serial = serial();
+    let counts = (0..3)
+        .map(|_| kv_index_allocs())
+        .reduce(|a, b| std::array::from_fn(|i| a[i].min(b[i])))
+        .expect("three tries");
+    let [fresh, missed, first] = counts;
+    assert_eq!(fresh, 1, "UPDATE of a fresh key in a touched page");
+    assert_eq!(missed, 0, "GET and DELETE of absent keys");
+    assert_eq!(
+        first, 2,
+        "first UPDATE in an untouched page: page and value"
+    );
+}

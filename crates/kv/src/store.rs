@@ -1,11 +1,9 @@
 //! The replicated key-value store state machine.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use idem_common::{ResultBytes, StateMachine, INLINE_RESULT_CAP};
+use idem_common::{Dense, ResultBytes, StateMachine, INLINE_RESULT_CAP};
 
 use crate::command::{TAG_DELETE, TAG_GET, TAG_SCAN, TAG_UPDATE};
 
@@ -18,9 +16,13 @@ pub const STATUS_BAD_COMMAND: u8 = 0x02;
 
 /// A deterministic in-memory key-value store.
 ///
-/// Keys are `u64`, values arbitrary bytes; a `BTreeMap` keeps iteration
-/// (and therefore [`snapshot`](StateMachine::snapshot)) deterministic across
-/// replicas, which protocol checkpoint comparison relies on.
+/// Keys are `u64`, values arbitrary bytes. The index is a [`Dense`]
+/// container (DESIGN.md §6e): a GET, UPDATE or DELETE is one page index,
+/// and keys past its dense limit go to an ordered spill tree. SCAN,
+/// [`snapshot`](StateMachine::snapshot) and [`digest`](KvStore::digest)
+/// walk the pages and then the tree, ascending by key, so snapshot bytes
+/// are deterministic across replicas (protocol checkpoint comparison
+/// relies on it) and the same as an ordered map's.
 ///
 /// Each value is stored in GET-reply form, `STATUS_OK` then the value
 /// bytes, in one `Arc<[u8]>`. A GET hit too long to inline hands that
@@ -51,8 +53,10 @@ pub const STATUS_BAD_COMMAND: u8 = 0x02;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
-    /// Key → `[STATUS_OK, value…]`.
-    map: BTreeMap<u64, Arc<[u8]>>,
+    /// Key → `[STATUS_OK, value…]`; `None` for a key not stored.
+    rows: Dense<Option<Arc<[u8]>>>,
+    /// Number of keys stored (rows holding a value).
+    live: usize,
     base_cost: Duration,
     per_byte_cost: Duration,
     writes: u64,
@@ -73,7 +77,8 @@ impl KvStore {
     /// Creates an empty store with an explicit cost model.
     pub fn with_costs(base: Duration, per_byte: Duration) -> KvStore {
         KvStore {
-            map: BTreeMap::new(),
+            rows: Dense::new(),
+            live: 0,
             base_cost: base,
             per_byte_cost: per_byte,
             writes: 0,
@@ -84,18 +89,30 @@ impl KvStore {
 
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live == 0
     }
 
     /// Reads a value directly (bypassing the command layer), for tests and
     /// state comparison.
     pub fn get(&self, key: u64) -> Option<&[u8]> {
-        self.map.get(&key).map(|v| &v[1..])
+        self.stored(key).map(|v| &v[1..])
+    }
+
+    /// The stored form of `key`'s value.
+    fn stored(&self, key: u64) -> Option<&Arc<[u8]>> {
+        self.rows.get(key)?.as_ref()
+    }
+
+    /// Every stored key and value, ascending from `start`.
+    fn entries(&self, start: u64) -> impl Iterator<Item = (u64, &[u8])> {
+        self.rows
+            .range(start)
+            .filter_map(|(k, v)| Some((k, &v.as_deref()?[1..])))
     }
 
     /// Total successfully executed write commands.
@@ -116,11 +133,11 @@ impl KvStore {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x100_0000_01b3);
         };
-        for (k, v) in &self.map {
+        for (k, v) in self.entries(0) {
             for b in k.to_le_bytes() {
                 mix(b);
             }
-            for &b in &v[1..] {
+            for &b in v {
                 mix(b);
             }
             mix(0xFF);
@@ -134,7 +151,7 @@ impl KvStore {
             return None;
         };
         let key = u64::from_le_bytes(raw_key.try_into().ok()?);
-        self.map.get(&key).filter(|v| v.len() > INLINE_RESULT_CAP)
+        self.stored(key).filter(|v| v.len() > INLINE_RESULT_CAP)
     }
 }
 
@@ -173,7 +190,7 @@ impl StateMachine for KvStore {
         match tag {
             TAG_GET if rest.len() == 8 => {
                 self.reads += 1;
-                match self.map.get(&key) {
+                match self.stored(key) {
                     Some(v) => out.extend_from_slice(v),
                     None => out.push(STATUS_NOT_FOUND),
                 }
@@ -182,9 +199,8 @@ impl StateMachine for KvStore {
                 let value = rest.get(8..).unwrap_or_default();
                 self.writes += 1;
                 self.value_bytes += value.len();
-                match self.map.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        let old = e.get_mut();
+                match self.rows.row_mut(key) {
+                    Some(old) => {
                         self.value_bytes -= old.len() - 1;
                         // The bytes already stored: keep the buffer, so
                         // the replies sharing it stay one allocation.
@@ -200,15 +216,17 @@ impl StateMachine for KvStore {
                             }
                         }
                     }
-                    Entry::Vacant(e) => {
-                        e.insert(stored(value));
+                    row @ None => {
+                        *row = Some(stored(value));
+                        self.live += 1;
                     }
                 }
                 out.push(STATUS_OK);
             }
             TAG_DELETE if rest.len() == 8 => {
                 self.writes += 1;
-                if let Some(old) = self.map.remove(&key) {
+                if let Some(old) = self.rows.get_mut(key).and_then(Option::take) {
+                    self.live -= 1;
                     self.value_bytes -= old.len() - 1;
                     out.push(STATUS_OK);
                 } else {
@@ -219,8 +237,7 @@ impl StateMachine for KvStore {
                 let count = u32::from_le_bytes(rest[8..].try_into().expect("4-byte slice"));
                 self.reads += 1;
                 out.push(STATUS_OK);
-                for (k, v) in self.map.range(key..).take(count as usize) {
-                    let v = &v[1..];
+                for (k, v) in self.entries(key).take(count as usize) {
                     out.extend_from_slice(&k.to_le_bytes());
                     out.extend_from_slice(&(v.len() as u32).to_le_bytes());
                     out.extend_from_slice(v);
@@ -251,11 +268,10 @@ impl StateMachine for KvStore {
     }
 
     fn snapshot_into(&self, out: &mut Vec<u8>) {
-        // [n: u64][key: u64, len: u32, bytes]* — deterministic by BTreeMap order.
+        // [n: u64][key: u64, len: u32, bytes]* — ascending by key.
         let start = out.len();
-        out.extend_from_slice(&(self.map.len() as u64).to_le_bytes());
-        for (k, v) in &self.map {
-            let v = &v[1..];
+        out.extend_from_slice(&(self.live as u64).to_le_bytes());
+        for (k, v) in self.entries(0) {
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
             out.extend_from_slice(v);
@@ -265,11 +281,12 @@ impl StateMachine for KvStore {
 
     fn snapshot_len(&self) -> usize {
         // Header + per-entry framing + the incrementally tracked value bytes.
-        8 + 12 * self.map.len() + self.value_bytes
+        8 + 12 * self.live + self.value_bytes
     }
 
     fn restore(&mut self, snapshot: &[u8]) {
-        self.map.clear();
+        self.rows = Dense::new();
+        self.live = 0;
         self.value_bytes = 0;
         let mut pos = 0usize;
         let n = u64::from_le_bytes(snapshot[pos..pos + 8].try_into().expect("length prefix"));
@@ -280,7 +297,8 @@ impl StateMachine for KvStore {
             let len = u32::from_le_bytes(snapshot[pos..pos + 4].try_into().expect("len")) as usize;
             pos += 4;
             self.value_bytes += len;
-            self.map.insert(k, stored(&snapshot[pos..pos + len]));
+            self.live += 1;
+            *self.rows.row_mut(k) = Some(stored(&snapshot[pos..pos + len]));
             pos += len;
         }
     }
@@ -446,6 +464,29 @@ mod tests {
         let c = s.execute_reply(&get, &mut scratch);
         assert!(matches!(c, ResultBytes::Inline { len: 22, .. }));
         assert_eq!(s.reads(), 3);
+    }
+
+    #[test]
+    fn the_index_holds_the_pages_its_keys_touch() {
+        use idem_common::dense::{DENSE_LIMIT, DENSE_PAGE};
+        let mut s = KvStore::new();
+        for k in 0..10_000u64 {
+            s.execute(&update(k, b"v"));
+        }
+        assert_eq!(s.rows.pages(), 10_000usize.div_ceil(DENSE_PAGE));
+        // A key past the dense limit is held in the spill tree, and a
+        // lookup of an absent key touches nothing.
+        let mut far = KvStore::new();
+        far.execute(&update(DENSE_LIMIT, b"x"));
+        far.execute(&Command::Get { key: 5 }.encode());
+        far.execute(
+            &Command::Delete {
+                key: 2 * DENSE_PAGE as u64,
+            }
+            .encode(),
+        );
+        assert_eq!(far.rows.pages(), 0);
+        assert_eq!((far.len(), far.get(DENSE_LIMIT)), (1, Some(&b"x"[..])));
     }
 
     #[test]

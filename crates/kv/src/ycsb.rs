@@ -154,9 +154,11 @@ impl Zipfian {
 
 /// Stateful workload generator bound to one logical client.
 ///
-/// Each client gets its own generator (cheap: the zipfian constants are
-/// computed once and cloned), so per-client operation streams are
-/// independent yet reproducible from the simulation seed.
+/// Each client gets its own generator, so per-client operation streams
+/// are independent yet reproducible from the simulation seed. Build one
+/// with [`new`](Self::new) per cell and derive the clients' with
+/// [`with_salt`](Self::with_salt): `new` sums ζ(n) over the keyspace (10⁴
+/// `powf` calls for the paper's workload), `with_salt` reuses it.
 #[derive(Debug, Clone)]
 pub struct Workload {
     spec: WorkloadSpec,
@@ -178,7 +180,19 @@ impl Workload {
         Workload {
             spec,
             zipf,
-            scramble: salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+            scramble: scramble(salt),
+            issued: 0,
+        }
+    }
+
+    /// The generator `Workload::new(*self.spec(), salt)` builds, derived
+    /// from this one without re-summing its zipfian constants; nothing is
+    /// issued yet.
+    pub fn with_salt(&self, salt: u64) -> Workload {
+        Workload {
+            spec: self.spec,
+            zipf: self.zipf.clone(),
+            scramble: scramble(salt),
             issued: 0,
         }
     }
@@ -263,6 +277,12 @@ impl Workload {
             out.extend_from_slice(&bytes[..take]);
         }
     }
+}
+
+/// The rank multiplier `salt` selects: odd, so multiplying is a
+/// bijection on `u64`.
+fn scramble(salt: u64) -> u64 {
+    salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1
 }
 
 #[cfg(test)]
@@ -408,6 +428,43 @@ mod tests {
                 assert_eq!(buf, w1.next_command(&mut r1));
             }
             assert_eq!(w1.issued(), w2.issued());
+        }
+    }
+
+    #[test]
+    fn with_salt_streams_equal_new_for_every_preset() {
+        let uniform = WorkloadSpec {
+            distribution: KeyDistribution::Uniform,
+            ..WorkloadSpec::update_heavy()
+        };
+        let presets = [
+            WorkloadSpec::update_heavy(),
+            WorkloadSpec::read_heavy(),
+            WorkloadSpec::write_only(0),
+            WorkloadSpec::write_only(1024),
+            uniform,
+        ];
+        for spec in presets {
+            let mut base = Workload::new(spec, 0);
+            // The base's own history does not leak into what it derives.
+            let mut r = rng(29);
+            for _ in 0..10 {
+                base.next_command(&mut r);
+            }
+            for salt in [0, 1, 2, 7, 199, u64::MAX] {
+                let mut derived = base.with_salt(salt);
+                let mut fresh = Workload::new(spec, salt);
+                assert_eq!(derived.issued(), 0);
+                let (mut r1, mut r2) = (rng(salt ^ 31), rng(salt ^ 31));
+                for _ in 0..500 {
+                    assert_eq!(
+                        derived.next_command(&mut r1),
+                        fresh.next_command(&mut r2),
+                        "{spec:?} salt {salt}"
+                    );
+                }
+                assert_eq!(derived.issued(), fresh.issued());
+            }
         }
     }
 

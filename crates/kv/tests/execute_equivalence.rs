@@ -6,12 +6,17 @@
 //! entry point `execute_reply`, whose GET hits share the store's buffer,
 //! to the same bytes, and checks that a reply handed out never changes
 //! however the store (or a clone sharing its buffers) is written later —
-//! with new bytes, or with the very bytes it already holds.
+//! with new bytes, or with the very bytes it already holds. A third
+//! draws keys on both sides of the index's page boundaries and of its
+//! dense limit, and holds replies, SCANs across pages and into the spill
+//! tree, and the snapshot to an ordered-map model.
 
 use std::collections::BTreeMap;
 
 use idem_common::app::StateMachine;
-use idem_common::ResultBytes;
+use idem_common::dense::DENSE_LIMIT;
+use idem_common::{ResultBytes, INLINE_RESULT_CAP};
+use idem_kv::store::{STATUS_NOT_FOUND, STATUS_OK};
 use idem_kv::{Command, KvStore};
 use proptest::prelude::*;
 
@@ -190,5 +195,87 @@ proptest! {
         for (reply, bytes) in &held {
             prop_assert_eq!(&reply[..], &bytes[..], "a reply changed after it was handed out");
         }
+    }
+}
+
+/// Keys on both sides of the index's page boundaries and of its dense
+/// limit, past which keys live in the spill tree.
+const EDGE_KEYS: [u64; 6] = [1023, 1024, 2047, DENSE_LIMIT - 1, DENSE_LIMIT, u64::MAX];
+
+/// Selector `0..22` → a key: `0..16` on the first page, then an edge key.
+fn paged_key(sel: u64) -> u64 {
+    match sel.checked_sub(16) {
+        Some(i) => EDGE_KEYS[i as usize],
+        None => sel,
+    }
+}
+
+/// The reply the model gives, applying the command to it.
+fn model_reply(model: &mut BTreeMap<u64, Vec<u8>>, raw: &[u8]) -> Vec<u8> {
+    let found = |v: Option<&Vec<u8>>| match v {
+        Some(v) => [&[STATUS_OK][..], v].concat(),
+        None => vec![STATUS_NOT_FOUND],
+    };
+    match Command::decode(raw).expect("generated commands are well formed") {
+        Command::Get { key } => found(model.get(&key)),
+        Command::Update { key, value } => {
+            model.insert(key, value);
+            vec![STATUS_OK]
+        }
+        Command::Delete { key } => match model.remove(&key) {
+            Some(_) => vec![STATUS_OK],
+            None => vec![STATUS_NOT_FOUND],
+        },
+        Command::Scan { start, count } => {
+            let mut out = vec![STATUS_OK];
+            for (k, v) in model.range(start..).take(count as usize) {
+                out.extend_from_slice(&k.to_le_bytes());
+                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                out.extend_from_slice(v);
+            }
+            out
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn keys_across_pages_and_the_spill_tree_match_an_ordered_map(
+        ops in proptest::collection::vec(((0u8..6, 0u64..22), (0usize..5, any::<bool>()), 0u32..6), 1..80),
+    ) {
+        let mut store = KvStore::default();
+        let mut model = BTreeMap::new();
+        let mut scratch = Vec::new();
+        for ((kind, sel), (len_sel, b), count) in ops {
+            let key = paged_key(sel);
+            let raw = match kind {
+                // A SCAN from just below a key runs on into the next page
+                // or the spill tree.
+                4 | 5 => Command::Scan { start: key.saturating_sub(u64::from(count)), count: count + 1 }.encode(),
+                _ => cow_op(kind, key, len_sel, if b { b'b' } else { b'a' }),
+            };
+            let reply = store.execute_reply(&raw, &mut scratch);
+            let want = model_reply(&mut model, &raw);
+            prop_assert_eq!(&reply[..], &want[..], "reply diverged for {:?}", raw);
+            prop_assert_eq!(store.len(), model.len());
+        }
+        matches_model(&store, &model)?;
+
+        // A clone shares every stored buffer, on every page and in the
+        // spill tree; overwriting the original leaves the clone's bytes.
+        let mut clone = store.clone();
+        for (&key, v) in &model {
+            let get = Command::Get { key }.encode();
+            let a = store.execute_reply(&get, &mut scratch);
+            let b = clone.execute_reply(&get, &mut scratch);
+            if let (ResultBytes::Shared(a), ResultBytes::Shared(b)) = (&a, &b) {
+                prop_assert!(std::sync::Arc::ptr_eq(a, b), "key {} was copied by clone", key);
+            } else {
+                prop_assert!(v.len() < INLINE_RESULT_CAP, "a {}-byte value was not shared", v.len());
+            }
+            store.execute(&Command::Update { key, value: vec![b'z'; v.len()] }.encode());
+        }
+        matches_model(&clone, &model)?;
+        prop_assert_eq!(clone.len(), model.len());
     }
 }
