@@ -24,7 +24,7 @@ use crate::acceptance::AcceptancePolicy;
 /// assert_eq!(cfg.r_max(), 225);
 /// assert_eq!(cfg.window_size(), 450);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdemConfig {
     /// Replica group size / fault threshold.
     pub quorum: QuorumSet,

@@ -1,7 +1,7 @@
 //! The IDEM replica: acceptance test, agreement, forwarding, implicit
 //! garbage collection, checkpointing, and view changes (paper Sections 4–5).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use idem_common::{
     Chained, CheckpointData, ClientId, Consumed, Directory, QuorumTracker, ReconfigCommand,
@@ -241,10 +241,11 @@ pub struct IdemReplica {
     /// Count of accepted-not-executed requests — the `r_now` of the
     /// acceptance test, maintained incrementally.
     active_count: usize,
-    /// Bodies of *executed* requests awaiting checkpoint prune, moved
-    /// out of the slab at execution so client chains hold only live
-    /// records. Only fetches and WAL re-proposals look here.
-    cold_store: BTreeMap<RequestId, Request>,
+    /// Bodies of *executed* requests awaiting checkpoint prune, in
+    /// execution order, moved out of the slab at execution so client
+    /// chains hold only live records. Only fetches and WAL re-proposals
+    /// look here, newest first ([`cold_body`]).
+    cold_store: Vec<Request>,
     rejected_cache: RejectedCache,
     /// Require-quorum reached while the window was full.
     pending_proposals: VecDeque<RequestId>,
@@ -255,6 +256,11 @@ pub struct IdemReplica {
 
     max_client_seen: u32,
     stats: ReplicaStats,
+}
+
+/// The body of `id` in a cold store, newest first.
+fn cold_body(cold_store: &[Request], id: RequestId) -> Option<&Request> {
+    cold_store.iter().rev().find(|r| r.id == id)
 }
 
 impl std::ops::Deref for IdemReplica {
@@ -304,7 +310,7 @@ impl IdemReplica {
             stalled: false,
             reqs: ReqSlab::new(),
             active_count: 0,
-            cold_store: BTreeMap::new(),
+            cold_store: Vec::new(),
             pending_proposals: VecDeque::new(),
             vc_merge: Vec::new(),
             max_client_seen: 0,
@@ -334,7 +340,7 @@ impl IdemReplica {
         let body = match entry {
             Some(e) if e.body_on_disk => None,
             Some(e) if e.stored => e.body.as_ref(),
-            _ => self.cold_store.get(&id),
+            _ => cold_body(&self.cold_store, id),
         };
         let command = body.map_or(&[][..], |r| &r.command);
         self.base.wal.log_accept(ctx, sqn.0, view.0, id, command);
@@ -397,7 +403,7 @@ impl IdemReplica {
     fn body_of(&self, id: RequestId) -> Option<&Request> {
         match self.reqs.get(self.find(id)).and_then(|e| e.body.as_ref()) {
             Some(body) => Some(body),
-            None => self.cold_store.get(&id),
+            None => cold_body(&self.cold_store, id),
         }
     }
 
@@ -920,7 +926,7 @@ impl IdemReplica {
                 if id.client != RECONFIG_CLIENT
                     && rejected
                     && !stored
-                    && !self.cold_store.contains_key(&id)
+                    && cold_body(&self.cold_store, id).is_none()
                 {
                     self.stats.rejected_cache_hits += 1;
                 }
@@ -992,7 +998,7 @@ impl IdemReplica {
                 e.body.take()
             };
             if let Some(body) = body {
-                self.cold_store.insert(id, body);
+                self.cold_store.push(body);
             }
         }
         self.release_if_unused(h);
@@ -1065,7 +1071,7 @@ impl IdemReplica {
         self.stats.checkpoints_taken += 1;
         let last = &self.base.sessions;
         self.cold_store
-            .retain(|id, _| last.last_op(id.client).is_none_or(|op| op < id.op));
+            .retain(|r| last.last_op(r.id.client).is_none_or(|op| op < r.id.op));
     }
 
     fn handle_checkpoint(&mut self, ctx: &mut Context<'_, IdemMessage>, data: CheckpointData) {

@@ -38,7 +38,7 @@ pub fn experiment_network() -> Network {
 }
 
 /// The system under test: which protocol, with which configurations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Protocol {
     /// IDEM (or one of its ablation variants, via the embedded config).
     Idem {

@@ -12,33 +12,13 @@
 use std::time::Duration;
 
 use crate::cluster::Protocol;
-use crate::experiments::{timeline_csv, window, window_mean, Effort};
+use crate::experiments::{timeline_cell, timeline_csv, window, window_mean, Effort};
 use crate::report::Bound::{AtLeast, AtMost};
 use crate::report::{fmt_kreq, fmt_ms, render_table, Claim, ExperimentReport};
-use crate::scenario::{CrashPlan, Scenario};
-use crate::sweep::{Cell, SweepRunner};
+use crate::sweep::SweepRunner;
 
 /// The client counts: normal load and overload.
 pub const CLIENT_COUNTS: [u32; 2] = [50, 100];
-
-/// Builds one timeline cell; returns it with the crash time (seconds into
-/// the measured window).
-fn timeline_cell(
-    protocol: Protocol,
-    clients: u32,
-    crash_replica: usize,
-    effort: Effort,
-) -> (Cell, f64) {
-    let duration = effort.duration.max(Duration::from_secs(8)) + Duration::from_secs(8);
-    let crash_at = effort.warmup + duration / 4;
-    let mut scenario = Scenario::new(protocol, clients, duration).with_crash(CrashPlan {
-        replica: crash_replica,
-        at: crash_at,
-    });
-    scenario.warmup = effort.warmup;
-    let crash_s = (crash_at - effort.warmup).as_secs_f64();
-    (Cell::timed(scenario), crash_s)
-}
 
 /// Coefficient of variation of the series values in `[from, to)` — the
 /// instability measure for the noAQM comparison.
@@ -59,10 +39,11 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
     let mut cells = Vec::new();
     let mut labels = Vec::new();
     for &clients in &CLIENT_COUNTS {
-        for (crash_name, crash_replica) in [("leader", 0usize), ("follower", 2usize)] {
+        for (crash_name, replica) in [("leader", 0usize), ("follower", 2usize)] {
             for protocol in [Protocol::idem(), Protocol::idem_no_aqm()] {
                 let name = protocol.name();
-                let (cell, crash_s) = timeline_cell(protocol, clients, crash_replica, effort);
+                let runway = Duration::from_secs(8);
+                let (cell, crash_s) = timeline_cell(protocol, clients, replica, effort, runway);
                 cells.push(cell);
                 labels.push((name, clients, crash_name, crash_s));
             }

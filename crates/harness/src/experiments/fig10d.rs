@@ -9,11 +9,11 @@
 use std::time::Duration;
 
 use crate::cluster::Protocol;
-use crate::experiments::{reject_downtime_s, timeline_csv, window_mean, Effort};
+use crate::experiments::{reject_downtime_s, timeline_cell, timeline_csv, window_mean, Effort};
 use crate::recorder::BIN_WIDTH;
 use crate::report::Bound::{AtLeast, AtMost};
 use crate::report::{downsample, fmt_ms, render_table, sparkline, Claim, ExperimentReport};
-use crate::scenario::{clients_for_factor, CrashPlan, Scenario};
+use crate::scenario::clients_for_factor;
 use crate::sweep::{Cell, SweepRunner};
 
 /// Overload factor during the runs.
@@ -21,31 +21,32 @@ pub const LOAD_FACTOR: f64 = 2.0;
 /// LBR leader threshold (comparable to IDEM's system-wide budget).
 pub const LBR_THRESHOLD: u32 = 30;
 
+/// One timeline of the figure: `protocol` at [`LOAD_FACTOR`], with
+/// `replica` crashing (0 is the leader). Returns the cell and the crash
+/// time in seconds into the measured window; Figure 3 reads the Paxos_LBR
+/// leader cell.
+pub(crate) fn cell(protocol: Protocol, replica: usize, effort: Effort) -> (Cell, f64) {
+    let clients = clients_for_factor(LOAD_FACTOR);
+    timeline_cell(protocol, clients, replica, effort, Duration::from_secs(10))
+}
+
 /// Runs the experiment.
 pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
-    let duration = effort.duration.max(Duration::from_secs(10)) + Duration::from_secs(8);
-    let clients = clients_for_factor(LOAD_FACTOR);
-    let crash_at = effort.warmup + duration / 4;
-    let crash_s = (crash_at - effort.warmup).as_secs_f64();
     let mut cells = Vec::new();
     let mut labels = Vec::new();
     for (crash_name, crash_replica) in [("leader", 0usize), ("follower", 2usize)] {
         for protocol in [Protocol::idem(), Protocol::paxos_lbr(LBR_THRESHOLD)] {
             let name = protocol.name();
-            let mut scenario = Scenario::new(protocol, clients, duration).with_crash(CrashPlan {
-                replica: crash_replica,
-                at: crash_at,
-            });
-            scenario.warmup = effort.warmup;
-            cells.push(Cell::timed(scenario));
-            labels.push((name, crash_name));
+            let (timeline, crash_s) = cell(protocol, crash_replica, effort);
+            cells.push(timeline);
+            labels.push((name, crash_name, crash_s));
         }
     }
     let results = runner.run_cells(cells);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut downtimes = Vec::new();
-    for (&(name, crash_name), result) in labels.iter().zip(&results) {
+    for (&(name, crash_name, crash_s), result) in labels.iter().zip(&results) {
         let end = result.measured.as_secs_f64();
         let rate = result.reject_throughput_series();
         let lat = result.reject_latency_series_ms();
@@ -68,7 +69,8 @@ pub fn run(effort: Effort, runner: &SweepRunner) -> ExperimentReport {
         ));
     }
     let downtime = |name: &str, crash: &str| {
-        downtimes[labels.iter().position(|&l| l == (name, crash)).unwrap()]
+        let i = labels.iter().position(|&(n, c, _)| (n, c) == (name, crash));
+        downtimes[i.expect("a timeline of the figure")]
     };
     let claims = vec![
         Claim::new(

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crate::recorder::RunMetrics;
 use crate::report::render_csv;
-use crate::scenario::{clients_for_factor, Scenario};
+use crate::scenario::{clients_for_factor, CrashPlan, Scenario};
 use crate::sweep::{Cell, SweepRunner};
 use crate::Protocol;
 
@@ -111,6 +111,37 @@ pub(crate) fn measure_grid(
         .chunks(reps)
         .map(|chunk| average(&chunk.iter().map(|r| r.metrics).collect::<Vec<_>>()))
         .collect()
+}
+
+/// The shortest measured window of a crash timeline. The crash falls at
+/// 1.5 s, so Paxos_LBR's ≈4 s reject outage ends inside it, and Figure 10
+/// averages 8 post-crash bins once it skips the 1.5 s view change (2.5 s).
+const TIMELINE_FLOOR: Duration = Duration::from_secs(6);
+
+/// A crash timeline (fig3, fig10, fig10d): `protocol` under `clients`
+/// clients, with `replica` crashing a quarter of the way into the measured
+/// window. Returns the cell and the crash time in seconds into the window.
+///
+/// The window is the paper's 8 s around the crash after `runway` (or the
+/// measured duration, if longer), as at the quick and full presets; a
+/// shorter effort shrinks it to six measured durations, down to
+/// [`TIMELINE_FLOOR`].
+pub(crate) fn timeline_cell(
+    protocol: Protocol,
+    clients: u32,
+    replica: usize,
+    effort: Effort,
+    runway: Duration,
+) -> (Cell, f64) {
+    let paper = effort.duration.max(runway) + Duration::from_secs(8);
+    let duration = paper.min(6 * effort.duration).max(TIMELINE_FLOOR);
+    let crash_at = effort.warmup + duration / 4;
+    let mut scenario = Scenario::new(protocol, clients, duration).with_crash(CrashPlan {
+        replica,
+        at: crash_at,
+    });
+    scenario.warmup = effort.warmup;
+    (Cell::timed(scenario), (duration / 4).as_secs_f64())
 }
 
 /// Longest stretch (seconds) without any rejection after `after_s`,
@@ -244,6 +275,26 @@ mod tests {
         );
         assert_eq!(window_mean(&rate, 0.0, 0.5), 2.0);
         assert!(window_mean(&rate, 1.0, 2.0).is_nan());
+    }
+
+    #[test]
+    fn timeline_windows_keep_the_presets_and_floor_shorter_efforts() {
+        let s = Duration::from_secs;
+        let tiny = Effort {
+            duration: Duration::from_millis(300),
+            ..Effort::quick()
+        };
+        let window = |effort, runway| {
+            let (cell, crash_s) = timeline_cell(Protocol::idem(), 1, 0, effort, runway);
+            assert_eq!(crash_s, cell.scenario.duration.as_secs_f64() / 4.0);
+            cell.scenario.duration
+        };
+        // fig3 and fig10d, then fig10.
+        for (runway, quick) in [(s(10), s(18)), (s(8), s(16))] {
+            assert_eq!(window(Effort::quick(), runway), quick);
+            assert_eq!(window(Effort::full(), runway), s(28));
+            assert_eq!(window(tiny, runway), TIMELINE_FLOOR);
+        }
     }
 
     #[test]

@@ -405,11 +405,12 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Renders the complete report as text: the title, the claims table,
-    /// the body.
+    /// Renders the complete report as text: the title, the claims table
+    /// (when the experiment declares claims), the body.
     pub fn to_text(&self) -> String {
-        let claims = claims_table(self.claims.iter().map(|c| ("", c)));
-        format!("== {} ==\n{}\n{}", self.title, claims.text(), self.body)
+        let claims = claims_table(self.claims.iter().map(|c| ("", c))).text() + "\n";
+        let claims = if self.claims.is_empty() { "" } else { &claims };
+        format!("== {} ==\n{claims}{}", self.title, self.body)
     }
 }
 

@@ -27,7 +27,7 @@ pub struct CrashPlan {
 }
 
 /// A fully specified experiment run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The system under test.
     pub protocol: Protocol,

@@ -8,6 +8,13 @@
 //! interleaved them: each cell owns its own virtual clock and RNG seed, so
 //! cells are embarrassingly parallel by construction.
 //!
+//! The same property makes a cell's result a function of the cell alone, so
+//! a runner simulates each distinct cell once: it keeps every cell it ran
+//! with its [`RunResult`], and a later [`SweepRunner::run_cells`] that
+//! declares an equal cell is handed that result (Figure 3 reads Figure
+//! 10d's Paxos_LBR leader cell this way, and fig7, fig8 and fig9b the IDEM
+//! RT = 50 cells fig6 already ran).
+//!
 //! ```no_run
 //! use std::time::Duration;
 //! use idem_harness::sweep::{Cell, SweepRunner};
@@ -45,7 +52,8 @@ pub enum RunMode {
 }
 
 /// One schedulable unit of experiment work: a scenario plus its run mode.
-#[derive(Debug, Clone)]
+/// Equal cells simulate equal runs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// The fully specified run.
     pub scenario: Scenario,
@@ -82,7 +90,8 @@ impl Cell {
 }
 
 /// Aggregate execution statistics of the cells a runner has executed since
-/// the last [`SweepRunner::take_stats`] call.
+/// the last [`SweepRunner::take_stats`] call. A cell served from an earlier
+/// simulation counts nowhere: its events belong to the call that ran it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Cells executed.
@@ -112,6 +121,10 @@ pub struct SweepRunner {
     jobs: usize,
     /// Locked once or twice per finished task, never while one runs.
     stats: Mutex<SweepStats>,
+    /// Every cell simulated so far, with its result, in the order the
+    /// batches declared them. Locked for a whole `run_cells` call; its
+    /// workers never take it.
+    simulated: Mutex<Vec<(Cell, RunResult)>>,
 }
 
 impl Default for SweepRunner {
@@ -126,6 +139,7 @@ impl SweepRunner {
         SweepRunner {
             jobs: jobs.max(1),
             stats: Mutex::default(),
+            simulated: Mutex::default(),
         }
     }
 
@@ -153,14 +167,29 @@ impl SweepRunner {
 
     /// Runs all cells and returns their results in declaration order:
     /// `results[i]` corresponds to `cells[i]`, regardless of worker count
-    /// or scheduling. Panics in a cell propagate to the caller.
+    /// or scheduling. A cell equal to one this runner already simulated, in
+    /// this call or an earlier one, is not simulated again: it gets a copy
+    /// of that result. Panics in a cell propagate to the caller.
     pub fn run_cells(&self, cells: Vec<Cell>) -> Vec<RunResult> {
-        self.run_tasks(cells, |cell| {
+        let mut simulated = self.simulated.lock().expect("sweep memo lock poisoned");
+        let mut fresh: Vec<Cell> = Vec::new();
+        for cell in &cells {
+            if !fresh.contains(cell) && !simulated.iter().any(|(c, _)| c == cell) {
+                fresh.push(cell.clone());
+            }
+        }
+        let ran = self.run_tasks(fresh, |cell| {
             let result = cell.run();
             self.note_events(result.events_processed);
             self.note_event_stats(&result.event_stats);
-            result
-        })
+            (cell.clone(), result)
+        });
+        // Kept as copies made here: a worker's own result sits among the
+        // freed blocks of its simulation and would keep the allocator from
+        // returning them.
+        simulated.extend(ran.into_iter().map(|(cell, result)| (cell, result.clone())));
+        let served = |cell| simulated.iter().find(|(c, _)| c == cell).expect("ran");
+        cells.iter().map(|cell| served(cell).1.clone()).collect()
     }
 
     /// Runs arbitrary independent tasks on the worker pool, returning the
@@ -310,6 +339,29 @@ mod tests {
         );
         assert!(stats.events_by_kind.queue_high_water > 0);
         assert_eq!(runner.take_stats(), SweepStats::default());
+    }
+
+    #[test]
+    fn an_equal_cell_is_simulated_once_per_runner() {
+        let runner = SweepRunner::new(2);
+        let cell = tiny_cells(1).remove(0);
+        let first = runner.run_cells(vec![cell.clone(), cell.clone()]);
+        assert_eq!(runner.take_stats().cells, 1);
+        let again = runner.run_cells(vec![cell.clone()]).remove(0);
+        assert_eq!(runner.take_stats(), SweepStats::default());
+        for r in [&first[1], &again] {
+            assert_eq!(r.metrics.successes, first[0].metrics.successes);
+            assert_eq!(r.metrics.latency_mean_ms, first[0].metrics.latency_mean_ms);
+            assert_eq!(r.events_processed, first[0].events_processed);
+            assert_eq!(r.event_stats, first[0].event_stats);
+            assert_eq!(r.reply_series, first[0].reply_series);
+        }
+        // A cell that differs only in its seed is another simulation.
+        let reseeded = Cell::timed(cell.scenario.with_seed(99));
+        let other = runner.run_cells(vec![reseeded]).remove(0);
+        let stats = runner.take_stats();
+        assert_eq!((stats.cells, stats.events), (1, other.events_processed));
+        assert_ne!(other.events_processed, first[0].events_processed);
     }
 
     #[test]

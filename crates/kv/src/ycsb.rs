@@ -96,7 +96,8 @@ impl Default for WorkloadSpec {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^θ`: `u·ζ(n)` below it (and at least 1) draws rank 1.
+    second: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -119,7 +120,7 @@ impl Zipfian {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipfian {
             n,
-            theta,
+            second: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -139,7 +140,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.second {
             return 1;
         }
         let raw = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

@@ -32,7 +32,7 @@ pub enum RejectPolicy {
 ///     .with_reject_policy(RejectPolicy::LeaderBased { threshold: 150 });
 /// assert_eq!(cfg.quorum.n(), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaxosConfig {
     /// Replica group size / fault threshold.
     pub quorum: QuorumSet,

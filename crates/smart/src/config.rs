@@ -18,7 +18,7 @@ pub(crate) const SLOT_BATCH_SHIFT: u32 = 20;
 /// let cfg = SmartConfig::for_faults(1).with_max_batch(64);
 /// assert_eq!(cfg.max_batch, 64);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmartConfig {
     /// Replica group size / fault threshold.
     pub quorum: QuorumSet,

@@ -44,7 +44,12 @@
 # name fails loudly (exit 2) with a diff of the two name sets, because a
 # silently-skipped entry is exactly how a renamed experiment escapes the
 # gate. The reverse is allowed: a quick CI run of a subset (e.g.
-# `repro table1 fig3`) checks fine against the full committed baseline.
+# `repro table1 fig3 fig10d`) checks fine against the full committed
+# baseline. An experiment's counters cover only the cells it simulated
+# first: `repro` runs each distinct cell once and serves it to every later
+# experiment that declares it (fig10d's Paxos_LBR leader cell is fig3's).
+# So a subset matches the baseline only when it keeps `all`'s order and
+# every earlier experiment that simulates a cell it declares.
 # The JSON is the flat hand-rolled schema; no jq required.
 #
 # Allocations per event are deterministic too but not in these files;
@@ -194,7 +199,7 @@ if [[ "$mode" == generic ]]; then
 fi
 
 # Also compare the whole-run totals when both files carry one and cover
-# the same entries: the total of a subset run (CI's `repro table1 fig3`)
+# the same entries: the total of a subset run (CI's `repro table1 fig3 fig10d`)
 # is a mix of different experiments than the baseline's and says nothing
 # against it. Load summaries carry none.
 total_of() {

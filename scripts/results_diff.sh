@@ -7,7 +7,9 @@
 #     where N counts data rows from 1, KEY is the row's leading fields up to
 #     and including its first numeric one (the sweep parameter of the row),
 #     and DELTA is printed only when both values are numbers and OLD is not
-#     zero; rows one side lacks print whole, as `row N removed` / `added`;
+#     zero; when the two files differ in row count, rows are aligned as
+#     diff(1) aligns lines instead, and each row one side lacks prints
+#     whole, as `FILE row removed: ROW` / `FILE row added: ROW`;
 #   * a unified diff of every `.txt` file that differs;
 #   * `only in OLD_DIR: FILE` / `only in NEW_DIR: FILE` for files one side
 #     lacks, and `FILE differs` for any other file that is not identical.
@@ -48,6 +50,11 @@ for path in "$old"/* "$new"/*; do
             echo "$name differs"
             continue
         fi
+        if [ "$(wc -l < "$old/$name")" -ne "$(wc -l < "$new/$name")" ]; then
+            diff "$old/$name" "$new/$name" |
+                sed -n "s|^< |$name row removed: |p; s|^> |$name row added: |p"
+            continue
+        fi
         awk -F, -v file="$name" '
             function numeric(s) {
                 return s ~ /^[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?$/
@@ -59,7 +66,7 @@ for path in "$old"/* "$new"/*; do
                     k = k "," f[i + 1]
                 return k
             }
-            FNR == NR { rows[FNR] = $0; old_rows = FNR; next }
+            FNR == NR { rows[FNR] = $0; next }
             FNR == 1 {
                 ncols = split($0, header, ",")
                 if ($0 != rows[1]) printf "%s header: %s -> %s\n", file, rows[1], $0
@@ -67,7 +74,6 @@ for path in "$old"/* "$new"/*; do
             }
             {
                 r = FNR - 1
-                if (FNR > old_rows) { printf "%s row %d added: %s\n", file, r, $0; next }
                 if ($0 == rows[FNR]) next
                 n = split(rows[FNR], was, ",")
                 if ($0 == "" || n != NF) {
@@ -82,10 +88,6 @@ for path in "$old"/* "$new"/*; do
                         delta = sprintf(" (%+.3g %%)", ($c - was[c]) * 100 / (was[c] < 0 ? -was[c] : was[c]))
                     printf "%s row %d [%s] %s: %s -> %s%s\n", file, r, key(rows[FNR]), col, was[c], $c, delta
                 }
-            }
-            END {
-                for (i = FNR + 1; i <= old_rows; i++)
-                    printf "%s row %d removed: %s\n", file, i - 1, rows[i]
             }
         ' "$old/$name" "$new/$name"
         ;;

@@ -48,6 +48,20 @@ fn fig7_is_byte_identical_across_job_counts_and_repeats() {
 }
 
 #[test]
+fn fig3_served_from_fig10d_renders_like_its_own_simulation() {
+    // One cell: the fresh run is the same at every worker count.
+    let fresh = render(&experiments::fig3::run(tiny(), &SweepRunner::new(1)));
+    for jobs in [1, 4] {
+        let runner = SweepRunner::new(jobs);
+        experiments::fig10d::run(tiny(), &runner);
+        runner.take_stats();
+        let served = render(&experiments::fig3::run(tiny(), &runner));
+        assert_eq!(runner.take_stats().cells, 0, "fig3 simulated again");
+        assert_eq!(fresh, served, "jobs={jobs}");
+    }
+}
+
+#[test]
 fn mixed_protocol_cells_agree_across_job_counts() {
     // A heterogeneous batch (different protocols, loads, seeds, crash
     // plans) exercises out-of-order completion: a 4-worker pool finishes
